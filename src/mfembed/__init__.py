@@ -11,7 +11,7 @@ from .cutpack import (
     heuristic_tree_decomposition,
     is_balanced,
 )
-from .embedder import derive_params, embed_top, split, subgraph_level
+from .embedder import derive_params, embed_top, split
 from .frt import frt_embed
 from .generators import generate
 from .graphio import load_graph, save_graph
@@ -78,6 +78,5 @@ __all__ = [
     "single_level_partition",
     "split",
     "stretch_exponent",
-    "subgraph_level",
     "treedepth_of",
 ]

@@ -60,7 +60,6 @@ def _add_embed(sub):
     p.add_argument("--tau-cap", type=int, default=None)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c-fallback", type=float, default=DEFAULT_C_FALLBACK)
-    p.add_argument("--global-portal-distances", action="store_true")
     p.add_argument("--literal-level0", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
@@ -162,7 +161,6 @@ def _cmd_embed(args) -> int:
         tau_cap=args.tau_cap,
         gamma=args.gamma,
         c_fallback=args.c_fallback,
-        global_portal_distances=args.global_portal_distances,
         literal_level0=args.literal_level0,
     )
     if is_connected(g):

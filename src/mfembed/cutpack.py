@@ -258,25 +258,20 @@ def build_cut_packing(
 ) -> CutPacking:
     """Collect up to xi+1 distinct cuts, then drop the whole-vertex-set cut.
 
-    The construction is deterministic given the chain, so once a call
-    repeats an earlier cut nothing new can appear; we stop after three
-    consecutive repeats. The trivial cut {V} is always found first and is
-    discarded from the returned packing.
+    `find_balanced_cut` is deterministic given (graph, chain, packing), and a
+    repeated cut leaves the packing unchanged, so the first repeat means
+    nothing new can appear; we stop there. The trivial cut {V} is always
+    found first and is discarded from the returned packing.
     """
     if xi < 1 or tau < 1:
         raise InvariantViolation("xi and tau must be at least 1")
     packing = CutPacking()
     families: set[frozenset[frozenset[int]]] = set()
-    repeats = 0
     while len(packing) < xi + 1:
         cut = find_balanced_cut(g, chain, packing, tau)
         fam = cut.family()
         if fam in families:
-            repeats += 1
-            if repeats >= 3 and len(packing) >= 1:
-                break
-            continue
-        repeats = 0
+            break
         families.add(fam)
         packing.add(cut)
     everything = frozenset(range(g.n))

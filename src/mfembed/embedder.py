@@ -23,7 +23,6 @@ from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, Precondit
 from .frt import frt_embed
 from .graphs import (
     WeightedGraph,
-    all_pairs,
     diameter,
     dijkstra,
     hat_ell,
@@ -92,16 +91,6 @@ def derive_params(
     )
 
 
-def subgraph_level(g: WeightedGraph) -> int:
-    """The unique l with 2**(l-1) < diameter <= 2**l (distances above 1)."""
-    if g.n < 2:
-        raise PreconditionViolation("level undefined for a single vertex")
-    d = diameter(g)
-    if d <= 1.0:
-        raise PreconditionViolation("level assumes all distances exceed 1")
-    return level_count_for_diameter(d)
-
-
 @dataclass
 class SplitResult:
     cutedges: set[tuple[int, int]]
@@ -157,13 +146,12 @@ def split(
 class _EmbedState:
     """Mutable host under construction during the recursion."""
 
-    def __init__(self, graph, params, seed, *, global_distances, literal_level0, fail_split_index):
+    def __init__(self, graph, params, seed, *, literal_level0, fail_split_index):
         self.graph = graph
         self.params = params
         self.seed = seed
         self.literal_level0 = literal_level0
         self.fail_split_index = fail_split_index
-        self.global_dist = all_pairs(graph) if global_distances else None
         self.parent: list[int | None] = [None] * graph.n
         self.edges: list[tuple[int, int, float]] = []
         self.next_id = graph.n
@@ -200,10 +188,7 @@ class _EmbedState:
             self._check_progress(comp, result.level, len(vertices))
             roots.extend(self.embed(comp, path + (k,), depth + 1))
         for local_z in result.portals:
-            if self.global_dist is not None:
-                dist = [self.global_dist[verts[local_z]][verts[i]] for i in range(sub.n)]
-            else:
-                dist = dijkstra(sub, local_z)
+            dist = dijkstra(sub, local_z)
             copy_id = self.next_id
             self.next_id += 1
             self.parent.append(None)
@@ -264,7 +249,6 @@ def embed_top(
     gamma: float = 1.0,
     xi_cap: int = DEFAULT_XI_CAP,
     tau_cap: int | None = None,
-    global_portal_distances: bool = False,
     literal_level0: bool = False,
     fail_split_index: int | None = None,
 ) -> HostEmbedding:
@@ -303,7 +287,6 @@ def embed_top(
         scaled,
         params,
         seed,
-        global_distances=global_portal_distances,
         literal_level0=literal_level0,
         fail_split_index=fail_split_index,
     )

@@ -40,10 +40,11 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
     rng.shuffle(perm)
     beta = 2.0 ** rng.random()
 
-    # Rescaled distances: ds = 2*d/dmin, so min ds == 2 and the level-0
-    # radius beta/2 < 1 forces singletons at the latest there.
-    ds = [[2.0 * x / dmin for x in row] for row in dm]
-    diam_s = max(max(row) for row in ds)
+    # Rescale in place to 2*d/dmin, so the closest pair sits at 2 and the
+    # level-0 radius beta/2 < 1 forces singletons at the latest there.
+    for u, row in enumerate(dm):
+        dm[u] = [2.0 * x / dmin for x in row]
+    diam_s = max(max(row) for row in dm)
     top = 1
     while diam_s > 2.0**top:
         top += 1
@@ -64,7 +65,7 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
             groups: dict[int, list[int]] = {}
             for v in members:
                 for u in perm:
-                    if ds[u][v] <= radius:
+                    if dm[u][v] <= radius:
                         groups.setdefault(u, []).append(v)
                         break
             for center in perm:

@@ -212,25 +212,29 @@ def connected_components(
     return comps
 
 
-def diameter(g: WeightedGraph, dist_matrix: list[list[float]] | None = None) -> float:
-    """Largest pairwise distance; raises on disconnected input."""
-    if g.n <= 1:
-        return 0.0
-    dm = dist_matrix if dist_matrix is not None else all_pairs(g)
+def diameter(g: WeightedGraph) -> float:
+    """Largest pairwise distance; raises on disconnected input.
+
+    One Dijkstra row at a time, so memory stays O(n).
+    """
     worst = 0.0
-    for row in dm:
-        m = max(row)
+    for s in range(g.n):
+        m = max(dijkstra(g, s))
         if m == INF:
             raise DisconnectedGraph("diameter undefined on disconnected graph")
         worst = max(worst, m)
     return worst
 
 
-def min_distance(g: WeightedGraph, dist_matrix: list[list[float]] | None = None) -> float:
-    """Smallest distance between two distinct vertices."""
+def min_distance(g: WeightedGraph) -> float:
+    """Smallest distance between two distinct vertices, from all pairs.
+
+    The pipeline reads `g.min_edge_length()`, which equals this for positive
+    lengths; this all-pairs form is the independent check.
+    """
     if g.n < 2:
         raise InvariantViolation("need at least two vertices")
-    dm = dist_matrix if dist_matrix is not None else all_pairs(g)
+    dm = all_pairs(g)
     best = INF
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -242,10 +246,7 @@ def stretch_exponent(g: WeightedGraph) -> int:
     """Least integer l such that (max distance / min distance) < 2**l."""
     if g.n < 2:
         raise DisconnectedGraph("stretch undefined with fewer than two vertices")
-    dm = all_pairs(g)
-    dmax = diameter(g, dm)
-    dmin = min_distance(g, dm)
-    stretch = dmax / dmin
+    stretch = diameter(g) / g.min_edge_length()
     ell = 0
     while not stretch < 2.0**ell:
         ell += 1
@@ -268,13 +269,16 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 
     Fixed rule: multiply all lengths by 2/min-distance when the minimum
     distance is <= 1, otherwise leave the graph untouched (scale 1). The
-    scale is returned so host distances can be mapped back.
+    scale is returned so host distances can be mapped back. With positive
+    lengths the closest pair is always an edge (a path's sum is never below
+    its largest edge, in floats too), so the minimum edge length is the
+    minimum distance.
     """
     if not is_connected(g):
         raise DisconnectedGraph("normalize requires a connected graph")
     if g.n < 2:
         return g, 1.0
-    dmin = min_distance(g)
+    dmin = g.min_edge_length()
     if dmin > 1.0:
         return g, 1.0
     scale = 2.0 / dmin

@@ -9,6 +9,7 @@ numerical reading of an exact invariant.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -105,14 +106,26 @@ class ExperimentConfig:
 
 
 def sample_pairs(n: int, count: int | str, seed: int) -> list[tuple[int, int]]:
-    """Unordered pairs, uniform without replacement, from the master seed."""
-    universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if count == "all" or (isinstance(count, int) and count >= len(universe)):
-        return universe
+    """Unordered pairs, uniform without replacement, from the master seed.
+
+    Samples indices into the lexicographic list of all pairs and decodes
+    them, so a sample of k pairs takes O(k) memory.
+    """
+    total = n * (n - 1) // 2
+    if count == "all" or (isinstance(count, int) and count >= total):
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not isinstance(count, int) or count < 1:
         raise PreconditionViolation("pair sample size must be >= 1 or 'all'")
     rng = random.Random(derive_seed(seed, "pairs"))
-    return sorted(rng.sample(universe, count))
+    return sorted(_pair_at(n, total, i) for i in rng.sample(range(total), count))
+
+
+def _pair_at(n: int, total: int, index: int) -> tuple[int, int]:
+    """The index-th pair (u < v) in lexicographic order."""
+    # Counted from the end, rows u = n-2, n-3, ... hold 1, 2, ... pairs.
+    back = total - 1 - index
+    u = n - 2 - (math.isqrt(8 * back + 1) - 1) // 2
+    return u, index - u * (2 * n - u - 1) // 2 + u + 1
 
 
 def aggregate_records(pairs, runs_records):

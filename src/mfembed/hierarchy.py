@@ -22,9 +22,10 @@ from typing import Sequence
 from .errors import DisconnectedGraph, EdgeNotInGraph, PreconditionViolation
 from .graphs import (
     WeightedGraph,
-    all_pairs,
+    diameter,
     dijkstra,
     induced_subgraph,
+    is_connected,
     quotient,
 )
 from .partition import single_level_partition
@@ -101,8 +102,7 @@ def build_chain(
     n = g.n
     if n == 0:
         raise DisconnectedGraph("cannot build a chain over the empty graph")
-    dm = all_pairs(g)
-    if any(math.isinf(x) for row in dm for x in row):
+    if not is_connected(g):
         raise DisconnectedGraph("chain requires a connected graph")
     if n == 1:
         return ClusteringChain(
@@ -116,11 +116,10 @@ def build_chain(
             vertex_to_cluster=((0,),),
             parents=(),
         )
-    dmin = min(dm[u][v] for u in range(n) for v in range(u + 1, n))
-    if dmin <= 1.0:
+    # The closest pair is always an edge, so this checks every distance.
+    if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")
-    diam = max(max(row) for row in dm)
-    top = level_count_for_diameter(diam)
+    top = level_count_for_diameter(diameter(g))
     lam = math.log(2.0 * top * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
     r_sched = radius_schedule(top, n, delta)

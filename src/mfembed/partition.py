@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
-from .graphs import WeightedGraph, diameter, dijkstra, is_connected
+from .graphs import WeightedGraph, dijkstra, is_connected
 
 
 def sample_exponential(rng: random.Random) -> float:
@@ -55,7 +55,8 @@ def single_level_partition(
     `order` is a permutation of the vertex ids listing them from smallest to
     largest under the tie-break order (default: ascending id). `x_source`
     replaces the Exp(1) sampler; tests use it to force deterministic radii.
-    When r is at least the diameter the whole vertex set is one cluster.
+    When r is at least the diameter the first ball, centred at the
+    lowest-rank vertex, already covers the whole vertex set.
     """
     if r <= 0:
         raise InvariantViolation("radius parameter must be positive")
@@ -73,15 +74,14 @@ def single_level_partition(
         for pos, v in enumerate(order):
             rank[v] = pos
 
-    if g.n == 1 or r >= diameter(g):
-        center = min(range(g.n), key=lambda v: rank[v])
+    if g.n == 1:
         return Clustering(
             base_r=r,
-            clusters=(tuple(range(g.n)),),
-            centers=(center,),
+            clusters=((0,),),
+            centers=(0,),
             x_values=(0.0,),
             radii=(r,),
-            cluster_of=(0,) * g.n,
+            cluster_of=(0,),
         )
 
     free = [True] * g.n

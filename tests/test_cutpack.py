@@ -323,3 +323,29 @@ def test_small_graph_cut_membership_in_enumeration():
             if cut.family() in {c.family() for c in packing.cuts}:
                 break
             packing.add(cut)
+
+
+def test_packing_stops_at_first_repeated_cut(monkeypatch):
+    # find_balanced_cut is deterministic given the packing, and a repeat
+    # leaves the packing unchanged, so one repeat ends the packing: the
+    # trivial cut, each kept cut, and the single repeat are all the calls.
+    import mfembed.cutpack as cutpack
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return find_balanced_cut(*args)
+
+    monkeypatch.setattr(cutpack, "find_balanced_cut", counting)
+    instances = [
+        scaled(generate("grid", rows=4, cols=4)),
+        scaled(generate("cycle", size=10)),
+        scaled(generate("star", size=7)),
+    ]
+    for g in instances:
+        chain = chain_of(g, delta=0.15, seed=1)
+        calls.clear()
+        packing = build_cut_packing(g, chain, xi=32, tau=64)
+        assert len(packing) < 32  # a repeat, not the budget, stopped it
+        assert len(calls) == len(packing) + 2

@@ -12,7 +12,6 @@ from mfembed.embedder import (
     split,
     SplitFailure,
     SplitResult,
-    subgraph_level,
 )
 from mfembed.errors import (
     BadEpsilon,
@@ -88,22 +87,11 @@ def test_derive_params_bad_epsilon():
         derive_params(1, 10, 0.5, "practical")
 
 
-# --------------------------------------------------------------- subgraph level
+# ----------------------------------------------------------------------- split
 
 
 def two_vertex(d):
     return WeightedGraph(2, ((0, 1, d),))
-
-
-def test_subgraph_level_boundaries():
-    assert subgraph_level(two_vertex(1.5)) == 1
-    assert subgraph_level(two_vertex(2.0)) == 1
-    assert subgraph_level(two_vertex(2.01)) == 2
-    with pytest.raises(PreconditionViolation):
-        subgraph_level(WeightedGraph(1, ()))
-
-
-# ----------------------------------------------------------------------- split
 
 
 def test_split_two_vertex_forced():
@@ -198,13 +186,6 @@ def test_embed_fallback_injection():
     emb = embed_top(g, 0.5, "practical", seed=1, fail_split_index=0)
     assert emb.meta.fallback_used
     assert emb.host.m == emb.host.n - 1  # tree host
-    assert_non_contracting(g, emb)
-    check_forest_validity(emb)
-
-
-def test_embed_global_portal_distances():
-    g = generate("grid", rows=3, cols=3)
-    emb = embed_top(g, 0.5, "practical", seed=2, global_portal_distances=True)
     assert_non_contracting(g, emb)
     check_forest_validity(emb)
 

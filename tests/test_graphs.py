@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from oracles import diameter_by_enumeration, floyd_warshall, shortest_by_path_enumeration
@@ -190,6 +191,36 @@ def test_normalize_small_edge():
     scaled, scale = normalize(g)
     assert scale == 4.0
     assert min_distance(scaled) > 1.0
+
+
+def random_non_metric_graph(rng, n):
+    """Connected graph with lengths below and above 1 and one long chord."""
+    edges = {}
+    for v in range(1, n):
+        edges[(rng.randrange(v), v)] = rng.uniform(0.05, 1.0 if v == 1 else 3.0)
+    for _ in range(n // 2):  # leaves a non-edge for the chord when n >= 5
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), rng.uniform(0.05, 3.0))
+    g = WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+    # make the chord longer than the detour between its ends
+    dm = all_pairs(g)
+    u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges)
+    edges[(u, v)] = dm[u][v] + rng.uniform(0.5, 5.0)
+    return WeightedGraph(n, tuple((a, b, w) for (a, b), w in edges.items()))
+
+
+def test_normalize_and_stretch_match_all_pairs_on_non_metric_graphs():
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_non_metric_graph(rng, rng.randint(5, 12))
+        dm = all_pairs(g)
+        assert any(dm[u][v] < w for u, v, w in g.edges)
+        dmin = min_distance(g)
+        assert dmin <= 1.0
+        assert normalize(g)[1] == 2.0 / dmin
+        stretch = max(max(row) for row in dm) / dmin
+        assert stretch < 2.0 ** stretch_exponent(g)
+        assert not stretch < 2.0 ** (stretch_exponent(g) - 1)
 
 
 def test_normalize_unit_four_path():

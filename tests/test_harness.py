@@ -1,4 +1,8 @@
+import bisect
+import itertools
 import json
+import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -17,6 +21,7 @@ from mfembed.harness import (
     strip_timing,
 )
 from mfembed.hosts import EmbeddingMeta, HostEmbedding
+from mfembed.rng import derive_seed
 
 
 def identity_embedding(g):
@@ -80,6 +85,45 @@ def test_sample_pairs_all_and_counted():
     assert sample_pairs(4, 100, 0) == sample_pairs(4, "all", 0)
     with pytest.raises(PreconditionViolation):
         sample_pairs(4, 0, 0)
+
+
+class LazyPairList(Sequence):
+    """The lexicographic pair list by bisecting row starts, not stored."""
+
+    def __init__(self, n):
+        self.starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        u = bisect.bisect_right(self.starts, i) - 1
+        return u, u + 1 + i - self.starts[u]
+
+
+def old_sample_pairs(n, count, seed, universe=None):
+    """The former sampler, which drew from the materialized pair list."""
+    if universe is None:
+        universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if count >= len(universe):
+        return list(universe)
+    rng = random.Random(derive_seed(seed, "pairs"))
+    return sorted(rng.sample(universe, count))
+
+
+def test_sample_pairs_matches_universe_list_sampler():
+    cases = [(2, 1), (50, 30), (300, 200), (50, 1224), (50, 1225), (50, 5000), (7, 20)]
+    for n, k in cases:
+        for seed in range(3):
+            assert sample_pairs(n, k, seed) == old_sample_pairs(n, k, seed)
+    # at n=3000 a lazy list stands in for the 4.5M-tuple universe (~400 MB)
+    assert list(LazyPairList(300)) == [(u, v) for u in range(300) for v in range(u + 1, 300)]
+    for seed in range(3):
+        assert sample_pairs(3000, 200, seed) == old_sample_pairs(
+            3000, 200, seed, universe=LazyPairList(3000)
+        )
 
 
 # ------------------------------------------------------------------ experiment

@@ -66,7 +66,7 @@ def test_radius_at_least_diameter_gives_one_part():
     g = generate("grid", rows=3, cols=3)
     c = single_level_partition(g, diameter(g), random.Random(0))
     assert len(c) == 1 and set(c.clusters[0]) == set(range(g.n))
-    assert c.x_values == (0.0,)
+    assert c.centers == (0,) and c.radii[0] >= diameter(g)
 
 
 def test_five_path_hand_simulation():
