@@ -14,6 +14,7 @@ non-conflicting when every cluster they share is a singleton.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import EmptyPacking, InvariantViolation
 from .graphs import UnweightedGraph, WeightedGraph, connected_components, quotient
@@ -104,29 +105,35 @@ def heuristic_tree_decomposition(h: UnweightedGraph) -> TreeDecomposition:
 
     Node k holds the bag of the k-th eliminated vertex and attaches to the
     node of its earliest-eliminated bag mate, the usual elimination-order
-    tree. Ties on degree break toward the lowest vertex id.
+    tree, so every tree edge is (child, parent) with child < parent and the
+    last node is the root. Ties on degree break toward the lowest vertex id.
+    The next vertex comes off a heap of (degree, id) entries; a vertex is
+    pushed again whenever its degree changes, and dead or outdated entries
+    are skipped when popped.
     """
     if h.n == 0:
         raise InvariantViolation("cannot decompose the empty graph")
     nbrs: list[set[int]] = [set(adj) for adj in h.adjacency]
-    alive = set(range(h.n))
+    alive = [True] * h.n
+    heap = [(len(nbrs[u]), u) for u in range(h.n)]
+    heapify(heap)
     elim_index = [0] * h.n
     bags: list[frozenset[int]] = []
     for k in range(h.n):
-        v = min(alive, key=lambda u: (len(nbrs[u]), u))
-        bag = {v} | nbrs[v]
-        bags.append(frozenset(bag))
+        while True:
+            d, v = heappop(heap)
+            if alive[v] and d == len(nbrs[v]):
+                break
+        around = nbrs[v]
+        bags.append(frozenset((v, *around)))
         elim_index[v] = k
-        around = sorted(nbrs[v])
-        for i, a in enumerate(around):
-            for b in around[i + 1 :]:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
         for a in around:
-            nbrs[a].discard(v)
-        nbrs[v].clear()
-        alive.discard(v)
-    order = sorted(range(h.n), key=lambda u: elim_index[u])
+            fill = nbrs[a]
+            fill |= around
+            fill.discard(a)
+            fill.discard(v)
+            heappush(heap, (len(fill), a))
+        alive[v] = False
     tree_edges = []
     for k in range(h.n - 1):
         later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
@@ -135,65 +142,39 @@ def heuristic_tree_decomposition(h: UnweightedGraph) -> TreeDecomposition:
     return TreeDecomposition(graph=h, bags=tuple(bags), tree_edges=tuple(tree_edges))
 
 
-def validate_tree_decomposition(td: TreeDecomposition) -> None:
-    """Raise unless every edge is covered and every vertex's bags form a subtree."""
-    h = td.graph
-    for u, v in h.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            raise InvariantViolation(f"edge ({u},{v}) covered by no bag")
-    nodes = range(td.node_count())
-    adj: list[list[int]] = [[] for _ in nodes]
-    for a, b in td.tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(h.n):
-        holding = [k for k in nodes if v in td.bags[k]]
-        if not holding:
-            raise InvariantViolation(f"vertex {v} in no bag")
-        seen = {holding[0]}
-        stack = [holding[0]]
-        members = set(holding)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in members and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != members:
-            raise InvariantViolation(f"bags holding vertex {v} are not connected")
-
-
 def centroid_bag(td: TreeDecomposition, weights: list[float]) -> int:
-    """First node whose bag splits the graph into halves by weight.
+    """Node whose bag splits the graph into halves by weight, in linear time.
 
-    Existence is guaranteed for any tree decomposition and nonnegative
-    weights; nodes are scanned in id order so ties are deterministic.
+    Each vertex's weight sits at the node nearest the root that holds it
+    (the nodes in ``bags[k] - bags[parent]``). The walk starts at the root
+    and steps into the child whose subtree weighs more than half the total
+    until there is none. At the node x where it stops, every child branch
+    weighs at most half, and the rest of the graph weighs the total less
+    x's subtree, which is below half once the walk has left the root.
+    Needs nonnegative weights and tree edges given as (child, parent) with
+    child < parent, as `heuristic_tree_decomposition` builds them.
     """
-    h = td.graph
+    count = td.node_count()
+    parent = [count] * count
+    for child, up in td.tree_edges:
+        if not child < up < count:
+            raise InvariantViolation("tree edges must point from a node to a later one")
+        parent[child] = up
+    root = count - 1
+    sub = [0.0] * count
+    for k, bag in enumerate(td.bags):
+        top = bag if k == root else bag - td.bags[parent[k]]
+        sub[k] = sum(weights[v] for v in top)
     total = sum(weights)
-    for k in range(td.node_count()):
-        blocked = set(td.bags[k])
-        seen = set(blocked)
-        ok = True
-        for s in range(h.n):
-            if s in seen:
-                continue
-            comp_weight = 0.0
-            stack = [s]
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                comp_weight += weights[u]
-                for v in h.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if 2.0 * comp_weight > total:
-                ok = False
-                break
-        if ok:
-            return k
-    raise InvariantViolation("no centroid bag found; decomposition is invalid")
+    heavy = [-1] * count
+    for k in range(root):
+        sub[parent[k]] += sub[k]
+        if 2.0 * sub[k] > total:
+            heavy[parent[k]] = k
+    node = root
+    while heavy[node] >= 0:
+        node = heavy[node]
+    return node
 
 
 def maximal_free_clusters(

@@ -287,11 +287,24 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 
 
 def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
-    """Replace each edge length by the distance between its endpoints."""
+    """Replace each edge length by the distance between its endpoints.
+
+    Edge (u, v) takes its distance from one Dijkstra run out of u, cut off
+    at u's longest edge to a higher id: every such neighbour lies within
+    that limit, so the distances are exact and memory stays O(n + m).
+    """
     if not is_connected(g):
         raise DisconnectedGraph("metric closure requires a connected graph")
-    dm = all_pairs(g)
-    return WeightedGraph(g.n, tuple((u, v, dm[u][v]) for u, v, _ in g.edges))
+    by_source: list[list[tuple[int, int, float]]] = [[] for _ in range(g.n)]
+    for i, (u, v, w) in enumerate(g.edges):
+        by_source[u].append((i, v, w))
+    lengths = [0.0] * g.m
+    for u, out in enumerate(by_source):
+        if out:
+            dist = dijkstra(g, u, limit=max(w for _, _, w in out))
+            for i, v, _ in out:
+                lengths[i] = dist[v]
+    return WeightedGraph(g.n, tuple((u, v, d) for (u, v, _), d in zip(g.edges, lengths)))
 
 
 def check_partition(n: int, parts: Sequence[Iterable[int]]) -> list[list[int]]:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without reusing the library's
 algorithms: Floyd-Warshall and Bellman-Ford for distances, exhaustive path
-enumeration, a subset-DP for exact treewidth, and exhaustive enumeration of
-balanced chain-respecting cuts.
+enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
+balanced chain-respecting cuts, and the quadratic min-degree scan that the
+library's heap elimination must reproduce.
 """
 
 import itertools
@@ -117,6 +118,63 @@ def exact_treewidth(h):
             best = min(best, max(f[prev], back_degree(prev, v)))
         f[mask] = best
     return f[(1 << n) - 1]
+
+
+def min_degree_decomposition_by_scan(h):
+    """(bags, tree_edges) of min-degree elimination, scanning every live vertex.
+
+    Each step eliminates the live vertex of least (degree, id), joins its
+    neighbours, and records its bag; node k attaches to the node of its
+    earliest-eliminated later bag mate, or to node k+1 when it has none.
+    """
+    nbrs = [set(adj) for adj in h.adjacency]
+    alive = set(range(h.n))
+    elim_index = [0] * h.n
+    bags = []
+    for k in range(h.n):
+        v = min(alive, key=lambda u: (len(nbrs[u]), u))
+        bags.append(frozenset({v} | nbrs[v]))
+        elim_index[v] = k
+        for a, b in itertools.combinations(nbrs[v], 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for a in nbrs[v]:
+            nbrs[a].discard(v)
+        nbrs[v].clear()
+        alive.discard(v)
+    tree_edges = []
+    for k in range(h.n - 1):
+        later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
+        tree_edges.append((k, min(later) if later else k + 1))
+    return tuple(bags), tuple(tree_edges)
+
+
+def validate_tree_decomposition(td):
+    """Raise unless every edge is covered and every vertex's bags form a subtree."""
+    h = td.graph
+    for u, v in h.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            raise AssertionError(f"edge ({u},{v}) covered by no bag")
+    nodes = range(td.node_count())
+    adj = [[] for _ in nodes]
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in range(h.n):
+        holding = [k for k in nodes if v in td.bags[k]]
+        if not holding:
+            raise AssertionError(f"vertex {v} in no bag")
+        seen = {holding[0]}
+        stack = [holding[0]]
+        members = set(holding)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in members and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != members:
+            raise AssertionError(f"bags holding vertex {v} are not connected")
 
 
 def _components_without(g, removed):

@@ -6,6 +6,8 @@ from oracles import (
     balanced_predicate,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
+    min_degree_decomposition_by_scan,
+    validate_tree_decomposition,
 )
 
 from mfembed.cutpack import (
@@ -19,11 +21,19 @@ from mfembed.cutpack import (
     heuristic_tree_decomposition,
     is_balanced,
     maximal_free_clusters,
-    validate_tree_decomposition,
 )
 from mfembed.generators import generate
 from mfembed.graphs import UnweightedGraph, WeightedGraph
 from mfembed.hierarchy import ClusteringChain, build_chain
+
+
+def random_connected_graph(rng, n, extra):
+    """A random spanning tree on n vertices plus up to `extra` random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return UnweightedGraph(n, tuple(sorted(edges)))
 
 
 def scaled(g, factor=2.0):
@@ -143,6 +153,23 @@ def test_td_width_close_to_exact_sampled():
             assert td.width <= exact_treewidth(h) + 2
 
 
+def test_td_heap_matches_scan_exhaustive_small():
+    for n in range(1, 6):
+        for edges in all_connected_labeled_graphs(n):
+            h = UnweightedGraph(n, tuple(edges))
+            td = heuristic_tree_decomposition(h)
+            assert (td.bags, td.tree_edges) == min_degree_decomposition_by_scan(h)
+
+
+def test_td_heap_matches_scan_random():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(6, 60)
+        h = random_connected_graph(rng, n, rng.randint(0, 3 * n))
+        td = heuristic_tree_decomposition(h)
+        assert (td.bags, td.tree_edges) == min_degree_decomposition_by_scan(h)
+
+
 # ---------------------------------------------------------------- centroid bag
 
 
@@ -184,8 +211,63 @@ def test_centroid_path_matches_brute_force():
     weights = [1.0] * 5
     good = brute_force_centroids(td, weights)
     chosen = centroid_bag(td, weights)
-    assert chosen in good and chosen == min(good)
+    assert chosen in good
     assert 2 in td.bags[chosen]  # the middle vertex must be in a qualifying bag
+
+
+def test_centroid_in_brute_force_set_exhaustive_small():
+    rng = random.Random(2)
+    for n in range(1, 6):
+        for edges in all_connected_labeled_graphs(n):
+            td = heuristic_tree_decomposition(UnweightedGraph(n, tuple(edges)))
+            for _ in range(3):
+                weights = [float(rng.randint(0, 5)) for _ in range(n)]
+                assert centroid_bag(td, weights) in brute_force_centroids(td, weights)
+
+
+def deepest_heavy_node(td, weights):
+    """Deepest node, rooting the tree at the last node, whose subtree weighs
+    more than half; the root when no node does. A vertex counts toward the
+    subtrees holding its shallowest bag."""
+    count = td.node_count()
+    adj = [[] for _ in range(count)]
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = count - 1
+    path_up = {root: [root]}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in path_up:
+                path_up[y] = [y] + path_up[x]
+                order.append(y)
+    top = [
+        min((k for k in range(count) if v in td.bags[k]), key=lambda k: len(path_up[k]))
+        for v in range(td.graph.n)
+    ]
+    total = sum(weights)
+    best = root
+    for x in range(count):
+        weight = sum(w for v, w in enumerate(weights) if x in path_up[top[v]])
+        if 2 * weight > total and len(path_up[x]) > len(path_up[best]):
+            best = x
+    return best
+
+
+def test_centroid_is_deepest_heavy_node():
+    rng = random.Random(4)
+    graphs = [random_connected_graph(rng, rng.randint(1, 30), rng.randint(0, 40)) for _ in range(40)]
+    graphs.append(UnweightedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
+    for h in graphs:
+        td = heuristic_tree_decomposition(h)
+        for _ in range(3):
+            weights = [float(rng.randint(0, 4)) for _ in range(h.n)]
+            chosen = centroid_bag(td, weights)
+            assert chosen == deepest_heavy_node(td, weights)
+            assert chosen in brute_force_centroids(td, weights)
+    zero = heuristic_tree_decomposition(UnweightedGraph(3, ((0, 1), (1, 2))))
+    assert centroid_bag(zero, [0.0, 0.0, 0.0]) == zero.node_count() - 1
 
 
 def test_centroid_star_bags_contain_center():

@@ -99,9 +99,12 @@ def test_split_two_vertex_forced():
     params = derive_params(2, 1, 0.5, "practical")
     result = split(g, params, random.Random(0))
     assert isinstance(result, SplitResult)
+    # the packing keeps one cut: the centroid walk on the quotient's
+    # decomposition (bags {0,1} -> {1}, root {1}) stops at the root
     assert result.level == 1
     assert result.cutedges == {(0, 1)}
-    assert sorted(result.portals) == [0, 1]
+    assert result.cut.members == (frozenset({1}),)
+    assert result.portals == [1]
     assert len(result.portals) == len(result.cut)
 
 
@@ -134,11 +137,12 @@ def test_embed_single_vertex():
 
 def test_embed_two_vertex_hand_trace():
     emb = embed_top(two_vertex(2.0), 0.5, "practical", seed=0)
-    assert emb.host.n == 4
+    # one portal, at vertex 1: its copy 2 is the root above both vertices
+    assert emb.host.n == 3
     edges = {(u, v): w for u, v, w in emb.host.edges}
-    assert edges == {(0, 2): 0.0, (1, 2): 2.0, (0, 3): 2.0, (1, 3): 0.0}
-    assert emb.forest == [2, 2, 3, None]
-    assert emb.depth == 3
+    assert edges == {(0, 2): 2.0, (1, 2): 0.0}
+    assert emb.forest == [2, 2, None]
+    assert emb.depth == 2
     hd = dijkstra(emb.host, 0)
     assert hd[1] == 2.0
     check_forest_validity(emb)

@@ -250,6 +250,27 @@ def test_metric_closure_idempotent():
         assert metric_closure_weights(once) == once
 
 
+def test_metric_closure_equals_all_pairs_exactly():
+    # per-source Dijkstra cut off at the longest edge must give the very
+    # floats the full matrix holds, also where an edge loses to a detour
+    rng = random.Random(7)
+    graphs = [random_non_metric_graph(rng, rng.randint(5, 12)) for _ in range(10)]
+    for _ in range(20):
+        n = rng.randint(2, 40)
+        edges = {(rng.randrange(v), v): rng.uniform(0.1, 10.0) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.setdefault((u, v), rng.uniform(0.1, 10.0))
+        graphs.append(WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items())))
+    shortened = 0
+    for g in graphs:
+        dm = all_pairs(g)
+        closed = metric_closure_weights(g)
+        assert closed.edges == tuple((u, v, dm[u][v]) for u, v, _ in g.edges)
+        shortened += sum(dm[u][v] < w for u, v, w in g.edges)
+    assert shortened > len(graphs)
+
+
 # ------------------------------------------------------------------- quotient
 
 
