@@ -23,7 +23,6 @@ from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, Precondit
 from .frt import frt_embed
 from .graphs import (
     WeightedGraph,
-    diameter,
     dijkstra,
     hat_ell,
     induced_subgraph,
@@ -31,7 +30,7 @@ from .graphs import (
     metric_closure_weights,
     normalize,
 )
-from .hierarchy import ChainFailure, ClusteringChain, build_chain, level_count_for_diameter
+from .hierarchy import ChainFailure, ClusteringChain, build_chain, diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
@@ -108,7 +107,9 @@ class SplitFailure:
 
 
 class _FallbackRequired(Exception):
-    pass
+    def __init__(self, reason: ChainFailure):
+        super().__init__(reason)
+        self.reason = reason
 
 
 def split(
@@ -177,7 +178,7 @@ class _EmbedState:
             force_failure=call_index == self.fail_split_index,
         )
         if isinstance(result, SplitFailure):
-            raise _FallbackRequired
+            raise _FallbackRequired(result.reason)
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
@@ -204,7 +205,7 @@ class _EmbedState:
         if 2 * len(comp) <= parent_size:
             return
         csub, _ = induced_subgraph(self.graph, comp)
-        child_level = level_count_for_diameter(diameter(csub))
+        child_level = diameter_level(csub)
         if child_level >= parent_level:
             raise InvariantViolation(
                 f"recursion made no progress: size {len(comp)}/{parent_size}, "
@@ -292,7 +293,7 @@ def embed_top(
     )
     try:
         roots = state.embed(list(range(g.n)), (), 1)
-    except _FallbackRequired:
+    except _FallbackRequired as failed:
         emb = frt_embed(g, derive_seed(seed, "frt"))
         emb.meta = EmbeddingMeta(
             n=g.n,
@@ -300,6 +301,7 @@ def embed_top(
             mode=mode,
             params=params,
             fallback_used=True,
+            fallback_reason=failed.reason,
             hat_ell=hat,
             recursion_depth=state.recursion_depth,
             split_calls=state.split_calls,

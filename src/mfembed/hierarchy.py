@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DisconnectedGraph, EdgeNotInGraph, PreconditionViolation
+from .errors import (
+    DisconnectedGraph,
+    EdgeNotInGraph,
+    InvariantViolation,
+    PreconditionViolation,
+)
 from .graphs import (
+    INF,
     WeightedGraph,
-    diameter,
     dijkstra,
     induced_subgraph,
     is_connected,
@@ -76,6 +82,67 @@ def level_count_for_diameter(diam: float) -> int:
     return level
 
 
+# Relative margin by which an eccentricity bound must clear 2**L before it
+# settles a vertex. Float Dijkstra sums are off by far less than this, so a
+# settled vertex's computed eccentricity is within 2**L too.
+BOUND_SLACK = 1e-9
+
+
+def diameter_level(
+    g: WeightedGraph,
+    members: Sequence[int] | None = None,
+    allowed: Sequence[bool] | None = None,
+    *,
+    floor: int = 0,
+    first: int | None = None,
+) -> int:
+    """Least L >= floor with every member's eccentricity at most 2**L.
+
+    With the defaults this is `level_count_for_diameter(diameter(g))`.
+    Eccentricities are taken over `members` inside the subgraph that
+    `allowed` induces (over all of g when both are None). A run from v
+    bounds every w by max(d(v,w), ecc(v) - d(v,w)) <= ecc(w) <= d(v,w) +
+    ecc(v). A member is settled once its upper bound clears 2**L by
+    BOUND_SLACK; every other member gets a run of its own. Sources
+    alternate between the largest upper and the smallest lower bound
+    (Takes & Kosters, CIKM 2011). Raises DisconnectedGraph when some member
+    cannot reach another.
+    """
+    live = list(range(g.n) if members is None else members)
+    assert live, "diameter_level needs at least one vertex"
+    upper = [INF] * len(live)
+    lower = [0.0] * len(live)
+    level = floor
+    source = live[0] if first is None else first
+    widest = False
+    while True:
+        dist = dijkstra(g, source, allowed=allowed)
+        ecc = max(dist) if members is None else max(map(dist.__getitem__, members))
+        if ecc == INF:
+            raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
+        if ecc > 2.0**level:
+            level = level_count_for_diameter(ecc)
+        settled = 2.0**level / (1.0 + BOUND_SLACK)
+        kept, kept_upper, kept_lower = [], [], []
+        for w, up, low in zip(live, upper, lower):
+            d = dist[w]
+            if d + ecc < up:
+                up = d + ecc
+            if up <= settled or w == source:
+                continue
+            kept.append(w)
+            kept_upper.append(up)
+            kept_lower.append(max(low, d, ecc - d))
+        live, upper, lower = kept, kept_upper, kept_lower
+        if not live:
+            return level
+        if widest:
+            source = live[upper.index(max(upper))]
+        else:
+            source = live[lower.index(min(lower))]
+        widest = not widest
+
+
 def radius_schedule(top_level: int, n: int, delta: float) -> tuple[float, ...]:
     """r_i for i = 0..top_level-1 (index i holds the level-i parameter)."""
     lam = math.log(2.0 * top_level * n * n / delta) + 1.0
@@ -119,7 +186,7 @@ def build_chain(
     # The closest pair is always an edge, so this checks every distance.
     if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")
-    top = level_count_for_diameter(diameter(g))
+    top = diameter_level(g)
     lam = math.log(2.0 * top * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
     r_sched = radius_schedule(top, n, delta)
@@ -130,6 +197,13 @@ def build_chain(
     parents: list[list[int]] = [[] for _ in range(top)]
     levels[top] = [all_vertices]
     centers[top] = [0]
+
+    if order is not None:
+        if sorted(order) != list(range(n)):
+            raise InvariantViolation("order must be a permutation of 0..n-1")
+        rank = [0] * n
+        for p, v in enumerate(order):
+            rank[v] = p
 
     lowest_carved = 0 if literal_level0 else 1
     for i in range(top - 1, lowest_carved - 1, -1):
@@ -144,8 +218,7 @@ def build_chain(
             sub, verts = induced_subgraph(g, members)
             sub_order = None
             if order is not None:
-                pos = {v: p for p, v in enumerate(order)}
-                sub_order = [verts.index(v) for v in sorted(verts, key=pos.get)]
+                sub_order = sorted(range(len(verts)), key=lambda p: rank[verts[p]])
             clustering = single_level_partition(sub, r_sched[i], child_rng, order=sub_order)
             for part, center in zip(clustering.clusters, clustering.centers):
                 levels[i].append(frozenset(verts[p] for p in part))
@@ -167,7 +240,7 @@ def build_chain(
         centers[0] = list(range(n))
         parents[0] = [index_at_1[v] for v in range(n)]
 
-    failure = _check_goodness(g, levels, top, sigma)
+    failure = _check_goodness(g, levels, centers, parents, top, sigma)
     if failure is not None:
         return failure
 
@@ -191,39 +264,43 @@ def build_chain(
     )
 
 
-def _induced_diameter(g: WeightedGraph, members: Sequence[int]) -> float:
+def _check_goodness(g, levels, centers, parents, top, sigma) -> ChainFailure | None:
+    # Each carved cluster is a ball inside itself around its center, so the
+    # center's run usually settles the whole cluster at once.
     allowed = [False] * g.n
-    for u in members:
-        allowed[u] = True
-    worst = 0.0
-    for u in members:
-        dist = dijkstra(g, u, allowed=allowed)
-        worst = max(worst, max(dist[w] for w in members))
-    return worst
-
-
-def _check_goodness(g, levels, top, sigma) -> ChainFailure | None:
     for i in range(1, top):
-        bound = 2.0**i
         for idx, cluster in enumerate(levels[i]):
-            if len(cluster) > 1 and _induced_diameter(g, sorted(cluster)) > bound:
-                return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
-    for i in range(top):
-        child_index = {}
-        for j, cluster in enumerate(levels[i]):
-            for v in cluster:
-                child_index[v] = j
-        for idx, cluster in enumerate(levels[i + 1]):
-            members = sorted(cluster)
-            if len(members) == 1:
+            if len(cluster) == 1:
                 continue
-            sub, verts = induced_subgraph(g, members)
+            members = sorted(cluster)
+            for u in members:
+                allowed[u] = True
+            try:
+                level = diameter_level(g, members, allowed, floor=i, first=centers[i][idx])
+            except DisconnectedGraph:
+                level = i + 1
+            for u in members:
+                allowed[u] = False
+            if level > i:
+                return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
+    # Every cluster is connected now, so a cluster split into k parts has a
+    # connected quotient of hop-diameter at most k - 1.
+    for i in range(top):
+        part_counts = Counter(parents[i])
+        child_index = None
+        for idx in range(len(levels[i + 1])):
+            if part_counts[idx] - 1 <= sigma:
+                continue
+            if child_index is None:
+                child_index = {}
+                for j, cluster in enumerate(levels[i]):
+                    for v in cluster:
+                        child_index[v] = j
+            sub, verts = induced_subgraph(g, sorted(levels[i + 1][idx]))
             groups: dict[int, list[int]] = {}
             for local, v in enumerate(verts):
                 groups.setdefault(child_index[v], []).append(local)
             parts = [groups[k] for k in sorted(groups)]
-            if len(parts) == 1:
-                continue
             if quotient(sub, parts).hop_diameter() > sigma:
                 return ChainFailure(
                     level=i + 1, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx

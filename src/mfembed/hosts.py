@@ -10,9 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import CyclicParentArray, InvariantViolation
 from .graphs import WeightedGraph
+
+if TYPE_CHECKING:
+    from .hierarchy import ChainFailure
 
 PARAM_FIELDS = (
     "epsilon",
@@ -67,6 +71,7 @@ class EmbeddingMeta:
     oversize_cuts: int = 0
     recursion_depth: int = 0
     split_calls: int = 0
+    fallback_reason: ChainFailure | None = None
 
 
 @dataclass

@@ -134,21 +134,6 @@ def count_cut_edges(g: WeightedGraph, path: Sequence[int], clustering: Clusterin
     return count
 
 
-def max_cluster_diameter(g: WeightedGraph, clustering: Clustering) -> float:
-    """Largest induced diameter over the clusters (exact)."""
-    worst = 0.0
-    for members in clustering.clusters:
-        if len(members) < 2:
-            continue
-        allowed = [False] * g.n
-        for u in members:
-            allowed[u] = True
-        for u in members:
-            dist = dijkstra(g, u, allowed=allowed)
-            worst = max(worst, max(dist[w] for w in members))
-    return worst
-
-
 def check_partition_validity(g: WeightedGraph, clustering: Clustering) -> None:
     """Exact checks: clusters disjoint, cover V, each induces a connected subgraph."""
     seen: set[int] = set()

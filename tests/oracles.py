@@ -3,10 +3,12 @@
 Everything here is deliberately written without reusing the library's
 algorithms: Floyd-Warshall and Bellman-Ford for distances, exhaustive path
 enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
-balanced chain-respecting cuts, and the quadratic min-degree scan that the
-library's heap elimination must reproduce.
+balanced chain-respecting cuts, the quadratic min-degree scan that the
+library's heap elimination must reproduce, and an all-members cluster
+diameter.
 """
 
+import heapq
 import itertools
 import math
 
@@ -50,6 +52,31 @@ def bellman_ford(g, src):
         if not changed:
             break
     return dist
+
+
+def max_cluster_diameter(g, clustering):
+    """Largest induced diameter over the clusters, one search per member."""
+    worst = 0.0
+    for members in clustering.clusters:
+        inside = set(members)
+        adj = {u: [] for u in members}
+        for u, v, w in g.edges:
+            if u in inside and v in inside:
+                adj[u].append((v, w))
+                adj[v].append((u, w))
+        for src in members:
+            dist = {src: 0.0}
+            heap = [(0.0, src)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for v, w in adj[u]:
+                    if d + w < dist.get(v, INF):
+                        dist[v] = d + w
+                        heapq.heappush(heap, (d + w, v))
+            worst = max(worst, max(dist.get(v, INF) for v in members))
+    return worst
 
 
 def shortest_by_path_enumeration(g, src, dst):

@@ -16,6 +16,7 @@ from oracles import (
     bellman_ford,
     enumerate_balanced_chain_cuts,
     floyd_warshall,
+    max_cluster_diameter,
 )
 
 from mfembed.cutpack import CutPacking, build_cut_packing, cuts_conflict, find_balanced_cut
@@ -177,26 +178,12 @@ def partition_runs():
     for seed in range(2000):
         c = single_level_partition(g, r, random.Random(seed))
         check_partition_validity(g, c)  # P1 and partition exactness, every run
-        worst = _max_cluster_diameter(g, c)
+        worst = max_cluster_diameter(g, c)
         qd = quotient(g, [list(x) for x in c.clusters]).hop_diameter()
         cuts = count_cut_edges(g, GRID8_PATH, c)
         stats.append((worst, qd, cuts))
     elapsed = time.perf_counter() - started
     return g, d, r, stats, elapsed
-
-
-def _max_cluster_diameter(g, clustering):
-    worst = 0.0
-    for members in clustering.clusters:
-        if len(members) < 2:
-            continue
-        allowed = [False] * g.n
-        for u in members:
-            allowed[u] = True
-        for u in members:
-            dist = dijkstra(g, u, allowed=allowed)
-            worst = max(worst, max(dist[w] for w in members))
-    return worst
 
 
 def test_criterion_4_single_level_bounds(partition_runs):

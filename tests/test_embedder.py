@@ -194,6 +194,14 @@ def test_embed_fallback_injection():
     check_forest_validity(emb)
 
 
+def test_fallback_keeps_its_chain_failure():
+    g = generate("grid", rows=3, cols=3)
+    emb = embed_top(g, 0.5, "practical", seed=1, fail_split_index=0)
+    assert emb.meta.fallback_reason.reason == "Injected"
+    assert "fallback_reason" not in embedding_to_dict(emb)
+    assert embed_top(g, 0.5, "practical", seed=1).meta.fallback_reason is None
+
+
 def test_embed_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         embed_top(WeightedGraph(3, ((0, 1, 1.0),)), 0.5)

@@ -4,14 +4,24 @@ import random
 import pytest
 from oracles import floyd_warshall
 
-from mfembed.errors import EdgeNotInGraph, PreconditionViolation
+import mfembed.hierarchy as hierarchy
+from mfembed.errors import (
+    DisconnectedGraph,
+    EdgeNotInGraph,
+    InvariantViolation,
+    PreconditionViolation,
+)
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph, induced_subgraph, quotient
+from mfembed.graphs import WeightedGraph, diameter, induced_subgraph, quotient
 from mfembed.hierarchy import (
+    DIAMETER_EXCEEDED,
     NON_SINGLETON_LEVEL0,
+    QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
+    _check_goodness,
     build_chain,
+    diameter_level,
     edge_level,
     level_cut_counts,
     level_count_for_diameter,
@@ -56,6 +66,161 @@ def test_level_count_boundaries():
     assert level_count_for_diameter(1.5) == 1
     assert level_count_for_diameter(2.0) == 1
     assert level_count_for_diameter(2.01) == 2
+
+
+# ------------------------------------------------------------ diameter level
+
+
+def random_connected(rng, n, step=None):
+    """Random tree plus extra edges; lengths are multiples of `step` if given."""
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    if step is None:
+        return WeightedGraph(n, tuple((u, v, rng.uniform(0.5, 5.0)) for u, v in sorted(pairs)))
+    return WeightedGraph(n, tuple((u, v, step * rng.randint(1, 4)) for u, v in sorted(pairs)))
+
+
+def count_runs(monkeypatch):
+    runs = []
+    real = hierarchy.dijkstra
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "dijkstra", counted)
+    return runs
+
+
+def test_diameter_level_matches_full_sweep():
+    rng = random.Random(4)
+    graphs = [random_connected(rng, rng.randint(2, 40)) for _ in range(40)]
+    graphs += [random_connected(rng, rng.randint(2, 40), step=0.5) for _ in range(40)]
+    graphs += [generate("grid", rows=r, cols=c, weights="uniform:1:4", seed=r * c)
+               for r, c in ((1, 9), (3, 7), (6, 6), (9, 4))]
+    graphs += [generate("star", size=k) for k in (1, 2, 7, 30)]
+    for g in graphs:
+        assert diameter_level(g) == level_count_for_diameter(diameter(g))
+
+
+def test_diameter_level_ties_at_powers_of_two():
+    cycle = WeightedGraph(512, tuple((i, (i + 1) % 512, 2.0) for i in range(512)))
+    assert diameter(cycle) == 512.0
+    assert diameter_level(cycle) == 9
+    for k in range(6):
+        path = WeightedGraph(2**k + 1, tuple((i, i + 1, 1.0) for i in range(2**k)))
+        assert diameter_level(path) == level_count_for_diameter(float(2**k)) == k
+        doubled = WeightedGraph(path.n, tuple((u, v, 2.0) for u, v, _ in path.edges))
+        assert diameter_level(doubled) == k + 1
+
+
+def test_diameter_level_trivial_and_disconnected():
+    assert diameter_level(WeightedGraph(1, ())) == 0
+    with pytest.raises(DisconnectedGraph):
+        diameter_level(WeightedGraph(4, ((0, 1, 2.0), (2, 3, 2.0))))
+
+
+def test_diameter_level_grid_top_takes_few_runs(monkeypatch):
+    g = generate("grid", rows=20, cols=20, weights="uniform:1:4", seed=1)
+    runs = count_runs(monkeypatch)
+    assert diameter_level(g) == level_count_for_diameter(diameter(g))
+    assert len(runs) <= 4
+
+
+def test_cluster_level_matches_all_members_sweep():
+    rng = random.Random(9)
+    for _ in range(60):
+        g = random_connected(rng, rng.randint(3, 30), step=0.5)
+        members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
+        sub, _ = induced_subgraph(g, members)
+        allowed = [False] * g.n
+        for u in members:
+            allowed[u] = True
+        first = rng.choice(members)
+        floor = rng.randint(0, 4)
+        fw = floyd_warshall(sub)
+        diam = max(x for row in fw for x in row)
+        if diam == math.inf:
+            with pytest.raises(DisconnectedGraph):
+                diameter_level(g, members, allowed, floor=floor, first=first)
+            continue
+        want = max(floor, level_count_for_diameter(diam))
+        assert diameter_level(g, members, allowed, floor=floor, first=first) == want
+
+
+def path_chain_levels(level2):
+    # path 0-1-2-3-4 with lengths 1.5 (diameter 6, three levels); level 2
+    # holds two clusters centred at 0 and 4
+    g = WeightedGraph(5, tuple((i, i + 1, 1.5) for i in range(4)))
+    level1 = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})]
+    levels = [[frozenset({v}) for v in range(5)], level1, level2, [frozenset(range(5))]]
+    centers = [list(range(5)), [0, 2, 4], [0, 4], [0]]
+
+    def where(level, v):
+        return next(j for j, c in enumerate(level) if v in c)
+
+    parents = [
+        [where(level1, v) for v in range(5)],
+        [where(level2, min(c)) for c in level1],
+        [0] * len(level2),
+    ]
+    return g, levels, centers, parents
+
+
+def test_cluster_check_falls_back_when_center_is_an_endpoint(monkeypatch):
+    # cluster {0,1,2} centred at its endpoint 0: 2 * ecc(0) = 6 exceeds 2**2,
+    # yet its diameter 3 does not, so the check must run further sources
+    g, levels, centers, parents = path_chain_levels([frozenset({0, 1, 2}), frozenset({3, 4})])
+    runs = count_runs(monkeypatch)
+    assert _check_goodness(g, levels, centers, parents, 3, 100.0) is None
+    assert runs[0] == 0 and len([r for r in runs if r in (0, 1, 2)]) > 1
+    # {0,1,2,3} has diameter 4.5 > 4: the same check rejects it
+    g, levels, centers, parents = path_chain_levels([frozenset({0, 1, 2, 3}), frozenset({4})])
+    failure = _check_goodness(g, levels, centers, parents, 3, 100.0)
+    assert failure == ChainFailure(level=2, reason=DIAMETER_EXCEEDED, cluster_index=0)
+
+
+def test_cluster_check_rejects_a_disconnected_cluster():
+    g = WeightedGraph(3, ((0, 1, 1.5), (1, 2, 1.5)))
+    levels = [[frozenset({0}), frozenset({1}), frozenset({2})],
+              [frozenset({0, 2}), frozenset({1})],
+              [frozenset({0, 1, 2})]]
+    centers = [[0, 1, 2], [0, 1], [0]]
+    parents = [[0, 1, 0], [0, 0]]
+    failure = _check_goodness(g, levels, centers, parents, 2, 100.0)
+    assert failure == ChainFailure(level=1, reason=DIAMETER_EXCEEDED, cluster_index=0)
+
+
+def test_goodness_tiny_sigma_runs_quotient_bfs():
+    g = scaled_grid(5, 5)
+    chain = build(g, delta=0.15, seed=1)
+    args = (g, chain.levels, chain.centers, chain.parents, chain.top_level)
+    assert _check_goodness(*args, chain.sigma) is None
+    # the first cluster split into two or more parts fails at sigma 0.5
+    level, idx = next(
+        (i + 1, idx)
+        for i in range(chain.top_level)
+        for idx in range(len(chain.levels[i + 1]))
+        if chain.parents[i].count(idx) > 1
+    )
+    failure = _check_goodness(*args, 0.5)
+    assert failure == ChainFailure(level=level, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx)
+    # a sigma at the largest hop-diameter passes, though the quotient BFS runs
+    hop = 0
+    most_parts = 0
+    for i in range(chain.top_level):
+        for idx, cluster in enumerate(chain.levels[i + 1]):
+            parts_of = [j for j, p in enumerate(chain.parents[i]) if p == idx]
+            most_parts = max(most_parts, len(parts_of))
+            if len(parts_of) > 1:
+                sub, verts = induced_subgraph(g, sorted(cluster))
+                parts = [[verts.index(v) for v in sorted(chain.levels[i][j])] for j in parts_of]
+                hop = max(hop, quotient(sub, parts).hop_diameter())
+    assert most_parts - 1 > hop
+    assert _check_goodness(*args, float(hop)) is None
+    assert _check_goodness(*args, hop - 0.5) is not None
 
 
 def test_precondition_distances_above_one():
@@ -238,6 +403,38 @@ def test_level_cut_counts_inside_one_cluster():
                 for v in members:
                     if u < v and g.has_edge(u, v):
                         assert edge_level(chain, u, v) == 0
+
+
+def test_identity_order_gives_default_chain():
+    g = generate("grid", rows=5, cols=5, weights="uniform:1.5:4", seed=3)
+    for seed in range(4):
+        plain = build(g, delta=0.1, seed=seed)
+        ordered = build(g, delta=0.1, seed=seed, order=list(range(g.n)))
+        assert ordered == plain
+
+
+def test_order_carves_each_parent_from_its_lowest_rank_vertex():
+    g = generate("grid", rows=6, cols=6, weights="uniform:1.5:4", seed=1)
+    rng = random.Random(5)
+    for seed in range(4):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        rank = {v: p for p, v in enumerate(order)}
+        chain = build(g, delta=0.1, seed=seed, order=order)
+        for i in range(1, chain.top_level):
+            first_child = {}
+            for j, p in enumerate(chain.parents[i]):
+                first_child.setdefault(p, j)
+            for p, j in first_child.items():
+                parent = chain.levels[i + 1][p]
+                assert chain.centers[i][j] == min(parent, key=rank.get)
+
+
+def test_order_must_be_a_permutation():
+    g = scaled_grid(3, 3)
+    for bad in (list(range(8)), list(range(1, 10)), [0] * 9, list(range(10))):
+        with pytest.raises(InvariantViolation):
+            build_chain(g, 0.1, random.Random(0), order=bad)
 
 
 def test_custom_order_threads_through_chain():
