@@ -196,7 +196,10 @@ def _cmd_frt(args) -> int:
 
 def _cmd_eval(args) -> int:
     g = _load(args.input)
-    emb = load_embedding(args.embedding)
+    try:
+        emb = load_embedding(args.embedding)
+    except MfembedError as exc:
+        raise _InputProblem(str(exc)) from exc
     pairs = harness.sample_pairs(g.n, _pairs_arg(args.pairs), args.seed)
     records = harness.evaluate(g, emb, pairs)
     violations = harness.count_violations(records)

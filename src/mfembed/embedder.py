@@ -3,10 +3,11 @@
 `embed_top` preprocesses (metric closure, rescaling, parameter derivation)
 and then recursively splits the graph: build a clustering chain, pack
 balanced cuts, sample one cut, carve its boundary edges, and recurse on the
-components. Every member of the sampled cut contributes one portal; a copy
-of each portal joins the host, wired to every vertex of the current
-subgraph at its distance inside that subgraph, and the portal copies stack
-on top of the sub-forests, which keeps the elimination forest valid.
+components, each induced once from the current subgraph. Every member of
+the sampled cut contributes one portal; a copy of each portal joins the
+host, wired to every vertex of the current subgraph at its distance inside
+that subgraph, and the portal copies stack on top of the sub-forests, which
+keeps the elimination forest valid.
 
 If any chain build fails, all partial work is discarded and the whole graph
 is embedded into a random HST instead (`fallback_used` is set).
@@ -23,6 +24,7 @@ from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, Precondit
 from .frt import frt_embed
 from .graphs import (
     WeightedGraph,
+    connected_components,
     dijkstra,
     hat_ell,
     induced_subgraph,
@@ -118,13 +120,10 @@ def split(
     rng: random.Random,
     *,
     literal_level0: bool = False,
-    force_failure: bool = False,
 ) -> SplitResult | SplitFailure:
     """One split step on a connected subgraph with at least two vertices."""
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
-    if force_failure:
-        return SplitFailure(ChainFailure(level=-1, reason="Injected", cluster_index=-1))
     chain_rng = random.Random(rng.getrandbits(64))
     chain = build_chain(g, params.delta, chain_rng, literal_level0=literal_level0)
     if isinstance(chain, ChainFailure):
@@ -147,47 +146,42 @@ def split(
 class _EmbedState:
     """Mutable host under construction during the recursion."""
 
-    def __init__(self, graph, params, seed, *, literal_level0, fail_split_index):
-        self.graph = graph
+    def __init__(self, n, params, seed, *, literal_level0):
         self.params = params
         self.seed = seed
         self.literal_level0 = literal_level0
-        self.fail_split_index = fail_split_index
-        self.parent: list[int | None] = [None] * graph.n
+        self.parent: list[int | None] = [None] * n
         self.edges: list[tuple[int, int, float]] = []
-        self.next_id = graph.n
+        self.next_id = n
         self.split_calls = 0
         self.packing_sizes: list[int] = []
         self.oversize_cuts = 0
         self.recursion_depth = 0
 
-    def embed(self, vertices: list[int], path: tuple[int, ...], depth: int) -> list[int]:
-        """Returns the forest roots of the fragment for `vertices`."""
+    def embed(
+        self, sub: WeightedGraph | None, verts: list[int], path: tuple[int, ...], depth: int
+    ) -> list[int]:
+        """Returns the forest roots of the fragment `sub`, whose local vertex i
+        is input vertex verts[i]; a single vertex comes without a subgraph."""
         self.recursion_depth = max(self.recursion_depth, depth)
-        if len(vertices) == 1:
-            return [vertices[0]]
-        sub, verts = induced_subgraph(self.graph, vertices)
-        call_index = self.split_calls
+        if len(verts) == 1:
+            return [verts[0]]
         self.split_calls += 1
         rng = random.Random(derive_seed(self.seed, "split", *path))
-        result = split(
-            sub,
-            self.params,
-            rng,
-            literal_level0=self.literal_level0,
-            force_failure=call_index == self.fail_split_index,
-        )
+        result = split(sub, self.params, rng, literal_level0=self.literal_level0)
         if isinstance(result, SplitFailure):
             raise _FallbackRequired(result.reason)
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
-        removed = {(verts[a], verts[b]) for a, b in result.cutedges}
-        comps = connected_components_of(self.graph, vertices, removed)
         roots: list[int] = []
-        for k, comp in enumerate(comps):
-            self._check_progress(comp, result.level, len(vertices))
-            roots.extend(self.embed(comp, path + (k,), depth + 1))
+        for k, comp in enumerate(connected_components(sub, removed_edges=result.cutedges)):
+            child = None
+            if len(comp) > 1:
+                # comp is sorted, so child's vertex i is comp[i].
+                child, _ = induced_subgraph(sub, comp)
+                self._check_progress(child, result.level, sub.n)
+            roots.extend(self.embed(child, [verts[i] for i in comp], path + (k,), depth + 1))
         for local_z in result.portals:
             dist = dijkstra(sub, local_z)
             copy_id = self.next_id
@@ -200,44 +194,16 @@ class _EmbedState:
             roots = [copy_id]
         return roots
 
-    def _check_progress(self, comp, parent_level, parent_size):
+    def _check_progress(self, child, parent_level, parent_size):
         # Either half the vertices or a strictly smaller level.
-        if 2 * len(comp) <= parent_size:
+        if 2 * child.n <= parent_size:
             return
-        csub, _ = induced_subgraph(self.graph, comp)
-        child_level = diameter_level(csub)
+        child_level = diameter_level(child)
         if child_level >= parent_level:
             raise InvariantViolation(
-                f"recursion made no progress: size {len(comp)}/{parent_size}, "
+                f"recursion made no progress: size {child.n}/{parent_size}, "
                 f"level {child_level}/{parent_level}"
             )
-
-
-def connected_components_of(
-    g: WeightedGraph, vertices: list[int], removed: set[tuple[int, int]]
-) -> list[list[int]]:
-    """Components of the induced subgraph minus the removed edges."""
-    inside = set(vertices)
-    seen: set[int] = set()
-    comps = []
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in g.adjacency[u]:
-                if v in inside and v not in seen:
-                    key = (min(u, v), max(u, v))
-                    if key in removed:
-                        continue
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
 
 
 def embed_top(
@@ -251,7 +217,6 @@ def embed_top(
     xi_cap: int = DEFAULT_XI_CAP,
     tau_cap: int | None = None,
     literal_level0: bool = False,
-    fail_split_index: int | None = None,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
 
@@ -284,15 +249,9 @@ def embed_top(
         xi_cap=xi_cap,
         tau_cap=tau_cap,
     )
-    state = _EmbedState(
-        scaled,
-        params,
-        seed,
-        literal_level0=literal_level0,
-        fail_split_index=fail_split_index,
-    )
+    state = _EmbedState(g.n, params, seed, literal_level0=literal_level0)
     try:
-        roots = state.embed(list(range(g.n)), (), 1)
+        roots = state.embed(scaled, list(range(g.n)), (), 1)
     except _FallbackRequired as failed:
         emb = frt_embed(g, derive_seed(seed, "frt"))
         emb.meta = EmbeddingMeta(

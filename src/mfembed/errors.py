@@ -49,6 +49,10 @@ class PairOutOfRange(MfembedError):
     """Evaluation pair is out of range or degenerate."""
 
 
+class BadEmbedding(MfembedError):
+    """Embedding data is not one object with every field in range."""
+
+
 class CyclicParentArray(MfembedError):
     """Parent array does not describe a forest."""
 

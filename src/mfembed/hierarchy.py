@@ -23,7 +23,6 @@ from typing import Sequence
 from .errors import (
     DisconnectedGraph,
     EdgeNotInGraph,
-    InvariantViolation,
     PreconditionViolation,
 )
 from .graphs import (
@@ -154,7 +153,6 @@ def build_chain(
     delta: float,
     rng: random.Random,
     *,
-    order: Sequence[int] | None = None,
     literal_level0: bool = False,
 ) -> ClusteringChain | ChainFailure:
     """Build a chain over a connected graph with all distances above 1.
@@ -198,13 +196,6 @@ def build_chain(
     levels[top] = [all_vertices]
     centers[top] = [0]
 
-    if order is not None:
-        if sorted(order) != list(range(n)):
-            raise InvariantViolation("order must be a permutation of 0..n-1")
-        rank = [0] * n
-        for p, v in enumerate(order):
-            rank[v] = p
-
     lowest_carved = 0 if literal_level0 else 1
     for i in range(top - 1, lowest_carved - 1, -1):
         for parent_idx, cluster in enumerate(levels[i + 1]):
@@ -216,10 +207,7 @@ def build_chain(
                 continue
             child_rng = random.Random(rng.getrandbits(64))
             sub, verts = induced_subgraph(g, members)
-            sub_order = None
-            if order is not None:
-                sub_order = sorted(range(len(verts)), key=lambda p: rank[verts[p]])
-            clustering = single_level_partition(sub, r_sched[i], child_rng, order=sub_order)
+            clustering = single_level_partition(sub, r_sched[i], child_rng)
             for part, center in zip(clustering.clusters, clustering.centers):
                 levels[i].append(frozenset(verts[p] for p in part))
                 centers[i].append(verts[center])

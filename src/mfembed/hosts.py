@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CyclicParentArray, InvariantViolation
+from .errors import BadEmbedding, CyclicParentArray, InvariantViolation
 from .graphs import WeightedGraph
 
 if TYPE_CHECKING:
@@ -162,12 +162,28 @@ def save_embedding(emb: HostEmbedding, path: str | Path) -> None:
 
 
 def embedding_from_dict(d: dict) -> HostEmbedding:
-    host = WeightedGraph(
-        d["host"]["n"],
-        tuple((u, v, w) for u, v, w in d["host"]["edges"]),
-        allow_zero=True,
-    )
-    params = Params.from_dict(d["params"]) if d.get("params") else None
+    """Inverse of `embedding_to_dict`; raises BadEmbedding on anything that
+    is not one host embedding."""
+    if not isinstance(d, dict):
+        raise BadEmbedding(f"expected one embedding object, got a JSON {type(d).__name__}")
+    fields = ("n", "seed", "mode", "fallback_used", "host", "eta", "forest_parent")
+    missing = [name for name in fields if name not in d]
+    if missing:
+        raise BadEmbedding(f"embedding lacks field(s) {', '.join(missing)}")
+    try:
+        host = WeightedGraph(
+            d["host"]["n"],
+            tuple((u, v, w) for u, v, w in d["host"]["edges"]),
+            allow_zero=True,
+        )
+        params = Params.from_dict(d["params"]) if d.get("params") else None
+    except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
+        raise BadEmbedding(f"bad host graph or params: {exc!r}") from exc
+    eta, forest = d["eta"], d["forest_parent"]
+    if not isinstance(eta, list) or any(not isinstance(x, int) or not 0 <= x < host.n for x in eta):
+        raise BadEmbedding(f"eta must list host vertices in 0..{host.n - 1}")
+    if not isinstance(forest, list) or len(forest) != host.n:
+        raise BadEmbedding(f"forest_parent must list one parent per host vertex ({host.n})")
     meta = EmbeddingMeta(
         n=d["n"],
         seed=d["seed"],
@@ -175,7 +191,7 @@ def embedding_from_dict(d: dict) -> HostEmbedding:
         params=params,
         fallback_used=d["fallback_used"],
     )
-    return HostEmbedding(host=host, eta=list(d["eta"]), forest=list(d["forest_parent"]), meta=meta)
+    return HostEmbedding(host=host, eta=list(eta), forest=list(forest), meta=meta)
 
 
 def load_embedding(path: str | Path) -> HostEmbedding:

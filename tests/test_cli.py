@@ -84,6 +84,26 @@ def test_disconnected_embed_emits_components(tmp_path):
     assert blocks[0]["vertices"] == [0, 1]
 
 
+def test_eval_rejects_component_array_as_input_error(tmp_path, capsys):
+    graph = tmp_path / "two.txt"
+    save_graph(WeightedGraph(4, ((0, 1, 1.5), (2, 3, 2.0))), graph)
+    emb = tmp_path / "emb.json"
+    assert run("embed", "-i", graph, "-o", emb) == 0
+    capsys.readouterr()
+    assert run("eval", "-i", graph, "-e", emb, "-o", tmp_path / "rep.json") == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_embedding_missing_fields(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run("gen", "path", "--n", 2, "-o", graph)
+    emb = tmp_path / "emb.json"
+    emb.write_text('{"n": 2}')
+    capsys.readouterr()
+    assert run("eval", "-i", graph, "-e", emb, "-o", tmp_path / "rep.json") == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_debug_subcommands(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)

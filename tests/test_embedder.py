@@ -5,8 +5,8 @@ import random
 import pytest
 from oracles import bellman_ford, floyd_warshall
 
+import mfembed.embedder as embedder
 from mfembed.embedder import (
-    connected_components_of,
     derive_params,
     embed_top,
     split,
@@ -14,6 +14,7 @@ from mfembed.embedder import (
     SplitResult,
 )
 from mfembed.errors import (
+    BadEmbedding,
     BadEpsilon,
     CyclicParentArray,
     DisconnectedGraph,
@@ -108,11 +109,13 @@ def test_split_two_vertex_forced():
     assert len(result.portals) == len(result.cut)
 
 
-def test_split_failure_injection():
+def test_split_failure_injection(fail_chain_at):
     g = two_vertex(2.0)
     params = derive_params(2, 1, 0.5, "practical")
-    result = split(g, params, random.Random(0), force_failure=True)
+    fail_chain_at(0)
+    result = split(g, params, random.Random(0))
     assert isinstance(result, SplitFailure)
+    assert result.reason.reason == "Injected"
 
 
 def test_split_star_portal_per_member():
@@ -185,20 +188,23 @@ def test_embed_reproducible_bit_identical():
     assert embedding_to_json(a) != embedding_to_json(c)
 
 
-def test_embed_fallback_injection():
+def test_embed_fallback_injection(fail_chain_at):
     g = generate("grid", rows=3, cols=3)
-    emb = embed_top(g, 0.5, "practical", seed=1, fail_split_index=0)
+    fail_chain_at(0)
+    emb = embed_top(g, 0.5, "practical", seed=1)
     assert emb.meta.fallback_used
     assert emb.host.m == emb.host.n - 1  # tree host
     assert_non_contracting(g, emb)
     check_forest_validity(emb)
 
 
-def test_fallback_keeps_its_chain_failure():
+def test_fallback_keeps_its_chain_failure(monkeypatch, fail_chain_at):
     g = generate("grid", rows=3, cols=3)
-    emb = embed_top(g, 0.5, "practical", seed=1, fail_split_index=0)
+    fail_chain_at(0)
+    emb = embed_top(g, 0.5, "practical", seed=1)
     assert emb.meta.fallback_reason.reason == "Injected"
     assert "fallback_reason" not in embedding_to_dict(emb)
+    monkeypatch.undo()
     assert embed_top(g, 0.5, "practical", seed=1).meta.fallback_reason is None
 
 
@@ -207,10 +213,30 @@ def test_embed_rejects_disconnected():
         embed_top(WeightedGraph(3, ((0, 1, 1.0),)), 0.5)
 
 
-def test_components_after_edge_removal():
-    g = generate("path", size=4)
-    comps = connected_components_of(g, [0, 1, 2, 3], {(1, 2)})
-    assert comps == [[0, 1], [2, 3]]
+def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
+    built = []
+    real = embedder.induced_subgraph
+
+    def counted(g, vertices):
+        built.append((g.n, len(vertices)))
+        return real(g, vertices)
+
+    monkeypatch.setattr(embedder, "induced_subgraph", counted)
+    instances = [
+        generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=2),
+        generate("cycle", size=16),
+        generate("star", size=9),
+        generate("path", size=10),
+    ]
+    for g in instances:
+        for seed in (0, 1):
+            built.clear()
+            emb = embed_top(g, 0.5, "practical", seed=seed)
+            assert not emb.meta.fallback_used
+            # the root split works on the input itself; every other split
+            # gets the one subgraph built for it from its parent's
+            assert len(built) == emb.meta.split_calls - 1
+            assert all(k < n for n, k in built)
 
 
 def test_scale_back_to_original_units():
@@ -292,6 +318,15 @@ def test_embedding_json_round_trip():
         "forest_parent",
         "depth",
     ]
+
+
+def test_embedding_from_dict_rejects_what_is_not_one_embedding():
+    blob = embedding_to_dict(embed_top(generate("path", size=3), 0.5, seed=0))
+    wrong_eta = dict(blob, eta=[0, 1, blob["host"]["n"]])
+    short_forest = dict(blob, forest_parent=blob["forest_parent"][:-1])
+    for bad in ([blob], {"n": 2}, wrong_eta, short_forest):
+        with pytest.raises(BadEmbedding):
+            embedding_from_dict(bad)
 
 
 def test_host_distance_matches_independent_oracles():

@@ -17,6 +17,7 @@ from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import (
     WeightedGraph,
     all_pairs,
+    connected_components,
     diameter,
     dijkstra,
     hat_ell,
@@ -386,3 +387,9 @@ def test_induced_subgraph_relabels():
     sub, verts = induced_subgraph(g, [1, 2, 4])
     assert verts == [1, 2, 4]
     assert sub.n == 3 and sub.edges == ((0, 1, 1.0),)
+
+
+def test_components_after_edge_removal():
+    g = generate("path", size=4)
+    comps = connected_components(g, removed_edges={(1, 2)})
+    assert comps == [[0, 1], [2, 3]]

@@ -8,7 +8,6 @@ import mfembed.hierarchy as hierarchy
 from mfembed.errors import (
     DisconnectedGraph,
     EdgeNotInGraph,
-    InvariantViolation,
     PreconditionViolation,
 )
 from mfembed.generators import generate
@@ -404,46 +403,3 @@ def test_level_cut_counts_inside_one_cluster():
                     if u < v and g.has_edge(u, v):
                         assert edge_level(chain, u, v) == 0
 
-
-def test_identity_order_gives_default_chain():
-    g = generate("grid", rows=5, cols=5, weights="uniform:1.5:4", seed=3)
-    for seed in range(4):
-        plain = build(g, delta=0.1, seed=seed)
-        ordered = build(g, delta=0.1, seed=seed, order=list(range(g.n)))
-        assert ordered == plain
-
-
-def test_order_carves_each_parent_from_its_lowest_rank_vertex():
-    g = generate("grid", rows=6, cols=6, weights="uniform:1.5:4", seed=1)
-    rng = random.Random(5)
-    for seed in range(4):
-        order = list(range(g.n))
-        rng.shuffle(order)
-        rank = {v: p for p, v in enumerate(order)}
-        chain = build(g, delta=0.1, seed=seed, order=order)
-        for i in range(1, chain.top_level):
-            first_child = {}
-            for j, p in enumerate(chain.parents[i]):
-                first_child.setdefault(p, j)
-            for p, j in first_child.items():
-                parent = chain.levels[i + 1][p]
-                assert chain.centers[i][j] == min(parent, key=rank.get)
-
-
-def test_order_must_be_a_permutation():
-    g = scaled_grid(3, 3)
-    for bad in (list(range(8)), list(range(1, 10)), [0] * 9, list(range(10))):
-        with pytest.raises(InvariantViolation):
-            build_chain(g, 0.1, random.Random(0), order=bad)
-
-
-def test_custom_order_threads_through_chain():
-    g = scaled_grid(3, 3)
-    reverse = list(range(8, -1, -1))
-    chain = build(g, delta=0.1, seed=2, order=reverse)
-    # vertex 8 is minimal under the reversed order, so the first carve at the
-    # level below the top starts there
-    assert chain.centers[chain.top_level - 1][0] == 8
-    check_chain_structure(g, chain)
-    again = build(g, delta=0.1, seed=2, order=reverse)
-    assert chain.levels == again.levels

@@ -85,14 +85,16 @@ def test_frt_wide_stretch():
         check_embedding(g, emb)
 
 
-def test_fallback_injection_random_points():
+def test_fallback_injection_random_points(monkeypatch, fail_chain_at):
     rng = random.Random(31)
     for trial in range(12):
         g = random_connected_graph(rng, n_max=16)
+        monkeypatch.undo()
         probe = embed_top(g, 0.5, "practical", seed=trial)
         if probe.meta.split_calls == 0:
             continue
         fail_at = rng.randrange(probe.meta.split_calls)
-        emb = embed_top(g, 0.5, "practical", seed=trial, fail_split_index=fail_at)
+        fail_chain_at(fail_at)
+        emb = embed_top(g, 0.5, "practical", seed=trial)
         assert emb.meta.fallback_used
         check_embedding(g, emb)
