@@ -200,22 +200,24 @@ def _cmd_eval(args) -> int:
         emb = load_embedding(args.embedding)
     except MfembedError as exc:
         raise _InputProblem(str(exc)) from exc
+    if not is_connected(g):
+        raise _InputProblem("eval needs a connected graph")
     pairs = harness.sample_pairs(g.n, _pairs_arg(args.pairs), args.seed)
-    records = harness.evaluate(g, emb, pairs)
-    violations = harness.count_violations(records)
+    dist_g, dist_h = harness.evaluate(g, emb, pairs)
+    distortion = harness.aggregate_records(pairs, dist_g, [dist_h])
     report = {
         "schema_version": harness.SCHEMA_VERSION,
         "config": {"instance": args.input, "embedding": args.embedding, "pairs": args.pairs},
         "n": g.n,
         "pairs": [[u, v] for u, v in pairs],
-        "distortion": harness.aggregate_records(pairs, [records]),
+        "distortion": distortion,
     }
     harness.emit(report, "json", args.out)
     if args.csv:
         harness.emit(report, "csv", args.csv)
-    print(f"wrote {args.out}: max ratio={report['distortion']['max_mean_ratio']}")
-    if violations:
-        print(f"non-contraction violations: {violations}", file=sys.stderr)
+    print(f"wrote {args.out}: max ratio={distortion['max_mean_ratio']}")
+    if distortion["violations"]:
+        print(f"non-contraction violations: {distortion['violations']}", file=sys.stderr)
         return 1
     return 0
 

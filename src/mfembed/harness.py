@@ -26,27 +26,17 @@ SCHEMA_VERSION = 1
 RATIO_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    u: int
-    v: int
-    run: int
-    dist_g: float
-    dist_h: float
-
-    @property
-    def ratio(self) -> float:
-        return self.dist_h / self.dist_g
-
-
 def evaluate(
     g: WeightedGraph,
     emb: HostEmbedding,
     pairs: list[tuple[int, int]],
-    run: int = 0,
-    dist_g_rows: dict[int, list[float]] | None = None,
-) -> list[PairRecord]:
-    """Exact graph and host distances for the given vertex pairs."""
+    dist_g: list[float] | None = None,
+) -> tuple[list[float], list[float]]:
+    """Exact graph and host distances of the pairs, as two lists in pair order.
+
+    `dist_g` takes the graph distances of the same pairs from an earlier call,
+    so an experiment computes them once for all its runs; it is returned as is.
+    """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
             f"embedding maps {len(emb.eta)} vertices but the graph has {g.n}"
@@ -54,23 +44,26 @@ def evaluate(
     for u, v in pairs:
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise PairOutOfRange(f"bad pair ({u},{v})")
-    g_rows: dict[int, list[float]] = dist_g_rows if dist_g_rows is not None else {}
-    h_rows: dict[int, list[float]] = {}
-    records = []
+    if dist_g is None:
+        dist_g = _pair_distances(g, range(g.n), pairs)
+    elif len(dist_g) != len(pairs):
+        raise PreconditionViolation(f"{len(dist_g)} graph distances for {len(pairs)} pairs")
+    return dist_g, _pair_distances(emb.host, emb.eta, pairs)
+
+
+def _pair_distances(graph: WeightedGraph, eta, pairs: list[tuple[int, int]]) -> list[float]:
+    """d(eta[u], eta[v]) in `graph` for each pair, holding one Dijkstra row.
+
+    A row is computed when u changes, so pairs grouped by u (as `sample_pairs`
+    returns them) cost one Dijkstra per distinct u.
+    """
+    out = []
+    row_of = row = None
     for u, v in pairs:
-        if u not in g_rows:
-            g_rows[u] = dijkstra(g, u)
-        src = emb.eta[u]
-        if src not in h_rows:
-            h_rows[src] = dijkstra(emb.host, src)
-        records.append(
-            PairRecord(u=u, v=v, run=run, dist_g=g_rows[u][v], dist_h=h_rows[src][emb.eta[v]])
-        )
-    return records
-
-
-def count_violations(records: list[PairRecord]) -> int:
-    return sum(1 for r in records if r.dist_h < r.dist_g * (1.0 - RATIO_TOLERANCE))
+        if u != row_of:
+            row_of, row = u, dijkstra(graph, eta[u])
+        out.append(row[eta[v]])
+    return out
 
 
 @dataclass
@@ -128,61 +121,57 @@ def _pair_at(n: int, total: int, index: int) -> tuple[int, int]:
     return u, index - u * (2 * n - u - 1) // 2 + u + 1
 
 
-def aggregate_records(pairs, runs_records):
+def aggregate_records(
+    pairs: list[tuple[int, int]], dist_g: list[float], runs_dist_h: list[list[float]]
+) -> dict:
+    """The report's distortion block from the graph distances and each run's host distances."""
     per_pair = []
     max_mean = None
-    all_ratios = []
     max_single = None
     violations = 0
-    by_pair: dict[tuple[int, int], list[PairRecord]] = {(u, v): [] for u, v in pairs}
-    for records in runs_records:
-        violations += count_violations(records)
-        for r in records:
-            by_pair[(r.u, r.v)].append(r)
-            all_ratios.append(r.ratio)
-    for u, v in pairs:
-        recs = by_pair[(u, v)]
-        ratios = [r.ratio for r in recs]
-        entry = {
-            "u": u,
-            "v": v,
-            "dist_g": recs[0].dist_g,
-            "mean_dist_h": sum(r.dist_h for r in recs) / len(recs),
-            "mean_ratio": sum(ratios) / len(ratios),
-            "max_ratio": max(ratios),
-        }
-        per_pair.append(entry)
-        max_mean = entry["mean_ratio"] if max_mean is None else max(max_mean, entry["mean_ratio"])
+    floor = 1.0 - RATIO_TOLERANCE
+    for (u, v), d_g, run_h in zip(pairs, dist_g, zip(*runs_dist_h)):
+        ratios = [d_h / d_g for d_h in run_h]
+        violations += sum(1 for d_h in run_h if d_h < d_g * floor)
+        mean_ratio = sum(ratios) / len(ratios)
         peak = max(ratios)
+        per_pair.append(
+            {
+                "u": u,
+                "v": v,
+                "dist_g": d_g,
+                "mean_dist_h": sum(run_h) / len(run_h),
+                "mean_ratio": mean_ratio,
+                "max_ratio": peak,
+            }
+        )
+        max_mean = mean_ratio if max_mean is None else max(max_mean, mean_ratio)
         max_single = peak if max_single is None else max(max_single, peak)
+    count = len(pairs) * len(runs_dist_h)
+    # Run-major, pairs in order within a run: a float sum depends on the order
+    # of its terms, and the report's bytes must not.
+    total = sum(d_h / d_g for run_h in runs_dist_h for d_h, d_g in zip(run_h, dist_g))
     return {
         "per_pair": per_pair,
         "max_mean_ratio": max_mean,
-        "global_mean_ratio": (sum(all_ratios) / len(all_ratios)) if all_ratios else None,
+        "global_mean_ratio": total / count if count else None,
         "max_single_run_ratio": max_single,
         "violations": violations,
     }
 
 
-def run_experiment(
-    g: WeightedGraph,
-    config: ExperimentConfig,
-    seed_for_run=None,
-) -> dict:
-    """R independent embeddings with derived seeds; returns the report dict.
-
-    `seed_for_run` overrides per-run seed derivation (test hook).
-    """
+def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
+    """R independent embeddings with derived seeds; returns the report dict."""
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
     pairs = sample_pairs(g.n, config.pairs, config.seed)
-    dist_g_rows: dict[int, list[float]] = {}
-    runs_records = []
+    dist_g = None
+    runs_dist_h = []
     structural = []
     timings = []
     started = time.perf_counter()
     for run in range(config.runs):
-        run_seed = seed_for_run(run) if seed_for_run else derive_seed(config.seed, "run", run)
+        run_seed = derive_seed(config.seed, "run", run)
         t0 = time.perf_counter()
         emb = embed_top(
             g,
@@ -193,9 +182,9 @@ def run_experiment(
             c_fallback=config.c_fallback,
             **_cap_kwargs(config),
         )
-        records = evaluate(g, emb, pairs, run=run, dist_g_rows=dist_g_rows)
+        dist_g, dist_h = evaluate(g, emb, pairs, dist_g)
         timings.append(time.perf_counter() - t0)
-        runs_records.append(records)
+        runs_dist_h.append(dist_h)
         structural.append(
             {
                 "seed": run_seed,
@@ -210,17 +199,17 @@ def run_experiment(
         )
     baseline_block = None
     if config.baseline == "frt":
-        base_records = []
+        base_dist_h = []
         base_structural = []
         for run in range(config.runs):
-            run_seed = seed_for_run(run) if seed_for_run else derive_seed(config.seed, "frt", run)
+            run_seed = derive_seed(config.seed, "frt", run)
             emb = frt_embed(g, run_seed)
-            base_records.append(evaluate(g, emb, pairs, run=run, dist_g_rows=dist_g_rows))
+            base_dist_h.append(evaluate(g, emb, pairs, dist_g)[1])
             base_structural.append(
                 {"seed": run_seed, "treedepth": emb.depth, "host_vertices": emb.host.n}
             )
         baseline_block = {
-            "distortion": aggregate_records(pairs, base_records),
+            "distortion": aggregate_records(pairs, dist_g, base_dist_h),
             "structural": {"per_run": base_structural},
         }
     fallbacks = sum(1 for s in structural if s["fallback"])
@@ -229,7 +218,7 @@ def run_experiment(
         "config": config.to_dict(),
         "n": g.n,
         "pairs": [[u, v] for u, v in pairs],
-        "distortion": aggregate_records(pairs, runs_records),
+        "distortion": aggregate_records(pairs, dist_g, runs_dist_h),
         "structural": {
             "per_run": structural,
             "fallback_rate": fallbacks / config.runs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
 from .graphs import WeightedGraph, dijkstra, is_connected
@@ -45,16 +45,14 @@ class Clustering:
 def single_level_partition(
     g: WeightedGraph,
     r: float,
-    rng: random.Random | None = None,
+    rng: random.Random,
     *,
     order: Sequence[int] | None = None,
-    x_source: Callable[[random.Random], float] | None = None,
 ) -> Clustering:
     """Partition a connected graph into clusters of radius about r.
 
     `order` is a permutation of the vertex ids listing them from smallest to
-    largest under the tie-break order (default: ascending id). `x_source`
-    replaces the Exp(1) sampler; tests use it to force deterministic radii.
+    largest under the tie-break order (default: ascending id).
     When r is at least the diameter the first ball, centred at the
     lowest-rank vertex, already covers the whole vertex set.
     """
@@ -62,10 +60,6 @@ def single_level_partition(
         raise InvariantViolation("radius parameter must be positive")
     if not is_connected(g):
         raise DisconnectedGraph("partition requires a connected graph")
-    if x_source is None:
-        if rng is None:
-            raise InvariantViolation("need an rng when no radius source is given")
-        x_source = sample_exponential
 
     rank = list(range(g.n))
     if order is not None:
@@ -98,7 +92,7 @@ def single_level_partition(
         while not free[by_rank[cursor]]:
             cursor += 1
         v = by_rank[cursor]
-        x = x_source(rng)
+        x = sample_exponential(rng)
         if x < 0:
             raise InvariantViolation("radius sample must be nonnegative")
         rv = r * (1.0 + x)

@@ -104,6 +104,20 @@ def test_eval_rejects_embedding_missing_fields(tmp_path, capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_disconnected_graph(tmp_path, capsys):
+    path4 = tmp_path / "path4.txt"
+    run("gen", "path", "--n", 4, "-o", path4)
+    emb = tmp_path / "emb.json"
+    assert run("embed", "-i", path4, "-o", emb) == 0
+    split = tmp_path / "split.txt"
+    save_graph(WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))), split)
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run("eval", "-i", split, "-e", emb, "-o", report) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_debug_subcommands(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)

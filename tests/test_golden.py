@@ -1,18 +1,24 @@
-"""Byte-identity of embeddings across refactors.
+"""Byte-identity of embeddings and reports across refactors.
 
-The digests are sha256 of `embedding_to_json(embed_top(...))` with the same
-seed for the instance weights and the embedding. A change that alters any
-embedding fails here; if the change is meant to, say so and record the new
+The embedding digests are sha256 of `embedding_to_json(embed_top(...))` with
+the same seed for the instance weights and the embedding. The report digests
+are sha256 of an experiment report without its timing block, dumped with
+sorted keys, and of the file `mfembed eval` writes. A change that alters any
+of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
 keeps them.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from mfembed.cli import main
 from mfembed.embedder import embed_top
 from mfembed.generators import generate
+from mfembed.graphio import save_graph
+from mfembed.harness import ExperimentConfig, run_experiment, strip_timing
 from mfembed.hosts import embedding_to_json
 
 GRID = dict(kind="grid", rows=8, cols=8, weights="uniform:1:4")
@@ -31,3 +37,37 @@ def test_embedding_json_digest(instance, seed, digest):
     g = generate(seed=seed, **instance)
     text = embedding_to_json(embed_top(g, 0.5, "practical", seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+REPORT_CASES = [
+    pytest.param(
+        dict(kind="grid", rows=4, cols=4, weights="uniform:1:4"),
+        dict(pairs="all", baseline="frt"),
+        "8b87d9bac5a2aed03faab87e7bf231c95acb4643a6b3842ab0f0f01eef48e377",
+        id="grid4-allpairs-frt",
+    ),
+    pytest.param(
+        dict(kind="cycle", size=64),
+        dict(pairs=20),
+        "212c5f7a682c1579064549fc49fd017dc5679fbc8c379b80aa84109f7fd64742",
+        id="cycle64-sampled20",
+    ),
+]
+
+
+@pytest.mark.parametrize("instance,options,digest", REPORT_CASES)
+def test_experiment_report_digest(instance, options, digest):
+    g = generate(seed=0, **instance)
+    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=3, seed=0, **options)
+    text = json.dumps(strip_timing(run_experiment(g, config)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_eval_report_digest_grid5(tmp_path, monkeypatch):
+    # relative paths: the report's config block names the input files
+    monkeypatch.chdir(tmp_path)
+    save_graph(generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=3), "grid5.txt")
+    assert main(["embed", "-i", "grid5.txt", "--seed", "3", "-o", "emb.json"]) == 0
+    assert main(["eval", "-i", "grid5.txt", "-e", "emb.json", "--pairs", "all", "-o", "report.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == "0ec8953b2f67e5c89bd0aa2272e763603c7746b2653a827b19cc0232ff052aab"

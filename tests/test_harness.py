@@ -11,8 +11,9 @@ from mfembed.errors import PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph
 from mfembed.harness import (
+    RATIO_TOLERANCE,
     ExperimentConfig,
-    count_violations,
+    aggregate_records,
     emit,
     evaluate,
     load_report,
@@ -42,17 +43,17 @@ def test_identity_embedding_all_ratios_one():
     g = generate("path", size=6)
     emb = identity_embedding(g)
     pairs = sample_pairs(g.n, "all", 0)
-    records = evaluate(g, emb, pairs)
-    assert len(records) == 15
-    assert all(r.ratio == 1.0 for r in records)
-    assert count_violations(records) == 0
+    dist_g, dist_h = evaluate(g, emb, pairs)
+    assert len(dist_g) == len(dist_h) == 15
+    assert all(h / d == 1.0 for d, h in zip(dist_g, dist_h))
+    assert aggregate_records(pairs, dist_g, [dist_h])["violations"] == 0
 
 
 def test_evaluate_two_vertex_host():
     g = WeightedGraph(2, ((0, 1, 2.0),))
     emb = embed_top(g, 0.5, seed=0)
-    (rec,) = evaluate(g, emb, [(0, 1)])
-    assert rec.dist_g == 2.0 and rec.dist_h == 2.0 and rec.ratio == 1.0
+    ([d_g], [d_h]) = evaluate(g, emb, [(0, 1)])
+    assert d_g == 2.0 and d_h == 2.0 and d_h / d_g == 1.0
 
 
 def test_evaluate_frt_ratio_at_least_one():
@@ -60,8 +61,8 @@ def test_evaluate_frt_ratio_at_least_one():
 
     g = WeightedGraph(2, ((0, 1, 1.5),))
     emb = frt_embed(g, 5)
-    (rec,) = evaluate(g, emb, [(0, 1)])
-    assert rec.ratio >= 1.0
+    ([d_g], [d_h]) = evaluate(g, emb, [(0, 1)])
+    assert d_h / d_g >= 1.0
 
 
 def test_evaluate_pair_validation():
@@ -71,6 +72,51 @@ def test_evaluate_pair_validation():
         evaluate(g, emb, [(0, 0)])
     with pytest.raises(PairOutOfRange):
         evaluate(g, emb, [(0, 5)])
+
+
+def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
+    from mfembed import harness
+    from mfembed.graphs import all_pairs, dijkstra
+
+    g = generate("grid", rows=3, cols=4, weights="uniform:1:4", seed=2)
+    emb = embed_top(g, 0.5, "practical", seed=3)
+    dm_g, dm_h = all_pairs(g), all_pairs(emb.host)
+    pairs = [(5, 1), (0, 7), (5, 2), (0, 11), (5, 9), (3, 4)]  # u repeats, not grouped
+    dist_g, dist_h = evaluate(g, emb, pairs)
+    assert dist_g == [dm_g[u][v] for u, v in pairs]
+    assert dist_h == [dm_h[emb.eta[u]][emb.eta[v]] for u, v in pairs]
+
+    sources = []
+
+    def counted(graph, source):
+        sources.append(graph)
+        return dijkstra(graph, source)
+
+    monkeypatch.setattr(harness, "dijkstra", counted)
+    again_g, again_h = evaluate(g, emb, pairs, dist_g)
+    assert again_g is dist_g and again_h == dist_h
+    # no graph row when dist_g is given; a host row each time u changes
+    assert len(sources) == 6 and all(graph is emb.host for graph in sources)
+    with pytest.raises(PreconditionViolation):
+        evaluate(g, emb, pairs, dist_g[:-1])
+
+
+def test_aggregate_records_by_hand():
+    pairs = [(0, 1), (0, 2)]
+    dist_g = [2.0, 4.0]
+    runs = [[2.0, 4.0 * (1 - 2 * RATIO_TOLERANCE)], [4.0, 4.0 * (1 - RATIO_TOLERANCE / 2)]]
+    block = aggregate_records(pairs, dist_g, runs)
+    first, second = block["per_pair"]
+    assert first == dict(u=0, v=1, dist_g=2.0, mean_dist_h=3.0, mean_ratio=1.5, max_ratio=2.0)
+    assert (second["u"], second["v"], second["dist_g"]) == (0, 2, 4.0)
+    assert second["max_ratio"] == 1 - RATIO_TOLERANCE / 2
+    assert block["max_mean_ratio"] == 1.5
+    assert block["max_single_run_ratio"] == 2.0
+    assert block["global_mean_ratio"] == pytest.approx((1 + 2 + 2 - 1.5 * RATIO_TOLERANCE) / 4)
+    assert block["violations"] == 1  # only the (0, 2) pair in run 0 falls below the tolerance
+    empty = aggregate_records([], [], [[], []])
+    assert empty["per_pair"] == [] and empty["global_mean_ratio"] is None
+    assert empty["max_mean_ratio"] is None and empty["violations"] == 0
 
 
 # ---------------------------------------------------------------- pair sampling
@@ -138,10 +184,11 @@ def test_single_vertex_experiment_trivial():
     assert report["distortion"]["violations"] == 0
 
 
-def test_seed_hook_forces_identical_runs():
+def test_seed_hook_forces_identical_runs(monkeypatch):
     g = generate("grid", rows=3, cols=3)
     config = ExperimentConfig(epsilon=0.5, mode="practical", runs=2, pairs="all", seed=1)
-    report = run_experiment(g, config, seed_for_run=lambda run: 42)
+    monkeypatch.setattr("mfembed.harness.derive_seed", lambda *args: 42)
+    report = run_experiment(g, config)
     a, b = report["structural"]["per_run"]
     assert a == b
     per_pair = report["distortion"]["per_pair"]
@@ -253,5 +300,6 @@ def test_evaluate_after_json_round_trip(tmp_path):
     save_embedding(emb, path)
     loaded = load_embedding(path)
     pairs = sample_pairs(g.n, "all", 0)
-    records = evaluate(g, loaded, pairs)
-    assert count_violations(records) == 0  # 12-digit rounding stays within tolerance
+    dist_g, dist_h = evaluate(g, loaded, pairs)
+    # 12-digit rounding stays within tolerance
+    assert aggregate_records(pairs, dist_g, [dist_h])["violations"] == 0

@@ -69,16 +69,18 @@ def test_radius_at_least_diameter_gives_one_part():
     assert c.centers == (0,) and c.radii[0] >= diameter(g)
 
 
-def test_five_path_hand_simulation():
-    c = single_level_partition(five_path(), 1.2, x_source=zero_x)
+def test_five_path_hand_simulation(monkeypatch):
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
+    c = single_level_partition(five_path(), 1.2, random.Random(0))
     assert c.clusters == ((0, 1), (2, 3), (4,))
     assert c.centers == (0, 2, 4)
     assert c.radii == (1.2, 1.2, 1.2)
 
 
-def test_order_controls_first_center():
+def test_order_controls_first_center(monkeypatch):
     # carving from the middle first changes the outcome
-    c = single_level_partition(five_path(), 1.2, x_source=zero_x, order=[2, 0, 1, 3, 4])
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
+    c = single_level_partition(five_path(), 1.2, random.Random(0), order=[2, 0, 1, 3, 4])
     assert c.centers[0] == 2
     assert set(c.clusters[0]) == {1, 2, 3}
 
@@ -91,21 +93,23 @@ class ScriptedX:
         return self.values.pop(0)
 
 
-def test_ball_uses_free_subgraph_distances():
+def test_ball_uses_free_subgraph_distances(monkeypatch):
     # v0 and v2 are joined only through v1. Carve v1 alone first; then a
     # huge ball around v0 must not reach v2 because the connecting vertex
     # is no longer free.
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
-    c = single_level_partition(g, 0.5, x_source=ScriptedX([0.0, 5.0, 0.0]), order=[1, 0, 2])
+    monkeypatch.setattr("mfembed.partition.sample_exponential", ScriptedX([0.0, 5.0, 0.0]))
+    c = single_level_partition(g, 0.5, random.Random(0), order=[1, 0, 2])
     assert c.clusters == ((1,), (0,), (2,))
     assert c.radii[1] == 3.0
 
 
-def test_tie_at_exact_radius_included():
+def test_tie_at_exact_radius_included(monkeypatch):
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = WeightedGraph(2, ((0, 1, 1.5),))
-    c = single_level_partition(g, 1.5, x_source=zero_x)
+    c = single_level_partition(g, 1.5, random.Random(0))
     assert len(c) == 1  # also covered by the r >= diameter rule
-    c = single_level_partition(five_path(), 1.1, x_source=zero_x)
+    c = single_level_partition(five_path(), 1.1, random.Random(0))
     assert c.clusters[0] == (0, 1)
 
 
@@ -114,12 +118,15 @@ def test_disconnected_rejected():
         single_level_partition(WeightedGraph(3, ((0, 1, 1.0),)), 1.0, random.Random(0))
 
 
-def test_bad_radius_and_missing_rng():
+def test_bad_radius_and_missing_rng(monkeypatch):
     g = five_path()
     with pytest.raises(InvariantViolation):
         single_level_partition(g, 0.0, random.Random(0))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(TypeError):  # the rng is a required argument
         single_level_partition(g, 1.0)
+    monkeypatch.setattr("mfembed.partition.sample_exponential", lambda _rng: -0.5)
+    with pytest.raises(InvariantViolation):  # a negative radius sample is refused
+        single_level_partition(g, 1.0, random.Random(0))
 
 
 def test_partition_validity_and_p1_across_seeds():
@@ -171,21 +178,24 @@ def test_count_cut_edges_whole_graph_cluster():
     assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 0
 
 
-def test_count_cut_edges_discrete():
+def test_count_cut_edges_discrete(monkeypatch):
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 0.5, x_source=zero_x)
+    c = single_level_partition(g, 0.5, random.Random(0))
     assert [len(x) for x in c.clusters] == [1] * 5
     assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 4
 
 
-def test_count_cut_edges_hand_example():
+def test_count_cut_edges_hand_example(monkeypatch):
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 1.2, x_source=zero_x)
+    c = single_level_partition(g, 1.2, random.Random(0))
     assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 2
 
 
-def test_count_cut_edges_rejects_non_edges():
+def test_count_cut_edges_rejects_non_edges(monkeypatch):
+    monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 1.2, x_source=zero_x)
+    c = single_level_partition(g, 1.2, random.Random(0))
     with pytest.raises(EdgeNotInGraph):
         count_cut_edges(g, [0, 2], c)
