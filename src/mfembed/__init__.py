@@ -28,9 +28,16 @@ from .graphs import (
     stretch_exponent,
 )
 from .harness import ExperimentConfig, emit, evaluate, run_experiment
-from .hierarchy import ChainFailure, ClusteringChain, build_chain, edge_level, level_cut_counts
-from .hosts import HostEmbedding, Params, load_embedding, save_embedding, treedepth_of
-from .partition import Clustering, count_cut_edges, sample_exponential, single_level_partition
+from .hierarchy import ChainFailure, ClusteringChain, build_chain
+from .hosts import (
+    ForestLabels,
+    HostEmbedding,
+    Params,
+    load_embedding,
+    save_embedding,
+    treedepth_of,
+)
+from .partition import Clustering, sample_exponential, single_level_partition
 
 __version__ = "0.1.0"
 
@@ -41,6 +48,7 @@ __all__ = [
     "Cut",
     "CutPacking",
     "ExperimentConfig",
+    "ForestLabels",
     "HostEmbedding",
     "Params",
     "TreeDecomposition",
@@ -50,12 +58,10 @@ __all__ = [
     "build_chain",
     "build_cut_packing",
     "centroid_bag",
-    "count_cut_edges",
     "cut_edges",
     "derive_params",
     "diameter",
     "dijkstra",
-    "edge_level",
     "embed_top",
     "emit",
     "evaluate",
@@ -65,7 +71,6 @@ __all__ = [
     "hat_ell",
     "heuristic_tree_decomposition",
     "is_balanced",
-    "level_cut_counts",
     "load_embedding",
     "load_graph",
     "metric_closure_weights",

@@ -19,7 +19,7 @@ from .embedder import embed_top
 from .errors import PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
 from .graphs import WeightedGraph, dijkstra
-from .hosts import HostEmbedding
+from .hosts import ForestLabels, HostEmbedding
 from .rng import derive_seed
 
 SCHEMA_VERSION = 1
@@ -34,8 +34,10 @@ def evaluate(
 ) -> tuple[list[float], list[float]]:
     """Exact graph and host distances of the pairs, as two lists in pair order.
 
-    `dist_g` takes the graph distances of the same pairs from an earlier call,
-    so an experiment computes them once for all its runs; it is returned as is.
+    Host distances come from the forest's distance labels, which check the
+    forest first. `dist_g` takes the graph distances of the same pairs from an
+    earlier call, so an experiment computes them once for all its runs; it is
+    returned as is.
     """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
@@ -44,15 +46,18 @@ def evaluate(
     for u, v in pairs:
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise PairOutOfRange(f"bad pair ({u},{v})")
-    if dist_g is None:
-        dist_g = _pair_distances(g, range(g.n), pairs)
-    elif len(dist_g) != len(pairs):
+    if dist_g is not None and len(dist_g) != len(pairs):
         raise PreconditionViolation(f"{len(dist_g)} graph distances for {len(pairs)} pairs")
-    return dist_g, _pair_distances(emb.host, emb.eta, pairs)
+    host_distance = ForestLabels(emb).distance
+    eta = emb.eta
+    dist_h = [host_distance(eta[u], eta[v]) for u, v in pairs]
+    if dist_g is None:
+        dist_g = _pair_distances(g, pairs)
+    return dist_g, dist_h
 
 
-def _pair_distances(graph: WeightedGraph, eta, pairs: list[tuple[int, int]]) -> list[float]:
-    """d(eta[u], eta[v]) in `graph` for each pair, holding one Dijkstra row.
+def _pair_distances(g: WeightedGraph, pairs: list[tuple[int, int]]) -> list[float]:
+    """d(u, v) in `g` for each pair, holding one Dijkstra row.
 
     A row is computed when u changes, so pairs grouped by u (as `sample_pairs`
     returns them) cost one Dijkstra per distinct u.
@@ -61,8 +66,8 @@ def _pair_distances(graph: WeightedGraph, eta, pairs: list[tuple[int, int]]) -> 
     row_of = row = None
     for u, v in pairs:
         if u != row_of:
-            row_of, row = u, dijkstra(graph, eta[u])
-        out.append(row[eta[v]])
+            row_of, row = u, dijkstra(g, u)
+        out.append(row[v])
     return out
 
 

@@ -22,7 +22,6 @@ from typing import Sequence
 
 from .errors import (
     DisconnectedGraph,
-    EdgeNotInGraph,
     PreconditionViolation,
 )
 from .graphs import (
@@ -294,31 +293,3 @@ def _check_goodness(g, levels, centers, parents, top, sigma) -> ChainFailure | N
                     level=i + 1, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx
                 )
     return None
-
-
-def edge_level(chain: ClusteringChain, u: int, v: int) -> int:
-    """Largest level whose partition separates the edge's endpoints.
-
-    The top level never separates anything, and distinct vertices are always
-    separated at level 0, so the result lies in 0..L-1.
-    """
-    if not chain.graph.has_edge(u, v):
-        raise EdgeNotInGraph(f"({u},{v}) is not an edge")
-    for i in range(chain.top_level - 1, 0, -1):
-        if chain.vertex_to_cluster[i][u] != chain.vertex_to_cluster[i][v]:
-            return i
-    return 0
-
-
-def level_cut_counts(chain: ClusteringChain, path: Sequence[int]) -> list[int]:
-    """Histogram of `edge_level` over the path's consecutive pairs."""
-    counts = [0] * max(chain.top_level, 1)
-    vtc = chain.vertex_to_cluster
-    for u, v in zip(path, path[1:]):
-        level = 0
-        for i in range(chain.top_level - 1, 0, -1):
-            if vtc[i][u] != vtc[i][v]:
-                level = i
-                break
-        counts[level] += 1
-    return counts

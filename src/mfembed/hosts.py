@@ -8,12 +8,15 @@ with 12 significant digits, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import BadEmbedding, CyclicParentArray, InvariantViolation
-from .graphs import WeightedGraph
+from .graphs import INF, WeightedGraph
 
 if TYPE_CHECKING:
     from .hierarchy import ChainFailure
@@ -90,46 +93,123 @@ class HostEmbedding:
 
 def treedepth_of(forest: list[int | None]) -> int:
     """Depth of a parent-array forest, counted in vertices on a root path."""
-    n = len(forest)
-    if n == 0:
-        return 0
-    depth = [0] * n
-    for v in range(n):
-        if depth[v]:
+    order, _, _ = _euler_tour(forest)
+    depth = [0] * len(forest)
+    for v in order:
+        p = forest[v]
+        depth[v] = 1 if p is None else depth[p] + 1
+    return max(depth, default=0)
+
+
+def _euler_tour(parent: list[int | None]) -> tuple[list[int], list[int], list[int]]:
+    """Preorder of a parent-array forest, with each vertex's entry and exit time.
+
+    subtree(a) is every v with tin[a] <= tin[v] < tout[a]. A parent that is
+    not a vertex is an InvariantViolation; a vertex no root reaches means a
+    cycle (CyclicParentArray).
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for v, p in enumerate(parent):
+        if p is None:
+            roots.append(v)
+        elif isinstance(p, int) and 0 <= p < n:
+            children[p].append(v)
+        else:
+            raise InvariantViolation(f"forest parent {p!r} of {v} is not a vertex")
+    order: list[int] = []
+    tin = [0] * n
+    tout = [0] * n
+    stack = roots[::-1]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            tout[~v] = len(order)
             continue
-        trail = []
-        u: int | None = v
-        while u is not None and not depth[u]:
-            trail.append(u)
-            u = forest[u]
-            if len(trail) > n:
-                raise CyclicParentArray("parent array contains a cycle")
-        base = depth[u] if u is not None else 0
-        for back, w in enumerate(reversed(trail), start=1):
-            depth[w] = base + back
-    return max(depth)
+        tin[v] = len(order)
+        order.append(v)
+        stack.append(~v)
+        stack.extend(reversed(children[v]))
+    if len(order) != n:
+        raise CyclicParentArray("parent array contains a cycle")
+    return order, tin, tout
 
 
-def check_forest_validity(emb: HostEmbedding) -> None:
-    """Every host edge must connect an ancestor with a descendant."""
-    parent = emb.forest
-    n = emb.host.n
-    if len(parent) != n:
+def check_forest_validity(emb: HostEmbedding) -> tuple[list[int], list[int], list[int]]:
+    """Every host edge must connect an ancestor with a descendant.
+
+    O(n + m) by Euler-tour intervals; returns the tour (preorder, tin, tout).
+    """
+    if len(emb.forest) != emb.host.n:
         raise InvariantViolation("forest size does not match host size")
-    depth_sentinel = treedepth_of(parent)  # also detects cycles
-    ancestors: list[set[int]] = []
-    for v in range(n):
-        anc = set()
-        u = parent[v]
-        while u is not None:
-            anc.add(u)
-            u = parent[u]
-        ancestors.append(anc)
+    order, tin, tout = _euler_tour(emb.forest)
     for u, v, _ in emb.host.edges:
-        if u not in ancestors[v] and v not in ancestors[u]:
-            raise InvariantViolation(
-                f"host edge ({u},{v}) joins unrelated forest vertices (depth {depth_sentinel})"
-            )
+        if not (tin[u] <= tin[v] < tout[u] or tin[v] <= tin[u] < tout[v]):
+            raise InvariantViolation(f"host edge ({u},{v}) joins unrelated forest vertices")
+    return order, tin, tout
+
+
+class ForestLabels:
+    """Exact host distances from the elimination forest.
+
+    Every host edge joins an ancestor and a descendant, so a shortest x-y path
+    stays inside subtree(a) for its shallowest vertex a, a common ancestor of
+    x and y. Hence d_H(x, y) = min over common ancestors a of r_a(x) + r_a(y),
+    where r_a is the distance from a inside the subgraph subtree(a) induces.
+
+    Vertices are renamed to their preorder ids (`tin`). `labels[i]` holds r_a
+    of vertex i for each ancestor a of i and i itself, root first, INF where
+    subtree(a) does not reach i; `ends[i]` holds their negated exit times.
+    Building takes one Dijkstra per host vertex, limited to its subtree; a
+    query takes O(depth). The forest is checked first.
+    """
+
+    __slots__ = ("tin", "ends", "labels")
+
+    def __init__(self, emb: HostEmbedding) -> None:
+        order, tin, tout = check_forest_validity(emb)
+        n = len(order)
+        # In preorder ids subtree(a) is a .. end[a] - 1, and a neighbour of a
+        # vertex in it lies outside only if it is an ancestor above a, whose
+        # id is below a.
+        adj = [[(tin[v], w) for v, w in emb.host.adjacency[u]] for u in order]
+        end = [tout[u] for u in order]
+        ends: list[tuple[int, ...]] = [()] * n
+        for a, u in enumerate(order):
+            p = emb.forest[u]
+            ends[a] = (ends[tin[p]] if p is not None else ()) + (-end[a],)
+        labels = [[INF] * len(e) for e in ends]
+        for a in range(n):
+            level = len(ends[a]) - 1
+            dist = [INF] * (end[a] - a)
+            dist[0] = 0.0
+            heap = [(0.0, a)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u - a]:
+                    continue
+                labels[u][level] = d
+                for v, w in adj[u]:
+                    if v >= a:
+                        nd = d + w
+                        if nd < dist[v - a]:
+                            dist[v - a] = nd
+                            heappush(heap, (nd, v))
+        self.tin = tin
+        self.ends = ends
+        self.labels = labels
+
+    def distance(self, x: int, y: int) -> float:
+        """d_H(x, y) for host vertices x and y."""
+        x, y = self.tin[x], self.tin[y]
+        if x > y:
+            x, y = y, x
+        # x's ancestors start at or before y; those containing y end after it.
+        k = bisect_left(self.ends[x], -y)
+        if k:
+            return min(map(add, self.labels[x][:k], self.labels[y]))
+        return INF  # different trees
 
 
 def _round12(x: float) -> float:
@@ -184,6 +264,8 @@ def embedding_from_dict(d: dict) -> HostEmbedding:
         raise BadEmbedding(f"eta must list host vertices in 0..{host.n - 1}")
     if not isinstance(forest, list) or len(forest) != host.n:
         raise BadEmbedding(f"forest_parent must list one parent per host vertex ({host.n})")
+    if any(p is not None and (not isinstance(p, int) or not 0 <= p < host.n) for p in forest):
+        raise BadEmbedding(f"forest_parent entries must be null or host vertices in 0..{host.n - 1}")
     meta = EmbeddingMeta(
         n=d["n"],
         seed=d["seed"],

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
+from .errors import DisconnectedGraph, InvariantViolation
 from .graphs import WeightedGraph, dijkstra, is_connected
 
 
@@ -115,17 +115,6 @@ def single_level_partition(
         radii=tuple(radii),
         cluster_of=tuple(cluster_of),
     )
-
-
-def count_cut_edges(g: WeightedGraph, path: Sequence[int], clustering: Clustering) -> int:
-    """Number of path edges whose endpoints fall in different clusters."""
-    count = 0
-    for u, v in zip(path, path[1:]):
-        if not g.has_edge(u, v):
-            raise EdgeNotInGraph(f"({u},{v}) is not an edge")
-        if clustering.cluster_of[u] != clustering.cluster_of[v]:
-            count += 1
-    return count
 
 
 def check_partition_validity(g: WeightedGraph, clustering: Clustering) -> None:

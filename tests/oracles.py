@@ -4,13 +4,17 @@ Everything here is deliberately written without reusing the library's
 algorithms: Floyd-Warshall and Bellman-Ford for distances, exhaustive path
 enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
 balanced chain-respecting cuts, the quadratic min-degree scan that the
-library's heap elimination must reproduce, and an all-members cluster
-diameter.
+library's heap elimination must reproduce, an all-members cluster
+diameter, and forest validity from one ancestor set per vertex. The
+path-level counters (`edge_level`, `level_cut_counts`, `count_cut_edges`)
+are read only by tests.
 """
 
 import heapq
 import itertools
 import math
+
+from mfembed.errors import CyclicParentArray, EdgeNotInGraph, InvariantViolation
 
 INF = math.inf
 
@@ -307,3 +311,66 @@ def all_connected_labeled_graphs(n):
         if len(seen) == n:
             out.append(edges)
     return out
+
+
+def forest_validity_by_ancestor_sets(emb):
+    """Raise unless the forest is a parent array over the host whose every
+    host edge joins an ancestor and a descendant; one ancestor set per vertex."""
+    parent = emb.forest
+    n = emb.host.n
+    if len(parent) != n:
+        raise InvariantViolation("forest size does not match host size")
+    ancestors = []
+    for v in range(n):
+        anc = set()
+        u = parent[v]
+        while u is not None:
+            if not (isinstance(u, int) and 0 <= u < n):
+                raise InvariantViolation(f"forest parent {u!r} is not a vertex")
+            if u in anc or u == v:
+                raise CyclicParentArray("parent array contains a cycle")
+            anc.add(u)
+            u = parent[u]
+        ancestors.append(anc)
+    for u, v, _ in emb.host.edges:
+        if u not in ancestors[v] and v not in ancestors[u]:
+            raise InvariantViolation(f"host edge ({u},{v}) joins unrelated forest vertices")
+
+
+def edge_level(chain, u, v):
+    """Largest level whose partition separates the edge's endpoints.
+
+    The top level never separates anything, and distinct vertices are always
+    separated at level 0, so the result lies in 0..L-1.
+    """
+    if not chain.graph.has_edge(u, v):
+        raise EdgeNotInGraph(f"({u},{v}) is not an edge")
+    for i in range(chain.top_level - 1, 0, -1):
+        if chain.vertex_to_cluster[i][u] != chain.vertex_to_cluster[i][v]:
+            return i
+    return 0
+
+
+def level_cut_counts(chain, path):
+    """Histogram of `edge_level` over the path's consecutive pairs."""
+    counts = [0] * max(chain.top_level, 1)
+    vtc = chain.vertex_to_cluster
+    for u, v in zip(path, path[1:]):
+        level = 0
+        for i in range(chain.top_level - 1, 0, -1):
+            if vtc[i][u] != vtc[i][v]:
+                level = i
+                break
+        counts[level] += 1
+    return counts
+
+
+def count_cut_edges(g, path, clustering):
+    """Number of path edges whose endpoints fall in different clusters."""
+    count = 0
+    for u, v in zip(path, path[1:]):
+        if not g.has_edge(u, v):
+            raise EdgeNotInGraph(f"({u},{v}) is not an edge")
+        if clustering.cluster_of[u] != clustering.cluster_of[v]:
+            count += 1
+    return count

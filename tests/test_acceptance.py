@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     balanced_predicate,
     bellman_ford,
+    count_cut_edges,
     enumerate_balanced_chain_cuts,
     floyd_warshall,
     max_cluster_diameter,
@@ -37,7 +38,7 @@ from mfembed.graphs import (
 from mfembed.harness import ExperimentConfig, run_experiment, sample_pairs, strip_timing
 from mfembed.hierarchy import ChainFailure, ClusteringChain, build_chain
 from mfembed.hosts import embedding_to_json
-from mfembed.partition import check_partition_validity, count_cut_edges, single_level_partition
+from mfembed.partition import check_partition_validity, single_level_partition
 from mfembed.rng import derive_seed
 
 EPSILON = 0.5

@@ -118,6 +118,47 @@ def test_eval_rejects_disconnected_graph(tmp_path, capsys):
     assert not report.exists()
 
 
+def _eval_with_forest(tmp_path, capsys, change):
+    """Exit code and standard error of `eval` on a 4x4 grid embedding whose
+    forest_parent array was edited by `change`; no report may be written."""
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
+    emb = tmp_path / "emb.json"
+    assert run("embed", "-i", graph, "--seed", 1, "-o", emb) == 0
+    blob = json.loads(emb.read_text())
+    change(blob["forest_parent"])
+    emb.write_text(json.dumps(blob))
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    code = run("eval", "-i", graph, "-e", emb, "--pairs", "all", "-o", report)
+    assert not report.exists()
+    return code, capsys.readouterr().err
+
+
+def test_eval_rejects_forest_parent_outside_host(tmp_path, capsys):
+    def out_of_range(parent):
+        parent[3] = len(parent)
+
+    code, err = _eval_with_forest(tmp_path, capsys, out_of_range)
+    assert code == 2 and "input error:" in err and "forest_parent" in err
+
+
+def test_eval_rejects_cyclic_forest(tmp_path, capsys):
+    def self_parent(parent):
+        parent[0] = 0
+
+    code, err = _eval_with_forest(tmp_path, capsys, self_parent)
+    assert code == 2 and "cycle" in err
+
+
+def test_eval_rejects_host_edge_between_unrelated_forest_vertices(tmp_path, capsys):
+    def all_roots(parent):
+        parent[:] = [None] * len(parent)
+
+    code, err = _eval_with_forest(tmp_path, capsys, all_roots)
+    assert code == 1 and "invariant violation:" in err and "unrelated" in err
+
+
 def test_debug_subcommands(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)

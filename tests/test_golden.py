@@ -43,7 +43,7 @@ REPORT_CASES = [
     pytest.param(
         dict(kind="grid", rows=4, cols=4, weights="uniform:1:4"),
         dict(pairs="all", baseline="frt"),
-        "8b87d9bac5a2aed03faab87e7bf231c95acb4643a6b3842ab0f0f01eef48e377",
+        "34591e99bc557eba5a7feb0148b4eade7c0ddf12e32af2c13580299cc9094665",
         id="grid4-allpairs-frt",
     ),
     pytest.param(
@@ -70,4 +70,4 @@ def test_eval_report_digest_grid5(tmp_path, monkeypatch):
     assert main(["embed", "-i", "grid5.txt", "--seed", "3", "-o", "emb.json"]) == 0
     assert main(["eval", "-i", "grid5.txt", "-e", "emb.json", "--pairs", "all", "-o", "report.json"]) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == "0ec8953b2f67e5c89bd0aa2272e763603c7746b2653a827b19cc0232ff052aab"
+    assert digest == "940345d6ad10027ceed10dd2c2f668be21e09c3966ed152db8f72430bd9f4e22"

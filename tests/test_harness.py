@@ -95,8 +95,10 @@ def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
     monkeypatch.setattr(harness, "dijkstra", counted)
     again_g, again_h = evaluate(g, emb, pairs, dist_g)
     assert again_g is dist_g and again_h == dist_h
-    # no graph row when dist_g is given; a host row each time u changes
-    assert len(sources) == 6 and all(graph is emb.host for graph in sources)
+    # no graph row when dist_g is given, and host distances come from forest labels
+    assert sources == []
+    evaluate(g, emb, pairs)
+    assert len(sources) == 6 and all(graph is g for graph in sources)  # a graph row each time u changes
     with pytest.raises(PreconditionViolation):
         evaluate(g, emb, pairs, dist_g[:-1])
 

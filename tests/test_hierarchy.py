@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import floyd_warshall
+from oracles import edge_level, floyd_warshall, level_cut_counts
 
 import mfembed.hierarchy as hierarchy
 from mfembed.errors import (
@@ -21,8 +21,6 @@ from mfembed.hierarchy import (
     _check_goodness,
     build_chain,
     diameter_level,
-    edge_level,
-    level_cut_counts,
     level_count_for_diameter,
     radius_schedule,
 )

@@ -1,0 +1,164 @@
+"""Elimination-forest utilities: the Euler-tour validity check and the
+forest distance labels, each against an independent computation."""
+
+import random
+
+import pytest
+from oracles import forest_validity_by_ancestor_sets
+
+from mfembed.embedder import embed_top
+from mfembed.errors import CyclicParentArray, InvariantViolation
+from mfembed.frt import frt_embed
+from mfembed.generators import generate
+from mfembed.graphs import INF, WeightedGraph, dijkstra
+from mfembed.hosts import (
+    EmbeddingMeta,
+    ForestLabels,
+    HostEmbedding,
+    check_forest_validity,
+)
+
+UNIT = [
+    dict(kind="grid", rows=5, cols=6),
+    dict(kind="cycle", size=40),
+    dict(kind="star", size=30),
+    dict(kind="path", size=35),
+]
+FLOAT = [
+    dict(kind="grid", rows=5, cols=6, weights="uniform:1:4"),
+    dict(kind="cycle", size=40, weights="uniform:1:4"),
+    dict(kind="star", size=30, weights="uniform:1.5:3"),
+    dict(kind="path", size=35, weights="uniform:1:4"),
+]
+
+
+def assert_labels_match_dijkstra(emb, rel, seed=0, sources=8):
+    """Labels against host Dijkstra from random sources to every host vertex."""
+    distance = ForestLabels(emb).distance
+    rng = random.Random(seed)
+    for x in rng.sample(range(emb.host.n), min(sources, emb.host.n)):
+        row = dijkstra(emb.host, x)
+        for y in range(emb.host.n):
+            if rel == 0.0 or row[y] in (0.0, INF):
+                assert distance(x, y) == row[y], (x, y)
+            else:
+                assert distance(x, y) == pytest.approx(row[y], rel=rel, abs=0.0), (x, y)
+
+
+@pytest.mark.parametrize("instance", UNIT, ids=lambda d: d["kind"])
+def test_labels_exact_on_unit_weights(instance):
+    g = generate(seed=1, **instance)
+    for seed in (0, 1):
+        assert_labels_match_dijkstra(embed_top(g, 0.5, "practical", seed=seed), 0.0, seed)
+        assert_labels_match_dijkstra(frt_embed(g, seed), 0.0, seed)
+
+
+@pytest.mark.parametrize("instance", FLOAT, ids=lambda d: d["kind"])
+def test_labels_match_dijkstra_on_float_weights(instance):
+    g = generate(seed=2, **instance)
+    for seed in (0, 1):
+        assert_labels_match_dijkstra(embed_top(g, 0.5, "practical", seed=seed), 1e-12, seed)
+        assert_labels_match_dijkstra(frt_embed(g, seed), 1e-12, seed)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_labels_on_fallback_embeddings(fail_chain_at, k):
+    g = generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=3)
+    fail_chain_at(k)
+    emb = embed_top(g, 0.5, "practical", seed=4)
+    assert emb.meta.fallback_used
+    assert_labels_match_dijkstra(emb, 1e-12, sources=emb.host.n)
+
+
+def test_labels_every_pair_of_small_hosts():
+    for instance in UNIT + FLOAT:
+        g = generate(seed=5, **{**instance, "size": 9} if "size" in instance else instance)
+        emb = embed_top(g, 0.5, "practical", seed=6)
+        assert_labels_match_dijkstra(emb, 0.0 if "weights" not in instance else 1e-12,
+                                     sources=emb.host.n)
+
+
+def hand_embedding(n, edges, forest):
+    host = WeightedGraph(n, tuple(edges), allow_zero=True)
+    meta = EmbeddingMeta(n=n, seed=0, mode="hand", params=None, fallback_used=False)
+    return HostEmbedding(host=host, eta=list(range(n)), forest=forest, meta=meta)
+
+
+def test_labels_hand_host():
+    # 0 is the root of 1 and 4; 2 and 3 hang below 1; 5 is a second tree.
+    # Inside subtree(1) the way from 1 to 2 is the 5.0 edge, but the host
+    # distance goes up through 0.
+    emb = hand_embedding(
+        6,
+        [(1, 2, 5.0), (0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (0, 4, 2.0)],
+        [None, 0, 1, 1, 0, None],
+    )
+    fl = ForestLabels(emb)
+    assert fl.labels[fl.tin[2]] == [1.0, 5.0, 0.0]  # r_0, r_1, r_2 of vertex 2
+    assert fl.distance(1, 2) == 2.0
+    assert fl.distance(2, 3) == 3.0  # 2-0-1-3
+    assert fl.distance(4, 3) == 4.0
+    assert fl.distance(2, 2) == 0.0
+    assert fl.distance(1, 5) == INF  # different trees
+
+
+def test_labels_reject_invalid_forests():
+    edges = [(0, 1, 1.0), (1, 2, 1.0)]
+    with pytest.raises(InvariantViolation):
+        ForestLabels(hand_embedding(3, edges, [None, None, None]))
+    with pytest.raises(CyclicParentArray):
+        ForestLabels(hand_embedding(3, edges, [0, None, 1]))
+    with pytest.raises(InvariantViolation):
+        ForestLabels(hand_embedding(3, edges, [None, 0, 3]))
+
+
+# -------------------------------------------------------------- forest validity
+
+
+def outcome(check, emb):
+    try:
+        check(emb)
+    except (InvariantViolation, CyclicParentArray) as exc:
+        return type(exc).__name__
+    return None
+
+
+def broken_forests(forest, rng):
+    """One defect per copy: a cut, a self parent, a re-parenting, a bad entry."""
+    n = len(forest)
+    v = rng.randrange(n)
+    yield [None] * n
+    yield forest[:-1]
+    for change in (None, v, rng.randrange(n), n, -1, 1.5, "0"):
+        broken = list(forest)
+        broken[v] = change
+        yield broken
+    u, w = rng.sample(range(n), 2)
+    swapped = list(forest)
+    swapped[u], swapped[w] = w, u  # a 2-cycle
+    yield swapped
+
+
+def test_forest_validity_agrees_with_ancestor_sets():
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(12):
+        kind = rng.choice(["grid", "cycle", "path", "star"])
+        g = generate(kind, rows=4, cols=rng.randint(2, 5), size=rng.randint(4, 20),
+                     weights="uniform:1:4", seed=trial)
+        for emb in (embed_top(g, 0.5, "practical", seed=trial), frt_embed(g, trial)):
+            assert outcome(check_forest_validity, emb) is None
+            assert outcome(forest_validity_by_ancestor_sets, emb) is None
+            for forest in broken_forests(emb.forest, rng):
+                bad = HostEmbedding(host=emb.host, eta=emb.eta, forest=forest, meta=emb.meta)
+                got = outcome(check_forest_validity, bad)
+                assert got == outcome(forest_validity_by_ancestor_sets, bad), forest
+                seen.add(got)
+    assert seen == {None, "InvariantViolation", "CyclicParentArray"}
+
+
+def test_check_forest_validity_returns_its_tour():
+    emb = hand_embedding(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)], [None, 0, 1, 0])
+    order, tin, tout = check_forest_validity(emb)
+    assert order == [0, 1, 2, 3]
+    assert tin == [0, 1, 2, 3] and tout == [4, 3, 3, 4]

@@ -2,14 +2,13 @@ import math
 import random
 
 import pytest
-from oracles import max_cluster_diameter
+from oracles import count_cut_edges, max_cluster_diameter
 
 from mfembed.errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, diameter
 from mfembed.partition import (
     check_partition_validity,
-    count_cut_edges,
     sample_exponential,
     single_level_partition,
 )
