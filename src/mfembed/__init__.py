@@ -19,13 +19,11 @@ from .graphs import (
     UnweightedGraph,
     WeightedGraph,
     all_pairs,
-    diameter,
     dijkstra,
     hat_ell,
     metric_closure_weights,
     normalize,
     quotient,
-    stretch_exponent,
 )
 from .harness import ExperimentConfig, emit, evaluate, run_experiment
 from .hierarchy import ChainFailure, ClusteringChain, build_chain
@@ -60,7 +58,6 @@ __all__ = [
     "centroid_bag",
     "cut_edges",
     "derive_params",
-    "diameter",
     "dijkstra",
     "embed_top",
     "emit",
@@ -82,6 +79,5 @@ __all__ = [
     "save_graph",
     "single_level_partition",
     "split",
-    "stretch_exponent",
     "treedepth_of",
 ]

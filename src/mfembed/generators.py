@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import BadSize
@@ -19,8 +20,8 @@ def _weights(edges: list[tuple[int, int]], model: str, seed: int) -> list[float]
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
             raise BadSize(f"bad weight model {model!r}") from exc
-        if lo <= 0 or hi < lo:
-            raise BadSize("uniform weights need 0 < lo <= hi")
+        if not 0 < lo <= hi < math.inf:
+            raise BadSize("uniform weights need finite bounds 0 < lo <= hi")
         rng = random.Random(seed)
         return [rng.uniform(lo, hi) for _ in edges]
     raise BadSize(f"unknown weight model {model!r}")

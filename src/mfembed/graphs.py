@@ -109,10 +109,8 @@ class UnweightedGraph:
             adj[v].append(u)
         return adj
 
-    def bfs_distances(self, src: int, blocked: set[int] | None = None) -> list[float]:
+    def bfs_distances(self, src: int) -> list[float]:
         dist = [INF] * self.n
-        if blocked and src in blocked:
-            return dist
         dist[src] = 0.0
         queue = [src]
         adj = self.adjacency
@@ -120,7 +118,7 @@ class UnweightedGraph:
             nxt = []
             for u in queue:
                 for v in adj[u]:
-                    if dist[v] == INF and (not blocked or v not in blocked):
+                    if dist[v] == INF:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             queue = nxt
@@ -210,47 +208,6 @@ def connected_components(
                 visited[v] = True
             comps.append(comp)
     return comps
-
-
-def diameter(g: WeightedGraph) -> float:
-    """Largest pairwise distance; raises on disconnected input.
-
-    One Dijkstra row at a time, so memory stays O(n).
-    """
-    worst = 0.0
-    for s in range(g.n):
-        m = max(dijkstra(g, s))
-        if m == INF:
-            raise DisconnectedGraph("diameter undefined on disconnected graph")
-        worst = max(worst, m)
-    return worst
-
-
-def min_distance(g: WeightedGraph) -> float:
-    """Smallest distance between two distinct vertices, from all pairs.
-
-    The pipeline reads `g.min_edge_length()`, which equals this for positive
-    lengths; this all-pairs form is the independent check.
-    """
-    if g.n < 2:
-        raise InvariantViolation("need at least two vertices")
-    dm = all_pairs(g)
-    best = INF
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            best = min(best, dm[u][v])
-    return best
-
-
-def stretch_exponent(g: WeightedGraph) -> int:
-    """Least integer l such that (max distance / min distance) < 2**l."""
-    if g.n < 2:
-        raise DisconnectedGraph("stretch undefined with fewer than two vertices")
-    stretch = diameter(g) / g.min_edge_length()
-    ell = 0
-    while not stretch < 2.0**ell:
-        ell += 1
-    return ell
 
 
 def hat_ell(g: WeightedGraph) -> int:

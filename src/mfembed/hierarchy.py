@@ -20,19 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DisconnectedGraph,
-    PreconditionViolation,
-)
-from .graphs import (
-    INF,
-    WeightedGraph,
-    dijkstra,
-    induced_subgraph,
-    is_connected,
-    quotient,
-)
-from .partition import single_level_partition
+from .errors import DisconnectedGraph, PreconditionViolation
+from .graphs import INF, WeightedGraph, dijkstra, induced_subgraph, quotient
+from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
 QUOTIENT_DIAMETER_EXCEEDED = "QuotientDiameterExceeded"
@@ -156,18 +146,17 @@ def build_chain(
 ) -> ClusteringChain | ChainFailure:
     """Build a chain over a connected graph with all distances above 1.
 
-    Carves levels top-down; each cluster gets an independent child stream
-    drawn from `rng` in (level, cluster index) order, so results do not
-    depend on scheduling. With `literal_level0` the carving also runs at
-    level 0 and any non-singleton part there is a failure.
+    Carves levels top-down, each cluster in place on g; each cluster gets an
+    independent child stream drawn from `rng` in (level, cluster index)
+    order, so results do not depend on scheduling. With `literal_level0`
+    the carving also runs at level 0 and any non-singleton part there is a
+    failure.
     """
     if not 0 < delta < 1:
         raise PreconditionViolation("delta must lie in (0,1)")
     n = g.n
     if n == 0:
         raise DisconnectedGraph("cannot build a chain over the empty graph")
-    if not is_connected(g):
-        raise DisconnectedGraph("chain requires a connected graph")
     if n == 1:
         return ClusteringChain(
             graph=g,
@@ -180,10 +169,11 @@ def build_chain(
             vertex_to_cluster=((0,),),
             parents=(),
         )
+    # Raises DisconnectedGraph on its first run when g is disconnected.
+    top = diameter_level(g)
     # The closest pair is always an edge, so this checks every distance.
     if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")
-    top = diameter_level(g)
     lam = math.log(2.0 * top * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
     r_sched = radius_schedule(top, n, delta)
@@ -195,6 +185,8 @@ def build_chain(
     levels[top] = [all_vertices]
     centers[top] = [0]
 
+    # A cluster's members are marked free, and carving unmarks them all.
+    free = [False] * n
     lowest_carved = 0 if literal_level0 else 1
     for i in range(top - 1, lowest_carved - 1, -1):
         for parent_idx, cluster in enumerate(levels[i + 1]):
@@ -205,11 +197,11 @@ def build_chain(
                 parents[i].append(parent_idx)
                 continue
             child_rng = random.Random(rng.getrandbits(64))
-            sub, verts = induced_subgraph(g, members)
-            clustering = single_level_partition(sub, r_sched[i], child_rng)
-            for part, center in zip(clustering.clusters, clustering.centers):
-                levels[i].append(frozenset(verts[p] for p in part))
-                centers[i].append(verts[center])
+            for u in members:
+                free[u] = True
+            for center, part, _, _ in carve(g, members, free, r_sched[i], child_rng):
+                levels[i].append(frozenset(part))
+                centers[i].append(center)
                 parents[i].append(parent_idx)
 
     if literal_level0:

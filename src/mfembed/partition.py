@@ -4,7 +4,9 @@ Repeatedly picks the smallest free vertex under a fixed tie-break order,
 samples a radius r*(1+X) with X ~ Exp(1), and carves the ball of that radius
 inside the subgraph induced by the still-free vertices. Ball membership uses
 distances inside the free-induced subgraph, not global distances; vertices at
-exactly the sampled radius are included.
+exactly the sampled radius are included. `carve` runs the same loop over a
+vertex subset of a larger graph, marked by a mask, so a clustering chain
+carves each cluster in place.
 """
 
 from __future__ import annotations
@@ -56,82 +58,57 @@ def single_level_partition(
     When r is at least the diameter the first ball, centred at the
     lowest-rank vertex, already covers the whole vertex set.
     """
-    if r <= 0:
+    if not r > 0:
         raise InvariantViolation("radius parameter must be positive")
     if not is_connected(g):
         raise DisconnectedGraph("partition requires a connected graph")
+    if order is None:
+        order = range(g.n)
+    elif sorted(order) != list(range(g.n)):
+        raise InvariantViolation("order must be a permutation of 0..n-1")
 
-    rank = list(range(g.n))
-    if order is not None:
-        if sorted(order) != list(range(g.n)):
-            raise InvariantViolation("order must be a permutation of 0..n-1")
-        for pos, v in enumerate(order):
-            rank[v] = pos
-
-    if g.n == 1:
-        return Clustering(
-            base_r=r,
-            clusters=((0,),),
-            centers=(0,),
-            x_values=(0.0,),
-            radii=(r,),
-            cluster_of=(0,),
-        )
-
-    free = [True] * g.n
-    remaining = g.n
-    clusters: list[tuple[int, ...]] = []
-    centers: list[int] = []
-    xs: list[float] = []
-    radii: list[float] = []
+    balls = carve(g, order, [True] * g.n, r, rng)
     cluster_of = [-1] * g.n
-    # Vertices sorted by tie-break rank once; the scan pointer only advances.
-    by_rank = sorted(range(g.n), key=lambda v: rank[v])
-    cursor = 0
-    while remaining:
-        while not free[by_rank[cursor]]:
-            cursor += 1
-        v = by_rank[cursor]
+    for idx, (_, members, _, _) in enumerate(balls):
+        for u in members:
+            cluster_of[u] = idx
+    return Clustering(
+        base_r=r,
+        clusters=tuple(tuple(members) for _, members, _, _ in balls),
+        centers=tuple(center for center, _, _, _ in balls),
+        x_values=tuple(x for _, _, x, _ in balls),
+        radii=tuple(rv for _, _, _, rv in balls),
+        cluster_of=tuple(cluster_of),
+    )
+
+
+def carve(
+    g: WeightedGraph,
+    order: Sequence[int],
+    free: list[bool],
+    r: float,
+    rng: random.Random,
+) -> list[tuple[int, list[int], float, float]]:
+    """Carve the vertices of `order` that `free` marks, in g itself.
+
+    Walks `order` once: each vertex still free there becomes a center with
+    radius r*(1+x), and its ball inside the subgraph induced by the free
+    vertices is unmarked in `free`. `free` may mark no vertex outside
+    `order`. Returns (center, sorted members, x, radius) per ball, in
+    creation order.
+    """
+    balls = []
+    for v in order:
+        if not free[v]:
+            continue
         x = sample_exponential(rng)
         if x < 0:
             raise InvariantViolation("radius sample must be nonnegative")
         rv = r * (1.0 + x)
         dist = dijkstra(g, v, allowed=free, limit=rv)
-        members = [u for u in range(g.n) if free[u] and dist[u] <= rv]
-        idx = len(clusters)
+        # Only the center and free vertices get a finite distance.
+        members = sorted(u for u in order if dist[u] <= rv)
         for u in members:
             free[u] = False
-            cluster_of[u] = idx
-        remaining -= len(members)
-        clusters.append(tuple(members))
-        centers.append(v)
-        xs.append(x)
-        radii.append(rv)
-    return Clustering(
-        base_r=r,
-        clusters=tuple(clusters),
-        centers=tuple(centers),
-        x_values=tuple(xs),
-        radii=tuple(radii),
-        cluster_of=tuple(cluster_of),
-    )
-
-
-def check_partition_validity(g: WeightedGraph, clustering: Clustering) -> None:
-    """Exact checks: clusters disjoint, cover V, each induces a connected subgraph."""
-    seen: set[int] = set()
-    for idx, members in enumerate(clustering.clusters):
-        if not members:
-            raise InvariantViolation(f"cluster {idx} is empty")
-        for u in members:
-            if u in seen:
-                raise InvariantViolation(f"vertex {u} in two clusters")
-            seen.add(u)
-        allowed = [False] * g.n
-        for u in members:
-            allowed[u] = True
-        dist = dijkstra(g, members[0], allowed=allowed)
-        if any(dist[u] == math.inf for u in members):
-            raise InvariantViolation(f"cluster {idx} is not connected")
-    if len(seen) != g.n:
-        raise InvariantViolation("clusters do not cover the vertex set")
+        balls.append((v, members, x, rv))
+    return balls

@@ -1,20 +1,34 @@
-"""Independent reference implementations used only to check the library.
+"""Reference implementations used only to check the library.
 
-Everything here is deliberately written without reusing the library's
-algorithms: Floyd-Warshall and Bellman-Ford for distances, exhaustive path
+Most are deliberately written without reusing the library's algorithms:
+Floyd-Warshall and Bellman-Ford for distances, exhaustive path
 enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
 balanced chain-respecting cuts, the quadratic min-degree scan that the
 library's heap elimination must reproduce, an all-members cluster
-diameter, and forest validity from one ancestor set per vertex. The
-path-level counters (`edge_level`, `level_cut_counts`, `count_cut_edges`)
-are read only by tests.
+diameter, and forest validity from one ancestor set per vertex.
+
+The rest are helpers that only tests read, built on the library's own
+Dijkstra: the path-level counters (`edge_level`, `level_cut_counts`,
+`count_cut_edges`), `diameter`, `min_distance`, `stretch_exponent`,
+`check_partition_validity`, and `chain_by_subgraphs`, the chain's former
+carving on one induced subgraph per cluster, which `build_chain` must
+reproduce exactly.
 """
 
 import heapq
 import itertools
 import math
+import random
 
-from mfembed.errors import CyclicParentArray, EdgeNotInGraph, InvariantViolation
+from mfembed.errors import (
+    CyclicParentArray,
+    DisconnectedGraph,
+    EdgeNotInGraph,
+    InvariantViolation,
+)
+from mfembed.graphs import all_pairs, dijkstra, induced_subgraph
+from mfembed.hierarchy import diameter_level, radius_schedule
+from mfembed.partition import single_level_partition
 
 INF = math.inf
 
@@ -374,3 +388,97 @@ def count_cut_edges(g, path, clustering):
         if clustering.cluster_of[u] != clustering.cluster_of[v]:
             count += 1
     return count
+
+
+def check_partition_validity(g, clustering):
+    """Exact checks: clusters disjoint, cover V, each induces a connected subgraph."""
+    seen = set()
+    for idx, members in enumerate(clustering.clusters):
+        if not members:
+            raise InvariantViolation(f"cluster {idx} is empty")
+        for u in members:
+            if u in seen:
+                raise InvariantViolation(f"vertex {u} in two clusters")
+            seen.add(u)
+        allowed = [False] * g.n
+        for u in members:
+            allowed[u] = True
+        dist = dijkstra(g, members[0], allowed=allowed)
+        if any(dist[u] == INF for u in members):
+            raise InvariantViolation(f"cluster {idx} is not connected")
+    if len(seen) != g.n:
+        raise InvariantViolation("clusters do not cover the vertex set")
+
+
+def diameter(g):
+    """Largest pairwise distance, one Dijkstra row at a time; raises on
+    disconnected input."""
+    worst = 0.0
+    for s in range(g.n):
+        m = max(dijkstra(g, s))
+        if m == INF:
+            raise DisconnectedGraph("diameter undefined on disconnected graph")
+        worst = max(worst, m)
+    return worst
+
+
+def min_distance(g):
+    """Smallest distance between two distinct vertices, from all pairs.
+
+    The pipeline reads `g.min_edge_length()`, which equals this for positive
+    lengths; this all-pairs form is the independent check.
+    """
+    if g.n < 2:
+        raise InvariantViolation("need at least two vertices")
+    dm = all_pairs(g)
+    return min(dm[u][v] for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def stretch_exponent(g):
+    """Least integer l such that (max distance / min distance) < 2**l."""
+    if g.n < 2:
+        raise DisconnectedGraph("stretch undefined with fewer than two vertices")
+    stretch = diameter(g) / g.min_edge_length()
+    ell = 0
+    while not stretch < 2.0**ell:
+        ell += 1
+    return ell
+
+
+def chain_by_subgraphs(g, delta, rng, literal_level0=False):
+    """(levels, centers, parents) of `build_chain`'s carving, done the former
+    way: one `induced_subgraph` and one `single_level_partition` per
+    non-singleton cluster, with the same child-stream draws from `rng`.
+
+    Level 0 is carved too with `literal_level0`; otherwise it is the
+    discrete partition. No goodness check is run.
+    """
+    n = g.n
+    top = diameter_level(g)
+    r_sched = radius_schedule(top, n, delta)
+    levels = [[] for _ in range(top + 1)]
+    centers = [[] for _ in range(top + 1)]
+    parents = [[] for _ in range(top)]
+    levels[top] = [frozenset(range(n))]
+    centers[top] = [0]
+    for i in range(top - 1, -1 if literal_level0 else 0, -1):
+        for parent_idx, cluster in enumerate(levels[i + 1]):
+            members = sorted(cluster)
+            if len(members) == 1:
+                levels[i].append(cluster)
+                centers[i].append(members[0])
+                parents[i].append(parent_idx)
+                continue
+            child_rng = random.Random(rng.getrandbits(64))
+            sub, verts = induced_subgraph(g, members)
+            clustering = single_level_partition(sub, r_sched[i], child_rng)
+            for part, center in zip(clustering.clusters, clustering.centers):
+                levels[i].append(frozenset(verts[p] for p in part))
+                centers[i].append(verts[center])
+                parents[i].append(parent_idx)
+    if not literal_level0:
+        index_at_1 = {v: j for j, cluster in enumerate(levels[1]) for v in cluster}
+        levels[0] = [frozenset({v}) for v in range(n)]
+        centers[0] = list(range(n))
+        parents[0] = [index_at_1[v] for v in range(n)]
+    return levels, centers, parents

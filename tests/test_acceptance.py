@@ -14,10 +14,13 @@ import pytest
 from oracles import (
     balanced_predicate,
     bellman_ford,
+    check_partition_validity,
     count_cut_edges,
+    diameter,
     enumerate_balanced_chain_cuts,
     floyd_warshall,
     max_cluster_diameter,
+    stretch_exponent,
 )
 
 from mfembed.cutpack import CutPacking, build_cut_packing, cuts_conflict, find_balanced_cut
@@ -27,18 +30,16 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     WeightedGraph,
     all_pairs,
-    diameter,
     dijkstra,
     induced_subgraph,
     metric_closure_weights,
     normalize,
     quotient,
-    stretch_exponent,
 )
 from mfembed.harness import ExperimentConfig, run_experiment, sample_pairs, strip_timing
 from mfembed.hierarchy import ChainFailure, ClusteringChain, build_chain
 from mfembed.hosts import embedding_to_json
-from mfembed.partition import check_partition_validity, single_level_partition
+from mfembed.partition import single_level_partition
 from mfembed.rng import derive_seed
 
 EPSILON = 0.5

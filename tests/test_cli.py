@@ -226,4 +226,5 @@ def test_desk_scale_guard(tmp_path):
 
 
 def test_gen_bad_weight_bounds(tmp_path):
-    assert run("gen", "path", "--n", 4, "--weights", "uniform:2:1", "-o", tmp_path / "x.txt") == 2
+    for bounds in ("uniform:2:1", "uniform:nan:1", "uniform:1:inf"):
+        assert run("gen", "path", "--n", 4, "--weights", bounds, "-o", tmp_path / "x.txt") == 2

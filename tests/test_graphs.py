@@ -2,7 +2,14 @@ import math
 import random
 
 import pytest
-from oracles import diameter_by_enumeration, floyd_warshall, shortest_by_path_enumeration
+from oracles import (
+    diameter,
+    diameter_by_enumeration,
+    floyd_warshall,
+    min_distance,
+    shortest_by_path_enumeration,
+    stretch_exponent,
+)
 
 from mfembed.errors import (
     BadSize,
@@ -18,15 +25,12 @@ from mfembed.graphs import (
     WeightedGraph,
     all_pairs,
     connected_components,
-    diameter,
     dijkstra,
     hat_ell,
     induced_subgraph,
     metric_closure_weights,
-    min_distance,
     normalize,
     quotient,
-    stretch_exponent,
 )
 
 INF = math.inf

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import edge_level, floyd_warshall, level_cut_counts
+from oracles import chain_by_subgraphs, diameter, edge_level, floyd_warshall, level_cut_counts
 
 import mfembed.hierarchy as hierarchy
 from mfembed.errors import (
@@ -11,7 +11,13 @@ from mfembed.errors import (
     PreconditionViolation,
 )
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph, diameter, induced_subgraph, quotient
+from mfembed.graphs import (
+    WeightedGraph,
+    induced_subgraph,
+    metric_closure_weights,
+    normalize,
+    quotient,
+)
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
     NON_SINGLETON_LEVEL0,
@@ -401,3 +407,43 @@ def test_level_cut_counts_inside_one_cluster():
                     if u < v and g.has_edge(u, v):
                         assert edge_level(chain, u, v) == 0
 
+
+# ------------------------------------------------------ carving in place
+
+
+def test_disconnected_input_raises():
+    with pytest.raises(DisconnectedGraph):  # no edge: not NoEdges from min_edge_length
+        build_chain(WeightedGraph(2, ()), 0.1, random.Random(0))
+    path_and_isolated = WeightedGraph(4, ((0, 1, 1.5), (1, 2, 1.5)))
+    with pytest.raises(DisconnectedGraph):
+        build_chain(path_and_isolated, 0.1, random.Random(0))
+
+
+@pytest.mark.parametrize("literal_level0", [False, True])
+def test_chain_matches_per_cluster_subgraph_carving(literal_level0):
+    rng = random.Random(17)
+    for seed in range(40):
+        base = random_connected(rng, rng.randint(2, 40))
+        g = WeightedGraph(base.n, tuple((u, v, 0.6 + w) for u, v, w in base.edges))
+        chain = build(g, delta=0.3, seed=seed, literal_level0=literal_level0)
+        levels, centers, parents = chain_by_subgraphs(g, 0.3, random.Random(seed), literal_level0)
+        assert [list(level) for level in chain.levels] == levels
+        assert [list(c) for c in chain.centers] == centers
+        assert [list(p) for p in chain.parents] == parents
+
+
+def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
+    instances = [
+        generate("grid", rows=8, cols=8, weights="uniform:1:4", seed=1),
+        generate("cycle", size=64),
+    ]
+    prepared = [normalize(metric_closure_weights(g))[0] for g in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_chain must not call this")
+
+    monkeypatch.setattr("mfembed.hierarchy.induced_subgraph", refuse)
+    monkeypatch.setattr("mfembed.partition.is_connected", refuse)
+    for g in prepared:
+        chain = build(g, delta=0.1, seed=1)
+        assert chain.top_level >= 3

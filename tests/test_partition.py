@@ -2,16 +2,17 @@ import math
 import random
 
 import pytest
-from oracles import count_cut_edges, max_cluster_diameter
+from oracles import (
+    check_partition_validity,
+    count_cut_edges,
+    diameter,
+    max_cluster_diameter,
+)
 
 from mfembed.errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph, diameter
-from mfembed.partition import (
-    check_partition_validity,
-    sample_exponential,
-    single_level_partition,
-)
+from mfembed.graphs import WeightedGraph
+from mfembed.partition import sample_exponential, single_level_partition
 
 
 class FixedUniform:
@@ -121,6 +122,8 @@ def test_bad_radius_and_missing_rng(monkeypatch):
     g = five_path()
     with pytest.raises(InvariantViolation):
         single_level_partition(g, 0.0, random.Random(0))
+    with pytest.raises(InvariantViolation):  # NaN would carve empty balls forever
+        single_level_partition(g, float("nan"), random.Random(0))
     with pytest.raises(TypeError):  # the rng is a required argument
         single_level_partition(g, 1.0)
     monkeypatch.setattr("mfembed.partition.sample_exponential", lambda _rng: -0.5)
