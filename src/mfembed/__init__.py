@@ -18,7 +18,6 @@ from .graphio import load_graph, save_graph
 from .graphs import (
     UnweightedGraph,
     WeightedGraph,
-    all_pairs,
     dijkstra,
     hat_ell,
     metric_closure_weights,
@@ -52,7 +51,6 @@ __all__ = [
     "TreeDecomposition",
     "UnweightedGraph",
     "WeightedGraph",
-    "all_pairs",
     "build_chain",
     "build_cut_packing",
     "centroid_bag",

@@ -23,20 +23,34 @@ from .hosts import embedding_to_dict, load_embedding, save_embedding
 from .partition import single_level_partition
 from .rng import derive_seed
 
-MAX_EXACT_N = 20000  # repeated-Dijkstra desk-scale guard
+# Both size guards keep a command's traced memory under this budget; the
+# measurements behind them are in README, "Size limits".
+MEMORY_BUDGET = 2**30
+
+# Largest input that `embed` and `experiment` take. The embedding's peak grew
+# from 9.4 MB at 400 vertices to 236 MB at 3136, about as n**1.8, which
+# reaches 0.76 GB at 6000 vertices.
+MAX_EMBED_N = 6000
+
+# Memory that `eval` and `experiment` hold per pair, rounded up from the
+# measured peaks: a fixed part for the pair, its graph distance and its
+# report rows, and a part per run for the host distances of the run's
+# embedding and of its FRT baseline.
+PAIR_BYTES = 1000
+PAIR_RUN_BYTES = 64
 
 
 class _InputProblem(Exception):
     pass
 
 
-def _load(path: str) -> WeightedGraph:
+def _load(path: str, max_n: int | None = None) -> WeightedGraph:
     try:
         g = load_graph(path)
     except MfembedError as exc:
         raise _InputProblem(str(exc)) from exc
-    if g.n > MAX_EXACT_N:
-        raise _InputProblem(f"instance too large for exact distances (n={g.n})")
+    if max_n is not None and g.n > max_n:
+        raise _InputProblem(f"instance too large to embed (n={g.n}, limit {max_n})")
     return g
 
 
@@ -133,10 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pairs_arg(value: str) -> int | str:
-    if value == "all":
-        return "all"
-    return int(value)
+def _pairs_arg(value: str, n: int, runs: int) -> int | str:
+    """The pair count, refused when its distances and report would not fit
+    the memory budget; checked before any distance is computed."""
+    count = value if value == "all" else int(value)
+    total = n * (n - 1) // 2
+    held = total if count == "all" else min(count, total)
+    limit = MEMORY_BUDGET // (PAIR_BYTES + PAIR_RUN_BYTES * max(runs, 1))
+    if held > limit:
+        raise _InputProblem(f"{held} pairs over {runs} run(s) exceed the limit of {limit}")
+    return count
 
 
 def _cmd_gen(args) -> int:
@@ -154,7 +174,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    g = _load(args.input)
+    g = _load(args.input, MAX_EMBED_N)
     kwargs = dict(
         mode=args.mode,
         xi_cap=args.xi_cap,
@@ -196,13 +216,14 @@ def _cmd_frt(args) -> int:
 
 def _cmd_eval(args) -> int:
     g = _load(args.input)
+    count = _pairs_arg(args.pairs, g.n, 1)
     try:
         emb = load_embedding(args.embedding)
     except MfembedError as exc:
         raise _InputProblem(str(exc)) from exc
     if not is_connected(g):
         raise _InputProblem("eval needs a connected graph")
-    pairs = harness.sample_pairs(g.n, _pairs_arg(args.pairs), args.seed)
+    pairs = harness.sample_pairs(g.n, count, args.seed)
     dist_g, dist_h = harness.evaluate(g, emb, pairs)
     distortion = harness.aggregate_records(pairs, dist_g, [dist_h])
     report = {
@@ -223,12 +244,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    g = _load(args.input)
+    g = _load(args.input, MAX_EMBED_N)
     config = harness.ExperimentConfig(
         epsilon=args.epsilon,
         mode=args.mode,
         runs=args.runs,
-        pairs=_pairs_arg(args.pairs),
+        pairs=_pairs_arg(args.pairs, g.n, args.runs),
         seed=args.seed,
         baseline=args.baseline,
         instance_label=args.input,
@@ -255,6 +276,8 @@ def _cmd_partition(args) -> int:
     if args.order_file:
         with open(args.order_file, encoding="utf-8") as fh:
             order = [int(line) for line in fh if line.strip()]
+        if sorted(order) != list(range(g.n)):
+            raise _InputProblem(f"order file must list each vertex 0..{g.n - 1} exactly once")
     clustering = single_level_partition(g, args.r, random.Random(args.seed), order=order)
     print(f"clusters={len(clustering)} base_r={clustering.base_r}")
     for i, (members, center, rv) in enumerate(

@@ -7,15 +7,25 @@ radius beta * 2**(i-1); by level 0 everything is a singleton. Tree edges
 from a level-j node to its level-(j+1) parent have length 2**j * dmin in
 the original scale, which makes the tree distance of any pair at least
 their graph distance.
+
+A vertex's center at a radius is the first vertex of the permutation within
+that radius. It is read off the vertex's least-element (LE) list: every u
+that is strictly closer to v than all vertices before u in the permutation,
+with its distance (Cohen, JCSS 1997; Blelloch, Gu & Sun, ICALP 2017). One
+Dijkstra run per vertex, taken in permutation order, builds all lists; a
+run expands only the vertices it reaches strictly closer than any earlier
+run did. The lists hold O(log n) entries each in expectation, so the tree
+takes O(n log n + m) expected memory and no distance matrix.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from heapq import heappop, heappush
 
 from .errors import DisconnectedGraph
-from .graphs import WeightedGraph, all_pairs
+from .graphs import INF, WeightedGraph
+from .hierarchy import diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding
 
 
@@ -30,24 +40,26 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
             forest=[None],
             meta=EmbeddingMeta(n=1, seed=seed, mode="frt", params=None, fallback_used=False),
         )
-    dm = all_pairs(g)
-    if any(math.isinf(x) for row in dm for x in row):
+    if not g.edges:
         raise DisconnectedGraph("FRT embedding requires a connected graph")
     n = g.n
-    dmin = min(dm[u][v] for u in range(n) for v in range(u + 1, n))
+    # With positive lengths the closest pair is an edge (see `normalize`).
+    dmin = g.min_edge_length()
+    # Least top >= 1 with 2 * diam / dmin <= 2**top; raises DisconnectedGraph.
+    top = diameter_level(g, floor=1, dmin=dmin)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
     beta = 2.0 ** rng.random()
-
-    # Rescale in place to 2*d/dmin, so the closest pair sits at 2 and the
+    rank = [0] * n
+    for i, u in enumerate(perm):
+        rank[u] = i
+    # Distances rescaled to 2*d/dmin, so the closest pair sits at 2 and the
     # level-0 radius beta/2 < 1 forces singletons at the latest there.
-    for u, row in enumerate(dm):
-        dm[u] = [2.0 * x / dmin for x in row]
-    diam_s = max(max(row) for row in dm)
-    top = 1
-    while diam_s > 2.0**top:
-        top += 1
+    le_lists = _least_element_lists(g, perm, dmin)
+    # Radii only shrink, so each vertex's first entry within the radius
+    # moves down its list.
+    at = [0] * n
 
     parent: list[int | None] = [None] * n
     edges: list[tuple[int, int, float]] = []
@@ -64,13 +76,13 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
         for node, members in active:
             groups: dict[int, list[int]] = {}
             for v in members:
-                for u in perm:
-                    if dm[u][v] <= radius:
-                        groups.setdefault(u, []).append(v)
-                        break
-            for center in perm:
-                if center not in groups:
-                    continue
+                entries = le_lists[v]
+                i = at[v]
+                while entries[i][1] > radius:
+                    i += 1
+                at[v] = i
+                groups.setdefault(entries[i][0], []).append(v)
+            for center in sorted(groups, key=rank.__getitem__):
                 child = groups[center]
                 if len(child) == 1:
                     leaf = child[0]
@@ -90,3 +102,34 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
         forest=parent,
         meta=EmbeddingMeta(n=n, seed=seed, mode="frt", params=None, fallback_used=False),
     )
+
+
+def _least_element_lists(
+    g: WeightedGraph, perm: list[int], dmin: float
+) -> list[list[tuple[int, float]]]:
+    """Each vertex's LE list as (u, 2*d(u,v)/dmin), in `perm` order.
+
+    The run from u is Dijkstra pruned at every vertex that an earlier run
+    reached at least as close. If an earlier run w reached some x on a
+    shortest u-v path at least as close as u does, then d(w,v) <= d(u,v),
+    in float sums too since rounding is monotone, and v gets no entry from
+    u. So every entry equals the full Dijkstra distance from u. Every list
+    ends with (v, 0.0).
+    """
+    best = [INF] * g.n
+    lists: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    adj = g.adjacency
+    for u in perm:
+        best[u] = 0.0
+        heap = [(0.0, u)]
+        while heap:
+            d, x = heappop(heap)
+            if d > best[x]:
+                continue
+            lists[x].append((u, 2.0 * d / dmin))
+            for y, w in adj[x]:
+                nd = d + w
+                if nd < best[y]:
+                    best[y] = nd
+                    heappush(heap, (nd, y))
+    return lists

@@ -167,11 +167,6 @@ def dijkstra(
     return dist
 
 
-def all_pairs(g: WeightedGraph) -> list[list[float]]:
-    """Full distance matrix by repeated Dijkstra."""
-    return [dijkstra(g, s) for s in range(g.n)]
-
-
 def is_connected(g: WeightedGraph) -> bool:
     if g.n == 0:
         return True

@@ -255,20 +255,24 @@ def strip_timing(report: dict) -> dict:
 
 
 def emit(report: dict, fmt: str, path: str | Path) -> None:
-    """Write the report: JSON holds everything, CSV the per-pair table."""
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    elif fmt == "csv":
-        lines = ["u,v,dist_g,mean_dist_h,mean_ratio,max_ratio"]
-        for row in report["distortion"]["per_pair"]:
-            lines.append(
-                f'{row["u"]},{row["v"]},{row["dist_g"]!r},{row["mean_dist_h"]!r},'
-                f'{row["mean_ratio"]!r},{row["max_ratio"]!r}'
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
+    """Write the report: JSON holds everything, CSV the per-pair table.
+
+    Both are streamed to the file; `json.dumps` of an all-pairs report would
+    first hold every piece of its text in one list, about 1.5 KB per pair.
+    """
+    if fmt not in ("json", "csv"):
         raise PreconditionViolation(f"unknown format {fmt!r}")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        if fmt == "json":
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+            return
+        fh.write("u,v,dist_g,mean_dist_h,mean_ratio,max_ratio\n")
+        for row in report["distortion"]["per_pair"]:
+            fh.write(
+                f'{row["u"]},{row["v"]},{row["dist_g"]!r},{row["mean_dist_h"]!r},'
+                f'{row["mean_ratio"]!r},{row["max_ratio"]!r}\n'
+            )
 
 
 def load_report(path: str | Path) -> dict:

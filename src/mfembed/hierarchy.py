@@ -83,12 +83,15 @@ def diameter_level(
     *,
     floor: int = 0,
     first: int | None = None,
+    dmin: float = 2.0,
 ) -> int:
     """Least L >= floor with every member's eccentricity at most 2**L.
 
     With the defaults this is `level_count_for_diameter(diameter(g))`.
     Eccentricities are taken over `members` inside the subgraph that
-    `allowed` induces (over all of g when both are None). A run from v
+    `allowed` induces (over all of g when both are None), and are measured
+    as 2 * ecc / dmin: the FRT tree passes its closest-pair distance, the
+    default leaves them as they are. A run from v
     bounds every w by max(d(v,w), ecc(v) - d(v,w)) <= ecc(w) <= d(v,w) +
     ecc(v). A member is settled once its upper bound clears 2**L by
     BOUND_SLACK; every other member gets a run of its own. Sources
@@ -108,9 +111,9 @@ def diameter_level(
         ecc = max(dist) if members is None else max(map(dist.__getitem__, members))
         if ecc == INF:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
-        if ecc > 2.0**level:
-            level = level_count_for_diameter(ecc)
-        settled = 2.0**level / (1.0 + BOUND_SLACK)
+        if 2.0 * ecc / dmin > 2.0**level:
+            level = level_count_for_diameter(2.0 * ecc / dmin)
+        settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
         kept, kept_upper, kept_lower = [], [], []
         for w, up, low in zip(live, upper, lower):
             d = dist[w]

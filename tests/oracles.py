@@ -8,11 +8,12 @@ library's heap elimination must reproduce, an all-members cluster
 diameter, and forest validity from one ancestor set per vertex.
 
 The rest are helpers that only tests read, built on the library's own
-Dijkstra: the path-level counters (`edge_level`, `level_cut_counts`,
-`count_cut_edges`), `diameter`, `min_distance`, `stretch_exponent`,
-`check_partition_validity`, and `chain_by_subgraphs`, the chain's former
-carving on one induced subgraph per cluster, which `build_chain` must
-reproduce exactly.
+Dijkstra: `all_pairs`, the path-level counters (`edge_level`,
+`level_cut_counts`, `count_cut_edges`), `diameter`, `min_distance`,
+`stretch_exponent`, `check_partition_validity`, `chain_by_subgraphs`, the
+chain's former carving on one induced subgraph per cluster, and
+`frt_by_matrix`, the FRT tree's former construction from the full distance
+matrix. `build_chain` and `frt_embed` must reproduce those two exactly.
 """
 
 import heapq
@@ -26,8 +27,9 @@ from mfembed.errors import (
     EdgeNotInGraph,
     InvariantViolation,
 )
-from mfembed.graphs import all_pairs, dijkstra, induced_subgraph
+from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph
 from mfembed.hierarchy import diameter_level, radius_schedule
+from mfembed.hosts import EmbeddingMeta, HostEmbedding
 from mfembed.partition import single_level_partition
 
 INF = math.inf
@@ -410,6 +412,11 @@ def check_partition_validity(g, clustering):
         raise InvariantViolation("clusters do not cover the vertex set")
 
 
+def all_pairs(g):
+    """Full distance matrix by repeated Dijkstra."""
+    return [dijkstra(g, s) for s in range(g.n)]
+
+
 def diameter(g):
     """Largest pairwise distance, one Dijkstra row at a time; raises on
     disconnected input."""
@@ -482,3 +489,52 @@ def chain_by_subgraphs(g, delta, rng, literal_level0=False):
         centers[0] = list(range(n))
         parents[0] = [index_at_1[v] for v in range(n)]
     return levels, centers, parents
+
+
+def frt_by_matrix(g, seed):
+    """`frt_embed` done the former way: from the full rescaled distance
+    matrix, scanning the permutation for each vertex's center at every
+    level and for each node's children. Same `perm` and `beta` draws."""
+    n = g.n
+    dm = all_pairs(g)
+    if any(math.isinf(x) for row in dm for x in row):
+        raise DisconnectedGraph("FRT embedding requires a connected graph")
+    dmin = min(dm[u][v] for u in range(n) for v in range(u + 1, n))
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    beta = 2.0 ** rng.random()
+    dm = [[2.0 * x / dmin for x in row] for row in dm]
+    diam_s = max(max(row) for row in dm)
+    top = 1
+    while diam_s > 2.0**top:
+        top += 1
+    parent = [None] * (n + 1)
+    edges = []
+    next_id = n + 1
+    active = [(n, list(range(n)))]
+    for level in range(top - 1, -1, -1):
+        radius = beta * 2.0 ** (level - 1)
+        edge_len = 2.0**level * dmin
+        refined = []
+        for node, members in active:
+            groups = {}
+            for v in members:
+                center = next(u for u in perm if dm[u][v] <= radius)
+                groups.setdefault(center, []).append(v)
+            for center in perm:
+                child = groups.get(center)
+                if child is None:
+                    continue
+                if len(child) == 1:
+                    parent[child[0]] = node
+                    edges.append((node, child[0], edge_len))
+                else:
+                    parent.append(node)
+                    edges.append((node, next_id, edge_len))
+                    refined.append((next_id, child))
+                    next_id += 1
+        active = refined
+    meta = EmbeddingMeta(n=n, seed=seed, mode="frt", params=None, fallback_used=False)
+    host = WeightedGraph(next_id, tuple(edges))
+    return HostEmbedding(host=host, eta=list(range(n)), forest=parent, meta=meta)

@@ -12,6 +12,7 @@ import time
 
 import pytest
 from oracles import (
+    all_pairs,
     balanced_predicate,
     bellman_ford,
     check_partition_validity,
@@ -29,7 +30,6 @@ from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import (
     WeightedGraph,
-    all_pairs,
     dijkstra,
     induced_subgraph,
     metric_closure_weights,

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from mfembed import cli, harness
 from mfembed.cli import main
+from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import WeightedGraph
 
@@ -219,10 +223,58 @@ def test_partition_order_file(tmp_path, capsys):
     assert "0: center=3" in out
 
 
+@pytest.mark.parametrize("lines", ["0 0 1", "0 1", "0 1 2 3", "0 1 3", "0 x 1"])
+def test_partition_order_file_not_a_permutation(tmp_path, capsys, lines):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 1, "--cols", 3, "-o", graph)
+    order = tmp_path / "order.txt"
+    order.write_text("\n".join(lines.split()) + "\n")
+    capsys.readouterr()
+    assert run("partition", "-i", graph, "--r", 0.5, "--order-file", order) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_desk_scale_guard(tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("p 20001 0\n")
     assert run("embed", "-i", big, "-o", tmp_path / "e.json") == 2
+
+
+def test_embed_size_guard_names_the_limit(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text(f"p {cli.MAX_EMBED_N + 1} 0\n")
+    for command in ("embed", "experiment"):
+        capsys.readouterr()
+        assert run(command, "-i", big, "-o", tmp_path / "e.json") == 2
+        assert f"limit {cli.MAX_EMBED_N}" in capsys.readouterr().err
+
+
+def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, capsys):
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("pairs were built")
+
+    monkeypatch.setattr(harness, "sample_pairs", no_pairs)
+    monkeypatch.setattr(harness, "run_experiment", no_pairs)
+    limit = cli.MEMORY_BUDGET // (cli.PAIR_BYTES + cli.PAIR_RUN_BYTES)
+    n = 2
+    while n * (n - 1) // 2 <= limit:
+        n += 1
+    graph, tree = tmp_path / "path.txt", tmp_path / "tree.json"
+    save_graph(generate("path", size=n), graph)
+    assert run("frt", "-i", graph, "-o", tree) == 0
+    for argv in (
+        ("eval", "-i", graph, "-e", tree, "--pairs", "all"),
+        ("eval", "-i", graph, "-e", tree, "--pairs", n * n),
+        ("experiment", "-i", graph, "--runs", 1, "--pairs", "all"),
+        ("experiment", "-i", graph, "--runs", 8, "--pairs", limit * 3 // 4),  # over the 8-run limit
+    ):
+        capsys.readouterr()
+        assert run(*argv, "-o", tmp_path / "r.json") == 2
+        assert "exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    # exactly the limit passes the guard and goes on to build the pairs
+    with pytest.raises(AssertionError, match="pairs were built"):
+        run("eval", "-i", graph, "-e", tree, "--pairs", limit, "-o", tmp_path / "r.json")
 
 
 def test_gen_bad_weight_bounds(tmp_path):

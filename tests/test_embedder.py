@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from oracles import bellman_ford, floyd_warshall
+from oracles import all_pairs, bellman_ford, floyd_warshall
 
 import mfembed.embedder as embedder
 from mfembed.embedder import (
@@ -22,7 +22,7 @@ from mfembed.errors import (
 )
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph, all_pairs, dijkstra
+from mfembed.graphs import WeightedGraph, dijkstra
 from mfembed.hosts import (
     check_forest_validity,
     embedding_from_dict,

@@ -1,0 +1,120 @@
+"""The FRT tree from least-element lists against its former matrix construction."""
+
+import random
+import tracemalloc
+
+import pytest
+from oracles import diameter, frt_by_matrix
+from test_pipeline import random_connected_graph
+
+from mfembed.cli import main
+from mfembed.errors import DisconnectedGraph
+from mfembed.frt import frt_embed
+from mfembed.generators import generate
+from mfembed.graphio import save_graph
+from mfembed.graphs import WeightedGraph
+from mfembed.hierarchy import diameter_level, level_count_for_diameter
+from mfembed.hosts import embedding_to_json
+
+
+def assert_same_as_matrix(g, seeds):
+    for seed in seeds:
+        assert embedding_to_json(frt_embed(g, seed)) == embedding_to_json(frt_by_matrix(g, seed))
+
+
+def test_matches_matrix_on_random_float_graphs():
+    rng = random.Random(17)
+    for trial in range(40):
+        g = random_connected_graph(rng, n_max=40)
+        assert_same_as_matrix(g, [trial, trial + 100])
+
+
+def test_matches_matrix_on_wide_float_scales():
+    rng = random.Random(3)
+    for trial in range(10):
+        g = random_connected_graph(rng, n_max=30, w_lo=1e-3, w_hi=1e3)
+        assert_same_as_matrix(g, [trial])
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        dict(kind="grid", rows=9, cols=9),
+        dict(kind="grid", rows=5, cols=12),
+        dict(kind="cycle", size=40),
+        dict(kind="cycle", size=37),
+        dict(kind="star", size=30),
+        dict(kind="grid", rows=6, cols=6, weights="uniform:1:4", seed=2),
+    ],
+    ids=["grid9", "grid5x12", "cycle40", "cycle37", "star30", "grid6-uniform"],
+)
+def test_matches_matrix_on_unit_weights_with_ties(instance):
+    assert_same_as_matrix(generate(**instance), range(6))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_matches_matrix_when_scaled_diameter_is_a_power_of_two(k):
+    # 2 * diam / dmin = 2**(k+1) exactly, on the level boundary
+    g = generate("path", size=2**k + 1)
+    assert diameter_level(g, floor=1, dmin=g.min_edge_length()) == k + 1
+    assert_same_as_matrix(g, range(4))
+
+
+def test_matches_matrix_on_unit_cycle_512():
+    g = generate("cycle", size=512)
+    assert diameter_level(g, floor=1, dmin=1.0) == 9  # 2 * 256 / 1 = 2**9
+    assert_same_as_matrix(g, [1, 2])
+
+
+def test_matches_matrix_with_a_distance_exactly_at_the_radius():
+    # frt_embed draws perm, then beta, from Random(seed). With perm[0] == 1
+    # and an edge (1, 2) of length beta, vertex 2 lies exactly at the
+    # level-2 radius 2 * beta from vertex 1, which must still be its center.
+    seed = 0
+    while True:
+        rng = random.Random(seed)
+        perm = [0, 1, 2]
+        rng.shuffle(perm)
+        beta = 2.0 ** rng.random()
+        if perm[0] == 1:
+            break
+        seed += 1
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, beta)))
+    assert_same_as_matrix(g, [seed])
+    # root 3 above one level-2 cluster 4 = {0, 1, 2}, which splits into singletons
+    assert frt_embed(g, seed).forest == [4, 4, 4, None, 3]
+
+
+def test_diameter_level_at_frt_scale():
+    rng = random.Random(8)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        dmin = g.min_edge_length()
+        expected = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
+        assert diameter_level(g, floor=1, dmin=dmin) == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [WeightedGraph(2, ()), WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0)))],
+    ids=["edgeless-pair", "path-plus-isolated"],
+)
+def test_disconnected_input_raises(g, tmp_path):
+    with pytest.raises(DisconnectedGraph):
+        frt_embed(g, 0)
+    save_graph(g, tmp_path / "g.txt")
+    assert main(["frt", "-i", str(tmp_path / "g.txt"), "-o", str(tmp_path / "t.json")]) == 2
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_peak_memory_on_grid30_holds_no_distance_matrix():
+    # A 900 x 900 matrix of floats alone takes over 20 MB.
+    g = generate("grid", rows=30, cols=30)
+    g.adjacency
+    tracemalloc.start()
+    try:
+        frt_embed(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

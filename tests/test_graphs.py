@@ -3,6 +3,7 @@ import random
 
 import pytest
 from oracles import (
+    all_pairs,
     diameter,
     diameter_by_enumeration,
     floyd_warshall,
@@ -23,7 +24,6 @@ from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import (
     WeightedGraph,
-    all_pairs,
     connected_components,
     dijkstra,
     hat_ell,

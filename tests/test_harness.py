@@ -5,11 +5,12 @@ import random
 from collections.abc import Sequence
 
 import pytest
+from oracles import all_pairs
 
 from mfembed.embedder import embed_top
 from mfembed.errors import PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph
+from mfembed.graphs import WeightedGraph, dijkstra
 from mfembed.harness import (
     RATIO_TOLERANCE,
     ExperimentConfig,
@@ -76,7 +77,6 @@ def test_evaluate_pair_validation():
 
 def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
     from mfembed import harness
-    from mfembed.graphs import all_pairs, dijkstra
 
     g = generate("grid", rows=3, cols=4, weights="uniform:1:4", seed=2)
     emb = embed_top(g, 0.5, "practical", seed=3)
@@ -206,7 +206,6 @@ def test_aggregates_match_independent_recomputation():
     report = run_experiment(g, config)
     pairs = [tuple(p) for p in report["pairs"]]
     # recompute from scratch: rerun the same embeddings and rebuild the stats
-    from mfembed.graphs import all_pairs, dijkstra
     from mfembed.rng import derive_seed
 
     dm = all_pairs(g)

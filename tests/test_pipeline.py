@@ -3,9 +3,11 @@
 import math
 import random
 
+from oracles import all_pairs
+
 from mfembed.embedder import embed_top
 from mfembed.frt import frt_embed
-from mfembed.graphs import WeightedGraph, all_pairs, dijkstra
+from mfembed.graphs import WeightedGraph, dijkstra
 from mfembed.hosts import check_forest_validity, embedding_to_json
 
 TOL = 1e-9
