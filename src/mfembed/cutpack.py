@@ -8,7 +8,9 @@ elimination heuristic, and taking a centroid bag under cluster-size weights.
 
 A cluster is free when it is a singleton or does not appear as a member of
 any cut already packed; clusters are compared as vertex sets. Two cuts are
-non-conflicting when every cluster they share is a singleton.
+non-conflicting when every cluster they share is a singleton. A packing
+starts with the whole vertex set marked used and ends after a cut of
+singletons or at its size budget.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .errors import EmptyPacking, InvariantViolation
+from .errors import EmptyPacking, InvariantViolation, PreconditionViolation
 from .graphs import UnweightedGraph, WeightedGraph, connected_components, quotient
 from .hierarchy import ClusteringChain
 
@@ -219,7 +221,7 @@ def find_balanced_cut(
     """
     parts = maximal_free_clusters(chain, packing)
     sets = [chain.cluster(i, idx) for i, idx in parts]
-    h = quotient(g, [sorted(s) for s in sets])
+    h = quotient(g, sets)
     td = heuristic_tree_decomposition(h)
     node = centroid_bag(td, [float(len(s)) for s in sets])
     chosen = sorted(td.bags[node])
@@ -237,29 +239,22 @@ def find_balanced_cut(
 def build_cut_packing(
     g: WeightedGraph, chain: ClusteringChain, xi: int, tau: int
 ) -> CutPacking:
-    """Collect up to xi+1 distinct cuts, then drop the whole-vertex-set cut.
+    """Up to xi non-conflicting cuts, none of them the trivial cut {V}.
 
-    `find_balanced_cut` is deterministic given (graph, chain, packing), and a
-    repeated cut leaves the packing unchanged, so the first repeat means
-    nothing new can appear; we stop there. The trivial cut {V} is always
-    found first and is discarded from the returned packing.
+    V starts out used, and `find_balanced_cut` depends only on the used
+    clusters; a cut of singletons marks nothing used and would come back
+    unchanged, so the packing ends after one. V is not listed as used.
     """
     if xi < 1 or tau < 1:
-        raise InvariantViolation("xi and tau must be at least 1")
-    packing = CutPacking()
-    families: set[frozenset[frozenset[int]]] = set()
-    while len(packing) < xi + 1:
-        cut = find_balanced_cut(g, chain, packing, tau)
-        fam = cut.family()
-        if fam in families:
-            break
-        families.add(fam)
-        packing.add(cut)
+        raise PreconditionViolation("xi and tau must be at least 1")
+    if g.n < 2:
+        raise EmptyPacking("a single vertex has no balanced cut besides the trivial one")
     everything = frozenset(range(g.n))
-    kept = [c for c in packing.cuts if c.family() != frozenset({everything})]
-    if not kept:
-        raise EmptyPacking("no balanced cut besides the trivial one")
-    out = CutPacking()
-    for c in kept:
-        out.add(c)
-    return out
+    packing = CutPacking(used={everything})
+    while len(packing) < xi:
+        cut = find_balanced_cut(g, chain, packing, tau)
+        packing.add(cut)
+        if all(len(member) == 1 for member in cut.members):
+            break
+    packing.used.discard(everything)
+    return packing

@@ -60,6 +60,10 @@ def derive_params(
         raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
     if n < 2 or hat_ell_value < 1:
         raise PreconditionViolation("need n >= 2 and hat_ell >= 1")
+    if xi_cap < 1 or (tau_cap is not None and tau_cap < 1):
+        raise PreconditionViolation("xi_cap and tau_cap must be at least 1")
+    if not (0 < gamma < math.inf and 0 < c_fallback < math.inf):
+        raise PreconditionViolation("gamma and c_fallback must be positive and finite")
     if mode not in ("theory", "practical"):
         raise PreconditionViolation(f"unknown mode {mode!r}")
     log2n = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
@@ -68,9 +72,12 @@ def derive_params(
     if not 0 < delta < 1:
         raise BadEpsilon("derived delta leaves (0,1); increase c_fallback")
     lam = math.log(2.0 * hat_ell_value * n * n / delta) + 1.0
-    xi_theory = math.ceil(64.0 * hat_ell_value**3 * log2n * lam / epsilon)
     sigma = 480.0 * lam * lam
-    tau_theory = math.ceil((xi_theory + 1) * gamma * hat_ell_value**2 * sigma**2)
+    try:
+        xi_theory = math.ceil(64.0 * hat_ell_value**3 * log2n * lam / epsilon)
+        tau_theory = math.ceil((xi_theory + 1) * gamma * hat_ell_value**2 * sigma**2)
+    except OverflowError as exc:
+        raise PreconditionViolation("xi or tau overflows a float") from exc
     if mode == "theory":
         xi, tau = xi_theory, tau_theory
     else:

@@ -13,7 +13,13 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .errors import DisconnectedGraph, InvalidPartition, InvariantViolation, NoEdges
+from .errors import (
+    DisconnectedGraph,
+    InvalidPartition,
+    InvariantViolation,
+    NoEdges,
+    PreconditionViolation,
+)
 
 INF = math.inf
 
@@ -210,6 +216,8 @@ def hat_ell(g: WeightedGraph) -> int:
     if not g.edges:
         raise NoEdges("hat_ell needs at least one edge")
     ratio = g.total_length() / g.min_edge_length()
+    if not math.isfinite(ratio):
+        raise PreconditionViolation("total edge length overflows a float")
     ell = 0
     while not ratio < 2.0**ell:
         ell += 1
@@ -234,6 +242,8 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     if dmin > 1.0:
         return g, 1.0
     scale = 2.0 / dmin
+    if not math.isfinite(scale * max(w for _, _, w in g.edges)):
+        raise PreconditionViolation(f"rescaling lengths by 2/{dmin} overflows a float")
     scaled = WeightedGraph(g.n, tuple((u, v, w * scale) for u, v, w in g.edges))
     return scaled, scale
 

@@ -64,6 +64,8 @@ class ClusteringChain:
 
 def level_count_for_diameter(diam: float) -> int:
     """Least L with diam <= 2**L (so 2**(L-1) < diam <= 2**L for diam > 1)."""
+    if not math.isfinite(diam):
+        raise PreconditionViolation(f"diameter {diam} overflows a float")
     level = 0
     while diam > 2.0**level:
         level += 1

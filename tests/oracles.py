@@ -8,12 +8,14 @@ library's heap elimination must reproduce, an all-members cluster
 diameter, and forest validity from one ancestor set per vertex.
 
 The rest are helpers that only tests read, built on the library's own
-Dijkstra: `all_pairs`, the path-level counters (`edge_level`,
+Dijkstra or cut search: `all_pairs`, the path-level counters (`edge_level`,
 `level_cut_counts`, `count_cut_edges`), `diameter`, `min_distance`,
 `stretch_exponent`, `check_partition_validity`, `chain_by_subgraphs`, the
-chain's former carving on one induced subgraph per cluster, and
+chain's former carving on one induced subgraph per cluster,
 `frt_by_matrix`, the FRT tree's former construction from the full distance
-matrix. `build_chain` and `frt_embed` must reproduce those two exactly.
+matrix, and `packing_by_repeat_probe`, the cut packing's former loop with its
+trivial round and repeat probe. `build_chain`, `frt_embed` and
+`build_cut_packing` must reproduce those three exactly.
 """
 
 import heapq
@@ -21,10 +23,12 @@ import itertools
 import math
 import random
 
+from mfembed.cutpack import CutPacking, find_balanced_cut
 from mfembed.errors import (
     CyclicParentArray,
     DisconnectedGraph,
     EdgeNotInGraph,
+    EmptyPacking,
     InvariantViolation,
 )
 from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph
@@ -538,3 +542,26 @@ def frt_by_matrix(g, seed):
     meta = EmbeddingMeta(n=n, seed=seed, mode="frt", params=None, fallback_used=False)
     host = WeightedGraph(next_id, tuple(edges))
     return HostEmbedding(host=host, eta=list(range(n)), forest=parent, meta=meta)
+
+
+def packing_by_repeat_probe(g, chain, xi, tau):
+    """`build_cut_packing` done the former way: one round for the trivial
+    cut {V}, rounds until a cut repeats (found by comparing families) or
+    xi + 1 cuts are held, then {V} dropped and the rest packed anew."""
+    packing = CutPacking()
+    families = set()
+    while len(packing) < xi + 1:
+        cut = find_balanced_cut(g, chain, packing, tau)
+        fam = cut.family()
+        if fam in families:
+            break
+        families.add(fam)
+        packing.add(cut)
+    everything = frozenset(range(g.n))
+    kept = [c for c in packing.cuts if c.family() != frozenset({everything})]
+    if not kept:
+        raise EmptyPacking("no balanced cut besides the trivial one")
+    out = CutPacking()
+    for c in kept:
+        out.add(c)
+    return out

@@ -280,3 +280,52 @@ def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, caps
 def test_gen_bad_weight_bounds(tmp_path):
     for bounds in ("uniform:2:1", "uniform:nan:1", "uniform:1:inf"):
         assert run("gen", "path", "--n", 4, "--weights", bounds, "-o", tmp_path / "x.txt") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "--xi-cap", 0),
+        ("embed", "--tau-cap", 0),
+        ("embed", "--gamma", 0),
+        ("embed", "--gamma", -1),
+        ("embed", "--gamma", "inf"),
+        ("embed", "--gamma", "nan"),
+        ("embed", "--gamma", 1e300),
+        ("embed", "--c-fallback", 0),
+        ("embed", "--c-fallback", "inf"),
+        ("embed", "--epsilon", 1e-300),
+        ("experiment", "--xi-cap", -1, "--runs", 1, "--pairs", 5),
+        ("experiment", "--tau-cap", 0, "--runs", 1, "--pairs", 5),
+        ("cuts", "--xi", 0),
+        ("cuts", "--tau", 0),
+    ],
+)
+def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
+    command, *rest = argv
+    out = () if command == "cuts" else ("-o", tmp_path / "out.json")
+    capsys.readouterr()
+    assert run(command, "-i", graph, *rest, *out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, edges",
+    [
+        ("embed", "e 0 1 1e308"),
+        ("frt", "e 0 1 1e308"),
+        ("embed", "e 0 1 1e-320"),
+        ("embed", "e 0 1 1e-300\ne 1 2 1e10"),
+        ("embed", "e 0 1 1e308\ne 1 2 1e308"),
+    ],
+)
+def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, command, edges):
+    graph = tmp_path / "g.txt"
+    lines = edges.splitlines()
+    graph.write_text(f"p {len(lines) + 1} {len(lines)}\n{edges}\n")
+    capsys.readouterr()
+    assert run(command, "-i", graph, "-o", tmp_path / "out.json") == 2
+    assert "overflows a float" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import pytest
 from oracles import (
     all_connected_labeled_graphs,
     balanced_predicate,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
     min_degree_decomposition_by_scan,
+    packing_by_repeat_probe,
     validate_tree_decomposition,
 )
 
@@ -22,6 +24,7 @@ from mfembed.cutpack import (
     is_balanced,
     maximal_free_clusters,
 )
+from mfembed.errors import EmptyPacking
 from mfembed.generators import generate
 from mfembed.graphs import UnweightedGraph, WeightedGraph
 from mfembed.hierarchy import ClusteringChain, build_chain
@@ -407,10 +410,9 @@ def test_small_graph_cut_membership_in_enumeration():
             packing.add(cut)
 
 
-def test_packing_stops_at_first_repeated_cut(monkeypatch):
-    # find_balanced_cut is deterministic given the packing, and a repeat
-    # leaves the packing unchanged, so one repeat ends the packing: the
-    # trivial cut, each kept cut, and the single repeat are all the calls.
+def test_packing_calls_find_balanced_cut_once_per_kept_cut(monkeypatch):
+    # the packing starts with V used and stops right after a cut of
+    # singletons, so every find_balanced_cut call gives a kept cut
     import mfembed.cutpack as cutpack
 
     calls = []
@@ -429,5 +431,38 @@ def test_packing_stops_at_first_repeated_cut(monkeypatch):
         chain = chain_of(g, delta=0.15, seed=1)
         calls.clear()
         packing = build_cut_packing(g, chain, xi=32, tau=64)
-        assert len(packing) < 32  # a repeat, not the budget, stopped it
-        assert len(calls) == len(packing) + 2
+        assert len(packing) < 32  # a cut of singletons, not the budget, stopped it
+        assert all(len(m) == 1 for m in packing.cuts[-1].members)
+        assert len(calls) == len(packing)
+        assert frozenset(range(g.n)) not in packing.used
+
+
+def test_packing_matches_repeat_probe_loop():
+    rng = random.Random(21)
+    cases = budget_stops = 0
+    while cases < 160:
+        n = rng.randint(2, 40)
+        h = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+        g = WeightedGraph(n, tuple((u, v, rng.uniform(1.5, 6.0)) for u, v in h.edges))
+        chain = build_chain(g, 0.1, random.Random(rng.getrandbits(32)))
+        if not isinstance(chain, ClusteringChain):
+            continue
+        cases += 1
+        for xi in (1, 2, 3, 16):
+            tau = rng.randint(1, n)
+            got = build_cut_packing(g, chain, xi, tau)
+            want = packing_by_repeat_probe(g, chain, xi, tau)
+            assert got.cuts == want.cuts
+            assert got.used == want.used
+            if len(got) == xi and any(len(m) > 1 for m in got.cuts[-1].members):
+                budget_stops += 1
+    assert budget_stops > 0
+
+
+def test_one_vertex_packing_is_empty():
+    g = WeightedGraph(1, ())
+    chain = chain_of(g)
+    with pytest.raises(EmptyPacking):
+        build_cut_packing(g, chain, xi=4, tau=4)
+    with pytest.raises(EmptyPacking):
+        packing_by_repeat_probe(g, chain, 4, 4)
