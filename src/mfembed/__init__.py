@@ -6,7 +6,7 @@ from .cutpack import (
     TreeDecomposition,
     build_cut_packing,
     centroid_bag,
-    cut_edges,
+    cut_components,
     find_balanced_cut,
     heuristic_tree_decomposition,
     is_balanced,
@@ -54,7 +54,7 @@ __all__ = [
     "build_chain",
     "build_cut_packing",
     "centroid_bag",
-    "cut_edges",
+    "cut_components",
     "derive_params",
     "dijkstra",
     "embed_top",

@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import harness
-from .cutpack import build_cut_packing, cut_edges
+from .cutpack import build_cut_packing, cut_components
 from .embedder import DEFAULT_C_FALLBACK, DEFAULT_XI_CAP, embed_top
 from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
@@ -321,12 +321,8 @@ def _cmd_cuts(args) -> int:
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
     for i, cut in enumerate(packing.cuts):
-        removed = cut_edges(g, cut)
-        others = [
-            len(c)
-            for c in connected_components(g, removed_edges=removed)
-            if frozenset(c) not in cut.family()
-        ]
+        family = cut.family()
+        others = [len(c) for c in cut_components(g, cut) if frozenset(c) not in family]
         margin = half - max(others, default=0)
         print(
             f"  cut {i}: members={len(cut)} levels={list(cut.levels)} "

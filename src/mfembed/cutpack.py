@@ -2,9 +2,11 @@
 
 A cut is a family of disjoint chain clusters; it is balanced when every
 component left after removing its boundary edges either equals a member or
-holds at most half the vertices. Cuts are found by quotienting the graph by
-the maximal free clusters, tree-decomposing that quotient with a min-degree
-elimination heuristic, and taking a centroid bag under cluster-size weights.
+holds at most half the vertices. Chain clusters are connected, so those
+components are the members and the components outside every member. Cuts
+are found by quotienting the graph by the maximal free clusters,
+tree-decomposing that quotient with a min-degree elimination heuristic, and
+taking a centroid bag under cluster-size weights.
 
 A cluster is free when it is a singleton or does not appear as a member of
 any cut already packed; clusters are compared as vertex sets. Two cuts are
@@ -71,30 +73,30 @@ class TreeDecomposition:
         return len(self.bags)
 
 
-def cut_edges(g: WeightedGraph, cut: Cut) -> set[tuple[int, int]]:
-    """Edges with exactly one endpoint inside some member of the cut."""
-    member_of = {}
-    for idx, member in enumerate(cut.members):
+def cut_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
+    """Components of G - F(cut) as sorted lists, ordered by smallest vertex.
+
+    F(cut) holds the edges that leave a member. Members must be connected in
+    g, as chain clusters are: then each member is a component, and the others
+    are the components of the subgraph induced by the vertices outside every
+    member.
+    """
+    outside = [True] * g.n
+    for member in cut.members:
         for v in member:
-            member_of[v] = idx
-    out = set()
-    for u, v, _ in g.edges:
-        if member_of.get(u, -1) != member_of.get(v, -1):
-            out.add((u, v))
-    return out
+            outside[v] = False
+    comps = connected_components(g, allowed=outside)
+    comps.extend(sorted(member) for member in cut.members)
+    comps.sort()
+    return comps
 
 
 def is_balanced(g: WeightedGraph, cut: Cut) -> bool:
-    """Exact balanced predicate by component enumeration of G - F(cut)."""
-    removed = cut_edges(g, cut)
-    family = cut.family()
+    """Every component of G - F(cut) outside the members holds at most half
+    the vertices; members must be connected, as for `cut_components`."""
     half = g.n // 2
-    for comp in connected_components(g, removed_edges=removed):
-        if frozenset(comp) in family:
-            continue
-        if len(comp) > half:
-            return False
-    return True
+    family = cut.family()
+    return all(len(c) <= half or frozenset(c) in family for c in cut_components(g, cut))
 
 
 def cuts_conflict(a: Cut, b: Cut) -> bool:

@@ -2,12 +2,13 @@
 
 `embed_top` preprocesses (metric closure, rescaling, parameter derivation)
 and then recursively splits the graph: build a clustering chain, pack
-balanced cuts, sample one cut, carve its boundary edges, and recurse on the
-components, each induced once from the current subgraph. Every member of
-the sampled cut contributes one portal; a copy of each portal joins the
-host, wired to every vertex of the current subgraph at its distance inside
-that subgraph, and the portal copies stack on top of the sub-forests, which
-keeps the elimination forest valid.
+balanced cuts, sample one cut, and recurse on the components left without
+its boundary edges (its members and the components outside them), each
+induced once from the current subgraph. Every member of the sampled cut
+contributes one portal; a copy of each portal joins the host, wired to
+every vertex of the current subgraph at its distance inside that subgraph,
+and the portal copies stack on top of the sub-forests, which keeps the
+elimination forest valid.
 
 If any chain build fails, all partial work is discarded and the whole graph
 is embedded into a random HST instead (`fallback_used` is set).
@@ -19,12 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cutpack import Cut, build_cut_packing, cut_edges
+from .cutpack import Cut, build_cut_packing, cut_components
 from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, PreconditionViolation
 from .frt import frt_embed
 from .graphs import (
     WeightedGraph,
-    connected_components,
     dijkstra,
     hat_ell,
     induced_subgraph,
@@ -32,7 +32,7 @@ from .graphs import (
     metric_closure_weights,
     normalize,
 )
-from .hierarchy import ChainFailure, ClusteringChain, build_chain, diameter_level
+from .hierarchy import ChainFailure, build_chain, diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
@@ -70,7 +70,8 @@ def derive_params(
     ln_n = math.log(n)
     delta = epsilon / (c_fallback * hat_ell_value * n * ln_n * ln_n)
     if not 0 < delta < 1:
-        raise BadEpsilon("derived delta leaves (0,1); increase c_fallback")
+        hint = "raise c_fallback" if delta >= 1 else "lower c_fallback or raise epsilon"
+        raise BadEpsilon(f"derived delta {delta} leaves (0,1); {hint}")
     lam = math.log(2.0 * hat_ell_value * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
     try:
@@ -101,18 +102,11 @@ def derive_params(
 
 @dataclass
 class SplitResult:
-    cutedges: set[tuple[int, int]]
     portals: list[int]
     cut: Cut
     level: int
-    chain: ClusteringChain
     packing_size: int
     oversize_in_packing: int
-
-
-@dataclass
-class SplitFailure:
-    reason: ChainFailure
 
 
 class _FallbackRequired(Exception):
@@ -127,24 +121,23 @@ def split(
     rng: random.Random,
     *,
     literal_level0: bool = False,
-) -> SplitResult | SplitFailure:
-    """One split step on a connected subgraph with at least two vertices."""
+) -> SplitResult | ChainFailure:
+    """One split step on a connected subgraph with at least two vertices;
+    a failed chain build comes back as its `ChainFailure`."""
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
     chain_rng = random.Random(rng.getrandbits(64))
     chain = build_chain(g, params.delta, chain_rng, literal_level0=literal_level0)
     if isinstance(chain, ChainFailure):
-        return SplitFailure(chain)
+        return chain
     packing = build_cut_packing(g, chain, params.xi, params.tau)
     cut = rng.choice(packing.cuts)
     portals = [chain.centers[lvl][chain.vertex_to_cluster[lvl][min(member)]]
                for member, lvl in zip(cut.members, cut.levels)]
     return SplitResult(
-        cutedges=cut_edges(g, cut),
         portals=portals,
         cut=cut,
         level=chain.top_level,
-        chain=chain,
         packing_size=len(packing.cuts),
         oversize_in_packing=sum(1 for c in packing.cuts if c.oversize),
     )
@@ -176,13 +169,13 @@ class _EmbedState:
         self.split_calls += 1
         rng = random.Random(derive_seed(self.seed, "split", *path))
         result = split(sub, self.params, rng, literal_level0=self.literal_level0)
-        if isinstance(result, SplitFailure):
-            raise _FallbackRequired(result.reason)
+        if isinstance(result, ChainFailure):
+            raise _FallbackRequired(result)
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
         roots: list[int] = []
-        for k, comp in enumerate(connected_components(sub, removed_edges=result.cutedges)):
+        for k, comp in enumerate(cut_components(sub, result.cut)):
             child = None
             if len(comp) > 1:
                 # comp is sorted, so child's vertex i is comp[i].

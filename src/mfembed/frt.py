@@ -23,8 +23,8 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 
-from .errors import DisconnectedGraph
-from .graphs import INF, WeightedGraph
+from .errors import DisconnectedGraph, PreconditionViolation
+from .graphs import INF, WeightedGraph, is_connected
 from .hierarchy import diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding
 
@@ -40,13 +40,18 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
             forest=[None],
             meta=EmbeddingMeta(n=1, seed=seed, mode="frt", params=None, fallback_used=False),
         )
-    if not g.edges:
+    if not is_connected(g):
         raise DisconnectedGraph("FRT embedding requires a connected graph")
     n = g.n
     # With positive lengths the closest pair is an edge (see `normalize`).
     dmin = g.min_edge_length()
-    # Least top >= 1 with 2 * diam / dmin <= 2**top; raises DisconnectedGraph.
-    top = diameter_level(g, floor=1, dmin=dmin)
+    # Least top >= 1 with 2 * diam / dmin <= 2**top. The graph is connected,
+    # so a vertex that a Dijkstra run leaves at INF has a distance whose
+    # float sum overflowed.
+    try:
+        top = diameter_level(g, floor=1, dmin=dmin)
+    except DisconnectedGraph as exc:
+        raise PreconditionViolation("a shortest-path distance overflows a float") from exc
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)

@@ -180,31 +180,32 @@ def is_connected(g: WeightedGraph) -> bool:
 
 
 def component_of(
-    g: WeightedGraph, start: int, removed_edges: set[tuple[int, int]] | None = None
+    g: WeightedGraph, start: int, allowed: Sequence[bool] | None = None
 ) -> list[int]:
+    """Sorted vertices reachable from `start` inside the subgraph that
+    `allowed` induces (all of g when None), as in `dijkstra`."""
     seen = {start}
     stack = [start]
     adj = g.adjacency
     while stack:
         u = stack.pop()
         for v, _ in adj[u]:
-            if removed_edges and (min(u, v), max(u, v)) in removed_edges:
-                continue
-            if v not in seen:
+            if v not in seen and (allowed is None or allowed[v]):
                 seen.add(v)
                 stack.append(v)
     return sorted(seen)
 
 
 def connected_components(
-    g: WeightedGraph, removed_edges: set[tuple[int, int]] | None = None
+    g: WeightedGraph, allowed: Sequence[bool] | None = None
 ) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest vertex."""
+    """Components of the subgraph that `allowed` induces (all of g when
+    None) as sorted vertex lists, ordered by smallest vertex."""
     comps = []
-    visited = [False] * g.n
+    visited = [False] * g.n if allowed is None else [not a for a in allowed]
     for s in range(g.n):
         if not visited[s]:
-            comp = component_of(g, s, removed_edges)
+            comp = component_of(g, s, allowed)
             for v in comp:
                 visited[v] = True
             comps.append(comp)

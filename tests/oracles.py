@@ -228,7 +228,9 @@ def validate_tree_decomposition(td):
             raise AssertionError(f"bags holding vertex {v} are not connected")
 
 
-def _components_without(g, removed):
+def components_without(g, removed):
+    """Components of g without the (u, v), u < v, edges in `removed`, as
+    frozensets."""
     adj = [[] for _ in range(g.n)]
     for u, v, _ in g.edges:
         if (min(u, v), max(u, v)) in removed:
@@ -271,7 +273,7 @@ def balanced_predicate(g, family):
     family = list(family)
     removed = boundary_edges(g, family)
     members = set(family)
-    for comp in _components_without(g, removed):
+    for comp in components_without(g, removed):
         if comp in members:
             continue
         if len(comp) > g.n // 2:

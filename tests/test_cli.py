@@ -320,6 +320,7 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
         ("embed", "e 0 1 1e-320"),
         ("embed", "e 0 1 1e-300\ne 1 2 1e10"),
         ("embed", "e 0 1 1e308\ne 1 2 1e308"),
+        ("frt", "e 0 1 1e308\ne 1 2 1e308"),
     ],
 )
 def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, command, edges):
@@ -329,3 +330,14 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
     capsys.readouterr()
     assert run(command, "-i", graph, "-o", tmp_path / "out.json") == 2
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [("--c-fallback", 1e308), ("--epsilon", 1e-320)])
+def test_underflowing_delta_advises_lowering_c_fallback(tmp_path, capsys, option):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
+    capsys.readouterr()
+    assert run("embed", "-i", graph, *option, "-o", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert "lower c_fallback or raise epsilon" in err
+    assert "increase c_fallback" not in err

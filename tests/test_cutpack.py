@@ -5,6 +5,8 @@ import pytest
 from oracles import (
     all_connected_labeled_graphs,
     balanced_predicate,
+    boundary_edges,
+    components_without,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
     min_degree_decomposition_by_scan,
@@ -17,17 +19,25 @@ from mfembed.cutpack import (
     CutPacking,
     build_cut_packing,
     centroid_bag,
-    cut_edges,
+    cut_components,
     cuts_conflict,
     find_balanced_cut,
     heuristic_tree_decomposition,
     is_balanced,
     maximal_free_clusters,
 )
+from mfembed.embedder import derive_params
 from mfembed.errors import EmptyPacking
 from mfembed.generators import generate
-from mfembed.graphs import UnweightedGraph, WeightedGraph
+from mfembed.graphs import (
+    UnweightedGraph,
+    WeightedGraph,
+    hat_ell,
+    metric_closure_weights,
+    normalize,
+)
 from mfembed.hierarchy import ClusteringChain, build_chain
+from mfembed.rng import derive_seed
 
 
 def random_connected_graph(rng, n, extra):
@@ -72,30 +82,40 @@ def star_chain():
     )
 
 
-# ------------------------------------------------------------------ cut edges
+# ------------------------------------------------------------- cut components
+
+GOLDEN_INSTANCES = [
+    pytest.param(dict(kind="grid", rows=8, cols=8, weights="uniform:1:4"), 0, id="grid8-seed0"),
+    pytest.param(dict(kind="grid", rows=8, cols=8, weights="uniform:1:4"), 1, id="grid8-seed1"),
+    pytest.param(dict(kind="grid", rows=8, cols=8, weights="uniform:1:4"), 2, id="grid8-seed2"),
+    pytest.param(dict(kind="cycle", size=64), 0, id="cycle64"),
+    pytest.param(dict(kind="star", size=40), 0, id="star40"),
+]
 
 
-def test_cut_edges_whole_vertex_set():
-    g = generate("path", size=4)
-    cut = Cut(members=(frozenset(range(4)),), levels=(2,))
-    assert cut_edges(g, cut) == set()
-
-
-def test_cut_edges_middle_vertex():
-    g = generate("path", size=4)
-    cut = Cut(members=(frozenset({1}),), levels=(0,))
-    assert cut_edges(g, cut) == {(0, 1), (1, 2)}
-
-
-def test_cut_edges_empty_cut():
-    g = generate("path", size=4)
-    assert cut_edges(g, Cut(members=(), levels=())) == set()
-
-
-def test_cut_edges_between_two_members():
-    g = generate("path", size=4)
-    cut = Cut(members=(frozenset({0, 1}), frozenset({2, 3})), levels=(1, 1))
-    assert cut_edges(g, cut) == {(1, 2)}
+@pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
+def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
+    # The root split of embed_top(g, 0.5, "practical", seed=seed): same
+    # preprocessing, parameters and random streams.
+    g = generate(seed=seed, **instance)
+    sub, _ = normalize(metric_closure_weights(g))
+    params = derive_params(g.n, hat_ell(sub), 0.5, "practical")
+    rng = random.Random(derive_seed(seed, "split"))
+    chain = build_chain(sub, params.delta, random.Random(rng.getrandbits(64)))
+    assert isinstance(chain, ClusteringChain)
+    packing = build_cut_packing(sub, chain, params.xi, params.tau)
+    clusters = {c for level in chain.levels for c in level}
+    cuts = packing.cuts + [Cut(members=(c,), levels=(0,)) for c in clusters]
+    verdicts = set()
+    for cut in cuts:
+        removed = boundary_edges(sub, cut.members)
+        expected = sorted(sorted(c) for c in components_without(sub, removed))
+        assert cut_components(sub, cut) == expected
+        verdict = balanced_predicate(sub, cut.members)
+        assert is_balanced(sub, cut) == verdict
+        verdicts.add(verdict)
+    # single clusters include unbalanced cuts, so both answers are checked
+    assert verdicts == {True, False}
 
 
 # --------------------------------------------------------- tree decomposition

@@ -10,7 +10,6 @@ from mfembed.embedder import (
     derive_params,
     embed_top,
     split,
-    SplitFailure,
     SplitResult,
 )
 from mfembed.errors import (
@@ -20,9 +19,11 @@ from mfembed.errors import (
     DisconnectedGraph,
     PreconditionViolation,
 )
+from mfembed.cutpack import cut_components
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, dijkstra
+from mfembed.hierarchy import ChainFailure
 from mfembed.hosts import (
     check_forest_validity,
     embedding_from_dict,
@@ -88,6 +89,13 @@ def test_derive_params_bad_epsilon():
         derive_params(1, 10, 0.5, "practical")
 
 
+def test_derive_params_delta_at_least_one_advises_raising_c_fallback():
+    # delta = epsilon / (c_fallback * hat_ell * n * ln(n)**2); the
+    # underflow side is checked through `mfembed embed` in test_cli
+    with pytest.raises(BadEpsilon, match="; raise c_fallback"):
+        derive_params(16, 4, 0.5, "practical", c_fallback=1e-5)
+
+
 # ----------------------------------------------------------------------- split
 
 
@@ -103,7 +111,7 @@ def test_split_two_vertex_forced():
     # the packing keeps one cut: the centroid walk on the quotient's
     # decomposition (bags {0,1} -> {1}, root {1}) stops at the root
     assert result.level == 1
-    assert result.cutedges == {(0, 1)}
+    assert cut_components(g, result.cut) == [[0], [1]]
     assert result.cut.members == (frozenset({1}),)
     assert result.portals == [1]
     assert len(result.portals) == len(result.cut)
@@ -114,8 +122,8 @@ def test_split_failure_injection(fail_chain_at):
     params = derive_params(2, 1, 0.5, "practical")
     fail_chain_at(0)
     result = split(g, params, random.Random(0))
-    assert isinstance(result, SplitFailure)
-    assert result.reason.reason == "Injected"
+    assert isinstance(result, ChainFailure)
+    assert result.reason == "Injected"
 
 
 def test_split_star_portal_per_member():

@@ -96,8 +96,12 @@ def test_diameter_level_at_frt_scale():
 
 @pytest.mark.parametrize(
     "g",
-    [WeightedGraph(2, ()), WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0)))],
-    ids=["edgeless-pair", "path-plus-isolated"],
+    [
+        WeightedGraph(2, ()),
+        WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0))),
+        WeightedGraph(4, ((0, 1, 1e308), (2, 3, 1.0))),
+    ],
+    ids=["edgeless-pair", "path-plus-isolated", "huge-edge-plus-edge"],
 )
 def test_disconnected_input_raises(g, tmp_path):
     with pytest.raises(DisconnectedGraph):

@@ -24,6 +24,7 @@ from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import (
     WeightedGraph,
+    component_of,
     connected_components,
     dijkstra,
     hat_ell,
@@ -394,6 +395,11 @@ def test_induced_subgraph_relabels():
 
 
 def test_components_after_edge_removal():
-    g = generate("path", size=4)
-    comps = connected_components(g, removed_edges={(1, 2)})
-    assert comps == [[0, 1], [2, 3]]
+    # Cycle 0-1-2-3-4-5-0. Masking out 2 and 4 removes their edges and
+    # leaves the components {0, 1, 5} and {3}, ordered by smallest vertex.
+    g = generate("cycle", size=6)
+    allowed = [True, True, False, True, False, True]
+    assert connected_components(g, allowed=allowed) == [[0, 1, 5], [3]]
+    assert component_of(g, 5, allowed) == [0, 1, 5]
+    assert connected_components(g, allowed=[False] * 6) == []
+    assert connected_components(g) == [[0, 1, 2, 3, 4, 5]]
