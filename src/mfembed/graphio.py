@@ -7,6 +7,7 @@ minimum length on load; only the induced metric matters.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import InvariantViolation, ParseError
@@ -51,8 +52,8 @@ def load_graph(path: str | Path) -> WeightedGraph:
             raise ParseError(f"vertex id out of range 0..{n - 1}", lineno)
         if u == v:
             raise InvariantViolation(f"line {lineno}: self-loop at {u}")
-        if w <= 0:
-            raise InvariantViolation(f"line {lineno}: nonpositive edge length {w}")
+        if not 0 < w < math.inf:
+            raise InvariantViolation(f"line {lineno}: edge length {w} must be positive and finite")
         key = (min(u, v), max(u, v))
         if key in best:
             best[key] = min(best[key], w)

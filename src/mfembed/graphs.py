@@ -50,7 +50,7 @@ class WeightedGraph:
             if u == v:
                 raise InvariantViolation(f"self-loop at vertex {u}")
             if w < 0 or (w == 0 and not allow_zero) or not math.isfinite(w):
-                raise InvariantViolation(f"edge ({u},{v}) has nonpositive length {w}")
+                raise InvariantViolation(f"edge ({u},{v}) length {w} must be positive and finite")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -80,6 +80,16 @@ class WeightedGraph:
 
     def total_length(self) -> float:
         return sum(w for _, _, w in self.edges)
+
+    @cached_property
+    def exact_path_sums(self) -> bool:
+        """True when every length is an integer and the total is below 2**53.
+
+        Then every path length is an exact float, so Dijkstra distances are
+        exact, and a float sum of two of them never rounds below a distance
+        it bounds.
+        """
+        return all(w.is_integer() for _, _, w in self.edges) and self.total_length() < 2.0**53
 
     def min_edge_length(self) -> float:
         if not self.edges:

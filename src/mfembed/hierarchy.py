@@ -96,21 +96,28 @@ def diameter_level(
     default leaves them as they are. A run from v
     bounds every w by max(d(v,w), ecc(v) - d(v,w)) <= ecc(w) <= d(v,w) +
     ecc(v). A member is settled once its upper bound clears 2**L by
-    BOUND_SLACK; every other member gets a run of its own. Sources
-    alternate between the largest upper and the smallest lower bound
-    (Takes & Kosters, CIKM 2011). Raises DisconnectedGraph when some member
-    cannot reach another.
+    BOUND_SLACK; every other member gets a run of its own. The second
+    source is the member farthest from the first (the 2-sweep), and its
+    row with the first one may certify every pair at once (see
+    `_no_pair_exceeds`); after that, sources alternate between the largest
+    upper and the smallest lower bound (Takes & Kosters, CIKM 2011).
+    Raises DisconnectedGraph when some member cannot reach another.
     """
-    live = list(range(g.n) if members is None else members)
-    assert live, "diameter_level needs at least one vertex"
+    ids = range(g.n) if members is None else members
+    live = list(ids)
+    if not live:
+        raise PreconditionViolation("diameter_level needs at least one member")
     upper = [INF] * len(live)
     lower = [0.0] * len(live)
     level = floor
     source = live[0] if first is None else first
+    first_row: list[float] = []
+    runs = 0
     widest = False
     while True:
         dist = dijkstra(g, source, allowed=allowed)
-        ecc = max(dist) if members is None else max(map(dist.__getitem__, members))
+        row = dist if members is None else [dist[w] for w in members]
+        ecc = max(row)
         if ecc == INF:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
         if 2.0 * ecc / dmin > 2.0**level:
@@ -129,11 +136,49 @@ def diameter_level(
         live, upper, lower = kept, kept_upper, kept_lower
         if not live:
             return level
+        runs += 1
+        if runs == 1:
+            first_row = row
+            source = min(w for w, d in zip(ids, row) if d == ecc)
+            continue
+        if runs == 2:
+            # Exact sums decide what the full sweep decides; inexact ones
+            # must clear the limit by BOUND_SLACK, as a settled bound does.
+            limit = 2.0**level if g.exact_path_sums else 2.0**level / (1.0 + BOUND_SLACK)
+            if _no_pair_exceeds(first_row, row, limit, dmin):
+                return level
         if widest:
             source = live[upper.index(max(upper))]
         else:
             source = live[lower.index(min(lower))]
         widest = not widest
+
+
+def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) -> bool:
+    """True when no members w, x have both a_w + a_x and b_w + b_x over
+    `limit`, each sum measured as 2 * sum / dmin.
+
+    a and b are two sources' rows over the members, so d(w, x) is at most
+    both sums and no pair is farther apart than the limit allows. Taking
+    x in increasing a, the partners w whose a-sum is over the limit form a
+    growing suffix of the same order, and the largest b in that suffix
+    decides x. Pairs with w = x stay in; they only make the test stricter.
+    """
+
+    def over(total: float) -> bool:
+        return 2.0 * total / dmin > limit
+
+    order = sorted(range(len(a)), key=a.__getitem__)
+    suffix_b = [-INF] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix_b[i] = max(suffix_b[i + 1], b[order[i]])
+    start = len(order)
+    for x in order:
+        while start > 0 and over(a[order[start - 1]] + a[x]):
+            start -= 1
+        if over(suffix_b[start] + b[x]):
+            return False
+    return True
 
 
 def radius_schedule(top_level: int, n: int, delta: float) -> tuple[float, ...]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfembed
 from mfembed import cli, harness
 from mfembed.cli import main
 from mfembed.generators import generate
@@ -71,6 +76,33 @@ def test_input_error_exit_code(tmp_path):
     out = tmp_path / "emb.json"
     assert run("embed", "-i", bad, "-o", out) == 2
     assert run("embed", "-i", tmp_path / "missing.txt", "-o", out) == 2
+
+
+@pytest.mark.parametrize("length", ["nan", "inf", "-1"])
+def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys, length):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# one edge\np 2 1\ne 0 1 {length}\n")
+    capsys.readouterr()
+    assert run("embed", "-i", bad, "-o", tmp_path / "emb.json") == 2
+    err = capsys.readouterr().err
+    assert "line 3:" in err and "must be positive and finite" in err
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    graph = tmp_path / "cycle.txt"
+    run("gen", "cycle", "--n", 64, "-o", graph)
+    src = str(Path(mfembed.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "mfembed.cli", "chain", "-i", str(graph), "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the first line
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_gen_bad_size_exit_code(tmp_path):

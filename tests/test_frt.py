@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 from oracles import diameter, frt_by_matrix
+from test_hierarchy import count_runs
 from test_pipeline import random_connected_graph
 
 from mfembed.cli import main
@@ -92,6 +93,26 @@ def test_diameter_level_at_frt_scale():
         dmin = g.min_edge_length()
         expected = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
         assert diameter_level(g, floor=1, dmin=dmin) == expected
+
+
+def test_diameter_level_at_frt_scale_on_integer_lengths():
+    # Integer lengths take the exact comparison; a closest pair of 3 makes
+    # 2 * sum / dmin round.
+    rng = random.Random(21)
+    for _ in range(30):
+        g = random_connected_graph(rng, n_max=40)
+        g = WeightedGraph(g.n, tuple((u, v, float(round(3 * w))) for u, v, w in g.edges))
+        assert g.exact_path_sums
+        dmin = g.min_edge_length()
+        expected = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
+        assert diameter_level(g, floor=1, dmin=dmin) == expected
+
+
+def test_diameter_level_at_frt_scale_takes_two_runs_on_unit_cycle_512(monkeypatch):
+    g = generate("cycle", size=512)
+    runs = count_runs(monkeypatch)
+    assert diameter_level(g, floor=1, dmin=1.0) == 9
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,86 @@ def test_cluster_level_matches_all_members_sweep():
         assert diameter_level(g, members, allowed, floor=floor, first=first) == want
 
 
+def test_two_row_certificate_matches_full_sweep_on_integer_lengths():
+    # Integer lengths take the exact comparison.
+    rng = random.Random(12)
+    for step in (1.0, 2.0, 3.0):
+        for _ in range(30):
+            g = random_connected(rng, rng.randint(2, 40), step=step)
+            assert g.exact_path_sums
+            assert diameter_level(g) == level_count_for_diameter(diameter(g))
+            members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
+            allowed = [v in members for v in range(g.n)]
+            floor = rng.randint(0, 4)
+            sub, _ = induced_subgraph(g, members)
+            try:
+                want = max(floor, level_count_for_diameter(diameter(sub)))
+            except DisconnectedGraph:
+                with pytest.raises(DisconnectedGraph):
+                    diameter_level(g, members, allowed, floor=floor, first=members[-1])
+                continue
+            assert diameter_level(g, members, allowed, floor=floor, first=members[-1]) == want
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_two_row_certificate_at_exact_powers_of_two(k):
+    # Diameter exactly 2**k, at the chain's scale (length 2, dmin 2) and at
+    # FRT's (length 1, dmin 1, so 2 * diam / dmin = 2**(k+1)).
+    graphs = [generate("path", size=2**k + 1)]
+    if k >= 2:
+        graphs.append(generate("cycle", size=2 ** (k + 1)))
+        graphs.append(generate("cycle", size=2 ** (k + 1) + 1))
+    for unit in graphs:
+        chain_scale = WeightedGraph(unit.n, tuple((u, v, 2.0) for u, v, _ in unit.edges))
+        assert diameter_level(chain_scale) == level_count_for_diameter(diameter(chain_scale))
+        want = max(1, level_count_for_diameter(2.0 * diameter(unit)))
+        assert diameter_level(unit, floor=1, dmin=1.0) == want
+    assert diameter_level(graphs[0], floor=1, dmin=1.0) == k + 1
+
+
+def test_two_row_certificate_on_unit_grids():
+    for rows, cols in ((1, 2), (2, 2), (3, 5), (8, 8), (7, 12), (16, 16)):
+        g = generate("grid", rows=rows, cols=cols)
+        scaled, _ = normalize(g)
+        assert diameter_level(scaled) == level_count_for_diameter(diameter(scaled))
+        want = max(1, level_count_for_diameter(2.0 * diameter(g)))
+        assert diameter_level(g, floor=1, dmin=1.0) == want
+
+
+def test_two_row_certificate_within_ulps_of_a_power_of_two():
+    # Fractional lengths rescaled so the computed diameter lands within a
+    # few ulps of 2**5. Row sums then round differently from the distances
+    # they bound, so only the slack comparison keeps the level exact.
+    rng = random.Random(1)
+    for trial in range(160):
+        n = rng.randint(20, 40)
+        cyclic = trial % 4 != 3
+        lengths = [rng.uniform(0.1, 1.0) for _ in range(n if cyclic else n - 1)]
+        g = WeightedGraph(n, tuple((i, (i + 1) % n, w) for i, w in enumerate(lengths)))
+        factor = 2.0**5 / diameter(g)
+        for j in range(-3, 4):
+            near = WeightedGraph(
+                n, tuple((u, v, w * factor * (1 + j * 2.0**-52)) for u, v, w in g.edges)
+            )
+            assert not near.exact_path_sums
+            assert diameter_level(near) == level_count_for_diameter(diameter(near))
+
+
+def test_two_row_certificate_takes_two_runs_on_unit_cycle_512(monkeypatch):
+    # Every eccentricity sits exactly on 2**9, so no single bound settles a
+    # vertex; the two rows certify every pair.
+    cycle = normalize(generate("cycle", size=512))[0]
+    runs = count_runs(monkeypatch)
+    assert diameter_level(cycle) == 9
+    assert runs == [0, 256]
+
+
+def test_diameter_level_rejects_empty_members():
+    g = WeightedGraph(2, ((0, 1, 2.0),))
+    with pytest.raises(PreconditionViolation):
+        diameter_level(g, members=[])
+
+
 def path_chain_levels(level2):
     # path 0-1-2-3-4 with lengths 1.5 (diameter 6, three levels); level 2
     # holds two clusters centred at 0 and 4
