@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 a checked invariant was violated, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -20,7 +19,7 @@ from .generators import generate
 from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraph, is_connected
 from .hierarchy import ChainFailure, build_chain
-from .hosts import embedding_to_dict, load_embedding, save_embedding
+from .hosts import load_embedding, save_components, save_embedding
 from .partition import single_level_partition
 from .rng import derive_seed
 
@@ -28,9 +27,11 @@ from .rng import derive_seed
 # measurements behind them are in README, "Size limits".
 MEMORY_BUDGET = 2**30
 
-# Largest input that `embed` and `experiment` take. The embedding's peak grew
-# from 9.4 MB at 400 vertices to 236 MB at 3136, about as n**1.8, which
-# reaches 0.76 GB at 6000 vertices.
+# Largest input that `embed` and `experiment` take. The peak of `embed`, set
+# by `embed_top` since the JSON is streamed, grew from 5.3 MB at 400 vertices
+# to 125 MB at 3136, about as n**1.8 because the host edges per input vertex
+# grow; that reaches 0.40 GB at 6000 vertices. `experiment` shares the limit
+# and also builds each host's distance labels; it has not been re-measured.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
@@ -193,17 +194,13 @@ def _cmd_embed(args) -> int:
         )
         return 0
     # Components embedded independently, emitted as a JSON array.
-    blocks = []
+    parts = []
     for k, comp in enumerate(connected_components(g)):
         sub, verts = induced_subgraph(g, comp)
         emb = embed_top(sub, args.epsilon, seed=derive_seed(args.seed, "component", k), **kwargs)
-        block = embedding_to_dict(emb)
-        block["vertices"] = verts
-        blocks.append(block)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(blocks, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.out}: {len(blocks)} components")
+        parts.append((emb, verts))
+    save_components(parts, args.out)
+    print(f"wrote {args.out}: {len(parts)} components")
     return 0
 
 

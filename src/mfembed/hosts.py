@@ -2,7 +2,12 @@
 
 The embedding JSON has a fixed field order (n, seed, mode, params,
 fallback_used, host, eta, forest_parent, depth) and serializes edge lengths
-with 12 significant digits, so identical runs produce identical bytes.
+with 12 significant digits, so identical runs produce identical bytes. One
+writer prints it: the small head goes through `json.dumps(indent=1)`, each
+host edge is one f-string and each id list one join. The text equals what
+`json.dumps(indent=1)` prints of the whole object, without the stdlib's
+pure-Python encoder, which any `indent` selects. `save_embedding` and
+`save_components` stream the pieces to the file.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BadEmbedding, CyclicParentArray, InvariantViolation
 from .graphs import INF, WeightedGraph
@@ -212,38 +217,89 @@ class ForestLabels:
         return INF  # different trees
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+# Host edges go out in batches of this many, so that `save_embedding` holds
+# one batch of text at a time.
+_EDGE_BATCH = 4096
 
 
-def embedding_to_dict(emb: HostEmbedding) -> dict:
-    return {
-        "n": emb.meta.n,
-        "seed": emb.meta.seed,
-        "mode": emb.meta.mode,
-        "params": emb.meta.params.to_dict() if emb.meta.params else None,
-        "fallback_used": emb.meta.fallback_used,
-        "host": {
-            "n": emb.host.n,
-            "edges": [[u, v, _round12(w)] for u, v, w in emb.host.edges],
+def _int_list(items: list[int | None]) -> str:
+    """A list of ints and nulls as `json.dumps(..., indent=1)` prints it as
+    a top-level field."""
+    if not items:
+        return "[]"
+    body = ",\n  ".join(["null" if x is None else str(x) for x in items])
+    return f"[\n  {body}\n ]"
+
+
+def _json_chunks(emb: HostEmbedding, vertices: list[int] | None = None) -> Iterator[str]:
+    """The embedding's JSON text in pieces, byte for byte what
+    `json.dumps(..., indent=1)` prints of its fields in their fixed order.
+
+    Each edge is one f-string: its length is `float.__repr__` of the length
+    rounded to 12 significant digits, which is what json prints of that
+    float. `vertices`, when given, follows `depth` as one more field.
+    """
+    meta = emb.meta
+    head = json.dumps(
+        {
+            "n": meta.n,
+            "seed": meta.seed,
+            "mode": meta.mode,
+            "params": meta.params.to_dict() if meta.params else None,
+            "fallback_used": meta.fallback_used,
         },
-        "eta": list(emb.eta),
-        "forest_parent": list(emb.forest),
-        "depth": emb.depth,
-    }
+        indent=1,
+    )
+    edges = emb.host.edges
+    yield f'{head[:-2]},\n "host": {{\n  "n": {emb.host.n},\n  "edges": '
+    for i in range(0, len(edges), _EDGE_BATCH):
+        text = ",\n".join(
+            [
+                f"   [\n    {u},\n    {v},\n    {float(f'{w:.12g}')!r}\n   ]"
+                for u, v, w in edges[i : i + _EDGE_BATCH]
+            ]
+        )
+        yield (",\n" if i else "[\n") + text
+    yield "\n  ]" if edges else "[]"
+    yield f'\n }},\n "eta": {_int_list(emb.eta)},\n "forest_parent": '
+    yield f'{_int_list(emb.forest)},\n "depth": {emb.depth}'
+    if vertices is not None:
+        yield f',\n "vertices": {_int_list(vertices)}'
+    yield "\n}"
 
 
 def embedding_to_json(emb: HostEmbedding) -> str:
-    return json.dumps(embedding_to_dict(emb), indent=1)
+    return "".join(_json_chunks(emb))
 
 
 def save_embedding(emb: HostEmbedding, path: str | Path) -> None:
-    Path(path).write_text(embedding_to_json(emb) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(emb))
+        fh.write("\n")
+
+
+def save_components(parts: list[tuple[HostEmbedding, list[int]]], path: str | Path) -> None:
+    """Write one embedding per component as a JSON array; each block carries
+    the component's input vertex ids as `vertices`, after `depth`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[")
+        for k, (emb, vertices) in enumerate(parts):
+            fh.write(",\n " if k else "\n ")
+            # json escapes a newline inside a string, so each one here starts
+            # a line, which the array indents by one more space.
+            fh.writelines(chunk.replace("\n", "\n ") for chunk in _json_chunks(emb, vertices))
+        fh.write("\n]\n")
+
+
+def _is_id(x: object) -> bool:
+    """A vertex id or count: an int, and not a bool (json's true is 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def embedding_from_dict(d: dict) -> HostEmbedding:
-    """Inverse of `embedding_to_dict`; raises BadEmbedding on anything that
-    is not one host embedding."""
+    """The embedding that `json.loads` of `embedding_to_json`'s text
+    describes; raises BadEmbedding on anything that is not one host
+    embedding."""
     if not isinstance(d, dict):
         raise BadEmbedding(f"expected one embedding object, got a JSON {type(d).__name__}")
     fields = ("n", "seed", "mode", "fallback_used", "host", "eta", "forest_parent")
@@ -251,20 +307,20 @@ def embedding_from_dict(d: dict) -> HostEmbedding:
     if missing:
         raise BadEmbedding(f"embedding lacks field(s) {', '.join(missing)}")
     try:
-        host = WeightedGraph(
-            d["host"]["n"],
-            tuple((u, v, w) for u, v, w in d["host"]["edges"]),
-            allow_zero=True,
-        )
+        n_host = d["host"]["n"]
+        edges = tuple((u, v, w) for u, v, w in d["host"]["edges"])
+        if not _is_id(n_host) or not all(_is_id(u) and _is_id(v) for u, v, _ in edges):
+            raise BadEmbedding("host n and edge endpoints must be integers")
+        host = WeightedGraph(n_host, edges, allow_zero=True)
         params = Params.from_dict(d["params"]) if d.get("params") else None
     except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
         raise BadEmbedding(f"bad host graph or params: {exc!r}") from exc
     eta, forest = d["eta"], d["forest_parent"]
-    if not isinstance(eta, list) or any(not isinstance(x, int) or not 0 <= x < host.n for x in eta):
+    if not isinstance(eta, list) or any(not _is_id(x) or not 0 <= x < host.n for x in eta):
         raise BadEmbedding(f"eta must list host vertices in 0..{host.n - 1}")
     if not isinstance(forest, list) or len(forest) != host.n:
         raise BadEmbedding(f"forest_parent must list one parent per host vertex ({host.n})")
-    if any(p is not None and (not isinstance(p, int) or not 0 <= p < host.n) for p in forest):
+    if any(p is not None and (not _is_id(p) or not 0 <= p < host.n) for p in forest):
         raise BadEmbedding(f"forest_parent entries must be null or host vertices in 0..{host.n - 1}")
     meta = EmbeddingMeta(
         n=d["n"],

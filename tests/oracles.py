@@ -15,11 +15,15 @@ chain's former carving on one induced subgraph per cluster,
 `frt_by_matrix`, the FRT tree's former construction from the full distance
 matrix, and `packing_by_repeat_probe`, the cut packing's former loop with its
 trivial round and repeat probe. `build_chain`, `frt_embed` and
-`build_cut_packing` must reproduce those three exactly.
+`build_cut_packing` must reproduce those three exactly. `embedding_to_dict`
+and `embedding_json_by_encoder` are the embedding JSON's former writer, the
+stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
+byte.
 """
 
 import heapq
 import itertools
+import json
 import math
 import random
 
@@ -567,3 +571,25 @@ def packing_by_repeat_probe(g, chain, xi, tau):
     for c in kept:
         out.add(c)
     return out
+
+
+def embedding_to_dict(emb):
+    """The embedding's fields in file order, lengths rounded to 12 digits."""
+    return {
+        "n": emb.meta.n,
+        "seed": emb.meta.seed,
+        "mode": emb.meta.mode,
+        "params": emb.meta.params.to_dict() if emb.meta.params else None,
+        "fallback_used": emb.meta.fallback_used,
+        "host": {
+            "n": emb.host.n,
+            "edges": [[u, v, float(f"{w:.12g}")] for u, v, w in emb.host.edges],
+        },
+        "eta": list(emb.eta),
+        "forest_parent": list(emb.forest),
+        "depth": emb.depth,
+    }
+
+
+def embedding_json_by_encoder(emb):
+    return json.dumps(embedding_to_dict(emb), indent=1)

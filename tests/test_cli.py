@@ -5,13 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import embedding_to_dict
 
 import mfembed
 from mfembed import cli, harness
 from mfembed.cli import main
+from mfembed.embedder import embed_top
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
-from mfembed.graphs import WeightedGraph
+from mfembed.graphs import WeightedGraph, connected_components, induced_subgraph
+from mfembed.rng import derive_seed
 
 
 def run(*argv):
@@ -118,6 +121,13 @@ def test_disconnected_embed_emits_components(tmp_path):
     blocks = json.loads(emb.read_text())
     assert isinstance(blocks, list) and len(blocks) == 2
     assert blocks[0]["vertices"] == [0, 1]
+    expected = []
+    for k, comp in enumerate(connected_components(g)):
+        sub, verts = induced_subgraph(g, comp)
+        block = embedding_to_dict(embed_top(sub, 0.5, seed=derive_seed(0, "component", k)))
+        block["vertices"] = verts
+        expected.append(block)
+    assert emb.read_text() == json.dumps(expected, indent=1) + "\n"
 
 
 def test_eval_rejects_component_array_as_input_error(tmp_path, capsys):
@@ -157,12 +167,17 @@ def test_eval_rejects_disconnected_graph(tmp_path, capsys):
 def _eval_with_forest(tmp_path, capsys, change):
     """Exit code and standard error of `eval` on a 4x4 grid embedding whose
     forest_parent array was edited by `change`; no report may be written."""
+    return _eval_with_edited_embedding(tmp_path, capsys, lambda blob: change(blob["forest_parent"]))
+
+
+def _eval_with_edited_embedding(tmp_path, capsys, change):
+    """As `_eval_with_forest`, with `change` editing the whole embedding object."""
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     emb = tmp_path / "emb.json"
     assert run("embed", "-i", graph, "--seed", 1, "-o", emb) == 0
     blob = json.loads(emb.read_text())
-    change(blob["forest_parent"])
+    change(blob)
     emb.write_text(json.dumps(blob))
     report = tmp_path / "rep.json"
     capsys.readouterr()
@@ -177,6 +192,29 @@ def test_eval_rejects_forest_parent_outside_host(tmp_path, capsys):
 
     code, err = _eval_with_forest(tmp_path, capsys, out_of_range)
     assert code == 2 and "input error:" in err and "forest_parent" in err
+
+
+def _float_host_n(blob):
+    blob["host"]["n"] = float(blob["host"]["n"])
+
+
+def _float_endpoint(blob):
+    blob["host"]["edges"][0][0] = float(blob["host"]["edges"][0][0])
+
+
+def _bool_in_eta(blob):
+    blob["eta"][1] = True
+
+
+def _float_in_forest(blob):
+    parent = blob["forest_parent"]
+    parent[0] = float(parent[0])
+
+
+@pytest.mark.parametrize("change", [_float_host_n, _float_endpoint, _bool_in_eta, _float_in_forest])
+def test_eval_rejects_ids_that_are_not_integers(tmp_path, capsys, change):
+    code, err = _eval_with_edited_embedding(tmp_path, capsys, change)
+    assert code == 2 and "input error:" in err
 
 
 def test_eval_rejects_cyclic_forest(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from oracles import all_pairs, bellman_ford, floyd_warshall
+from oracles import all_pairs, bellman_ford, embedding_to_dict, floyd_warshall
 
 import mfembed.embedder as embedder
 from mfembed.embedder import (
@@ -27,7 +27,6 @@ from mfembed.hierarchy import ChainFailure
 from mfembed.hosts import (
     check_forest_validity,
     embedding_from_dict,
-    embedding_to_dict,
     embedding_to_json,
     treedepth_of,
 )

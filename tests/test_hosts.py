@@ -1,13 +1,16 @@
-"""Elimination-forest utilities: the Euler-tour validity check and the
-forest distance labels, each against an independent computation."""
+"""Elimination-forest utilities and the embedding JSON: the Euler-tour
+validity check, the forest distance labels and the JSON writer, each against
+an independent computation."""
 
+import json
 import random
 
 import pytest
-from oracles import forest_validity_by_ancestor_sets
+from oracles import embedding_json_by_encoder, embedding_to_dict, forest_validity_by_ancestor_sets
 
+import mfembed.hosts as hosts
 from mfembed.embedder import embed_top
-from mfembed.errors import CyclicParentArray, InvariantViolation
+from mfembed.errors import BadEmbedding, CyclicParentArray, InvariantViolation
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import INF, WeightedGraph, dijkstra
@@ -16,6 +19,11 @@ from mfembed.hosts import (
     ForestLabels,
     HostEmbedding,
     check_forest_validity,
+    embedding_from_dict,
+    embedding_to_json,
+    load_embedding,
+    save_components,
+    save_embedding,
 )
 
 UNIT = [
@@ -162,3 +170,119 @@ def test_check_forest_validity_returns_its_tour():
     order, tin, tout = check_forest_validity(emb)
     assert order == [0, 1, 2, 3]
     assert tin == [0, 1, 2, 3] and tout == [4, 3, 3, 4]
+
+
+# ------------------------------------------------------------------------ JSON
+
+
+def assert_writer_matches_encoder(emb, tmp_path):
+    """The writer prints the stdlib encoder's text, and the file holds it
+    plus a newline."""
+    text = embedding_to_json(emb)
+    assert text == embedding_json_by_encoder(emb)
+    path = tmp_path / "emb.json"
+    save_embedding(emb, path)
+    assert path.read_text(encoding="utf-8") == text + "\n"
+    assert embedding_to_json(load_embedding(path)) == text
+
+
+def star_embedding(lengths):
+    """Vertex 0 joined to 1..k with the given lengths, 0 the forest root."""
+    n = len(lengths) + 1
+    return hand_embedding(n, [(0, i + 1, w) for i, w in enumerate(lengths)], [None] + [0] * (n - 1))
+
+
+def test_writer_one_vertex(tmp_path):
+    emb = hand_embedding(1, [], [None])
+    assert '"params": null' in embedding_to_json(emb)
+    assert '"edges": []' in embedding_to_json(emb)
+    assert_writer_matches_encoder(emb, tmp_path)
+    assert_writer_matches_encoder(embed_top(generate("path", size=1), 0.5, seed=0), tmp_path)
+
+
+def test_writer_on_an_frt_fallback(fail_chain_at, tmp_path):
+    fail_chain_at(0)
+    emb = embed_top(generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=3), 0.5, seed=4)
+    assert emb.meta.fallback_used
+    assert_writer_matches_encoder(emb, tmp_path)
+
+
+def test_writer_zero_length_edges(tmp_path):
+    emb = hand_embedding(3, [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 1.5)], [None, 0, 1])
+    assert_writer_matches_encoder(emb, tmp_path)
+
+
+def test_writer_lengths_in_exponent_and_integer_form(tmp_path):
+    lengths = [1e16, 2.5e17, 1e300, 9.9e-05, 3e-7, 5e-324, 2.0, 7.0, 1.0, 0.1 + 0.2, 1 / 3,
+               123456789012345.0, 999999999999.5, 1e-4]
+    text = embedding_to_json(star_embedding(lengths))
+    for printed in ("1e+16", "2.5e+17", "9.9e-05", "3e-07", "2.0", "0.3", "0.333333333333"):
+        assert f"    {printed}\n" in text
+    assert_writer_matches_encoder(star_embedding(lengths), tmp_path)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, hosts._EDGE_BATCH + 1])
+def test_writer_across_edge_batches(extra, tmp_path):
+    rng = random.Random(extra)
+    lengths = [rng.uniform(1, 4) for _ in range(hosts._EDGE_BATCH + extra)]
+    assert_writer_matches_encoder(star_embedding(lengths), tmp_path)
+
+
+def test_writer_on_embedder_and_frt_hosts(tmp_path):
+    for instance in UNIT + FLOAT:
+        g = generate(seed=2, **instance)
+        assert_writer_matches_encoder(embed_top(g, 0.5, "practical", seed=2), tmp_path)
+        assert_writer_matches_encoder(frt_embed(g, 2), tmp_path)
+
+
+def test_component_array_matches_the_stdlib_encoder(tmp_path):
+    parts = [
+        (embed_top(generate("cycle", size=6), 0.5, seed=1), [0, 2, 4, 6, 8, 10]),
+        (hand_embedding(1, [], [None]), [1]),
+        (star_embedding([1e17, 2.0, 3e-5]), [3, 5, 7, 9]),
+    ]
+    path = tmp_path / "parts.json"
+    for chosen in (parts, parts[:1]):
+        save_components(chosen, path)
+        blocks = [dict(embedding_to_dict(emb), vertices=verts) for emb, verts in chosen]
+        assert path.read_text(encoding="utf-8") == json.dumps(blocks, indent=1) + "\n"
+
+
+def _with_float_host_n(blob):
+    blob["host"]["n"] = float(blob["host"]["n"])
+
+
+def _with_float_endpoint(blob):
+    blob["host"]["edges"][0][1] = float(blob["host"]["edges"][0][1])
+
+
+def _with_bool_endpoint(blob):
+    blob["host"]["edges"][0][0] = False
+
+
+def _with_bool_in_eta(blob):
+    blob["eta"][0] = False
+
+
+def _with_bool_in_forest(blob):
+    blob["forest_parent"][1] = False
+
+
+def _with_float_in_forest(blob):
+    blob["forest_parent"][1] = 0.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_with_float_host_n, _with_float_endpoint, _with_bool_endpoint, _with_bool_in_eta,
+     _with_bool_in_forest, _with_float_in_forest],
+)
+def test_embedding_from_dict_takes_only_integer_ids(change):
+    # Host 0 is the root and vertex 0's image, and the star's first edge is
+    # (0, 1); each change keeps the value json's loader would compare equal.
+    text = embedding_to_json(star_embedding([1.0, 2.0]))
+    assert embedding_to_json(embedding_from_dict(json.loads(text))) == text
+    blob = json.loads(text)
+    change(blob)
+    with pytest.raises(BadEmbedding):
+        embedding_from_dict(blob)
