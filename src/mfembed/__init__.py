@@ -3,7 +3,6 @@
 from .cutpack import (
     Cut,
     CutPacking,
-    TreeDecomposition,
     build_cut_packing,
     centroid_bag,
     cut_components,
@@ -16,13 +15,11 @@ from .frt import frt_embed
 from .generators import generate
 from .graphio import load_graph, save_graph
 from .graphs import (
-    UnweightedGraph,
     WeightedGraph,
     dijkstra,
     hat_ell,
     metric_closure_weights,
     normalize,
-    quotient,
 )
 from .harness import ExperimentConfig, emit, evaluate, run_experiment
 from .hierarchy import ChainFailure, ClusteringChain, build_chain
@@ -48,8 +45,6 @@ __all__ = [
     "ForestLabels",
     "HostEmbedding",
     "Params",
-    "TreeDecomposition",
-    "UnweightedGraph",
     "WeightedGraph",
     "build_chain",
     "build_cut_packing",
@@ -70,7 +65,6 @@ __all__ = [
     "load_graph",
     "metric_closure_weights",
     "normalize",
-    "quotient",
     "run_experiment",
     "sample_exponential",
     "save_embedding",

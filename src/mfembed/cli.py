@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import harness
-from .cutpack import build_cut_packing, cut_components
+from .cutpack import build_cut_packing, outside_components
 from .embedder import DEFAULT_C_FALLBACK, DEFAULT_XI_CAP, embed_top
 from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
@@ -319,9 +319,7 @@ def _cmd_cuts(args) -> int:
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
     for i, cut in enumerate(packing.cuts):
-        family = cut.family()
-        others = [len(c) for c in cut_components(g, cut) if frozenset(c) not in family]
-        margin = half - max(others, default=0)
+        margin = half - max(map(len, outside_components(g, cut)), default=0)
         print(
             f"  cut {i}: members={len(cut)} levels={list(cut.levels)} "
             f"oversize={cut.oversize} balance_margin={margin}"

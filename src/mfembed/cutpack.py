@@ -1,18 +1,20 @@
 """Balanced cuts over a clustering chain and their packings.
 
-A cut is a family of disjoint chain clusters; it is balanced when every
+A cut is a set of disjoint chain clusters; it is balanced when every
 component left after removing its boundary edges either equals a member or
 holds at most half the vertices. Chain clusters are connected, so those
 components are the members and the components outside every member. Cuts
-are found by quotienting the graph by the maximal free clusters,
-tree-decomposing that quotient with a min-degree elimination heuristic, and
-taking a centroid bag under cluster-size weights.
+are found by quotienting the graph by the maximal free clusters (a part
+index per vertex, then one neighbour set per part), tree-decomposing that
+quotient with a min-degree elimination heuristic, and taking a centroid bag
+under cluster-size weights.
 
 A cluster is free when it is a singleton or does not appear as a member of
 any cut already packed; clusters are compared as vertex sets. Two cuts are
 non-conflicting when every cluster they share is a singleton. A packing
 starts with the whole vertex set marked used and ends after a cut of
-singletons or at its size budget.
+singletons or at its size budget; its used set then holds V and the
+non-singleton members of its cuts, which is all a conflict check needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import EmptyPacking, InvariantViolation, PreconditionViolation
-from .graphs import UnweightedGraph, WeightedGraph, connected_components, quotient
+from .graphs import WeightedGraph, connected_components, quotient_adjacency
 from .hierarchy import ClusteringChain
 
 
@@ -32,9 +34,6 @@ class Cut:
     members: tuple[frozenset[int], ...]
     levels: tuple[int, ...]
     oversize: bool = False
-
-    def family(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -57,20 +56,14 @@ class CutPacking:
         return len(self.cuts)
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Tree plus bags over the vertices of `graph`."""
-
-    graph: UnweightedGraph
-    bags: tuple[frozenset[int], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
-
-    def node_count(self) -> int:
-        return len(self.bags)
+def outside_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
+    """Components of the subgraph induced by the vertices outside every
+    member, as sorted lists ordered by smallest vertex."""
+    outside = [True] * g.n
+    for member in cut.members:
+        for v in member:
+            outside[v] = False
+    return connected_components(g, allowed=outside)
 
 
 def cut_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
@@ -78,14 +71,9 @@ def cut_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
 
     F(cut) holds the edges that leave a member. Members must be connected in
     g, as chain clusters are: then each member is a component, and the others
-    are the components of the subgraph induced by the vertices outside every
-    member.
+    are the `outside_components`.
     """
-    outside = [True] * g.n
-    for member in cut.members:
-        for v in member:
-            outside[v] = False
-    comps = connected_components(g, allowed=outside)
+    comps = outside_components(g, cut)
     comps.extend(sorted(member) for member in cut.members)
     comps.sort()
     return comps
@@ -95,35 +83,33 @@ def is_balanced(g: WeightedGraph, cut: Cut) -> bool:
     """Every component of G - F(cut) outside the members holds at most half
     the vertices; members must be connected, as for `cut_components`."""
     half = g.n // 2
-    family = cut.family()
-    return all(len(c) <= half or frozenset(c) in family for c in cut_components(g, cut))
+    return all(len(c) <= half for c in outside_components(g, cut))
 
 
-def cuts_conflict(a: Cut, b: Cut) -> bool:
-    shared = a.family() & b.family()
-    return any(len(s) > 1 for s in shared)
-
-
-def heuristic_tree_decomposition(h: UnweightedGraph) -> TreeDecomposition:
+def heuristic_tree_decomposition(
+    adjacency: list[set[int]],
+) -> tuple[list[frozenset[int]], list[int]]:
     """Min-degree elimination with fill-in; valid for any input graph.
 
-    Node k holds the bag of the k-th eliminated vertex and attaches to the
-    node of its earliest-eliminated bag mate, the usual elimination-order
-    tree, so every tree edge is (child, parent) with child < parent and the
-    last node is the root. Ties on degree break toward the lowest vertex id.
-    The next vertex comes off a heap of (degree, id) entries; a vertex is
-    pushed again whenever its degree changes, and dead or outdated entries
-    are skipped when popped.
+    Takes the graph as neighbour sets, which it leaves unchanged, and
+    returns (bags, parent). Node k holds the bag of the k-th eliminated
+    vertex and its parent is the node of its earliest-eliminated bag mate,
+    the usual elimination-order tree, so parent[k] > k and the last node is
+    the root, with parent -1. Ties on degree break toward the lowest vertex
+    id. The next vertex comes off a heap of (degree, id) entries; a vertex
+    is pushed again whenever its degree changes, and dead or outdated
+    entries are skipped when popped.
     """
-    if h.n == 0:
+    n = len(adjacency)
+    if n == 0:
         raise InvariantViolation("cannot decompose the empty graph")
-    nbrs: list[set[int]] = [set(adj) for adj in h.adjacency]
-    alive = [True] * h.n
-    heap = [(len(nbrs[u]), u) for u in range(h.n)]
+    nbrs = [set(around) for around in adjacency]
+    alive = [True] * n
+    heap = [(len(nbrs[u]), u) for u in range(n)]
     heapify(heap)
-    elim_index = [0] * h.n
+    elim_index = [0] * n
     bags: list[frozenset[int]] = []
-    for k in range(h.n):
+    for k in range(n):
         while True:
             d, v = heappop(heap)
             if alive[v] and d == len(nbrs[v]):
@@ -138,15 +124,14 @@ def heuristic_tree_decomposition(h: UnweightedGraph) -> TreeDecomposition:
             fill.discard(v)
             heappush(heap, (len(fill), a))
         alive[v] = False
-    tree_edges = []
-    for k in range(h.n - 1):
+    parent = [-1] * n
+    for k in range(n - 1):
         later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
-        parent = min(later) if later else k + 1
-        tree_edges.append((k, parent))
-    return TreeDecomposition(graph=h, bags=tuple(bags), tree_edges=tuple(tree_edges))
+        parent[k] = min(later) if later else k + 1
+    return bags, parent
 
 
-def centroid_bag(td: TreeDecomposition, weights: list[float]) -> int:
+def centroid_bag(bags: list[frozenset[int]], parent: list[int], weights: list[float]) -> int:
     """Node whose bag splits the graph into halves by weight, in linear time.
 
     Each vertex's weight sits at the node nearest the root that holds it
@@ -155,19 +140,17 @@ def centroid_bag(td: TreeDecomposition, weights: list[float]) -> int:
     until there is none. At the node x where it stops, every child branch
     weighs at most half, and the rest of the graph weighs the total less
     x's subtree, which is below half once the walk has left the root.
-    Needs nonnegative weights and tree edges given as (child, parent) with
-    child < parent, as `heuristic_tree_decomposition` builds them.
+    Needs nonnegative weights and every non-root parent[k] above k, as
+    `heuristic_tree_decomposition` builds them.
     """
-    count = td.node_count()
-    parent = [count] * count
-    for child, up in td.tree_edges:
-        if not child < up < count:
-            raise InvariantViolation("tree edges must point from a node to a later one")
-        parent[child] = up
+    count = len(bags)
     root = count - 1
+    for k in range(root):
+        if not k < parent[k] < count:
+            raise InvariantViolation("each node's parent must be a later node")
     sub = [0.0] * count
-    for k, bag in enumerate(td.bags):
-        top = bag if k == root else bag - td.bags[parent[k]]
+    for k, bag in enumerate(bags):
+        top = bag if k == root else bag - bags[parent[k]]
         sub[k] = sum(weights[v] for v in top)
     total = sum(weights)
     heavy = [-1] * count
@@ -183,11 +166,12 @@ def centroid_bag(td: TreeDecomposition, weights: list[float]) -> int:
 
 def maximal_free_clusters(
     chain: ClusteringChain, packing: CutPacking
-) -> list[tuple[int, int]]:
-    """Partition into maximal free clusters as (level, cluster index) pairs.
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Partition into maximal free clusters as (level, cluster index) pairs,
+    plus part_of, the index of each vertex's part.
 
     For each vertex this is its highest-level cluster that is a singleton or
-    unused; results are ordered by smallest contained vertex.
+    unused; parts are ordered by smallest contained vertex.
     """
     free_flag = []
     for level_clusters in chain.levels:
@@ -195,20 +179,23 @@ def maximal_free_clusters(
             [len(c) == 1 or c not in packing.used for c in level_clusters]
         )
     out: list[tuple[int, int]] = []
-    seen = set()
+    index: dict[tuple[int, int], int] = {}
     n = chain.graph.n
+    part_of = [0] * n
     for v in range(n):
         for i in range(chain.top_level, -1, -1):
             idx = chain.vertex_to_cluster[i][v]
             if free_flag[i][idx]:
                 key = (i, idx)
-                if key not in seen:
-                    seen.add(key)
+                part = index.get(key)
+                if part is None:
+                    part = index[key] = len(out)
                     out.append(key)
+                part_of[v] = part
                 break
         else:
             raise InvariantViolation(f"no free cluster contains vertex {v}")
-    return out
+    return out, part_of
 
 
 def find_balanced_cut(
@@ -221,20 +208,20 @@ def find_balanced_cut(
     weight |D|. Cuts larger than tau come back flagged oversize rather than
     rejected.
     """
-    parts = maximal_free_clusters(chain, packing)
+    parts, part_of = maximal_free_clusters(chain, packing)
     sets = [chain.cluster(i, idx) for i, idx in parts]
-    h = quotient(g, sets)
-    td = heuristic_tree_decomposition(h)
-    node = centroid_bag(td, [float(len(s)) for s in sets])
-    chosen = sorted(td.bags[node])
+    bags, parent = heuristic_tree_decomposition(quotient_adjacency(g, part_of, len(parts)))
+    node = centroid_bag(bags, parent, [float(len(s)) for s in sets])
+    chosen = sorted(bags[node])
     members = tuple(sets[j] for j in chosen)
     levels = tuple(parts[j][0] for j in chosen)
     cut = Cut(members=members, levels=levels, oversize=len(members) > tau)
     if not is_balanced(g, cut):
         raise InvariantViolation("constructed cut is not balanced")
-    for prev in packing.cuts:
-        if cuts_conflict(cut, prev):
-            raise InvariantViolation("constructed cut conflicts with the packing")
+    # `used` holds V and the non-singleton members of the earlier cuts, so
+    # this is the check that no earlier cut shares a non-singleton member.
+    if any(len(member) > 1 and member in packing.used for member in members):
+        raise InvariantViolation("constructed cut conflicts with the packing")
     return cut
 
 

@@ -29,10 +29,6 @@ class ParseError(MfembedError):
         self.line = line
 
 
-class InvalidPartition(MfembedError):
-    """Parts are not disjoint, are empty, or do not cover the vertex set."""
-
-
 class EdgeNotInGraph(MfembedError):
     """A path step refers to a nonexistent edge."""
 

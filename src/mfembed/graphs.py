@@ -11,15 +11,9 @@ import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    DisconnectedGraph,
-    InvalidPartition,
-    InvariantViolation,
-    NoEdges,
-    PreconditionViolation,
-)
+from .errors import DisconnectedGraph, InvariantViolation, NoEdges, PreconditionViolation
 
 INF = math.inf
 
@@ -97,60 +91,6 @@ class WeightedGraph:
         return min(w for _, _, w in self.edges)
 
 
-@dataclass(frozen=True)
-class UnweightedGraph:
-    """Simple unweighted graph; distances are hop counts."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        canon = []
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-                raise InvariantViolation(f"bad edge ({u},{v})")
-            if u > v:
-                u, v = v, u
-            if (u, v) not in seen:
-                seen.add((u, v))
-                canon.append((u, v))
-        object.__setattr__(self, "edges", tuple(canon))
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def bfs_distances(self, src: int) -> list[float]:
-        dist = [INF] * self.n
-        dist[src] = 0.0
-        queue = [src]
-        adj = self.adjacency
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if dist[v] == INF:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        return dist
-
-    def hop_diameter(self) -> int:
-        best = 0
-        for s in range(self.n):
-            dist = self.bfs_distances(s)
-            worst = max(dist) if self.n else 0.0
-            if worst == INF:
-                raise DisconnectedGraph("hop diameter undefined on disconnected graph")
-            best = max(best, int(worst))
-        return best
-
-
 def dijkstra(
     g: WeightedGraph,
     src: int,
@@ -186,6 +126,10 @@ def dijkstra(
 def is_connected(g: WeightedGraph) -> bool:
     if g.n == 0:
         return True
+    # Fewer than n - 1 edges cannot connect n vertices; answering before any
+    # per-vertex list keeps a short file with a huge header cheap.
+    if g.m < g.n - 1:
+        return False
     return len(component_of(g, 0)) == g.n
 
 
@@ -280,36 +224,16 @@ def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(g.n, tuple((u, v, d) for (u, v, _), d in zip(g.edges, lengths)))
 
 
-def check_partition(n: int, parts: Sequence[Iterable[int]]) -> list[list[int]]:
-    norm = [sorted(set(p)) for p in parts]
-    seen: set[int] = set()
-    for p in norm:
-        if not p:
-            raise InvalidPartition("empty part")
-        for v in p:
-            if not 0 <= v < n:
-                raise InvalidPartition(f"vertex {v} out of range")
-            if v in seen:
-                raise InvalidPartition(f"vertex {v} appears in two parts")
-            seen.add(v)
-    if len(seen) != n:
-        raise InvalidPartition("parts do not cover the vertex set")
-    return norm
-
-
-def quotient(g: WeightedGraph, parts: Sequence[Iterable[int]]) -> UnweightedGraph:
-    """Unweighted graph on parts, adjacent when some edge crosses them."""
-    norm = check_partition(g.n, parts)
-    part_of = [0] * g.n
-    for i, p in enumerate(norm):
-        for v in p:
-            part_of[v] = i
-    qedges = set()
+def quotient_adjacency(g: WeightedGraph, part_of: Sequence[int], count: int) -> list[set[int]]:
+    """Neighbour sets of the quotient of g by `count` parts, where part_of[v]
+    is v's part: two parts are adjacent when some edge joins them."""
+    nbrs: list[set[int]] = [set() for _ in range(count)]
     for u, v, _ in g.edges:
         a, b = part_of[u], part_of[v]
         if a != b:
-            qedges.add((min(a, b), max(a, b)))
-    return UnweightedGraph(len(norm), tuple(sorted(qedges)))
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
 
 
 def induced_subgraph(g: WeightedGraph, vertices: Sequence[int]) -> tuple[WeightedGraph, list[int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DisconnectedGraph, PreconditionViolation
-from .graphs import INF, WeightedGraph, dijkstra, induced_subgraph, quotient
+from .graphs import INF, WeightedGraph, dijkstra, quotient_adjacency
 from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
@@ -316,22 +316,45 @@ def _check_goodness(g, levels, centers, parents, top, sigma) -> ChainFailure | N
     # connected quotient of hop-diameter at most k - 1.
     for i in range(top):
         part_counts = Counter(parents[i])
-        child_index = None
+        nbrs = None
         for idx in range(len(levels[i + 1])):
             if part_counts[idx] - 1 <= sigma:
                 continue
-            if child_index is None:
-                child_index = {}
+            if nbrs is None:
+                child_of = [0] * g.n
                 for j, cluster in enumerate(levels[i]):
                     for v in cluster:
-                        child_index[v] = j
-            sub, verts = induced_subgraph(g, sorted(levels[i + 1][idx]))
-            groups: dict[int, list[int]] = {}
-            for local, v in enumerate(verts):
-                groups.setdefault(child_index[v], []).append(local)
-            parts = [groups[k] for k in sorted(groups)]
-            if quotient(sub, parts).hop_diameter() > sigma:
+                        child_of[v] = j
+                nbrs = quotient_adjacency(g, child_of, len(levels[i]))
+            if _child_quotient_hops(nbrs, parents[i], idx) > sigma:
                 return ChainFailure(
                     level=i + 1, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx
                 )
     return None
+
+
+def _child_quotient_hops(nbrs: list[set[int]], parent: Sequence[int], idx: int) -> float:
+    """Hop-diameter of cluster idx's quotient by its children, INF when it
+    is disconnected.
+
+    `nbrs` is the quotient adjacency of the whole level of children; a BFS
+    from each child of idx steps only to other children of idx, which gives
+    the quotient of the subgraph that idx induces.
+    """
+    children = [j for j, p in enumerate(parent) if p == idx]
+    worst = 0
+    for source in children:
+        hops = {source: 0}
+        frontier = [source]
+        while frontier:
+            step = []
+            for a in frontier:
+                for b in nbrs[a]:
+                    if b not in hops and parent[b] == idx:
+                        hops[b] = hops[a] + 1
+                        step.append(b)
+            frontier = step
+        if len(hops) < len(children):
+            return INF
+        worst = max(worst, max(hops.values()))
+    return worst

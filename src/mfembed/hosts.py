@@ -296,6 +296,11 @@ def _is_id(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_length(x: object) -> bool:
+    """An edge length: an int or a float, and not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def embedding_from_dict(d: dict) -> HostEmbedding:
     """The embedding that `json.loads` of `embedding_to_json`'s text
     describes; raises BadEmbedding on anything that is not one host
@@ -309,8 +314,10 @@ def embedding_from_dict(d: dict) -> HostEmbedding:
     try:
         n_host = d["host"]["n"]
         edges = tuple((u, v, w) for u, v, w in d["host"]["edges"])
-        if not _is_id(n_host) or not all(_is_id(u) and _is_id(v) for u, v, _ in edges):
-            raise BadEmbedding("host n and edge endpoints must be integers")
+        if not _is_id(n_host) or not all(
+            _is_id(u) and _is_id(v) and _is_length(w) for u, v, w in edges
+        ):
+            raise BadEmbedding("host n and edge endpoints must be integers, lengths numbers")
         host = WeightedGraph(n_host, edges, allow_zero=True)
         params = Params.from_dict(d["params"]) if d.get("params") else None
     except (KeyError, TypeError, ValueError, InvariantViolation) as exc:

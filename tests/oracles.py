@@ -19,6 +19,11 @@ trivial round and repeat probe. `build_chain`, `frt_embed` and
 and `embedding_json_by_encoder` are the embedding JSON's former writer, the
 stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
 byte.
+
+`UnweightedGraph`, `check_partition` and `quotient` are the cut search's
+former quotient, which `graphs.quotient_adjacency` must match as neighbour
+sets; `children_hop_diameter` is the goodness check's former quotient
+hop-diameter, and `cuts_conflict` its former pairwise conflict test.
 """
 
 import heapq
@@ -26,6 +31,8 @@ import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
+from functools import cached_property
 
 from mfembed.cutpack import CutPacking, find_balanced_cut
 from mfembed.errors import (
@@ -41,6 +48,111 @@ from mfembed.hosts import EmbeddingMeta, HostEmbedding
 from mfembed.partition import single_level_partition
 
 INF = math.inf
+
+
+class InvalidPartition(ValueError):
+    """Parts are not disjoint, are empty, or do not cover the vertex set."""
+
+
+@dataclass(frozen=True)
+class UnweightedGraph:
+    """Simple unweighted graph; distances are hop counts."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        canon = []
+        seen = set()
+        for u, v in self.edges:
+            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+                raise InvariantViolation(f"bad edge ({u},{v})")
+            if u > v:
+                u, v = v, u
+            if (u, v) not in seen:
+                seen.add((u, v))
+                canon.append((u, v))
+        object.__setattr__(self, "edges", tuple(canon))
+
+    @cached_property
+    def adjacency(self):
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def bfs_distances(self, src):
+        dist = [INF] * self.n
+        dist[src] = 0.0
+        queue = [src]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in self.adjacency[u]:
+                    if dist[v] == INF:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            queue = nxt
+        return dist
+
+    def hop_diameter(self):
+        best = 0
+        for s in range(self.n):
+            worst = max(self.bfs_distances(s))
+            if worst == INF:
+                raise DisconnectedGraph("hop diameter undefined on disconnected graph")
+            best = max(best, int(worst))
+        return best
+
+
+def check_partition(n, parts):
+    norm = [sorted(set(p)) for p in parts]
+    seen = set()
+    for p in norm:
+        if not p:
+            raise InvalidPartition("empty part")
+        for v in p:
+            if not 0 <= v < n:
+                raise InvalidPartition(f"vertex {v} out of range")
+            if v in seen:
+                raise InvalidPartition(f"vertex {v} appears in two parts")
+            seen.add(v)
+    if len(seen) != n:
+        raise InvalidPartition("parts do not cover the vertex set")
+    return norm
+
+
+def quotient(g, parts):
+    """Unweighted graph on parts, adjacent when some edge crosses them."""
+    norm = check_partition(g.n, parts)
+    part_of = [0] * g.n
+    for i, p in enumerate(norm):
+        for v in p:
+            part_of[v] = i
+    qedges = set()
+    for u, v, _ in g.edges:
+        a, b = part_of[u], part_of[v]
+        if a != b:
+            qedges.add((min(a, b), max(a, b)))
+    return UnweightedGraph(len(norm), tuple(sorted(qedges)))
+
+
+def children_hop_diameter(g, levels, parents, i, idx):
+    """Hop-diameter of the quotient of the subgraph that cluster idx of
+    level i + 1 induces, by its level-i children: one induced subgraph and
+    one BFS per child, as the goodness check once did."""
+    child_of = {v: j for j, cluster in enumerate(levels[i]) for v in cluster}
+    sub, verts = induced_subgraph(g, sorted(levels[i + 1][idx]))
+    groups = {}
+    for local, v in enumerate(verts):
+        groups.setdefault(child_of[v], []).append(local)
+    return quotient(sub, [groups[k] for k in sorted(groups)]).hop_diameter()
+
+
+def cuts_conflict(a, b):
+    """True when the two cuts share a member that is not a singleton."""
+    return any(len(s) > 1 for s in set(a.members) & set(b.members))
 
 
 def floyd_warshall(g):
@@ -139,12 +251,13 @@ def diameter_by_enumeration(g):
     )
 
 
-def exact_treewidth(h):
-    """Subset DP over elimination orders; fine up to n ~ 12."""
-    n = h.n
+def exact_treewidth(nbrs):
+    """Subset DP over elimination orders of a graph given as neighbour sets;
+    fine up to n ~ 12."""
+    n = len(nbrs)
     if n == 1:
         return 0
-    adj = [set(x) for x in h.adjacency]
+    adj = nbrs
 
     def back_degree(done_mask, v):
         # vertices outside done+{v} reachable from v through done
@@ -175,18 +288,21 @@ def exact_treewidth(h):
     return f[(1 << n) - 1]
 
 
-def min_degree_decomposition_by_scan(h):
-    """(bags, tree_edges) of min-degree elimination, scanning every live vertex.
+def min_degree_decomposition_by_scan(adjacency):
+    """(bags, parent) of min-degree elimination over neighbour sets,
+    scanning every live vertex.
 
     Each step eliminates the live vertex of least (degree, id), joins its
     neighbours, and records its bag; node k attaches to the node of its
     earliest-eliminated later bag mate, or to node k+1 when it has none.
+    The last node is the root, with parent -1.
     """
-    nbrs = [set(adj) for adj in h.adjacency]
-    alive = set(range(h.n))
-    elim_index = [0] * h.n
+    n = len(adjacency)
+    nbrs = [set(adj) for adj in adjacency]
+    alive = set(range(n))
+    elim_index = [0] * n
     bags = []
-    for k in range(h.n):
+    for k in range(n):
         v = min(alive, key=lambda u: (len(nbrs[u]), u))
         bags.append(frozenset({v} | nbrs[v]))
         elim_index[v] = k
@@ -197,26 +313,30 @@ def min_degree_decomposition_by_scan(h):
             nbrs[a].discard(v)
         nbrs[v].clear()
         alive.discard(v)
-    tree_edges = []
-    for k in range(h.n - 1):
+    parent = [-1] * n
+    for k in range(n - 1):
         later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
-        tree_edges.append((k, min(later) if later else k + 1))
-    return tuple(bags), tuple(tree_edges)
+        parent[k] = min(later) if later else k + 1
+    return bags, parent
 
 
-def validate_tree_decomposition(td):
-    """Raise unless every edge is covered and every vertex's bags form a subtree."""
-    h = td.graph
-    for u, v in h.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            raise AssertionError(f"edge ({u},{v}) covered by no bag")
-    nodes = range(td.node_count())
+def validate_tree_decomposition(nbrs, bags, parent):
+    """Raise unless (bags, parent) is a tree decomposition of the graph with
+    neighbour sets `nbrs`: parent is a tree rooted at the last node, every
+    edge is covered and every vertex's bags form a subtree."""
+    nodes = range(len(bags))
+    if parent[-1] != -1 or any(not k < parent[k] < len(bags) for k in nodes[:-1]):
+        raise AssertionError(f"parent {parent} is not a tree rooted at the last node")
+    for u, around in enumerate(nbrs):
+        for v in around:
+            if not any(u in bag and v in bag for bag in bags):
+                raise AssertionError(f"edge ({u},{v}) covered by no bag")
     adj = [[] for _ in nodes]
-    for a, b in td.tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(h.n):
-        holding = [k for k in nodes if v in td.bags[k]]
+    for a in nodes[:-1]:
+        adj[a].append(parent[a])
+        adj[parent[a]].append(a)
+    for v in range(len(nbrs)):
+        holding = [k for k in nodes if v in bags[k]]
         if not holding:
             raise AssertionError(f"vertex {v} in no bag")
         seen = {holding[0]}
@@ -558,13 +678,13 @@ def packing_by_repeat_probe(g, chain, xi, tau):
     families = set()
     while len(packing) < xi + 1:
         cut = find_balanced_cut(g, chain, packing, tau)
-        fam = cut.family()
+        fam = frozenset(cut.members)
         if fam in families:
             break
         families.add(fam)
         packing.add(cut)
     everything = frozenset(range(g.n))
-    kept = [c for c in packing.cuts if c.family() != frozenset({everything})]
+    kept = [c for c in packing.cuts if c.members != (everything,)]
     if not kept:
         raise EmptyPacking("no balanced cut besides the trivial one")
     out = CutPacking()

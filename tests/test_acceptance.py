@@ -16,15 +16,18 @@ from oracles import (
     balanced_predicate,
     bellman_ford,
     check_partition_validity,
+    children_hop_diameter,
     count_cut_edges,
+    cuts_conflict,
     diameter,
     enumerate_balanced_chain_cuts,
     floyd_warshall,
     max_cluster_diameter,
+    quotient,
     stretch_exponent,
 )
 
-from mfembed.cutpack import CutPacking, build_cut_packing, cuts_conflict, find_balanced_cut
+from mfembed.cutpack import CutPacking, build_cut_packing, find_balanced_cut
 from mfembed.embedder import derive_params, embed_top
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
@@ -34,7 +37,6 @@ from mfembed.graphs import (
     induced_subgraph,
     metric_closure_weights,
     normalize,
-    quotient,
 )
 from mfembed.harness import ExperimentConfig, run_experiment, sample_pairs, strip_timing
 from mfembed.hierarchy import ChainFailure, ClusteringChain, build_chain
@@ -291,16 +293,9 @@ def _assert_goodness_oracle(g, chain):
             fw = floyd_warshall(sub)
             assert max(x for row in fw for x in row) <= 2.0**i
     for i in range(chain.top_level):
-        child_of = chain.vertex_to_cluster[i]
-        for cluster in chain.levels[i + 1]:
-            members = sorted(cluster)
-            sub, verts = induced_subgraph(g, members)
-            groups = {}
-            for local, v in enumerate(verts):
-                groups.setdefault(child_of[v], []).append(local)
-            parts = [groups[k] for k in sorted(groups)]
-            if len(parts) > 1:
-                assert quotient(sub, parts).hop_diameter() <= chain.sigma
+        for idx in range(len(chain.levels[i + 1])):
+            if chain.parents[i].count(idx) > 1:
+                assert children_hop_diameter(g, chain.levels, chain.parents, i, idx) <= chain.sigma
 
 
 # -------------------------------------------------------------- criterion 7
@@ -339,8 +334,8 @@ def test_criterion_7_balanced_cuts():
         packing = CutPacking()
         for _ in range(5):
             cut = find_balanced_cut(scaled, chain, packing, tau=40)
-            assert cut.family() in legal
-            if cut.family() in {c.family() for c in packing.cuts}:
+            assert frozenset(cut.members) in legal
+            if frozenset(cut.members) in {frozenset(c.members) for c in packing.cuts}:
                 break
             packing.add(cut)
     print(f"ACCEPTANCE 7 PASS: {checked_cuts} cuts balanced/chain-respecting, packings conflict-free")

@@ -91,6 +91,22 @@ def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys,
     assert "line 3:" in err and "must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "command", [("frt",), ("partition", "--r", 1.5), ("chain",)], ids=["frt", "partition", "chain"]
+)
+def test_header_with_millions_of_vertices_and_no_edges_is_refused(tmp_path, capsys, command):
+    # twelve bytes that name five million vertices: connectivity is refused
+    # from the edge count, before any per-vertex list is built
+    wide = tmp_path / "wide.txt"
+    wide.write_text("p 5000000 0\n")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    extra = ("-o", out) if command[0] == "frt" else ()
+    assert run(command[0], "-i", wide, *command[1:], *extra) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_closed_stdout_pipe_exits_quietly(tmp_path):
     graph = tmp_path / "cycle.txt"
     run("gen", "cycle", "--n", 64, "-o", graph)
@@ -211,7 +227,13 @@ def _float_in_forest(blob):
     parent[0] = float(parent[0])
 
 
-@pytest.mark.parametrize("change", [_float_host_n, _float_endpoint, _bool_in_eta, _float_in_forest])
+def _bool_length(blob):
+    blob["host"]["edges"][0][2] = True
+
+
+@pytest.mark.parametrize(
+    "change", [_float_host_n, _float_endpoint, _bool_in_eta, _float_in_forest, _bool_length]
+)
 def test_eval_rejects_ids_that_are_not_integers(tmp_path, capsys, change):
     code, err = _eval_with_edited_embedding(tmp_path, capsys, change)
     assert code == 2 and "input error:" in err

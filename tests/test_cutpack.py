@@ -3,38 +3,41 @@ import random
 
 import pytest
 from oracles import (
+    UnweightedGraph,
     all_connected_labeled_graphs,
     balanced_predicate,
     boundary_edges,
     components_without,
+    cuts_conflict,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
     min_degree_decomposition_by_scan,
     packing_by_repeat_probe,
+    quotient,
     validate_tree_decomposition,
 )
 
+import mfembed.cutpack as cutpack
 from mfembed.cutpack import (
     Cut,
     CutPacking,
     build_cut_packing,
     centroid_bag,
     cut_components,
-    cuts_conflict,
     find_balanced_cut,
     heuristic_tree_decomposition,
     is_balanced,
     maximal_free_clusters,
 )
 from mfembed.embedder import derive_params
-from mfembed.errors import EmptyPacking
+from mfembed.errors import EmptyPacking, InvariantViolation
 from mfembed.generators import generate
 from mfembed.graphs import (
-    UnweightedGraph,
     WeightedGraph,
     hat_ell,
     metric_closure_weights,
     normalize,
+    quotient_adjacency,
 )
 from mfembed.hierarchy import ClusteringChain, build_chain
 from mfembed.rng import derive_seed
@@ -47,6 +50,15 @@ def random_connected_graph(rng, n, extra):
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     return UnweightedGraph(n, tuple(sorted(edges)))
+
+
+def nbrs_of(h):
+    """Neighbour sets of an oracle `UnweightedGraph`."""
+    return [set(adj) for adj in h.adjacency]
+
+
+def width(bags):
+    return max(len(b) for b in bags) - 1
 
 
 def scaled(g, factor=2.0):
@@ -93,16 +105,22 @@ GOLDEN_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
-def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
-    # The root split of embed_top(g, 0.5, "practical", seed=seed): same
-    # preprocessing, parameters and random streams.
+def golden_root_split(instance, seed):
+    """(graph, chain, params) of the root split of embed_top(g, 0.5,
+    "practical", seed=seed): same preprocessing, parameters and random
+    streams."""
     g = generate(seed=seed, **instance)
     sub, _ = normalize(metric_closure_weights(g))
     params = derive_params(g.n, hat_ell(sub), 0.5, "practical")
     rng = random.Random(derive_seed(seed, "split"))
     chain = build_chain(sub, params.delta, random.Random(rng.getrandbits(64)))
     assert isinstance(chain, ClusteringChain)
+    return sub, chain, params
+
+
+@pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
+def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
+    sub, chain, params = golden_root_split(instance, seed)
     packing = build_cut_packing(sub, chain, params.xi, params.tau)
     clusters = {c for level in chain.levels for c in level}
     cuts = packing.cuts + [Cut(members=(c,), levels=(0,)) for c in clusters]
@@ -118,43 +136,64 @@ def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
+def test_quotient_adjacency_matches_the_oracle_in_every_packing_round(instance, seed):
+    # build_cut_packing's rounds, one by one: part_of must place every vertex
+    # in its free cluster, and the neighbour sets must be the oracle's
+    # quotient by those clusters
+    sub, chain, params = golden_root_split(instance, seed)
+    everything = frozenset(range(sub.n))
+    packing = CutPacking(used={everything})
+    while len(packing) < params.xi:
+        parts, part_of = maximal_free_clusters(chain, packing)
+        sets = [chain.cluster(i, idx) for i, idx in parts]
+        assert all(part_of[v] == k for k, members in enumerate(sets) for v in members)
+        want = [set(adj) for adj in quotient(sub, sets).adjacency]
+        assert quotient_adjacency(sub, part_of, len(parts)) == want
+        cut = find_balanced_cut(sub, chain, packing, params.tau)
+        packing.add(cut)
+        if all(len(member) == 1 for member in cut.members):
+            break
+    assert packing.cuts == build_cut_packing(sub, chain, params.xi, params.tau).cuts
+
+
 # --------------------------------------------------------- tree decomposition
 
 
 def test_td_tree_input_width_one():
     # a small tree: star plus a pendant path
-    h = UnweightedGraph(6, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)))
-    td = heuristic_tree_decomposition(h)
-    validate_tree_decomposition(td)
-    assert td.width == 1
+    nbrs = nbrs_of(UnweightedGraph(6, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5))))
+    bags, parent = heuristic_tree_decomposition(nbrs)
+    validate_tree_decomposition(nbrs, bags, parent)
+    assert width(bags) == 1
 
 
 def test_td_k4_width_three():
-    h = UnweightedGraph(4, tuple(itertools.combinations(range(4), 2)))
-    td = heuristic_tree_decomposition(h)
-    validate_tree_decomposition(td)
-    assert td.width == 3
+    nbrs = nbrs_of(UnweightedGraph(4, tuple(itertools.combinations(range(4), 2))))
+    bags, parent = heuristic_tree_decomposition(nbrs)
+    validate_tree_decomposition(nbrs, bags, parent)
+    assert width(bags) == 3
 
 
 def test_td_four_cycle_width_two():
-    h = UnweightedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-    td = heuristic_tree_decomposition(h)
-    validate_tree_decomposition(td)
-    assert td.width == 2 == exact_treewidth(h)
+    nbrs = [{1, 3}, {0, 2}, {1, 3}, {0, 2}]
+    bags, parent = heuristic_tree_decomposition(nbrs)
+    validate_tree_decomposition(nbrs, bags, parent)
+    assert width(bags) == 2 == exact_treewidth(nbrs)
+    assert nbrs == [{1, 3}, {0, 2}, {1, 3}, {0, 2}]  # the input is left unchanged
 
 
 def test_td_single_vertex():
-    td = heuristic_tree_decomposition(UnweightedGraph(1, ()))
-    assert td.bags == (frozenset({0}),) and td.tree_edges == ()
+    assert heuristic_tree_decomposition([set()]) == ([frozenset({0})], [-1])
 
 
 def test_td_width_close_to_exact_exhaustive_small():
     for n in range(2, 6):
         for edges in all_connected_labeled_graphs(n):
-            h = UnweightedGraph(n, tuple(edges))
-            td = heuristic_tree_decomposition(h)
-            validate_tree_decomposition(td)
-            assert td.width <= exact_treewidth(h) + 2
+            nbrs = nbrs_of(UnweightedGraph(n, tuple(edges)))
+            bags, parent = heuristic_tree_decomposition(nbrs)
+            validate_tree_decomposition(nbrs, bags, parent)
+            assert width(bags) <= exact_treewidth(nbrs) + 2
 
 
 def test_td_width_close_to_exact_sampled():
@@ -171,45 +210,55 @@ def test_td_width_close_to_exact_sampled():
             except Exception:
                 continue
             done += 1
-            td = heuristic_tree_decomposition(h)
-            validate_tree_decomposition(td)
-            assert td.width <= exact_treewidth(h) + 2
+            nbrs = nbrs_of(h)
+            bags, parent = heuristic_tree_decomposition(nbrs)
+            validate_tree_decomposition(nbrs, bags, parent)
+            assert width(bags) <= exact_treewidth(nbrs) + 2
 
 
 def test_td_heap_matches_scan_exhaustive_small():
     for n in range(1, 6):
         for edges in all_connected_labeled_graphs(n):
-            h = UnweightedGraph(n, tuple(edges))
-            td = heuristic_tree_decomposition(h)
-            assert (td.bags, td.tree_edges) == min_degree_decomposition_by_scan(h)
+            nbrs = nbrs_of(UnweightedGraph(n, tuple(edges)))
+            got = heuristic_tree_decomposition(nbrs)
+            assert got == min_degree_decomposition_by_scan(nbrs)
+            validate_tree_decomposition(nbrs, *got)
 
 
 def test_td_heap_matches_scan_random():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(6, 60)
-        h = random_connected_graph(rng, n, rng.randint(0, 3 * n))
-        td = heuristic_tree_decomposition(h)
-        assert (td.bags, td.tree_edges) == min_degree_decomposition_by_scan(h)
+        nbrs = nbrs_of(random_connected_graph(rng, n, rng.randint(0, 3 * n)))
+        got = heuristic_tree_decomposition(nbrs)
+        assert got == min_degree_decomposition_by_scan(nbrs)
+        validate_tree_decomposition(nbrs, *got)
 
 
 # ---------------------------------------------------------------- centroid bag
 
 
 def test_centroid_single_node():
-    td = heuristic_tree_decomposition(UnweightedGraph(1, ()))
-    assert centroid_bag(td, [1.0]) == 0
+    bags, parent = heuristic_tree_decomposition([set()])
+    assert centroid_bag(bags, parent, [1.0]) == 0
 
 
-def brute_force_centroids(td, weights):
-    h = td.graph
+def test_centroid_rejects_a_parent_that_is_not_later():
+    bags = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2})]
+    assert centroid_bag(bags, [1, 2, -1], [1.0, 1.0, 1.0]) == 1
+    for parent in ([0, 2, -1], [1, 1, -1], [1, 3, -1], [2, -1, -1]):
+        with pytest.raises(InvariantViolation):
+            centroid_bag(bags, parent, [1.0, 1.0, 1.0])
+
+
+def brute_force_centroids(nbrs, bags, weights):
     total = sum(weights)
     good = []
-    for k in range(td.node_count()):
-        blocked = set(td.bags[k])
+    for k in range(len(bags)):
+        blocked = set(bags[k])
         comp_ok = True
         seen = set(blocked)
-        for s in range(h.n):
+        for s in range(len(nbrs)):
             if s in seen:
                 continue
             stack, comp = [s], []
@@ -217,7 +266,7 @@ def brute_force_centroids(td, weights):
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for v in h.adjacency[u]:
+                for v in nbrs[u]:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
@@ -229,34 +278,36 @@ def brute_force_centroids(td, weights):
 
 
 def test_centroid_path_matches_brute_force():
-    h = UnweightedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    td = heuristic_tree_decomposition(h)
+    nbrs = nbrs_of(UnweightedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
+    bags, parent = heuristic_tree_decomposition(nbrs)
     weights = [1.0] * 5
-    good = brute_force_centroids(td, weights)
-    chosen = centroid_bag(td, weights)
+    good = brute_force_centroids(nbrs, bags, weights)
+    chosen = centroid_bag(bags, parent, weights)
     assert chosen in good
-    assert 2 in td.bags[chosen]  # the middle vertex must be in a qualifying bag
+    assert 2 in bags[chosen]  # the middle vertex must be in a qualifying bag
 
 
 def test_centroid_in_brute_force_set_exhaustive_small():
     rng = random.Random(2)
     for n in range(1, 6):
         for edges in all_connected_labeled_graphs(n):
-            td = heuristic_tree_decomposition(UnweightedGraph(n, tuple(edges)))
+            nbrs = nbrs_of(UnweightedGraph(n, tuple(edges)))
+            bags, parent = heuristic_tree_decomposition(nbrs)
             for _ in range(3):
                 weights = [float(rng.randint(0, 5)) for _ in range(n)]
-                assert centroid_bag(td, weights) in brute_force_centroids(td, weights)
+                chosen = centroid_bag(bags, parent, weights)
+                assert chosen in brute_force_centroids(nbrs, bags, weights)
 
 
-def deepest_heavy_node(td, weights):
+def deepest_heavy_node(bags, parent, weights):
     """Deepest node, rooting the tree at the last node, whose subtree weighs
     more than half; the root when no node does. A vertex counts toward the
     subtrees holding its shallowest bag."""
-    count = td.node_count()
+    count = len(bags)
     adj = [[] for _ in range(count)]
-    for a, b in td.tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    for a in range(count - 1):
+        adj[a].append(parent[a])
+        adj[parent[a]].append(a)
     root = count - 1
     path_up = {root: [root]}
     order = [root]
@@ -266,8 +317,8 @@ def deepest_heavy_node(td, weights):
                 path_up[y] = [y] + path_up[x]
                 order.append(y)
     top = [
-        min((k for k in range(count) if v in td.bags[k]), key=lambda k: len(path_up[k]))
-        for v in range(td.graph.n)
+        min((k for k in range(count) if v in bags[k]), key=lambda k: len(path_up[k]))
+        for v in range(len(weights))
     ]
     total = sum(weights)
     best = root
@@ -283,24 +334,25 @@ def test_centroid_is_deepest_heavy_node():
     graphs = [random_connected_graph(rng, rng.randint(1, 30), rng.randint(0, 40)) for _ in range(40)]
     graphs.append(UnweightedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
     for h in graphs:
-        td = heuristic_tree_decomposition(h)
+        nbrs = nbrs_of(h)
+        bags, parent = heuristic_tree_decomposition(nbrs)
         for _ in range(3):
             weights = [float(rng.randint(0, 4)) for _ in range(h.n)]
-            chosen = centroid_bag(td, weights)
-            assert chosen == deepest_heavy_node(td, weights)
-            assert chosen in brute_force_centroids(td, weights)
-    zero = heuristic_tree_decomposition(UnweightedGraph(3, ((0, 1), (1, 2))))
-    assert centroid_bag(zero, [0.0, 0.0, 0.0]) == zero.node_count() - 1
+            chosen = centroid_bag(bags, parent, weights)
+            assert chosen == deepest_heavy_node(bags, parent, weights)
+            assert chosen in brute_force_centroids(nbrs, bags, weights)
+    bags, parent = heuristic_tree_decomposition([{1}, {0, 2}, {1}])
+    assert centroid_bag(bags, parent, [0.0, 0.0, 0.0]) == len(bags) - 1
 
 
 def test_centroid_star_bags_contain_center():
-    h = UnweightedGraph(6, tuple((0, i) for i in range(1, 6)))
-    td = heuristic_tree_decomposition(h)
+    nbrs = nbrs_of(UnweightedGraph(6, tuple((0, i) for i in range(1, 6))))
+    bags, parent = heuristic_tree_decomposition(nbrs)
     weights = [1.0] * 6
-    good = brute_force_centroids(td, weights)
+    good = brute_force_centroids(nbrs, bags, weights)
     for k in good:
-        assert 0 in td.bags[k] or all(2 * w <= 6 for w in weights)
-    assert centroid_bag(td, weights) in good
+        assert 0 in bags[k] or all(2 * w <= 6 for w in weights)
+    assert centroid_bag(bags, parent, weights) in good
 
 
 # ------------------------------------------------------------- balanced cuts
@@ -321,7 +373,7 @@ def test_path_cut_brute_force_membership():
     packing.add(find_balanced_cut(g, chain, packing, tau=8))
     cut = find_balanced_cut(g, chain, packing, tau=8)
     legal = enumerate_balanced_chain_cuts(g, chain)
-    assert cut.family() in legal
+    assert frozenset(cut.members) in legal
     assert balanced_predicate(g, list(cut.members))
 
 
@@ -343,7 +395,7 @@ def test_used_marking_descends_to_singletons():
     packing.add(first)
 
     second = find_balanced_cut(g, chain, packing, tau=8)
-    assert frozenset({0, 1, 2}) in second.family()
+    assert frozenset({0, 1, 2}) in second.members
     packing.add(second)
 
     # the center's non-singleton cluster is used now; it may only come back
@@ -353,8 +405,30 @@ def test_used_marking_descends_to_singletons():
         if 0 in member:
             assert member == frozenset({0})
     assert not cuts_conflict(third, second) and not cuts_conflict(third, first)
-    parts = maximal_free_clusters(chain, packing)
+    parts, part_of = maximal_free_clusters(chain, packing)
     assert all(len(chain.cluster(i, j)) == 1 for i, j in parts)
+    assert part_of == list(range(7))
+
+
+def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
+    # the search itself never picks a used cluster, so it is shown a packing
+    # that has not used {0, 1, 2} yet while the guard sees the real one
+    g, chain = star_chain()
+    everything = frozenset(range(7))
+    packing = CutPacking(used={everything})
+    first = find_balanced_cut(g, chain, packing, tau=8)
+    assert frozenset({0, 1, 2}) in first.members
+    packing.add(first)
+    real = cutpack.maximal_free_clusters
+    monkeypatch.setattr(
+        cutpack,
+        "maximal_free_clusters",
+        lambda chain, packing: real(chain, CutPacking(used={everything})),
+    )
+    with pytest.raises(InvariantViolation, match="conflicts"):
+        find_balanced_cut(g, chain, packing, tau=8)
+    packing.used.discard(frozenset({0, 1, 2}))
+    assert find_balanced_cut(g, chain, packing, tau=8) == first
 
 
 def test_oversize_flag():
@@ -374,7 +448,7 @@ def test_two_vertex_packing():
     packing = build_cut_packing(g, chain, xi=1, tau=4)
     assert len(packing.cuts) >= 1
     for cut in packing.cuts:
-        assert cut.family() != frozenset({frozenset({0, 1})})
+        assert frozenset(cut.members) != frozenset({frozenset({0, 1})})
         for member in cut.members:
             assert len(member) == 1
         assert is_balanced(g, cut)
@@ -424,8 +498,8 @@ def test_small_graph_cut_membership_in_enumeration():
         packing = CutPacking()
         for _ in range(4):
             cut = find_balanced_cut(g, chain, packing, tau=32)
-            assert cut.family() in legal
-            if cut.family() in {c.family() for c in packing.cuts}:
+            assert frozenset(cut.members) in legal
+            if frozenset(cut.members) in {frozenset(c.members) for c in packing.cuts}:
                 break
             packing.add(cut)
 

@@ -3,11 +3,13 @@ import random
 
 import pytest
 from oracles import (
+    InvalidPartition,
     all_pairs,
     diameter,
     diameter_by_enumeration,
     floyd_warshall,
     min_distance,
+    quotient,
     shortest_by_path_enumeration,
     stretch_exponent,
 )
@@ -15,7 +17,6 @@ from oracles import (
 from mfembed.errors import (
     BadSize,
     DisconnectedGraph,
-    InvalidPartition,
     InvariantViolation,
     NoEdges,
     ParseError,
@@ -29,9 +30,10 @@ from mfembed.graphs import (
     dijkstra,
     hat_ell,
     induced_subgraph,
+    is_connected,
     metric_closure_weights,
     normalize,
-    quotient,
+    quotient_adjacency,
 )
 
 INF = math.inf
@@ -284,16 +286,40 @@ def test_quotient_discrete_partition_is_identity():
     g = generate("grid", rows=3, cols=3)
     q = quotient(g, [[v] for v in range(g.n)])
     assert set(q.edges) == {(u, v) for u, v, _ in g.edges}
+    assert quotient_adjacency(g, list(range(g.n)), g.n) == [
+        {v for v, _ in adj} for adj in g.adjacency
+    ]
 
 
 def test_quotient_merging():
     tri = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
     q = quotient(tri, [[0, 1], [2]])
     assert q.n == 2 and q.edges == ((0, 1),)
+    assert quotient_adjacency(tri, [0, 0, 1], 2) == [{1}, {0}]
 
     p4 = generate("path", size=4)
     q = quotient(p4, [[0, 1], [2, 3]])
     assert q.edges == ((0, 1),)
+    assert quotient_adjacency(p4, [0, 0, 1, 1], 2) == [{1}, {0}]
+    assert quotient_adjacency(p4, [0, 0, 0, 0], 1) == [set()]
+
+
+def test_quotient_adjacency_matches_the_oracle_on_random_partitions():
+    rng = random.Random(13)
+    for _ in range(80):
+        n = rng.randint(2, 30)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3 * n))}
+        g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in sorted(pairs)))
+        count = rng.randint(1, n)
+        # every part gets a vertex, the rest go anywhere; parts are then
+        # numbered by smallest vertex, as the oracle numbers them
+        labels = list(range(count)) + [rng.randrange(count) for _ in range(n - count)]
+        rng.shuffle(labels)
+        order = sorted(range(count), key=lambda k: labels.index(k))
+        part_of = [order.index(k) for k in labels]
+        parts = [[v for v in range(n) if part_of[v] == k] for k in range(count)]
+        want = [set(adj) for adj in quotient(g, parts).adjacency]
+        assert quotient_adjacency(g, part_of, count) == want
 
 
 def test_quotient_invalid_partition():
@@ -304,6 +330,17 @@ def test_quotient_invalid_partition():
         quotient(g, [[0, 1], [1, 2]])
     with pytest.raises(InvalidPartition):
         quotient(g, [[0, 1, 2], []])
+
+
+def test_connectivity_of_a_graph_with_too_few_edges_needs_no_adjacency():
+    # a header may name far more vertices than the file has edges for; the
+    # answer must come before any per-vertex list is built
+    g = WeightedGraph(10**6, ())
+    assert not is_connected(g)
+    assert "adjacency" not in vars(g)
+    path = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    assert is_connected(path) and is_connected(WeightedGraph(1, ()))
+    assert not is_connected(WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))))
 
 
 # ----------------------------------------------------------------- generators

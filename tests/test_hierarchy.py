@@ -2,7 +2,14 @@ import math
 import random
 
 import pytest
-from oracles import chain_by_subgraphs, diameter, edge_level, floyd_warshall, level_cut_counts
+from oracles import (
+    chain_by_subgraphs,
+    children_hop_diameter,
+    diameter,
+    edge_level,
+    floyd_warshall,
+    level_cut_counts,
+)
 
 import mfembed.hierarchy as hierarchy
 from mfembed.errors import (
@@ -16,7 +23,7 @@ from mfembed.graphs import (
     induced_subgraph,
     metric_closure_weights,
     normalize,
-    quotient,
+    quotient_adjacency,
 )
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
@@ -294,16 +301,47 @@ def test_goodness_tiny_sigma_runs_quotient_bfs():
     hop = 0
     most_parts = 0
     for i in range(chain.top_level):
-        for idx, cluster in enumerate(chain.levels[i + 1]):
-            parts_of = [j for j, p in enumerate(chain.parents[i]) if p == idx]
-            most_parts = max(most_parts, len(parts_of))
-            if len(parts_of) > 1:
-                sub, verts = induced_subgraph(g, sorted(cluster))
-                parts = [[verts.index(v) for v in sorted(chain.levels[i][j])] for j in parts_of]
-                hop = max(hop, quotient(sub, parts).hop_diameter())
+        for idx in range(len(chain.levels[i + 1])):
+            parts_of = chain.parents[i].count(idx)
+            most_parts = max(most_parts, parts_of)
+            if parts_of > 1:
+                hop = max(hop, children_hop_diameter(g, chain.levels, chain.parents, i, idx))
     assert most_parts - 1 > hop
     assert _check_goodness(*args, float(hop)) is None
     assert _check_goodness(*args, hop - 0.5) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "instance",
+    [dict(kind="grid", rows=8, cols=8), dict(kind="cycle", size=64), dict(kind="star", size=40)],
+    ids=["grid8", "cycle64", "star40"],
+)
+def test_goodness_passes_at_the_largest_quotient_hop_diameter_only(instance, seed):
+    # sigma at the former check's largest hop-diameter over every cluster
+    # with two or more children passes; half a hop less fails, and since
+    # every cluster diameter is within bounds the failure is the quotient's.
+    # Each cluster's BFS, run on its level's whole quotient, must also give
+    # the former hop-diameter: the top cluster alone would not show a BFS
+    # that strays into other clusters.
+    g, _ = normalize(metric_closure_weights(generate(**instance)))
+    chain = build(g, delta=0.1, seed=seed)
+    args = (g, chain.levels, chain.centers, chain.parents, chain.top_level)
+    hop = 0
+    below_top = 0
+    for i in range(chain.top_level):
+        nbrs = quotient_adjacency(g, chain.vertex_to_cluster[i], len(chain.levels[i]))
+        for idx in range(len(chain.levels[i + 1])):
+            if chain.parents[i].count(idx) > 1:
+                d = children_hop_diameter(g, chain.levels, chain.parents, i, idx)
+                assert hierarchy._child_quotient_hops(nbrs, chain.parents[i], idx) == d
+                hop = max(hop, d)
+                below_top += i + 1 < chain.top_level
+    # the star's top cluster splits straight into singletons
+    assert hop > 0 and (below_top > 0 or instance["kind"] == "star")
+    assert _check_goodness(*args, float(hop)) is None
+    failure = _check_goodness(*args, hop - 0.5)
+    assert failure is not None and failure.reason == QUOTIENT_DIAMETER_EXCEEDED
 
 
 def test_precondition_distances_above_one():
@@ -342,17 +380,10 @@ def check_goodness_oracle(g, chain):
             diam = max(x for row in fw for x in row) if sub.n > 1 else 0.0
             assert diam <= 2.0**i
     for i in range(chain.top_level):
-        child_of = chain.vertex_to_cluster[i]
-        for cluster in chain.levels[i + 1]:
-            members = sorted(cluster)
-            sub, verts = induced_subgraph(g, members)
-            groups = {}
-            for local, v in enumerate(verts):
-                groups.setdefault(child_of[v], []).append(local)
-            parts = [groups[k] for k in sorted(groups)]
-            if len(parts) < 2:
+        for idx in range(len(chain.levels[i + 1])):
+            if chain.parents[i].count(idx) < 2:
                 continue
-            assert quotient(sub, parts).hop_diameter() <= chain.sigma
+            assert children_hop_diameter(g, chain.levels, chain.parents, i, idx) <= chain.sigma
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -522,7 +553,9 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_chain must not call this")
 
-    monkeypatch.setattr("mfembed.hierarchy.induced_subgraph", refuse)
+    # the goodness check's quotient no longer needs a subgraph either, so
+    # the module has no subgraph builder left to call
+    assert not hasattr(hierarchy, "induced_subgraph")
     monkeypatch.setattr("mfembed.partition.is_connected", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)

@@ -272,14 +272,19 @@ def _with_float_in_forest(blob):
     blob["forest_parent"][1] = 0.0
 
 
+def _with_bool_length(blob):
+    blob["host"]["edges"][0][2] = True
+
+
 @pytest.mark.parametrize(
     "change",
     [_with_float_host_n, _with_float_endpoint, _with_bool_endpoint, _with_bool_in_eta,
-     _with_bool_in_forest, _with_float_in_forest],
+     _with_bool_in_forest, _with_float_in_forest, _with_bool_length],
 )
 def test_embedding_from_dict_takes_only_integer_ids(change):
     # Host 0 is the root and vertex 0's image, and the star's first edge is
-    # (0, 1); each change keeps the value json's loader would compare equal.
+    # (0, 1) of length 1.0; each change keeps the value json's loader would
+    # compare equal.
     text = embedding_to_json(star_embedding([1.0, 2.0]))
     assert embedding_to_json(embedding_from_dict(json.loads(text))) == text
     blob = json.loads(text)
