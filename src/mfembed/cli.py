@@ -271,6 +271,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_partition(args) -> int:
     g = _load(args.input)
     order = None
+    if not args.r > 0:
+        raise _InputProblem(f"--r must be positive, got {args.r}")
     if args.order_file:
         with open(args.order_file, encoding="utf-8") as fh:
             order = [int(line) for line in fh if line.strip()]

@@ -21,10 +21,9 @@ takes O(n log n + m) expected memory and no distance matrix.
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
 
 from .errors import DisconnectedGraph, PreconditionViolation
-from .graphs import INF, WeightedGraph, is_connected
+from .graphs import INF, WeightedGraph, is_connected, settle
 from .hierarchy import diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding
 
@@ -114,27 +113,16 @@ def _least_element_lists(
 ) -> list[list[tuple[int, float]]]:
     """Each vertex's LE list as (u, 2*d(u,v)/dmin), in `perm` order.
 
-    The run from u is Dijkstra pruned at every vertex that an earlier run
-    reached at least as close. If an earlier run w reached some x on a
-    shortest u-v path at least as close as u does, then d(w,v) <= d(u,v),
-    in float sums too since rounding is monotone, and v gets no entry from
-    u. So every entry equals the full Dijkstra distance from u. Every list
-    ends with (v, 0.0).
+    The runs `settle` one array that is never reset, so the run from u is
+    pruned at every vertex that an earlier run reached at least as close.
+    If an earlier run w reached some x on a shortest u-v path at least as
+    close as u does, then d(w,v) <= d(u,v), in float sums too since
+    rounding is monotone, and v gets no entry from u. So every entry equals
+    the full Dijkstra distance from u. Every list ends with (v, 0.0).
     """
     best = [INF] * g.n
     lists: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    adj = g.adjacency
     for u in perm:
-        best[u] = 0.0
-        heap = [(0.0, u)]
-        while heap:
-            d, x = heappop(heap)
-            if d > best[x]:
-                continue
-            lists[x].append((u, 2.0 * d / dmin))
-            for y, w in adj[x]:
-                nd = d + w
-                if nd < best[y]:
-                    best[y] = nd
-                    heappush(heap, (nd, y))
+        for x in settle(g.adjacency, u, best):
+            lists[x].append((u, 2.0 * best[x] / dmin))
     return lists

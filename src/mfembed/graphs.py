@@ -91,35 +91,51 @@ class WeightedGraph:
         return min(w for _, _, w in self.edges)
 
 
+def settle(
+    adj: Sequence[Sequence[tuple[int, float]]],
+    src: int,
+    dist: list[float],
+    allowed: Sequence[bool] | None = None,
+    limit: float = INF,
+) -> list[int]:
+    """Dijkstra from `src` on a distance array the caller owns; returns the
+    vertices it settled, nearest first. A vertex is reached only by a sum
+    strictly below its entry: INF marks where the search may go, and an
+    entry already at or below is neither settled nor expanded. `allowed`
+    confines the search to where it is True, `limit` to sums at most the
+    limit. Every lowered entry is settled, so resetting the returned
+    vertices to INF restores the array.
+    """
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    settled = []
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        settled.append(u)
+        for v, w in adj[u]:
+            if allowed is not None and not allowed[v]:
+                continue
+            nd = d + w
+            if nd < dist[v] and nd <= limit:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return settled
+
+
 def dijkstra(
     g: WeightedGraph,
     src: int,
     allowed: Sequence[bool] | None = None,
     limit: float | None = None,
 ) -> list[float]:
-    """Exact single-source shortest-path distances; INF when unreachable.
-
-    `allowed` restricts the search to the induced subgraph where it is True;
-    `limit` prunes anything strictly farther than the limit (those entries
-    stay INF).
-    """
+    """Exact single-source shortest-path distances; INF when unreachable or
+    beyond `limit`. `allowed` and `limit` act as in `settle`."""
     if not 0 <= src < g.n:
         raise InvariantViolation(f"source {src} out of range")
     dist = [INF] * g.n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    adj = g.adjacency
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            if allowed is not None and not allowed[v]:
-                continue
-            nd = d + w
-            if nd < dist[v] and (limit is None or nd <= limit):
-                dist[v] = nd
-                heappush(heap, (nd, v))
+    settle(g.adjacency, src, dist, allowed, INF if limit is None else limit)
     return dist
 
 
@@ -206,7 +222,7 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
     """Replace each edge length by the distance between its endpoints.
 
-    Edge (u, v) takes its distance from one Dijkstra run out of u, cut off
+    Edge (u, v) takes its distance from one `settle` run out of u, cut off
     at u's longest edge to a higher id: every such neighbour lies within
     that limit, so the distances are exact and memory stays O(n + m).
     """
@@ -216,11 +232,14 @@ def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
     for i, (u, v, w) in enumerate(g.edges):
         by_source[u].append((i, v, w))
     lengths = [0.0] * g.m
+    dist = [INF] * g.n
     for u, out in enumerate(by_source):
         if out:
-            dist = dijkstra(g, u, limit=max(w for _, _, w in out))
+            reached = settle(g.adjacency, u, dist, limit=max(w for _, _, w in out))
             for i, v, _ in out:
                 lengths[i] = dist[v]
+            for v in reached:
+                dist[v] = INF
     return WeightedGraph(g.n, tuple((u, v, d) for (u, v, _), d in zip(g.edges, lengths)))
 
 

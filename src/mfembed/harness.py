@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .embedder import embed_top
+from .embedder import DEFAULT_C_FALLBACK, embed_top
 from .errors import PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
 from .graphs import WeightedGraph, dijkstra
@@ -85,7 +85,7 @@ class ExperimentConfig:
     xi_cap: int | None = None
     tau_cap: int | None = None
     gamma: float = 1.0
-    c_fallback: float = 64.0
+    c_fallback: float = DEFAULT_C_FALLBACK
 
     def to_dict(self) -> dict:
         return {

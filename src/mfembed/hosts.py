@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BadEmbedding, CyclicParentArray, InvariantViolation
-from .graphs import INF, WeightedGraph
+from .graphs import INF, WeightedGraph, settle
 
 if TYPE_CHECKING:
     from .hierarchy import ChainFailure
@@ -185,22 +184,14 @@ class ForestLabels:
             p = emb.forest[u]
             ends[a] = (ends[tin[p]] if p is not None else ()) + (-end[a],)
         labels = [[INF] * len(e) for e in ends]
+        dist = [INF] * n
+        inside = [True] * n  # v >= a, so the run from a stays in subtree(a)
         for a in range(n):
             level = len(ends[a]) - 1
-            dist = [INF] * (end[a] - a)
-            dist[0] = 0.0
-            heap = [(0.0, a)]
-            while heap:
-                d, u = heappop(heap)
-                if d > dist[u - a]:
-                    continue
-                labels[u][level] = d
-                for v, w in adj[u]:
-                    if v >= a:
-                        nd = d + w
-                        if nd < dist[v - a]:
-                            dist[v - a] = nd
-                            heappush(heap, (nd, v))
+            for u in settle(adj, a, dist, inside):
+                labels[u][level] = dist[u]
+                dist[u] = INF
+            inside[a] = False
         self.tin = tin
         self.ends = ends
         self.labels = labels

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DisconnectedGraph, InvariantViolation
-from .graphs import WeightedGraph, dijkstra, is_connected
+from .graphs import INF, WeightedGraph, is_connected, settle
 
 
 def sample_exponential(rng: random.Random) -> float:
@@ -98,6 +98,7 @@ def carve(
     creation order.
     """
     balls = []
+    dist = [INF] * g.n
     for v in order:
         if not free[v]:
             continue
@@ -105,10 +106,9 @@ def carve(
         if x < 0:
             raise InvariantViolation("radius sample must be nonnegative")
         rv = r * (1.0 + x)
-        dist = dijkstra(g, v, allowed=free, limit=rv)
-        # Only the center and free vertices get a finite distance.
-        members = sorted(u for u in order if dist[u] <= rv)
+        members = sorted(settle(g.adjacency, v, dist, free, rv))
         for u in members:
             free[u] = False
+            dist[u] = INF
         balls.append((v, members, x, rv))
     return balls

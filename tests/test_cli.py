@@ -391,13 +391,15 @@ def test_gen_bad_weight_bounds(tmp_path):
         ("experiment", "--tau-cap", 0, "--runs", 1, "--pairs", 5),
         ("cuts", "--xi", 0),
         ("cuts", "--tau", 0),
+        ("partition", "--r", 0),
+        ("partition", "--r", "nan"),
     ],
 )
 def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     command, *rest = argv
-    out = () if command == "cuts" else ("-o", tmp_path / "out.json")
+    out = () if command in ("cuts", "partition") else ("-o", tmp_path / "out.json")
     capsys.readouterr()
     assert run(command, "-i", graph, *rest, *out) == 2
     assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     InvalidPartition,
     all_pairs,
+    bellman_ford,
     diameter,
     diameter_by_enumeration,
     floyd_warshall,
@@ -34,6 +35,7 @@ from mfembed.graphs import (
     metric_closure_weights,
     normalize,
     quotient_adjacency,
+    settle,
 )
 
 INF = math.inf
@@ -91,6 +93,58 @@ def test_dijkstra_restricted_to_allowed():
     g = generate("cycle", size=4)
     dist = dijkstra(g, 0, allowed=[True, True, True, False])
     assert dist[2] == 2.0  # the short way around is blocked
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree plus up to n more edges, integer lengths so
+    every path sum is exact whatever order it is added in."""
+    edges = {(rng.randrange(v), v): float(rng.randint(1, 9)) for v in range(1, n)}
+    for _ in range(n):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), float(rng.randint(1, 9)))
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
+def masked(g, allowed):
+    """g with every edge at a vertex outside `allowed` removed."""
+    return WeightedGraph(g.n, tuple(e for e in g.edges if allowed[e[0]] and allowed[e[1]]))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_settle_returns_the_masked_ball_nearest_first(seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(2, 14))
+    src = rng.randrange(g.n)
+    allowed = [v == src or rng.random() < 0.7 for v in range(g.n)]
+    true = bellman_ford(masked(g, allowed), src)
+    reached = sorted(d for d in true if d < INF)
+    # The middle limit equals some vertex's distance: the limit is inclusive.
+    for limit in (INF, rng.choice(reached[1:] or reached), rng.uniform(0.0, reached[-1])):
+        dist = [INF] * g.n
+        settled = settle(g.adjacency, src, dist, allowed, limit)
+        assert sorted(settled) == [v for v, d in enumerate(true) if d <= limit and d < INF]
+        found = [dist[v] for v in settled]
+        assert found == [true[v] for v in settled]
+        assert found == sorted(found)
+        for v in settled:
+            dist[v] = INF
+        assert dist == [INF] * g.n
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_settle_keeps_the_least_element_rule(seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(3, 14))
+    src, x = rng.sample(range(g.n), 2)
+    dist = [INF] * g.n
+    # An earlier run reached x at or below its distance from src.
+    dist[x] = bellman_ford(g, src)[x] - rng.choice([0.0, 0.5])
+    held = dist[x]
+    settled = settle(g.adjacency, src, dist)
+    around = bellman_ford(masked(g, [v != x for v in range(g.n)]), src)
+    assert x not in settled and dist[x] == held
+    assert sorted(settled) == [v for v in range(g.n) if around[v] < INF]
+    assert all(dist[v] == around[v] for v in range(g.n) if v != x)
 
 
 def test_triangle_inequality_exhaustive():
