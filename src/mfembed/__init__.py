@@ -4,10 +4,8 @@ from .cutpack import (
     Cut,
     CutPacking,
     build_cut_packing,
-    centroid_bag,
     cut_components,
     find_balanced_cut,
-    heuristic_tree_decomposition,
     is_balanced,
 )
 from .embedder import derive_params, embed_top, split
@@ -48,7 +46,6 @@ __all__ = [
     "WeightedGraph",
     "build_chain",
     "build_cut_packing",
-    "centroid_bag",
     "cut_components",
     "derive_params",
     "dijkstra",
@@ -59,7 +56,6 @@ __all__ = [
     "frt_embed",
     "generate",
     "hat_ell",
-    "heuristic_tree_decomposition",
     "is_balanced",
     "load_embedding",
     "load_graph",

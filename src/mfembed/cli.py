@@ -23,7 +23,7 @@ from .hosts import load_embedding, save_components, save_embedding
 from .partition import single_level_partition
 from .rng import derive_seed
 
-# Both size guards keep a command's traced memory under this budget; the
+# The size guards keep a command's traced memory under this budget; the
 # measurements behind them are in README, "Size limits".
 MEMORY_BUDGET = 2**30
 
@@ -40,6 +40,11 @@ MAX_EMBED_N = 6000
 # embedding and of its FRT baseline.
 PAIR_BYTES = 1000
 PAIR_RUN_BYTES = 64
+
+# Memory that `gen` holds per edge, rounded up from the measured peaks of
+# `generate` and `save_graph` on `uniform:1:4` weights: 411 bytes per edge
+# on a path of 200000 vertices, 395 on a 400 x 500 grid.
+GEN_EDGE_BYTES = 420
 
 
 class _InputProblem(Exception):
@@ -161,7 +166,22 @@ def _pairs_arg(value: str, n: int, runs: int) -> int | str:
     return count
 
 
+def _gen_edge_count(args) -> int:
+    """Edges of the instance `gen` would build; bad sizes count none here
+    and are refused by `generate`."""
+    if args.kind == "grid":
+        rows, cols = max(args.rows, 0), max(args.cols, 0)
+        return rows * (cols - 1) + (rows - 1) * cols
+    if args.kind == "path":
+        return args.n - 1
+    return args.n  # a cycle of n vertices or a star of n leaves
+
+
 def _cmd_gen(args) -> int:
+    edges = _gen_edge_count(args)
+    limit = MEMORY_BUDGET // GEN_EDGE_BYTES
+    if edges > limit:
+        raise _InputProblem(f"{args.kind} of {edges} edges exceeds the limit of {limit}")
     g = generate(
         args.kind,
         rows=args.rows,

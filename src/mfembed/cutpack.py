@@ -5,9 +5,11 @@ component left after removing its boundary edges either equals a member or
 holds at most half the vertices. Chain clusters are connected, so those
 components are the members and the components outside every member. Cuts
 are found by quotienting the graph by the maximal free clusters (a part
-index per vertex, then one neighbour set per part), tree-decomposing that
-quotient with a min-degree elimination heuristic, and taking a centroid bag
-under cluster-size weights.
+index per vertex, then one neighbour set per part) and running a min-degree
+elimination on that quotient until it reaches the centroid under
+cluster-size weights: the first eliminated vertex whose component among the
+eliminated ones weighs more than half. That vertex and its live neighbours
+form the bag of the elimination tree's centroid, and no other bag is built.
 
 A cluster is free when it is a singleton or does not appear as a member of
 any cut already packed; clusters are compared as vertex sets. Two cuts are
@@ -86,82 +88,64 @@ def is_balanced(g: WeightedGraph, cut: Cut) -> bool:
     return all(len(c) <= half for c in outside_components(g, cut))
 
 
-def heuristic_tree_decomposition(
-    adjacency: list[set[int]],
-) -> tuple[list[frozenset[int]], list[int]]:
-    """Min-degree elimination with fill-in; valid for any input graph.
+def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozenset[int]:
+    """A bag that splits a connected graph into halves by weight.
 
-    Takes the graph as neighbour sets, which it leaves unchanged, and
-    returns (bags, parent). Node k holds the bag of the k-th eliminated
-    vertex and its parent is the node of its earliest-eliminated bag mate,
-    the usual elimination-order tree, so parent[k] > k and the last node is
-    the root, with parent -1. Ties on degree break toward the lowest vertex
-    id. The next vertex comes off a heap of (degree, id) entries; a vertex
+    Runs the min-degree elimination with fill-in, taking the next vertex
+    from a heap of (degree, id) entries with ties to the lowest id; a vertex
     is pushed again whenever its degree changes, and dead or outdated
-    entries are skipped when popped.
+    entries are skipped when popped. In the elimination tree, the subtree of
+    the k-th eliminated vertex is its component among the vertices
+    eliminated so far (Liu, SIAM J. Matrix Anal. Appl. 11(1), 1990), so a
+    union-find over the original edges gives each subtree's weight. The
+    elimination stops at the first vertex v whose subtree weighs more than
+    half the total, or at the last vertex, and returns v with its live
+    neighbours: each branch below v weighs at most half, and the rest of the
+    graph weighs the total less v's subtree, which is below half. This is
+    the deepest node on the heavy path of the whole elimination tree.
+
+    The graph must be connected and is given as neighbour sets, which are
+    left unchanged; the weights must be nonnegative integers.
     """
     n = len(adjacency)
     if n == 0:
-        raise InvariantViolation("cannot decompose the empty graph")
+        raise InvariantViolation("the empty graph has no centroid")
     nbrs = [set(around) for around in adjacency]
     alive = [True] * n
     heap = [(len(nbrs[u]), u) for u in range(n)]
     heapify(heap)
-    elim_index = [0] * n
-    bags: list[frozenset[int]] = []
-    for k in range(n):
-        while True:
-            d, v = heappop(heap)
-            if alive[v] and d == len(nbrs[v]):
-                break
+    # union-find over the eliminated vertices; each root is the latest
+    # eliminated vertex of its component and holds the component's weight
+    link = list(range(n))
+    mass = list(weights)
+    total = sum(weights)
+    left = n
+    while True:
+        d, v = heappop(heap)
+        if not alive[v] or d != len(nbrs[v]):
+            continue
+        alive[v] = False
+        left -= 1
+        weight = mass[v]
+        for u in adjacency[v]:
+            if alive[u]:
+                continue
+            while link[u] != u:
+                link[u] = link[link[u]]
+                u = link[u]
+            if u != v:
+                link[u] = v
+                weight += mass[u]
+        mass[v] = weight
         around = nbrs[v]
-        bags.append(frozenset((v, *around)))
-        elim_index[v] = k
+        if 2 * weight > total or left == 0:
+            return frozenset((v, *around))
         for a in around:
             fill = nbrs[a]
             fill |= around
             fill.discard(a)
             fill.discard(v)
             heappush(heap, (len(fill), a))
-        alive[v] = False
-    parent = [-1] * n
-    for k in range(n - 1):
-        later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
-        parent[k] = min(later) if later else k + 1
-    return bags, parent
-
-
-def centroid_bag(bags: list[frozenset[int]], parent: list[int], weights: list[float]) -> int:
-    """Node whose bag splits the graph into halves by weight, in linear time.
-
-    Each vertex's weight sits at the node nearest the root that holds it
-    (the nodes in ``bags[k] - bags[parent]``). The walk starts at the root
-    and steps into the child whose subtree weighs more than half the total
-    until there is none. At the node x where it stops, every child branch
-    weighs at most half, and the rest of the graph weighs the total less
-    x's subtree, which is below half once the walk has left the root.
-    Needs nonnegative weights and every non-root parent[k] above k, as
-    `heuristic_tree_decomposition` builds them.
-    """
-    count = len(bags)
-    root = count - 1
-    for k in range(root):
-        if not k < parent[k] < count:
-            raise InvariantViolation("each node's parent must be a later node")
-    sub = [0.0] * count
-    for k, bag in enumerate(bags):
-        top = bag if k == root else bag - bags[parent[k]]
-        sub[k] = sum(weights[v] for v in top)
-    total = sum(weights)
-    heavy = [-1] * count
-    for k in range(root):
-        sub[parent[k]] += sub[k]
-        if 2.0 * sub[k] > total:
-            heavy[parent[k]] = k
-    node = root
-    while heavy[node] >= 0:
-        node = heavy[node]
-    return node
 
 
 def maximal_free_clusters(
@@ -203,16 +187,15 @@ def find_balanced_cut(
 ) -> Cut:
     """One balanced cut respecting the chain, non-conflicting with the packing.
 
-    Quotient the graph by the maximal free clusters, tree-decompose the
-    quotient, and return the contents of a centroid bag under per-cluster
-    weight |D|. Cuts larger than tau come back flagged oversize rather than
-    rejected.
+    Quotient the graph, which must be connected, by the maximal free
+    clusters and return the clusters of the quotient's centroid separator
+    under per-cluster weight |D|. Cuts larger than tau come back flagged
+    oversize rather than rejected.
     """
     parts, part_of = maximal_free_clusters(chain, packing)
     sets = [chain.cluster(i, idx) for i, idx in parts]
-    bags, parent = heuristic_tree_decomposition(quotient_adjacency(g, part_of, len(parts)))
-    node = centroid_bag(bags, parent, [float(len(s)) for s in sets])
-    chosen = sorted(bags[node])
+    adjacency = quotient_adjacency(g, part_of, len(parts))
+    chosen = sorted(centroid_separator(adjacency, [len(s) for s in sets]))
     members = tuple(sets[j] for j in chosen)
     levels = tuple(parts[j][0] for j in chosen)
     cut = Cut(members=members, levels=levels, oversize=len(members) > tau)

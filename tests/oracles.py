@@ -4,8 +4,12 @@ Most are deliberately written without reusing the library's algorithms:
 Floyd-Warshall and Bellman-Ford for distances, exhaustive path
 enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
 balanced chain-respecting cuts, the quadratic min-degree scan that the
-library's heap elimination must reproduce, an all-members cluster
-diameter, and forest validity from one ancestor set per vertex.
+heap elimination must reproduce, an all-members cluster diameter, and
+forest validity from one ancestor set per vertex.
+
+`heuristic_tree_decomposition` and `centroid_bag` are the cut search's
+former whole min-degree decomposition and its centroid walk; the bag they
+pick is the one `cutpack.centroid_separator` must return.
 
 The rest are helpers that only tests read, built on the library's own
 Dijkstra or cut search: `all_pairs`, the path-level counters (`edge_level`,
@@ -18,7 +22,8 @@ trivial round and repeat probe. `build_chain`, `frt_embed` and
 `build_cut_packing` must reproduce those three exactly. `embedding_to_dict`
 and `embedding_json_by_encoder` are the embedding JSON's former writer, the
 stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
-byte.
+byte. `check_labels_against_copy_edges` reads an embedder host's distances
+from its portal wiring, a second way beside `ForestLabels`.
 
 `UnweightedGraph`, `check_partition` and `quotient` are the cut search's
 former quotient, which `graphs.quotient_adjacency` must match as neighbour
@@ -44,7 +49,7 @@ from mfembed.errors import (
 )
 from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph
 from mfembed.hierarchy import diameter_level, radius_schedule
-from mfembed.hosts import EmbeddingMeta, HostEmbedding
+from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.partition import single_level_partition
 
 INF = math.inf
@@ -318,6 +323,85 @@ def min_degree_decomposition_by_scan(adjacency):
         later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
         parent[k] = min(later) if later else k + 1
     return bags, parent
+
+
+def heuristic_tree_decomposition(adjacency):
+    """Min-degree elimination with fill-in; valid for any input graph.
+
+    The library's former decomposition, run to the end: the reference that
+    `cutpack.centroid_separator` stops early in. Takes the graph as
+    neighbour sets, which it leaves unchanged, and returns (bags, parent).
+    Node k holds the bag of the k-th eliminated vertex and its parent is the
+    node of its earliest-eliminated bag mate, the usual elimination-order
+    tree, so parent[k] > k and the last node is the root, with parent -1.
+    Ties on degree break toward the lowest vertex id. The next vertex comes
+    off a heap of (degree, id) entries; a vertex is pushed again whenever
+    its degree changes, and dead or outdated entries are skipped when
+    popped.
+    """
+    n = len(adjacency)
+    if n == 0:
+        raise InvariantViolation("cannot decompose the empty graph")
+    nbrs = [set(around) for around in adjacency]
+    alive = [True] * n
+    heap = [(len(nbrs[u]), u) for u in range(n)]
+    heapq.heapify(heap)
+    elim_index = [0] * n
+    bags = []
+    for k in range(n):
+        while True:
+            d, v = heapq.heappop(heap)
+            if alive[v] and d == len(nbrs[v]):
+                break
+        around = nbrs[v]
+        bags.append(frozenset((v, *around)))
+        elim_index[v] = k
+        for a in around:
+            fill = nbrs[a]
+            fill |= around
+            fill.discard(a)
+            fill.discard(v)
+            heapq.heappush(heap, (len(fill), a))
+        alive[v] = False
+    parent = [-1] * n
+    for k in range(n - 1):
+        later = [elim_index[u] for u in bags[k] if elim_index[u] > k]
+        parent[k] = min(later) if later else k + 1
+    return bags, parent
+
+
+def centroid_bag(bags, parent, weights):
+    """Node whose bag splits the graph into halves by weight, in linear time.
+
+    The library's former centroid walk over a whole decomposition. Each
+    vertex's weight sits at the node nearest the root that holds it (the
+    nodes in ``bags[k] - bags[parent]``). The walk starts at the root and
+    steps into the child whose subtree weighs more than half the total
+    until there is none. At the node x where it stops, every child branch
+    weighs at most half, and the rest of the graph weighs the total less
+    x's subtree, which is below half once the walk has left the root.
+    Needs nonnegative weights and every non-root parent[k] above k, as
+    `heuristic_tree_decomposition` builds them.
+    """
+    count = len(bags)
+    root = count - 1
+    for k in range(root):
+        if not k < parent[k] < count:
+            raise InvariantViolation("each node's parent must be a later node")
+    sub = [0.0] * count
+    for k, bag in enumerate(bags):
+        top = bag if k == root else bag - bags[parent[k]]
+        sub[k] = sum(weights[v] for v in top)
+    total = sum(weights)
+    heavy = [-1] * count
+    for k in range(root):
+        sub[parent[k]] += sub[k]
+        if 2.0 * sub[k] > total:
+            heavy[parent[k]] = k
+    node = root
+    while heavy[node] >= 0:
+        node = heavy[node]
+    return node
 
 
 def validate_tree_decomposition(nbrs, bags, parent):
@@ -713,3 +797,35 @@ def embedding_to_dict(emb):
 
 def embedding_json_by_encoder(emb):
     return json.dumps(embedding_to_dict(emb), indent=1)
+
+
+def check_labels_against_copy_edges(emb):
+    """Raise unless `ForestLabels` of an embedder host agrees with the portal
+    wiring; returns whether the comparison was exact.
+
+    Let c be the copy of portal z made for fragment S. Every host edge below
+    c from a copy c' to u weighs d_S'(z', u) >= d_S(z', u), and the edge from
+    a copy to its own portal has length 0, so by the triangle inequality in
+    S no path inside subtree(c) from c to v in S is shorter than the direct
+    edge: r_c(v) = w(c, v). Every ancestor of an input vertex is such a copy
+    with an edge to it, so the check reads each host edge once. The values
+    must be equal when every host path sum is exact (`exact_path_sums`),
+    and within 1e-15 relative otherwise.
+    """
+    labels = ForestLabels(emb)
+    weight = {(u, v): w for u, v, w in emb.host.edges}
+    exact = emb.host.exact_path_sums
+    for x in emb.eta:
+        path = []
+        a = emb.forest[x]
+        while a is not None:
+            path.append(a)
+            a = emb.forest[a]
+        row = labels.labels[labels.tin[x]]
+        if len(row) != len(path) + 1 or row[-1] != 0.0:
+            raise AssertionError(f"vertex {x}: labels {row} do not fit its {len(path)} ancestors")
+        for c, got in zip(reversed(path), row):
+            want = weight[(x, c) if x < c else (c, x)]
+            if got != want and (exact or abs(got - want) > 1e-15 * want):
+                raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, edge {want!r}")
+    return exact

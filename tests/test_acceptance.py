@@ -15,6 +15,7 @@ from oracles import (
     all_pairs,
     balanced_predicate,
     bellman_ford,
+    check_labels_against_copy_edges,
     check_partition_validity,
     children_hop_diameter,
     count_cut_edges,
@@ -482,6 +483,19 @@ def test_criterion_11_parameter_formulas():
     print(
         f"ACCEPTANCE 11 PASS: delta={p.delta:.6g} xi={p.xi} sigma={p.sigma:.6g} tau={p.tau}"
     )
+
+
+def test_host_labels_are_the_copy_edge_weights(matrix_runs):
+    # host distances two ways: the labels' subtree Dijkstra and the wiring
+    runs, _ = matrix_runs
+    outcomes = []
+    for _g, _dm, entries in runs.values():
+        for _seed, emb, _tree in entries:
+            if not emb.meta.fallback_used:
+                outcomes.append(check_labels_against_copy_edges(emb))
+    # both the exact and the relative comparison ran
+    assert outcomes.count(True) and outcomes.count(False)
+    print(f"host labels equal the copy edges on {len(outcomes)} embeddings")
 
 
 # ------------------------------------------------------------- criterion 12

@@ -369,6 +369,32 @@ def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, caps
         run("eval", "-i", graph, "-e", tree, "--pairs", limit, "-o", tmp_path / "r.json")
 
 
+def test_gen_size_guard_refuses_before_building(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def stub(kind, **sizes):
+        built.append(kind)
+        return WeightedGraph(2, ((0, 1, 1.0),))
+
+    monkeypatch.setattr(cli, "generate", stub)
+    limit = cli.MEMORY_BUDGET // cli.GEN_EDGE_BYTES
+    out = tmp_path / "big.txt"
+    for argv in (
+        ("path", "--n", 100_000_000),
+        ("path", "--n", limit + 2),
+        ("cycle", "--n", limit + 1),
+        ("star", "--n", limit + 1),
+        ("grid", "--rows", 100_000, "--cols", 100_000),
+    ):
+        capsys.readouterr()
+        assert run("gen", *argv, "-o", out) == 2
+        assert f"limit of {limit}" in capsys.readouterr().err
+        assert not out.exists() and not built
+    # a path of limit + 1 vertices has exactly `limit` edges and is admitted
+    assert run("gen", "path", "--n", limit + 1, "-o", out) == 0
+    assert built == ["path"] and out.exists()
+
+
 def test_gen_bad_weight_bounds(tmp_path):
     for bounds in ("uniform:2:1", "uniform:nan:1", "uniform:1:inf"):
         assert run("gen", "path", "--n", 4, "--weights", bounds, "-o", tmp_path / "x.txt") == 2

@@ -7,10 +7,12 @@ from oracles import (
     all_connected_labeled_graphs,
     balanced_predicate,
     boundary_edges,
+    centroid_bag,
     components_without,
     cuts_conflict,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
+    heuristic_tree_decomposition,
     min_degree_decomposition_by_scan,
     packing_by_repeat_probe,
     quotient,
@@ -22,10 +24,9 @@ from mfembed.cutpack import (
     Cut,
     CutPacking,
     build_cut_packing,
-    centroid_bag,
+    centroid_separator,
     cut_components,
     find_balanced_cut,
-    heuristic_tree_decomposition,
     is_balanced,
     maximal_free_clusters,
 )
@@ -353,6 +354,45 @@ def test_centroid_star_bags_contain_center():
     for k in good:
         assert 0 in bags[k] or all(2 * w <= 6 for w in weights)
     assert centroid_bag(bags, parent, weights) in good
+
+
+# ------------------------------------------------------ centroid separator
+
+
+def oracle_centroid(nbrs, weights):
+    bags, parent = heuristic_tree_decomposition(nbrs)
+    return bags[centroid_bag(bags, parent, weights)]
+
+
+def separator_matches_oracle(nbrs, weights):
+    before = [set(around) for around in nbrs]
+    got = centroid_separator(nbrs, weights)
+    assert nbrs == before  # the input is left unchanged
+    assert got == oracle_centroid(nbrs, weights), (nbrs, weights)
+
+
+def test_separator_matches_whole_decomposition_exhaustive_small():
+    rng = random.Random(6)
+    for n in range(1, 6):
+        for edges in all_connected_labeled_graphs(n):
+            nbrs = nbrs_of(UnweightedGraph(n, tuple(edges)))
+            vectors = [[1] * n, [0] * n, [5 if v == n - 1 else 0 for v in range(n)]]
+            vectors += [[rng.randint(0, 5) for _ in range(n)] for _ in range(3)]
+            for weights in vectors:
+                separator_matches_oracle(nbrs, weights)
+
+
+def test_separator_matches_whole_decomposition_random():
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randint(2, 40)
+        nbrs = nbrs_of(random_connected_graph(rng, n, rng.randint(0, 2 * n)))
+        separator_matches_oracle(nbrs, [rng.randint(1, 9) for _ in range(n)])
+
+
+def test_separator_of_the_empty_graph_is_refused():
+    with pytest.raises(InvariantViolation):
+        centroid_separator([], [])
 
 
 # ------------------------------------------------------------- balanced cuts

@@ -6,13 +6,15 @@ are sha256 of an experiment report without its timing block, dumped with
 sorted keys, and of the file `mfembed eval` writes. A change that alters any
 of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
-keeps them.
+keeps them. The same embeddings also have their host distance labels
+checked against the portal wiring.
 """
 
 import hashlib
 import json
 
 import pytest
+from oracles import check_labels_against_copy_edges
 
 from mfembed.cli import main
 from mfembed.embedder import embed_top
@@ -29,6 +31,8 @@ CASES = [
     pytest.param(GRID, 2, "4816c9e9c31c79397e2339411f294adb178e37c7f5de21b2b98e6911e1f5b686", id="grid8-seed2"),
     pytest.param(dict(kind="cycle", size=64), 0, "72c3fd2e2b93573ba9f2887c6329c78123a158243e83ef7ac6b5d77760f69447", id="cycle64"),
     pytest.param(dict(kind="star", size=40), 0, "cea682fc2d1b6b55b5029620762c9bfe36a58494cb2bb9af0d6f35b0da6ae2f4", id="star40"),
+    # the benchmark's scale: 138 balanced-cut searches in one embedding
+    pytest.param(dict(GRID, rows=20, cols=20), 1, "976da8b75784b8c0475f2827df194e96ac9f511fc401cbfcb5f031799d502484", id="grid20-seed1"),
 ]
 
 
@@ -37,6 +41,13 @@ def test_embedding_json_digest(instance, seed, digest):
     g = generate(seed=seed, **instance)
     text = embedding_to_json(embed_top(g, 0.5, "practical", seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("instance,seed,digest", CASES)
+def test_host_labels_are_the_copy_edge_weights(instance, seed, digest):
+    emb = embed_top(generate(seed=seed, **instance), 0.5, "practical", seed=seed)
+    assert not emb.meta.fallback_used
+    check_labels_against_copy_edges(emb)
 
 
 REPORT_CASES = [
