@@ -325,9 +325,12 @@ def _cmd_chain(args) -> int:
     if isinstance(result, ChainFailure):
         print(f"failure: level={result.level} reason={result.reason}")
         return 0
-    for i, level in enumerate(result.levels):
-        sizes = sorted((len(c) for c in level), reverse=True)
-        print(f"level {i}: {len(level)} clusters, sizes {sizes[:12]}")
+    for i in range(result.top_level + 1):
+        sizes = sorted(
+            (result.size(k) for k in range(len(result.lo)) if result.lo[k] <= i <= result.hi[k]),
+            reverse=True,
+        )
+        print(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
     return 0
 
 

@@ -11,12 +11,15 @@ cluster-size weights: the first eliminated vertex whose component among the
 eliminated ones weighs more than half. That vertex and its live neighbours
 form the bag of the elimination tree's centroid, and no other bag is built.
 
-A cluster is free when it is a singleton or does not appear as a member of
-any cut already packed; clusters are compared as vertex sets. Two cuts are
-non-conflicting when every cluster they share is a singleton. A packing
-starts with the whole vertex set marked used and ends after a cut of
-singletons or at its size budget; its used set then holds V and the
-non-singleton members of its cuts, which is all a conflict check needs.
+Clusters are the nodes of the chain's cluster tree, one per distinct vertex
+set, so a cut lists node ids and a packing keeps one used flag per node. A
+cluster is free when it is a singleton or not a member of any cut already
+packed; the maximal free clusters are found by walking the tree down from
+the root and stopping at free nodes. Two cuts are non-conflicting when every
+cluster they share is a singleton. A packing starts with the root, the whole
+vertex set, marked used and ends after a cut of singletons or at its size
+budget; its used set then holds the root and the non-singleton members of
+its cuts, which is all a conflict check needs.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ from .hierarchy import ClusteringChain
 
 @dataclass(frozen=True)
 class Cut:
-    """Disjoint chain clusters, each tagged with the level it was taken from."""
+    """Disjoint chain clusters: their tree nodes, their vertex sets and the
+    highest level of each."""
 
+    nodes: tuple[int, ...]
     members: tuple[frozenset[int], ...]
     levels: tuple[int, ...]
     oversize: bool = False
@@ -43,15 +48,15 @@ class Cut:
 
 @dataclass
 class CutPacking:
-    """Pairwise non-conflicting cuts; tracks which cluster sets are used."""
+    """Pairwise non-conflicting cuts; tracks which tree nodes are used."""
 
     cuts: list[Cut] = field(default_factory=list)
-    used: set[frozenset[int]] = field(default_factory=set)
+    used: set[int] = field(default_factory=set)
 
     def add(self, cut: Cut) -> None:
-        for member in cut.members:
+        for node, member in zip(cut.nodes, cut.members):
             if len(member) > 1:
-                self.used.add(member)
+                self.used.add(node)
         self.cuts.append(cut)
 
     def __len__(self) -> int:
@@ -150,36 +155,30 @@ def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozens
 
 def maximal_free_clusters(
     chain: ClusteringChain, packing: CutPacking
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Partition into maximal free clusters as (level, cluster index) pairs,
-    plus part_of, the index of each vertex's part.
+) -> tuple[list[int], list[int]]:
+    """Partition into maximal free clusters as tree nodes, plus part_of, the
+    index of each vertex's part.
 
-    For each vertex this is its highest-level cluster that is a singleton or
-    unused; parts are ordered by smallest contained vertex.
+    Each vertex's part is its highest cluster that is a singleton or
+    unused; parts are ordered by smallest contained vertex, which starts
+    each node's slice.
     """
-    free_flag = []
-    for level_clusters in chain.levels:
-        free_flag.append(
-            [len(c) == 1 or c not in packing.used for c in level_clusters]
-        )
-    out: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    n = chain.graph.n
-    part_of = [0] * n
-    for v in range(n):
-        for i in range(chain.top_level, -1, -1):
-            idx = chain.vertex_to_cluster[i][v]
-            if free_flag[i][idx]:
-                key = (i, idx)
-                part = index.get(key)
-                if part is None:
-                    part = index[key] = len(out)
-                    out.append(key)
-                part_of[v] = part
-                break
+    start, stop, order, children = chain.start, chain.stop, chain.order, chain.children
+    used = packing.used
+    parts = []
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        if k in used and stop[k] - start[k] > 1:
+            stack.extend(children[k])
         else:
-            raise InvariantViolation(f"no free cluster contains vertex {v}")
-    return out, part_of
+            parts.append(k)
+    parts.sort(key=lambda k: order[start[k]])
+    part_of = [0] * chain.graph.n
+    for j, k in enumerate(parts):
+        for v in order[start[k] : stop[k]]:
+            part_of[v] = j
+    return parts, part_of
 
 
 def find_balanced_cut(
@@ -193,17 +192,18 @@ def find_balanced_cut(
     oversize rather than rejected.
     """
     parts, part_of = maximal_free_clusters(chain, packing)
-    sets = [chain.cluster(i, idx) for i, idx in parts]
     adjacency = quotient_adjacency(g, part_of, len(parts))
-    chosen = sorted(centroid_separator(adjacency, [len(s) for s in sets]))
-    members = tuple(sets[j] for j in chosen)
-    levels = tuple(parts[j][0] for j in chosen)
-    cut = Cut(members=members, levels=levels, oversize=len(members) > tau)
+    chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
+    nodes = tuple(parts[j] for j in chosen)
+    members = tuple(chain.members(k) for k in nodes)
+    levels = tuple(chain.hi[k] for k in nodes)
+    cut = Cut(nodes=nodes, members=members, levels=levels, oversize=len(nodes) > tau)
     if not is_balanced(g, cut):
         raise InvariantViolation("constructed cut is not balanced")
-    # `used` holds V and the non-singleton members of the earlier cuts, so
-    # this is the check that no earlier cut shares a non-singleton member.
-    if any(len(member) > 1 and member in packing.used for member in members):
+    # `used` holds the root and the non-singleton members of the earlier
+    # cuts, so this is the check that no earlier cut shares a non-singleton
+    # member.
+    if any(len(member) > 1 and k in packing.used for k, member in zip(nodes, members)):
         raise InvariantViolation("constructed cut conflicts with the packing")
     return cut
 
@@ -213,20 +213,20 @@ def build_cut_packing(
 ) -> CutPacking:
     """Up to xi non-conflicting cuts, none of them the trivial cut {V}.
 
-    V starts out used, and `find_balanced_cut` depends only on the used
-    clusters; a cut of singletons marks nothing used and would come back
-    unchanged, so the packing ends after one. V is not listed as used.
+    V, the tree's root, starts out used, and `find_balanced_cut` depends
+    only on the used clusters; a cut of singletons marks nothing used and
+    would come back unchanged, so the packing ends after one. V is not
+    listed as used.
     """
     if xi < 1 or tau < 1:
         raise PreconditionViolation("xi and tau must be at least 1")
     if g.n < 2:
         raise EmptyPacking("a single vertex has no balanced cut besides the trivial one")
-    everything = frozenset(range(g.n))
-    packing = CutPacking(used={everything})
+    packing = CutPacking(used={0})
     while len(packing) < xi:
         cut = find_balanced_cut(g, chain, packing, tau)
         packing.add(cut)
         if all(len(member) == 1 for member in cut.members):
             break
-    packing.used.discard(everything)
+    packing.used.discard(0)
     return packing

@@ -132,8 +132,7 @@ def split(
         return chain
     packing = build_cut_packing(g, chain, params.xi, params.tau)
     cut = rng.choice(packing.cuts)
-    portals = [chain.centers[lvl][chain.vertex_to_cluster[lvl][min(member)]]
-               for member, lvl in zip(cut.members, cut.levels)]
+    portals = [chain.center[k] for k in cut.nodes]
     return SplitResult(
         portals=portals,
         cut=cut,

@@ -6,17 +6,22 @@ level-(i+1) cluster independently with radius parameter
 
     r_i = 2**(i-1) / (ln(2*L*n^2/delta) + 1).
 
+The clusters of all levels form a laminar family, stored as one cluster
+tree: each distinct vertex set is one node with its level range, the center
+and radius of its carving, and its members as a slice of one vertex order,
+which carving rewrites in place.
+
 A returned chain always satisfies the goodness conditions (induced cluster
 diameter at most 2**i, quotient hop-diameter between consecutive levels at
-most sigma); any violation is reported as a `ChainFailure` instead. Across
-seeds, failures occur with frequency at most delta.
+most sigma); any violation is reported as a `ChainFailure` instead. A
+cluster whose carving radius r has 2r within 2**i needs no distance run to
+pass. Across seeds, failures occur with frequency at most delta.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,26 +45,54 @@ class ChainFailure:
 
 @dataclass(frozen=True)
 class ClusteringChain:
-    """Refinement-ordered partitions of one graph, levels 0..L.
+    """Refinement-ordered partitions of one graph, levels 0..L, as one tree.
 
-    `levels[i]` lists the clusters of level i as frozensets; `centers[i][j]`
-    is the carving center of cluster j (the vertex itself at level 0).
-    `vertex_to_cluster[i][v]` locates v's cluster, `parents[i][j]` the index
-    of the enclosing cluster one level up.
+    The chain's clusters form a laminar family, and its tree is the
+    decomposition tree of Fakcharoenphol, Rao & Talwar (JCSS 2004). Each
+    distinct vertex set is one node, however many levels it spans; node 0
+    is V, and a node's id is smaller than its children's. Node k holds:
+
+    - `order[start[k]:stop[k]]`, its members: the sets of a laminar family
+      are intervals of a DFS order of its tree. Children follow their
+      parent's slice in creation order, so each slice starts with the
+      node's smallest vertex;
+    - `parent[k]` (-1 at the root) and `children[k]`, in creation order;
+    - `lo[k]..hi[k]`, the levels at which it is a cluster;
+    - `center[k]`, the center of the level-hi carving (the vertex itself
+      for a singleton, 0 for the root);
+    - `radius[k]`, a bound on every member's distance from the center
+      inside the cluster: the ball radius of the level-lo carving, 0.0 for
+      a singleton, INF for a root that no carving reached.
+
+    The clusters of level i are the nodes with lo <= i <= hi; ordered by
+    `start` they are the level's partition in carving order.
     """
 
     graph: WeightedGraph
     top_level: int
     delta: float
-    sigma: float
     r_schedule: tuple[float, ...]
-    levels: tuple[tuple[frozenset[int], ...], ...]
-    centers: tuple[tuple[int, ...], ...]
-    vertex_to_cluster: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    start: tuple[int, ...]
+    stop: tuple[int, ...]
+    parent: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    center: tuple[int, ...]
+    radius: tuple[float, ...]
 
-    def cluster(self, level: int, index: int) -> frozenset[int]:
-        return self.levels[level][index]
+    def size(self, node: int) -> int:
+        return self.stop[node] - self.start[node]
+
+    def members(self, node: int) -> frozenset[int]:
+        return frozenset(self.order[self.start[node] : self.stop[node]])
+
+    def level_index(self, level: int, node: int) -> int:
+        """Position of `node` among the clusters of `level`."""
+        lo, hi, start = self.lo, self.hi, self.start
+        first = start[node]
+        return sum(1 for k in range(len(lo)) if lo[k] <= level <= hi[k] and start[k] < first)
 
 
 def level_count_for_diameter(diam: float) -> int:
@@ -212,12 +245,16 @@ def build_chain(
             graph=g,
             top_level=0,
             delta=delta,
-            sigma=0.0,
             r_schedule=(),
-            levels=((frozenset({0}),),),
-            centers=((0,),),
-            vertex_to_cluster=((0,),),
-            parents=(),
+            order=(0,),
+            start=(0,),
+            stop=(1,),
+            parent=(-1,),
+            children=((),),
+            lo=(0,),
+            hi=(0,),
+            center=(0,),
+            radius=(0.0,),
         )
     # Raises DisconnectedGraph on its first run when g is disconnected.
     top = diameter_level(g)
@@ -228,133 +265,166 @@ def build_chain(
     sigma = 480.0 * lam * lam
     r_sched = radius_schedule(top, n, delta)
 
-    all_vertices = frozenset(range(n))
-    levels: list[list[frozenset[int]]] = [[] for _ in range(top + 1)]
-    centers: list[list[int]] = [[] for _ in range(top + 1)]
-    parents: list[list[int]] = [[] for _ in range(top)]
-    levels[top] = [all_vertices]
-    centers[top] = [0]
+    order = list(range(n))
+    start, stop, parent, children = [0], [n], [-1], [[]]
+    lo, hi, center, radius = [top], [top], [0], [INF]
+
+    def add(k: int, first: int, members: list[int], level: int, c: int, rv: float) -> None:
+        order[first : first + len(members)] = members
+        children[k].append(len(start))
+        start.append(first)
+        stop.append(first + len(members))
+        parent.append(k)
+        children.append([])
+        # a singleton stays a cluster down to level 0
+        lo.append(level if len(members) > 1 else 0)
+        hi.append(level)
+        center.append(c)
+        radius.append(rv if len(members) > 1 else 0.0)
 
     # A cluster's members are marked free, and carving unmarks them all.
     free = [False] * n
+    # The non-singleton clusters of level i + 1, in level order. Their
+    # slices are still the sorted lists that carving returned.
+    active = [0]
     lowest_carved = 0 if literal_level0 else 1
     for i in range(top - 1, lowest_carved - 1, -1):
-        for parent_idx, cluster in enumerate(levels[i + 1]):
-            members = sorted(cluster)
-            if len(members) == 1:
-                levels[i].append(cluster)
-                centers[i].append(members[0])
-                parents[i].append(parent_idx)
-                continue
+        below = []
+        for k in active:
+            members = order[start[k] : stop[k]]
             child_rng = random.Random(rng.getrandbits(64))
             for u in members:
                 free[u] = True
-            for center, part, _, _ in carve(g, members, free, r_sched[i], child_rng):
-                levels[i].append(frozenset(part))
-                centers[i].append(center)
-                parents[i].append(parent_idx)
+            balls = carve(g, members, free, r_sched[i], child_rng)
+            if len(balls) == 1:
+                lo[k] = i
+                radius[k] = balls[0][3]
+                below.append(k)
+                continue
+            first = start[k]
+            for c, part, _, rv in balls:
+                add(k, first, part, i, c, rv)
+                first += len(part)
+                if len(part) > 1:
+                    below.append(len(start) - 1)
+        active = below
 
-    if literal_level0:
-        for idx, part in enumerate(levels[0]):
-            if len(part) > 1:
-                return ChainFailure(level=0, reason=NON_SINGLETON_LEVEL0, cluster_index=idx)
-    else:
+    if not literal_level0:
         # Distances exceed 1, so the only partition with parts of diameter
         # at most 1 is the discrete one; build it directly.
-        index_at_1 = {}
-        for j, cluster in enumerate(levels[1]):
-            for v in cluster:
-                index_at_1[v] = j
-        levels[0] = [frozenset({v}) for v in range(n)]
-        centers[0] = list(range(n))
-        parents[0] = [index_at_1[v] for v in range(n)]
-
-    failure = _check_goodness(g, levels, centers, parents, top, sigma)
-    if failure is not None:
-        return failure
-
-    vtc = []
-    for i in range(top + 1):
-        row = [-1] * n
-        for j, cluster in enumerate(levels[i]):
-            for v in cluster:
-                row[v] = j
-        vtc.append(tuple(row))
-    return ClusteringChain(
+        for k in active:
+            first = start[k]
+            for v in order[first : stop[k]]:
+                add(k, first, [v], 0, v, 0.0)
+                first += 1
+    chain = ClusteringChain(
         graph=g,
         top_level=top,
         delta=delta,
-        sigma=sigma,
         r_schedule=r_sched,
-        levels=tuple(tuple(level) for level in levels),
-        centers=tuple(tuple(c) for c in centers),
-        vertex_to_cluster=tuple(vtc),
-        parents=tuple(tuple(p) for p in parents),
+        order=tuple(order),
+        start=tuple(start),
+        stop=tuple(stop),
+        parent=tuple(parent),
+        children=tuple(map(tuple, children)),
+        lo=tuple(lo),
+        hi=tuple(hi),
+        center=tuple(center),
+        radius=tuple(radius),
     )
+    if literal_level0 and active:
+        k = min(active, key=start.__getitem__)
+        return ChainFailure(
+            level=0, reason=NON_SINGLETON_LEVEL0, cluster_index=chain.level_index(0, k)
+        )
+    failure = _check_goodness(chain, sigma)
+    return chain if failure is None else failure
 
 
-def _check_goodness(g, levels, centers, parents, top, sigma) -> ChainFailure | None:
-    # Each carved cluster is a ball inside itself around its center, so the
-    # center's run usually settles the whole cluster at once.
+def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None:
+    """The first goodness condition that fails, in (level, cluster index)
+    order with every diameter checked before any quotient, or None.
+
+    A cluster spanning levels lo..hi is checked at lo, where its bound is
+    the tightest. Its members lie within `radius` of its center inside the
+    cluster: every vertex on a shortest path from the center to a member is
+    a member too, as float sums grow along a path, so a run from the center
+    confined to the cluster finds the carving's own distances. Hence
+    2 * radius bounds every eccentricity bound that `diameter_level` would
+    form on that run, and when it clears 2**lo by BOUND_SLACK that run
+    settles every member and returns lo; no run is made then.
+    """
+    g = chain.graph
+    top = chain.top_level
+    lo, start, stop, order = chain.lo, chain.start, chain.stop, chain.order
+    doubtful = [
+        k
+        for k in range(len(lo))
+        if 0 < lo[k] < top
+        and stop[k] - start[k] > 1
+        and not 2.0 * chain.radius[k] <= 2.0 ** lo[k] / (1.0 + BOUND_SLACK)
+    ]
+    doubtful.sort(key=lambda k: (lo[k], start[k]))
     allowed = [False] * g.n
-    for i in range(1, top):
-        for idx, cluster in enumerate(levels[i]):
-            if len(cluster) == 1:
-                continue
-            members = sorted(cluster)
-            for u in members:
-                allowed[u] = True
-            try:
-                level = diameter_level(g, members, allowed, floor=i, first=centers[i][idx])
-            except DisconnectedGraph:
-                level = i + 1
-            for u in members:
-                allowed[u] = False
-            if level > i:
-                return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
+    for k in doubtful:
+        members = sorted(order[start[k] : stop[k]])
+        for u in members:
+            allowed[u] = True
+        try:
+            level = diameter_level(g, members, allowed, floor=lo[k], first=chain.center[k])
+        except DisconnectedGraph:
+            level = lo[k] + 1
+        for u in members:
+            allowed[u] = False
+        if level > lo[k]:
+            return ChainFailure(
+                level=lo[k], reason=DIAMETER_EXCEEDED, cluster_index=chain.level_index(lo[k], k)
+            )
     # Every cluster is connected now, so a cluster split into k parts has a
-    # connected quotient of hop-diameter at most k - 1.
-    for i in range(top):
-        part_counts = Counter(parents[i])
-        nbrs = None
-        for idx in range(len(levels[i + 1])):
-            if part_counts[idx] - 1 <= sigma:
-                continue
-            if nbrs is None:
-                child_of = [0] * g.n
-                for j, cluster in enumerate(levels[i]):
-                    for v in cluster:
-                        child_of[v] = j
-                nbrs = quotient_adjacency(g, child_of, len(levels[i]))
-            if _child_quotient_hops(nbrs, parents[i], idx) > sigma:
-                return ChainFailure(
-                    level=i + 1, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx
-                )
+    # connected quotient of hop-diameter at most k - 1 <= n - 1.
+    if g.n - 1 <= sigma:
+        return None
+    split = sorted(
+        (k for k in range(len(lo)) if len(chain.children[k]) - 1 > sigma),
+        key=lambda k: (lo[k], start[k]),
+    )
+    for k in split:
+        if _child_quotient_hops(chain, k) > sigma:
+            return ChainFailure(
+                level=lo[k],
+                reason=QUOTIENT_DIAMETER_EXCEEDED,
+                cluster_index=chain.level_index(lo[k], k),
+            )
     return None
 
 
-def _child_quotient_hops(nbrs: list[set[int]], parent: Sequence[int], idx: int) -> float:
-    """Hop-diameter of cluster idx's quotient by its children, INF when it
-    is disconnected.
+def _child_quotient_hops(chain: ClusteringChain, node: int) -> float:
+    """Hop-diameter of the quotient of the subgraph that `node` induces by
+    its children, INF when it is disconnected.
 
-    `nbrs` is the quotient adjacency of the whole level of children; a BFS
-    from each child of idx steps only to other children of idx, which gives
-    the quotient of the subgraph that idx induces.
+    The quotient is taken over all of g with every vertex outside the node
+    in one extra part, which the BFS never enters.
     """
-    children = [j for j, p in enumerate(parent) if p == idx]
+    children = chain.children[node]
+    count = len(children)
+    part_of = [count] * chain.graph.n
+    for j, child in enumerate(children):
+        for v in chain.order[chain.start[child] : chain.stop[child]]:
+            part_of[v] = j
+    nbrs = quotient_adjacency(chain.graph, part_of, count + 1)
     worst = 0
-    for source in children:
+    for source in range(count):
         hops = {source: 0}
         frontier = [source]
         while frontier:
             step = []
             for a in frontier:
                 for b in nbrs[a]:
-                    if b not in hops and parent[b] == idx:
+                    if b not in hops and b < count:
                         hops[b] = hops[a] + 1
                         step.append(b)
             frontier = step
-        if len(hops) < len(children):
+        if len(hops) < count:
             return INF
         worst = max(worst, max(hops.values()))
     return worst

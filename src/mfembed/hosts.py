@@ -222,13 +222,25 @@ def _int_list(items: list[int | None]) -> str:
     return f"[\n  {body}\n ]"
 
 
+def _length_text(w: float) -> str:
+    """`repr(float(f"{w:.12g}"))` without the float: two decimals of at most
+    12 significant digits never round to the same double, so in fixed
+    notation repr prints the same digits, with ".0" when there is no point.
+    An exponent, inf or nan goes through the float."""
+    text = f"{w:.12g}"
+    if "e" in text or "n" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
 def _json_chunks(emb: HostEmbedding, vertices: list[int] | None = None) -> Iterator[str]:
     """The embedding's JSON text in pieces, byte for byte what
     `json.dumps(..., indent=1)` prints of its fields in their fixed order.
 
     Each edge is one f-string: its length is `float.__repr__` of the length
-    rounded to 12 significant digits, which is what json prints of that
-    float. `vertices`, when given, follows `depth` as one more field.
+    rounded to 12 significant digits (see `_length_text`), which is what
+    json prints of that float. `vertices`, when given, follows `depth` as
+    one more field.
     """
     meta = emb.meta
     head = json.dumps(
@@ -246,7 +258,7 @@ def _json_chunks(emb: HostEmbedding, vertices: list[int] | None = None) -> Itera
     for i in range(0, len(edges), _EDGE_BATCH):
         text = ",\n".join(
             [
-                f"   [\n    {u},\n    {v},\n    {float(f'{w:.12g}')!r}\n   ]"
+                f"   [\n    {u},\n    {v},\n    {_length_text(w)}\n   ]"
                 for u, v, w in edges[i : i + _EDGE_BATCH]
             ]
         )

@@ -29,14 +29,25 @@ from its portal wiring, a second way beside `ForestLabels`.
 former quotient, which `graphs.quotient_adjacency` must match as neighbour
 sets; `children_hop_diameter` is the goodness check's former quotient
 hop-diameter, and `cuts_conflict` its former pairwise conflict test.
+
+The chain is one cluster tree in the library. `chain_levels` gives its
+former per-level lists (`LevelView`), and `chain_from_levels` builds a tree
+from hand-written lists. `goodness_by_levels` is the former goodness check,
+one `diameter_level` run per non-singleton (level, cluster) pair, with its
+quotient BFS `level_quotient_hops`; `chain_by_levels` is the former
+`build_chain` on top of `chain_by_subgraphs`, whose chain or `ChainFailure`
+`build_chain` must reproduce. `free_clusters_by_levels` is the former
+per-vertex scan for the maximal free clusters.
 """
 
 import heapq
 import itertools
+from collections import Counter
 import json
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 from functools import cached_property
 
 from mfembed.cutpack import CutPacking, find_balanced_cut
@@ -47,8 +58,16 @@ from mfembed.errors import (
     EmptyPacking,
     InvariantViolation,
 )
-from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph
-from mfembed.hierarchy import diameter_level, radius_schedule
+from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph, quotient_adjacency
+from mfembed.hierarchy import (
+    DIAMETER_EXCEEDED,
+    NON_SINGLETON_LEVEL0,
+    QUOTIENT_DIAMETER_EXCEEDED,
+    ChainFailure,
+    ClusteringChain,
+    diameter_level,
+    radius_schedule,
+)
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.partition import single_level_partition
 
@@ -490,9 +509,7 @@ def balanced_predicate(g, family):
 
 
 def chain_cluster_sets(chain):
-    out = set()
-    for level in chain.levels:
-        out.update(level)
+    out = {chain.members(k) for k in range(len(chain.start))}
     return sorted(out, key=lambda s: (min(s), len(s)))
 
 
@@ -575,8 +592,9 @@ def edge_level(chain, u, v):
     """
     if not chain.graph.has_edge(u, v):
         raise EdgeNotInGraph(f"({u},{v}) is not an edge")
+    vtc = chain_levels(chain).vertex_to_cluster
     for i in range(chain.top_level - 1, 0, -1):
-        if chain.vertex_to_cluster[i][u] != chain.vertex_to_cluster[i][v]:
+        if vtc[i][u] != vtc[i][v]:
             return i
     return 0
 
@@ -584,7 +602,7 @@ def edge_level(chain, u, v):
 def level_cut_counts(chain, path):
     """Histogram of `edge_level` over the path's consecutive pairs."""
     counts = [0] * max(chain.top_level, 1)
-    vtc = chain.vertex_to_cluster
+    vtc = chain_levels(chain).vertex_to_cluster
     for u, v in zip(path, path[1:]):
         level = 0
         for i in range(chain.top_level - 1, 0, -1):
@@ -672,7 +690,8 @@ def chain_by_subgraphs(g, delta, rng, literal_level0=False):
     non-singleton cluster, with the same child-stream draws from `rng`.
 
     Level 0 is carved too with `literal_level0`; otherwise it is the
-    discrete partition. No goodness check is run.
+    discrete partition, listed cluster by cluster of level 1. No goodness
+    check is run.
     """
     n = g.n
     top = diameter_level(g)
@@ -698,10 +717,11 @@ def chain_by_subgraphs(g, delta, rng, literal_level0=False):
                 centers[i].append(verts[center])
                 parents[i].append(parent_idx)
     if not literal_level0:
-        index_at_1 = {v: j for j, cluster in enumerate(levels[1]) for v in cluster}
-        levels[0] = [frozenset({v}) for v in range(n)]
-        centers[0] = list(range(n))
-        parents[0] = [index_at_1[v] for v in range(n)]
+        for j, cluster in enumerate(levels[1]):
+            for v in sorted(cluster):
+                levels[0].append(frozenset({v}))
+                centers[0].append(v)
+                parents[0].append(j)
     return levels, centers, parents
 
 
@@ -829,3 +849,195 @@ def check_labels_against_copy_edges(emb):
             if got != want and (exact or abs(got - want) > 1e-15 * want):
                 raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, edge {want!r}")
     return exact
+
+
+class LevelView(NamedTuple):
+    """A chain as the per-level lists it once stored: `levels[i]` lists the
+    clusters of level i as frozensets, `centers[i][j]` the carving center
+    of cluster j, `parents[i][j]` the index of the enclosing cluster one
+    level up and `vertex_to_cluster[i][v]` the index of v's cluster;
+    `sigma` is the quotient hop bound 480 * lambda**2."""
+
+    levels: tuple
+    centers: tuple
+    parents: tuple
+    vertex_to_cluster: tuple
+    sigma: float
+
+
+def chain_levels(chain):
+    """The per-level view of a `ClusteringChain`'s cluster tree. The
+    clusters of level i are the nodes whose level range holds i, in the
+    order of their slices."""
+    n = chain.graph.n
+    top = chain.top_level
+    alive = [
+        sorted((k for k in range(len(chain.start)) if chain.lo[k] <= i <= chain.hi[k]),
+               key=chain.start.__getitem__)
+        for i in range(top + 1)
+    ]
+    index = [{k: j for j, k in enumerate(nodes)} for nodes in alive]
+    levels = tuple(tuple(chain.members(k) for k in nodes) for nodes in alive)
+    centers = tuple(tuple(chain.center[k] for k in nodes) for nodes in alive)
+    parents = tuple(
+        tuple(index[i + 1][k if chain.hi[k] > i else chain.parent[k]] for k in alive[i])
+        for i in range(top)
+    )
+    vtc = []
+    for i in range(top + 1):
+        row = [-1] * n
+        for j, cluster in enumerate(levels[i]):
+            for v in cluster:
+                row[v] = j
+        vtc.append(tuple(row))
+    sigma = 0.0
+    if n > 1:
+        lam = math.log(2.0 * top * n * n / chain.delta) + 1.0
+        sigma = 480.0 * lam * lam
+    return LevelView(levels, centers, parents, tuple(vtc), sigma)
+
+
+def chain_from_levels(g, levels, centers, delta=0.1, r_schedule=()):
+    """A `ClusteringChain` tree from hand-written per-level lists, each
+    level listed in refinement order with every cluster's children in
+    increasing smallest vertex. A set gets its node id at the highest level
+    that lists it, in level order, as `build_chain` numbers them. No radius
+    is known, so every non-singleton stores INF and gets a
+    `diameter_level` run."""
+    top = len(levels) - 1
+    node, sets, lo, hi, center, parent = {}, [], [], [], [], []
+    for i in range(top, -1, -1):
+        for cluster, c in zip(levels[i], centers[i]):
+            if cluster in node:
+                lo[node[cluster]] = i
+                continue
+            node[cluster] = len(sets)
+            sets.append(cluster)
+            lo.append(i)
+            hi.append(i)
+            center.append(c)
+            parent.append(-1 if i == top else node[next(p for p in levels[i + 1] if cluster < p)])
+    children = [[] for _ in sets]
+    for k, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(k)
+    order, start, stop = [], [0] * len(sets), [0] * len(sets)
+
+    def place(k):
+        start[k] = len(order)
+        for child in children[k]:
+            place(child)
+        if not children[k]:
+            order.extend(sorted(sets[k]))
+        stop[k] = len(order)
+
+    place(0)
+    return ClusteringChain(
+        graph=g,
+        top_level=top,
+        delta=delta,
+        r_schedule=tuple(r_schedule),
+        order=tuple(order),
+        start=tuple(start),
+        stop=tuple(stop),
+        parent=tuple(parent),
+        children=tuple(map(tuple, children)),
+        lo=tuple(lo),
+        hi=tuple(hi),
+        center=tuple(center),
+        radius=tuple(INF if len(c) > 1 else 0.0 for c in sets),
+    )
+
+
+def goodness_by_levels(g, levels, centers, parents, top, sigma):
+    """The goodness check done the former way: one `diameter_level` run per
+    non-singleton (level, cluster) pair of levels 1..top-1, from the
+    cluster's center, then each cluster's quotient by its children; the
+    first failure in (level, index) order, diameters before quotients."""
+    allowed = [False] * g.n
+    for i in range(1, top):
+        for idx, cluster in enumerate(levels[i]):
+            if len(cluster) == 1:
+                continue
+            members = sorted(cluster)
+            for u in members:
+                allowed[u] = True
+            try:
+                level = diameter_level(g, members, allowed, floor=i, first=centers[i][idx])
+            except DisconnectedGraph:
+                level = i + 1
+            for u in members:
+                allowed[u] = False
+            if level > i:
+                return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
+    for i in range(top):
+        part_counts = Counter(parents[i])
+        nbrs = None
+        for idx in range(len(levels[i + 1])):
+            if part_counts[idx] - 1 <= sigma:
+                continue
+            if nbrs is None:
+                child_of = [0] * g.n
+                for j, cluster in enumerate(levels[i]):
+                    for v in cluster:
+                        child_of[v] = j
+                nbrs = quotient_adjacency(g, child_of, len(levels[i]))
+            if level_quotient_hops(nbrs, parents[i], idx) > sigma:
+                return ChainFailure(
+                    level=i + 1, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx
+                )
+    return None
+
+
+def level_quotient_hops(nbrs, parent, idx):
+    """Hop-diameter of cluster idx's quotient by its children, INF when it
+    is disconnected; `nbrs` is the quotient adjacency of the whole level of
+    children, and the BFS steps only to other children of idx."""
+    children = [j for j, p in enumerate(parent) if p == idx]
+    worst = 0
+    for source in children:
+        hops = {source: 0}
+        frontier = [source]
+        while frontier:
+            step = []
+            for a in frontier:
+                for b in nbrs[a]:
+                    if b not in hops and parent[b] == idx:
+                        hops[b] = hops[a] + 1
+                        step.append(b)
+            frontier = step
+        if len(hops) < len(children):
+            return INF
+        worst = max(worst, max(hops.values()))
+    return worst
+
+
+def chain_by_levels(g, delta, rng, literal_level0=False):
+    """`build_chain` done the former way: `chain_by_subgraphs`' carving,
+    the level-0 check, then `goodness_by_levels` on every (level, cluster)
+    pair. Returns the `ChainFailure`, or (levels, centers, parents)."""
+    levels, centers, parents = chain_by_subgraphs(g, delta, rng, literal_level0)
+    if literal_level0:
+        for idx, part in enumerate(levels[0]):
+            if len(part) > 1:
+                return ChainFailure(level=0, reason=NON_SINGLETON_LEVEL0, cluster_index=idx)
+    top = len(levels) - 1
+    lam = math.log(2.0 * top * g.n * g.n / delta) + 1.0
+    failure = goodness_by_levels(g, levels, centers, parents, top, 480.0 * lam * lam)
+    return failure or (levels, centers, parents)
+
+
+def free_clusters_by_levels(chain, packing):
+    """`maximal_free_clusters` done the former way, on the per-level view:
+    each vertex's highest-level cluster that is a singleton or whose node
+    is unused, as (level, members) pairs ordered by smallest vertex."""
+    view = chain_levels(chain)
+    used = {chain.members(k) for k in packing.used}
+    parts = {}
+    for v in range(chain.graph.n):
+        for i in range(chain.top_level, -1, -1):
+            cluster = view.levels[i][view.vertex_to_cluster[i][v]]
+            if len(cluster) == 1 or cluster not in used:
+                parts.setdefault(cluster, i)
+                break
+    return sorted(((i, c) for c, i in parts.items()), key=lambda p: min(p[1]))

@@ -15,6 +15,8 @@ from oracles import (
     all_pairs,
     balanced_predicate,
     bellman_ford,
+    chain_cluster_sets,
+    chain_levels,
     check_labels_against_copy_edges,
     check_partition_validity,
     children_hop_diameter,
@@ -273,7 +275,7 @@ def test_criterion_6_chain_goodness_and_failure_rate(chain_runs):
 
 def _level_counts(chain, path):
     counts = [0] * (chain.top_level + 1)
-    vtc = chain.vertex_to_cluster
+    vtc = chain_levels(chain).vertex_to_cluster
     for u, v in zip(path, path[1:]):
         level = 0
         for i in range(chain.top_level - 1, 0, -1):
@@ -285,7 +287,8 @@ def _level_counts(chain, path):
 
 
 def _assert_goodness_oracle(g, chain):
-    for i, level in enumerate(chain.levels):
+    view = chain_levels(chain)
+    for i, level in enumerate(view.levels):
         for cluster in level:
             members = sorted(cluster)
             if len(members) < 2:
@@ -294,9 +297,9 @@ def _assert_goodness_oracle(g, chain):
             fw = floyd_warshall(sub)
             assert max(x for row in fw for x in row) <= 2.0**i
     for i in range(chain.top_level):
-        for idx in range(len(chain.levels[i + 1])):
-            if chain.parents[i].count(idx) > 1:
-                assert children_hop_diameter(g, chain.levels, chain.parents, i, idx) <= chain.sigma
+        for idx in range(len(view.levels[i + 1])):
+            if view.parents[i].count(idx) > 1:
+                assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= view.sigma
 
 
 # -------------------------------------------------------------- criterion 7
@@ -312,7 +315,7 @@ def test_criterion_7_balanced_cuts():
                 continue
             params = derive_params(g.n, 7, EPSILON, "practical")
             packing = build_cut_packing(scaled, chain, params.xi, params.tau)
-            chain_sets = {c for level in chain.levels for c in level}
+            chain_sets = set(chain_cluster_sets(chain))
             for cut in packing.cuts:
                 assert balanced_predicate(scaled, list(cut.members)), name
                 for member in cut.members:

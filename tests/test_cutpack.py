@@ -8,8 +8,11 @@ from oracles import (
     balanced_predicate,
     boundary_edges,
     centroid_bag,
+    chain_cluster_sets,
+    chain_from_levels,
     components_without,
     cuts_conflict,
+    free_clusters_by_levels,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
     heuristic_tree_decomposition,
@@ -81,18 +84,12 @@ def star_chain():
         (frozenset({0, 1, 2}), frozenset({3}), frozenset({4}), frozenset({5}), frozenset({6})),
         (frozenset(range(7)),),
     )
-    vtc = (tuple(range(7)), (0, 0, 0, 1, 2, 3, 4), (0,) * 7)
-    return g, ClusteringChain(
-        graph=g,
-        top_level=2,
-        delta=0.1,
-        sigma=50.0,
-        r_schedule=(0.05, 0.1),
-        levels=levels,
-        centers=(tuple(range(7)), (0, 3, 4, 5, 6), (0,)),
-        vertex_to_cluster=vtc,
-        parents=((0, 0, 0, 1, 2, 3, 4), (0, 0, 0, 0, 0)),
-    )
+    centers = (tuple(range(7)), (0, 3, 4, 5, 6), (0,))
+    return g, chain_from_levels(g, levels, centers, r_schedule=(0.05, 0.1))
+
+
+def node_of(chain, members):
+    return next(k for k in range(len(chain.start)) if chain.members(k) == members)
 
 
 # ------------------------------------------------------------- cut components
@@ -123,8 +120,10 @@ def golden_root_split(instance, seed):
 def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
     sub, chain, params = golden_root_split(instance, seed)
     packing = build_cut_packing(sub, chain, params.xi, params.tau)
-    clusters = {c for level in chain.levels for c in level}
-    cuts = packing.cuts + [Cut(members=(c,), levels=(0,)) for c in clusters]
+    cuts = packing.cuts + [
+        Cut(nodes=(k,), members=(chain.members(k),), levels=(chain.hi[k],))
+        for k in range(len(chain.start))
+    ]
     verdicts = set()
     for cut in cuts:
         removed = boundary_edges(sub, cut.members)
@@ -143,11 +142,10 @@ def test_quotient_adjacency_matches_the_oracle_in_every_packing_round(instance, 
     # in its free cluster, and the neighbour sets must be the oracle's
     # quotient by those clusters
     sub, chain, params = golden_root_split(instance, seed)
-    everything = frozenset(range(sub.n))
-    packing = CutPacking(used={everything})
+    packing = CutPacking(used={0})
     while len(packing) < params.xi:
         parts, part_of = maximal_free_clusters(chain, packing)
-        sets = [chain.cluster(i, idx) for i, idx in parts]
+        sets = [chain.members(k) for k in parts]
         assert all(part_of[v] == k for k, members in enumerate(sets) for v in members)
         want = [set(adj) for adj in quotient(sub, sets).adjacency]
         assert quotient_adjacency(sub, part_of, len(parts)) == want
@@ -156,6 +154,34 @@ def test_quotient_adjacency_matches_the_oracle_in_every_packing_round(instance, 
         if all(len(member) == 1 for member in cut.members):
             break
     assert packing.cuts == build_cut_packing(sub, chain, params.xi, params.tau).cuts
+
+
+def test_free_clusters_match_the_per_level_scan_in_every_packing_round():
+    # the walk down the cluster tree must give the former scan's parts, in
+    # its order and with its levels, whatever the packing has used
+    rng = random.Random(8)
+    graphs = [golden_root_split(*p.values)[0:2] for p in GOLDEN_INSTANCES]
+    while len(graphs) < 60:
+        n = rng.randint(2, 40)
+        h = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+        g = WeightedGraph(n, tuple((u, v, rng.uniform(1.5, 6.0)) for u, v in h.edges))
+        chain = build_chain(g, 0.1, random.Random(rng.getrandbits(32)))
+        if isinstance(chain, ClusteringChain):
+            graphs.append((g, chain))
+    rounds = 0
+    for g, chain in graphs:
+        for packing in (CutPacking(), CutPacking(used={0})):
+            while len(packing) < 16:
+                parts, _ = maximal_free_clusters(chain, packing)
+                got = [(chain.hi[k], chain.members(k)) for k in parts]
+                assert got == free_clusters_by_levels(chain, packing)
+                rounds += 1
+                cut = find_balanced_cut(g, chain, packing, 64)
+                assert list(cut.levels) == [chain.hi[k] for k in cut.nodes]
+                packing.add(cut)
+                if all(len(member) == 1 for member in cut.members):
+                    break
+    assert rounds > 200
 
 
 # --------------------------------------------------------- tree decomposition
@@ -446,7 +472,7 @@ def test_used_marking_descends_to_singletons():
             assert member == frozenset({0})
     assert not cuts_conflict(third, second) and not cuts_conflict(third, first)
     parts, part_of = maximal_free_clusters(chain, packing)
-    assert all(len(chain.cluster(i, j)) == 1 for i, j in parts)
+    assert all(chain.size(k) == 1 for k in parts)
     assert part_of == list(range(7))
 
 
@@ -454,8 +480,7 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
     # the search itself never picks a used cluster, so it is shown a packing
     # that has not used {0, 1, 2} yet while the guard sees the real one
     g, chain = star_chain()
-    everything = frozenset(range(7))
-    packing = CutPacking(used={everything})
+    packing = CutPacking(used={0})
     first = find_balanced_cut(g, chain, packing, tau=8)
     assert frozenset({0, 1, 2}) in first.members
     packing.add(first)
@@ -463,11 +488,11 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
     monkeypatch.setattr(
         cutpack,
         "maximal_free_clusters",
-        lambda chain, packing: real(chain, CutPacking(used={everything})),
+        lambda chain, packing: real(chain, CutPacking(used={0})),
     )
     with pytest.raises(InvariantViolation, match="conflicts"):
         find_balanced_cut(g, chain, packing, tau=8)
-    packing.used.discard(frozenset({0, 1, 2}))
+    packing.used.discard(node_of(chain, frozenset({0, 1, 2})))
     assert find_balanced_cut(g, chain, packing, tau=8) == first
 
 
@@ -503,7 +528,7 @@ def test_packing_cuts_all_balanced_and_nonconflicting():
     for g in instances:
         chain = chain_of(g, delta=0.15, seed=3)
         packing = build_cut_packing(g, chain, xi=6, tau=3 * g.n)
-        chain_sets = {c for level in chain.levels for c in level}
+        chain_sets = set(chain_cluster_sets(chain))
         for cut in packing.cuts:
             assert is_balanced(g, cut)
             assert balanced_predicate(g, list(cut.members))
@@ -568,7 +593,7 @@ def test_packing_calls_find_balanced_cut_once_per_kept_cut(monkeypatch):
         assert len(packing) < 32  # a cut of singletons, not the budget, stopped it
         assert all(len(m) == 1 for m in packing.cuts[-1].members)
         assert len(calls) == len(packing)
-        assert frozenset(range(g.n)) not in packing.used
+        assert 0 not in packing.used
 
 
 def test_packing_matches_repeat_probe_loop():

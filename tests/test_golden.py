@@ -33,6 +33,8 @@ CASES = [
     pytest.param(dict(kind="star", size=40), 0, "cea682fc2d1b6b55b5029620762c9bfe36a58494cb2bb9af0d6f35b0da6ae2f4", id="star40"),
     # the benchmark's scale: 138 balanced-cut searches in one embedding
     pytest.param(dict(GRID, rows=20, cols=20), 1, "976da8b75784b8c0475f2827df194e96ac9f511fc401cbfcb5f031799d502484", id="grid20-seed1"),
+    # deep chains: 220 splits, most of whose clusters pass the radius certificate
+    pytest.param(dict(kind="cycle", size=512), 1, "776fc008e064ace86b6a96f43618a3619f57bee0e81f1e6e89e781c956901ab9", id="cycle512-seed1"),
 ]
 
 
@@ -63,13 +65,19 @@ REPORT_CASES = [
         "212c5f7a682c1579064549fc49fd017dc5679fbc8c379b80aa84109f7fd64742",
         id="cycle64-sampled20",
     ),
+    pytest.param(
+        dict(kind="cycle", size=512),
+        dict(pairs=200, baseline="frt", runs=2, seed=1),
+        "7d2a6ddb0442e75db119561773f24a03ad20ffc5903acfeff3793e02272f0d92",
+        id="cycle512-sampled200-frt",
+    ),
 ]
 
 
 @pytest.mark.parametrize("instance,options,digest", REPORT_CASES)
 def test_experiment_report_digest(instance, options, digest):
     g = generate(seed=0, **instance)
-    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=3, seed=0, **options)
+    config = ExperimentConfig(**{"epsilon": 0.5, "mode": "practical", "runs": 3, "seed": 0, **options})
     text = json.dumps(strip_timing(run_experiment(g, config)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -82,3 +90,58 @@ def test_eval_report_digest_grid5(tmp_path, monkeypatch):
     assert main(["eval", "-i", "grid5.txt", "-e", "emb.json", "--pairs", "all", "-o", "report.json"]) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == "940345d6ad10027ceed10dd2c2f668be21e09c3966ed152db8f72430bd9f4e22"
+
+
+GRID6_CHAIN = """\
+level 0: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 1: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 2: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 3: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 4: 33 clusters, sizes [2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 5: 1 clusters, sizes [36]
+"""
+
+GRID6_CUTS = """\
+packing size=2
+  cut 0: members=7 levels=[4, 4, 4, 4, 4, 4, 4] oversize=False balance_margin=1
+  cut 1: members=7 levels=[4, 4, 4, 4, 3, 4, 3] oversize=False balance_margin=1
+"""
+
+CYCLE512_CHAIN = """\
+# rescaled by 2 so all distances exceed 1
+level 0: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 1: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 2: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 3: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 4: 510 clusters, sizes [2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 5: 457 clusters, sizes [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]
+level 6: 288 clusters, sizes [6, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+level 7: 167 clusters, sizes [10, 9, 7, 7, 7, 6, 6, 6, 6, 6, 5, 5]
+level 8: 73 clusters, sizes [21, 14, 13, 12, 12, 11, 11, 11, 11, 11, 11, 10]
+level 9: 1 clusters, sizes [512]
+"""
+
+CYCLE512_CUTS = """\
+# rescaled by 2 so all distances exceed 1
+packing size=3
+  cut 0: members=3 levels=[8, 8, 8] oversize=False balance_margin=9
+  cut 1: members=3 levels=[7, 7, 7] oversize=False balance_margin=2
+  cut 2: members=3 levels=[6, 7, 7] oversize=False balance_margin=0
+"""
+
+
+@pytest.mark.parametrize(
+    "instance,command,want",
+    [
+        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "chain", GRID6_CHAIN),
+        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "cuts", GRID6_CUTS),
+        (dict(kind="cycle", size=512), "chain", CYCLE512_CHAIN),
+        (dict(kind="cycle", size=512), "cuts", CYCLE512_CUTS),
+    ],
+    ids=["grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts"],
+)
+def test_debug_command_stdout(instance, command, want, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    save_graph(generate(seed=1, **instance), path)
+    assert main([command, "-i", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().out == want

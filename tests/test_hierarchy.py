@@ -1,17 +1,23 @@
+import collections
 import math
 import random
 
 import pytest
 from oracles import (
+    chain_by_levels,
     chain_by_subgraphs,
+    chain_from_levels,
+    chain_levels,
     children_hop_diameter,
     diameter,
     edge_level,
     floyd_warshall,
     level_cut_counts,
+    level_quotient_hops,
 )
 
 import mfembed.hierarchy as hierarchy
+import mfembed.partition as partition
 from mfembed.errors import (
     DisconnectedGraph,
     EdgeNotInGraph,
@@ -19,7 +25,9 @@ from mfembed.errors import (
 )
 from mfembed.generators import generate
 from mfembed.graphs import (
+    INF,
     WeightedGraph,
+    dijkstra,
     induced_subgraph,
     metric_closure_weights,
     normalize,
@@ -58,8 +66,9 @@ def test_two_vertex_chain_is_forced():
     for seed in range(25):
         chain = build(g, delta=0.1, seed=seed)
         assert chain.top_level == 1
-        assert chain.levels[1] == (frozenset({0, 1}),)
-        assert chain.levels[0] == (frozenset({0}), frozenset({1}))
+        levels = chain_levels(chain).levels
+        assert levels[1] == (frozenset({0, 1}),)
+        assert levels[0] == (frozenset({0}), frozenset({1}))
 
 
 def test_radius_formula_direct_evaluation():
@@ -240,35 +249,31 @@ def test_diameter_level_rejects_empty_members():
         diameter_level(g, members=[])
 
 
-def path_chain_levels(level2):
+def path_chain(level2, level1):
     # path 0-1-2-3-4 with lengths 1.5 (diameter 6, three levels); level 2
     # holds two clusters centred at 0 and 4
     g = WeightedGraph(5, tuple((i, i + 1, 1.5) for i in range(4)))
-    level1 = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})]
     levels = [[frozenset({v}) for v in range(5)], level1, level2, [frozenset(range(5))]]
-    centers = [list(range(5)), [0, 2, 4], [0, 4], [0]]
-
-    def where(level, v):
-        return next(j for j, c in enumerate(level) if v in c)
-
-    parents = [
-        [where(level1, v) for v in range(5)],
-        [where(level2, min(c)) for c in level1],
-        [0] * len(level2),
-    ]
-    return g, levels, centers, parents
+    centers = [list(range(5)), [min(c) for c in level1], [0, 4], [0]]
+    return g, chain_from_levels(g, levels, centers)
 
 
 def test_cluster_check_falls_back_when_center_is_an_endpoint(monkeypatch):
     # cluster {0,1,2} centred at its endpoint 0: 2 * ecc(0) = 6 exceeds 2**2,
     # yet its diameter 3 does not, so the check must run further sources
-    g, levels, centers, parents = path_chain_levels([frozenset({0, 1, 2}), frozenset({3, 4})])
+    g, chain = path_chain(
+        [frozenset({0, 1, 2}), frozenset({3, 4})],
+        [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})],
+    )
     runs = count_runs(monkeypatch)
-    assert _check_goodness(g, levels, centers, parents, 3, 100.0) is None
+    assert _check_goodness(chain, 100.0) is None
     assert runs[0] == 0 and len([r for r in runs if r in (0, 1, 2)]) > 1
     # {0,1,2,3} has diameter 4.5 > 4: the same check rejects it
-    g, levels, centers, parents = path_chain_levels([frozenset({0, 1, 2, 3}), frozenset({4})])
-    failure = _check_goodness(g, levels, centers, parents, 3, 100.0)
+    g, chain = path_chain(
+        [frozenset({0, 1, 2, 3}), frozenset({4})],
+        [frozenset({0, 1}), frozenset({2}), frozenset({3}), frozenset({4})],
+    )
+    failure = _check_goodness(chain, 100.0)
     assert failure == ChainFailure(level=2, reason=DIAMETER_EXCEEDED, cluster_index=0)
 
 
@@ -278,37 +283,36 @@ def test_cluster_check_rejects_a_disconnected_cluster():
               [frozenset({0, 2}), frozenset({1})],
               [frozenset({0, 1, 2})]]
     centers = [[0, 1, 2], [0, 1], [0]]
-    parents = [[0, 1, 0], [0, 0]]
-    failure = _check_goodness(g, levels, centers, parents, 2, 100.0)
+    failure = _check_goodness(chain_from_levels(g, levels, centers), 100.0)
     assert failure == ChainFailure(level=1, reason=DIAMETER_EXCEEDED, cluster_index=0)
 
 
 def test_goodness_tiny_sigma_runs_quotient_bfs():
     g = scaled_grid(5, 5)
     chain = build(g, delta=0.15, seed=1)
-    args = (g, chain.levels, chain.centers, chain.parents, chain.top_level)
-    assert _check_goodness(*args, chain.sigma) is None
+    view = chain_levels(chain)
+    assert _check_goodness(chain, view.sigma) is None
     # the first cluster split into two or more parts fails at sigma 0.5
     level, idx = next(
         (i + 1, idx)
         for i in range(chain.top_level)
-        for idx in range(len(chain.levels[i + 1]))
-        if chain.parents[i].count(idx) > 1
+        for idx in range(len(view.levels[i + 1]))
+        if view.parents[i].count(idx) > 1
     )
-    failure = _check_goodness(*args, 0.5)
+    failure = _check_goodness(chain, 0.5)
     assert failure == ChainFailure(level=level, reason=QUOTIENT_DIAMETER_EXCEEDED, cluster_index=idx)
     # a sigma at the largest hop-diameter passes, though the quotient BFS runs
     hop = 0
     most_parts = 0
     for i in range(chain.top_level):
-        for idx in range(len(chain.levels[i + 1])):
-            parts_of = chain.parents[i].count(idx)
+        for idx in range(len(view.levels[i + 1])):
+            parts_of = view.parents[i].count(idx)
             most_parts = max(most_parts, parts_of)
             if parts_of > 1:
-                hop = max(hop, children_hop_diameter(g, chain.levels, chain.parents, i, idx))
+                hop = max(hop, children_hop_diameter(g, view.levels, view.parents, i, idx))
     assert most_parts - 1 > hop
-    assert _check_goodness(*args, float(hop)) is None
-    assert _check_goodness(*args, hop - 0.5) is not None
+    assert _check_goodness(chain, float(hop)) is None
+    assert _check_goodness(chain, hop - 0.5) is not None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -321,26 +325,32 @@ def test_goodness_passes_at_the_largest_quotient_hop_diameter_only(instance, see
     # sigma at the former check's largest hop-diameter over every cluster
     # with two or more children passes; half a hop less fails, and since
     # every cluster diameter is within bounds the failure is the quotient's.
-    # Each cluster's BFS, run on its level's whole quotient, must also give
-    # the former hop-diameter: the top cluster alone would not show a BFS
-    # that strays into other clusters.
+    # Each cluster's BFS, run on a quotient of the whole graph, must also
+    # give the former hop-diameter: the top cluster alone would not show a
+    # BFS that strays into other clusters.
     g, _ = normalize(metric_closure_weights(generate(**instance)))
     chain = build(g, delta=0.1, seed=seed)
-    args = (g, chain.levels, chain.centers, chain.parents, chain.top_level)
+    view = chain_levels(chain)
     hop = 0
     below_top = 0
+    split = 0
     for i in range(chain.top_level):
-        nbrs = quotient_adjacency(g, chain.vertex_to_cluster[i], len(chain.levels[i]))
-        for idx in range(len(chain.levels[i + 1])):
-            if chain.parents[i].count(idx) > 1:
-                d = children_hop_diameter(g, chain.levels, chain.parents, i, idx)
-                assert hierarchy._child_quotient_hops(nbrs, chain.parents[i], idx) == d
+        nbrs = quotient_adjacency(g, view.vertex_to_cluster[i], len(view.levels[i]))
+        for idx in range(len(view.levels[i + 1])):
+            if view.parents[i].count(idx) > 1:
+                d = children_hop_diameter(g, view.levels, view.parents, i, idx)
+                assert level_quotient_hops(nbrs, view.parents[i], idx) == d
+                node = next(k for k in range(len(chain.start))
+                            if chain.lo[k] == i + 1 and chain.members(k) == view.levels[i + 1][idx])
+                assert hierarchy._child_quotient_hops(chain, node) == d
+                split += 1
                 hop = max(hop, d)
                 below_top += i + 1 < chain.top_level
+    assert split == sum(len(c) > 1 for c in chain.children)
     # the star's top cluster splits straight into singletons
     assert hop > 0 and (below_top > 0 or instance["kind"] == "star")
-    assert _check_goodness(*args, float(hop)) is None
-    failure = _check_goodness(*args, hop - 0.5)
+    assert _check_goodness(chain, float(hop)) is None
+    failure = _check_goodness(chain, hop - 0.5)
     assert failure is not None and failure.reason == QUOTIENT_DIAMETER_EXCEEDED
 
 
@@ -351,21 +361,22 @@ def test_precondition_distances_above_one():
 
 def check_chain_structure(g, chain):
     n = g.n
-    assert chain.levels[chain.top_level] == (frozenset(range(n)),)
-    assert sorted(chain.levels[0]) == sorted(frozenset({v}) for v in range(n))
+    view = chain_levels(chain)
+    assert view.levels[chain.top_level] == (frozenset(range(n)),)
+    assert sorted(view.levels[0]) == sorted(frozenset({v}) for v in range(n))
     for i in range(chain.top_level + 1):
         seen = set()
-        for cluster in chain.levels[i]:
+        for cluster in view.levels[i]:
             assert cluster and not (seen & cluster)
             seen |= cluster
         assert seen == set(range(n))
     # refinement via parent links and directly
     for i in range(chain.top_level):
-        for j, cluster in enumerate(chain.levels[i]):
-            parent = chain.levels[i + 1][chain.parents[i][j]]
+        for j, cluster in enumerate(view.levels[i]):
+            parent = view.levels[i + 1][view.parents[i][j]]
             assert cluster <= parent
     # every cluster connected (in the induced subgraph)
-    for level in chain.levels:
+    for level in view.levels:
         for cluster in level:
             sub, _ = induced_subgraph(g, sorted(cluster))
             fw = floyd_warshall(sub)
@@ -373,17 +384,18 @@ def check_chain_structure(g, chain):
 
 
 def check_goodness_oracle(g, chain):
-    for i, level in enumerate(chain.levels):
+    view = chain_levels(chain)
+    for i, level in enumerate(view.levels):
         for cluster in level:
             sub, _ = induced_subgraph(g, sorted(cluster))
             fw = floyd_warshall(sub)
             diam = max(x for row in fw for x in row) if sub.n > 1 else 0.0
             assert diam <= 2.0**i
     for i in range(chain.top_level):
-        for idx in range(len(chain.levels[i + 1])):
-            if chain.parents[i].count(idx) < 2:
+        for idx in range(len(view.levels[i + 1])):
+            if view.parents[i].count(idx) < 2:
                 continue
-            assert children_hop_diameter(g, chain.levels, chain.parents, i, idx) <= chain.sigma
+            assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= view.sigma
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -405,15 +417,16 @@ def test_determinism():
     g = scaled_grid(4, 4)
     a = build(g, delta=0.1, seed=11)
     b = build(g, delta=0.1, seed=11)
-    assert a.levels == b.levels and a.centers == b.centers
+    assert a == b
     c = build(g, delta=0.1, seed=12)
-    assert a.levels != c.levels or a.centers != c.centers
+    assert chain_levels(a)[:2] != chain_levels(c)[:2]
 
 
 def test_centers_lie_in_their_clusters():
     g = scaled_grid(4, 4)
     chain = build(g, delta=0.1, seed=3)
-    for level, centers in zip(chain.levels, chain.centers):
+    view = chain_levels(chain)
+    for level, centers in zip(view.levels, view.centers):
         for cluster, center in zip(level, centers):
             assert center in cluster
 
@@ -424,7 +437,7 @@ def test_centers_lie_in_their_clusters():
 def test_literal_level0_usually_matches_derived():
     g = WeightedGraph(2, ((0, 1, 1.5),))
     chain = build(g, delta=0.1, seed=0, literal_level0=True)
-    assert chain.levels[0] == (frozenset({0}), frozenset({1}))
+    assert chain_levels(chain).levels[0] == (frozenset({0}), frozenset({1}))
 
 
 def test_literal_level0_can_fail_and_reports_reason():
@@ -458,29 +471,18 @@ def fabricate_chain():
         (frozenset({0, 1, 2, 3}), frozenset({4, 5})),
         (frozenset(range(6)),),
     )
-    vtc = (
+    centers = (tuple(range(6)), (0, 2, 4), (0, 4), (0,))
+    chain = chain_from_levels(g, levels, centers, r_schedule=(0.1, 0.2, 0.4))
+    view = chain_levels(chain)
+    assert view.levels == levels and view.centers == centers
+    assert view.vertex_to_cluster == (
         tuple(range(6)),
         (0, 0, 1, 1, 2, 2),
         (0, 0, 0, 0, 1, 1),
         (0,) * 6,
     )
-    centers = (tuple(range(6)), (0, 2, 4), (0, 4), (0,))
-    parents = (
-        (0, 0, 1, 1, 2, 2),
-        (0, 0, 1),
-        (0, 0),
-    )
-    return g, ClusteringChain(
-        graph=g,
-        top_level=3,
-        delta=0.1,
-        sigma=100.0,
-        r_schedule=(0.1, 0.2, 0.4),
-        levels=levels,
-        centers=centers,
-        vertex_to_cluster=vtc,
-        parents=parents,
-    )
+    assert view.parents == ((0, 0, 1, 1, 2, 2), (0, 0, 1), (0, 0))
+    return g, chain
 
 
 def test_edge_level_definition():
@@ -510,7 +512,7 @@ def test_level_cut_counts_inside_one_cluster():
     g = scaled_grid(3, 3)
     chain = build(g, delta=0.1, seed=1)
     # a path inside a single level-1 cluster has only level-0 edges
-    for cluster in chain.levels[1]:
+    for cluster in chain_levels(chain).levels[1]:
         members = sorted(cluster)
         if len(members) >= 2:
             for u in members:
@@ -538,9 +540,10 @@ def test_chain_matches_per_cluster_subgraph_carving(literal_level0):
         g = WeightedGraph(base.n, tuple((u, v, 0.6 + w) for u, v, w in base.edges))
         chain = build(g, delta=0.3, seed=seed, literal_level0=literal_level0)
         levels, centers, parents = chain_by_subgraphs(g, 0.3, random.Random(seed), literal_level0)
-        assert [list(level) for level in chain.levels] == levels
-        assert [list(c) for c in chain.centers] == centers
-        assert [list(p) for p in chain.parents] == parents
+        view = chain_levels(chain)
+        assert [list(level) for level in view.levels] == levels
+        assert [list(c) for c in view.centers] == centers
+        assert [list(p) for p in view.parents] == parents
 
 
 def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
@@ -560,3 +563,123 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)
         assert chain.top_level >= 3
+
+
+# ------------------------------------------------------------ cluster tree
+
+
+def matrix_graphs():
+    """The acceptance matrix's eight instances, prepared as the embedder
+    prepares them."""
+    out = []
+    for weights in ("unit", "uniform:1:4"):
+        out.append(generate("grid", rows=4, cols=4, weights=weights, seed=1))
+        out.append(generate("grid", rows=8, cols=8, weights=weights, seed=2))
+        out.append(generate("cycle", size=16, weights=weights, seed=3))
+        out.append(generate("star", size=15, weights=weights, seed=4))
+    return [normalize(metric_closure_weights(g))[0] for g in out]
+
+
+def count_cluster_checks(monkeypatch):
+    """diameter_level calls on a cluster; the chain's top-level call has no
+    members."""
+    calls = []
+    real = hierarchy.diameter_level
+
+    def counted(g, members=None, *args, **kwargs):
+        if members is not None:
+            calls.append(len(members))
+        return real(g, members, *args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "diameter_level", counted)
+    return calls
+
+
+def matrix_outcomes(literal_level0, extra=()):
+    """(build_chain, chain_by_levels) outcomes over the matrix, seeds 0..4
+    and a strict and a lax delta; a chain is compared as its level view."""
+    for g in matrix_graphs() + list(extra):
+        for seed in range(5):
+            for delta in (0.1, 0.9):
+                got = build_chain(g, delta, random.Random(seed), literal_level0=literal_level0)
+                want = chain_by_levels(g, delta, random.Random(seed), literal_level0)
+                if isinstance(got, ClusteringChain):
+                    view = chain_levels(got)
+                    got = tuple([list(x) for x in rows] for rows in view[:3])
+                yield got, want
+
+
+@pytest.mark.parametrize("literal_level0", [False, True])
+def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(
+    literal_level0, monkeypatch
+):
+    # every cluster's carving radius certifies its diameter here, so the
+    # check makes no diameter_level run at all
+    calls = count_cluster_checks(monkeypatch)
+    for got, want in matrix_outcomes(literal_level0):
+        assert got == want
+        assert not isinstance(want, ChainFailure)
+    assert calls == []
+
+
+@pytest.mark.parametrize("literal_level0", [False, True])
+def test_goodness_matches_the_per_cluster_check_when_x_is_huge(literal_level0, monkeypatch):
+    # X drawn ten times too large: radii outgrow the certificate, the check
+    # falls back to diameter_level, and both verdicts occur. Paths with
+    # lengths just above 1 give non-singleton level-0 parts too.
+    real = partition.sample_exponential
+    monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
+    calls = count_cluster_checks(monkeypatch)
+    near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
+                for k in (2, 5, 9)]
+    reasons = collections.Counter()
+    for got, want in matrix_outcomes(literal_level0, near_one):
+        assert got == want
+        reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
+    assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
+    assert reasons[NON_SINGLETON_LEVEL0] > 0 or not literal_level0
+    assert len(calls) > 100
+
+
+@pytest.mark.parametrize("literal_level0", [False, True])
+def test_cluster_tree_slices_levels_and_radii(literal_level0):
+    for g in matrix_graphs() + [normalize(generate("cycle", size=128))[0]]:
+        chain = build(g, delta=0.5, seed=3, literal_level0=literal_level0)
+        count = len(chain.start)
+        sets = [chain.members(k) for k in range(count)]
+        assert len(set(sets)) == count and sets[0] == frozenset(range(g.n))
+        assert sorted(chain.order) == list(range(g.n))
+        assert chain.lo[0] <= chain.hi[0] == chain.top_level and chain.parent[0] == -1
+        for k in range(count):
+            first, last = chain.start[k], chain.stop[k]
+            # a slice starts at its smallest vertex, the carving center
+            assert chain.order[first] == min(sets[k]) == chain.center[k]
+            if chain.children[k]:
+                pieces = [(chain.start[c], chain.stop[c]) for c in chain.children[k]]
+                assert pieces[0][0] == first and pieces[-1][1] == last
+                assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+                assert len(pieces) > 1
+                for c in chain.children[k]:
+                    assert chain.parent[c] == k and chain.hi[c] == chain.lo[k] - 1
+            else:
+                assert len(sets[k]) == 1 and chain.lo[k] == 0
+            if len(sets[k]) == 1:
+                assert chain.radius[k] == 0.0
+                continue
+            if k == 0 and chain.lo[0] == chain.top_level:
+                assert chain.radius[0] == INF
+                continue
+            allowed = [v in sets[k] for v in range(g.n)]
+            dist = dijkstra(g, chain.center[k], allowed=allowed)
+            assert max(dist[v] for v in sets[k]) <= chain.radius[k]
+            lam = math.log(2.0 * chain.top_level * g.n**2 / chain.delta) + 1.0
+            assert chain.radius[k] >= 2.0 ** (chain.lo[k] - 1) / lam
+
+
+def test_level_index_is_the_position_in_the_level():
+    g = normalize(generate("cycle", size=128))[0]
+    chain = build(g, delta=0.5, seed=1)
+    view = chain_levels(chain)
+    for k in range(len(chain.start)):
+        for i in range(chain.lo[k], chain.hi[k] + 1):
+            assert view.levels[i][chain.level_index(i, k)] == chain.members(k)

@@ -3,6 +3,7 @@ validity check, the forest distance labels and the JSON writer, each against
 an independent computation."""
 
 import json
+import math
 import random
 
 import pytest
@@ -219,6 +220,29 @@ def test_writer_lengths_in_exponent_and_integer_form(tmp_path):
     for printed in ("1e+16", "2.5e+17", "9.9e-05", "3e-07", "2.0", "0.3", "0.333333333333"):
         assert f"    {printed}\n" in text
     assert_writer_matches_encoder(star_embedding(lengths), tmp_path)
+
+
+def test_length_text_is_repr_of_the_rounded_float():
+    def want(w):
+        return repr(float(f"{w:.12g}"))
+
+    values = [0.0, -0.0, 1.0, 2.0, 7.0, 12345.0, 1e11, 99999999999.0, 999999999999.0]
+    # around 1e-4, where .12g and repr leave fixed notation, and 1e12 and
+    # 1e16, where .12g and repr enter the exponent form
+    for edge in (1e-4, 1e12, 1e16):
+        x = edge
+        for _ in range(40):
+            x = math.nextafter(x, 0.0)
+        for _ in range(80):
+            values.append(x)
+            x = math.nextafter(x, math.inf)
+        values += [edge * (1 + d) for d in (-1e-12, -5e-13, -1e-13, 1e-13, 5e-13, 1e-12)]
+    values += [math.inf, math.nan, 5e-324, 1e300]
+    rng = random.Random(3)
+    values += [rng.uniform(1, 10) * 10.0 ** rng.randint(-8, 18) for _ in range(20000)]
+    values += [float(rng.randint(0, 10**rng.randint(1, 17))) for _ in range(2000)]
+    for w in values:
+        assert hosts._length_text(w) == want(w), w
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, hosts._EDGE_BATCH + 1])
