@@ -53,9 +53,9 @@ class ClusteringChain:
     is V, and a node's id is smaller than its children's. Node k holds:
 
     - `order[start[k]:stop[k]]`, its members: the sets of a laminar family
-      are intervals of a DFS order of its tree. Children follow their
-      parent's slice in creation order, so each slice starts with the
-      node's smallest vertex;
+      are intervals of a DFS order of its tree. The children's slices tile
+      their parent's in creation order, and the first child holds the
+      parent's smallest vertex, so each slice starts with that vertex;
     - `parent[k]` (-1 at the root) and `children[k]`, in creation order;
     - `lo[k]..hi[k]`, the levels at which it is a cluster;
     - `center[k]`, the center of the level-hi carving (the vertex itself
@@ -346,27 +346,28 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     order with every diameter checked before any quotient, or None.
 
     A cluster spanning levels lo..hi is checked at lo, where its bound is
-    the tightest. Its members lie within `radius` of its center inside the
-    cluster: every vertex on a shortest path from the center to a member is
-    a member too, as float sums grow along a path, so a run from the center
-    confined to the cluster finds the carving's own distances. Hence
-    2 * radius bounds every eccentricity bound that `diameter_level` would
-    form on that run, and when it clears 2**lo by BOUND_SLACK that run
-    settles every member and returns lo; no run is made then.
+    the tightest; passing there, it passes at every level above. Its
+    members lie within `radius` of its center inside the cluster: every
+    vertex on a shortest path from the center to a member is a member too,
+    as float sums grow along a path, so a run from the center confined to
+    the cluster finds the carving's own distances. Hence 2 * radius bounds
+    every eccentricity bound that `diameter_level` would form on that run,
+    and when it clears 2**lo by BOUND_SLACK that run settles every member
+    and returns lo; no run is made then.
     """
     g = chain.graph
     top = chain.top_level
     lo, start, stop, order = chain.lo, chain.start, chain.stop, chain.order
-    doubtful = [
+    uncertified = [
         k
         for k in range(len(lo))
         if 0 < lo[k] < top
         and stop[k] - start[k] > 1
         and not 2.0 * chain.radius[k] <= 2.0 ** lo[k] / (1.0 + BOUND_SLACK)
     ]
-    doubtful.sort(key=lambda k: (lo[k], start[k]))
+    uncertified.sort(key=lambda k: (lo[k], start[k]))
     allowed = [False] * g.n
-    for k in doubtful:
+    for k in uncertified:
         members = sorted(order[start[k] : stop[k]])
         for u in members:
             allowed[u] = True
