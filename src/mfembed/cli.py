@@ -81,7 +81,6 @@ def _add_embed(sub):
     p.add_argument("--tau-cap", type=int, default=None)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c-fallback", type=float, default=DEFAULT_C_FALLBACK)
-    p.add_argument("--literal-level0", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
 
@@ -129,7 +128,6 @@ def _add_debug(sub):
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--literal-level0", action="store_true")
 
     p = sub.add_parser("cuts", help="debug: build a cut packing")
     p.add_argument("-i", "--input", required=True)
@@ -203,7 +201,6 @@ def _cmd_embed(args) -> int:
         tau_cap=args.tau_cap,
         gamma=args.gamma,
         c_fallback=args.c_fallback,
-        literal_level0=args.literal_level0,
     )
     if is_connected(g):
         emb = embed_top(g, args.epsilon, seed=args.seed, **kwargs)
@@ -319,9 +316,7 @@ def _prepare_for_chain(g: WeightedGraph) -> WeightedGraph:
 
 def _cmd_chain(args) -> int:
     g = _prepare_for_chain(_load(args.input))
-    result = build_chain(
-        g, args.delta, random.Random(args.seed), literal_level0=args.literal_level0
-    )
+    result = build_chain(g, args.delta, random.Random(args.seed))
     if isinstance(result, ChainFailure):
         print(f"failure: level={result.level} reason={result.reason}")
         return 0
@@ -344,9 +339,10 @@ def _cmd_cuts(args) -> int:
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
     for i, cut in enumerate(packing.cuts):
-        margin = half - max(map(len, outside_components(g, cut)), default=0)
+        margin = half - max(map(len, outside_components(result, cut)), default=0)
+        levels = [result.hi[k] for k in cut.nodes]
         print(
-            f"  cut {i}: members={len(cut)} levels={list(cut.levels)} "
+            f"  cut {i}: members={len(cut)} levels={levels} "
             f"oversize={cut.oversize} balance_margin={margin}"
         )
     return 0

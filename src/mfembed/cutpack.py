@@ -12,7 +12,8 @@ eliminated ones weighs more than half. That vertex and its live neighbours
 form the bag of the elimination tree's centroid, and no other bag is built.
 
 Clusters are the nodes of the chain's cluster tree, one per distinct vertex
-set, so a cut lists node ids and a packing keeps one used flag per node. A
+set, so a cut is its node ids, each member read from its node's slice of
+the chain's vertex order, and a packing keeps one used flag per node. A
 cluster is free when it is a singleton or not a member of any cut already
 packed; the maximal free clusters are found by walking the tree down from
 the root and stopping at free nodes. Two cuts are non-conflicting when every
@@ -34,16 +35,15 @@ from .hierarchy import ClusteringChain
 
 @dataclass(frozen=True)
 class Cut:
-    """Disjoint chain clusters: their tree nodes, their vertex sets and the
-    highest level of each."""
+    """Disjoint chain clusters, as the chain's tree nodes; node k's members
+    are `chain.order[chain.start[k]:chain.stop[k]]`, and its highest level
+    is `chain.hi[k]`. `oversize` flags a cut with more than tau members."""
 
     nodes: tuple[int, ...]
-    members: tuple[frozenset[int], ...]
-    levels: tuple[int, ...]
     oversize: bool = False
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.nodes)
 
 
 @dataclass
@@ -53,44 +53,43 @@ class CutPacking:
     cuts: list[Cut] = field(default_factory=list)
     used: set[int] = field(default_factory=set)
 
-    def add(self, cut: Cut) -> None:
-        for node, member in zip(cut.nodes, cut.members):
-            if len(member) > 1:
-                self.used.add(node)
+    def add(self, cut: Cut, chain: ClusteringChain) -> None:
+        self.used.update(k for k in cut.nodes if chain.size(k) > 1)
         self.cuts.append(cut)
 
     def __len__(self) -> int:
         return len(self.cuts)
 
 
-def outside_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
-    """Components of the subgraph induced by the vertices outside every
+def outside_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
+    """Components of the chain's graph induced by the vertices outside every
     member, as sorted lists ordered by smallest vertex."""
-    outside = [True] * g.n
-    for member in cut.members:
-        for v in member:
+    order, start, stop = chain.order, chain.start, chain.stop
+    outside = [True] * chain.graph.n
+    for k in cut.nodes:
+        for v in order[start[k] : stop[k]]:
             outside[v] = False
-    return connected_components(g, allowed=outside)
+    return connected_components(chain.graph, allowed=outside)
 
 
-def cut_components(g: WeightedGraph, cut: Cut) -> list[list[int]]:
-    """Components of G - F(cut) as sorted lists, ordered by smallest vertex.
+def cut_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
+    """Components of G - F(cut), G the chain's graph, as sorted lists
+    ordered by smallest vertex.
 
-    F(cut) holds the edges that leave a member. Members must be connected in
-    g, as chain clusters are: then each member is a component, and the others
-    are the `outside_components`.
+    F(cut) holds the edges that leave a member. Chain clusters are connected,
+    so each member is a component, and the others are `outside_components`.
     """
-    comps = outside_components(g, cut)
-    comps.extend(sorted(member) for member in cut.members)
+    comps = outside_components(chain, cut)
+    comps.extend(sorted(chain.order[chain.start[k] : chain.stop[k]]) for k in cut.nodes)
     comps.sort()
     return comps
 
 
-def is_balanced(g: WeightedGraph, cut: Cut) -> bool:
+def is_balanced(chain: ClusteringChain, cut: Cut) -> bool:
     """Every component of G - F(cut) outside the members holds at most half
-    the vertices; members must be connected, as for `cut_components`."""
-    half = g.n // 2
-    return all(len(c) <= half for c in outside_components(g, cut))
+    the vertices of the chain's graph G."""
+    half = chain.graph.n // 2
+    return all(len(c) <= half for c in outside_components(chain, cut))
 
 
 def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozenset[int]:
@@ -195,15 +194,13 @@ def find_balanced_cut(
     adjacency = quotient_adjacency(g, part_of, len(parts))
     chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
     nodes = tuple(parts[j] for j in chosen)
-    members = tuple(chain.members(k) for k in nodes)
-    levels = tuple(chain.hi[k] for k in nodes)
-    cut = Cut(nodes=nodes, members=members, levels=levels, oversize=len(nodes) > tau)
-    if not is_balanced(g, cut):
+    cut = Cut(nodes=nodes, oversize=len(nodes) > tau)
+    if not is_balanced(chain, cut):
         raise InvariantViolation("constructed cut is not balanced")
     # `used` holds the root and the non-singleton members of the earlier
     # cuts, so this is the check that no earlier cut shares a non-singleton
     # member.
-    if any(len(member) > 1 and k in packing.used for k, member in zip(nodes, members)):
+    if any(chain.size(k) > 1 and k in packing.used for k in nodes):
         raise InvariantViolation("constructed cut conflicts with the packing")
     return cut
 
@@ -225,8 +222,8 @@ def build_cut_packing(
     packing = CutPacking(used={0})
     while len(packing) < xi:
         cut = find_balanced_cut(g, chain, packing, tau)
-        packing.add(cut)
-        if all(len(member) == 1 for member in cut.members):
+        packing.add(cut, chain)
+        if all(chain.size(k) == 1 for k in cut.nodes):
             break
     packing.used.discard(0)
     return packing

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cutpack import Cut, build_cut_packing, cut_components
+from .cutpack import build_cut_packing, cut_components
 from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, PreconditionViolation
 from .frt import frt_embed
 from .graphs import (
@@ -102,8 +102,12 @@ def derive_params(
 
 @dataclass
 class SplitResult:
+    """One split of a fragment: the portal of each member of the sampled cut,
+    in cut order, and the components left without the cut's boundary edges,
+    as sorted lists of the fragment's vertices ordered by smallest vertex."""
+
     portals: list[int]
-    cut: Cut
+    components: list[list[int]]
     level: int
     packing_size: int
     oversize_in_packing: int
@@ -115,27 +119,20 @@ class _FallbackRequired(Exception):
         self.reason = reason
 
 
-def split(
-    g: WeightedGraph,
-    params: Params,
-    rng: random.Random,
-    *,
-    literal_level0: bool = False,
-) -> SplitResult | ChainFailure:
+def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
     a failed chain build comes back as its `ChainFailure`."""
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
     chain_rng = random.Random(rng.getrandbits(64))
-    chain = build_chain(g, params.delta, chain_rng, literal_level0=literal_level0)
+    chain = build_chain(g, params.delta, chain_rng)
     if isinstance(chain, ChainFailure):
         return chain
     packing = build_cut_packing(g, chain, params.xi, params.tau)
     cut = rng.choice(packing.cuts)
-    portals = [chain.center[k] for k in cut.nodes]
     return SplitResult(
-        portals=portals,
-        cut=cut,
+        portals=[chain.center[k] for k in cut.nodes],
+        components=cut_components(chain, cut),
         level=chain.top_level,
         packing_size=len(packing.cuts),
         oversize_in_packing=sum(1 for c in packing.cuts if c.oversize),
@@ -145,10 +142,9 @@ def split(
 class _EmbedState:
     """Mutable host under construction during the recursion."""
 
-    def __init__(self, n, params, seed, *, literal_level0):
+    def __init__(self, n, params, seed):
         self.params = params
         self.seed = seed
-        self.literal_level0 = literal_level0
         self.parent: list[int | None] = [None] * n
         self.edges: list[tuple[int, int, float]] = []
         self.next_id = n
@@ -167,14 +163,14 @@ class _EmbedState:
             return [verts[0]]
         self.split_calls += 1
         rng = random.Random(derive_seed(self.seed, "split", *path))
-        result = split(sub, self.params, rng, literal_level0=self.literal_level0)
+        result = split(sub, self.params, rng)
         if isinstance(result, ChainFailure):
             raise _FallbackRequired(result)
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
         roots: list[int] = []
-        for k, comp in enumerate(cut_components(sub, result.cut)):
+        for k, comp in enumerate(result.components):
             child = None
             if len(comp) > 1:
                 # comp is sorted, so child's vertex i is comp[i].
@@ -215,7 +211,6 @@ def embed_top(
     gamma: float = 1.0,
     xi_cap: int = DEFAULT_XI_CAP,
     tau_cap: int | None = None,
-    literal_level0: bool = False,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
 
@@ -248,7 +243,7 @@ def embed_top(
         xi_cap=xi_cap,
         tau_cap=tau_cap,
     )
-    state = _EmbedState(g.n, params, seed, literal_level0=literal_level0)
+    state = _EmbedState(g.n, params, seed)
     try:
         roots = state.embed(scaled, list(range(g.n)), (), 1)
     except _FallbackRequired as failed:

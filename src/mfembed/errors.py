@@ -29,10 +29,6 @@ class ParseError(MfembedError):
         self.line = line
 
 
-class EdgeNotInGraph(MfembedError):
-    """A path step refers to a nonexistent edge."""
-
-
 class PreconditionViolation(MfembedError):
     """Caller violated a documented precondition."""
 

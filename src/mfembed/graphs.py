@@ -61,13 +61,6 @@ class WeightedGraph:
             adj[v].append((u, w))
         return adj
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
-
     @property
     def m(self) -> int:
         return len(self.edges)

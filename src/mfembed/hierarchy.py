@@ -1,10 +1,15 @@
 """Multi-level clustering chains.
 
 A chain stacks partitions of one connected graph from singletons (level 0)
-up to the whole vertex set (level L). Level i is produced by carving every
-level-(i+1) cluster independently with radius parameter
+up to the whole vertex set (level L). Level i, for L > i >= 1, is produced
+by carving every level-(i+1) cluster independently with radius parameter
 
-    r_i = 2**(i-1) / (ln(2*L*n^2/delta) + 1).
+    r_i = 2**(i-1) / lambda,  lambda = ln(2*L*n^2/delta) + 1.
+
+Level 0 is not carved. Goodness bounds a level-0 cluster's diameter by
+2**0 = 1, and the chain's graph has every distance above 1, so the discrete
+partition is the only good level 0. Carving it could only add a failure,
+which needs the exponential draw X above 2*lambda - 1.
 
 The clusters of all levels form a laminar family, stored as one cluster
 tree: each distinct vertex set is one node with its level range, the center
@@ -31,7 +36,6 @@ from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
 QUOTIENT_DIAMETER_EXCEEDED = "QuotientDiameterExceeded"
-NON_SINGLETON_LEVEL0 = "NonSingletonLevel0"
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,6 @@ class ClusteringChain:
 
     def size(self, node: int) -> int:
         return self.stop[node] - self.start[node]
-
-    def members(self, node: int) -> frozenset[int]:
-        return frozenset(self.order[self.start[node] : self.stop[node]])
 
     def level_index(self, level: int, node: int) -> int:
         """Position of `node` among the clusters of `level`."""
@@ -214,9 +215,8 @@ def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) 
     return True
 
 
-def radius_schedule(top_level: int, n: int, delta: float) -> tuple[float, ...]:
+def radius_schedule(top_level: int, lam: float) -> tuple[float, ...]:
     """r_i for i = 0..top_level-1 (index i holds the level-i parameter)."""
-    lam = math.log(2.0 * top_level * n * n / delta) + 1.0
     return tuple(2.0 ** (i - 1) / lam for i in range(top_level))
 
 
@@ -224,16 +224,13 @@ def build_chain(
     g: WeightedGraph,
     delta: float,
     rng: random.Random,
-    *,
-    literal_level0: bool = False,
 ) -> ClusteringChain | ChainFailure:
     """Build a chain over a connected graph with all distances above 1.
 
     Carves levels top-down, each cluster in place on g; each cluster gets an
     independent child stream drawn from `rng` in (level, cluster index)
-    order, so results do not depend on scheduling. With `literal_level0`
-    the carving also runs at level 0 and any non-singleton part there is a
-    failure.
+    order, so results do not depend on scheduling. Level 0 is the discrete
+    partition, built directly.
     """
     if not 0 < delta < 1:
         raise PreconditionViolation("delta must lie in (0,1)")
@@ -263,7 +260,7 @@ def build_chain(
         raise PreconditionViolation("all pairwise distances must exceed 1")
     lam = math.log(2.0 * top * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
-    r_sched = radius_schedule(top, n, delta)
+    r_sched = radius_schedule(top, lam)
 
     order = list(range(n))
     start, stop, parent, children = [0], [n], [-1], [[]]
@@ -287,8 +284,7 @@ def build_chain(
     # The non-singleton clusters of level i + 1, in level order. Their
     # slices are still the sorted lists that carving returned.
     active = [0]
-    lowest_carved = 0 if literal_level0 else 1
-    for i in range(top - 1, lowest_carved - 1, -1):
+    for i in range(top - 1, 0, -1):
         below = []
         for k in active:
             members = order[start[k] : stop[k]]
@@ -309,14 +305,12 @@ def build_chain(
                     below.append(len(start) - 1)
         active = below
 
-    if not literal_level0:
-        # Distances exceed 1, so the only partition with parts of diameter
-        # at most 1 is the discrete one; build it directly.
-        for k in active:
-            first = start[k]
-            for v in order[first : stop[k]]:
-                add(k, first, [v], 0, v, 0.0)
-                first += 1
+    # Level 0 is the discrete partition: the only good one (module docstring).
+    for k in active:
+        first = start[k]
+        for v in order[first : stop[k]]:
+            add(k, first, [v], 0, v, 0.0)
+            first += 1
     chain = ClusteringChain(
         graph=g,
         top_level=top,
@@ -332,11 +326,6 @@ def build_chain(
         center=tuple(center),
         radius=tuple(radius),
     )
-    if literal_level0 and active:
-        k = min(active, key=start.__getitem__)
-        return ChainFailure(
-            level=0, reason=NON_SINGLETON_LEVEL0, cluster_index=chain.level_index(0, k)
-        )
     failure = _check_goodness(chain, sigma)
     return chain if failure is None else failure
 

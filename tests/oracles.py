@@ -25,6 +25,10 @@ stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
 byte. `check_labels_against_copy_edges` reads an embedder host's distances
 from its portal wiring, a second way beside `ForestLabels`.
 
+`edge_set`, `has_edge` and `EdgeNotInGraph` serve the path-level counters
+only. `node_members` and `cut_members` read a tree node's or a cut's vertex
+sets from the chain's order, for comparing cuts as set families.
+
 `UnweightedGraph`, `check_partition` and `quotient` are the cut search's
 former quotient, which `graphs.quotient_adjacency` must match as neighbour
 sets; `children_hop_diameter` is the goodness check's former quotient
@@ -54,19 +58,17 @@ from mfembed.cutpack import CutPacking, find_balanced_cut
 from mfembed.errors import (
     CyclicParentArray,
     DisconnectedGraph,
-    EdgeNotInGraph,
     EmptyPacking,
     InvariantViolation,
+    MfembedError,
 )
 from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph, quotient_adjacency
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
-    NON_SINGLETON_LEVEL0,
     QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
     diameter_level,
-    radius_schedule,
 )
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.partition import single_level_partition
@@ -76,6 +78,29 @@ INF = math.inf
 
 class InvalidPartition(ValueError):
     """Parts are not disjoint, are empty, or do not cover the vertex set."""
+
+
+class EdgeNotInGraph(MfembedError):
+    """A path step refers to a nonexistent edge."""
+
+
+def edge_set(g):
+    """The graph's edges as (smaller, larger) endpoint pairs."""
+    return frozenset((u, v) for u, v, _ in g.edges)
+
+
+def has_edge(g, u, v):
+    return (min(u, v), max(u, v)) in edge_set(g)
+
+
+def node_members(chain, k):
+    """The vertex set of cluster-tree node k: its slice of the chain's order."""
+    return frozenset(chain.order[chain.start[k] : chain.stop[k]])
+
+
+def cut_members(chain, cut):
+    """A cut's members as vertex sets, in the cut's node order."""
+    return tuple(node_members(chain, k) for k in cut.nodes)
 
 
 @dataclass(frozen=True)
@@ -174,9 +199,10 @@ def children_hop_diameter(g, levels, parents, i, idx):
     return quotient(sub, [groups[k] for k in sorted(groups)]).hop_diameter()
 
 
-def cuts_conflict(a, b):
+def cuts_conflict(chain, a, b):
     """True when the two cuts share a member that is not a singleton."""
-    return any(len(s) > 1 for s in set(a.members) & set(b.members))
+    shared = set(cut_members(chain, a)) & set(cut_members(chain, b))
+    return any(len(s) > 1 for s in shared)
 
 
 def floyd_warshall(g):
@@ -509,7 +535,7 @@ def balanced_predicate(g, family):
 
 
 def chain_cluster_sets(chain):
-    out = {chain.members(k) for k in range(len(chain.start))}
+    out = {node_members(chain, k) for k in range(len(chain.start))}
     return sorted(out, key=lambda s: (min(s), len(s)))
 
 
@@ -590,7 +616,7 @@ def edge_level(chain, u, v):
     The top level never separates anything, and distinct vertices are always
     separated at level 0, so the result lies in 0..L-1.
     """
-    if not chain.graph.has_edge(u, v):
+    if not has_edge(chain.graph, u, v):
         raise EdgeNotInGraph(f"({u},{v}) is not an edge")
     vtc = chain_levels(chain).vertex_to_cluster
     for i in range(chain.top_level - 1, 0, -1):
@@ -617,7 +643,7 @@ def count_cut_edges(g, path, clustering):
     """Number of path edges whose endpoints fall in different clusters."""
     count = 0
     for u, v in zip(path, path[1:]):
-        if not g.has_edge(u, v):
+        if not has_edge(g, u, v):
             raise EdgeNotInGraph(f"({u},{v}) is not an edge")
         if clustering.cluster_of[u] != clustering.cluster_of[v]:
             count += 1
@@ -684,24 +710,24 @@ def stretch_exponent(g):
     return ell
 
 
-def chain_by_subgraphs(g, delta, rng, literal_level0=False):
+def chain_by_subgraphs(g, delta, rng):
     """(levels, centers, parents) of `build_chain`'s carving, done the former
     way: one `induced_subgraph` and one `single_level_partition` per
     non-singleton cluster, with the same child-stream draws from `rng`.
 
-    Level 0 is carved too with `literal_level0`; otherwise it is the
-    discrete partition, listed cluster by cluster of level 1. No goodness
-    check is run.
+    Level 0 is the discrete partition, listed cluster by cluster of level 1.
+    No goodness check is run.
     """
     n = g.n
     top = diameter_level(g)
-    r_sched = radius_schedule(top, n, delta)
+    lam = math.log(2.0 * top * n * n / delta) + 1.0
+    r_sched = [2.0 ** (i - 1) / lam for i in range(top)]
     levels = [[] for _ in range(top + 1)]
     centers = [[] for _ in range(top + 1)]
     parents = [[] for _ in range(top)]
     levels[top] = [frozenset(range(n))]
     centers[top] = [0]
-    for i in range(top - 1, -1 if literal_level0 else 0, -1):
+    for i in range(top - 1, 0, -1):
         for parent_idx, cluster in enumerate(levels[i + 1]):
             members = sorted(cluster)
             if len(members) == 1:
@@ -716,12 +742,11 @@ def chain_by_subgraphs(g, delta, rng, literal_level0=False):
                 levels[i].append(frozenset(verts[p] for p in part))
                 centers[i].append(verts[center])
                 parents[i].append(parent_idx)
-    if not literal_level0:
-        for j, cluster in enumerate(levels[1]):
-            for v in sorted(cluster):
-                levels[0].append(frozenset({v}))
-                centers[0].append(v)
-                parents[0].append(j)
+    for j, cluster in enumerate(levels[1]):
+        for v in sorted(cluster):
+            levels[0].append(frozenset({v}))
+            centers[0].append(v)
+            parents[0].append(j)
     return levels, centers, parents
 
 
@@ -782,18 +807,18 @@ def packing_by_repeat_probe(g, chain, xi, tau):
     families = set()
     while len(packing) < xi + 1:
         cut = find_balanced_cut(g, chain, packing, tau)
-        fam = frozenset(cut.members)
+        fam = frozenset(cut_members(chain, cut))
         if fam in families:
             break
         families.add(fam)
-        packing.add(cut)
+        packing.add(cut, chain)
     everything = frozenset(range(g.n))
-    kept = [c for c in packing.cuts if c.members != (everything,)]
+    kept = [c for c in packing.cuts if cut_members(chain, c) != (everything,)]
     if not kept:
         raise EmptyPacking("no balanced cut besides the trivial one")
     out = CutPacking()
     for c in kept:
-        out.add(c)
+        out.add(c, chain)
     return out
 
 
@@ -877,7 +902,7 @@ def chain_levels(chain):
         for i in range(top + 1)
     ]
     index = [{k: j for j, k in enumerate(nodes)} for nodes in alive]
-    levels = tuple(tuple(chain.members(k) for k in nodes) for nodes in alive)
+    levels = tuple(tuple(node_members(chain, k) for k in nodes) for nodes in alive)
     centers = tuple(tuple(chain.center[k] for k in nodes) for nodes in alive)
     parents = tuple(
         tuple(index[i + 1][k if chain.hi[k] > i else chain.parent[k]] for k in alive[i])
@@ -1012,15 +1037,11 @@ def level_quotient_hops(nbrs, parent, idx):
     return worst
 
 
-def chain_by_levels(g, delta, rng, literal_level0=False):
+def chain_by_levels(g, delta, rng):
     """`build_chain` done the former way: `chain_by_subgraphs`' carving,
-    the level-0 check, then `goodness_by_levels` on every (level, cluster)
-    pair. Returns the `ChainFailure`, or (levels, centers, parents)."""
-    levels, centers, parents = chain_by_subgraphs(g, delta, rng, literal_level0)
-    if literal_level0:
-        for idx, part in enumerate(levels[0]):
-            if len(part) > 1:
-                return ChainFailure(level=0, reason=NON_SINGLETON_LEVEL0, cluster_index=idx)
+    then `goodness_by_levels` on every (level, cluster) pair. Returns the
+    `ChainFailure`, or (levels, centers, parents)."""
+    levels, centers, parents = chain_by_subgraphs(g, delta, rng)
     top = len(levels) - 1
     lam = math.log(2.0 * top * g.n * g.n / delta) + 1.0
     failure = goodness_by_levels(g, levels, centers, parents, top, 480.0 * lam * lam)
@@ -1032,7 +1053,7 @@ def free_clusters_by_levels(chain, packing):
     each vertex's highest-level cluster that is a singleton or whose node
     is unused, as (level, members) pairs ordered by smallest vertex."""
     view = chain_levels(chain)
-    used = {chain.members(k) for k in packing.used}
+    used = {node_members(chain, k) for k in packing.used}
     parts = {}
     for v in range(chain.graph.n):
         for i in range(chain.top_level, -1, -1):

@@ -21,6 +21,7 @@ from oracles import (
     check_partition_validity,
     children_hop_diameter,
     count_cut_edges,
+    cut_members,
     cuts_conflict,
     diameter,
     enumerate_balanced_chain_cuts,
@@ -317,12 +318,13 @@ def test_criterion_7_balanced_cuts():
             packing = build_cut_packing(scaled, chain, params.xi, params.tau)
             chain_sets = set(chain_cluster_sets(chain))
             for cut in packing.cuts:
-                assert balanced_predicate(scaled, list(cut.members)), name
-                for member in cut.members:
+                members = cut_members(chain, cut)
+                assert balanced_predicate(scaled, list(members)), name
+                for member in members:
                     assert member in chain_sets
                 checked_cuts += 1
             for a, b in itertools.combinations(packing.cuts, 2):
-                assert not cuts_conflict(a, b)
+                assert not cuts_conflict(chain, a, b)
     # small instances: membership in the brute-force enumeration
     small = [
         generate("path", size=6),
@@ -338,10 +340,11 @@ def test_criterion_7_balanced_cuts():
         packing = CutPacking()
         for _ in range(5):
             cut = find_balanced_cut(scaled, chain, packing, tau=40)
-            assert frozenset(cut.members) in legal
-            if frozenset(cut.members) in {frozenset(c.members) for c in packing.cuts}:
+            family = frozenset(cut_members(chain, cut))
+            assert family in legal
+            if family in {frozenset(cut_members(chain, c)) for c in packing.cuts}:
                 break
-            packing.add(cut)
+            packing.add(cut, chain)
     print(f"ACCEPTANCE 7 PASS: {checked_cuts} cuts balanced/chain-respecting, packings conflict-free")
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +19,41 @@ from mfembed.graphs import WeightedGraph, connected_components, induced_subgraph
 from mfembed.rng import derive_seed
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def readme_cli_flags():
+    """(subcommand, flag) pairs that README's CLI section names: the long
+    flags of every `mfembed` line of its sh block, with continuation lines
+    joined, and those of its "`embed` accepts" sentence."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    pairs = []
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["mfembed"]:
+            pairs += [(words[1], flag) for flag in re.findall(r"--[\w-]+", line)]
+    sentence = re.search(r"`embed` accepts (.*?)\.", section, re.DOTALL).group(1)
+    pairs += [("embed", flag) for flag in re.findall(r"--[\w-]+", sentence)]
+    return pairs
+
+
+def test_readme_cli_flags_are_options_of_their_subcommand():
+    # a flag removed from the parser must not linger in the docs
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    pairs = readme_cli_flags()
+    assert ("embed", "--c-fallback") in pairs and ("experiment", "--baseline") in pairs
+    unknown = [
+        (command, flag)
+        for command, flag in pairs
+        if flag not in subcommands.choices[command]._option_string_actions
+    ]
+    assert unknown == []
 
 
 def test_gen_and_embed_and_eval(tmp_path, capsys):

@@ -11,12 +11,14 @@ from oracles import (
     chain_cluster_sets,
     chain_from_levels,
     components_without,
+    cut_members,
     cuts_conflict,
     free_clusters_by_levels,
     enumerate_balanced_chain_cuts,
     exact_treewidth,
     heuristic_tree_decomposition,
     min_degree_decomposition_by_scan,
+    node_members,
     packing_by_repeat_probe,
     quotient,
     validate_tree_decomposition,
@@ -89,7 +91,7 @@ def star_chain():
 
 
 def node_of(chain, members):
-    return next(k for k in range(len(chain.start)) if chain.members(k) == members)
+    return next(k for k in range(len(chain.start)) if node_members(chain, k) == members)
 
 
 # ------------------------------------------------------------- cut components
@@ -120,17 +122,15 @@ def golden_root_split(instance, seed):
 def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
     sub, chain, params = golden_root_split(instance, seed)
     packing = build_cut_packing(sub, chain, params.xi, params.tau)
-    cuts = packing.cuts + [
-        Cut(nodes=(k,), members=(chain.members(k),), levels=(chain.hi[k],))
-        for k in range(len(chain.start))
-    ]
+    cuts = packing.cuts + [Cut(nodes=(k,)) for k in range(len(chain.start))]
     verdicts = set()
     for cut in cuts:
-        removed = boundary_edges(sub, cut.members)
+        members = cut_members(chain, cut)
+        removed = boundary_edges(sub, members)
         expected = sorted(sorted(c) for c in components_without(sub, removed))
-        assert cut_components(sub, cut) == expected
-        verdict = balanced_predicate(sub, cut.members)
-        assert is_balanced(sub, cut) == verdict
+        assert cut_components(chain, cut) == expected
+        verdict = balanced_predicate(sub, members)
+        assert is_balanced(chain, cut) == verdict
         verdicts.add(verdict)
     # single clusters include unbalanced cuts, so both answers are checked
     assert verdicts == {True, False}
@@ -145,13 +145,13 @@ def test_quotient_adjacency_matches_the_oracle_in_every_packing_round(instance, 
     packing = CutPacking(used={0})
     while len(packing) < params.xi:
         parts, part_of = maximal_free_clusters(chain, packing)
-        sets = [chain.members(k) for k in parts]
+        sets = [node_members(chain, k) for k in parts]
         assert all(part_of[v] == k for k, members in enumerate(sets) for v in members)
         want = [set(adj) for adj in quotient(sub, sets).adjacency]
         assert quotient_adjacency(sub, part_of, len(parts)) == want
         cut = find_balanced_cut(sub, chain, packing, params.tau)
-        packing.add(cut)
-        if all(len(member) == 1 for member in cut.members):
+        packing.add(cut, chain)
+        if all(len(member) == 1 for member in cut_members(chain, cut)):
             break
     assert packing.cuts == build_cut_packing(sub, chain, params.xi, params.tau).cuts
 
@@ -173,13 +173,12 @@ def test_free_clusters_match_the_per_level_scan_in_every_packing_round():
         for packing in (CutPacking(), CutPacking(used={0})):
             while len(packing) < 16:
                 parts, _ = maximal_free_clusters(chain, packing)
-                got = [(chain.hi[k], chain.members(k)) for k in parts]
+                got = [(chain.hi[k], node_members(chain, k)) for k in parts]
                 assert got == free_clusters_by_levels(chain, packing)
                 rounds += 1
                 cut = find_balanced_cut(g, chain, packing, 64)
-                assert list(cut.levels) == [chain.hi[k] for k in cut.nodes]
-                packing.add(cut)
-                if all(len(member) == 1 for member in cut.members):
+                packing.add(cut, chain)
+                if all(len(member) == 1 for member in cut_members(chain, cut)):
                     break
     assert rounds > 200
 
@@ -428,19 +427,19 @@ def test_first_cut_is_whole_vertex_set():
     g = scaled(generate("path", size=4))
     chain = chain_of(g)
     cut = find_balanced_cut(g, chain, CutPacking(), tau=8)
-    assert cut.members == (frozenset(range(4)),)
-    assert is_balanced(g, cut)
+    assert cut_members(chain, cut) == (frozenset(range(4)),)
+    assert is_balanced(chain, cut)
 
 
 def test_path_cut_brute_force_membership():
     g = scaled(generate("path", size=4))
     chain = chain_of(g)
     packing = CutPacking()
-    packing.add(find_balanced_cut(g, chain, packing, tau=8))
+    packing.add(find_balanced_cut(g, chain, packing, tau=8), chain)
     cut = find_balanced_cut(g, chain, packing, tau=8)
     legal = enumerate_balanced_chain_cuts(g, chain)
-    assert frozenset(cut.members) in legal
-    assert balanced_predicate(g, list(cut.members))
+    assert frozenset(cut_members(chain, cut)) in legal
+    assert balanced_predicate(g, list(cut_members(chain, cut)))
 
 
 def test_star_unique_single_cluster_balanced_cut():
@@ -457,20 +456,20 @@ def test_used_marking_descends_to_singletons():
     g, chain = star_chain()
     packing = CutPacking()
     first = find_balanced_cut(g, chain, packing, tau=8)
-    assert first.members == (frozenset(range(7)),)
-    packing.add(first)
+    assert cut_members(chain, first) == (frozenset(range(7)),)
+    packing.add(first, chain)
 
     second = find_balanced_cut(g, chain, packing, tau=8)
-    assert frozenset({0, 1, 2}) in second.members
-    packing.add(second)
+    assert frozenset({0, 1, 2}) in cut_members(chain, second)
+    packing.add(second, chain)
 
     # the center's non-singleton cluster is used now; it may only come back
     # as a singleton
     third = find_balanced_cut(g, chain, packing, tau=8)
-    for member in third.members:
+    for member in cut_members(chain, third):
         if 0 in member:
             assert member == frozenset({0})
-    assert not cuts_conflict(third, second) and not cuts_conflict(third, first)
+    assert not cuts_conflict(chain, third, second) and not cuts_conflict(chain, third, first)
     parts, part_of = maximal_free_clusters(chain, packing)
     assert all(chain.size(k) == 1 for k in parts)
     assert part_of == list(range(7))
@@ -482,8 +481,8 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
     g, chain = star_chain()
     packing = CutPacking(used={0})
     first = find_balanced_cut(g, chain, packing, tau=8)
-    assert frozenset({0, 1, 2}) in first.members
-    packing.add(first)
+    assert frozenset({0, 1, 2}) in cut_members(chain, first)
+    packing.add(first, chain)
     real = cutpack.maximal_free_clusters
     monkeypatch.setattr(
         cutpack,
@@ -499,7 +498,7 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
 def test_oversize_flag():
     g, chain = star_chain()
     packing = CutPacking()
-    packing.add(find_balanced_cut(g, chain, packing, tau=8))
+    packing.add(find_balanced_cut(g, chain, packing, tau=8), chain)
     cut = find_balanced_cut(g, chain, packing, tau=1)
     assert cut.oversize and len(cut) > 1
 
@@ -513,10 +512,10 @@ def test_two_vertex_packing():
     packing = build_cut_packing(g, chain, xi=1, tau=4)
     assert len(packing.cuts) >= 1
     for cut in packing.cuts:
-        assert frozenset(cut.members) != frozenset({frozenset({0, 1})})
-        for member in cut.members:
+        assert frozenset(cut_members(chain, cut)) != frozenset({frozenset({0, 1})})
+        for member in cut_members(chain, cut):
             assert len(member) == 1
-        assert is_balanced(g, cut)
+        assert is_balanced(chain, cut)
 
 
 def test_packing_cuts_all_balanced_and_nonconflicting():
@@ -530,12 +529,12 @@ def test_packing_cuts_all_balanced_and_nonconflicting():
         packing = build_cut_packing(g, chain, xi=6, tau=3 * g.n)
         chain_sets = set(chain_cluster_sets(chain))
         for cut in packing.cuts:
-            assert is_balanced(g, cut)
-            assert balanced_predicate(g, list(cut.members))
-            for member in cut.members:
+            assert is_balanced(chain, cut)
+            assert balanced_predicate(g, list(cut_members(chain, cut)))
+            for member in cut_members(chain, cut):
                 assert member in chain_sets
         for a, b in itertools.combinations(packing.cuts, 2):
-            assert not cuts_conflict(a, b)
+            assert not cuts_conflict(chain, a, b)
 
 
 def test_packing_respects_xi_budget():
@@ -563,10 +562,11 @@ def test_small_graph_cut_membership_in_enumeration():
         packing = CutPacking()
         for _ in range(4):
             cut = find_balanced_cut(g, chain, packing, tau=32)
-            assert frozenset(cut.members) in legal
-            if frozenset(cut.members) in {frozenset(c.members) for c in packing.cuts}:
+            family = frozenset(cut_members(chain, cut))
+            assert family in legal
+            if family in {frozenset(cut_members(chain, c)) for c in packing.cuts}:
                 break
-            packing.add(cut)
+            packing.add(cut, chain)
 
 
 def test_packing_calls_find_balanced_cut_once_per_kept_cut(monkeypatch):
@@ -591,7 +591,7 @@ def test_packing_calls_find_balanced_cut_once_per_kept_cut(monkeypatch):
         calls.clear()
         packing = build_cut_packing(g, chain, xi=32, tau=64)
         assert len(packing) < 32  # a cut of singletons, not the budget, stopped it
-        assert all(len(m) == 1 for m in packing.cuts[-1].members)
+        assert all(len(m) == 1 for m in cut_members(chain, packing.cuts[-1]))
         assert len(calls) == len(packing)
         assert 0 not in packing.used
 
@@ -613,7 +613,7 @@ def test_packing_matches_repeat_probe_loop():
             want = packing_by_repeat_probe(g, chain, xi, tau)
             assert got.cuts == want.cuts
             assert got.used == want.used
-            if len(got) == xi and any(len(m) > 1 for m in got.cuts[-1].members):
+            if len(got) == xi and any(len(m) > 1 for m in cut_members(chain, got.cuts[-1])):
                 budget_stops += 1
     assert budget_stops > 0
 

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from oracles import all_pairs, bellman_ford, embedding_to_dict, floyd_warshall
+from oracles import all_pairs, bellman_ford, cut_members, embedding_to_dict, floyd_warshall
 
 import mfembed.embedder as embedder
 from mfembed.embedder import (
@@ -19,11 +19,11 @@ from mfembed.errors import (
     DisconnectedGraph,
     PreconditionViolation,
 )
-from mfembed.cutpack import cut_components
+from mfembed.cutpack import build_cut_packing, cut_components
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, dijkstra
-from mfembed.hierarchy import ChainFailure
+from mfembed.hierarchy import ChainFailure, build_chain
 from mfembed.hosts import (
     check_forest_validity,
     embedding_from_dict,
@@ -102,6 +102,14 @@ def two_vertex(d):
     return WeightedGraph(2, ((0, 1, d),))
 
 
+def split_cut(g, params, seed):
+    """(chain, cut) that split(g, params, Random(seed)) samples, rebuilt
+    from the same stream: the chain's child stream, then the cut choice."""
+    rng = random.Random(seed)
+    chain = build_chain(g, params.delta, random.Random(rng.getrandbits(64)))
+    return chain, rng.choice(build_cut_packing(g, chain, params.xi, params.tau).cuts)
+
+
 def test_split_two_vertex_forced():
     g = two_vertex(2.0)
     params = derive_params(2, 1, 0.5, "practical")
@@ -110,10 +118,11 @@ def test_split_two_vertex_forced():
     # the packing keeps one cut: the centroid walk on the quotient's
     # decomposition (bags {0,1} -> {1}, root {1}) stops at the root
     assert result.level == 1
-    assert cut_components(g, result.cut) == [[0], [1]]
-    assert result.cut.members == (frozenset({1}),)
+    assert result.components == [[0], [1]]
+    chain, cut = split_cut(g, params, 0)
+    assert cut_members(chain, cut) == (frozenset({1}),)
+    assert result.components == cut_components(chain, cut)
     assert result.portals == [1]
-    assert len(result.portals) == len(result.cut)
 
 
 def test_split_failure_injection(fail_chain_at):
@@ -131,8 +140,10 @@ def test_split_star_portal_per_member():
     for seed in range(10):
         result = split(g, params, random.Random(seed))
         assert isinstance(result, SplitResult)
-        assert len(result.portals) == len(result.cut)
-        for z, member in zip(result.portals, result.cut.members):
+        chain, cut = split_cut(g, params, seed)
+        assert result.components == cut_components(chain, cut)
+        assert len(result.portals) == len(cut)
+        for z, member in zip(result.portals, cut_members(chain, cut)):
             assert z in member
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from oracles import (
+    EdgeNotInGraph,
     chain_by_levels,
     chain_by_subgraphs,
     chain_from_levels,
@@ -12,17 +13,15 @@ from oracles import (
     diameter,
     edge_level,
     floyd_warshall,
+    has_edge,
     level_cut_counts,
     level_quotient_hops,
+    node_members,
 )
 
 import mfembed.hierarchy as hierarchy
 import mfembed.partition as partition
-from mfembed.errors import (
-    DisconnectedGraph,
-    EdgeNotInGraph,
-    PreconditionViolation,
-)
+from mfembed.errors import DisconnectedGraph, PreconditionViolation
 from mfembed.generators import generate
 from mfembed.graphs import (
     INF,
@@ -35,7 +34,6 @@ from mfembed.graphs import (
 )
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
-    NON_SINGLETON_LEVEL0,
     QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
@@ -52,8 +50,8 @@ def scaled_grid(rows, cols):
     return WeightedGraph(g.n, tuple((u, v, 2.0 * w) for u, v, w in g.edges))
 
 
-def build(g, delta=0.1, seed=0, **kw):
-    out = build_chain(g, delta, random.Random(seed), **kw)
+def build(g, delta=0.1, seed=0):
+    out = build_chain(g, delta, random.Random(seed))
     assert isinstance(out, ClusteringChain), out
     return out
 
@@ -73,8 +71,11 @@ def test_two_vertex_chain_is_forced():
 
 def test_radius_formula_direct_evaluation():
     # r_i = 2**(i-1) / (ln(2 l n^2 / delta) + 1); at l=1, n=2, delta=0.1 the
-    # level-1 value is 1/(ln 80 + 1)
-    sched = radius_schedule(1, 2, 0.1)
+    # level-1 value is 1/(ln 80 + 1), and build_chain passes that lambda
+    lam = math.log(80.0) + 1.0
+    sched = radius_schedule(1, lam)
+    assert build(WeightedGraph(2, ((0, 1, 1.5),)), delta=0.1).r_schedule == sched
+    assert radius_schedule(4, lam) == tuple(2.0 ** (i - 1) / lam for i in range(4))
     r0 = sched[0]
     assert r0 == pytest.approx(0.5 / (math.log(80.0) + 1.0), rel=1e-15)
     assert 2.0 * r0 == pytest.approx(1.0 / (math.log(80.0) + 1.0), rel=1e-15)
@@ -341,7 +342,8 @@ def test_goodness_passes_at_the_largest_quotient_hop_diameter_only(instance, see
                 d = children_hop_diameter(g, view.levels, view.parents, i, idx)
                 assert level_quotient_hops(nbrs, view.parents[i], idx) == d
                 node = next(k for k in range(len(chain.start))
-                            if chain.lo[k] == i + 1 and chain.members(k) == view.levels[i + 1][idx])
+                            if chain.lo[k] == i + 1
+                            and node_members(chain, k) == view.levels[i + 1][idx])
                 assert hierarchy._child_quotient_hops(chain, node) == d
                 split += 1
                 hop = max(hop, d)
@@ -431,26 +433,7 @@ def test_centers_lie_in_their_clusters():
             assert center in cluster
 
 
-# --------------------------------------------------------------- literal mode
-
-
-def test_literal_level0_usually_matches_derived():
-    g = WeightedGraph(2, ((0, 1, 1.5),))
-    chain = build(g, delta=0.1, seed=0, literal_level0=True)
-    assert chain_levels(chain).levels[0] == (frozenset({0}), frozenset({1}))
-
-
-def test_literal_level0_can_fail_and_reports_reason():
-    # distances barely above 1 and a lax delta make a non-singleton level-0
-    # part reachable; scan seeds until the failure shows up
-    g = WeightedGraph(2, ((0, 1, 1.0000001),))
-    failures = []
-    for seed in range(4000):
-        out = build_chain(g, 0.99, random.Random(seed), literal_level0=True)
-        if isinstance(out, ChainFailure):
-            failures.append(out)
-    assert failures, "expected at least one literal-mode failure"
-    assert all(f.reason == NON_SINGLETON_LEVEL0 and f.level == 0 for f in failures)
+# ------------------------------------------------------------------ level 0
 
 
 def test_derived_mode_never_fails_on_forced_chain():
@@ -517,7 +500,7 @@ def test_level_cut_counts_inside_one_cluster():
         if len(members) >= 2:
             for u in members:
                 for v in members:
-                    if u < v and g.has_edge(u, v):
+                    if u < v and has_edge(g, u, v):
                         assert edge_level(chain, u, v) == 0
 
 
@@ -532,14 +515,13 @@ def test_disconnected_input_raises():
         build_chain(path_and_isolated, 0.1, random.Random(0))
 
 
-@pytest.mark.parametrize("literal_level0", [False, True])
-def test_chain_matches_per_cluster_subgraph_carving(literal_level0):
+def test_chain_matches_per_cluster_subgraph_carving():
     rng = random.Random(17)
     for seed in range(40):
         base = random_connected(rng, rng.randint(2, 40))
         g = WeightedGraph(base.n, tuple((u, v, 0.6 + w) for u, v, w in base.edges))
-        chain = build(g, delta=0.3, seed=seed, literal_level0=literal_level0)
-        levels, centers, parents = chain_by_subgraphs(g, 0.3, random.Random(seed), literal_level0)
+        chain = build(g, delta=0.3, seed=seed)
+        levels, centers, parents = chain_by_subgraphs(g, 0.3, random.Random(seed))
         view = chain_levels(chain)
         assert [list(level) for level in view.levels] == levels
         assert [list(c) for c in view.centers] == centers
@@ -595,58 +577,49 @@ def count_cluster_checks(monkeypatch):
     return calls
 
 
-def matrix_outcomes(literal_level0, extra=()):
+def matrix_outcomes():
     """(build_chain, chain_by_levels) outcomes over the matrix, seeds 0..4
     and a strict and a lax delta; a chain is compared as its level view."""
-    for g in matrix_graphs() + list(extra):
+    for g in matrix_graphs():
         for seed in range(5):
             for delta in (0.1, 0.9):
-                got = build_chain(g, delta, random.Random(seed), literal_level0=literal_level0)
-                want = chain_by_levels(g, delta, random.Random(seed), literal_level0)
+                got = build_chain(g, delta, random.Random(seed))
+                want = chain_by_levels(g, delta, random.Random(seed))
                 if isinstance(got, ClusteringChain):
                     view = chain_levels(got)
                     got = tuple([list(x) for x in rows] for rows in view[:3])
                 yield got, want
 
 
-@pytest.mark.parametrize("literal_level0", [False, True])
-def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(
-    literal_level0, monkeypatch
-):
+def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(monkeypatch):
     # every cluster's carving radius certifies its diameter here, so the
     # check makes no diameter_level run at all
     calls = count_cluster_checks(monkeypatch)
-    for got, want in matrix_outcomes(literal_level0):
+    for got, want in matrix_outcomes():
         assert got == want
         assert not isinstance(want, ChainFailure)
     assert calls == []
 
 
-@pytest.mark.parametrize("literal_level0", [False, True])
-def test_goodness_matches_the_per_cluster_check_when_x_is_huge(literal_level0, monkeypatch):
+def test_goodness_matches_the_per_cluster_check_when_x_is_huge(monkeypatch):
     # X drawn ten times too large: radii outgrow the certificate, the check
-    # falls back to diameter_level, and both verdicts occur. Paths with
-    # lengths just above 1 give non-singleton level-0 parts too.
+    # falls back to diameter_level, and both verdicts occur.
     real = partition.sample_exponential
     monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
     calls = count_cluster_checks(monkeypatch)
-    near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
-                for k in (2, 5, 9)]
     reasons = collections.Counter()
-    for got, want in matrix_outcomes(literal_level0, near_one):
+    for got, want in matrix_outcomes():
         assert got == want
         reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
     assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
-    assert reasons[NON_SINGLETON_LEVEL0] > 0 or not literal_level0
     assert len(calls) > 100
 
 
-@pytest.mark.parametrize("literal_level0", [False, True])
-def test_cluster_tree_slices_levels_and_radii(literal_level0):
+def test_cluster_tree_slices_levels_and_radii():
     for g in matrix_graphs() + [normalize(generate("cycle", size=128))[0]]:
-        chain = build(g, delta=0.5, seed=3, literal_level0=literal_level0)
+        chain = build(g, delta=0.5, seed=3)
         count = len(chain.start)
-        sets = [chain.members(k) for k in range(count)]
+        sets = [node_members(chain, k) for k in range(count)]
         assert len(set(sets)) == count and sets[0] == frozenset(range(g.n))
         assert sorted(chain.order) == list(range(g.n))
         assert chain.lo[0] <= chain.hi[0] == chain.top_level and chain.parent[0] == -1
@@ -682,4 +655,4 @@ def test_level_index_is_the_position_in_the_level():
     view = chain_levels(chain)
     for k in range(len(chain.start)):
         for i in range(chain.lo[k], chain.hi[k] + 1):
-            assert view.levels[i][chain.level_index(i, k)] == chain.members(k)
+            assert view.levels[i][chain.level_index(i, k)] == node_members(chain, k)

@@ -3,13 +3,14 @@ import random
 
 import pytest
 from oracles import (
+    EdgeNotInGraph,
     check_partition_validity,
     count_cut_edges,
     diameter,
     max_cluster_diameter,
 )
 
-from mfembed.errors import DisconnectedGraph, EdgeNotInGraph, InvariantViolation
+from mfembed.errors import DisconnectedGraph, InvariantViolation
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph
 from mfembed.partition import sample_exponential, single_level_partition
