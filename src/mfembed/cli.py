@@ -335,7 +335,7 @@ def _cmd_cuts(args) -> int:
     if isinstance(result, ChainFailure):
         print(f"chain failure: level={result.level} reason={result.reason}")
         return 0
-    packing = build_cut_packing(g, result, args.xi, args.tau)
+    packing = build_cut_packing(result, args.xi, args.tau)
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
     for i, cut in enumerate(packing.cuts):

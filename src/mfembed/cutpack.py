@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import EmptyPacking, InvariantViolation, PreconditionViolation
-from .graphs import WeightedGraph, connected_components, quotient_adjacency
+from .graphs import connected_components, quotient_adjacency
 from .hierarchy import ClusteringChain
 
 
@@ -180,18 +180,16 @@ def maximal_free_clusters(
     return parts, part_of
 
 
-def find_balanced_cut(
-    g: WeightedGraph, chain: ClusteringChain, packing: CutPacking, tau: int
-) -> Cut:
+def find_balanced_cut(chain: ClusteringChain, packing: CutPacking, tau: int) -> Cut:
     """One balanced cut respecting the chain, non-conflicting with the packing.
 
-    Quotient the graph, which must be connected, by the maximal free
+    Quotient the chain's graph, which must be connected, by the maximal free
     clusters and return the clusters of the quotient's centroid separator
     under per-cluster weight |D|. Cuts larger than tau come back flagged
     oversize rather than rejected.
     """
     parts, part_of = maximal_free_clusters(chain, packing)
-    adjacency = quotient_adjacency(g, part_of, len(parts))
+    adjacency = quotient_adjacency(chain.graph, part_of, len(parts))
     chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
     nodes = tuple(parts[j] for j in chosen)
     cut = Cut(nodes=nodes, oversize=len(nodes) > tau)
@@ -205,9 +203,7 @@ def find_balanced_cut(
     return cut
 
 
-def build_cut_packing(
-    g: WeightedGraph, chain: ClusteringChain, xi: int, tau: int
-) -> CutPacking:
+def build_cut_packing(chain: ClusteringChain, xi: int, tau: int) -> CutPacking:
     """Up to xi non-conflicting cuts, none of them the trivial cut {V}.
 
     V, the tree's root, starts out used, and `find_balanced_cut` depends
@@ -217,11 +213,11 @@ def build_cut_packing(
     """
     if xi < 1 or tau < 1:
         raise PreconditionViolation("xi and tau must be at least 1")
-    if g.n < 2:
+    if chain.graph.n < 2:
         raise EmptyPacking("a single vertex has no balanced cut besides the trivial one")
     packing = CutPacking(used={0})
     while len(packing) < xi:
-        cut = find_balanced_cut(g, chain, packing, tau)
+        cut = find_balanced_cut(chain, packing, tau)
         packing.add(cut, chain)
         if all(chain.size(k) == 1 for k in cut.nodes):
             break

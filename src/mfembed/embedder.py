@@ -128,7 +128,7 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
     chain = build_chain(g, params.delta, chain_rng)
     if isinstance(chain, ChainFailure):
         return chain
-    packing = build_cut_packing(g, chain, params.xi, params.tau)
+    packing = build_cut_packing(chain, params.xi, params.tau)
     cut = rng.choice(packing.cuts)
     return SplitResult(
         portals=[chain.center[k] for k in cut.nodes],

@@ -799,20 +799,20 @@ def frt_by_matrix(g, seed):
     return HostEmbedding(host=host, eta=list(range(n)), forest=parent, meta=meta)
 
 
-def packing_by_repeat_probe(g, chain, xi, tau):
+def packing_by_repeat_probe(chain, xi, tau):
     """`build_cut_packing` done the former way: one round for the trivial
     cut {V}, rounds until a cut repeats (found by comparing families) or
     xi + 1 cuts are held, then {V} dropped and the rest packed anew."""
     packing = CutPacking()
     families = set()
     while len(packing) < xi + 1:
-        cut = find_balanced_cut(g, chain, packing, tau)
+        cut = find_balanced_cut(chain, packing, tau)
         fam = frozenset(cut_members(chain, cut))
         if fam in families:
             break
         families.add(fam)
         packing.add(cut, chain)
-    everything = frozenset(range(g.n))
+    everything = frozenset(range(chain.graph.n))
     kept = [c for c in packing.cuts if cut_members(chain, c) != (everything,)]
     if not kept:
         raise EmptyPacking("no balanced cut besides the trivial one")

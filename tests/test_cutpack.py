@@ -121,7 +121,7 @@ def golden_root_split(instance, seed):
 @pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
 def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
     sub, chain, params = golden_root_split(instance, seed)
-    packing = build_cut_packing(sub, chain, params.xi, params.tau)
+    packing = build_cut_packing(chain, params.xi, params.tau)
     cuts = packing.cuts + [Cut(nodes=(k,)) for k in range(len(chain.start))]
     verdicts = set()
     for cut in cuts:
@@ -149,11 +149,11 @@ def test_quotient_adjacency_matches_the_oracle_in_every_packing_round(instance, 
         assert all(part_of[v] == k for k, members in enumerate(sets) for v in members)
         want = [set(adj) for adj in quotient(sub, sets).adjacency]
         assert quotient_adjacency(sub, part_of, len(parts)) == want
-        cut = find_balanced_cut(sub, chain, packing, params.tau)
+        cut = find_balanced_cut(chain, packing, params.tau)
         packing.add(cut, chain)
         if all(len(member) == 1 for member in cut_members(chain, cut)):
             break
-    assert packing.cuts == build_cut_packing(sub, chain, params.xi, params.tau).cuts
+    assert packing.cuts == build_cut_packing(chain, params.xi, params.tau).cuts
 
 
 def test_free_clusters_match_the_per_level_scan_in_every_packing_round():
@@ -176,7 +176,7 @@ def test_free_clusters_match_the_per_level_scan_in_every_packing_round():
                 got = [(chain.hi[k], node_members(chain, k)) for k in parts]
                 assert got == free_clusters_by_levels(chain, packing)
                 rounds += 1
-                cut = find_balanced_cut(g, chain, packing, 64)
+                cut = find_balanced_cut(chain, packing, 64)
                 packing.add(cut, chain)
                 if all(len(member) == 1 for member in cut_members(chain, cut)):
                     break
@@ -426,7 +426,7 @@ def test_separator_of_the_empty_graph_is_refused():
 def test_first_cut_is_whole_vertex_set():
     g = scaled(generate("path", size=4))
     chain = chain_of(g)
-    cut = find_balanced_cut(g, chain, CutPacking(), tau=8)
+    cut = find_balanced_cut(chain, CutPacking(), tau=8)
     assert cut_members(chain, cut) == (frozenset(range(4)),)
     assert is_balanced(chain, cut)
 
@@ -435,8 +435,8 @@ def test_path_cut_brute_force_membership():
     g = scaled(generate("path", size=4))
     chain = chain_of(g)
     packing = CutPacking()
-    packing.add(find_balanced_cut(g, chain, packing, tau=8), chain)
-    cut = find_balanced_cut(g, chain, packing, tau=8)
+    packing.add(find_balanced_cut(chain, packing, tau=8), chain)
+    cut = find_balanced_cut(chain, packing, tau=8)
     legal = enumerate_balanced_chain_cuts(g, chain)
     assert frozenset(cut_members(chain, cut)) in legal
     assert balanced_predicate(g, list(cut_members(chain, cut)))
@@ -455,17 +455,17 @@ def test_star_unique_single_cluster_balanced_cut():
 def test_used_marking_descends_to_singletons():
     g, chain = star_chain()
     packing = CutPacking()
-    first = find_balanced_cut(g, chain, packing, tau=8)
+    first = find_balanced_cut(chain, packing, tau=8)
     assert cut_members(chain, first) == (frozenset(range(7)),)
     packing.add(first, chain)
 
-    second = find_balanced_cut(g, chain, packing, tau=8)
+    second = find_balanced_cut(chain, packing, tau=8)
     assert frozenset({0, 1, 2}) in cut_members(chain, second)
     packing.add(second, chain)
 
     # the center's non-singleton cluster is used now; it may only come back
     # as a singleton
-    third = find_balanced_cut(g, chain, packing, tau=8)
+    third = find_balanced_cut(chain, packing, tau=8)
     for member in cut_members(chain, third):
         if 0 in member:
             assert member == frozenset({0})
@@ -480,7 +480,7 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
     # that has not used {0, 1, 2} yet while the guard sees the real one
     g, chain = star_chain()
     packing = CutPacking(used={0})
-    first = find_balanced_cut(g, chain, packing, tau=8)
+    first = find_balanced_cut(chain, packing, tau=8)
     assert frozenset({0, 1, 2}) in cut_members(chain, first)
     packing.add(first, chain)
     real = cutpack.maximal_free_clusters
@@ -490,16 +490,16 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
         lambda chain, packing: real(chain, CutPacking(used={0})),
     )
     with pytest.raises(InvariantViolation, match="conflicts"):
-        find_balanced_cut(g, chain, packing, tau=8)
+        find_balanced_cut(chain, packing, tau=8)
     packing.used.discard(node_of(chain, frozenset({0, 1, 2})))
-    assert find_balanced_cut(g, chain, packing, tau=8) == first
+    assert find_balanced_cut(chain, packing, tau=8) == first
 
 
 def test_oversize_flag():
     g, chain = star_chain()
     packing = CutPacking()
-    packing.add(find_balanced_cut(g, chain, packing, tau=8), chain)
-    cut = find_balanced_cut(g, chain, packing, tau=1)
+    packing.add(find_balanced_cut(chain, packing, tau=8), chain)
+    cut = find_balanced_cut(chain, packing, tau=1)
     assert cut.oversize and len(cut) > 1
 
 
@@ -509,7 +509,7 @@ def test_oversize_flag():
 def test_two_vertex_packing():
     g = WeightedGraph(2, ((0, 1, 1.5),))
     chain = chain_of(g)
-    packing = build_cut_packing(g, chain, xi=1, tau=4)
+    packing = build_cut_packing(chain, xi=1, tau=4)
     assert len(packing.cuts) >= 1
     for cut in packing.cuts:
         assert frozenset(cut_members(chain, cut)) != frozenset({frozenset({0, 1})})
@@ -526,7 +526,7 @@ def test_packing_cuts_all_balanced_and_nonconflicting():
     ]
     for g in instances:
         chain = chain_of(g, delta=0.15, seed=3)
-        packing = build_cut_packing(g, chain, xi=6, tau=3 * g.n)
+        packing = build_cut_packing(chain, xi=6, tau=3 * g.n)
         chain_sets = set(chain_cluster_sets(chain))
         for cut in packing.cuts:
             assert is_balanced(chain, cut)
@@ -540,9 +540,9 @@ def test_packing_cuts_all_balanced_and_nonconflicting():
 def test_packing_respects_xi_budget():
     g = scaled(generate("grid", rows=4, cols=4))
     chain = chain_of(g, delta=0.15, seed=1)
-    small = build_cut_packing(g, chain, xi=2, tau=64)
+    small = build_cut_packing(chain, xi=2, tau=64)
     assert len(small.cuts) <= 2
-    big = build_cut_packing(g, chain, xi=12, tau=64)
+    big = build_cut_packing(chain, xi=12, tau=64)
     assert len(big.cuts) >= len(small.cuts)
 
 
@@ -561,7 +561,7 @@ def test_small_graph_cut_membership_in_enumeration():
         legal = enumerate_balanced_chain_cuts(g, chain)
         packing = CutPacking()
         for _ in range(4):
-            cut = find_balanced_cut(g, chain, packing, tau=32)
+            cut = find_balanced_cut(chain, packing, tau=32)
             family = frozenset(cut_members(chain, cut))
             assert family in legal
             if family in {frozenset(cut_members(chain, c)) for c in packing.cuts}:
@@ -589,7 +589,7 @@ def test_packing_calls_find_balanced_cut_once_per_kept_cut(monkeypatch):
     for g in instances:
         chain = chain_of(g, delta=0.15, seed=1)
         calls.clear()
-        packing = build_cut_packing(g, chain, xi=32, tau=64)
+        packing = build_cut_packing(chain, xi=32, tau=64)
         assert len(packing) < 32  # a cut of singletons, not the budget, stopped it
         assert all(len(m) == 1 for m in cut_members(chain, packing.cuts[-1]))
         assert len(calls) == len(packing)
@@ -609,8 +609,8 @@ def test_packing_matches_repeat_probe_loop():
         cases += 1
         for xi in (1, 2, 3, 16):
             tau = rng.randint(1, n)
-            got = build_cut_packing(g, chain, xi, tau)
-            want = packing_by_repeat_probe(g, chain, xi, tau)
+            got = build_cut_packing(chain, xi, tau)
+            want = packing_by_repeat_probe(chain, xi, tau)
             assert got.cuts == want.cuts
             assert got.used == want.used
             if len(got) == xi and any(len(m) > 1 for m in cut_members(chain, got.cuts[-1])):
@@ -622,6 +622,6 @@ def test_one_vertex_packing_is_empty():
     g = WeightedGraph(1, ())
     chain = chain_of(g)
     with pytest.raises(EmptyPacking):
-        build_cut_packing(g, chain, xi=4, tau=4)
+        build_cut_packing(chain, xi=4, tau=4)
     with pytest.raises(EmptyPacking):
-        packing_by_repeat_probe(g, chain, 4, 4)
+        packing_by_repeat_probe(chain, 4, 4)

@@ -577,10 +577,11 @@ def count_cluster_checks(monkeypatch):
     return calls
 
 
-def matrix_outcomes():
-    """(build_chain, chain_by_levels) outcomes over the matrix, seeds 0..4
-    and a strict and a lax delta; a chain is compared as its level view."""
-    for g in matrix_graphs():
+def matrix_outcomes(extra=()):
+    """(build_chain, chain_by_levels) outcomes over the matrix and `extra`,
+    seeds 0..4 and a strict and a lax delta; a chain is compared as its
+    level view."""
+    for g in matrix_graphs() + list(extra):
         for seed in range(5):
             for delta in (0.1, 0.9):
                 got = build_chain(g, delta, random.Random(seed))
@@ -603,12 +604,16 @@ def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(monkeyp
 
 def test_goodness_matches_the_per_cluster_check_when_x_is_huge(monkeypatch):
     # X drawn ten times too large: radii outgrow the certificate, the check
-    # falls back to diameter_level, and both verdicts occur.
+    # falls back to diameter_level, and both verdicts occur. On the paths
+    # with lengths 1.0000001, a 3-vertex cluster's diameter 2.0000002 lies
+    # just above level 1's bound 2.
     real = partition.sample_exponential
     monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
     calls = count_cluster_checks(monkeypatch)
+    near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
+                for k in (2, 5, 9)]
     reasons = collections.Counter()
-    for got, want in matrix_outcomes():
+    for got, want in matrix_outcomes(near_one):
         assert got == want
         reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
     assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
