@@ -330,20 +330,22 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_cuts(args) -> int:
+    if args.tau < 1:
+        raise _InputProblem(f"--tau must be at least 1, got {args.tau}")
     g = _prepare_for_chain(_load(args.input))
     result = build_chain(g, args.delta, random.Random(args.seed))
     if isinstance(result, ChainFailure):
         print(f"chain failure: level={result.level} reason={result.reason}")
         return 0
-    packing = build_cut_packing(result, args.xi, args.tau)
+    packing = build_cut_packing(result, args.xi)
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
     for i, cut in enumerate(packing.cuts):
         margin = half - max(map(len, outside_components(result, cut)), default=0)
-        levels = [result.hi[k] for k in cut.nodes]
+        levels = [result.hi[k] for k in cut]
         print(
             f"  cut {i}: members={len(cut)} levels={levels} "
-            f"oversize={cut.oversize} balance_margin={margin}"
+            f"oversize={len(cut) > args.tau} balance_margin={margin}"
         )
     return 0
 

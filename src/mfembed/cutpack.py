@@ -12,15 +12,16 @@ eliminated ones weighs more than half. That vertex and its live neighbours
 form the bag of the elimination tree's centroid, and no other bag is built.
 
 Clusters are the nodes of the chain's cluster tree, one per distinct vertex
-set, so a cut is its node ids, each member read from its node's slice of
-the chain's vertex order, and a packing keeps one used flag per node. A
-cluster is free when it is a singleton or not a member of any cut already
-packed; the maximal free clusters are found by walking the tree down from
-the root and stopping at free nodes. Two cuts are non-conflicting when every
-cluster they share is a singleton. A packing starts with the root, the whole
-vertex set, marked used and ends after a cut of singletons or at its size
-budget; its used set then holds the root and the non-singleton members of
-its cuts, which is all a conflict check needs.
+set, so a cut is the tuple of its node ids, each member read from its
+node's slice of the chain's vertex order, and a packing keeps one used flag
+per node. A cut may have any number of members; bounding them is the
+caller's concern. A cluster is free when it is a singleton or not a member
+of any cut already packed; the maximal free clusters are found by walking
+the tree down from the root and stopping at free nodes. Two cuts are
+non-conflicting when every cluster they share is a singleton. A packing
+starts with the root, the whole vertex set, marked used and ends after a cut
+of singletons or at its size budget; its used set then holds the root and
+the non-singleton members of its cuts, which is all a conflict check needs.
 """
 
 from __future__ import annotations
@@ -33,17 +34,10 @@ from .graphs import connected_components, quotient_adjacency
 from .hierarchy import ClusteringChain
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Disjoint chain clusters, as the chain's tree nodes; node k's members
-    are `chain.order[chain.start[k]:chain.stop[k]]`, and its highest level
-    is `chain.hi[k]`. `oversize` flags a cut with more than tau members."""
-
-    nodes: tuple[int, ...]
-    oversize: bool = False
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+# Disjoint chain clusters, as the chain's tree nodes in increasing smallest
+# vertex; node k's members are `chain.order[chain.start[k]:chain.stop[k]]`,
+# and its highest level is `chain.hi[k]`.
+Cut = tuple[int, ...]
 
 
 @dataclass
@@ -54,7 +48,7 @@ class CutPacking:
     used: set[int] = field(default_factory=set)
 
     def add(self, cut: Cut, chain: ClusteringChain) -> None:
-        self.used.update(k for k in cut.nodes if chain.size(k) > 1)
+        self.used.update(k for k in cut if chain.size(k) > 1)
         self.cuts.append(cut)
 
     def __len__(self) -> int:
@@ -66,7 +60,7 @@ def outside_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
     member, as sorted lists ordered by smallest vertex."""
     order, start, stop = chain.order, chain.start, chain.stop
     outside = [True] * chain.graph.n
-    for k in cut.nodes:
+    for k in cut:
         for v in order[start[k] : stop[k]]:
             outside[v] = False
     return connected_components(chain.graph, allowed=outside)
@@ -80,7 +74,7 @@ def cut_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
     so each member is a component, and the others are `outside_components`.
     """
     comps = outside_components(chain, cut)
-    comps.extend(sorted(chain.order[chain.start[k] : chain.stop[k]]) for k in cut.nodes)
+    comps.extend(sorted(chain.order[chain.start[k] : chain.stop[k]]) for k in cut)
     comps.sort()
     return comps
 
@@ -180,30 +174,28 @@ def maximal_free_clusters(
     return parts, part_of
 
 
-def find_balanced_cut(chain: ClusteringChain, packing: CutPacking, tau: int) -> Cut:
+def find_balanced_cut(chain: ClusteringChain, packing: CutPacking) -> Cut:
     """One balanced cut respecting the chain, non-conflicting with the packing.
 
     Quotient the chain's graph, which must be connected, by the maximal free
     clusters and return the clusters of the quotient's centroid separator
-    under per-cluster weight |D|. Cuts larger than tau come back flagged
-    oversize rather than rejected.
+    under per-cluster weight |D|, whatever their number.
     """
     parts, part_of = maximal_free_clusters(chain, packing)
     adjacency = quotient_adjacency(chain.graph, part_of, len(parts))
     chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
-    nodes = tuple(parts[j] for j in chosen)
-    cut = Cut(nodes=nodes, oversize=len(nodes) > tau)
+    cut = tuple(parts[j] for j in chosen)
     if not is_balanced(chain, cut):
         raise InvariantViolation("constructed cut is not balanced")
     # `used` holds the root and the non-singleton members of the earlier
     # cuts, so this is the check that no earlier cut shares a non-singleton
     # member.
-    if any(chain.size(k) > 1 and k in packing.used for k in nodes):
+    if any(chain.size(k) > 1 and k in packing.used for k in cut):
         raise InvariantViolation("constructed cut conflicts with the packing")
     return cut
 
 
-def build_cut_packing(chain: ClusteringChain, xi: int, tau: int) -> CutPacking:
+def build_cut_packing(chain: ClusteringChain, xi: int) -> CutPacking:
     """Up to xi non-conflicting cuts, none of them the trivial cut {V}.
 
     V, the tree's root, starts out used, and `find_balanced_cut` depends
@@ -211,15 +203,15 @@ def build_cut_packing(chain: ClusteringChain, xi: int, tau: int) -> CutPacking:
     would come back unchanged, so the packing ends after one. V is not
     listed as used.
     """
-    if xi < 1 or tau < 1:
-        raise PreconditionViolation("xi and tau must be at least 1")
+    if xi < 1:
+        raise PreconditionViolation("xi must be at least 1")
     if chain.graph.n < 2:
         raise EmptyPacking("a single vertex has no balanced cut besides the trivial one")
     packing = CutPacking(used={0})
     while len(packing) < xi:
-        cut = find_balanced_cut(chain, packing, tau)
+        cut = find_balanced_cut(chain, packing)
         packing.add(cut, chain)
-        if all(chain.size(k) == 1 for k in cut.nodes):
+        if all(chain.size(k) == 1 for k in cut):
             break
     packing.used.discard(0)
     return packing

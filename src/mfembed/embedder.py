@@ -128,14 +128,14 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
     chain = build_chain(g, params.delta, chain_rng)
     if isinstance(chain, ChainFailure):
         return chain
-    packing = build_cut_packing(chain, params.xi, params.tau)
+    packing = build_cut_packing(chain, params.xi)
     cut = rng.choice(packing.cuts)
     return SplitResult(
-        portals=[chain.center[k] for k in cut.nodes],
+        portals=[chain.center[k] for k in cut],
         components=cut_components(chain, cut),
         level=chain.top_level,
         packing_size=len(packing.cuts),
-        oversize_in_packing=sum(1 for c in packing.cuts if c.oversize),
+        oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
     )
 
 

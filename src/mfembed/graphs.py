@@ -117,18 +117,12 @@ def settle(
     return settled
 
 
-def dijkstra(
-    g: WeightedGraph,
-    src: int,
-    allowed: Sequence[bool] | None = None,
-    limit: float | None = None,
-) -> list[float]:
-    """Exact single-source shortest-path distances; INF when unreachable or
-    beyond `limit`. `allowed` and `limit` act as in `settle`."""
+def dijkstra(g: WeightedGraph, src: int) -> list[float]:
+    """Exact single-source shortest-path distances; INF when unreachable."""
     if not 0 <= src < g.n:
         raise InvariantViolation(f"source {src} out of range")
     dist = [INF] * g.n
-    settle(g.adjacency, src, dist, allowed, INF if limit is None else limit)
+    settle(g.adjacency, src, dist)
     return dist
 
 
@@ -146,7 +140,7 @@ def component_of(
     g: WeightedGraph, start: int, allowed: Sequence[bool] | None = None
 ) -> list[int]:
     """Sorted vertices reachable from `start` inside the subgraph that
-    `allowed` induces (all of g when None), as in `dijkstra`."""
+    `allowed` induces (all of g when None), as in `settle`."""
     seen = {start}
     stack = [start]
     adj = g.adjacency

@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DisconnectedGraph, PreconditionViolation
-from .graphs import INF, WeightedGraph, dijkstra, quotient_adjacency
+from .graphs import INF, WeightedGraph, dijkstra, induced_subgraph, quotient_adjacency
 from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
@@ -60,7 +59,7 @@ class ClusteringChain:
       are intervals of a DFS order of its tree. The children's slices tile
       their parent's in creation order, and the first child holds the
       parent's smallest vertex, so each slice starts with that vertex;
-    - `parent[k]` (-1 at the root) and `children[k]`, in creation order;
+    - `children[k]`, in creation order;
     - `lo[k]..hi[k]`, the levels at which it is a cluster;
     - `center[k]`, the center of the level-hi carving (the vertex itself
       for a singleton, 0 for the root);
@@ -75,11 +74,9 @@ class ClusteringChain:
     graph: WeightedGraph
     top_level: int
     delta: float
-    r_schedule: tuple[float, ...]
     order: tuple[int, ...]
     start: tuple[int, ...]
     stop: tuple[int, ...]
-    parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
@@ -97,9 +94,13 @@ class ClusteringChain:
 
 
 def level_count_for_diameter(diam: float) -> int:
-    """Least L with diam <= 2**L (so 2**(L-1) < diam <= 2**L for diam > 1)."""
-    if not math.isfinite(diam):
-        raise PreconditionViolation(f"diameter {diam} overflows a float")
+    """Least L with diam <= 2**L (so 2**(L-1) < diam <= 2**L for diam > 1).
+
+    A diameter above 2**1023 is refused: its L would be 1024, and 2.0**1024
+    overflows a float.
+    """
+    if not diam <= 2.0**1023:
+        raise PreconditionViolation(f"diameter {diam} overflows a float: it exceeds 2**1023")
     level = 0
     while diam > 2.0**level:
         level += 1
@@ -112,45 +113,34 @@ def level_count_for_diameter(diam: float) -> int:
 BOUND_SLACK = 1e-9
 
 
-def diameter_level(
-    g: WeightedGraph,
-    members: Sequence[int] | None = None,
-    allowed: Sequence[bool] | None = None,
-    *,
-    floor: int = 0,
-    first: int | None = None,
-    dmin: float = 2.0,
-) -> int:
-    """Least L >= floor with every member's eccentricity at most 2**L.
+def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> int:
+    """Least L >= floor with every vertex's eccentricity at most 2**L.
 
     With the defaults this is `level_count_for_diameter(diameter(g))`.
-    Eccentricities are taken over `members` inside the subgraph that
-    `allowed` induces (over all of g when both are None), and are measured
-    as 2 * ecc / dmin: the FRT tree passes its closest-pair distance, the
-    default leaves them as they are. A run from v
+    Eccentricities are measured as 2 * ecc / dmin: the FRT tree passes its
+    closest-pair distance, the default leaves them as they are. The first
+    source is vertex 0. A run from v
     bounds every w by max(d(v,w), ecc(v) - d(v,w)) <= ecc(w) <= d(v,w) +
-    ecc(v). A member is settled once its upper bound clears 2**L by
-    BOUND_SLACK; every other member gets a run of its own. The second
-    source is the member farthest from the first (the 2-sweep), and its
+    ecc(v). A vertex is settled once its upper bound clears 2**L by
+    BOUND_SLACK; every other vertex gets a run of its own. The second
+    source is the vertex farthest from the first (the 2-sweep), and its
     row with the first one may certify every pair at once (see
     `_no_pair_exceeds`); after that, sources alternate between the largest
     upper and the smallest lower bound (Takes & Kosters, CIKM 2011).
-    Raises DisconnectedGraph when some member cannot reach another.
+    Raises DisconnectedGraph when some vertex cannot reach another.
     """
-    ids = range(g.n) if members is None else members
-    live = list(ids)
-    if not live:
-        raise PreconditionViolation("diameter_level needs at least one member")
-    upper = [INF] * len(live)
-    lower = [0.0] * len(live)
+    if g.n == 0:
+        raise PreconditionViolation("diameter_level needs at least one vertex")
+    live = list(range(g.n))
+    upper = [INF] * g.n
+    lower = [0.0] * g.n
     level = floor
-    source = live[0] if first is None else first
+    source = 0
     first_row: list[float] = []
     runs = 0
     widest = False
     while True:
-        dist = dijkstra(g, source, allowed=allowed)
-        row = dist if members is None else [dist[w] for w in members]
+        row = dijkstra(g, source)
         ecc = max(row)
         if ecc == INF:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
@@ -159,7 +149,7 @@ def diameter_level(
         settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
         kept, kept_upper, kept_lower = [], [], []
         for w, up, low in zip(live, upper, lower):
-            d = dist[w]
+            d = row[w]
             if d + ecc < up:
                 up = d + ecc
             if up <= settled or w == source:
@@ -173,7 +163,7 @@ def diameter_level(
         runs += 1
         if runs == 1:
             first_row = row
-            source = min(w for w, d in zip(ids, row) if d == ecc)
+            source = row.index(ecc)
             continue
         if runs == 2:
             # Exact sums decide what the full sweep decides; inexact ones
@@ -215,11 +205,6 @@ def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) 
     return True
 
 
-def radius_schedule(top_level: int, lam: float) -> tuple[float, ...]:
-    """r_i for i = 0..top_level-1 (index i holds the level-i parameter)."""
-    return tuple(2.0 ** (i - 1) / lam for i in range(top_level))
-
-
 def build_chain(
     g: WeightedGraph,
     delta: float,
@@ -242,11 +227,9 @@ def build_chain(
             graph=g,
             top_level=0,
             delta=delta,
-            r_schedule=(),
             order=(0,),
             start=(0,),
             stop=(1,),
-            parent=(-1,),
             children=((),),
             lo=(0,),
             hi=(0,),
@@ -260,10 +243,9 @@ def build_chain(
         raise PreconditionViolation("all pairwise distances must exceed 1")
     lam = math.log(2.0 * top * n * n / delta) + 1.0
     sigma = 480.0 * lam * lam
-    r_sched = radius_schedule(top, lam)
 
     order = list(range(n))
-    start, stop, parent, children = [0], [n], [-1], [[]]
+    start, stop, children = [0], [n], [[]]
     lo, hi, center, radius = [top], [top], [0], [INF]
 
     def add(k: int, first: int, members: list[int], level: int, c: int, rv: float) -> None:
@@ -271,7 +253,6 @@ def build_chain(
         children[k].append(len(start))
         start.append(first)
         stop.append(first + len(members))
-        parent.append(k)
         children.append([])
         # a singleton stays a cluster down to level 0
         lo.append(level if len(members) > 1 else 0)
@@ -291,14 +272,14 @@ def build_chain(
             child_rng = random.Random(rng.getrandbits(64))
             for u in members:
                 free[u] = True
-            balls = carve(g, members, free, r_sched[i], child_rng)
+            balls = carve(g, members, free, 2.0 ** (i - 1) / lam, child_rng)
             if len(balls) == 1:
                 lo[k] = i
-                radius[k] = balls[0][3]
+                radius[k] = balls[0][2]
                 below.append(k)
                 continue
             first = start[k]
-            for c, part, _, rv in balls:
+            for c, part, rv in balls:
                 add(k, first, part, i, c, rv)
                 first += len(part)
                 if len(part) > 1:
@@ -315,11 +296,9 @@ def build_chain(
         graph=g,
         top_level=top,
         delta=delta,
-        r_schedule=r_sched,
         order=tuple(order),
         start=tuple(start),
         stop=tuple(stop),
-        parent=tuple(parent),
         children=tuple(map(tuple, children)),
         lo=tuple(lo),
         hi=tuple(hi),
@@ -343,6 +322,10 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     every eccentricity bound that `diameter_level` would form on that run,
     and when it clears 2**lo by BOUND_SLACK that run settles every member
     and returns lo; no run is made then.
+
+    A cluster without that certificate gets a `diameter_level` run on the
+    subgraph it induces, from local vertex 0: its smallest member, which is
+    its carving's center. A disconnected cluster fails.
     """
     g = chain.graph
     top = chain.top_level
@@ -355,17 +338,12 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
         and not 2.0 * chain.radius[k] <= 2.0 ** lo[k] / (1.0 + BOUND_SLACK)
     ]
     uncertified.sort(key=lambda k: (lo[k], start[k]))
-    allowed = [False] * g.n
     for k in uncertified:
-        members = sorted(order[start[k] : stop[k]])
-        for u in members:
-            allowed[u] = True
+        sub, _ = induced_subgraph(g, order[start[k] : stop[k]])
         try:
-            level = diameter_level(g, members, allowed, floor=lo[k], first=chain.center[k])
+            level = diameter_level(sub, floor=lo[k])
         except DisconnectedGraph:
             level = lo[k] + 1
-        for u in members:
-            allowed[u] = False
         if level > lo[k]:
             return ChainFailure(
                 level=lo[k], reason=DIAMETER_EXCEEDED, cluster_index=chain.level_index(lo[k], k)

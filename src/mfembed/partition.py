@@ -29,16 +29,13 @@ def sample_exponential(rng: random.Random) -> float:
 class Clustering:
     """One carving round: clusters in creation order plus their radii.
 
-    `cluster_of[v]` is the index of the cluster containing v. `radii[i]`
-    equals `base_r * (1 + x_values[i])`.
+    `radii[i]` equals `base_r * (1 + X)` for the Exp(1) draw X of cluster i.
     """
 
     base_r: float
     clusters: tuple[tuple[int, ...], ...]
     centers: tuple[int, ...]
-    x_values: tuple[float, ...]
     radii: tuple[float, ...]
-    cluster_of: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -68,17 +65,11 @@ def single_level_partition(
         raise InvariantViolation("order must be a permutation of 0..n-1")
 
     balls = carve(g, order, [True] * g.n, r, rng)
-    cluster_of = [-1] * g.n
-    for idx, (_, members, _, _) in enumerate(balls):
-        for u in members:
-            cluster_of[u] = idx
     return Clustering(
         base_r=r,
-        clusters=tuple(tuple(members) for _, members, _, _ in balls),
-        centers=tuple(center for center, _, _, _ in balls),
-        x_values=tuple(x for _, _, x, _ in balls),
-        radii=tuple(rv for _, _, _, rv in balls),
-        cluster_of=tuple(cluster_of),
+        clusters=tuple(tuple(members) for _, members, _ in balls),
+        centers=tuple(center for center, _, _ in balls),
+        radii=tuple(rv for _, _, rv in balls),
     )
 
 
@@ -88,14 +79,14 @@ def carve(
     free: list[bool],
     r: float,
     rng: random.Random,
-) -> list[tuple[int, list[int], float, float]]:
+) -> list[tuple[int, list[int], float]]:
     """Carve the vertices of `order` that `free` marks, in g itself.
 
     Walks `order` once: each vertex still free there becomes a center with
     radius r*(1+x), and its ball inside the subgraph induced by the free
     vertices is unmarked in `free`. `free` may mark no vertex outside
-    `order`. Returns (center, sorted members, x, radius) per ball, in
-    creation order.
+    `order`. Returns (center, sorted members, radius) per ball, in creation
+    order.
     """
     balls = []
     dist = [INF] * g.n
@@ -110,5 +101,5 @@ def carve(
         for u in members:
             free[u] = False
             dist[u] = INF
-        balls.append((v, members, x, rv))
+        balls.append((v, members, rv))
     return balls

@@ -35,9 +35,10 @@ sets; `children_hop_diameter` is the goodness check's former quotient
 hop-diameter, and `cuts_conflict` its former pairwise conflict test.
 
 The chain is one cluster tree in the library. `chain_levels` gives its
-former per-level lists (`LevelView`), and `chain_from_levels` builds a tree
-from hand-written lists. `goodness_by_levels` is the former goodness check,
-one `diameter_level` run per non-singleton (level, cluster) pair, with its
+former per-level lists (`LevelView`), `tree_parents` each node's parent,
+and `chain_from_levels` builds a tree from hand-written lists.
+`goodness_by_levels` is the former goodness check, the all-members
+`diameter` of every non-singleton (level, cluster) pair's subgraph, with its
 quotient BFS `level_quotient_hops`; `chain_by_levels` is the former
 `build_chain` on top of `chain_by_subgraphs`, whose chain or `ChainFailure`
 `build_chain` must reproduce. `free_clusters_by_levels` is the former
@@ -100,7 +101,7 @@ def node_members(chain, k):
 
 def cut_members(chain, cut):
     """A cut's members as vertex sets, in the cut's node order."""
-    return tuple(node_members(chain, k) for k in cut.nodes)
+    return tuple(node_members(chain, k) for k in cut)
 
 
 @dataclass(frozen=True)
@@ -641,11 +642,12 @@ def level_cut_counts(chain, path):
 
 def count_cut_edges(g, path, clustering):
     """Number of path edges whose endpoints fall in different clusters."""
+    cluster_of = {u: idx for idx, members in enumerate(clustering.clusters) for u in members}
     count = 0
     for u, v in zip(path, path[1:]):
         if not has_edge(g, u, v):
             raise EdgeNotInGraph(f"({u},{v}) is not an edge")
-        if clustering.cluster_of[u] != clustering.cluster_of[v]:
+        if cluster_of[u] != cluster_of[v]:
             count += 1
     return count
 
@@ -660,11 +662,8 @@ def check_partition_validity(g, clustering):
             if u in seen:
                 raise InvariantViolation(f"vertex {u} in two clusters")
             seen.add(u)
-        allowed = [False] * g.n
-        for u in members:
-            allowed[u] = True
-        dist = dijkstra(g, members[0], allowed=allowed)
-        if any(dist[u] == INF for u in members):
+        sub, _ = induced_subgraph(g, members)
+        if INF in dijkstra(sub, 0):
             raise InvariantViolation(f"cluster {idx} is not connected")
     if len(seen) != g.n:
         raise InvariantViolation("clusters do not cover the vertex set")
@@ -799,14 +798,14 @@ def frt_by_matrix(g, seed):
     return HostEmbedding(host=host, eta=list(range(n)), forest=parent, meta=meta)
 
 
-def packing_by_repeat_probe(chain, xi, tau):
+def packing_by_repeat_probe(chain, xi):
     """`build_cut_packing` done the former way: one round for the trivial
     cut {V}, rounds until a cut repeats (found by comparing families) or
     xi + 1 cuts are held, then {V} dropped and the rest packed anew."""
     packing = CutPacking()
     families = set()
     while len(packing) < xi + 1:
-        cut = find_balanced_cut(chain, packing, tau)
+        cut = find_balanced_cut(chain, packing)
         fam = frozenset(cut_members(chain, cut))
         if fam in families:
             break
@@ -896,6 +895,7 @@ def chain_levels(chain):
     order of their slices."""
     n = chain.graph.n
     top = chain.top_level
+    parent = tree_parents(chain)
     alive = [
         sorted((k for k in range(len(chain.start)) if chain.lo[k] <= i <= chain.hi[k]),
                key=chain.start.__getitem__)
@@ -905,7 +905,7 @@ def chain_levels(chain):
     levels = tuple(tuple(node_members(chain, k) for k in nodes) for nodes in alive)
     centers = tuple(tuple(chain.center[k] for k in nodes) for nodes in alive)
     parents = tuple(
-        tuple(index[i + 1][k if chain.hi[k] > i else chain.parent[k]] for k in alive[i])
+        tuple(index[i + 1][k if chain.hi[k] > i else parent[k]] for k in alive[i])
         for i in range(top)
     )
     vtc = []
@@ -922,7 +922,16 @@ def chain_levels(chain):
     return LevelView(levels, centers, parents, tuple(vtc), sigma)
 
 
-def chain_from_levels(g, levels, centers, delta=0.1, r_schedule=()):
+def tree_parents(chain):
+    """Each cluster-tree node's parent, read from `children`; -1 at the root."""
+    parent = [-1] * len(chain.start)
+    for k, kids in enumerate(chain.children):
+        for c in kids:
+            parent[c] = k
+    return parent
+
+
+def chain_from_levels(g, levels, centers, delta=0.1):
     """A `ClusteringChain` tree from hand-written per-level lists, each
     level listed in refinement order with every cluster's children in
     increasing smallest vertex. A set gets its node id at the highest level
@@ -961,11 +970,9 @@ def chain_from_levels(g, levels, centers, delta=0.1, r_schedule=()):
         graph=g,
         top_level=top,
         delta=delta,
-        r_schedule=tuple(r_schedule),
         order=tuple(order),
         start=tuple(start),
         stop=tuple(stop),
-        parent=tuple(parent),
         children=tuple(map(tuple, children)),
         lo=tuple(lo),
         hi=tuple(hi),
@@ -974,26 +981,22 @@ def chain_from_levels(g, levels, centers, delta=0.1, r_schedule=()):
     )
 
 
-def goodness_by_levels(g, levels, centers, parents, top, sigma):
-    """The goodness check done the former way: one `diameter_level` run per
-    non-singleton (level, cluster) pair of levels 1..top-1, from the
-    cluster's center, then each cluster's quotient by its children; the
-    first failure in (level, index) order, diameters before quotients."""
-    allowed = [False] * g.n
+def goodness_by_levels(g, levels, parents, top, sigma):
+    """The goodness check done the former way: every non-singleton
+    (level, cluster) pair of levels 1..top-1 measured by `diameter`, one
+    Dijkstra row per member on the subgraph the cluster induces, then each
+    cluster's quotient by its children; the first failure in (level, index)
+    order, diameters before quotients."""
     for i in range(1, top):
         for idx, cluster in enumerate(levels[i]):
             if len(cluster) == 1:
                 continue
-            members = sorted(cluster)
-            for u in members:
-                allowed[u] = True
+            sub, _ = induced_subgraph(g, sorted(cluster))
             try:
-                level = diameter_level(g, members, allowed, floor=i, first=centers[i][idx])
+                too_wide = diameter(sub) > 2.0**i
             except DisconnectedGraph:
-                level = i + 1
-            for u in members:
-                allowed[u] = False
-            if level > i:
+                too_wide = True
+            if too_wide:
                 return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
     for i in range(top):
         part_counts = Counter(parents[i])
@@ -1044,7 +1047,7 @@ def chain_by_levels(g, delta, rng):
     levels, centers, parents = chain_by_subgraphs(g, delta, rng)
     top = len(levels) - 1
     lam = math.log(2.0 * top * g.n * g.n / delta) + 1.0
-    failure = goodness_by_levels(g, levels, centers, parents, top, 480.0 * lam * lam)
+    failure = goodness_by_levels(g, levels, parents, top, 480.0 * lam * lam)
     return failure or (levels, centers, parents)
 
 

@@ -315,7 +315,7 @@ def test_criterion_7_balanced_cuts():
             if isinstance(chain, ChainFailure):
                 continue
             params = derive_params(g.n, 7, EPSILON, "practical")
-            packing = build_cut_packing(chain, params.xi, params.tau)
+            packing = build_cut_packing(chain, params.xi)
             chain_sets = set(chain_cluster_sets(chain))
             for cut in packing.cuts:
                 members = cut_members(chain, cut)
@@ -339,7 +339,7 @@ def test_criterion_7_balanced_cuts():
         legal = enumerate_balanced_chain_cuts(scaled, chain)
         packing = CutPacking()
         for _ in range(5):
-            cut = find_balanced_cut(chain, packing, tau=40)
+            cut = find_balanced_cut(chain, packing)
             family = frozenset(cut_members(chain, cut))
             assert family in legal
             if family in {frozenset(cut_members(chain, c)) for c in packing.cuts}:

@@ -312,6 +312,14 @@ def test_debug_subcommands(tmp_path, capsys):
     assert "packing size=" in out
     assert "balance_margin=" in out
 
+    # `oversize` marks a cut with more than --tau members; a cut of exactly
+    # --tau members is not oversize
+    sizes = [int(part[len("members="):]) for part in out.split() if part.startswith("members=")]
+    for tau in sorted(set(sizes)):
+        assert run("cuts", "-i", scaled, "--delta", 0.2, "--xi", 4, "--tau", tau, "--seed", 1) == 0
+        flags = [part for part in capsys.readouterr().out.split() if part.startswith("oversize=")]
+        assert flags == [f"oversize={size > tau}" for size in sizes]
+
 
 def test_eval_detects_contracting_embedding(tmp_path):
     # hand-written "embedding" whose host distance undercuts the graph
@@ -476,6 +484,8 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
         ("embed", "e 0 1 1e-300\ne 1 2 1e10"),
         ("embed", "e 0 1 1e308\ne 1 2 1e308"),
         ("frt", "e 0 1 1e308\ne 1 2 1e308"),
+        # every sum is finite, but FRT's 2 * diam / dmin is above 2**1023
+        ("frt", "e 0 1 1\ne 1 2 5e307"),
     ],
 )
 def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, command, edges):
@@ -485,6 +495,7 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
     capsys.readouterr()
     assert run(command, "-i", graph, "-o", tmp_path / "out.json") == 2
     assert "overflows a float" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("option", [("--c-fallback", 1e308), ("--epsilon", 1e-320)])

@@ -107,7 +107,7 @@ def split_cut(g, params, seed):
     from the same stream: the chain's child stream, then the cut choice."""
     rng = random.Random(seed)
     chain = build_chain(g, params.delta, random.Random(rng.getrandbits(64)))
-    return chain, rng.choice(build_cut_packing(chain, params.xi, params.tau).cuts)
+    return chain, rng.choice(build_cut_packing(chain, params.xi).cuts)
 
 
 def test_split_two_vertex_forced():

@@ -9,7 +9,7 @@ from test_hierarchy import count_runs
 from test_pipeline import random_connected_graph
 
 from mfembed.cli import main
-from mfembed.errors import DisconnectedGraph
+from mfembed.errors import DisconnectedGraph, PreconditionViolation
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphio import save_graph
@@ -130,6 +130,16 @@ def test_disconnected_input_raises(g, tmp_path):
     save_graph(g, tmp_path / "g.txt")
     assert main(["frt", "-i", str(tmp_path / "g.txt"), "-o", str(tmp_path / "t.json")]) == 2
     assert not (tmp_path / "t.json").exists()
+
+
+def test_diameter_whose_level_overflows_is_refused(tmp_path):
+    # 2 * diam / dmin is about 1e308: finite, but above 2**1023, so the
+    # tree's top level would be 1024 and 2.0**1024 overflows a float
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 5e307)))
+    with pytest.raises(PreconditionViolation, match="overflows a float"):
+        diameter_level(g, floor=1, dmin=1.0)
+    with pytest.raises(PreconditionViolation, match="overflows a float"):
+        frt_embed(g, 0)
 
 
 def test_peak_memory_on_grid30_holds_no_distance_matrix():

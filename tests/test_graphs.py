@@ -91,8 +91,9 @@ def test_dijkstra_unreachable_is_inf():
 
 def test_dijkstra_restricted_to_allowed():
     g = generate("cycle", size=4)
-    dist = dijkstra(g, 0, allowed=[True, True, True, False])
-    assert dist[2] == 2.0  # the short way around is blocked
+    dist = [INF] * 4
+    assert settle(g.adjacency, 0, dist, [True, True, True, False]) == [0, 1, 2]
+    assert dist == [0.0, 1.0, 2.0, INF]  # the short way around is blocked
 
 
 def random_connected_graph(rng, n):

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import sys
 
 import pytest
 from oracles import (
@@ -17,6 +18,7 @@ from oracles import (
     level_cut_counts,
     level_quotient_hops,
     node_members,
+    tree_parents,
 )
 
 import mfembed.hierarchy as hierarchy
@@ -26,11 +28,11 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     INF,
     WeightedGraph,
-    dijkstra,
     induced_subgraph,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
+    settle,
 )
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
@@ -41,7 +43,6 @@ from mfembed.hierarchy import (
     build_chain,
     diameter_level,
     level_count_for_diameter,
-    radius_schedule,
 )
 
 
@@ -69,23 +70,36 @@ def test_two_vertex_chain_is_forced():
         assert levels[0] == (frozenset({0}), frozenset({1}))
 
 
-def test_radius_formula_direct_evaluation():
-    # r_i = 2**(i-1) / (ln(2 l n^2 / delta) + 1); at l=1, n=2, delta=0.1 the
-    # level-1 value is 1/(ln 80 + 1), and build_chain passes that lambda
-    lam = math.log(80.0) + 1.0
-    sched = radius_schedule(1, lam)
-    assert build(WeightedGraph(2, ((0, 1, 1.5),)), delta=0.1).r_schedule == sched
-    assert radius_schedule(4, lam) == tuple(2.0 ** (i - 1) / lam for i in range(4))
-    r0 = sched[0]
-    assert r0 == pytest.approx(0.5 / (math.log(80.0) + 1.0), rel=1e-15)
-    assert 2.0 * r0 == pytest.approx(1.0 / (math.log(80.0) + 1.0), rel=1e-15)
-    assert 2.0 * r0 == pytest.approx(0.1858, abs=5e-5)
+def test_radius_formula_direct_evaluation(monkeypatch):
+    # r_i = 2**(i-1) / (ln(2 l n^2 / delta) + 1), and a carved cluster's
+    # radius is r_i * (1 + X). On the path 0-1-2 with lengths 1.5 (l = 2,
+    # n = 3, delta = 0.1) and X fixed at 15, level 1 carves {0, 1} with
+    # radius 16 / (ln 360 + 1).
+    monkeypatch.setattr(partition, "sample_exponential", lambda rng: 15.0)
+    chain = build(WeightedGraph(3, ((0, 1, 1.5), (1, 2, 1.5))), delta=0.1)
+    assert chain.top_level == 2
+    lam = math.log(2.0 * 2 * 3 * 3 / 0.1) + 1.0
+    k = next(k for k in range(len(chain.start)) if node_members(chain, k) == {0, 1})
+    assert chain.lo[k] == chain.hi[k] == 1
+    assert chain.radius[k] == 2.0 ** (1 - 1) / lam * (1.0 + 15.0)
+    assert chain.radius[k] == pytest.approx(16.0 / (math.log(360.0) + 1.0), rel=1e-15)
+    assert chain.radius[k] == pytest.approx(2.3235, abs=5e-5)
 
 
 def test_level_count_boundaries():
     assert level_count_for_diameter(1.5) == 1
     assert level_count_for_diameter(2.0) == 1
     assert level_count_for_diameter(2.01) == 2
+    assert level_count_for_diameter(2.0**1023) == 1023
+
+
+@pytest.mark.parametrize(
+    "diam", [math.nextafter(2.0**1023, INF), 1e308, sys.float_info.max, INF, math.nan]
+)
+def test_level_count_refuses_a_level_whose_bound_overflows(diam):
+    # L would be 1024, and 2.0**1024 overflows a float
+    with pytest.raises(PreconditionViolation, match="overflows a float"):
+        level_count_for_diameter(diam)
 
 
 # ------------------------------------------------------------ diameter level
@@ -149,25 +163,24 @@ def test_diameter_level_grid_top_takes_few_runs(monkeypatch):
     assert len(runs) <= 4
 
 
+def assert_subgraph_level_matches_floyd_warshall(g, members, floor):
+    """diameter_level on the subgraph that `members` induce, as the goodness
+    check measures a cluster, against its Floyd-Warshall diameter."""
+    sub, _ = induced_subgraph(g, members)
+    diam = max(x for row in floyd_warshall(sub) for x in row)
+    if diam == math.inf:
+        with pytest.raises(DisconnectedGraph):
+            diameter_level(sub, floor=floor)
+        return
+    assert diameter_level(sub, floor=floor) == max(floor, level_count_for_diameter(diam))
+
+
 def test_cluster_level_matches_all_members_sweep():
     rng = random.Random(9)
     for _ in range(60):
         g = random_connected(rng, rng.randint(3, 30), step=0.5)
         members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-        sub, _ = induced_subgraph(g, members)
-        allowed = [False] * g.n
-        for u in members:
-            allowed[u] = True
-        first = rng.choice(members)
-        floor = rng.randint(0, 4)
-        fw = floyd_warshall(sub)
-        diam = max(x for row in fw for x in row)
-        if diam == math.inf:
-            with pytest.raises(DisconnectedGraph):
-                diameter_level(g, members, allowed, floor=floor, first=first)
-            continue
-        want = max(floor, level_count_for_diameter(diam))
-        assert diameter_level(g, members, allowed, floor=floor, first=first) == want
+        assert_subgraph_level_matches_floyd_warshall(g, members, rng.randint(0, 4))
 
 
 def test_two_row_certificate_matches_full_sweep_on_integer_lengths():
@@ -179,16 +192,7 @@ def test_two_row_certificate_matches_full_sweep_on_integer_lengths():
             assert g.exact_path_sums
             assert diameter_level(g) == level_count_for_diameter(diameter(g))
             members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-            allowed = [v in members for v in range(g.n)]
-            floor = rng.randint(0, 4)
-            sub, _ = induced_subgraph(g, members)
-            try:
-                want = max(floor, level_count_for_diameter(diameter(sub)))
-            except DisconnectedGraph:
-                with pytest.raises(DisconnectedGraph):
-                    diameter_level(g, members, allowed, floor=floor, first=members[-1])
-                continue
-            assert diameter_level(g, members, allowed, floor=floor, first=members[-1]) == want
+            assert_subgraph_level_matches_floyd_warshall(g, members, rng.randint(0, 4))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -245,9 +249,8 @@ def test_two_row_certificate_takes_two_runs_on_unit_cycle_512(monkeypatch):
 
 
 def test_diameter_level_rejects_empty_members():
-    g = WeightedGraph(2, ((0, 1, 2.0),))
     with pytest.raises(PreconditionViolation):
-        diameter_level(g, members=[])
+        diameter_level(WeightedGraph(0, ()))
 
 
 def path_chain(level2, level1):
@@ -276,6 +279,45 @@ def test_cluster_check_falls_back_when_center_is_an_endpoint(monkeypatch):
     )
     failure = _check_goodness(chain, 100.0)
     assert failure == ChainFailure(level=2, reason=DIAMETER_EXCEEDED, cluster_index=0)
+
+
+def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
+    # A hand-made chain has no radii, so every non-singleton below the top
+    # gets a diameter_level call on the subgraph it induces. Local vertex 0
+    # is the smallest member, where the runs start, whatever the stored
+    # center ({3, 4} keeps its level-2 center 4); the level is the one the
+    # member subgraph's Floyd-Warshall diameter gives.
+    g, chain = path_chain(
+        [frozenset({0, 1, 2}), frozenset({3, 4})],
+        [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})],
+    )
+    real_subgraph, real_level = hierarchy.induced_subgraph, hierarchy.diameter_level
+    built, measured = [], []
+
+    def subgraph(graph, members):
+        assert graph is g
+        built.append(sorted(members))
+        return real_subgraph(graph, members)
+
+    def level(graph, **kwargs):
+        start = len(runs)
+        got = real_level(graph, **kwargs)
+        measured.append((kwargs["floor"], got, runs[start:]))
+        return got
+
+    runs = count_runs(monkeypatch)
+    monkeypatch.setattr(hierarchy, "induced_subgraph", subgraph)
+    monkeypatch.setattr(hierarchy, "diameter_level", level)
+    assert _check_goodness(chain, 100.0) is None
+    assert built == [[0, 1], [3, 4], [0, 1, 2]]
+    assert chain.center[next(k for k in range(len(chain.start)) if chain.lo[k] == 1
+                             and node_members(chain, k) == {3, 4})] == 4
+    for members, (floor, got, sources) in zip(built, measured):
+        sub, _ = induced_subgraph(g, members)
+        diam = max(x for row in floyd_warshall(sub) for x in row)
+        assert got == max(floor, level_count_for_diameter(diam))
+        assert sources[0] == 0 and len(sources) > 1
+    assert [(floor, got) for floor, got, _ in measured] == [(1, 1), (1, 1), (2, 2)]
 
 
 def test_cluster_check_rejects_a_disconnected_cluster():
@@ -455,7 +497,7 @@ def fabricate_chain():
         (frozenset(range(6)),),
     )
     centers = (tuple(range(6)), (0, 2, 4), (0, 4), (0,))
-    chain = chain_from_levels(g, levels, centers, r_schedule=(0.1, 0.2, 0.4))
+    chain = chain_from_levels(g, levels, centers)
     view = chain_levels(chain)
     assert view.levels == levels and view.centers == centers
     assert view.vertex_to_cluster == (
@@ -538,9 +580,9 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_chain must not call this")
 
-    # the goodness check's quotient no longer needs a subgraph either, so
-    # the module has no subgraph builder left to call
-    assert not hasattr(hierarchy, "induced_subgraph")
+    # every cluster here is certified by its carving radius, so the goodness
+    # check builds no cluster subgraph
+    monkeypatch.setattr(hierarchy, "induced_subgraph", refuse)
     monkeypatch.setattr("mfembed.partition.is_connected", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)
@@ -563,15 +605,15 @@ def matrix_graphs():
 
 
 def count_cluster_checks(monkeypatch):
-    """diameter_level calls on a cluster; the chain's top-level call has no
-    members."""
+    """diameter_level calls on a cluster's subgraph, as its sizes; the
+    chain's top-level call passes no floor."""
     calls = []
     real = hierarchy.diameter_level
 
-    def counted(g, members=None, *args, **kwargs):
-        if members is not None:
-            calls.append(len(members))
-        return real(g, members, *args, **kwargs)
+    def counted(g, **kwargs):
+        if "floor" in kwargs:
+            calls.append(g.n)
+        return real(g, **kwargs)
 
     monkeypatch.setattr(hierarchy, "diameter_level", counted)
     return calls
@@ -627,7 +669,9 @@ def test_cluster_tree_slices_levels_and_radii():
         sets = [node_members(chain, k) for k in range(count)]
         assert len(set(sets)) == count and sets[0] == frozenset(range(g.n))
         assert sorted(chain.order) == list(range(g.n))
-        assert chain.lo[0] <= chain.hi[0] == chain.top_level and chain.parent[0] == -1
+        parent = tree_parents(chain)
+        assert chain.lo[0] <= chain.hi[0] == chain.top_level and parent[0] == -1
+        assert all(p >= 0 for p in parent[1:])
         for k in range(count):
             first, last = chain.start[k], chain.stop[k]
             # a slice starts at its smallest vertex, the carving center
@@ -638,7 +682,7 @@ def test_cluster_tree_slices_levels_and_radii():
                 assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
                 assert len(pieces) > 1
                 for c in chain.children[k]:
-                    assert chain.parent[c] == k and chain.hi[c] == chain.lo[k] - 1
+                    assert parent[c] == k and chain.hi[c] == chain.lo[k] - 1
             else:
                 assert len(sets[k]) == 1 and chain.lo[k] == 0
             if len(sets[k]) == 1:
@@ -648,7 +692,8 @@ def test_cluster_tree_slices_levels_and_radii():
                 assert chain.radius[0] == INF
                 continue
             allowed = [v in sets[k] for v in range(g.n)]
-            dist = dijkstra(g, chain.center[k], allowed=allowed)
+            dist = [INF] * g.n
+            assert set(settle(g.adjacency, chain.center[k], dist, allowed)) == sets[k]
             assert max(dist[v] for v in sets[k]) <= chain.radius[k]
             lam = math.log(2.0 * chain.top_level * g.n**2 / chain.delta) + 1.0
             assert chain.radius[k] >= 2.0 ** (chain.lo[k] - 1) / lam
