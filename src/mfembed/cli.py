@@ -17,7 +17,7 @@ from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
 from .generators import generate
 from .graphio import load_graph, save_graph
-from .graphs import WeightedGraph, connected_components, induced_subgraph, is_connected
+from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
 from .hierarchy import ChainFailure, build_chain
 from .hosts import load_embedding, save_components, save_embedding
 from .partition import single_level_partition
@@ -211,9 +211,9 @@ def _cmd_embed(args) -> int:
         )
         return 0
     # Components embedded independently, emitted as a JSON array.
+    comps = connected_components(g)
     parts = []
-    for k, comp in enumerate(connected_components(g)):
-        sub, verts = induced_subgraph(g, comp)
+    for k, (sub, verts) in enumerate(zip(induced_subgraphs(g, comps), comps)):
         emb = embed_top(sub, args.epsilon, seed=derive_seed(args.seed, "component", k), **kwargs)
         parts.append((emb, verts))
     save_components(parts, args.out)

@@ -3,12 +3,12 @@
 `embed_top` preprocesses (metric closure, rescaling, parameter derivation)
 and then recursively splits the graph: build a clustering chain, pack
 balanced cuts, sample one cut, and recurse on the components left without
-its boundary edges (its members and the components outside them), each
-induced once from the current subgraph. Every member of the sampled cut
-contributes one portal; a copy of each portal joins the host, wired to
-every vertex of the current subgraph at its distance inside that subgraph,
-and the portal copies stack on top of the sub-forests, which keeps the
-elimination forest valid.
+its boundary edges (its members and the components outside them), whose
+subgraphs are all built in one pass over the current subgraph's edges.
+Every member of the sampled cut contributes one portal; a copy of each
+portal joins the host, wired to every vertex of the current subgraph at its
+distance inside that subgraph, and the portal copies stack on top of the
+sub-forests, which keeps the elimination forest valid.
 
 If any chain build fails, all partial work is discarded and the whole graph
 is embedded into a random HST instead (`fallback_used` is set).
@@ -27,7 +27,7 @@ from .graphs import (
     WeightedGraph,
     dijkstra,
     hat_ell,
-    induced_subgraph,
+    induced_subgraphs,
     is_connected,
     metric_closure_weights,
     normalize,
@@ -169,12 +169,14 @@ class _EmbedState:
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
+        # Each component is sorted, so its subgraph's vertex i is comp[i].
+        multi = [comp for comp in result.components if len(comp) > 1]
+        children = iter(induced_subgraphs(sub, multi) if multi else ())
         roots: list[int] = []
         for k, comp in enumerate(result.components):
             child = None
             if len(comp) > 1:
-                # comp is sorted, so child's vertex i is comp[i].
-                child, _ = induced_subgraph(sub, comp)
+                child = next(children)
                 self._check_progress(child, result.level, sub.n)
             roots.extend(self.embed(child, [verts[i] for i in comp], path + (k,), depth + 1))
         for local_z in result.portals:
@@ -183,7 +185,7 @@ class _EmbedState:
             self.next_id += 1
             self.parent.append(None)
             for i, v in enumerate(verts):
-                self.edges.append((copy_id, v, dist[i]))
+                self.edges.append((v, copy_id, dist[i]))
             for r in roots:
                 self.parent[r] = copy_id
             roots = [copy_id]
@@ -266,7 +268,7 @@ def embed_top(
         host_edges = tuple((u, v, w / scale) for u, v, w in state.edges)
     else:
         host_edges = tuple(state.edges)
-    host = WeightedGraph(state.next_id, host_edges, allow_zero=True)
+    host = WeightedGraph._derived(state.next_id, host_edges)
     meta = EmbeddingMeta(
         n=g.n,
         seed=seed,

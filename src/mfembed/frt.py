@@ -20,6 +20,7 @@ takes O(n log n + m) expected memory and no distance matrix.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import DisconnectedGraph, PreconditionViolation
@@ -51,6 +52,11 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
         top = diameter_level(g, floor=1, dmin=dmin)
     except DisconnectedGraph as exc:
         raise PreconditionViolation("a shortest-path distance overflows a float") from exc
+    # Two leaves that part at the top are 2 * (2**top - 1) * dmin apart.
+    if not math.isfinite(2.0 * (2.0**top - 1.0) * dmin):
+        raise PreconditionViolation(
+            f"a tree distance of 2 * (2**{top} - 1) * {dmin} overflows a float"
+        )
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -91,7 +97,7 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
                 if len(child) == 1:
                     leaf = child[0]
                     parent[leaf] = node
-                    edges.append((node, leaf, edge_len))
+                    edges.append((leaf, node, edge_len))
                 else:
                     cid = next_id
                     next_id += 1
@@ -99,7 +105,7 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
                     edges.append((node, cid, edge_len))
                     refined.append((cid, child))
         active = refined
-    host = WeightedGraph(next_id, tuple(edges))
+    host = WeightedGraph._derived(next_id, tuple(edges))
     return HostEmbedding(
         host=host,
         eta=list(range(n)),

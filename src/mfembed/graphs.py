@@ -3,6 +3,15 @@
 A `WeightedGraph` is immutable after construction and safe to share across
 threads. All distances are exact single-source Dijkstra results; there is no
 approximation anywhere in this module.
+
+Validation happens once, where a graph enters. The public constructor
+`WeightedGraph(n, edges)` checks and canonicalizes every edge; graph files,
+generated instances, stored embeddings and library callers come in through
+it. A graph that the library derives from one already checked (the rescaled
+and the closed input, each fragment and cluster subgraph, the embedder's
+and the FRT tree's host) is built by `WeightedGraph._derived`, which stores
+its edges as given. `tests/oracles.check_derived_graph` rebuilds each of
+those through the public constructor and requires the same edges.
 """
 
 from __future__ import annotations
@@ -52,6 +61,16 @@ class WeightedGraph:
             seen.add((u, v))
             canon.append((u, v, float(w)))
         object.__setattr__(self, "edges", tuple(canon))
+
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[Edge, ...]) -> WeightedGraph:
+        """A graph built from one that is already checked, without checks:
+        each pair once as (u, v, float length) with 0 <= u < v < n, and a
+        length that is positive and finite (zero only on a host)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
@@ -202,7 +221,7 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     scale = 2.0 / dmin
     if not math.isfinite(scale * max(w for _, _, w in g.edges)):
         raise PreconditionViolation(f"rescaling lengths by 2/{dmin} overflows a float")
-    scaled = WeightedGraph(g.n, tuple((u, v, w * scale) for u, v, w in g.edges))
+    scaled = WeightedGraph._derived(g.n, tuple((u, v, w * scale) for u, v, w in g.edges))
     return scaled, scale
 
 
@@ -227,7 +246,9 @@ def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
                 lengths[i] = dist[v]
             for v in reached:
                 dist[v] = INF
-    return WeightedGraph(g.n, tuple((u, v, d) for (u, v, _), d in zip(g.edges, lengths)))
+    return WeightedGraph._derived(
+        g.n, tuple((u, v, d) for (u, v, _), d in zip(g.edges, lengths))
+    )
 
 
 def quotient_adjacency(g: WeightedGraph, part_of: Sequence[int], count: int) -> list[set[int]]:
@@ -242,12 +263,21 @@ def quotient_adjacency(g: WeightedGraph, part_of: Sequence[int], count: int) -> 
     return nbrs
 
 
-def induced_subgraph(g: WeightedGraph, vertices: Sequence[int]) -> tuple[WeightedGraph, list[int]]:
-    """Induced subgraph with dense local ids; returns (subgraph, local->global)."""
-    verts = sorted(vertices)
-    local = {v: i for i, v in enumerate(verts)}
-    edges = []
+def induced_subgraphs(
+    g: WeightedGraph, parts: Sequence[Sequence[int]]
+) -> list[WeightedGraph]:
+    """The subgraphs that disjoint, sorted vertex lists induce, built in one
+    pass over g's edges: part j's local vertex i is parts[j][i]. Each keeps
+    g's edge order, so its adjacency lists keep g's order too."""
+    part_of = [-1] * g.n
+    local = [0] * g.n
+    for j, verts in enumerate(parts):
+        for i, v in enumerate(verts):
+            part_of[v] = j
+            local[v] = i
+    edges: list[list[Edge]] = [[] for _ in parts]
     for u, v, w in g.edges:
-        if u in local and v in local:
-            edges.append((local[u], local[v], w))
-    return WeightedGraph(len(verts), tuple(edges)), verts
+        j = part_of[u]
+        if j >= 0 and part_of[v] == j:
+            edges[j].append((local[u], local[v], w))
+    return [WeightedGraph._derived(len(verts), tuple(e)) for verts, e in zip(parts, edges)]

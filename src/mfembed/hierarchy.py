@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, PreconditionViolation
-from .graphs import INF, WeightedGraph, dijkstra, induced_subgraph, quotient_adjacency
+from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
 from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
@@ -93,17 +93,27 @@ class ClusteringChain:
         return sum(1 for k in range(len(lo)) if lo[k] <= level <= hi[k] and start[k] < first)
 
 
-def level_count_for_diameter(diam: float) -> int:
-    """Least L with diam <= 2**L (so 2**(L-1) < diam <= 2**L for diam > 1).
+def level_count_for_diameter(diam: float, dmin: float = 2.0) -> int:
+    """Least L >= 0 with 2 * diam / dmin <= 2**L; with the default dmin,
+    diam <= 2**L (so 2**(L-1) < diam <= 2**L for diam > 1).
 
-    A diameter above 2**1023 is refused: its L would be 1024, and 2.0**1024
-    overflows a float.
+    L is read off the float exponents of diam and dmin, so it is exact and
+    no quotient overflows. An L above 1023 is refused, with diam in the
+    caller's units and the L it would need: 2.0**1024 overflows a float.
     """
-    if not diam <= 2.0**1023:
-        raise PreconditionViolation(f"diameter {diam} overflows a float: it exceeds 2**1023")
-    level = 0
-    while diam > 2.0**level:
-        level += 1
+    if not math.isfinite(diam):
+        raise PreconditionViolation(f"diameter {diam} overflows a float")
+    if diam == 0.0:
+        return 0
+    # diam = a * 2**p and dmin = b * 2**q with a, b in [1/2, 1), so that
+    # 2 * diam / dmin = (a / b) * 2**(p - q + 1) with a / b in (1/2, 2).
+    a, p = math.frexp(diam)
+    b, q = math.frexp(dmin)
+    level = max(0, p - q + 1 + (a > b))
+    if level > 1023:
+        raise PreconditionViolation(
+            f"eccentricity {diam} needs level {level}, and 2**{level} overflows a float"
+        )
     return level
 
 
@@ -144,8 +154,7 @@ def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> in
         ecc = max(row)
         if ecc == INF:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
-        if 2.0 * ecc / dmin > 2.0**level:
-            level = level_count_for_diameter(2.0 * ecc / dmin)
+        level = max(level, level_count_for_diameter(ecc, dmin))
         settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
         kept, kept_upper, kept_lower = [], [], []
         for w, up, low in zip(live, upper, lower):
@@ -339,7 +348,7 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     ]
     uncertified.sort(key=lambda k: (lo[k], start[k]))
     for k in uncertified:
-        sub, _ = induced_subgraph(g, order[start[k] : stop[k]])
+        (sub,) = induced_subgraphs(g, [sorted(order[start[k] : stop[k]])])
         try:
             level = diameter_level(sub, floor=lo[k])
         except DisconnectedGraph:

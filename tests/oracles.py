@@ -25,6 +25,12 @@ stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
 byte. `check_labels_against_copy_edges` reads an embedder host's distances
 from its portal wiring, a second way beside `ForestLabels`.
 
+`induced_subgraph` is the library's former one-child subgraph builder: a
+scan of the parent per child, through the public constructor.
+`graphs.induced_subgraphs` must match it. `check_derived_graph` rebuilds a
+graph that the library built without checks through the public
+constructor, and `recording_derived_graphs` collects every such graph.
+
 `edge_set`, `has_edge` and `EdgeNotInGraph` serve the path-level counters
 only. `node_members` and `cut_members` read a tree node's or a cut's vertex
 sets from the chain's order, for comparing cuts as set families.
@@ -48,6 +54,7 @@ per-vertex scan for the maximal free clusters.
 import heapq
 import itertools
 from collections import Counter
+from contextlib import contextmanager
 import json
 import math
 import random
@@ -63,7 +70,7 @@ from mfembed.errors import (
     InvariantViolation,
     MfembedError,
 )
-from mfembed.graphs import WeightedGraph, dijkstra, induced_subgraph, quotient_adjacency
+from mfembed.graphs import WeightedGraph, dijkstra, quotient_adjacency
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
     QUOTIENT_DIAMETER_EXCEEDED,
@@ -75,6 +82,47 @@ from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.partition import single_level_partition
 
 INF = math.inf
+
+
+def induced_subgraph(g, vertices):
+    """Induced subgraph with dense local ids; returns (subgraph, local->global)."""
+    verts = sorted(vertices)
+    local = {v: i for i, v in enumerate(verts)}
+    edges = []
+    for u, v, w in g.edges:
+        if u in local and v in local:
+            edges.append((local[u], local[v], w))
+    return WeightedGraph(len(verts), tuple(edges)), verts
+
+
+def check_derived_graph(g, allow_zero=False):
+    """Raise unless the public constructor, given g's vertex count and edges,
+    accepts them and keeps them as they are: every length a float, every
+    pair once with u < v. A host passes `allow_zero=True`."""
+    rebuilt = WeightedGraph(g.n, g.edges, allow_zero=allow_zero)
+    if rebuilt.edges != g.edges:
+        raise AssertionError("edges are not canonical: some pair is stored with u > v")
+    if not all(type(w) is float for _, _, w in g.edges):
+        raise AssertionError("some edge length is not a float")
+
+
+@contextmanager
+def recording_derived_graphs():
+    """Collect, in the yielded list, every graph that `WeightedGraph._derived`
+    builds while the context is open."""
+    built = []
+    real = WeightedGraph.__dict__["_derived"]
+
+    def record(cls, n, edges):
+        g = real.__func__(cls, n, edges)
+        built.append(g)
+        return g
+
+    WeightedGraph._derived = classmethod(record)
+    try:
+        yield built
+    finally:
+        WeightedGraph._derived = real
 
 
 class InvalidPartition(ValueError):

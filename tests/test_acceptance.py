@@ -17,6 +17,7 @@ from oracles import (
     bellman_ford,
     chain_cluster_sets,
     chain_levels,
+    check_derived_graph,
     check_labels_against_copy_edges,
     check_partition_validity,
     children_hop_diameter,
@@ -26,8 +27,10 @@ from oracles import (
     diameter,
     enumerate_balanced_chain_cuts,
     floyd_warshall,
+    induced_subgraph,
     max_cluster_diameter,
     quotient,
+    recording_derived_graphs,
     stretch_exponent,
 )
 
@@ -38,7 +41,6 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     WeightedGraph,
     dijkstra,
-    induced_subgraph,
     metric_closure_weights,
     normalize,
 )
@@ -502,6 +504,23 @@ def test_host_labels_are_the_copy_edge_weights(matrix_runs):
     # both the exact and the relative comparison ran
     assert outcomes.count(True) and outcomes.count(False)
     print(f"host labels equal the copy edges on {len(outcomes)} embeddings")
+
+
+def test_derived_graphs_are_valid_graphs():
+    # Every graph that the library builds without checks (the closed and
+    # the rescaled input, each fragment and cluster subgraph, the embedder's
+    # and the FRT tree's host) is one the public constructor keeps as it is.
+    hosts = 0
+    for _name, g in matrix_instances():
+        for seed in range(MATRIX_SEEDS):
+            with recording_derived_graphs() as built:
+                emb = embed_top(g, EPSILON, "practical", seed=seed)
+                tree = frt_embed(g, derive_seed(seed, "frt-baseline"))
+            for h in built:
+                check_derived_graph(h, allow_zero=h is emb.host)
+                hosts += h is emb.host or h is tree.host
+    assert hosts == 2 * len(matrix_instances()) * MATRIX_SEEDS
+    print(f"derived graphs valid on {hosts // 2} embeddings and FRT trees")
 
 
 # ------------------------------------------------------------- criterion 12

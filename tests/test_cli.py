@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import embedding_to_dict
+from oracles import embedding_to_dict, induced_subgraph
 
 import mfembed
 from mfembed import cli, harness
@@ -15,7 +15,7 @@ from mfembed.cli import main
 from mfembed.embedder import embed_top
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
-from mfembed.graphs import WeightedGraph, connected_components, induced_subgraph
+from mfembed.graphs import WeightedGraph, connected_components
 from mfembed.rng import derive_seed
 
 
@@ -274,6 +274,36 @@ def test_eval_rejects_ids_that_are_not_integers(tmp_path, capsys, change):
     assert code == 2 and "input error:" in err
 
 
+def _negative_length(blob):
+    blob["host"]["edges"][0][2] = -1.0
+
+
+def _nan_length(blob):
+    blob["host"]["edges"][0][2] = float("nan")
+
+
+def _self_loop(blob):
+    edge = blob["host"]["edges"][0]
+    edge[1] = edge[0]
+
+
+def _duplicate_pair(blob):
+    u, v, w = blob["host"]["edges"][0]
+    blob["host"]["edges"].append([v, u, w])
+
+
+def _endpoint_past_host(blob):
+    blob["host"]["edges"][0][1] = blob["host"]["n"]
+
+
+@pytest.mark.parametrize(
+    "change", [_negative_length, _nan_length, _self_loop, _duplicate_pair, _endpoint_past_host]
+)
+def test_eval_rejects_host_edges_that_do_not_form_a_graph(tmp_path, capsys, change):
+    code, err = _eval_with_edited_embedding(tmp_path, capsys, change)
+    assert code == 2 and "input error:" in err
+
+
 def test_eval_rejects_cyclic_forest(tmp_path, capsys):
     def self_parent(parent):
         parent[0] = 0
@@ -486,6 +516,9 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
         ("frt", "e 0 1 1e308\ne 1 2 1e308"),
         # every sum is finite, but FRT's 2 * diam / dmin is above 2**1023
         ("frt", "e 0 1 1\ne 1 2 5e307"),
+        # the level is 1023, but two leaves parting at the top would be
+        # 2 * (2**1023 - 1) * 3 apart
+        ("frt", "e 0 1 3\ne 1 2 1.2e308"),
     ],
 )
 def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, command, edges):
@@ -496,6 +529,21 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
     assert run(command, "-i", graph, "-o", tmp_path / "out.json") == 2
     assert "overflows a float" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
+    # FRT measures the input, the embedder the closed graph rescaled by 2;
+    # each names the eccentricity it found and never an overflowed bound.
+    graph = tmp_path / "widediam.txt"
+    graph.write_text("p 3 2\ne 0 1 1\ne 1 2 5e307\n")
+    out = tmp_path / "out.json"
+    for command, ecc in (("frt", "5e+307"), ("embed", "1e+308")):
+        capsys.readouterr()
+        assert run(command, "-i", graph, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert f"eccentricity {ecc} needs level 1024, and 2**1024 overflows a float" in err
+        assert "inf" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("option", [("--c-fallback", 1e308), ("--epsilon", 1e-320)])

@@ -232,14 +232,24 @@ def test_embed_rejects_disconnected():
 
 
 def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
-    built = []
-    real = embedder.induced_subgraph
+    # A split that leaves a multi-vertex component is followed by one
+    # `induced_subgraphs` call on the split's own graph, which builds each
+    # such component once; a split that leaves only singletons is followed by
+    # none, and the root graph is built by no call.
+    events = []
+    real_split, real_subgraphs = embedder.split, embedder.induced_subgraphs
 
-    def counted(g, vertices):
-        built.append((g.n, len(vertices)))
-        return real(g, vertices)
+    def split(g, params, rng):
+        result = real_split(g, params, rng)
+        events.append(("split", g, [c for c in result.components if len(c) > 1]))
+        return result
 
-    monkeypatch.setattr(embedder, "induced_subgraph", counted)
+    def subgraphs(g, parts):
+        events.append(("build", g, [list(p) for p in parts]))
+        return real_subgraphs(g, parts)
+
+    monkeypatch.setattr(embedder, "split", split)
+    monkeypatch.setattr(embedder, "induced_subgraphs", subgraphs)
     instances = [
         generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=2),
         generate("cycle", size=16),
@@ -248,13 +258,21 @@ def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
     ]
     for g in instances:
         for seed in (0, 1):
-            built.clear()
+            events.clear()
             emb = embed_top(g, 0.5, "practical", seed=seed)
             assert not emb.meta.fallback_used
-            # the root split works on the input itself; every other split
-            # gets the one subgraph built for it from its parent's
-            assert len(built) == emb.meta.split_calls - 1
-            assert all(k < n for n, k in built)
+            assert events[0][0] == "split"
+            for (kind, parent, multi), after in zip(events, events[1:] + [None]):
+                if kind == "build":
+                    continue
+                if multi:
+                    assert after is not None and after[0] == "build"
+                    assert after[1] is parent and after[2] == multi
+                else:
+                    assert after is None or after[0] == "split"
+            # every split but the root's works on a subgraph built for it
+            built = sum(len(parts) for kind, _, parts in events if kind == "build")
+            assert built == emb.meta.split_calls - 1
 
 
 def test_scale_back_to_original_units():

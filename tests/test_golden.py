@@ -7,17 +7,19 @@ sorted keys, and of the file `mfembed eval` writes. A change that alters any
 of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
 keeps them. The same embeddings also have their host distance labels
-checked against the portal wiring.
+checked against the portal wiring, and every graph that the library built
+for them without checks is rebuilt through the public constructor.
 """
 
 import hashlib
 import json
 
 import pytest
-from oracles import check_labels_against_copy_edges
+from oracles import check_derived_graph, check_labels_against_copy_edges, recording_derived_graphs
 
 from mfembed.cli import main
 from mfembed.embedder import embed_top
+from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphio import save_graph
 from mfembed.harness import ExperimentConfig, run_experiment, strip_timing
@@ -50,6 +52,19 @@ def test_host_labels_are_the_copy_edge_weights(instance, seed, digest):
     emb = embed_top(generate(seed=seed, **instance), 0.5, "practical", seed=seed)
     assert not emb.meta.fallback_used
     check_labels_against_copy_edges(emb)
+
+
+@pytest.mark.parametrize("instance,seed,digest", CASES)
+def test_derived_graphs_are_valid_graphs(instance, seed, digest):
+    g = generate(seed=seed, **instance)
+    with recording_derived_graphs() as built:
+        emb = embed_top(g, 0.5, "practical", seed=seed)
+        tree = frt_embed(g, seed)
+    # the closed input, one subgraph per split below the root, and both hosts
+    assert len(built) >= emb.meta.split_calls + 2
+    assert any(h is emb.host for h in built) and any(h is tree.host for h in built)
+    for h in built:
+        check_derived_graph(h, allow_zero=h is emb.host)
 
 
 REPORT_CASES = [

@@ -6,9 +6,11 @@ from oracles import (
     InvalidPartition,
     all_pairs,
     bellman_ford,
+    check_derived_graph,
     diameter,
     diameter_by_enumeration,
     floyd_warshall,
+    induced_subgraph,
     min_distance,
     quotient,
     shortest_by_path_enumeration,
@@ -30,7 +32,7 @@ from mfembed.graphs import (
     connected_components,
     dijkstra,
     hat_ell,
-    induced_subgraph,
+    induced_subgraphs,
     is_connected,
     metric_closure_weights,
     normalize,
@@ -484,6 +486,41 @@ def test_induced_subgraph_relabels():
     sub, verts = induced_subgraph(g, [1, 2, 4])
     assert verts == [1, 2, 4]
     assert sub.n == 3 and sub.edges == ((0, 1, 1.0),)
+    assert induced_subgraphs(g, [verts]) == [sub]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_induced_subgraphs_match_one_reference_scan_per_part(seed):
+    # One part, every component left by a random mask, and singletons: each
+    # subgraph equals the reference's, edge order included, and is a graph
+    # that the public constructor keeps as it is.
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    g = random_connected_graph(rng, n)
+    allowed = [rng.random() < 0.7 for _ in range(n)]
+    families = [
+        [sorted(rng.sample(range(n), rng.randint(1, n)))],
+        connected_components(g, allowed),
+        [[v] for v in range(n) if allowed[v]],
+    ]
+    for parts in families:
+        got = induced_subgraphs(g, parts)
+        assert len(got) == len(parts)
+        for sub, part in zip(got, parts):
+            want, _ = induced_subgraph(g, part)
+            assert sub == want
+            assert sub.adjacency == want.adjacency
+            check_derived_graph(sub)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_closed_and_rescaled_graphs_are_valid_graphs(seed):
+    g = random_non_metric_graph(random.Random(seed), 12)
+    closed = metric_closure_weights(g)
+    scaled, scale = normalize(closed)
+    assert scale != 1.0
+    check_derived_graph(closed)
+    check_derived_graph(scaled)
 
 
 def test_components_after_edge_removal():

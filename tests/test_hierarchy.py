@@ -15,6 +15,7 @@ from oracles import (
     edge_level,
     floyd_warshall,
     has_edge,
+    induced_subgraph,
     level_cut_counts,
     level_quotient_hops,
     node_members,
@@ -28,7 +29,6 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     INF,
     WeightedGraph,
-    induced_subgraph,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
@@ -91,6 +91,31 @@ def test_level_count_boundaries():
     assert level_count_for_diameter(2.0) == 1
     assert level_count_for_diameter(2.01) == 2
     assert level_count_for_diameter(2.0**1023) == 1023
+
+
+def test_level_count_reads_the_exponents_as_the_quotient_would():
+    # Where 2 * diam / dmin is a finite float within 2**1023, the level off
+    # the exponents is the least L with that quotient <= 2**L, ties at
+    # powers of two included.
+    rng = random.Random(3)
+    cases = [(2.0**k, 2.0**j) for k in range(-40, 40, 3) for j in range(-20, 20, 3)]
+    cases += [(rng.uniform(1, 2) * 2.0 ** rng.randint(-60, 60),
+               rng.uniform(1, 2) * 2.0 ** rng.randint(-30, 30)) for _ in range(2000)]
+    cases += [(3.0 * 2.0**k, 3.0) for k in range(10)]
+    for diam, dmin in cases:
+        bound = 2.0 * diam / dmin
+        want = 0
+        while bound > 2.0**want:
+            want += 1
+        assert level_count_for_diameter(diam, dmin) == want, (diam, dmin)
+
+
+def test_level_count_needs_no_quotient_that_overflows():
+    # 2 * 1e308 overflows, but 2 * 1e308 / 4 = 5e307 lies within 2**1023
+    assert level_count_for_diameter(1e308, 4.0) == 1023
+    with pytest.raises(PreconditionViolation, match="eccentricity 1e.308 needs level 1024"):
+        level_count_for_diameter(1e308, 2.0)
+    assert level_count_for_diameter(0.0, 1e-300) == 0
 
 
 @pytest.mark.parametrize(
@@ -291,13 +316,13 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         [frozenset({0, 1, 2}), frozenset({3, 4})],
         [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})],
     )
-    real_subgraph, real_level = hierarchy.induced_subgraph, hierarchy.diameter_level
+    real_subgraphs, real_level = hierarchy.induced_subgraphs, hierarchy.diameter_level
     built, measured = [], []
 
-    def subgraph(graph, members):
-        assert graph is g
-        built.append(sorted(members))
-        return real_subgraph(graph, members)
+    def subgraphs(graph, parts):
+        assert graph is g and len(parts) == 1
+        built.append(list(parts[0]))
+        return real_subgraphs(graph, parts)
 
     def level(graph, **kwargs):
         start = len(runs)
@@ -306,7 +331,7 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         return got
 
     runs = count_runs(monkeypatch)
-    monkeypatch.setattr(hierarchy, "induced_subgraph", subgraph)
+    monkeypatch.setattr(hierarchy, "induced_subgraphs", subgraphs)
     monkeypatch.setattr(hierarchy, "diameter_level", level)
     assert _check_goodness(chain, 100.0) is None
     assert built == [[0, 1], [3, 4], [0, 1, 2]]
@@ -582,7 +607,7 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
 
     # every cluster here is certified by its carving radius, so the goodness
     # check builds no cluster subgraph
-    monkeypatch.setattr(hierarchy, "induced_subgraph", refuse)
+    monkeypatch.setattr(hierarchy, "induced_subgraphs", refuse)
     monkeypatch.setattr("mfembed.partition.is_connected", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)

@@ -315,3 +315,39 @@ def test_embedding_from_dict_takes_only_integer_ids(change):
     change(blob)
     with pytest.raises(BadEmbedding):
         embedding_from_dict(blob)
+
+
+def _with_negative_length(blob):
+    blob["host"]["edges"][0][2] = -1.0
+
+
+def _with_nan_length(blob):
+    blob["host"]["edges"][0][2] = math.nan
+
+
+def _with_self_loop(blob):
+    edge = blob["host"]["edges"][0]
+    edge[1] = edge[0]
+
+
+def _with_duplicate_pair(blob):
+    u, v, w = blob["host"]["edges"][0]
+    blob["host"]["edges"].append([v, u, w])
+
+
+def _with_endpoint_past_host(blob):
+    blob["host"]["edges"][0][1] = blob["host"]["n"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_with_negative_length, _with_nan_length, _with_self_loop, _with_duplicate_pair,
+     _with_endpoint_past_host],
+)
+def test_embedding_from_dict_checks_the_host_as_a_graph(change):
+    # A stored embedding is outside input: its host goes through every check
+    # of the public WeightedGraph constructor.
+    blob = json.loads(embedding_to_json(star_embedding([1.0, 2.0])))
+    change(blob)
+    with pytest.raises(BadEmbedding):
+        embedding_from_dict(blob)
