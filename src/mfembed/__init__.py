@@ -29,13 +29,12 @@ from .hosts import (
     save_embedding,
     treedepth_of,
 )
-from .partition import Clustering, sample_exponential, single_level_partition
+from .partition import carve, sample_exponential
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainFailure",
-    "Clustering",
     "ClusteringChain",
     "Cut",
     "CutPacking",
@@ -46,6 +45,7 @@ __all__ = [
     "WeightedGraph",
     "build_chain",
     "build_cut_packing",
+    "carve",
     "cut_components",
     "derive_params",
     "dijkstra",
@@ -65,7 +65,6 @@ __all__ = [
     "sample_exponential",
     "save_embedding",
     "save_graph",
-    "single_level_partition",
     "split",
     "treedepth_of",
 ]

@@ -20,7 +20,7 @@ from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
 from .hierarchy import ChainFailure, build_chain
 from .hosts import load_embedding, save_components, save_embedding
-from .partition import single_level_partition
+from .partition import carve
 from .rng import derive_seed
 
 # The size guards keep a command's traced memory under this budget; the
@@ -287,7 +287,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = _load(args.input)
-    order = None
+    order = range(g.n)
     if not args.r > 0:
         raise _InputProblem(f"--r must be positive, got {args.r}")
     if args.order_file:
@@ -295,12 +295,12 @@ def _cmd_partition(args) -> int:
             order = [int(line) for line in fh if line.strip()]
         if sorted(order) != list(range(g.n)):
             raise _InputProblem(f"order file must list each vertex 0..{g.n - 1} exactly once")
-    clustering = single_level_partition(g, args.r, random.Random(args.seed), order=order)
-    print(f"clusters={len(clustering)} base_r={clustering.base_r}")
-    for i, (members, center, rv) in enumerate(
-        zip(clustering.clusters, clustering.centers, clustering.radii)
-    ):
-        print(f"  {i}: center={center} radius={rv:.6g} size={len(members)} members={list(members)}")
+    if not is_connected(g):
+        raise _InputProblem("partition needs a connected graph")
+    balls = carve(g, order, [True] * g.n, args.r, random.Random(args.seed))
+    print(f"clusters={len(balls)} base_r={args.r}")
+    for i, (center, members, rv) in enumerate(balls):
+        print(f"  {i}: center={center} radius={rv:.6g} size={len(members)} members={members}")
     return 0
 
 

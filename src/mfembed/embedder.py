@@ -21,7 +21,13 @@ import random
 from dataclasses import dataclass
 
 from .cutpack import build_cut_packing, cut_components
-from .errors import BadEpsilon, DisconnectedGraph, InvariantViolation, PreconditionViolation
+from .errors import (
+    BadEpsilon,
+    DisconnectedGraph,
+    InvariantViolation,
+    LevelOverflow,
+    PreconditionViolation,
+)
 from .frt import frt_embed
 from .graphs import (
     WeightedGraph,
@@ -262,6 +268,9 @@ def embed_top(
             split_calls=state.split_calls,
         )
         return emb
+    except LevelOverflow as exc:
+        # The chains measure the rescaled graph; name the input's eccentricity.
+        raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
     for r in roots:
         state.parent[r] = None
     if scale != 1.0:

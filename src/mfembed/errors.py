@@ -33,6 +33,18 @@ class PreconditionViolation(MfembedError):
     """Caller violated a documented precondition."""
 
 
+class LevelOverflow(PreconditionViolation):
+    """A diameter level above 1023, named with the eccentricity that needs
+    it: 2.0**level overflows a float."""
+
+    def __init__(self, eccentricity: float, level: int):
+        super().__init__(
+            f"eccentricity {eccentricity} needs level {level}, and 2**{level} overflows a float"
+        )
+        self.eccentricity = eccentricity
+        self.level = level
+
+
 class BadEpsilon(MfembedError):
     """Accuracy parameter outside (0, 1) or derived parameters degenerate."""
 

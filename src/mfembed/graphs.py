@@ -146,45 +146,39 @@ def dijkstra(g: WeightedGraph, src: int) -> list[float]:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    if g.n == 0:
-        return True
     # Fewer than n - 1 edges cannot connect n vertices; answering before any
     # per-vertex list keeps a short file with a huge header cheap.
-    if g.m < g.n - 1:
-        return False
-    return len(component_of(g, 0)) == g.n
-
-
-def component_of(
-    g: WeightedGraph, start: int, allowed: Sequence[bool] | None = None
-) -> list[int]:
-    """Sorted vertices reachable from `start` inside the subgraph that
-    `allowed` induces (all of g when None), as in `settle`."""
-    seen = {start}
-    stack = [start]
-    adj = g.adjacency
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen and (allowed is None or allowed[v]):
-                seen.add(v)
-                stack.append(v)
-    return sorted(seen)
+    return g.m >= g.n - 1 and len(connected_components(g)) <= 1
 
 
 def connected_components(
     g: WeightedGraph, allowed: Sequence[bool] | None = None
 ) -> list[list[int]]:
     """Components of the subgraph that `allowed` induces (all of g when
-    None) as sorted vertex lists, ordered by smallest vertex."""
-    comps = []
-    visited = [False] * g.n if allowed is None else [not a for a in allowed]
+    None) as sorted vertex lists, ordered by smallest vertex.
+
+    One stack walk per component labels its vertices; a vertex that
+    `allowed` leaves out starts labelled -2 and is never entered. One pass
+    over the ids then lists every component in increasing order.
+    """
+    label = [-1] * g.n if allowed is None else [-1 if a else -2 for a in allowed]
+    adj = g.adjacency
+    count = 0
     for s in range(g.n):
-        if not visited[s]:
-            comp = component_of(g, s, allowed)
-            for v in comp:
-                visited[v] = True
-            comps.append(comp)
+        if label[s] != -1:
+            continue
+        label[s] = count
+        stack = [s]
+        while stack:
+            for v, _ in adj[stack.pop()]:
+                if label[v] == -1:
+                    label[v] = count
+                    stack.append(v)
+        count += 1
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(label):
+        if c >= 0:
+            comps[c].append(v)
     return comps
 
 

@@ -247,13 +247,6 @@ def _cap_kwargs(config: ExperimentConfig) -> dict:
     return kwargs
 
 
-def strip_timing(report: dict) -> dict:
-    """Copy of the report without wall-clock fields (determinism checks)."""
-    out = json.loads(json.dumps(report))
-    out.pop("timing", None)
-    return out
-
-
 def emit(report: dict, fmt: str, path: str | Path) -> None:
     """Write the report: JSON holds everything, CSV the per-pair table.
 
@@ -273,7 +266,3 @@ def emit(report: dict, fmt: str, path: str | Path) -> None:
                 f'{row["u"]},{row["v"]},{row["dist_g"]!r},{row["mean_dist_h"]!r},'
                 f'{row["mean_ratio"]!r},{row["max_ratio"]!r}\n'
             )
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraph, PreconditionViolation
+from .errors import DisconnectedGraph, LevelOverflow, PreconditionViolation
 from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
 from .partition import carve
 
@@ -73,7 +73,6 @@ class ClusteringChain:
 
     graph: WeightedGraph
     top_level: int
-    delta: float
     order: tuple[int, ...]
     start: tuple[int, ...]
     stop: tuple[int, ...]
@@ -111,9 +110,7 @@ def level_count_for_diameter(diam: float, dmin: float = 2.0) -> int:
     b, q = math.frexp(dmin)
     level = max(0, p - q + 1 + (a > b))
     if level > 1023:
-        raise PreconditionViolation(
-            f"eccentricity {diam} needs level {level}, and 2**{level} overflows a float"
-        )
+        raise LevelOverflow(diam, level)
     return level
 
 
@@ -135,8 +132,9 @@ def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> in
     BOUND_SLACK; every other vertex gets a run of its own. The second
     source is the vertex farthest from the first (the 2-sweep), and its
     row with the first one may certify every pair at once (see
-    `_no_pair_exceeds`); after that, sources alternate between the largest
-    upper and the smallest lower bound (Takes & Kosters, CIKM 2011).
+    `_no_pair_exceeds`); after that, each source is the live vertex with
+    the smallest lower bound, one of the two rules that Takes & Kosters
+    (CIKM 2011) alternate.
     Raises DisconnectedGraph when some vertex cannot reach another.
     """
     if g.n == 0:
@@ -148,7 +146,6 @@ def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> in
     source = 0
     first_row: list[float] = []
     runs = 0
-    widest = False
     while True:
         row = dijkstra(g, source)
         ecc = max(row)
@@ -180,11 +177,7 @@ def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> in
             limit = 2.0**level if g.exact_path_sums else 2.0**level / (1.0 + BOUND_SLACK)
             if _no_pair_exceeds(first_row, row, limit, dmin):
                 return level
-        if widest:
-            source = live[upper.index(max(upper))]
-        else:
-            source = live[lower.index(min(lower))]
-        widest = not widest
+        source = live[lower.index(min(lower))]
 
 
 def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) -> bool:
@@ -235,7 +228,6 @@ def build_chain(
         return ClusteringChain(
             graph=g,
             top_level=0,
-            delta=delta,
             order=(0,),
             start=(0,),
             stop=(1,),
@@ -304,7 +296,6 @@ def build_chain(
     chain = ClusteringChain(
         graph=g,
         top_level=top,
-        delta=delta,
         order=tuple(order),
         start=tuple(start),
         stop=tuple(stop),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -24,19 +24,6 @@ from .graphs import INF, WeightedGraph, settle
 
 if TYPE_CHECKING:
     from .hierarchy import ChainFailure
-
-PARAM_FIELDS = (
-    "epsilon",
-    "delta",
-    "xi",
-    "sigma",
-    "tau",
-    "c_fallback",
-    "gamma",
-    "mode",
-    "xi_cap",
-    "tau_cap",
-)
 
 
 @dataclass(frozen=True)
@@ -56,11 +43,11 @@ class Params:
     tau_cap: int | None
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "Params":
-        return Params(**{name: d[name] for name in PARAM_FIELDS})
+        return Params(**{f.name: d[f.name] for f in fields(Params)})
 
 
 @dataclass

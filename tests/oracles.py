@@ -25,6 +25,9 @@ stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
 byte. `check_labels_against_copy_edges` reads an embedder host's distances
 from its portal wiring, a second way beside `ForestLabels`.
 
+`strip_timing` and `load_report` read experiment reports back for the
+determinism and round-trip checks.
+
 `induced_subgraph` is the library's former one-child subgraph builder: a
 scan of the parent per child, through the public constructor.
 `graphs.induced_subgraphs` must match it. `check_derived_graph` rebuilds a
@@ -41,7 +44,8 @@ sets; `children_hop_diameter` is the goodness check's former quotient
 hop-diameter, and `cuts_conflict` its former pairwise conflict test.
 
 The chain is one cluster tree in the library. `chain_levels` gives its
-former per-level lists (`LevelView`), `tree_parents` each node's parent,
+former per-level lists (`LevelView`), `chain_sigma` its quotient hop
+bound, `tree_parents` each node's parent,
 and `chain_from_levels` builds a tree from hand-written lists.
 `goodness_by_levels` is the former goodness check, the all-members
 `diameter` of every non-singleton (level, cluster) pair's subgraph, with its
@@ -61,6 +65,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 from functools import cached_property
+from pathlib import Path
 
 from mfembed.cutpack import CutPacking, find_balanced_cut
 from mfembed.errors import (
@@ -79,9 +84,21 @@ from mfembed.hierarchy import (
     diameter_level,
 )
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
-from mfembed.partition import single_level_partition
+from mfembed.partition import carve
 
 INF = math.inf
+
+
+def strip_timing(report):
+    """Copy of an experiment report without its wall-clock fields, for
+    determinism checks."""
+    out = json.loads(json.dumps(report))
+    out.pop("timing", None)
+    return out
+
+
+def load_report(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def induced_subgraph(g, vertices):
@@ -293,10 +310,11 @@ def bellman_ford(g, src):
     return dist
 
 
-def max_cluster_diameter(g, clustering):
-    """Largest induced diameter over the clusters, one search per member."""
+def max_cluster_diameter(g, balls):
+    """Largest induced diameter over `carve`'s (center, members, radius)
+    balls, one search per member."""
     worst = 0.0
-    for members in clustering.clusters:
+    for _, members, _ in balls:
         inside = set(members)
         adj = {u: [] for u in members}
         for u, v, w in g.edges:
@@ -688,9 +706,10 @@ def level_cut_counts(chain, path):
     return counts
 
 
-def count_cut_edges(g, path, clustering):
-    """Number of path edges whose endpoints fall in different clusters."""
-    cluster_of = {u: idx for idx, members in enumerate(clustering.clusters) for u in members}
+def count_cut_edges(g, path, balls):
+    """Number of path edges whose endpoints fall in different balls of
+    `carve`'s (center, members, radius) list."""
+    cluster_of = {u: idx for idx, (_, members, _) in enumerate(balls) for u in members}
     count = 0
     for u, v in zip(path, path[1:]):
         if not has_edge(g, u, v):
@@ -700,10 +719,11 @@ def count_cut_edges(g, path, clustering):
     return count
 
 
-def check_partition_validity(g, clustering):
-    """Exact checks: clusters disjoint, cover V, each induces a connected subgraph."""
+def check_partition_validity(g, balls):
+    """Exact checks on `carve`'s (center, members, radius) balls: disjoint,
+    covering V, each inducing a connected subgraph."""
     seen = set()
-    for idx, members in enumerate(clustering.clusters):
+    for idx, (_, members, _) in enumerate(balls):
         if not members:
             raise InvariantViolation(f"cluster {idx} is empty")
         for u in members:
@@ -759,7 +779,7 @@ def stretch_exponent(g):
 
 def chain_by_subgraphs(g, delta, rng):
     """(levels, centers, parents) of `build_chain`'s carving, done the former
-    way: one `induced_subgraph` and one `single_level_partition` per
+    way: one `induced_subgraph` and one `carve` of the whole subgraph per
     non-singleton cluster, with the same child-stream draws from `rng`.
 
     Level 0 is the discrete partition, listed cluster by cluster of level 1.
@@ -784,8 +804,7 @@ def chain_by_subgraphs(g, delta, rng):
                 continue
             child_rng = random.Random(rng.getrandbits(64))
             sub, verts = induced_subgraph(g, members)
-            clustering = single_level_partition(sub, r_sched[i], child_rng)
-            for part, center in zip(clustering.clusters, clustering.centers):
+            for center, part, _ in carve(sub, range(sub.n), [True] * sub.n, r_sched[i], child_rng):
                 levels[i].append(frozenset(verts[p] for p in part))
                 centers[i].append(verts[center])
                 parents[i].append(parent_idx)
@@ -928,13 +947,12 @@ class LevelView(NamedTuple):
     clusters of level i as frozensets, `centers[i][j]` the carving center
     of cluster j, `parents[i][j]` the index of the enclosing cluster one
     level up and `vertex_to_cluster[i][v]` the index of v's cluster;
-    `sigma` is the quotient hop bound 480 * lambda**2."""
+    """
 
     levels: tuple
     centers: tuple
     parents: tuple
     vertex_to_cluster: tuple
-    sigma: float
 
 
 def chain_levels(chain):
@@ -963,11 +981,16 @@ def chain_levels(chain):
             for v in cluster:
                 row[v] = j
         vtc.append(tuple(row))
-    sigma = 0.0
-    if n > 1:
-        lam = math.log(2.0 * top * n * n / chain.delta) + 1.0
-        sigma = 480.0 * lam * lam
-    return LevelView(levels, centers, parents, tuple(vtc), sigma)
+    return LevelView(levels, centers, parents, tuple(vtc))
+
+
+def chain_sigma(chain, delta):
+    """The quotient hop bound 480 * lambda**2 of a chain built with `delta`."""
+    n = chain.graph.n
+    if n < 2:
+        return 0.0
+    lam = math.log(2.0 * chain.top_level * n * n / delta) + 1.0
+    return 480.0 * lam * lam
 
 
 def tree_parents(chain):
@@ -979,7 +1002,7 @@ def tree_parents(chain):
     return parent
 
 
-def chain_from_levels(g, levels, centers, delta=0.1):
+def chain_from_levels(g, levels, centers):
     """A `ClusteringChain` tree from hand-written per-level lists, each
     level listed in refinement order with every cluster's children in
     increasing smallest vertex. A set gets its node id at the highest level
@@ -1017,7 +1040,6 @@ def chain_from_levels(g, levels, centers, delta=0.1):
     return ClusteringChain(
         graph=g,
         top_level=top,
-        delta=delta,
         order=tuple(order),
         start=tuple(start),
         stop=tuple(stop),

@@ -17,6 +17,7 @@ from oracles import (
     bellman_ford,
     chain_cluster_sets,
     chain_levels,
+    chain_sigma,
     check_derived_graph,
     check_labels_against_copy_edges,
     check_partition_validity,
@@ -32,6 +33,7 @@ from oracles import (
     quotient,
     recording_derived_graphs,
     stretch_exponent,
+    strip_timing,
 )
 
 from mfembed.cutpack import CutPacking, build_cut_packing, find_balanced_cut
@@ -44,10 +46,10 @@ from mfembed.graphs import (
     metric_closure_weights,
     normalize,
 )
-from mfembed.harness import ExperimentConfig, run_experiment, sample_pairs, strip_timing
+from mfembed.harness import ExperimentConfig, run_experiment, sample_pairs
 from mfembed.hierarchy import ChainFailure, ClusteringChain, build_chain
 from mfembed.hosts import embedding_to_json
-from mfembed.partition import single_level_partition
+from mfembed.partition import carve
 from mfembed.rng import derive_seed
 
 EPSILON = 0.5
@@ -186,11 +188,11 @@ def partition_runs():
     started = time.perf_counter()
     stats = []
     for seed in range(2000):
-        c = single_level_partition(g, r, random.Random(seed))
-        check_partition_validity(g, c)  # P1 and partition exactness, every run
-        worst = max_cluster_diameter(g, c)
-        qd = quotient(g, [list(x) for x in c.clusters]).hop_diameter()
-        cuts = count_cut_edges(g, GRID8_PATH, c)
+        balls = carve(g, range(g.n), [True] * g.n, r, random.Random(seed))
+        check_partition_validity(g, balls)  # P1 and partition exactness, every run
+        worst = max_cluster_diameter(g, balls)
+        qd = quotient(g, [members for _, members, _ in balls]).hop_diameter()
+        cuts = count_cut_edges(g, GRID8_PATH, balls)
         stats.append((worst, qd, cuts))
     elapsed = time.perf_counter() - started
     return g, d, r, stats, elapsed
@@ -250,7 +252,7 @@ def test_criterion_6_chain_goodness_and_failure_rate(chain_runs):
     assert good, "no successful chains"
     # spot-check goodness with an independent metric oracle
     for chain in good[::200]:
-        _assert_goodness_oracle(g, chain)
+        _assert_goodness_oracle(g, chain, delta)
 
     # Q3: per-level mean cut counts on a fixed shortest path
     path = GRID8_PATH
@@ -289,8 +291,9 @@ def _level_counts(chain, path):
     return counts
 
 
-def _assert_goodness_oracle(g, chain):
+def _assert_goodness_oracle(g, chain, delta):
     view = chain_levels(chain)
+    sigma = chain_sigma(chain, delta)
     for i, level in enumerate(view.levels):
         for cluster in level:
             members = sorted(cluster)
@@ -302,7 +305,7 @@ def _assert_goodness_oracle(g, chain):
     for i in range(chain.top_level):
         for idx in range(len(view.levels[i + 1])):
             if view.parents[i].count(idx) > 1:
-                assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= view.sigma
+                assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= sigma
 
 
 # -------------------------------------------------------------- criterion 7

@@ -399,6 +399,43 @@ def test_partition_order_file_not_a_permutation(tmp_path, capsys, lines):
     assert "input error:" in capsys.readouterr().err
 
 
+PARTITION_GRID3 = """\
+clusters=3 base_r=1.5
+  0: center=0 radius=6.18652 size=6 members=[0, 1, 2, 3, 4, 7]
+  1: center=5 radius=5.9298 size=2 members=[5, 8]
+  2: center=6 radius=1.58732 size=1 members=[6]
+"""
+
+PARTITION_GRID3_ORDERED = """\
+clusters=2 base_r=1.5
+  0: center=8 radius=6.18652 size=8 members=[1, 2, 3, 4, 5, 6, 7, 8]
+  1: center=0 radius=5.9298 size=1 members=[0]
+"""
+
+
+def test_partition_prints_the_recorded_text(tmp_path, capsys):
+    # text printed by the former `single_level_partition` front end
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 3, "--cols", 3, "--weights", "uniform:1:4", "--seed", 1, "-o", graph)
+    order = tmp_path / "order.txt"
+    order.write_text("\n".join("840261357") + "\n")
+    capsys.readouterr()
+    assert run("partition", "-i", graph, "--r", 1.5, "--seed", 2) == 0
+    assert capsys.readouterr().out == PARTITION_GRID3
+    assert run("partition", "-i", graph, "--r", 1.5, "--seed", 2, "--order-file", order) == 0
+    assert capsys.readouterr().out == PARTITION_GRID3_ORDERED
+
+
+def test_partition_refuses_a_disconnected_graph(tmp_path, capsys):
+    graph = tmp_path / "two.txt"
+    graph.write_text("p 5 3\ne 0 1 1.5\ne 2 3 2.0\ne 3 4 1e-05\n")
+    capsys.readouterr()
+    assert run("partition", "-i", graph, "--r", 1) == 2
+    captured = capsys.readouterr()
+    assert "input error: partition needs a connected graph" in captured.err
+    assert captured.out == ""
+
+
 def test_desk_scale_guard(tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("p 20001 0\n")
@@ -533,15 +570,15 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
 
 def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
     # FRT measures the input, the embedder the closed graph rescaled by 2;
-    # each names the eccentricity it found and never an overflowed bound.
+    # both name the input's eccentricity and never an overflowed bound.
     graph = tmp_path / "widediam.txt"
     graph.write_text("p 3 2\ne 0 1 1\ne 1 2 5e307\n")
     out = tmp_path / "out.json"
-    for command, ecc in (("frt", "5e+307"), ("embed", "1e+308")):
+    for command in ("frt", "embed"):
         capsys.readouterr()
         assert run(command, "-i", graph, "-o", out) == 2
         err = capsys.readouterr().err
-        assert f"eccentricity {ecc} needs level 1024, and 2**1024 overflows a float" in err
+        assert "eccentricity 5e+307 needs level 1024, and 2**1024 overflows a float" in err
         assert "inf" not in err
         assert not out.exists()
 

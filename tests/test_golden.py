@@ -15,14 +15,19 @@ import hashlib
 import json
 
 import pytest
-from oracles import check_derived_graph, check_labels_against_copy_edges, recording_derived_graphs
+from oracles import (
+    check_derived_graph,
+    check_labels_against_copy_edges,
+    recording_derived_graphs,
+    strip_timing,
+)
 
 from mfembed.cli import main
 from mfembed.embedder import embed_top
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphio import save_graph
-from mfembed.harness import ExperimentConfig, run_experiment, strip_timing
+from mfembed.harness import ExperimentConfig, run_experiment
 from mfembed.hosts import embedding_to_json
 
 GRID = dict(kind="grid", rows=8, cols=8, weights="uniform:1:4")

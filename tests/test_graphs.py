@@ -7,6 +7,7 @@ from oracles import (
     all_pairs,
     bellman_ford,
     check_derived_graph,
+    components_without,
     diameter,
     diameter_by_enumeration,
     floyd_warshall,
@@ -28,7 +29,6 @@ from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import (
     WeightedGraph,
-    component_of,
     connected_components,
     dijkstra,
     hat_ell,
@@ -529,6 +529,29 @@ def test_components_after_edge_removal():
     g = generate("cycle", size=6)
     allowed = [True, True, False, True, False, True]
     assert connected_components(g, allowed=allowed) == [[0, 1, 5], [3]]
-    assert component_of(g, 5, allowed) == [0, 1, 5]
     assert connected_components(g, allowed=[False] * 6) == []
     assert connected_components(g) == [[0, 1, 2, 3, 4, 5]]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_connected_components_match_the_reference_walk(seed):
+    # Sparse random graphs, often disconnected, under no mask, an all-False,
+    # an all-True and a random mask: the components are those of the
+    # reference walk on g without the masked vertices' edges, restricted to
+    # the allowed vertices, each sorted and ordered by smallest vertex.
+    rng = random.Random(seed)
+    n = rng.randint(0, 25)
+    edges = {}
+    for _ in range(rng.randint(0, 2 * n)):
+        if n > 1:
+            edges[tuple(sorted(rng.sample(range(n), 2)))] = 1.0
+    g = WeightedGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+    for allowed in (None, [False] * n, [True] * n, [rng.random() < 0.6 for _ in range(n)]):
+        keep = [True] * n if allowed is None else allowed
+        want = sorted(
+            sorted(comp)
+            for comp in components_without(masked(g, keep), set())
+            if all(keep[v] for v in comp)
+        )
+        assert connected_components(g, allowed) == want
+    assert is_connected(g) == (len(connected_components(g)) <= 1)

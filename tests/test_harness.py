@@ -5,7 +5,7 @@ import random
 from collections.abc import Sequence
 
 import pytest
-from oracles import all_pairs
+from oracles import all_pairs, load_report, strip_timing
 
 from mfembed.embedder import embed_top
 from mfembed.errors import PairOutOfRange, PreconditionViolation
@@ -17,10 +17,8 @@ from mfembed.harness import (
     aggregate_records,
     emit,
     evaluate,
-    load_report,
     run_experiment,
     sample_pairs,
-    strip_timing,
 )
 from mfembed.hosts import EmbeddingMeta, HostEmbedding
 from mfembed.rng import derive_seed

@@ -10,6 +10,7 @@ from oracles import (
     chain_by_subgraphs,
     chain_from_levels,
     chain_levels,
+    chain_sigma,
     children_hop_diameter,
     diameter,
     edge_level,
@@ -359,7 +360,7 @@ def test_goodness_tiny_sigma_runs_quotient_bfs():
     g = scaled_grid(5, 5)
     chain = build(g, delta=0.15, seed=1)
     view = chain_levels(chain)
-    assert _check_goodness(chain, view.sigma) is None
+    assert _check_goodness(chain, chain_sigma(chain, 0.15)) is None
     # the first cluster split into two or more parts fails at sigma 0.5
     level, idx = next(
         (i + 1, idx)
@@ -452,8 +453,9 @@ def check_chain_structure(g, chain):
             assert all(x < math.inf for row in fw for x in row)
 
 
-def check_goodness_oracle(g, chain):
+def check_goodness_oracle(g, chain, delta):
     view = chain_levels(chain)
+    sigma = chain_sigma(chain, delta)
     for i, level in enumerate(view.levels):
         for cluster in level:
             sub, _ = induced_subgraph(g, sorted(cluster))
@@ -464,7 +466,7 @@ def check_goodness_oracle(g, chain):
         for idx in range(len(view.levels[i + 1])):
             if view.parents[i].count(idx) < 2:
                 continue
-            assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= view.sigma
+            assert children_hop_diameter(g, view.levels, view.parents, i, idx) <= sigma
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -472,14 +474,14 @@ def test_chain_invariants_on_grid(seed):
     g = scaled_grid(5, 5)
     chain = build(g, delta=0.15, seed=seed)
     check_chain_structure(g, chain)
-    check_goodness_oracle(g, chain)
+    check_goodness_oracle(g, chain, 0.15)
 
 
 def test_chain_invariants_weighted():
     g = generate("grid", rows=4, cols=4, weights="uniform:1.5:4", seed=2)
     chain = build(g, delta=0.2, seed=5)
     check_chain_structure(g, chain)
-    check_goodness_oracle(g, chain)
+    check_goodness_oracle(g, chain, 0.2)
 
 
 def test_determinism():
@@ -608,7 +610,7 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
     # every cluster here is certified by its carving radius, so the goodness
     # check builds no cluster subgraph
     monkeypatch.setattr(hierarchy, "induced_subgraphs", refuse)
-    monkeypatch.setattr("mfembed.partition.is_connected", refuse)
+    monkeypatch.setattr("mfembed.graphs.connected_components", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)
         assert chain.top_level >= 3
@@ -720,7 +722,7 @@ def test_cluster_tree_slices_levels_and_radii():
             dist = [INF] * g.n
             assert set(settle(g.adjacency, chain.center[k], dist, allowed)) == sets[k]
             assert max(dist[v] for v in sets[k]) <= chain.radius[k]
-            lam = math.log(2.0 * chain.top_level * g.n**2 / chain.delta) + 1.0
+            lam = math.log(2.0 * chain.top_level * g.n**2 / 0.5) + 1.0
             assert chain.radius[k] >= 2.0 ** (chain.lo[k] - 1) / lam
 
 

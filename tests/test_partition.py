@@ -10,10 +10,10 @@ from oracles import (
     max_cluster_diameter,
 )
 
-from mfembed.errors import DisconnectedGraph, InvariantViolation
+from mfembed.errors import InvariantViolation
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph
-from mfembed.partition import sample_exponential, single_level_partition
+from mfembed.partition import carve, sample_exponential
 
 
 class FixedUniform:
@@ -32,6 +32,15 @@ def five_path():
 
 def zero_x(_rng):
     return 0.0
+
+
+def carve_all(g, r, rng, order=None):
+    """One carving of the whole graph, as `mfembed partition` runs it."""
+    return carve(g, range(g.n) if order is None else order, [True] * g.n, r, rng)
+
+
+def members_of(balls):
+    return [members for _, members, _ in balls]
 
 
 # --------------------------------------------------------------- exponential
@@ -59,31 +68,26 @@ def test_sample_exponential_reproducible():
 
 
 def test_single_vertex_single_cluster():
-    c = single_level_partition(WeightedGraph(1, ()), 5.0, random.Random(0))
-    assert c.clusters == ((0,),) and c.centers == (0,)
+    assert carve_all(WeightedGraph(1, ()), 5.0, random.Random(0))[0][:2] == (0, [0])
 
 
 def test_radius_at_least_diameter_gives_one_part():
     g = generate("grid", rows=3, cols=3)
-    c = single_level_partition(g, diameter(g), random.Random(0))
-    assert len(c) == 1 and set(c.clusters[0]) == set(range(g.n))
-    assert c.centers == (0,) and c.radii[0] >= diameter(g)
+    (ball,) = carve_all(g, diameter(g), random.Random(0))
+    assert ball[:2] == (0, list(range(g.n))) and ball[2] >= diameter(g)
 
 
 def test_five_path_hand_simulation(monkeypatch):
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
-    c = single_level_partition(five_path(), 1.2, random.Random(0))
-    assert c.clusters == ((0, 1), (2, 3), (4,))
-    assert c.centers == (0, 2, 4)
-    assert c.radii == (1.2, 1.2, 1.2)
+    balls = carve_all(five_path(), 1.2, random.Random(0))
+    assert balls == [(0, [0, 1], 1.2), (2, [2, 3], 1.2), (4, [4], 1.2)]
 
 
 def test_order_controls_first_center(monkeypatch):
     # carving from the middle first changes the outcome
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
-    c = single_level_partition(five_path(), 1.2, random.Random(0), order=[2, 0, 1, 3, 4])
-    assert c.centers[0] == 2
-    assert set(c.clusters[0]) == {1, 2, 3}
+    balls = carve_all(five_path(), 1.2, random.Random(0), order=[2, 0, 1, 3, 4])
+    assert balls[0][:2] == (2, [1, 2, 3])
 
 
 class ScriptedX:
@@ -100,36 +104,35 @@ def test_ball_uses_free_subgraph_distances(monkeypatch):
     # is no longer free.
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     monkeypatch.setattr("mfembed.partition.sample_exponential", ScriptedX([0.0, 5.0, 0.0]))
-    c = single_level_partition(g, 0.5, random.Random(0), order=[1, 0, 2])
-    assert c.clusters == ((1,), (0,), (2,))
-    assert c.radii[1] == 3.0
+    balls = carve_all(g, 0.5, random.Random(0), order=[1, 0, 2])
+    assert members_of(balls) == [[1], [0], [2]]
+    assert balls[1][2] == 3.0
+
+
+def test_carving_a_cluster_in_place_leaves_the_rest_alone(monkeypatch):
+    # Only 1, 2 and 3 of the path are free: a huge ball from 1 stops at the
+    # free vertices and unmarks exactly them.
+    monkeypatch.setattr("mfembed.partition.sample_exponential", ScriptedX([9.0]))
+    free = [False, True, True, True, False]
+    balls = carve(five_path(), [1, 2, 3], free, 1.0, random.Random(0))
+    assert balls == [(1, [1, 2, 3], 10.0)]
+    assert free == [False] * 5
 
 
 def test_tie_at_exact_radius_included(monkeypatch):
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = WeightedGraph(2, ((0, 1, 1.5),))
-    c = single_level_partition(g, 1.5, random.Random(0))
-    assert len(c) == 1  # also covered by the r >= diameter rule
-    c = single_level_partition(five_path(), 1.1, random.Random(0))
-    assert c.clusters[0] == (0, 1)
+    assert members_of(carve_all(g, 1.5, random.Random(0))) == [[0, 1]]
+    assert carve_all(five_path(), 1.1, random.Random(0))[0][1] == [0, 1]
 
 
-def test_disconnected_rejected():
-    with pytest.raises(DisconnectedGraph):
-        single_level_partition(WeightedGraph(3, ((0, 1, 1.0),)), 1.0, random.Random(0))
-
-
-def test_bad_radius_and_missing_rng(monkeypatch):
+def test_negative_sample_and_missing_rng_are_refused(monkeypatch):
     g = five_path()
-    with pytest.raises(InvariantViolation):
-        single_level_partition(g, 0.0, random.Random(0))
-    with pytest.raises(InvariantViolation):  # NaN would carve empty balls forever
-        single_level_partition(g, float("nan"), random.Random(0))
     with pytest.raises(TypeError):  # the rng is a required argument
-        single_level_partition(g, 1.0)
+        carve(g, range(5), [True] * 5, 1.0)
     monkeypatch.setattr("mfembed.partition.sample_exponential", lambda _rng: -0.5)
     with pytest.raises(InvariantViolation):  # a negative radius sample is refused
-        single_level_partition(g, 1.0, random.Random(0))
+        carve_all(g, 1.0, random.Random(0))
 
 
 def test_partition_validity_and_p1_across_seeds():
@@ -142,17 +145,14 @@ def test_partition_validity_and_p1_across_seeds():
     for g in instances:
         d = diameter(g)
         for seed in range(30):
-            c = single_level_partition(g, d / 4, random.Random(seed))
-            check_partition_validity(g, c)
+            check_partition_validity(g, carve_all(g, d / 4, random.Random(seed)))
 
 
 def test_determinism_same_seed():
     g = generate("grid", rows=5, cols=5)
-    a = single_level_partition(g, 2.0, random.Random(42))
-    b = single_level_partition(g, 2.0, random.Random(42))
-    assert a == b
-    c = single_level_partition(g, 2.0, random.Random(43))
-    assert a != c
+    a = carve_all(g, 2.0, random.Random(42))
+    assert a == carve_all(g, 2.0, random.Random(42))
+    assert a != carve_all(g, 2.0, random.Random(43))
 
 
 def test_cluster_diameter_monte_carlo_smoke():
@@ -166,8 +166,7 @@ def test_cluster_diameter_monte_carlo_smoke():
     n_runs = 200
     bad = 0
     for seed in range(n_runs):
-        c = single_level_partition(g, r, random.Random(seed))
-        if max_cluster_diameter(g, c) > bound:
+        if max_cluster_diameter(g, carve_all(g, r, random.Random(seed))) > bound:
             bad += 1
     assert bad / n_runs <= math.exp(-t) + 3 * math.sqrt(math.exp(-t) / n_runs)
 
@@ -177,28 +176,27 @@ def test_cluster_diameter_monte_carlo_smoke():
 
 def test_count_cut_edges_whole_graph_cluster():
     g = five_path()
-    c = single_level_partition(g, diameter(g) + 1, random.Random(0))
-    assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 0
+    balls = carve_all(g, diameter(g) + 1, random.Random(0))
+    assert count_cut_edges(g, [0, 1, 2, 3, 4], balls) == 0
 
 
 def test_count_cut_edges_discrete(monkeypatch):
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 0.5, random.Random(0))
-    assert [len(x) for x in c.clusters] == [1] * 5
-    assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 4
+    balls = carve_all(g, 0.5, random.Random(0))
+    assert members_of(balls) == [[v] for v in range(5)]
+    assert count_cut_edges(g, [0, 1, 2, 3, 4], balls) == 4
 
 
 def test_count_cut_edges_hand_example(monkeypatch):
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 1.2, random.Random(0))
-    assert count_cut_edges(g, [0, 1, 2, 3, 4], c) == 2
+    assert count_cut_edges(g, [0, 1, 2, 3, 4], carve_all(g, 1.2, random.Random(0))) == 2
 
 
 def test_count_cut_edges_rejects_non_edges(monkeypatch):
     monkeypatch.setattr("mfembed.partition.sample_exponential", zero_x)
     g = five_path()
-    c = single_level_partition(g, 1.2, random.Random(0))
+    balls = carve_all(g, 1.2, random.Random(0))
     with pytest.raises(EdgeNotInGraph):
-        count_cut_edges(g, [0, 2], c)
+        count_cut_edges(g, [0, 2], balls)
