@@ -4,9 +4,7 @@ from .cutpack import (
     Cut,
     CutPacking,
     build_cut_packing,
-    cut_components,
     find_balanced_cut,
-    is_balanced,
 )
 from .embedder import derive_params, embed_top, split
 from .frt import frt_embed
@@ -46,7 +44,6 @@ __all__ = [
     "build_chain",
     "build_cut_packing",
     "carve",
-    "cut_components",
     "derive_params",
     "dijkstra",
     "embed_top",
@@ -56,7 +53,6 @@ __all__ = [
     "frt_embed",
     "generate",
     "hat_ell",
-    "is_balanced",
     "load_embedding",
     "load_graph",
     "metric_closure_weights",

@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .cutpack import build_cut_packing, outside_components
-from .embedder import DEFAULT_C_FALLBACK, DEFAULT_XI_CAP, embed_top
+from .embedder import DEFAULT_C_FALLBACK, embed_top
 from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
 from .generators import generate
@@ -77,7 +77,7 @@ def _add_embed(sub):
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
-    p.add_argument("--xi-cap", type=int, default=DEFAULT_XI_CAP)
+    p.add_argument("--xi-cap", type=int, default=None)
     p.add_argument("--tau-cap", type=int, default=None)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c-fallback", type=float, default=DEFAULT_C_FALLBACK)
@@ -290,13 +290,14 @@ def _cmd_partition(args) -> int:
     order = range(g.n)
     if not args.r > 0:
         raise _InputProblem(f"--r must be positive, got {args.r}")
+    # before any per-vertex list: a huge header without edges is refused here
+    if not is_connected(g):
+        raise _InputProblem("partition needs a connected graph")
     if args.order_file:
         with open(args.order_file, encoding="utf-8") as fh:
             order = [int(line) for line in fh if line.strip()]
         if sorted(order) != list(range(g.n)):
             raise _InputProblem(f"order file must list each vertex 0..{g.n - 1} exactly once")
-    if not is_connected(g):
-        raise _InputProblem("partition needs a connected graph")
     balls = carve(g, order, [True] * g.n, args.r, random.Random(args.seed))
     print(f"clusters={len(balls)} base_r={args.r}")
     for i, (center, members, rv) in enumerate(balls):

@@ -22,6 +22,8 @@ non-conflicting when every cluster they share is a singleton. A packing
 starts with the root, the whole vertex set, marked used and ends after a cut
 of singletons or at its size budget; its used set then holds the root and
 the non-singleton members of its cuts, which is all a conflict check needs.
+Adding a cut to a packing finds its components once, refuses it unless it
+is balanced, and keeps them beside the cut for the split that samples it.
 """
 
 from __future__ import annotations
@@ -46,10 +48,25 @@ class CutPacking:
 
     cuts: list[Cut] = field(default_factory=list)
     used: set[int] = field(default_factory=set)
+    # components[i]: the components of G - F(cuts[i]) as sorted lists ordered
+    # by smallest vertex, G the chain's graph and F(cut) the edges that leave
+    # a member. Chain clusters are connected, so they are the members and
+    # the `outside_components`.
+    components: list[list[list[int]]] = field(default_factory=list)
 
     def add(self, cut: Cut, chain: ClusteringChain) -> None:
+        """Pack a cut, refusing it unless every component outside its members
+        holds at most half the vertices of the chain's graph."""
+        comps = outside_components(chain, cut)
+        half = chain.graph.n // 2
+        if any(len(c) > half for c in comps):
+            raise InvariantViolation("constructed cut is not balanced")
+        order, start, stop = chain.order, chain.start, chain.stop
+        comps.extend(sorted(order[start[k] : stop[k]]) for k in cut)
+        comps.sort()
         self.used.update(k for k in cut if chain.size(k) > 1)
         self.cuts.append(cut)
+        self.components.append(comps)
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -64,26 +81,6 @@ def outside_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
         for v in order[start[k] : stop[k]]:
             outside[v] = False
     return connected_components(chain.graph, allowed=outside)
-
-
-def cut_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
-    """Components of G - F(cut), G the chain's graph, as sorted lists
-    ordered by smallest vertex.
-
-    F(cut) holds the edges that leave a member. Chain clusters are connected,
-    so each member is a component, and the others are `outside_components`.
-    """
-    comps = outside_components(chain, cut)
-    comps.extend(sorted(chain.order[chain.start[k] : chain.stop[k]]) for k in cut)
-    comps.sort()
-    return comps
-
-
-def is_balanced(chain: ClusteringChain, cut: Cut) -> bool:
-    """Every component of G - F(cut) outside the members holds at most half
-    the vertices of the chain's graph G."""
-    half = chain.graph.n // 2
-    return all(len(c) <= half for c in outside_components(chain, cut))
 
 
 def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozenset[int]:
@@ -179,14 +176,13 @@ def find_balanced_cut(chain: ClusteringChain, packing: CutPacking) -> Cut:
 
     Quotient the chain's graph, which must be connected, by the maximal free
     clusters and return the clusters of the quotient's centroid separator
-    under per-cluster weight |D|, whatever their number.
+    under per-cluster weight |D|, whatever their number. `CutPacking.add`
+    checks its balance on the components it stores.
     """
     parts, part_of = maximal_free_clusters(chain, packing)
     adjacency = quotient_adjacency(chain.graph, part_of, len(parts))
     chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
     cut = tuple(parts[j] for j in chosen)
-    if not is_balanced(chain, cut):
-        raise InvariantViolation("constructed cut is not balanced")
     # `used` holds the root and the non-singleton members of the earlier
     # cuts, so this is the check that no earlier cut shares a non-singleton
     # member.

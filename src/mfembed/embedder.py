@@ -7,8 +7,10 @@ its boundary edges (its members and the components outside them), whose
 subgraphs are all built in one pass over the current subgraph's edges.
 Every member of the sampled cut contributes one portal; a copy of each
 portal joins the host, wired to every vertex of the current subgraph at its
-distance inside that subgraph, and the portal copies stack on top of the
-sub-forests, which keeps the elimination forest valid.
+distance inside that subgraph (divided by the rescaling factor, so host
+lengths are in input units), and the portal copies stack on top of the
+sub-forests, which keeps the elimination forest valid. A fragment with more
+than half its parent's vertices must get a chain of a lower level.
 
 If any chain build fails, all partial work is discarded and the whole graph
 is embedded into a random HST instead (`fallback_used` is set).
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cutpack import build_cut_packing, cut_components
+from .cutpack import build_cut_packing
 from .errors import (
     BadEpsilon,
     DisconnectedGraph,
@@ -38,7 +40,7 @@ from .graphs import (
     metric_closure_weights,
     normalize,
 )
-from .hierarchy import ChainFailure, build_chain, diameter_level
+from .hierarchy import ChainFailure, build_chain, chain_constants
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
@@ -54,19 +56,19 @@ def derive_params(
     *,
     c_fallback: float = DEFAULT_C_FALLBACK,
     gamma: float = 1.0,
-    xi_cap: int = DEFAULT_XI_CAP,
+    xi_cap: int | None = None,
     tau_cap: int | None = None,
 ) -> Params:
     """Evaluate the split-parameter formulas for an n-vertex input.
 
-    theory mode keeps the raw values; practical mode caps xi at xi_cap and
-    tau at tau_cap (default 4*ceil(sqrt(n))).
+    theory mode keeps the raw values; practical mode caps xi at xi_cap
+    (default DEFAULT_XI_CAP) and tau at tau_cap (default 4*ceil(sqrt(n))).
     """
     if not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
     if n < 2 or hat_ell_value < 1:
         raise PreconditionViolation("need n >= 2 and hat_ell >= 1")
-    if xi_cap < 1 or (tau_cap is not None and tau_cap < 1):
+    if any(cap is not None and cap < 1 for cap in (xi_cap, tau_cap)):
         raise PreconditionViolation("xi_cap and tau_cap must be at least 1")
     if not (0 < gamma < math.inf and 0 < c_fallback < math.inf):
         raise PreconditionViolation("gamma and c_fallback must be positive and finite")
@@ -78,8 +80,7 @@ def derive_params(
     if not 0 < delta < 1:
         hint = "raise c_fallback" if delta >= 1 else "lower c_fallback or raise epsilon"
         raise BadEpsilon(f"derived delta {delta} leaves (0,1); {hint}")
-    lam = math.log(2.0 * hat_ell_value * n * n / delta) + 1.0
-    sigma = 480.0 * lam * lam
+    lam, sigma = chain_constants(hat_ell_value, n, delta)
     try:
         xi_theory = math.ceil(64.0 * hat_ell_value**3 * log2n * lam / epsilon)
         tau_theory = math.ceil((xi_theory + 1) * gamma * hat_ell_value**2 * sigma**2)
@@ -88,6 +89,8 @@ def derive_params(
     if mode == "theory":
         xi, tau = xi_theory, tau_theory
     else:
+        if xi_cap is None:
+            xi_cap = DEFAULT_XI_CAP
         if tau_cap is None:
             tau_cap = 4 * math.ceil(math.sqrt(n))
         xi = min(xi_theory, xi_cap)
@@ -135,10 +138,10 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
     if isinstance(chain, ChainFailure):
         return chain
     packing = build_cut_packing(chain, params.xi)
-    cut = rng.choice(packing.cuts)
+    i = rng.randrange(len(packing.cuts))
     return SplitResult(
-        portals=[chain.center[k] for k in cut],
-        components=cut_components(chain, cut),
+        portals=[chain.center[k] for k in packing.cuts[i]],
+        components=packing.components[i],
         level=chain.top_level,
         packing_size=len(packing.cuts),
         oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
@@ -148,9 +151,11 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
 class _EmbedState:
     """Mutable host under construction during the recursion."""
 
-    def __init__(self, n, params, seed):
+    def __init__(self, n, params, seed, scale):
         self.params = params
         self.seed = seed
+        # Host edges are stored in input units: fragment distances over scale.
+        self.scale = scale
         self.parent: list[int | None] = [None] * n
         self.edges: list[tuple[int, int, float]] = []
         self.next_id = n
@@ -160,11 +165,20 @@ class _EmbedState:
         self.recursion_depth = 0
 
     def embed(
-        self, sub: WeightedGraph | None, verts: list[int], path: tuple[int, ...], depth: int
+        self,
+        sub: WeightedGraph | None,
+        verts: list[int],
+        path: tuple[int, ...],
+        above: tuple[int, int] | None = None,
     ) -> list[int]:
         """Returns the forest roots of the fragment `sub`, whose local vertex i
-        is input vertex verts[i]; a single vertex comes without a subgraph."""
-        self.recursion_depth = max(self.recursion_depth, depth)
+        is input vertex verts[i]; a single vertex comes without a subgraph.
+
+        `path` lists the component index taken at each split above. `above`
+        is the parent split's (level, size): a fragment must hold at most
+        half its parent's vertices or get a chain of a lower level.
+        """
+        self.recursion_depth = max(self.recursion_depth, len(path) + 1)
         if len(verts) == 1:
             return [verts[0]]
         self.split_calls += 1
@@ -172,41 +186,33 @@ class _EmbedState:
         result = split(sub, self.params, rng)
         if isinstance(result, ChainFailure):
             raise _FallbackRequired(result)
+        if above is not None and 2 * sub.n > above[1] and result.level >= above[0]:
+            raise InvariantViolation(
+                f"recursion made no progress: size {sub.n}/{above[1]}, "
+                f"level {result.level}/{above[0]}"
+            )
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
         # Each component is sorted, so its subgraph's vertex i is comp[i].
         multi = [comp for comp in result.components if len(comp) > 1]
         children = iter(induced_subgraphs(sub, multi) if multi else ())
+        here = (result.level, sub.n)
         roots: list[int] = []
         for k, comp in enumerate(result.components):
-            child = None
-            if len(comp) > 1:
-                child = next(children)
-                self._check_progress(child, result.level, sub.n)
-            roots.extend(self.embed(child, [verts[i] for i in comp], path + (k,), depth + 1))
+            child = next(children) if len(comp) > 1 else None
+            roots.extend(self.embed(child, [verts[i] for i in comp], path + (k,), here))
         for local_z in result.portals:
             dist = dijkstra(sub, local_z)
             copy_id = self.next_id
             self.next_id += 1
             self.parent.append(None)
             for i, v in enumerate(verts):
-                self.edges.append((v, copy_id, dist[i]))
+                self.edges.append((v, copy_id, dist[i] / self.scale))
             for r in roots:
                 self.parent[r] = copy_id
             roots = [copy_id]
         return roots
-
-    def _check_progress(self, child, parent_level, parent_size):
-        # Either half the vertices or a strictly smaller level.
-        if 2 * child.n <= parent_size:
-            return
-        child_level = diameter_level(child)
-        if child_level >= parent_level:
-            raise InvariantViolation(
-                f"recursion made no progress: size {child.n}/{parent_size}, "
-                f"level {child_level}/{parent_level}"
-            )
 
 
 def embed_top(
@@ -217,7 +223,7 @@ def embed_top(
     *,
     c_fallback: float = DEFAULT_C_FALLBACK,
     gamma: float = 1.0,
-    xi_cap: int = DEFAULT_XI_CAP,
+    xi_cap: int | None = None,
     tau_cap: int | None = None,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
@@ -251,9 +257,9 @@ def embed_top(
         xi_cap=xi_cap,
         tau_cap=tau_cap,
     )
-    state = _EmbedState(g.n, params, seed)
+    state = _EmbedState(g.n, params, seed, scale)
     try:
-        roots = state.embed(scaled, list(range(g.n)), (), 1)
+        state.embed(scaled, list(range(g.n)), ())
     except _FallbackRequired as failed:
         emb = frt_embed(g, derive_seed(seed, "frt"))
         emb.meta = EmbeddingMeta(
@@ -271,13 +277,8 @@ def embed_top(
     except LevelOverflow as exc:
         # The chains measure the rescaled graph; name the input's eccentricity.
         raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
-    for r in roots:
-        state.parent[r] = None
-    if scale != 1.0:
-        host_edges = tuple((u, v, w / scale) for u, v, w in state.edges)
-    else:
-        host_edges = tuple(state.edges)
-    host = WeightedGraph._derived(state.next_id, host_edges)
+    # The top root is the last portal copy, appended without a parent.
+    host = WeightedGraph._derived(state.next_id, tuple(state.edges))
     meta = EmbeddingMeta(
         n=g.n,
         seed=seed,

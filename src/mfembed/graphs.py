@@ -189,10 +189,8 @@ def hat_ell(g: WeightedGraph) -> int:
     ratio = g.total_length() / g.min_edge_length()
     if not math.isfinite(ratio):
         raise PreconditionViolation("total edge length overflows a float")
-    ell = 0
-    while not ratio < 2.0**ell:
-        ell += 1
-    return ell
+    # ratio >= 1, and frexp gives 2**(e-1) <= ratio < 2**e
+    return math.frexp(ratio)[1]
 
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:

@@ -12,7 +12,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .embedder import DEFAULT_C_FALLBACK, embed_top
@@ -88,19 +88,11 @@ class ExperimentConfig:
     c_fallback: float = DEFAULT_C_FALLBACK
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance_label,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "runs": self.runs,
-            "pairs": self.pairs,
-            "seed": self.seed,
-            "baseline": self.baseline,
-            "xi_cap": self.xi_cap,
-            "tau_cap": self.tau_cap,
-            "gamma": self.gamma,
-            "c_fallback": self.c_fallback,
-        }
+        out = {"instance": self.instance_label}
+        for f in fields(self):
+            if f.name != "instance_label":
+                out[f.name] = getattr(self, f.name)
+        return out
 
 
 def sample_pairs(n: int, count: int | str, seed: int) -> list[tuple[int, int]]:
@@ -169,6 +161,8 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     """R independent embeddings with derived seeds; returns the report dict."""
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
+    if config.baseline not in ("none", "frt"):
+        raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = None
     runs_dist_h = []
@@ -185,7 +179,8 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
             run_seed,
             gamma=config.gamma,
             c_fallback=config.c_fallback,
-            **_cap_kwargs(config),
+            xi_cap=config.xi_cap,
+            tau_cap=config.tau_cap,
         )
         dist_g, dist_h = evaluate(g, emb, pairs, dist_g)
         timings.append(time.perf_counter() - t0)
@@ -236,15 +231,6 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         },
     }
     return report
-
-
-def _cap_kwargs(config: ExperimentConfig) -> dict:
-    kwargs = {}
-    if config.xi_cap is not None:
-        kwargs["xi_cap"] = config.xi_cap
-    if config.tau_cap is not None:
-        kwargs["tau_cap"] = config.tau_cap
-    return kwargs
 
 
 def emit(report: dict, fmt: str, path: str | Path) -> None:

@@ -207,6 +207,13 @@ def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) 
     return True
 
 
+def chain_constants(levels: int, n: int, delta: float) -> tuple[float, float]:
+    """lambda = ln(2*L*n^2/delta) + 1 and sigma = 480*lambda^2 for L levels
+    over n vertices: the carving radius divisor and the quotient hop bound."""
+    lam = math.log(2.0 * levels * n * n / delta) + 1.0
+    return lam, 480.0 * lam * lam
+
+
 def build_chain(
     g: WeightedGraph,
     delta: float,
@@ -242,8 +249,7 @@ def build_chain(
     # The closest pair is always an edge, so this checks every distance.
     if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")
-    lam = math.log(2.0 * top * n * n / delta) + 1.0
-    sigma = 480.0 * lam * lam
+    lam, sigma = chain_constants(top, n, delta)
 
     order = list(range(n))
     start, stop, children = [0], [n], [[]]

@@ -588,6 +588,13 @@ def boundary_edges(g, family):
     return removed
 
 
+def components_of_cut(g, chain, cut):
+    """Components of g without a chain cut's boundary edges, found from the
+    edge set, as sorted lists ordered by smallest vertex."""
+    removed = boundary_edges(g, cut_members(chain, cut))
+    return sorted(sorted(c) for c in components_without(g, removed))
+
+
 def balanced_predicate(g, family):
     """family: iterable of frozensets (the cut members)."""
     family = list(family)

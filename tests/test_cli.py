@@ -127,18 +127,32 @@ def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "command", [("frt",), ("partition", "--r", 1.5), ("chain",)], ids=["frt", "partition", "chain"]
+    "command,message",
+    [
+        (("frt",), "error: "),
+        (("partition", "--r", 1.5), "partition needs a connected graph"),
+        (("partition", "--r", 1.5, "--order-file"), "partition needs a connected graph"),
+        (("chain",), "error: "),
+    ],
+    ids=["frt", "partition", "partition-order-file", "chain"],
 )
-def test_header_with_millions_of_vertices_and_no_edges_is_refused(tmp_path, capsys, command):
+def test_header_with_millions_of_vertices_and_no_edges_is_refused(
+    tmp_path, capsys, command, message
+):
     # twelve bytes that name five million vertices: connectivity is refused
-    # from the edge count, before any per-vertex list is built
+    # from the edge count, before any per-vertex list is built, and before
+    # an order file is read
     wide = tmp_path / "wide.txt"
     wide.write_text("p 5000000 0\n")
+    order = tmp_path / "order.txt"
+    order.write_text("1\n0\n")
     capsys.readouterr()
     out = tmp_path / "out.json"
     extra = ("-o", out) if command[0] == "frt" else ()
+    if command[-1] == "--order-file":
+        extra = (order,)
     assert run(command[0], "-i", wide, *command[1:], *extra) == 2
-    assert "error: " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

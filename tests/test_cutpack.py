@@ -6,11 +6,10 @@ from oracles import (
     UnweightedGraph,
     all_connected_labeled_graphs,
     balanced_predicate,
-    boundary_edges,
     centroid_bag,
     chain_cluster_sets,
     chain_from_levels,
-    components_without,
+    components_of_cut,
     cut_members,
     cuts_conflict,
     free_clusters_by_levels,
@@ -30,9 +29,7 @@ from mfembed.cutpack import (
     CutPacking,
     build_cut_packing,
     centroid_separator,
-    cut_components,
     find_balanced_cut,
-    is_balanced,
     maximal_free_clusters,
 )
 from mfembed.embedder import derive_params, embed_top
@@ -122,17 +119,31 @@ def golden_root_split(instance, seed):
 def test_cut_components_and_balance_match_the_edge_set_oracle(instance, seed):
     sub, chain, params = golden_root_split(instance, seed)
     packing = build_cut_packing(chain, params.xi)
-    cuts = packing.cuts + [(k,) for k in range(len(chain.start))]
+    assert len(packing.components) == len(packing.cuts)
+    for cut, comps in zip(packing.cuts, packing.components):
+        assert comps == components_of_cut(sub, chain, cut)
+        assert balanced_predicate(sub, cut_members(chain, cut))
+
+
+@pytest.mark.parametrize("instance,seed", GOLDEN_INSTANCES)
+def test_adding_a_single_cluster_checks_its_balance(instance, seed):
+    # every single cluster is added to a fresh packing: a balanced one is
+    # stored with the oracle's components, an unbalanced one is refused
+    sub, chain, _ = golden_root_split(instance, seed)
     verdicts = set()
-    for cut in cuts:
-        members = cut_members(chain, cut)
-        removed = boundary_edges(sub, members)
-        expected = sorted(sorted(c) for c in components_without(sub, removed))
-        assert cut_components(chain, cut) == expected
-        verdict = balanced_predicate(sub, members)
-        assert is_balanced(chain, cut) == verdict
+    for k in range(len(chain.start)):
+        cut = (k,)
+        verdict = balanced_predicate(sub, cut_members(chain, cut))
+        packing = CutPacking()
+        if verdict:
+            packing.add(cut, chain)
+            assert packing.cuts == [cut]
+            assert packing.components == [components_of_cut(sub, chain, cut)]
+        else:
+            with pytest.raises(InvariantViolation, match="not balanced"):
+                packing.add(cut, chain)
+            assert packing.cuts == [] and packing.components == []
         verdicts.add(verdict)
-    # single clusters include unbalanced cuts, so both answers are checked
     assert verdicts == {True, False}
 
 
@@ -428,7 +439,7 @@ def test_first_cut_is_whole_vertex_set():
     chain = chain_of(g)
     cut = find_balanced_cut(chain, CutPacking())
     assert cut_members(chain, cut) == (frozenset(range(4)),)
-    assert is_balanced(chain, cut)
+    assert balanced_predicate(g, cut_members(chain, cut))
 
 
 def test_path_cut_brute_force_membership():
@@ -528,7 +539,7 @@ def test_two_vertex_packing():
         assert frozenset(cut_members(chain, cut)) != frozenset({frozenset({0, 1})})
         for member in cut_members(chain, cut):
             assert len(member) == 1
-        assert is_balanced(chain, cut)
+        assert balanced_predicate(g, cut_members(chain, cut))
 
 
 def test_packing_cuts_all_balanced_and_nonconflicting():
@@ -541,9 +552,9 @@ def test_packing_cuts_all_balanced_and_nonconflicting():
         chain = chain_of(g, delta=0.15, seed=3)
         packing = build_cut_packing(chain, xi=6)
         chain_sets = set(chain_cluster_sets(chain))
-        for cut in packing.cuts:
-            assert is_balanced(chain, cut)
+        for cut, comps in zip(packing.cuts, packing.components):
             assert balanced_predicate(g, list(cut_members(chain, cut)))
+            assert comps == components_of_cut(g, chain, cut)
             for member in cut_members(chain, cut):
                 assert member in chain_sets
         for a, b in itertools.combinations(packing.cuts, 2):

@@ -3,7 +3,14 @@ import math
 import random
 
 import pytest
-from oracles import all_pairs, bellman_ford, cut_members, embedding_to_dict, floyd_warshall
+from oracles import (
+    all_pairs,
+    bellman_ford,
+    components_of_cut,
+    cut_members,
+    embedding_to_dict,
+    floyd_warshall,
+)
 
 import mfembed.embedder as embedder
 from mfembed.embedder import (
@@ -17,9 +24,10 @@ from mfembed.errors import (
     BadEpsilon,
     CyclicParentArray,
     DisconnectedGraph,
+    InvariantViolation,
     PreconditionViolation,
 )
-from mfembed.cutpack import build_cut_packing, cut_components
+from mfembed.cutpack import build_cut_packing
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, dijkstra
@@ -121,7 +129,7 @@ def test_split_two_vertex_forced():
     assert result.components == [[0], [1]]
     chain, cut = split_cut(g, params, 0)
     assert cut_members(chain, cut) == (frozenset({1}),)
-    assert result.components == cut_components(chain, cut)
+    assert result.components == components_of_cut(g, chain, cut)
     assert result.portals == [1]
 
 
@@ -141,7 +149,7 @@ def test_split_star_portal_per_member():
         result = split(g, params, random.Random(seed))
         assert isinstance(result, SplitResult)
         chain, cut = split_cut(g, params, seed)
-        assert result.components == cut_components(chain, cut)
+        assert result.components == components_of_cut(g, chain, cut)
         assert len(result.portals) == len(cut)
         for z, member in zip(result.portals, cut_members(chain, cut)):
             assert z in member
@@ -273,6 +281,35 @@ def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
             # every split but the root's works on a subgraph built for it
             built = sum(len(parts) for kind, _, parts in events if kind == "build")
             assert built == emb.meta.split_calls - 1
+
+
+def test_a_child_that_keeps_its_level_and_most_vertices_is_refused(monkeypatch):
+    # The root split of a 5-vertex unit star is made to leave the center
+    # with three leaves as one component: 4 of 5 vertices, and the same
+    # diameter, so the child's chain has the root's level.
+    g = generate("star", size=4)
+    real_split = embedder.split
+    calls = []
+
+    def split(sub, params, rng):
+        result = real_split(sub, params, rng)
+        calls.append(sub.n)
+        if len(calls) == 1:
+            result.components = [[0, 1, 2, 3], [4]]
+        return result
+
+    monkeypatch.setattr(embedder, "split", split)
+    with pytest.raises(InvariantViolation, match="recursion made no progress"):
+        embed_top(g, 0.5, "practical", seed=0)
+    assert calls[0] == 5
+
+
+def test_default_xi_cap_is_the_none_cap():
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=3)
+    default = embed_top(g, 0.5, "practical", seed=2)
+    assert default.meta.params.xi_cap == embedder.DEFAULT_XI_CAP == 16
+    capped = embed_top(g, 0.5, "practical", seed=2, xi_cap=None)
+    assert embedding_to_json(capped) == embedding_to_json(default)
 
 
 def test_scale_back_to_original_units():

@@ -242,6 +242,13 @@ def test_hat_ell_examples():
         hat_ell(WeightedGraph(2, ()))
 
 
+def test_hat_ell_at_powers_of_two_and_past_the_last_one():
+    # the least ell with total / min < 2**ell, also when 2**ell overflows
+    assert hat_ell(path_graph([1.0, 1.0])) == 2
+    assert hat_ell(path_graph([1.0, 3.0])) == 3
+    assert hat_ell(path_graph([1.5, 1.5e308])) == 1024
+
+
 # ------------------------------------------------------------------ normalize
 
 

@@ -227,6 +227,39 @@ def test_aggregates_match_independent_recomputation():
     assert report["distortion"]["violations"] == 0
 
 
+@pytest.mark.parametrize("baseline", ["FRT", "", None])
+def test_unknown_baseline_is_refused_before_any_embedding(monkeypatch, baseline):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("an embedding was built")
+
+    monkeypatch.setattr("mfembed.harness.embed_top", no_embedding)
+    monkeypatch.setattr("mfembed.harness.frt_embed", no_embedding)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=2, pairs=5, seed=1, baseline=baseline
+    )
+    with pytest.raises(PreconditionViolation, match="unknown baseline"):
+        run_experiment(generate("cycle", size=8), config)
+
+
+def test_config_dict_names_the_instance_first_in_field_order():
+    config = ExperimentConfig(
+        epsilon=0.5, mode="theory", runs=2, pairs="all", seed=4, instance_label="g.txt"
+    )
+    assert list(config.to_dict().items()) == [
+        ("instance", "g.txt"),
+        ("epsilon", 0.5),
+        ("mode", "theory"),
+        ("runs", 2),
+        ("pairs", "all"),
+        ("seed", 4),
+        ("baseline", "none"),
+        ("xi_cap", None),
+        ("tau_cap", None),
+        ("gamma", 1.0),
+        ("c_fallback", 64.0),
+    ]
+
+
 def test_report_deterministic_modulo_timing():
     g = generate("cycle", size=8)
     config = ExperimentConfig(epsilon=0.5, mode="practical", runs=3, pairs="all", seed=123)
