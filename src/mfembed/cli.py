@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import harness
-from .cutpack import build_cut_packing, outside_components
+from .cutpack import build_cut_packing
 from .embedder import DEFAULT_C_FALLBACK, embed_top
 from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
@@ -341,8 +341,11 @@ def _cmd_cuts(args) -> int:
     packing = build_cut_packing(result, args.xi)
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
-    for i, cut in enumerate(packing.cuts):
-        margin = half - max(map(len, outside_components(result, cut)), default=0)
+    order, start, stop = result.order, result.start, result.stop
+    for i, (cut, comps) in enumerate(zip(packing.cuts, packing.components)):
+        # The members are components too; each is known by its smallest vertex.
+        firsts = {min(order[start[k] : stop[k]]) for k in cut}
+        margin = half - max((len(c) for c in comps if c[0] not in firsts), default=0)
         levels = [result.hi[k] for k in cut]
         print(
             f"  cut {i}: members={len(cut)} levels={levels} "

@@ -13,6 +13,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from operator import lt, mul, truediv
 from pathlib import Path
 
 from .embedder import DEFAULT_C_FALLBACK, embed_top
@@ -27,17 +29,12 @@ RATIO_TOLERANCE = 1e-9
 
 
 def evaluate(
-    g: WeightedGraph,
-    emb: HostEmbedding,
-    pairs: list[tuple[int, int]],
-    dist_g: list[float] | None = None,
+    g: WeightedGraph, emb: HostEmbedding, pairs: list[tuple[int, int]]
 ) -> tuple[list[float], list[float]]:
     """Exact graph and host distances of the pairs, as two lists in pair order.
 
     Host distances come from the forest's distance labels, which check the
-    forest first. `dist_g` takes the graph distances of the same pairs from an
-    earlier call, so an experiment computes them once for all its runs; it is
-    returned as is.
+    forest first.
     """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
@@ -46,14 +43,7 @@ def evaluate(
     for u, v in pairs:
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise PairOutOfRange(f"bad pair ({u},{v})")
-    if dist_g is not None and len(dist_g) != len(pairs):
-        raise PreconditionViolation(f"{len(dist_g)} graph distances for {len(pairs)} pairs")
-    host_distance = ForestLabels(emb).distance
-    eta = emb.eta
-    dist_h = [host_distance(eta[u], eta[v]) for u, v in pairs]
-    if dist_g is None:
-        dist_g = _pair_distances(g, pairs)
-    return dist_g, dist_h
+    return _pair_distances(g, pairs), ForestLabels(emb).distances(pairs)
 
 
 def _pair_distances(g: WeightedGraph, pairs: list[tuple[int, int]]) -> list[float]:
@@ -122,32 +112,39 @@ def aggregate_records(
     pairs: list[tuple[int, int]], dist_g: list[float], runs_dist_h: list[list[float]]
 ) -> dict:
     """The report's distortion block from the graph distances and each run's host distances."""
+    runs = len(runs_dist_h)
+    floor = 1.0 - RATIO_TOLERANCE
+    # A violation is a host distance below its pair's floor.
+    floors = map(mul, chain.from_iterable(repeat(dist_g, runs)), repeat(floor))
+    violations = sum(map(lt, chain.from_iterable(runs_dist_h), floors))
     per_pair = []
     max_mean = None
     max_single = None
-    violations = 0
-    floor = 1.0 - RATIO_TOLERANCE
-    for (u, v), d_g, run_h in zip(pairs, dist_g, zip(*runs_dist_h)):
-        ratios = [d_h / d_g for d_h in run_h]
-        violations += sum(1 for d_h in run_h if d_h < d_g * floor)
-        mean_ratio = sum(ratios) / len(ratios)
+    # Each pair's ratios, in run order, from one lazy column per run.
+    ratio_rows = zip(*[map(truediv, run_h, dist_g) for run_h in runs_dist_h])
+    for (u, v), d_g, run_h, ratios in zip(pairs, dist_g, zip(*runs_dist_h), ratio_rows):
+        mean_ratio = sum(ratios) / runs
         peak = max(ratios)
         per_pair.append(
             {
                 "u": u,
                 "v": v,
                 "dist_g": d_g,
-                "mean_dist_h": sum(run_h) / len(run_h),
+                "mean_dist_h": sum(run_h) / runs,
                 "mean_ratio": mean_ratio,
                 "max_ratio": peak,
             }
         )
-        max_mean = mean_ratio if max_mean is None else max(max_mean, mean_ratio)
-        max_single = peak if max_single is None else max(max_single, peak)
-    count = len(pairs) * len(runs_dist_h)
+        if max_mean is None or mean_ratio > max_mean:
+            max_mean = mean_ratio
+        if max_single is None or peak > max_single:
+            max_single = peak
+    count = len(pairs) * runs
     # Run-major, pairs in order within a run: a float sum depends on the order
     # of its terms, and the report's bytes must not.
-    total = sum(d_h / d_g for run_h in runs_dist_h for d_h, d_g in zip(run_h, dist_g))
+    total = sum(
+        map(truediv, chain.from_iterable(runs_dist_h), chain.from_iterable(repeat(dist_g, runs)))
+    )
     return {
         "per_pair": per_pair,
         "max_mean_ratio": max_mean,
@@ -164,7 +161,7 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     if config.baseline not in ("none", "frt"):
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
     pairs = sample_pairs(g.n, config.pairs, config.seed)
-    dist_g = None
+    dist_g = _pair_distances(g, pairs)
     runs_dist_h = []
     structural = []
     timings = []
@@ -182,9 +179,8 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
             xi_cap=config.xi_cap,
             tau_cap=config.tau_cap,
         )
-        dist_g, dist_h = evaluate(g, emb, pairs, dist_g)
+        runs_dist_h.append(ForestLabels(emb).distances(pairs))
         timings.append(time.perf_counter() - t0)
-        runs_dist_h.append(dist_h)
         structural.append(
             {
                 "seed": run_seed,
@@ -204,7 +200,7 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "frt", run)
             emb = frt_embed(g, run_seed)
-            base_dist_h.append(evaluate(g, emb, pairs, dist_g)[1])
+            base_dist_h.append(ForestLabels(emb).distances(pairs))
             base_structural.append(
                 {"seed": run_seed, "treedepth": emb.depth, "host_vertices": emb.host.n}
             )

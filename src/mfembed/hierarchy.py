@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, LevelOverflow, PreconditionViolation
-from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
+from .graphs import INF, WeightedGraph, dijkstra, member_subgraph, quotient_adjacency
 from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
@@ -345,7 +345,7 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     ]
     uncertified.sort(key=lambda k: (lo[k], start[k]))
     for k in uncertified:
-        (sub,) = induced_subgraphs(g, [sorted(order[start[k] : stop[k]])])
+        sub = member_subgraph(g, sorted(order[start[k] : stop[k]]))
         try:
             level = diameter_level(sub, floor=lo[k])
         except DisconnectedGraph:

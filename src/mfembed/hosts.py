@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import BadEmbedding, CyclicParentArray, InvariantViolation
 from .graphs import INF, WeightedGraph, settle
@@ -153,46 +153,63 @@ class ForestLabels:
     of vertex i for each ancestor a of i and i itself, root first, INF where
     subtree(a) does not reach i; `ends[i]` holds their negated exit times.
     Building takes one Dijkstra per host vertex, limited to its subtree; a
-    query takes O(depth). The forest is checked first.
+    query takes O(depth) and goes through `eta`, the input vertices' host
+    vertices. The forest is checked first.
     """
 
-    __slots__ = ("tin", "ends", "labels")
+    __slots__ = ("tin", "ends", "labels", "eta")
 
     def __init__(self, emb: HostEmbedding) -> None:
         order, tin, tout = check_forest_validity(emb)
         n = len(order)
-        # In preorder ids subtree(a) is a .. end[a] - 1, and a neighbour of a
-        # vertex in it lies outside only if it is an ancestor above a, whose
-        # id is below a.
-        adj = [[(tin[v], w) for v, w in emb.host.adjacency[u]] for u in order]
-        end = [tout[u] for u in order]
+        # Each edge is filed under its ancestor end, the smaller preorder id.
+        # Vertices join from the last id down, and a joining vertex brings
+        # the edges filed under it. In preorder ids subtree(a) is
+        # a .. end[a] - 1, and no vertex above end[a] - 1 is an ancestor or a
+        # descendant of one in it; so among the joined vertices a .. n - 1,
+        # the run from a stays in subtree(a) with no mask.
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for u, v, w in emb.host.edges:
+            x, y = tin[u], tin[v]
+            if x < y:
+                adj[x].append((y, w))
+            else:
+                adj[y].append((x, w))
         ends: list[tuple[int, ...]] = [()] * n
         for a, u in enumerate(order):
             p = emb.forest[u]
-            ends[a] = (ends[tin[p]] if p is not None else ()) + (-end[a],)
+            ends[a] = (ends[tin[p]] if p is not None else ()) + (-tout[u],)
         labels = [[INF] * len(e) for e in ends]
         dist = [INF] * n
-        inside = [True] * n  # v >= a, so the run from a stays in subtree(a)
-        for a in range(n):
+        for a in range(n - 1, -1, -1):
+            for d, w in adj[a]:
+                adj[d].append((a, w))
             level = len(ends[a]) - 1
-            for u in settle(adj, a, dist, inside):
+            for u in settle(adj, a, dist):
                 labels[u][level] = dist[u]
                 dist[u] = INF
-            inside[a] = False
         self.tin = tin
         self.ends = ends
         self.labels = labels
+        self.eta = emb.eta
 
-    def distance(self, x: int, y: int) -> float:
-        """d_H(x, y) for host vertices x and y."""
-        x, y = self.tin[x], self.tin[y]
-        if x > y:
-            x, y = y, x
-        # x's ancestors start at or before y; those containing y end after it.
-        k = bisect_left(self.ends[x], -y)
-        if k:
-            return min(map(add, self.labels[x][:k], self.labels[y]))
-        return INF  # different trees
+    def distances(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
+        """d_H(eta(u), eta(v)) for each pair (u, v) of input vertices, in
+        pair order."""
+        ids = [self.tin[x] for x in self.eta]
+        rows = [self.labels[i] for i in ids]
+        exits = [self.ends[i] for i in ids]
+        out = []
+        for u, v in pairs:
+            y = ids[v]
+            if ids[u] > y:
+                u, v = v, u
+                y = ids[v]
+            # u's ancestors start at or before v; those containing v end
+            # after it. With none in common, u and v lie in different trees.
+            k = bisect_left(exits[u], -y)
+            out.append(min(map(add, rows[u][:k], rows[v])) if k else INF)
+        return out
 
 
 # Host edges go out in batches of this many, so that `save_embedding` holds

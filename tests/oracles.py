@@ -26,7 +26,9 @@ byte. `check_labels_against_copy_edges` reads an embedder host's distances
 from its portal wiring, a second way beside `ForestLabels`.
 
 `strip_timing` and `load_report` read experiment reports back for the
-determinism and round-trip checks.
+determinism and round-trip checks. `aggregate_records_by_pair` is the
+report's former distortion block, built from one ratio list per pair, which
+`harness.aggregate_records` must reproduce exactly.
 
 `induced_subgraph` is the library's former one-child subgraph builder: a
 scan of the parent per child, through the public constructor.
@@ -99,6 +101,43 @@ def strip_timing(report):
 
 def load_report(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def aggregate_records_by_pair(pairs, dist_g, runs_dist_h, tolerance):
+    """The report's distortion block, pair by pair from each pair's list of
+    ratios; `tolerance` is the relative non-contraction tolerance."""
+    per_pair = []
+    max_mean = None
+    max_single = None
+    violations = 0
+    floor = 1.0 - tolerance
+    for (u, v), d_g, run_h in zip(pairs, dist_g, zip(*runs_dist_h)):
+        ratios = [d_h / d_g for d_h in run_h]
+        violations += sum(1 for d_h in run_h if d_h < d_g * floor)
+        mean_ratio = sum(ratios) / len(ratios)
+        peak = max(ratios)
+        per_pair.append(
+            {
+                "u": u,
+                "v": v,
+                "dist_g": d_g,
+                "mean_dist_h": sum(run_h) / len(run_h),
+                "mean_ratio": mean_ratio,
+                "max_ratio": peak,
+            }
+        )
+        max_mean = mean_ratio if max_mean is None else max(max_mean, mean_ratio)
+        max_single = peak if max_single is None else max(max_single, peak)
+    count = len(pairs) * len(runs_dist_h)
+    # Run-major, pairs in order within a run.
+    total = sum(d_h / d_g for run_h in runs_dist_h for d_h, d_g in zip(run_h, dist_g))
+    return {
+        "per_pair": per_pair,
+        "max_mean_ratio": max_mean,
+        "global_mean_ratio": total / count if count else None,
+        "max_single_run_ratio": max_single,
+        "violations": violations,
+    }
 
 
 def induced_subgraph(g, vertices):

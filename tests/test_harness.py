@@ -1,16 +1,17 @@
 import bisect
 import itertools
 import json
+import math
 import random
 from collections.abc import Sequence
 
 import pytest
-from oracles import all_pairs, load_report, strip_timing
+from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
 
 from mfembed.embedder import embed_top
 from mfembed.errors import PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
-from mfembed.graphs import WeightedGraph, dijkstra
+from mfembed.graphs import INF, WeightedGraph, dijkstra
 from mfembed.harness import (
     RATIO_TOLERANCE,
     ExperimentConfig,
@@ -79,26 +80,30 @@ def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
     g = generate("grid", rows=3, cols=4, weights="uniform:1:4", seed=2)
     emb = embed_top(g, 0.5, "practical", seed=3)
     dm_g, dm_h = all_pairs(g), all_pairs(emb.host)
+    calls = []
+
+    def counted(graph, source):
+        calls.append((graph, source))
+        return dijkstra(graph, source)
+
+    monkeypatch.setattr(harness, "dijkstra", counted)
     pairs = [(5, 1), (0, 7), (5, 2), (0, 11), (5, 9), (3, 4)]  # u repeats, not grouped
     dist_g, dist_h = evaluate(g, emb, pairs)
     assert dist_g == [dm_g[u][v] for u, v in pairs]
     assert dist_h == [dm_h[emb.eta[u]][emb.eta[v]] for u, v in pairs]
+    # a graph row each time u changes; host distances come from forest labels
+    assert calls == [(g, 5), (g, 0), (g, 5), (g, 0), (g, 5), (g, 3)]
 
-    sources = []
-
-    def counted(graph, source):
-        sources.append(graph)
-        return dijkstra(graph, source)
-
-    monkeypatch.setattr(harness, "dijkstra", counted)
-    again_g, again_h = evaluate(g, emb, pairs, dist_g)
-    assert again_g is dist_g and again_h == dist_h
-    # no graph row when dist_g is given, and host distances come from forest labels
-    assert sources == []
-    evaluate(g, emb, pairs)
-    assert len(sources) == 6 and all(graph is g for graph in sources)  # a graph row each time u changes
-    with pytest.raises(PreconditionViolation):
-        evaluate(g, emb, pairs, dist_g[:-1])
+    # An experiment computes the graph distances once and gives them to
+    # every run and baseline host.
+    calls.clear()
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=3, pairs="all", seed=1, baseline="frt"
+    )
+    report = run_experiment(g, config)
+    # one row per distinct source for all six hosts
+    assert calls == [(g, u) for u in range(g.n - 1)]
+    assert len(report["distortion"]["per_pair"]) == g.n * (g.n - 1) // 2
 
 
 def test_aggregate_records_by_hand():
@@ -117,6 +122,41 @@ def test_aggregate_records_by_hand():
     empty = aggregate_records([], [], [[], []])
     assert empty["per_pair"] == [] and empty["global_mean_ratio"] is None
     assert empty["max_mean_ratio"] is None and empty["violations"] == 0
+
+
+def random_block(rng):
+    """Pairs in any order, 1-5 runs and host distances at, just below and
+    far above the non-contraction floor, some of them INF."""
+    runs = rng.randint(1, 5)
+    count = rng.choice([0, 1, rng.randint(2, 60)])
+    pairs = [tuple(rng.sample(range(40), 2)) for _ in range(count)]
+    dist_g = [rng.choice([float(rng.randint(1, 9)), rng.uniform(0.5, 50.0)]) for _ in pairs]
+    floor = 1.0 - RATIO_TOLERANCE
+    inf_rate = rng.choice([0.0, 0.0, 0.05])  # an INF makes the global mean INF
+
+    def host(d_g):
+        if rng.random() < inf_rate:
+            return INF
+        at_floor = d_g * floor  # not a violation
+        below = math.nextafter(at_floor, 0.0)  # a violation
+        return rng.choice([at_floor, below, d_g, d_g * rng.uniform(1.0, 3.0)])
+
+    return pairs, dist_g, [[host(d_g) for d_g in dist_g] for _ in range(runs)]
+
+
+def test_aggregate_records_matches_pair_by_pair_reference():
+    rng = random.Random(23)
+    seen = {"empty": 0, "violations": 0, "inf": 0}
+    for _ in range(400):
+        block = random_block(rng)
+        got = aggregate_records(*block)
+        want = aggregate_records_by_pair(*block, RATIO_TOLERANCE)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+        seen["empty"] += not block[0]
+        seen["violations"] += got["violations"] > 0
+        seen["inf"] += got["max_single_run_ratio"] == INF
+    assert min(seen.values()) > 10, seen
 
 
 # ---------------------------------------------------------------- pair sampling

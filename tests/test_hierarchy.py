@@ -11,6 +11,7 @@ from oracles import (
     chain_from_levels,
     chain_levels,
     chain_sigma,
+    check_derived_graph,
     children_hop_diameter,
     diameter,
     edge_level,
@@ -30,6 +31,8 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     INF,
     WeightedGraph,
+    induced_subgraphs,
+    member_subgraph,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
@@ -317,13 +320,13 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         [frozenset({0, 1, 2}), frozenset({3, 4})],
         [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})],
     )
-    real_subgraphs, real_level = hierarchy.induced_subgraphs, hierarchy.diameter_level
+    real_subgraph, real_level = hierarchy.member_subgraph, hierarchy.diameter_level
     built, measured = [], []
 
-    def subgraphs(graph, parts):
-        assert graph is g and len(parts) == 1
-        built.append(list(parts[0]))
-        return real_subgraphs(graph, parts)
+    def subgraph(graph, members):
+        assert graph is g
+        built.append(list(members))
+        return real_subgraph(graph, members)
 
     def level(graph, **kwargs):
         start = len(runs)
@@ -332,7 +335,7 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         return got
 
     runs = count_runs(monkeypatch)
-    monkeypatch.setattr(hierarchy, "induced_subgraphs", subgraphs)
+    monkeypatch.setattr(hierarchy, "member_subgraph", subgraph)
     monkeypatch.setattr(hierarchy, "diameter_level", level)
     assert _check_goodness(chain, 100.0) is None
     assert built == [[0, 1], [3, 4], [0, 1, 2]]
@@ -609,7 +612,7 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
 
     # every cluster here is certified by its carving radius, so the goodness
     # check builds no cluster subgraph
-    monkeypatch.setattr(hierarchy, "induced_subgraphs", refuse)
+    monkeypatch.setattr(hierarchy, "member_subgraph", refuse)
     monkeypatch.setattr("mfembed.graphs.connected_components", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)
@@ -687,6 +690,44 @@ def test_goodness_matches_the_per_cluster_check_when_x_is_huge(monkeypatch):
         reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
     assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
     assert len(calls) > 100
+
+
+def test_cluster_subgraph_from_adjacency_matches_the_edge_scan(monkeypatch):
+    # X drawn ten times too large leaves clusters that their radius does not
+    # certify; each is measured on a subgraph built from its members'
+    # adjacency, which must give the chain or failure that the subgraph
+    # from a scan of every edge gives.
+    real = partition.sample_exponential
+    monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
+    near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
+                for k in (2, 5, 9)]
+    built = []
+
+    def by_edge_scan(g, members):
+        return induced_subgraphs(g, [members])[0]
+
+    def from_adjacency(g, members):
+        sub = member_subgraph(g, members)
+        check_derived_graph(sub)
+        assert sorted(sub.edges) == sorted(by_edge_scan(g, members).edges)
+        built.append(sub.n)
+        return sub
+
+    chains = 0
+    reasons = collections.Counter()
+    for g in matrix_graphs() + near_one:
+        for seed in range(25):
+            for delta in (0.1, 0.9):
+                monkeypatch.setattr(hierarchy, "member_subgraph", from_adjacency)
+                got = build_chain(g, delta, random.Random(seed))
+                monkeypatch.setattr(hierarchy, "member_subgraph", by_edge_scan)
+                want = build_chain(g, delta, random.Random(seed))
+                assert got == want
+                reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
+                chains += 1
+    assert chains >= 500
+    assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
+    assert len(built) > 500 and max(built) > 2
 
 
 def test_cluster_tree_slices_levels_and_radii():

@@ -2,6 +2,7 @@
 validity check, the forest distance labels and the JSON writer, each against
 an independent computation."""
 
+import dataclasses
 import json
 import math
 import random
@@ -42,16 +43,18 @@ FLOAT = [
 
 
 def assert_labels_match_dijkstra(emb, rel, seed=0, sources=8):
-    """Labels against host Dijkstra from random sources to every host vertex."""
-    distance = ForestLabels(emb).distance
+    """Labels against host Dijkstra from random sources to every host vertex.
+    An identity-eta copy makes `distances` answer host pairs."""
+    labels = ForestLabels(dataclasses.replace(emb, eta=list(range(emb.host.n))))
+    everyone = range(emb.host.n)
     rng = random.Random(seed)
-    for x in rng.sample(range(emb.host.n), min(sources, emb.host.n)):
+    for x in rng.sample(everyone, min(sources, emb.host.n)):
         row = dijkstra(emb.host, x)
-        for y in range(emb.host.n):
+        for y, got in zip(everyone, labels.distances([(x, y) for y in everyone])):
             if rel == 0.0 or row[y] in (0.0, INF):
-                assert distance(x, y) == row[y], (x, y)
+                assert got == row[y], (x, y)
             else:
-                assert distance(x, y) == pytest.approx(row[y], rel=rel, abs=0.0), (x, y)
+                assert got == pytest.approx(row[y], rel=rel, abs=0.0), (x, y)
 
 
 @pytest.mark.parametrize("instance", UNIT, ids=lambda d: d["kind"])
@@ -103,12 +106,15 @@ def test_labels_hand_host():
         [None, 0, 1, 1, 0, None],
     )
     fl = ForestLabels(emb)
+    assert "adjacency" not in vars(emb.host)  # the labels build their own lists
     assert fl.labels[fl.tin[2]] == [1.0, 5.0, 0.0]  # r_0, r_1, r_2 of vertex 2
-    assert fl.distance(1, 2) == 2.0
-    assert fl.distance(2, 3) == 3.0  # 2-0-1-3
-    assert fl.distance(4, 3) == 4.0
-    assert fl.distance(2, 2) == 0.0
-    assert fl.distance(1, 5) == INF  # different trees
+    pairs = [(1, 2), (2, 1), (2, 3), (3, 2), (4, 3), (2, 2), (0, 3), (3, 0), (1, 5), (5, 1)]
+    # 2-0-1-3; 1 and 5 lie in different trees
+    assert fl.distances(pairs) == [2.0, 2.0, 3.0, 3.0, 4.0, 0.0, 2.0, 2.0, INF, INF]
+    assert fl.distances([]) == []
+    # Input vertices 0, 1, 2 sit at host vertices 3, 2, 4.
+    through_eta = ForestLabels(dataclasses.replace(emb, eta=[3, 2, 4]))
+    assert through_eta.distances([(0, 1), (1, 0), (2, 0), (1, 2)]) == [3.0, 3.0, 4.0, 3.0]
 
 
 def test_labels_reject_invalid_forests():
