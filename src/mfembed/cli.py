@@ -309,6 +309,9 @@ def _prepare_for_chain(g: WeightedGraph) -> WeightedGraph:
     # same preprocessing as the embedder: metric edge lengths, distances > 1
     from .graphs import metric_closure_weights, normalize
 
+    # before any per-vertex list: a huge header without edges is refused here
+    if not is_connected(g):
+        raise _InputProblem("chain and cuts need a connected graph")
     scaled, scale = normalize(metric_closure_weights(g))
     if scale != 1.0:
         print(f"# rescaled by {scale:g} so all distances exceed 1")

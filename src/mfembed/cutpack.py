@@ -10,6 +10,9 @@ elimination on that quotient until it reaches the centroid under
 cluster-size weights: the first eliminated vertex whose component among the
 eliminated ones weighs more than half. That vertex and its live neighbours
 form the bag of the elimination tree's centroid, and no other bag is built.
+The elimination keeps its vertices in one heap of ids per degree with a
+lowest-degree cursor, as minimum-degree codes keep per-degree lists (George
+& Liu, SIAM Review 31(1), 1989), and takes them in (degree, id) order.
 
 Clusters are the nodes of the chain's cluster tree, one per distinct vertex
 set, so a cut is the tuple of its node ids, each member read from its
@@ -29,7 +32,7 @@ is balanced, and keeps them beside the cut for the split that samples it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .errors import EmptyPacking, InvariantViolation, PreconditionViolation
 from .graphs import connected_components, quotient_adjacency
@@ -64,7 +67,7 @@ class CutPacking:
         order, start, stop = chain.order, chain.start, chain.stop
         comps.extend(sorted(order[start[k] : stop[k]]) for k in cut)
         comps.sort()
-        self.used.update(k for k in cut if chain.size(k) > 1)
+        self.used.update(k for k in cut if stop[k] - start[k] > 1)
         self.cuts.append(cut)
         self.components.append(comps)
 
@@ -86,18 +89,25 @@ def outside_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
 def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozenset[int]:
     """A bag that splits a connected graph into halves by weight.
 
-    Runs the min-degree elimination with fill-in, taking the next vertex
-    from a heap of (degree, id) entries with ties to the lowest id; a vertex
-    is pushed again whenever its degree changes, and dead or outdated
-    entries are skipped when popped. In the elimination tree, the subtree of
-    the k-th eliminated vertex is its component among the vertices
-    eliminated so far (Liu, SIAM J. Matrix Anal. Appl. 11(1), 1990), so a
-    union-find over the original edges gives each subtree's weight. The
-    elimination stops at the first vertex v whose subtree weighs more than
-    half the total, or at the last vertex, and returns v with its live
-    neighbours: each branch below v weighs at most half, and the rest of the
-    graph weighs the total less v's subtree, which is below half. This is
-    the deepest node on the heavy path of the whole elimination tree.
+    Runs the min-degree elimination with fill-in, taking the live vertex of
+    least degree, ties to the lowest id. The vertices wait in one heap of
+    ids per degree, and a cursor marks the lowest degree that may hold a
+    live vertex. A vertex is entered again, in its new degree's heap, when a
+    fill update changes its degree, and the cursor moves down to that degree
+    when it is lower. An id that is eliminated or whose degree has changed
+    since it was entered is skipped when popped. Vertices leave in the same
+    order as from one heap of (degree, id) entries
+    (`tests/oracles.centroid_separator_by_heap`).
+
+    In the elimination tree, the subtree of the k-th eliminated vertex is
+    its component among the vertices eliminated so far (Liu, SIAM J. Matrix
+    Anal. Appl. 11(1), 1990), so a union-find over the original edges gives
+    each subtree's weight. The elimination stops at the first vertex v whose
+    subtree weighs more than half the total, or at the last vertex, and
+    returns v with its live neighbours: each branch below v weighs at most
+    half, and the rest of the graph weighs the total less v's subtree, which
+    is below half. This is the deepest node on the heavy path of the whole
+    elimination tree.
 
     The graph must be connected and is given as neighbour sets, which are
     left unchanged; the weights must be nonnegative integers.
@@ -107,8 +117,11 @@ def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozens
         raise InvariantViolation("the empty graph has no centroid")
     nbrs = [set(around) for around in adjacency]
     alive = [True] * n
-    heap = [(len(nbrs[u]), u) for u in range(n)]
-    heapify(heap)
+    # ids entered in increasing order, so each list is already a heap
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for u, around in enumerate(nbrs):
+        buckets[len(around)].append(u)
+    low = 0
     # union-find over the eliminated vertices; each root is the latest
     # eliminated vertex of its component and holds the component's weight
     link = list(range(n))
@@ -116,8 +129,12 @@ def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozens
     total = sum(weights)
     left = n
     while True:
-        d, v = heappop(heap)
-        if not alive[v] or d != len(nbrs[v]):
+        bucket = buckets[low]
+        while not bucket:
+            low += 1
+            bucket = buckets[low]
+        v = heappop(bucket)
+        if not alive[v] or len(nbrs[v]) != low:
             continue
         alive[v] = False
         left -= 1
@@ -137,10 +154,15 @@ def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozens
             return frozenset((v, *around))
         for a in around:
             fill = nbrs[a]
+            before = len(fill)
             fill |= around
             fill.discard(a)
             fill.discard(v)
-            heappush(heap, (len(fill), a))
+            d = len(fill)
+            if d != before:
+                heappush(buckets[d], a)
+                if d < low:
+                    low = d
 
 
 def maximal_free_clusters(
@@ -179,14 +201,15 @@ def find_balanced_cut(chain: ClusteringChain, packing: CutPacking) -> Cut:
     under per-cluster weight |D|, whatever their number. `CutPacking.add`
     checks its balance on the components it stores.
     """
+    start, stop = chain.start, chain.stop
     parts, part_of = maximal_free_clusters(chain, packing)
     adjacency = quotient_adjacency(chain.graph, part_of, len(parts))
-    chosen = sorted(centroid_separator(adjacency, [chain.size(k) for k in parts]))
+    chosen = sorted(centroid_separator(adjacency, [stop[k] - start[k] for k in parts]))
     cut = tuple(parts[j] for j in chosen)
     # `used` holds the root and the non-singleton members of the earlier
     # cuts, so this is the check that no earlier cut shares a non-singleton
     # member.
-    if any(chain.size(k) > 1 and k in packing.used for k in cut):
+    if any(stop[k] - start[k] > 1 and k in packing.used for k in cut):
         raise InvariantViolation("constructed cut conflicts with the packing")
     return cut
 
@@ -203,11 +226,12 @@ def build_cut_packing(chain: ClusteringChain, xi: int) -> CutPacking:
         raise PreconditionViolation("xi must be at least 1")
     if chain.graph.n < 2:
         raise EmptyPacking("a single vertex has no balanced cut besides the trivial one")
+    start, stop = chain.start, chain.stop
     packing = CutPacking(used={0})
     while len(packing) < xi:
         cut = find_balanced_cut(chain, packing)
         packing.add(cut, chain)
-        if all(chain.size(k) == 1 for k in cut):
+        if all(stop[k] - start[k] == 1 for k in cut):
             break
     packing.used.discard(0)
     return packing

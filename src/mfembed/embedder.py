@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 from .cutpack import build_cut_packing
 from .errors import (
@@ -207,8 +209,7 @@ class _EmbedState:
             copy_id = self.next_id
             self.next_id += 1
             self.parent.append(None)
-            for i, v in enumerate(verts):
-                self.edges.append((v, copy_id, dist[i] / self.scale))
+            self.edges.extend(zip(verts, repeat(copy_id), map(truediv, dist, repeat(self.scale))))
             for r in roots:
                 self.parent[r] = copy_id
             roots = [copy_id]

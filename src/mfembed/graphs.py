@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heappop, heappush
+from operator import add
 from typing import Sequence
 
-from .errors import DisconnectedGraph, InvariantViolation, NoEdges, PreconditionViolation
+from .errors import InvariantViolation, NoEdges, PreconditionViolation
 
 INF = math.inf
 
@@ -85,7 +86,8 @@ class WeightedGraph:
         return len(self.edges)
 
     def total_length(self) -> float:
-        return sum(w for _, _, w in self.edges)
+        # a plain left fold, as `sum` adds floats before CPython 3.12
+        return reduce(add, (w for _, _, w in self.edges), 0.0)
 
     @cached_property
     def exact_path_sums(self) -> bool:
@@ -202,10 +204,13 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     lengths the closest pair is always an edge (a path's sum is never below
     its largest edge, in floats too), so the minimum edge length is the
     minimum distance.
+
+    The rule reads only the minimum edge, so connectivity is not checked:
+    on a disconnected graph the scale is the largest that its components
+    would get on their own (1 for a graph without edges), and every
+    component is rescaled by it.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("normalize requires a connected graph")
-    if g.n < 2:
+    if not g.edges:
         return g, 1.0
     dmin = g.min_edge_length()
     if dmin > 1.0:
@@ -222,10 +227,10 @@ def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
 
     Edge (u, v) takes its distance from one `settle` run out of u, cut off
     at u's longest edge to a higher id: every such neighbour lies within
-    that limit, so the distances are exact and memory stays O(n + m).
+    that limit, so the distances are exact and memory stays O(n + m). Each
+    distance lies inside the edge's own component, so connectivity is not
+    checked: a disconnected graph gets each component's closure.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("metric closure requires a connected graph")
     by_source: list[list[tuple[int, int, float]]] = [[] for _ in range(g.n)]
     for i, (u, v, w) in enumerate(g.edges):
         by_source[u].append((i, v, w))

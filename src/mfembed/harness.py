@@ -13,8 +13,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
+from functools import partial, reduce
 from itertools import chain, repeat
-from operator import lt, mul, truediv
+from operator import add, lt, mul, truediv
 from pathlib import Path
 
 from .embedder import DEFAULT_C_FALLBACK, embed_top
@@ -111,7 +112,12 @@ def _pair_at(n: int, total: int, index: int) -> tuple[int, int]:
 def aggregate_records(
     pairs: list[tuple[int, int]], dist_g: list[float], runs_dist_h: list[list[float]]
 ) -> dict:
-    """The report's distortion block from the graph distances and each run's host distances."""
+    """The report's distortion block from the graph distances and each run's host distances.
+
+    Every float sum is a plain left fold from 0.0 in run order, as `sum`
+    adds floats before CPython 3.12, which compensates them: the report's
+    bytes must not depend on the interpreter.
+    """
     runs = len(runs_dist_h)
     floor = 1.0 - RATIO_TOLERANCE
     # A violation is a host distance below its pair's floor.
@@ -120,17 +126,23 @@ def aggregate_records(
     per_pair = []
     max_mean = None
     max_single = None
-    # Each pair's ratios, in run order, from one lazy column per run.
+    # Each pair's ratios, in run order, from one lazy column per run, and its
+    # sums, from the run columns folded one into the next.
     ratio_rows = zip(*[map(truediv, run_h, dist_g) for run_h in runs_dist_h])
-    for (u, v), d_g, run_h, ratios in zip(pairs, dist_g, zip(*runs_dist_h), ratio_rows):
-        mean_ratio = sum(ratios) / runs
+    fold = partial(map, add)
+    ratio_sums = reduce(fold, [map(truediv, run_h, dist_g) for run_h in runs_dist_h], repeat(0.0))
+    dist_sums = reduce(fold, runs_dist_h, repeat(0.0))
+    for (u, v), d_g, h_sum, ratio_sum, ratios in zip(
+        pairs, dist_g, dist_sums, ratio_sums, ratio_rows
+    ):
+        mean_ratio = ratio_sum / runs
         peak = max(ratios)
         per_pair.append(
             {
                 "u": u,
                 "v": v,
                 "dist_g": d_g,
-                "mean_dist_h": sum(run_h) / runs,
+                "mean_dist_h": h_sum / runs,
                 "mean_ratio": mean_ratio,
                 "max_ratio": peak,
             }
@@ -142,8 +154,10 @@ def aggregate_records(
     count = len(pairs) * runs
     # Run-major, pairs in order within a run: a float sum depends on the order
     # of its terms, and the report's bytes must not.
-    total = sum(
-        map(truediv, chain.from_iterable(runs_dist_h), chain.from_iterable(repeat(dist_g, runs)))
+    total = reduce(
+        add,
+        map(truediv, chain.from_iterable(runs_dist_h), chain.from_iterable(repeat(dist_g, runs))),
+        0.0,
     )
     return {
         "per_pair": per_pair,

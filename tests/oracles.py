@@ -10,6 +10,9 @@ forest validity from one ancestor set per vertex.
 `heuristic_tree_decomposition` and `centroid_bag` are the cut search's
 former whole min-degree decomposition and its centroid walk; the bag they
 pick is the one `cutpack.centroid_separator` must return.
+`centroid_separator_by_heap` is that search's former elimination to the
+centroid, with one heap of (degree, id) entries in place of the per-degree
+buckets; the library must return the same bag on every input.
 
 The rest are helpers that only tests read, built on the library's own
 Dijkstra or cut search: `all_pairs`, the path-level counters (`edge_level`,
@@ -57,8 +60,10 @@ quotient BFS `level_quotient_hops`; `chain_by_levels` is the former
 per-vertex scan for the maximal free clusters.
 """
 
+import functools
 import heapq
 import itertools
+import operator
 from collections import Counter
 from contextlib import contextmanager
 import json
@@ -103,9 +108,14 @@ def load_report(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def fold_sum(terms):
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 def aggregate_records_by_pair(pairs, dist_g, runs_dist_h, tolerance):
     """The report's distortion block, pair by pair from each pair's list of
-    ratios; `tolerance` is the relative non-contraction tolerance."""
+    ratios; `tolerance` is the relative non-contraction tolerance. Each float
+    sum is a plain left fold from 0.0, the same on every CPython."""
     per_pair = []
     max_mean = None
     max_single = None
@@ -114,14 +124,14 @@ def aggregate_records_by_pair(pairs, dist_g, runs_dist_h, tolerance):
     for (u, v), d_g, run_h in zip(pairs, dist_g, zip(*runs_dist_h)):
         ratios = [d_h / d_g for d_h in run_h]
         violations += sum(1 for d_h in run_h if d_h < d_g * floor)
-        mean_ratio = sum(ratios) / len(ratios)
+        mean_ratio = fold_sum(ratios) / len(ratios)
         peak = max(ratios)
         per_pair.append(
             {
                 "u": u,
                 "v": v,
                 "dist_g": d_g,
-                "mean_dist_h": sum(run_h) / len(run_h),
+                "mean_dist_h": fold_sum(run_h) / len(run_h),
                 "mean_ratio": mean_ratio,
                 "max_ratio": peak,
             }
@@ -130,7 +140,7 @@ def aggregate_records_by_pair(pairs, dist_g, runs_dist_h, tolerance):
         max_single = peak if max_single is None else max(max_single, peak)
     count = len(pairs) * len(runs_dist_h)
     # Run-major, pairs in order within a run.
-    total = sum(d_h / d_g for run_h in runs_dist_h for d_h, d_g in zip(run_h, dist_g))
+    total = fold_sum(d_h / d_g for run_h in runs_dist_h for d_h, d_g in zip(run_h, dist_g))
     return {
         "per_pair": per_pair,
         "max_mean_ratio": max_mean,
@@ -553,6 +563,50 @@ def centroid_bag(bags, parent, weights):
     while heavy[node] >= 0:
         node = heavy[node]
     return node
+
+
+def centroid_separator_by_heap(adjacency, weights):
+    """The library's former `cutpack.centroid_separator`: the min-degree
+    elimination to the centroid, taking the next vertex from one heap of
+    (degree, id) entries. A vertex is pushed again whenever a fill update
+    touches it, and dead or outdated entries are skipped when popped."""
+    n = len(adjacency)
+    if n == 0:
+        raise InvariantViolation("the empty graph has no centroid")
+    nbrs = [set(around) for around in adjacency]
+    alive = [True] * n
+    heap = [(len(nbrs[u]), u) for u in range(n)]
+    heapq.heapify(heap)
+    link = list(range(n))
+    mass = list(weights)
+    total = sum(weights)
+    left = n
+    while True:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != len(nbrs[v]):
+            continue
+        alive[v] = False
+        left -= 1
+        weight = mass[v]
+        for u in adjacency[v]:
+            if alive[u]:
+                continue
+            while link[u] != u:
+                link[u] = link[link[u]]
+                u = link[u]
+            if u != v:
+                link[u] = v
+                weight += mass[u]
+        mass[v] = weight
+        around = nbrs[v]
+        if 2 * weight > total or left == 0:
+            return frozenset((v, *around))
+        for a in around:
+            fill = nbrs[a]
+            fill |= around
+            fill.discard(a)
+            fill.discard(v)
+            heapq.heappush(heap, (len(fill), a))
 
 
 def validate_tree_decomposition(nbrs, bags, parent):

@@ -7,6 +7,7 @@ from oracles import (
     all_connected_labeled_graphs,
     balanced_predicate,
     centroid_bag,
+    centroid_separator_by_heap,
     chain_cluster_sets,
     chain_from_levels,
     components_of_cut,
@@ -429,6 +430,49 @@ def test_separator_matches_whole_decomposition_random():
 def test_separator_of_the_empty_graph_is_refused():
     with pytest.raises(InvariantViolation):
         centroid_separator([], [])
+
+
+def merged_grid_quotient(rng, rows, cols, merges):
+    """Neighbour sets of a rows x cols grid after `merges` random merges of
+    adjacent cells, with each merged cell's size as its weight."""
+    g = generate("grid", rows=rows, cols=cols)
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for _ in range(merges):
+        u, v, _ = rng.choice(g.edges)
+        root[find(u)] = find(v)
+    ids = {}
+    part_of = [ids.setdefault(find(v), len(ids)) for v in range(g.n)]
+    sizes = [0] * len(ids)
+    for p in part_of:
+        sizes[p] += 1
+    return quotient_adjacency(g, part_of, len(ids)), sizes
+
+
+def test_separator_matches_the_heap_elimination_on_random_graphs():
+    rng = random.Random(24)
+    cases = []
+    for _ in range(300):  # trees
+        n = rng.randint(1, 60)
+        cases.append(nbrs_of(random_connected_graph(rng, n, 0)))
+    for _ in range(150):  # grids with merged cells
+        rows, cols = rng.randint(2, 14), rng.randint(2, 14)
+        nbrs, sizes = merged_grid_quotient(rng, rows, cols, rng.randint(0, rows * cols))
+        cases.append(nbrs)
+        assert centroid_separator(nbrs, sizes) == centroid_separator_by_heap(nbrs, sizes)
+    for _ in range(300):  # dense small graphs
+        n = rng.randint(2, 12)
+        cases.append(nbrs_of(random_connected_graph(rng, n, rng.randint(n, n * n))))
+    for nbrs in cases:
+        for top in (1, 9, 1000):
+            weights = [rng.randint(1, top) for _ in nbrs]
+            want = centroid_separator_by_heap(nbrs, weights)
+            assert centroid_separator(nbrs, weights) == want, (nbrs, weights)
 
 
 # ------------------------------------------------------------- balanced cuts

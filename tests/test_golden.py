@@ -7,8 +7,9 @@ sorted keys, and of the file `mfembed eval` writes. A change that alters any
 of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
 keeps them. The same embeddings also have their host distance labels
-checked against the portal wiring, and every graph that the library built
-for them without checks is rebuilt through the public constructor.
+checked against the portal wiring, every graph that the library built for
+them without checks is rebuilt through the public constructor, and every
+centroid search they make is repeated by the former heap elimination.
 """
 
 import hashlib
@@ -16,12 +17,14 @@ import json
 
 import pytest
 from oracles import (
+    centroid_separator_by_heap,
     check_derived_graph,
     check_labels_against_copy_edges,
     recording_derived_graphs,
     strip_timing,
 )
 
+import mfembed.cutpack as cutpack
 from mfembed.cli import main
 from mfembed.embedder import embed_top
 from mfembed.frt import frt_embed
@@ -70,6 +73,22 @@ def test_derived_graphs_are_valid_graphs(instance, seed, digest):
     assert any(h is emb.host for h in built) and any(h is tree.host for h in built)
     for h in built:
         check_derived_graph(h, allow_zero=h is emb.host)
+
+
+@pytest.mark.parametrize("instance,seed,digest", CASES)
+def test_centroid_separator_matches_the_heap_elimination(instance, seed, digest, monkeypatch):
+    real = cutpack.centroid_separator
+    calls = []
+
+    def checked(adjacency, weights):
+        bag = real(adjacency, weights)
+        assert bag == centroid_separator_by_heap(adjacency, weights), (adjacency, weights)
+        calls.append(len(adjacency))
+        return bag
+
+    monkeypatch.setattr(cutpack, "centroid_separator", checked)
+    emb = embed_top(generate(seed=seed, **instance), 0.5, "practical", seed=seed)
+    assert len(calls) >= emb.meta.split_calls
 
 
 REPORT_CASES = [

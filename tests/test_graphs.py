@@ -343,6 +343,36 @@ def test_metric_closure_equals_all_pairs_exactly():
     assert shortened > len(graphs)
 
 
+def test_closure_and_rescale_of_a_disconnected_graph_work_per_component():
+    # neither helper checks connectivity: each reads only inside an edge's
+    # own component, or only the minimum edge
+    rng = random.Random(24)
+    for trial in range(20):
+        parts = [random_non_metric_graph(rng, rng.randint(5, 9)) for _ in range(rng.randint(2, 3))]
+        if trial % 2:  # a component far from rescaling
+            parts.append(WeightedGraph(2, ((0, 1, 40.0),)))
+        parts += [WeightedGraph(1, ())] * rng.randint(0, 2)
+        n = sum(h.n for h in parts)
+        ids = rng.sample(range(n), n)  # components interleaved over the ids
+        edges, offset = [], 0
+        for h in parts:
+            edges += [(ids[offset + u], ids[offset + v], w) for u, v, w in h.edges]
+            offset += h.n
+        g = WeightedGraph(n, tuple(edges))
+        comps = connected_components(g)
+        assert len(comps) == len(parts)
+        subs = induced_subgraphs(g, comps)
+        want = {}
+        for comp, sub in zip(comps, subs):
+            want.update(((comp[u], comp[v]), w) for u, v, w in metric_closure_weights(sub).edges)
+        assert {(u, v): w for u, v, w in metric_closure_weights(g).edges} == want
+        scaled, scale = normalize(g)
+        assert scale == max(normalize(sub)[1] for sub in subs)
+        assert scaled.edges == tuple((u, v, w * scale) for u, v, w in g.edges)
+        assert all(w > 1.0 for _, _, w in scaled.edges)
+    assert normalize(WeightedGraph(3, ())) == (WeightedGraph(3, ()), 1.0)
+
+
 # ------------------------------------------------------------------- quotient
 
 
