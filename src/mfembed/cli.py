@@ -35,16 +35,15 @@ MEMORY_BUDGET = 2**30
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
-# measured peaks: a fixed part for the pair, its graph distance and its
-# report rows, and a part per run for the host distances of the run's
-# embedding and of its FRT baseline.
+# measured peaks: the pair, its graph distance, its report rows and the
+# folded host distances. Runs are folded in one at a time, so the run count
+# does not add to it.
 PAIR_BYTES = 1000
-PAIR_RUN_BYTES = 64
 
 # Memory that `gen` holds per edge, rounded up from the measured peaks of
-# `generate` and `save_graph` on `uniform:1:4` weights: 411 bytes per edge
-# on a path of 200000 vertices, 395 on a 400 x 500 grid.
-GEN_EDGE_BYTES = 420
+# `generate` and `save_graph` on `uniform:1:4` weights: 338 bytes per edge
+# on a path of 200000 vertices, 322 on a 400 x 500 grid.
+GEN_EDGE_BYTES = 340
 
 
 class _InputProblem(Exception):
@@ -152,15 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pairs_arg(value: str, n: int, runs: int) -> int | str:
+def _pairs_arg(value: str, n: int) -> int | str:
     """The pair count, refused when its distances and report would not fit
     the memory budget; checked before any distance is computed."""
     count = value if value == "all" else int(value)
     total = n * (n - 1) // 2
     held = total if count == "all" else min(count, total)
-    limit = MEMORY_BUDGET // (PAIR_BYTES + PAIR_RUN_BYTES * max(runs, 1))
+    limit = MEMORY_BUDGET // PAIR_BYTES
     if held > limit:
-        raise _InputProblem(f"{held} pairs over {runs} run(s) exceed the limit of {limit}")
+        raise _InputProblem(f"{held} pairs exceed the limit of {limit}")
     return count
 
 
@@ -231,7 +230,7 @@ def _cmd_frt(args) -> int:
 
 def _cmd_eval(args) -> int:
     g = _load(args.input)
-    count = _pairs_arg(args.pairs, g.n, 1)
+    count = _pairs_arg(args.pairs, g.n)
     try:
         emb = load_embedding(args.embedding)
     except MfembedError as exc:
@@ -264,7 +263,7 @@ def _cmd_experiment(args) -> int:
         epsilon=args.epsilon,
         mode=args.mode,
         runs=args.runs,
-        pairs=_pairs_arg(args.pairs, g.n, args.runs),
+        pairs=_pairs_arg(args.pairs, g.n),
         seed=args.seed,
         baseline=args.baseline,
         instance_label=args.input,

@@ -12,9 +12,10 @@ import json
 import math
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from functools import partial, reduce
-from itertools import chain, repeat
+from functools import reduce
+from itertools import repeat
 from operator import add, lt, mul, truediv
 from pathlib import Path
 
@@ -110,60 +111,53 @@ def _pair_at(n: int, total: int, index: int) -> tuple[int, int]:
 
 
 def aggregate_records(
-    pairs: list[tuple[int, int]], dist_g: list[float], runs_dist_h: list[list[float]]
+    pairs: list[tuple[int, int]], dist_g: list[float], runs: Iterable[list[float]]
 ) -> dict:
     """The report's distortion block from the graph distances and each run's host distances.
 
-    Every float sum is a plain left fold from 0.0 in run order, as `sum`
-    adds floats before CPython 3.12, which compensates them: the report's
-    bytes must not depend on the interpreter.
+    `runs` yields one list of host distances per run, in pair order. Each is
+    folded into per-pair sums and maxima as it arrives, so only one run's
+    list is held at a time, and each ratio is divided once. Every float sum
+    is a plain left fold from 0.0 in run order, as `sum` adds floats before
+    CPython 3.12, which compensates them: the report's bytes must not depend
+    on the interpreter.
     """
-    runs = len(runs_dist_h)
     floor = 1.0 - RATIO_TOLERANCE
-    # A violation is a host distance below its pair's floor.
-    floors = map(mul, chain.from_iterable(repeat(dist_g, runs)), repeat(floor))
-    violations = sum(map(lt, chain.from_iterable(runs_dist_h), floors))
-    per_pair = []
-    max_mean = None
-    max_single = None
-    # Each pair's ratios, in run order, from one lazy column per run, and its
-    # sums, from the run columns folded one into the next.
-    ratio_rows = zip(*[map(truediv, run_h, dist_g) for run_h in runs_dist_h])
-    fold = partial(map, add)
-    ratio_sums = reduce(fold, [map(truediv, run_h, dist_g) for run_h in runs_dist_h], repeat(0.0))
-    dist_sums = reduce(fold, runs_dist_h, repeat(0.0))
-    for (u, v), d_g, h_sum, ratio_sum, ratios in zip(
-        pairs, dist_g, dist_sums, ratio_sums, ratio_rows
-    ):
-        mean_ratio = ratio_sum / runs
-        peak = max(ratios)
-        per_pair.append(
-            {
-                "u": u,
-                "v": v,
-                "dist_g": d_g,
-                "mean_dist_h": h_sum / runs,
-                "mean_ratio": mean_ratio,
-                "max_ratio": peak,
-            }
-        )
-        if max_mean is None or mean_ratio > max_mean:
-            max_mean = mean_ratio
-        if max_single is None or peak > max_single:
-            max_single = peak
-    count = len(pairs) * runs
-    # Run-major, pairs in order within a run: a float sum depends on the order
-    # of its terms, and the report's bytes must not.
-    total = reduce(
-        add,
-        map(truediv, chain.from_iterable(runs_dist_h), chain.from_iterable(repeat(dist_g, runs))),
-        0.0,
-    )
+    count = violations = 0
+    total = 0.0
+    dist_sums = ratio_sums = peaks = ()
+    for run_h in runs:
+        count += 1
+        # A violation is a host distance below its pair's floor.
+        violations += sum(map(lt, run_h, map(mul, dist_g, repeat(floor))))
+        ratios = list(map(truediv, run_h, dist_g))
+        # Run-major, pairs in order within a run: a float sum depends on the
+        # order of its terms, and the report's bytes must not.
+        total = reduce(add, ratios, total)
+        if count == 1:
+            # 0.0 + x is x: the first run starts the sums and the maxima.
+            dist_sums, ratio_sums, peaks = run_h, ratios, ratios
+        else:
+            dist_sums = list(map(add, dist_sums, run_h))
+            ratio_sums = list(map(add, ratio_sums, ratios))
+            peaks = list(map(max, peaks, ratios))
+    per_pair = [
+        {
+            "u": u,
+            "v": v,
+            "dist_g": d_g,
+            "mean_dist_h": h_sum / count,
+            "mean_ratio": ratio_sum / count,
+            "max_ratio": peak,
+        }
+        for (u, v), d_g, h_sum, ratio_sum, peak in zip(pairs, dist_g, dist_sums, ratio_sums, peaks)
+    ]
     return {
         "per_pair": per_pair,
-        "max_mean_ratio": max_mean,
-        "global_mean_ratio": total / count if count else None,
-        "max_single_run_ratio": max_single,
+        # dividing by a positive count keeps the order of the sums
+        "max_mean_ratio": max(ratio_sums) / count if per_pair else None,
+        "global_mean_ratio": total / (len(pairs) * count) if per_pair else None,
+        "max_single_run_ratio": max(peaks) if per_pair else None,
         "violations": violations,
     }
 
@@ -176,62 +170,66 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = _pair_distances(g, pairs)
-    runs_dist_h = []
     structural = []
+    base_structural = []
     timings = []
-    started = time.perf_counter()
-    for run in range(config.runs):
-        run_seed = derive_seed(config.seed, "run", run)
-        t0 = time.perf_counter()
-        emb = embed_top(
-            g,
-            config.epsilon,
-            config.mode,
-            run_seed,
-            gamma=config.gamma,
-            c_fallback=config.c_fallback,
-            xi_cap=config.xi_cap,
-            tau_cap=config.tau_cap,
-        )
-        runs_dist_h.append(ForestLabels(emb).distances(pairs))
-        timings.append(time.perf_counter() - t0)
-        structural.append(
-            {
-                "seed": run_seed,
-                "treedepth": emb.depth,
-                "host_vertices": emb.host.n,
-                "host_edges": emb.host.m,
-                "fallback": emb.meta.fallback_used,
-                "packing_sizes": list(emb.meta.packing_sizes),
-                "oversize_cuts": emb.meta.oversize_cuts,
-                "recursion_depth": emb.meta.recursion_depth,
-            }
-        )
-    baseline_block = None
-    if config.baseline == "frt":
-        base_dist_h = []
-        base_structural = []
+
+    def embedder_runs():
+        for run in range(config.runs):
+            run_seed = derive_seed(config.seed, "run", run)
+            t0 = time.perf_counter()
+            emb = embed_top(
+                g,
+                config.epsilon,
+                config.mode,
+                run_seed,
+                gamma=config.gamma,
+                c_fallback=config.c_fallback,
+                xi_cap=config.xi_cap,
+                tau_cap=config.tau_cap,
+            )
+            dist_h = ForestLabels(emb).distances(pairs)
+            timings.append(time.perf_counter() - t0)
+            structural.append(
+                {
+                    "seed": run_seed,
+                    "treedepth": emb.depth,
+                    "host_vertices": emb.host.n,
+                    "host_edges": emb.host.m,
+                    "fallback": emb.meta.fallback_used,
+                    "packing_sizes": list(emb.meta.packing_sizes),
+                    "oversize_cuts": emb.meta.oversize_cuts,
+                    "recursion_depth": emb.meta.recursion_depth,
+                }
+            )
+            yield dist_h
+
+    def frt_runs():
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "frt", run)
             emb = frt_embed(g, run_seed)
-            base_dist_h.append(ForestLabels(emb).distances(pairs))
             base_structural.append(
                 {"seed": run_seed, "treedepth": emb.depth, "host_vertices": emb.host.n}
             )
+            yield ForestLabels(emb).distances(pairs)
+
+    started = time.perf_counter()
+    distortion = aggregate_records(pairs, dist_g, embedder_runs())
+    baseline_block = None
+    if config.baseline == "frt":
         baseline_block = {
-            "distortion": aggregate_records(pairs, dist_g, base_dist_h),
+            "distortion": aggregate_records(pairs, dist_g, frt_runs()),
             "structural": {"per_run": base_structural},
         }
-    fallbacks = sum(1 for s in structural if s["fallback"])
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "n": g.n,
         "pairs": [[u, v] for u, v in pairs],
-        "distortion": aggregate_records(pairs, dist_g, runs_dist_h),
+        "distortion": distortion,
         "structural": {
             "per_run": structural,
-            "fallback_rate": fallbacks / config.runs,
+            "fallback_rate": sum(s["fallback"] for s in structural) / config.runs,
             "mean_treedepth": sum(s["treedepth"] for s in structural) / config.runs,
         },
         "baseline": baseline_block,
@@ -240,7 +238,6 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
             "per_run_s": timings,
         },
     }
-    return report
 
 
 def emit(report: dict, fmt: str, path: str | Path) -> None:

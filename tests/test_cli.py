@@ -471,7 +471,8 @@ def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(harness, "sample_pairs", no_pairs)
     monkeypatch.setattr(harness, "run_experiment", no_pairs)
-    limit = cli.MEMORY_BUDGET // (cli.PAIR_BYTES + cli.PAIR_RUN_BYTES)
+    # runs are folded in one at a time, so the limit does not depend on them
+    limit = cli.MEMORY_BUDGET // cli.PAIR_BYTES
     n = 2
     while n * (n - 1) // 2 <= limit:
         n += 1
@@ -482,15 +483,17 @@ def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, caps
         ("eval", "-i", graph, "-e", tree, "--pairs", "all"),
         ("eval", "-i", graph, "-e", tree, "--pairs", n * n),
         ("experiment", "-i", graph, "--runs", 1, "--pairs", "all"),
-        ("experiment", "-i", graph, "--runs", 8, "--pairs", limit * 3 // 4),  # over the 8-run limit
+        ("experiment", "-i", graph, "--runs", 1, "--pairs", limit + 1),
+        ("experiment", "-i", graph, "--runs", 64, "--pairs", limit + 1),
     ):
         capsys.readouterr()
         assert run(*argv, "-o", tmp_path / "r.json") == 2
         assert "exceed the limit" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
     # exactly the limit passes the guard and goes on to build the pairs
-    with pytest.raises(AssertionError, match="pairs were built"):
-        run("eval", "-i", graph, "-e", tree, "--pairs", limit, "-o", tmp_path / "r.json")
+    for argv in (("eval", "-i", graph, "-e", tree), ("experiment", "-i", graph, "--runs", 64)):
+        with pytest.raises(AssertionError, match="pairs were built"):
+            run(*argv, "--pairs", limit, "-o", tmp_path / "r.json")
 
 
 def test_gen_size_guard_refuses_before_building(tmp_path, monkeypatch, capsys):

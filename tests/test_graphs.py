@@ -457,6 +457,26 @@ def test_generate_reproducible():
     assert all(1.0 <= w <= 4.0 for _, _, w in a.edges)
 
 
+def test_generate_draws_one_length_per_edge_in_edge_order():
+    grid = []
+    for v in range(12):  # 3 rows of 4: right, then down, vertex by vertex
+        if v % 4 < 3:
+            grid.append((v, v + 1))
+        if v < 8:
+            grid.append((v, v + 4))
+    cases = [
+        (dict(kind="grid", rows=3, cols=4), grid),
+        (dict(kind="cycle", size=5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        (dict(kind="star", size=4), [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        (dict(kind="path", size=4), [(0, 1), (1, 2), (2, 3)]),
+    ]
+    for shape, pairs in cases:
+        assert generate(**shape).edges == tuple((u, v, 1.0) for u, v in pairs)
+        rng = random.Random(7)
+        want = tuple((u, v, rng.uniform(1.0, 4.0)) for u, v in pairs)
+        assert generate(**shape, weights="uniform:1:4", seed=7).edges == want
+
+
 def test_generate_bad_sizes():
     with pytest.raises(BadSize):
         generate("grid", rows=0, cols=2)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 from collections.abc import Sequence
 
 import pytest
@@ -21,7 +22,7 @@ from mfembed.harness import (
     run_experiment,
     sample_pairs,
 )
-from mfembed.hosts import EmbeddingMeta, HostEmbedding
+from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.rng import derive_seed
 
 
@@ -153,10 +154,43 @@ def test_aggregate_records_matches_pair_by_pair_reference():
         want = aggregate_records_by_pair(*block, RATIO_TOLERANCE)
         assert got == want
         assert json.dumps(got) == json.dumps(want)
+        # the runs may come from a one-shot iterator, as an experiment gives them
+        pairs, dist_g, runs = block
+        assert json.dumps(aggregate_records(pairs, dist_g, iter(runs))) == json.dumps(want)
         seen["empty"] += not block[0]
         seen["violations"] += got["violations"] > 0
         seen["inf"] += got["max_single_run_ratio"] == INF
     assert min(seen.values()) > 10, seen
+
+
+class HostDistances(list):
+    """A host-distance list that a weak set can hold, known by identity."""
+
+    __hash__ = object.__hash__
+
+
+def test_experiment_holds_at_most_two_runs_of_host_distances(monkeypatch):
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=5)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=4, pairs="all", seed=2, baseline="frt"
+    )
+    want = strip_timing(run_experiment(g, config))
+    original = ForestLabels.distances
+    alive = weakref.WeakSet()
+    peaks = []
+
+    def tracked(self, pairs):
+        dist_h = HostDistances(original(self, pairs))
+        alive.add(dist_h)
+        peaks.append(len(alive))
+        return dist_h
+
+    monkeypatch.setattr(ForestLabels, "distances", tracked)
+    report = run_experiment(g, config)
+    assert strip_timing(report) == want
+    # eight runs' lists were made (four embeddings, four FRT trees), and each
+    # was folded in before the one after the next was made
+    assert len(peaks) == 8 and max(peaks) <= 2, peaks
 
 
 # ---------------------------------------------------------------- pair sampling
