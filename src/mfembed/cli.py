@@ -27,11 +27,12 @@ from .rng import derive_seed
 # measurements behind them are in README, "Size limits".
 MEMORY_BUDGET = 2**30
 
-# Largest input that `embed` and `experiment` take. The peak of `embed`, set
-# by `embed_top` since the JSON is streamed, grew from 5.3 MB at 400 vertices
-# to 125 MB at 3136, about as n**1.8 because the host edges per input vertex
-# grow; that reaches 0.40 GB at 6000 vertices. `experiment` shares the limit
-# and also builds each host's distance labels; it has not been re-measured.
+# Largest input that `embed` and `experiment` take. The traced peak of
+# `embed` on uniform:1:4 grids, set by `embed_top` since the JSON is
+# streamed, is 7.3 MB at 1600 vertices and 18.2 MB at 3136, about as n**1.4
+# (README, "Size limits"); that reaches about 45 MB at 6000 vertices.
+# `experiment` shares the limit and also builds each host's distance labels;
+# it has not been re-measured.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
@@ -78,7 +79,6 @@ def _add_embed(sub):
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--xi-cap", type=int, default=None)
     p.add_argument("--tau-cap", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c-fallback", type=float, default=DEFAULT_C_FALLBACK)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
@@ -198,7 +198,6 @@ def _cmd_embed(args) -> int:
         mode=args.mode,
         xi_cap=args.xi_cap,
         tau_cap=args.tau_cap,
-        gamma=args.gamma,
         c_fallback=args.c_fallback,
     )
     if is_connected(g):

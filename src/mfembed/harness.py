@@ -76,7 +76,6 @@ class ExperimentConfig:
     instance_label: str = ""
     xi_cap: int | None = None
     tau_cap: int | None = None
-    gamma: float = 1.0
     c_fallback: float = DEFAULT_C_FALLBACK
 
     def to_dict(self) -> dict:
@@ -140,7 +139,7 @@ def aggregate_records(
         else:
             dist_sums = list(map(add, dist_sums, run_h))
             ratio_sums = list(map(add, ratio_sums, ratios))
-            peaks = list(map(max, peaks, ratios))
+            peaks = [r if r > p else p for p, r in zip(peaks, ratios)]
     per_pair = [
         {
             "u": u,
@@ -183,7 +182,6 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
                 config.epsilon,
                 config.mode,
                 run_seed,
-                gamma=config.gamma,
                 c_fallback=config.c_fallback,
                 xi_cap=config.xi_cap,
                 tau_cap=config.tau_cap,
@@ -202,6 +200,8 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
                     "recursion_depth": emb.meta.recursion_depth,
                 }
             )
+            # the next run builds while this frame waits at the yield
+            del emb
             yield dist_h
 
     def frt_runs():
@@ -211,7 +211,9 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
             base_structural.append(
                 {"seed": run_seed, "treedepth": emb.depth, "host_vertices": emb.host.n}
             )
-            yield ForestLabels(emb).distances(pairs)
+            dist_h = ForestLabels(emb).distances(pairs)
+            del emb
+            yield dist_h
 
     started = time.perf_counter()
     distortion = aggregate_records(pairs, dist_g, embedder_runs())

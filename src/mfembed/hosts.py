@@ -37,7 +37,6 @@ class Params:
     sigma: float
     tau: int
     c_fallback: float
-    gamma: float
     mode: str
     xi_cap: int | None
     tau_cap: int | None

@@ -25,8 +25,10 @@ trivial round and repeat probe. `build_chain`, `frt_embed` and
 `build_cut_packing` must reproduce those three exactly. `embedding_to_dict`
 and `embedding_json_by_encoder` are the embedding JSON's former writer, the
 stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
-byte. `check_labels_against_copy_edges` reads an embedder host's distances
-from its portal wiring, a second way beside `ForestLabels`.
+byte. `full_wiring` is the embedder's former portal wiring, every copy
+wired to every vertex of its fragment, rebuilt from the forest; the kept
+host edges must be some of its edges, and `check_labels_against_copy_edges`
+requires `ForestLabels` of the kept host to give its weights.
 
 `strip_timing` and `load_report` read experiment reports back for the
 determinism and round-trip checks. `aggregate_records_by_pair` is the
@@ -82,7 +84,14 @@ from mfembed.errors import (
     InvariantViolation,
     MfembedError,
 )
-from mfembed.graphs import WeightedGraph, dijkstra, quotient_adjacency
+from mfembed.graphs import (
+    WeightedGraph,
+    dijkstra,
+    member_subgraph,
+    metric_closure_weights,
+    normalize,
+    quotient_adjacency,
+)
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
     QUOTIENT_DIAMETER_EXCEEDED,
@@ -1010,21 +1019,55 @@ def embedding_json_by_encoder(emb):
     return json.dumps(embedding_to_dict(emb), indent=1)
 
 
-def check_labels_against_copy_edges(emb):
-    """Raise unless `ForestLabels` of an embedder host agrees with the portal
-    wiring; returns whether the comparison was exact.
+def full_wiring(g, emb):
+    """The embedder host's portal wiring before any edge is dropped:
+    {(v, c): weight} for every copy c and every input vertex v of its
+    fragment, rebuilt from the forest alone.
 
-    Let c be the copy of portal z made for fragment S. Every host edge below
-    c from a copy c' to u weighs d_S'(z', u) >= d_S(z', u), and the edge from
-    a copy to its own portal has length 0, so by the triangle inequality in
-    S no path inside subtree(c) from c to v in S is shorter than the direct
-    edge: r_c(v) = w(c, v). Every ancestor of an input vertex is such a copy
-    with an edge to it, so the check reads each host edge once. The values
-    must be equal when every host path sum is exact (`exact_path_sums`),
-    and within 1e-15 relative otherwise.
+    A copy's fragment is the input vertices of its subtree, and its portal
+    is the far end of its zero-length edge. Its weights are the portal's
+    distances inside the fragment's subgraph of the closed, rescaled input,
+    divided by the scale, as the embedder computes them.
     """
+    scaled, scale = normalize(metric_closure_weights(g))
+    fragment = {}
+    for x in range(g.n):
+        a = emb.forest[x]
+        while a is not None:
+            fragment.setdefault(a, []).append(x)
+            a = emb.forest[a]
+    # each host edge joins an input vertex and a copy, whose id is larger
+    portal = {max(u, v): min(u, v) for u, v, w in emb.host.edges if w == 0.0}
+    weight = {}
+    for c, members in fragment.items():
+        row = dijkstra(member_subgraph(scaled, members), members.index(portal[c]))
+        for x, d in zip(members, row):
+            weight[(x, c)] = d / scale
+    return weight
+
+
+def check_labels_against_copy_edges(g, emb):
+    """Raise unless the embedder host keeps only full-wiring edges and its
+    `ForestLabels` reproduce the full wiring; returns whether the label
+    comparison was exact.
+
+    Let c be the copy of portal z made for fragment S. In the full wiring,
+    every edge below c from a copy c' to u weighs d_S'(z', u) >= d_S(z', u),
+    and the edge from a copy to its own portal has length 0, so by the
+    triangle inequality in S no path inside subtree(c) from c to v in S is
+    shorter than the direct edge. An edge the embedder drops is realized by
+    a path through a deeper copy at no greater length. So r_c(v) is the
+    full wiring's weight w(c, v) for every ancestor c of every input vertex
+    v. Every kept edge must equal its full-wiring weight bit for bit; the
+    labels must equal the full weights when every host path sum is exact
+    (`exact_path_sums`), and lie within 1e-15 relative otherwise.
+    """
+    weight = full_wiring(g, emb)
+    for u, v, w in emb.host.edges:
+        key = (min(u, v), max(u, v))
+        if weight.get(key) != w:
+            raise AssertionError(f"host edge {key} weighs {w!r}, full wiring {weight.get(key)!r}")
     labels = ForestLabels(emb)
-    weight = {(u, v): w for u, v, w in emb.host.edges}
     exact = emb.host.exact_path_sums
     for x in emb.eta:
         path = []
@@ -1036,9 +1079,9 @@ def check_labels_against_copy_edges(emb):
         if len(row) != len(path) + 1 or row[-1] != 0.0:
             raise AssertionError(f"vertex {x}: labels {row} do not fit its {len(path)} ancestors")
         for c, got in zip(reversed(path), row):
-            want = weight[(x, c) if x < c else (c, x)]
+            want = weight[(x, c)]
             if got != want and (exact or abs(got - want) > 1e-15 * want):
-                raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, edge {want!r}")
+                raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, full wiring {want!r}")
     return exact
 
 

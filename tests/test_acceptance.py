@@ -500,10 +500,10 @@ def test_host_labels_are_the_copy_edge_weights(matrix_runs):
     # host distances two ways: the labels' subtree Dijkstra and the wiring
     runs, _ = matrix_runs
     outcomes = []
-    for _g, _dm, entries in runs.values():
+    for g, _dm, entries in runs.values():
         for _seed, emb, _tree in entries:
             if not emb.meta.fallback_used:
-                outcomes.append(check_labels_against_copy_edges(emb))
+                outcomes.append(check_labels_against_copy_edges(g, emb))
     # both the exact and the relative comparison ran
     assert outcomes.count(True) and outcomes.count(False)
     print(f"host labels equal the copy edges on {len(outcomes)} embeddings")

@@ -532,11 +532,11 @@ def test_gen_bad_weight_bounds(tmp_path):
     [
         ("embed", "--xi-cap", 0),
         ("embed", "--tau-cap", 0),
-        ("embed", "--gamma", 0),
-        ("embed", "--gamma", -1),
-        ("embed", "--gamma", "inf"),
-        ("embed", "--gamma", "nan"),
-        ("embed", "--gamma", 1e300),
+        ("embed", "--tau-cap", -1),
+        ("embed", "--xi-cap", -1),
+        ("embed", "--c-fallback", -1),
+        ("embed", "--c-fallback", "nan"),
+        ("embed", "--epsilon", "nan"),
         ("embed", "--c-fallback", 0),
         ("embed", "--c-fallback", "inf"),
         ("embed", "--epsilon", 1e-300),

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from collections.abc import Sequence
 import pytest
 from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
 
+import mfembed.harness as harness
 from mfembed.embedder import embed_top
 from mfembed.errors import PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
@@ -193,6 +195,34 @@ def test_experiment_holds_at_most_two_runs_of_host_distances(monkeypatch):
     assert len(peaks) == 8 and max(peaks) <= 2, peaks
 
 
+def test_experiment_drops_each_embedding_before_the_next_is_built(monkeypatch):
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=5)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=4, pairs="all", seed=2, baseline="frt"
+    )
+    want = strip_timing(run_experiment(g, config))
+    built = []
+    at_start = []
+
+    def tracked(build):
+        def wrapper(*args, **kwargs):
+            # collecting frees cycles, not what a generator frame still holds
+            gc.collect()
+            at_start.append(sum(ref() is not None for ref in built))
+            emb = build(*args, **kwargs)
+            built.append(weakref.ref(emb))
+            return emb
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "embed_top", tracked(harness.embed_top))
+    monkeypatch.setattr(harness, "frt_embed", tracked(harness.frt_embed))
+    report = run_experiment(g, config)
+    assert strip_timing(report) == want
+    # four embeddings and four FRT trees, none built while another is alive
+    assert at_start == [0] * 8, at_start
+
+
 # ---------------------------------------------------------------- pair sampling
 
 
@@ -329,7 +359,6 @@ def test_config_dict_names_the_instance_first_in_field_order():
         ("baseline", "none"),
         ("xi_cap", None),
         ("tau_cap", None),
-        ("gamma", 1.0),
         ("c_fallback", 64.0),
     ]
 

@@ -278,6 +278,14 @@ def test_component_array_matches_the_stdlib_encoder(tmp_path):
         assert path.read_text(encoding="utf-8") == json.dumps(blocks, indent=1) + "\n"
 
 
+def test_embedding_with_a_gamma_parameter_still_loads():
+    # files written while `gamma` was a parameter hold it in `params`
+    text = embedding_to_json(embed_top(generate("cycle", size=6), 0.5, seed=1))
+    blob = json.loads(text)
+    blob["params"]["gamma"] = 1.0
+    assert embedding_to_json(embedding_from_dict(blob)) == text
+
+
 def _with_float_host_n(blob):
     blob["host"]["n"] = float(blob["host"]["n"])
 
