@@ -41,9 +41,11 @@ MAX_EMBED_N = 6000
 # does not add to it.
 PAIR_BYTES = 1000
 
-# Memory that `gen` holds per edge, rounded up from the measured peaks of
-# `generate` and `save_graph` on `uniform:1:4` weights: 338 bytes per edge
-# on a path of 200000 vertices, 322 on a 400 x 500 grid.
+# Memory that `gen` holds per edge. It was rounded up from the measured
+# peaks of `generate` and `save_graph` on `uniform:1:4` weights, 338 bytes
+# per edge on a path of 200000 vertices and 322 on a 400 x 500 grid; since
+# the graph keeps canonical edges as given and the writer streams, they
+# read 258 and 242.
 GEN_EDGE_BYTES = 340
 
 

@@ -14,11 +14,17 @@ from .errors import InvariantViolation, ParseError
 from .graphs import WeightedGraph
 
 
+# Edge lines go out in batches of this many, so that `save_graph` holds one
+# batch of text at a time.
+_EDGE_BATCH = 4096
+
+
 def save_graph(g: WeightedGraph, path: str | Path) -> None:
-    lines = [f"p {g.n} {g.m}"]
-    for u, v, w in g.edges:
-        lines.append(f"e {u} {v} {w!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    edges = g.edges
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"p {g.n} {g.m}\n")
+        for i in range(0, len(edges), _EDGE_BATCH):
+            fh.write("".join([f"e {u} {v} {w!r}\n" for u, v, w in edges[i : i + _EDGE_BATCH]]))
 
 
 def load_graph(path: str | Path) -> WeightedGraph:

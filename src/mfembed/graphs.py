@@ -44,23 +44,33 @@ class WeightedGraph:
     allow_zero: InitVar[bool] = False
 
     def __post_init__(self, allow_zero: bool):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise InvariantViolation("vertex count must be nonnegative")
+        # An edge that is already canonical, (int u, int v, float length)
+        # with u < v, is kept as given, and each pair is seen as the one int
+        # u * n + v: `gen` holds these beside the whole edge list.
         canon = []
         seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvariantViolation(f"edge ({u},{v}) out of range for n={self.n}")
+        for edge in self.edges:
+            u, v, w = edge
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvariantViolation(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InvariantViolation(f"self-loop at vertex {u}")
             if w < 0 or (w == 0 and not allow_zero) or not math.isfinite(w):
                 raise InvariantViolation(f"edge ({u},{v}) length {w} must be positive and finite")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
+            if u > v or not (type(edge) is tuple and type(u) is type(v) is int and type(w) is float):
+                if not (isinstance(u, int) and isinstance(v, int)):
+                    raise InvariantViolation(f"edge ({u},{v}) endpoints must be integers")
+                if u > v:
+                    u, v = v, u
+                edge = (u, v, float(w))
+            key = u * n + v
+            if key in seen:
                 raise InvariantViolation(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            canon.append((u, v, float(w)))
+            seen.add(key)
+            canon.append(edge)
         object.__setattr__(self, "edges", tuple(canon))
 
     @classmethod

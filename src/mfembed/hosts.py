@@ -154,42 +154,47 @@ class ForestLabels:
     Building takes one Dijkstra per host vertex, limited to its subtree; a
     query takes O(depth) and goes through `eta`, the input vertices' host
     vertices. The forest is checked first.
+
+    A host that is its own forest (`forest_shaped`: each non-root vertex has
+    exactly one host edge, to its forest parent, as in FRT trees and the HST
+    fallback) skips the Dijkstra runs. Each label is its parent's label plus
+    the parent edge, entry by entry, then 0.0, the very additions a Dijkstra
+    run makes in a tree. A query reads the deepest common ancestor l alone:
+    float rounding is monotone and lengths are nonnegative, so r_a(x) >=
+    r_l(x) for every common ancestor a above l, and the sum at l is the
+    minimum bit for bit.
     """
 
-    __slots__ = ("tin", "ends", "labels", "eta")
+    __slots__ = ("tin", "ends", "labels", "eta", "forest_shaped")
 
     def __init__(self, emb: HostEmbedding) -> None:
         order, tin, tout = check_forest_validity(emb)
         n = len(order)
-        # Each edge is filed under its ancestor end, the smaller preorder id.
-        # Vertices join from the last id down, and a joining vertex brings
-        # the edges filed under it. In preorder ids subtree(a) is
-        # a .. end[a] - 1, and no vertex above end[a] - 1 is an ancestor or a
-        # descendant of one in it; so among the joined vertices a .. n - 1,
-        # the run from a stays in subtree(a) with no mask.
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in emb.host.edges:
-            x, y = tin[u], tin[v]
-            if x < y:
-                adj[x].append((y, w))
-            else:
-                adj[y].append((x, w))
+        forest = emb.forest
         ends: list[tuple[int, ...]] = [()] * n
         for a, u in enumerate(order):
-            p = emb.forest[u]
+            p = forest[u]
             ends[a] = (ends[tin[p]] if p is not None else ()) + (-tout[u],)
-        labels = [[INF] * len(e) for e in ends]
-        dist = [INF] * n
-        for a in range(n - 1, -1, -1):
-            for d, w in adj[a]:
-                adj[d].append((a, w))
-            level = len(ends[a]) - 1
-            for u in settle(adj, a, dist):
-                labels[u][level] = dist[u]
-                dist[u] = INF
+        up = _parent_lengths(emb)
+        self.forest_shaped = up is not None
+        if up is None:
+            self.labels = _subtree_labels(emb.host.edges, tin, ends)
+        else:
+            labels: list[list[float]] = []
+            for u in order:
+                p = forest[u]
+                if p is None:
+                    labels.append([0.0])
+                else:
+                    # sized exactly, as the Dijkstra build sizes its rows
+                    w = up[u]
+                    above = labels[tin[p]]
+                    row = above + [0.0]
+                    row[:-1] = [x + w for x in above]
+                    labels.append(row)
+            self.labels = labels
         self.tin = tin
         self.ends = ends
-        self.labels = labels
         self.eta = emb.eta
 
     def distances(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
@@ -198,6 +203,7 @@ class ForestLabels:
         ids = [self.tin[x] for x in self.eta]
         rows = [self.labels[i] for i in ids]
         exits = [self.ends[i] for i in ids]
+        deepest_only = self.forest_shaped
         out = []
         for u, v in pairs:
             y = ids[v]
@@ -207,8 +213,69 @@ class ForestLabels:
             # u's ancestors start at or before v; those containing v end
             # after it. With none in common, u and v lie in different trees.
             k = bisect_left(exits[u], -y)
-            out.append(min(map(add, rows[u][:k], rows[v])) if k else INF)
+            if not k:
+                out.append(INF)
+            elif deepest_only:
+                out.append(rows[u][k - 1] + rows[v][k - 1])
+            else:
+                out.append(min(map(add, rows[u][:k], rows[v])))
         return out
+
+
+def _parent_lengths(emb: HostEmbedding) -> list[float] | None:
+    """Each host vertex's parent edge length (0.0 at a root) when the host is
+    its own forest, else None.
+
+    Host edges are distinct pairs, so when every edge joins a vertex and its
+    forest parent and there are as many edges as non-root vertices, each
+    non-root vertex has exactly one.
+    """
+    forest = emb.forest
+    edges = emb.host.edges
+    if len(edges) != len(forest) - forest.count(None):
+        return None
+    up = [0.0] * len(forest)
+    for u, v, w in edges:
+        if forest[v] == u:
+            up[v] = w
+        elif forest[u] == v:
+            up[u] = w
+        else:
+            return None
+    return up
+
+
+def _subtree_labels(
+    edges: tuple[tuple[int, int, float], ...], tin: list[int], ends: list[tuple[int, ...]]
+) -> list[list[float]]:
+    """`ForestLabels.labels` by one Dijkstra run per host vertex, limited to
+    its subtree.
+
+    Each edge is filed under its ancestor end, the smaller preorder id.
+    Vertices join from the last id down, and a joining vertex brings the
+    edges filed under it. In preorder ids subtree(a) is a .. end[a] - 1, and
+    no vertex above end[a] - 1 is an ancestor or a descendant of one in it;
+    so among the joined vertices a .. n - 1, the run from a stays in
+    subtree(a) with no mask.
+    """
+    n = len(tin)
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        x, y = tin[u], tin[v]
+        if x < y:
+            adj[x].append((y, w))
+        else:
+            adj[y].append((x, w))
+    labels = [[INF] * len(e) for e in ends]
+    dist = [INF] * n
+    for a in range(n - 1, -1, -1):
+        for d, w in adj[a]:
+            adj[d].append((a, w))
+        level = len(ends[a]) - 1
+        for u in settle(adj, a, dist):
+            labels[u][level] = dist[u]
+            dist[u] = INF
+    return labels
 
 
 # Host edges go out in batches of this many, so that `save_embedding` holds

@@ -29,6 +29,11 @@ byte. `full_wiring` is the embedder's former portal wiring, every copy
 wired to every vertex of its fragment, rebuilt from the forest; the kept
 host edges must be some of its edges, and `check_labels_against_copy_edges`
 requires `ForestLabels` of the kept host to give its weights.
+`forest_labels_by_dijkstra` is `ForestLabels` as it was before hosts that
+are their own forest took path sums: one Dijkstra run per host vertex and a
+minimum over every common ancestor per query. On such hosts (FRT trees, the
+HST fallback) `check_forest_labels_by_dijkstra` requires equal labels and
+bit-equal distances.
 
 `strip_timing` and `load_report` read experiment reports back for the
 determinism and round-trip checks. `aggregate_records_by_pair` is the
@@ -62,6 +67,7 @@ quotient BFS `level_quotient_hops`; `chain_by_levels` is the former
 per-vertex scan for the maximal free clusters.
 """
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -91,6 +97,7 @@ from mfembed.graphs import (
     metric_closure_weights,
     normalize,
     quotient_adjacency,
+    settle,
 )
 from mfembed.hierarchy import (
     DIAMETER_EXCEEDED,
@@ -99,7 +106,7 @@ from mfembed.hierarchy import (
     ClusteringChain,
     diameter_level,
 )
-from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
+from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding, check_forest_validity
 from mfembed.partition import carve
 
 INF = math.inf
@@ -1083,6 +1090,74 @@ def check_labels_against_copy_edges(g, emb):
             if got != want and (exact or abs(got - want) > 1e-15 * want):
                 raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, full wiring {want!r}")
     return exact
+
+
+class DijkstraLabels(NamedTuple):
+    """Host distance labels with the layout of `ForestLabels`: preorder ids
+    `tin`, each vertex's r_a for its ancestors root first in `labels`, and
+    their negated exit times in `ends`."""
+
+    tin: list
+    ends: list
+    labels: list
+    eta: list
+
+    def distances(self, pairs):
+        """The minimum over every common ancestor of each input pair."""
+        ids = [self.tin[x] for x in self.eta]
+        out = []
+        for u, v in pairs:
+            x, y = ids[u], ids[v]
+            if x > y:
+                x, y = y, x
+            k = bisect.bisect_left(self.ends[x], -y)
+            out.append(min(map(operator.add, self.labels[x][:k], self.labels[y])) if k else INF)
+        return out
+
+
+def forest_labels_by_dijkstra(emb):
+    """`ForestLabels(emb)` by one Dijkstra run per host vertex a on the
+    subgraph that subtree(a) induces, for any host."""
+    order, tin, tout = check_forest_validity(emb)
+    n = len(order)
+    ends = [()] * n
+    for a, u in enumerate(order):
+        p = emb.forest[u]
+        ends[a] = (ends[tin[p]] if p is not None else ()) + (-tout[u],)
+    adj = [[] for _ in range(n)]
+    for u, v, w in emb.host.edges:
+        x, y = tin[u], tin[v]
+        if x < y:
+            adj[x].append((y, w))
+        else:
+            adj[y].append((x, w))
+    labels = [[INF] * len(e) for e in ends]
+    dist = [INF] * n
+    for a in range(n - 1, -1, -1):
+        for d, w in adj[a]:
+            adj[d].append((a, w))
+        level = len(ends[a]) - 1
+        for u in settle(adj, a, dist):
+            labels[u][level] = dist[u]
+            dist[u] = INF
+    return DijkstraLabels(tin, ends, labels, emb.eta)
+
+
+def check_forest_labels_by_dijkstra(emb, pairs=None):
+    """Raise unless the host is its own forest and `ForestLabels` gives the
+    labels of `forest_labels_by_dijkstra` and its distances bit for bit, on
+    `pairs` of input vertices (default: every pair u < v)."""
+    got = ForestLabels(emb)
+    if not got.forest_shaped:
+        raise AssertionError("the host is not its own forest")
+    want = forest_labels_by_dijkstra(emb)
+    if got.tin != want.tin or got.labels != want.labels:
+        raise AssertionError("labels differ from the Dijkstra build")
+    if pairs is None:
+        pairs = list(itertools.combinations(range(len(emb.eta)), 2))
+    for (u, v), a, b in zip(pairs, got.distances(pairs), want.distances(pairs)):
+        if a.hex() != b.hex():
+            raise AssertionError(f"pair ({u},{v}): {a.hex()} from path sums, {b.hex()} by Dijkstra")
 
 
 class LevelView(NamedTuple):

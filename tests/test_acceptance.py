@@ -19,6 +19,7 @@ from oracles import (
     chain_levels,
     chain_sigma,
     check_derived_graph,
+    check_forest_labels_by_dijkstra,
     check_labels_against_copy_edges,
     check_partition_validity,
     children_hop_diameter,
@@ -507,6 +508,19 @@ def test_host_labels_are_the_copy_edge_weights(matrix_runs):
     # both the exact and the relative comparison ran
     assert outcomes.count(True) and outcomes.count(False)
     print(f"host labels equal the copy edges on {len(outcomes)} embeddings")
+
+
+def test_frt_tree_labels_are_the_dijkstra_labels(matrix_runs):
+    # FRT trees take path sums read at the deepest common ancestor; so does
+    # the embedder's host of a single edge, a copy wired to both ends
+    runs, _ = matrix_runs
+    trees = 0
+    for _g, _dm, entries in runs.values():
+        for _seed, _emb, tree in entries:
+            check_forest_labels_by_dijkstra(tree)
+            trees += 1
+    check_forest_labels_by_dijkstra(embed_top(WeightedGraph(2, ((0, 1, 1.5),)), EPSILON, seed=0))
+    print(f"FRT labels equal the Dijkstra labels on {trees} trees")
 
 
 def test_derived_graphs_are_valid_graphs():

@@ -19,6 +19,7 @@ import pytest
 from oracles import (
     centroid_separator_by_heap,
     check_derived_graph,
+    check_forest_labels_by_dijkstra,
     check_labels_against_copy_edges,
     recording_derived_graphs,
     strip_timing,
@@ -61,6 +62,12 @@ def test_host_labels_are_the_copy_edge_weights(instance, seed, digest):
     emb = embed_top(g, 0.5, "practical", seed=seed)
     assert not emb.meta.fallback_used
     check_labels_against_copy_edges(g, emb)
+
+
+@pytest.mark.parametrize("instance,seed,digest", CASES)
+def test_frt_tree_labels_are_the_dijkstra_labels(instance, seed, digest):
+    g = generate(seed=seed, **instance)
+    check_forest_labels_by_dijkstra(frt_embed(g, seed))
 
 
 @pytest.mark.parametrize("instance,seed,digest", CASES)

@@ -53,14 +53,26 @@ def path_graph(weights):
 def test_edges_canonicalized_and_validated():
     g = WeightedGraph(3, ((2, 0, 1.0),))
     assert g.edges == ((0, 2, 1.0),)
+    # a canonical edge is kept as given; any other is rebuilt canonical
+    kept = (1, 2, 2.5)
+    g = WeightedGraph(4, (kept, [0, 1, 3], (3, 1, 1.0), (0, 3, 2)))
+    assert g.edges[0] is kept
+    assert g.edges == ((1, 2, 2.5), (0, 1, 3.0), (1, 3, 1.0), (0, 3, 2.0))
+    assert {type(e) for e in g.edges} == {tuple}
+    assert {type(w) for _, _, w in g.edges} == {float}
     with pytest.raises(InvariantViolation):
         WeightedGraph(2, ((0, 0, 1.0),))
     with pytest.raises(InvariantViolation):
         WeightedGraph(2, ((0, 1, 0.0),))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"duplicate edge \(0,1\)"):
         WeightedGraph(2, ((0, 1, 1.0), (1, 0, 2.0)))
+    with pytest.raises(InvariantViolation, match=r"duplicate edge \(1,3\)"):
+        WeightedGraph(4, ((0, 3, 1.0), (1, 3, 1.0), (0, 2, 1.0), (3, 1, 2.0), (2, 0, 1.0)))
     with pytest.raises(InvariantViolation):
         WeightedGraph(2, ((0, 3, 1.0),))
+    # a fractional id would key like another pair, (0, 3) here
+    with pytest.raises(InvariantViolation, match="integers"):
+        WeightedGraph(4, ((0.5, 1, 1.0), (0, 3, 1.0)))
 
 
 def test_zero_lengths_only_when_allowed():
@@ -503,6 +515,12 @@ def test_round_trip(tmp_path):
     p = tmp_path / "g.txt"
     save_graph(g, p)
     assert load_graph(p) == g
+    # more edges than one batch of lines, and none
+    for g in (generate("path", size=9000, weights="uniform:1:4"), WeightedGraph(3, ())):
+        save_graph(g, p)
+        lines = [f"p {g.n} {g.m}"] + [f"e {u} {v} {w!r}" for u, v, w in g.edges]
+        assert p.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert load_graph(p) == g
 
 
 def test_zero_weight_rejected(tmp_path):

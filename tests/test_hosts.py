@@ -8,7 +8,12 @@ import math
 import random
 
 import pytest
-from oracles import embedding_json_by_encoder, embedding_to_dict, forest_validity_by_ancestor_sets
+from oracles import (
+    check_forest_labels_by_dijkstra,
+    embedding_json_by_encoder,
+    embedding_to_dict,
+    forest_validity_by_ancestor_sets,
+)
 
 import mfembed.hosts as hosts
 from mfembed.embedder import embed_top
@@ -80,6 +85,7 @@ def test_labels_on_fallback_embeddings(fail_chain_at, k):
     emb = embed_top(g, 0.5, "practical", seed=4)
     assert emb.meta.fallback_used
     assert_labels_match_dijkstra(emb, 1e-12, sources=emb.host.n)
+    check_forest_labels_by_dijkstra(emb)
 
 
 def test_labels_every_pair_of_small_hosts():
@@ -115,6 +121,50 @@ def test_labels_hand_host():
     # Input vertices 0, 1, 2 sit at host vertices 3, 2, 4.
     through_eta = ForestLabels(dataclasses.replace(emb, eta=[3, 2, 4]))
     assert through_eta.distances([(0, 1), (1, 0), (2, 0), (1, 2)]) == [3.0, 3.0, 4.0, 3.0]
+
+
+def test_labels_of_a_reloaded_frt_tree(tmp_path):
+    # The file holds 12-digit lengths, read back through the public
+    # constructor: the tree is still its own forest.
+    g = generate("grid", rows=6, cols=7, weights="uniform:0.001:1000", seed=7)
+    save_embedding(frt_embed(g, 3), tmp_path / "tree.json")
+    check_forest_labels_by_dijkstra(load_embedding(tmp_path / "tree.json"))
+
+
+NOT_THEIR_FOREST = {
+    # 0 - 1 - {2, 3}, and 2 also hangs on its grandparent, by a shorter way
+    "extra-grandparent-edge": (
+        [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 1.5), (0, 2, 2.5)],
+        [None, 0, 1, 1],
+    ),
+    # as many edges as non-root vertices, but 2's goes to its grandparent
+    "grandparent-in-place-of-parent": ([(0, 1, 1.0), (0, 2, 2.0)], [None, 0, 1]),
+    # 2 has no edge at all: INF across the gap
+    "missing-parent-edge": ([(0, 1, 1.0), (1, 3, 1.5)], [None, 0, 1, 1]),
+    # a copy with a zero-length edge to its portal, as the embedder wires it
+    "zero-length-parent-edge": (
+        [(0, 1, 0.0), (1, 2, 2.0), (0, 2, 1.5), (0, 3, 1.0), (2, 3, 0.5)],
+        [None, 0, 1, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_THEIR_FOREST)
+def test_labels_of_hosts_that_are_not_their_forest(name):
+    edges, forest = NOT_THEIR_FOREST[name]
+    emb = hand_embedding(len(forest), edges, forest)
+    assert not ForestLabels(emb).forest_shaped
+    assert_labels_match_dijkstra(emb, 0.0, sources=emb.host.n)
+    if name == "missing-parent-edge":
+        assert ForestLabels(emb).distances([(0, 2), (2, 3)]) == [INF, INF]
+
+
+def test_labels_of_a_tree_with_zero_length_edges():
+    # 0 - 1 at length 0, 1 - 2, 0 - 3 at length 0, and 4 alone in a second tree
+    emb = hand_embedding(5, [(0, 1, 0.0), (1, 2, 2.5), (0, 3, 0.0)], [None, 0, 1, 0, None])
+    check_forest_labels_by_dijkstra(emb)
+    assert ForestLabels(emb).distances([(2, 3), (1, 3), (3, 4)]) == [2.5, 0.0, INF]
+    assert_labels_match_dijkstra(emb, 0.0, sources=emb.host.n)
 
 
 def test_labels_reject_invalid_forests():
