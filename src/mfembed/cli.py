@@ -15,7 +15,7 @@ from .cutpack import build_cut_packing
 from .embedder import DEFAULT_C_FALLBACK, embed_top
 from .errors import InvariantViolation, MfembedError
 from .frt import frt_embed
-from .generators import generate
+from .generators import KINDS, generate
 from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
 from .hierarchy import ChainFailure, build_chain
@@ -31,8 +31,10 @@ MEMORY_BUDGET = 2**30
 # `embed` on uniform:1:4 grids, set by `embed_top` since the JSON is
 # streamed, is 7.3 MB at 1600 vertices and 18.2 MB at 3136, about as n**1.4
 # (README, "Size limits"); that reaches about 45 MB at 6000 vertices.
-# `experiment` shares the limit and also builds each host's distance labels;
-# it has not been re-measured.
+# `experiment` shares the limit and also builds each host's distance labels:
+# with 100 sampled pairs it peaks at 19.5 MB at 1600 vertices and 47.1 MB at
+# 3136 for one run, and 20.9 MB at 1600 for 8 runs with the FRT baseline,
+# about as n**1.3; that reaches about 120 MB at 6000 vertices.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
@@ -65,7 +67,7 @@ def _load(path: str, max_n: int | None = None) -> WeightedGraph:
 
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument("kind", choices=["grid", "cycle", "star", "path"])
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("--rows", type=int, default=0)
     p.add_argument("--cols", type=int, default=0)
     p.add_argument("--n", type=int, default=0, help="size (vertices, or leaves for star)")
@@ -202,7 +204,9 @@ def _cmd_embed(args) -> int:
         tau_cap=args.tau_cap,
         c_fallback=args.c_fallback,
     )
-    if is_connected(g):
+    comps = connected_components(g)
+    # An empty graph has no component, and embed_top refuses it.
+    if len(comps) <= 1:
         emb = embed_top(g, args.epsilon, seed=args.seed, **kwargs)
         save_embedding(emb, args.out)
         print(
@@ -211,7 +215,6 @@ def _cmd_embed(args) -> int:
         )
         return 0
     # Components embedded independently, emitted as a JSON array.
-    comps = connected_components(g)
     parts = []
     for k, (sub, verts) in enumerate(zip(induced_subgraphs(g, comps), comps)):
         emb = embed_top(sub, args.epsilon, seed=derive_seed(args.seed, "component", k), **kwargs)

@@ -45,11 +45,11 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
     n = g.n
     # With positive lengths the closest pair is an edge (see `normalize`).
     dmin = g.min_edge_length()
-    # Least top >= 1 with 2 * diam / dmin <= 2**top. The graph is connected,
-    # so a vertex that a Dijkstra run leaves at INF has a distance whose
-    # float sum overflowed.
+    # Least top with 2 * diam / dmin <= 2**top, at least 1 as diam >= dmin.
+    # The graph is connected, so a vertex that a Dijkstra run leaves at INF
+    # has a distance whose float sum overflowed.
     try:
-        top = diameter_level(g, floor=1, dmin=dmin)
+        top = diameter_level(g, dmin=dmin)
     except DisconnectedGraph as exc:
         raise PreconditionViolation("a shortest-path distance overflows a float") from exc
     # Two leaves that part at the top are 2 * (2**top - 1) * dmin apart.

@@ -270,21 +270,6 @@ def quotient_adjacency(g: WeightedGraph, part_of: Sequence[int], count: int) -> 
     return nbrs
 
 
-def member_subgraph(g: WeightedGraph, members: Sequence[int]) -> WeightedGraph:
-    """The subgraph that a sorted vertex list induces, read from its
-    members' adjacency lists, so in time linear in their degrees: local
-    vertex i is members[i]."""
-    local = {v: i for i, v in enumerate(members)}
-    adj = g.adjacency
-    edges = []
-    for i, v in enumerate(members):
-        for x, w in adj[v]:
-            j = local.get(x, -1)
-            if j > i:
-                edges.append((i, j, w))
-    return WeightedGraph._derived(len(members), tuple(edges))
-
-
 def induced_subgraphs(
     g: WeightedGraph, parts: Sequence[Sequence[int]]
 ) -> list[WeightedGraph]:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, LevelOverflow, PreconditionViolation
-from .graphs import INF, WeightedGraph, dijkstra, member_subgraph, quotient_adjacency
+from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
 from .partition import carve
 
 DIAMETER_EXCEEDED = "DiameterExceeded"
@@ -120,10 +120,10 @@ def level_count_for_diameter(diam: float, dmin: float = 2.0) -> int:
 BOUND_SLACK = 1e-9
 
 
-def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> int:
-    """Least L >= floor with every vertex's eccentricity at most 2**L.
+def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
+    """Least L >= 0 with every vertex's eccentricity at most 2**L, which is
+    `level_count_for_diameter(diameter(g), dmin)`.
 
-    With the defaults this is `level_count_for_diameter(diameter(g))`.
     Eccentricities are measured as 2 * ecc / dmin: the FRT tree passes its
     closest-pair distance, the default leaves them as they are. The first
     source is vertex 0. A run from v
@@ -142,7 +142,7 @@ def diameter_level(g: WeightedGraph, *, floor: int = 0, dmin: float = 2.0) -> in
     live = list(range(g.n))
     upper = [INF] * g.n
     lower = [0.0] * g.n
-    level = floor
+    level = 0
     source = 0
     first_row: list[float] = []
     runs = 0
@@ -326,12 +326,12 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     as float sums grow along a path, so a run from the center confined to
     the cluster finds the carving's own distances. Hence 2 * radius bounds
     every eccentricity bound that `diameter_level` would form on that run,
-    and when it clears 2**lo by BOUND_SLACK that run settles every member
-    and returns lo; no run is made then.
+    and when it clears 2**lo by BOUND_SLACK the cluster passes with no run.
 
-    A cluster without that certificate gets a `diameter_level` run on the
-    subgraph it induces, from local vertex 0: its smallest member, which is
-    its carving's center. A disconnected cluster fails.
+    Any other cluster fails when `diameter_level` exceeds lo on the subgraph
+    it induces, built by `induced_subgraphs` from the sorted members, so
+    local vertex 0 is the smallest member: the carving's center, where the
+    runs start. A disconnected cluster fails.
     """
     g = chain.graph
     top = chain.top_level
@@ -345,9 +345,9 @@ def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None
     ]
     uncertified.sort(key=lambda k: (lo[k], start[k]))
     for k in uncertified:
-        sub = member_subgraph(g, sorted(order[start[k] : stop[k]]))
+        sub = induced_subgraphs(g, [sorted(order[start[k] : stop[k]])])[0]
         try:
-            level = diameter_level(sub, floor=lo[k])
+            level = diameter_level(sub)
         except DisconnectedGraph:
             level = lo[k] + 1
         if level > lo[k]:

@@ -93,7 +93,6 @@ from mfembed.errors import (
 from mfembed.graphs import (
     WeightedGraph,
     dijkstra,
-    member_subgraph,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
@@ -1047,7 +1046,7 @@ def full_wiring(g, emb):
     portal = {max(u, v): min(u, v) for u, v, w in emb.host.edges if w == 0.0}
     weight = {}
     for c, members in fragment.items():
-        row = dijkstra(member_subgraph(scaled, members), members.index(portal[c]))
+        row = dijkstra(induced_subgraph(scaled, members)[0], members.index(portal[c]))
         for x, d in zip(members, row):
             weight[(x, c)] = d / scale
     return weight

@@ -114,6 +114,11 @@ def test_input_error_exit_code(tmp_path):
     out = tmp_path / "emb.json"
     assert run("embed", "-i", bad, "-o", out) == 2
     assert run("embed", "-i", tmp_path / "missing.txt", "-o", out) == 2
+    # the empty graph has no component, and embed refuses it
+    empty = tmp_path / "empty.txt"
+    empty.write_text("p 0 0\n")
+    assert run("embed", "-i", empty, "-o", out) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("length", ["nan", "inf", "-1"])

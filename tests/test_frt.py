@@ -57,13 +57,13 @@ def test_matches_matrix_on_unit_weights_with_ties(instance):
 def test_matches_matrix_when_scaled_diameter_is_a_power_of_two(k):
     # 2 * diam / dmin = 2**(k+1) exactly, on the level boundary
     g = generate("path", size=2**k + 1)
-    assert diameter_level(g, floor=1, dmin=g.min_edge_length()) == k + 1
+    assert diameter_level(g, dmin=g.min_edge_length()) == k + 1
     assert_same_as_matrix(g, range(4))
 
 
 def test_matches_matrix_on_unit_cycle_512():
     g = generate("cycle", size=512)
-    assert diameter_level(g, floor=1, dmin=1.0) == 9  # 2 * 256 / 1 = 2**9
+    assert diameter_level(g, dmin=1.0) == 9  # 2 * 256 / 1 = 2**9
     assert_same_as_matrix(g, [1, 2])
 
 
@@ -92,7 +92,7 @@ def test_diameter_level_at_frt_scale():
         g = random_connected_graph(rng)
         dmin = g.min_edge_length()
         expected = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
-        assert diameter_level(g, floor=1, dmin=dmin) == expected
+        assert diameter_level(g, dmin=dmin) == expected
 
 
 def test_diameter_level_at_frt_scale_on_integer_lengths():
@@ -105,13 +105,42 @@ def test_diameter_level_at_frt_scale_on_integer_lengths():
         assert g.exact_path_sums
         dmin = g.min_edge_length()
         expected = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
-        assert diameter_level(g, floor=1, dmin=dmin) == expected
+        assert diameter_level(g, dmin=dmin) == expected
+
+
+def boundary_graphs():
+    """Graphs whose 2 * diam / dmin is small or sits next to a power of two,
+    where a floor of 1 on the tree's top level could matter: single edges
+    (diam = dmin), stars (diam = 2 * dmin), and 3-vertex paths of lengths
+    dmin and w with 2 * (dmin + w) / dmin just below or just above 2**k.
+    dmin is a power of two, so that quotient is exact."""
+    out = [WeightedGraph(2, ((0, 1, w),)) for w in (1.0, 0.3, 5e-7)]
+    out.append(generate("star", size=9))
+    out.append(WeightedGraph(6, tuple((0, v, 0.3) for v in range(1, 6))))
+    for dmin in (1.0, 0.25):
+        for k in (3, 4, 6):
+            w = (2.0 ** (k - 1) - 1.0) * dmin
+            for step in (-1, 1):
+                g = WeightedGraph(3, ((0, 1, dmin), (1, 2, w * (1.0 + step * 2.0**-50))))
+                assert (2.0 * diameter(g) / dmin > 2.0**k) == (step > 0)
+                out.append(g)
+    return out
+
+
+def test_diameter_level_at_frt_scale_needs_no_floor():
+    # The first run's eccentricity is at least dmin, so the top level is at
+    # least 1 without a floor, and the tree matches the matrix construction.
+    for g in boundary_graphs():
+        dmin = g.min_edge_length()
+        want = max(1, level_count_for_diameter(2.0 * diameter(g) / dmin))
+        assert diameter_level(g, dmin=dmin) == want
+        assert_same_as_matrix(g, range(4))
 
 
 def test_diameter_level_at_frt_scale_takes_two_runs_on_unit_cycle_512(monkeypatch):
     g = generate("cycle", size=512)
     runs = count_runs(monkeypatch)
-    assert diameter_level(g, floor=1, dmin=1.0) == 9
+    assert diameter_level(g, dmin=1.0) == 9
     assert len(runs) == 2
 
 
@@ -137,7 +166,7 @@ def test_diameter_whose_level_overflows_is_refused(tmp_path):
     # tree's top level would be 1024 and 2.0**1024 overflows a float
     g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 5e307)))
     with pytest.raises(PreconditionViolation, match="overflows a float"):
-        diameter_level(g, floor=1, dmin=1.0)
+        diameter_level(g, dmin=1.0)
     with pytest.raises(PreconditionViolation, match="overflows a float"):
         frt_embed(g, 0)
 

@@ -32,7 +32,6 @@ from mfembed.graphs import (
     INF,
     WeightedGraph,
     induced_subgraphs,
-    member_subgraph,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
@@ -192,16 +191,16 @@ def test_diameter_level_grid_top_takes_few_runs(monkeypatch):
     assert len(runs) <= 4
 
 
-def assert_subgraph_level_matches_floyd_warshall(g, members, floor):
+def assert_subgraph_level_matches_floyd_warshall(g, members):
     """diameter_level on the subgraph that `members` induce, as the goodness
     check measures a cluster, against its Floyd-Warshall diameter."""
     sub, _ = induced_subgraph(g, members)
     diam = max(x for row in floyd_warshall(sub) for x in row)
     if diam == math.inf:
         with pytest.raises(DisconnectedGraph):
-            diameter_level(sub, floor=floor)
+            diameter_level(sub)
         return
-    assert diameter_level(sub, floor=floor) == max(floor, level_count_for_diameter(diam))
+    assert diameter_level(sub) == level_count_for_diameter(diam)
 
 
 def test_cluster_level_matches_all_members_sweep():
@@ -209,7 +208,7 @@ def test_cluster_level_matches_all_members_sweep():
     for _ in range(60):
         g = random_connected(rng, rng.randint(3, 30), step=0.5)
         members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-        assert_subgraph_level_matches_floyd_warshall(g, members, rng.randint(0, 4))
+        assert_subgraph_level_matches_floyd_warshall(g, members)
 
 
 def test_two_row_certificate_matches_full_sweep_on_integer_lengths():
@@ -221,7 +220,7 @@ def test_two_row_certificate_matches_full_sweep_on_integer_lengths():
             assert g.exact_path_sums
             assert diameter_level(g) == level_count_for_diameter(diameter(g))
             members = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-            assert_subgraph_level_matches_floyd_warshall(g, members, rng.randint(0, 4))
+            assert_subgraph_level_matches_floyd_warshall(g, members)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -236,8 +235,8 @@ def test_two_row_certificate_at_exact_powers_of_two(k):
         chain_scale = WeightedGraph(unit.n, tuple((u, v, 2.0) for u, v, _ in unit.edges))
         assert diameter_level(chain_scale) == level_count_for_diameter(diameter(chain_scale))
         want = max(1, level_count_for_diameter(2.0 * diameter(unit)))
-        assert diameter_level(unit, floor=1, dmin=1.0) == want
-    assert diameter_level(graphs[0], floor=1, dmin=1.0) == k + 1
+        assert diameter_level(unit, dmin=1.0) == want
+    assert diameter_level(graphs[0], dmin=1.0) == k + 1
 
 
 def test_two_row_certificate_on_unit_grids():
@@ -246,7 +245,7 @@ def test_two_row_certificate_on_unit_grids():
         scaled, _ = normalize(g)
         assert diameter_level(scaled) == level_count_for_diameter(diameter(scaled))
         want = max(1, level_count_for_diameter(2.0 * diameter(g)))
-        assert diameter_level(g, floor=1, dmin=1.0) == want
+        assert diameter_level(g, dmin=1.0) == want
 
 
 def test_two_row_certificate_within_ulps_of_a_power_of_two():
@@ -320,33 +319,35 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         [frozenset({0, 1, 2}), frozenset({3, 4})],
         [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})],
     )
-    real_subgraph, real_level = hierarchy.member_subgraph, hierarchy.diameter_level
+    real_subgraphs, real_level = hierarchy.induced_subgraphs, hierarchy.diameter_level
     built, measured = [], []
 
-    def subgraph(graph, members):
-        assert graph is g
-        built.append(list(members))
-        return real_subgraph(graph, members)
+    def subgraphs(graph, parts):
+        assert graph is g and len(parts) == 1
+        built.append(list(parts[0]))
+        return real_subgraphs(graph, parts)
 
     def level(graph, **kwargs):
+        assert kwargs == {}
         start = len(runs)
-        got = real_level(graph, **kwargs)
-        measured.append((kwargs["floor"], got, runs[start:]))
+        got = real_level(graph)
+        measured.append((got, runs[start:]))
         return got
 
     runs = count_runs(monkeypatch)
-    monkeypatch.setattr(hierarchy, "member_subgraph", subgraph)
+    monkeypatch.setattr(hierarchy, "induced_subgraphs", subgraphs)
     monkeypatch.setattr(hierarchy, "diameter_level", level)
     assert _check_goodness(chain, 100.0) is None
     assert built == [[0, 1], [3, 4], [0, 1, 2]]
     assert chain.center[next(k for k in range(len(chain.start)) if chain.lo[k] == 1
                              and node_members(chain, k) == {3, 4})] == 4
-    for members, (floor, got, sources) in zip(built, measured):
+    for members, (got, sources) in zip(built, measured):
         sub, _ = induced_subgraph(g, members)
         diam = max(x for row in floyd_warshall(sub) for x in row)
-        assert got == max(floor, level_count_for_diameter(diam))
+        assert got == level_count_for_diameter(diam)
         assert sources[0] == 0 and len(sources) > 1
-    assert [(floor, got) for floor, got, _ in measured] == [(1, 1), (1, 1), (2, 2)]
+    # each level is at most the cluster's own (1, 1, 2), so all three pass
+    assert [got for got, _ in measured] == [1, 1, 2]
 
 
 def test_cluster_check_rejects_a_disconnected_cluster():
@@ -612,7 +613,7 @@ def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
 
     # every cluster here is certified by its carving radius, so the goodness
     # check builds no cluster subgraph
-    monkeypatch.setattr(hierarchy, "member_subgraph", refuse)
+    monkeypatch.setattr(hierarchy, "induced_subgraphs", refuse)
     monkeypatch.setattr("mfembed.graphs.connected_components", refuse)
     for g in prepared:
         chain = build(g, delta=0.1, seed=1)
@@ -635,26 +636,28 @@ def matrix_graphs():
 
 
 def count_cluster_checks(monkeypatch):
-    """diameter_level calls on a cluster's subgraph, as its sizes; the
-    chain's top-level call passes no floor."""
+    """The sizes of the cluster subgraphs that the goodness check builds for
+    its diameter_level runs; each must be a valid derived graph."""
     calls = []
-    real = hierarchy.diameter_level
+    real = hierarchy.induced_subgraphs
 
-    def counted(g, **kwargs):
-        if "floor" in kwargs:
-            calls.append(g.n)
-        return real(g, **kwargs)
+    def counted(g, parts):
+        subs = real(g, parts)
+        for sub in subs:
+            check_derived_graph(sub)
+            calls.append(sub.n)
+        return subs
 
-    monkeypatch.setattr(hierarchy, "diameter_level", counted)
+    monkeypatch.setattr(hierarchy, "induced_subgraphs", counted)
     return calls
 
 
-def matrix_outcomes(extra=()):
+def matrix_outcomes(extra=(), seeds=range(5)):
     """(build_chain, chain_by_levels) outcomes over the matrix and `extra`,
-    seeds 0..4 and a strict and a lax delta; a chain is compared as its
-    level view."""
+    `seeds` and a strict and a lax delta; a chain is compared as its level
+    view."""
     for g in matrix_graphs() + list(extra):
-        for seed in range(5):
+        for seed in seeds:
             for delta in (0.1, 0.9):
                 got = build_chain(g, delta, random.Random(seed))
                 want = chain_by_levels(g, delta, random.Random(seed))
@@ -666,7 +669,7 @@ def matrix_outcomes(extra=()):
 
 def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(monkeypatch):
     # every cluster's carving radius certifies its diameter here, so the
-    # check makes no diameter_level run at all
+    # check builds no cluster subgraph and makes no diameter_level run
     calls = count_cluster_checks(monkeypatch)
     for got, want in matrix_outcomes():
         assert got == want
@@ -676,51 +679,58 @@ def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(monkeyp
 
 def test_goodness_matches_the_per_cluster_check_when_x_is_huge(monkeypatch):
     # X drawn ten times too large: radii outgrow the certificate, the check
-    # falls back to diameter_level, and both verdicts occur. On the paths
-    # with lengths 1.0000001, a 3-vertex cluster's diameter 2.0000002 lies
-    # just above level 1's bound 2.
+    # falls back to diameter_level on each such cluster's induced subgraph,
+    # and both verdicts occur. On the paths with lengths 1.0000001, a
+    # 3-vertex cluster's diameter 2.0000002 lies just above level 1's bound 2.
     real = partition.sample_exponential
     monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
     calls = count_cluster_checks(monkeypatch)
     near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
                 for k in (2, 5, 9)]
     reasons = collections.Counter()
-    for got, want in matrix_outcomes(near_one):
+    for got, want in matrix_outcomes(near_one, seeds=range(25)):
         assert got == want
         reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
+    assert sum(reasons.values()) >= 500
     assert reasons["chain"] > 0 and reasons[DIAMETER_EXCEEDED] > 0
-    assert len(calls) > 100
+    assert len(calls) > 500 and max(calls) > 2
 
 
 def test_cluster_subgraph_from_adjacency_matches_the_edge_scan(monkeypatch):
     # X drawn ten times too large leaves clusters that their radius does not
-    # certify; each is measured on a subgraph built from its members'
-    # adjacency, which must give the chain or failure that the subgraph
-    # from a scan of every edge gives.
+    # certify; each is measured on the subgraph that the library's scan of
+    # every edge builds, which must hold the edges that its members'
+    # adjacency lists give and give the chain or failure that the subgraph
+    # built from those lists gives.
     real = partition.sample_exponential
     monkeypatch.setattr(partition, "sample_exponential", lambda rng: 10.0 * real(rng))
     near_one = [WeightedGraph(k, tuple((i, i + 1, 1.0000001) for i in range(k - 1)))
                 for k in (2, 5, 9)]
     built = []
 
-    def by_edge_scan(g, members):
-        return induced_subgraphs(g, [members])[0]
+    def by_edge_scan(g, parts):
+        return induced_subgraphs(g, parts)
 
-    def from_adjacency(g, members):
-        sub = member_subgraph(g, members)
-        check_derived_graph(sub)
-        assert sorted(sub.edges) == sorted(by_edge_scan(g, members).edges)
+    def from_adjacency(g, parts):
+        (members,) = parts
+        local = {v: i for i, v in enumerate(members)}
+        edges = [(i, local[x], w) for i, v in enumerate(members)
+                 for x, w in g.adjacency[v] if local.get(x, -1) > i]
+        sub = WeightedGraph(len(members), tuple(edges))
+        (scanned,) = by_edge_scan(g, parts)
+        check_derived_graph(scanned)
+        assert sorted(sub.edges) == sorted(scanned.edges)
         built.append(sub.n)
-        return sub
+        return [sub]
 
     chains = 0
     reasons = collections.Counter()
     for g in matrix_graphs() + near_one:
         for seed in range(25):
             for delta in (0.1, 0.9):
-                monkeypatch.setattr(hierarchy, "member_subgraph", from_adjacency)
+                monkeypatch.setattr(hierarchy, "induced_subgraphs", from_adjacency)
                 got = build_chain(g, delta, random.Random(seed))
-                monkeypatch.setattr(hierarchy, "member_subgraph", by_edge_scan)
+                monkeypatch.setattr(hierarchy, "induced_subgraphs", by_edge_scan)
                 want = build_chain(g, delta, random.Random(seed))
                 assert got == want
                 reasons[want.reason if isinstance(want, ChainFailure) else "chain"] += 1
