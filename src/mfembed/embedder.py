@@ -138,11 +138,11 @@ class _FallbackRequired(Exception):
 
 def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
-    a failed chain build comes back as its `ChainFailure`."""
+    a failed chain build comes back as its `ChainFailure`. The chain's
+    carving radii and then the cut choice are drawn from `rng`."""
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
-    chain_rng = random.Random(rng.getrandbits(64))
-    chain = build_chain(g, params.delta, chain_rng)
+    chain = build_chain(g, params.delta, rng)
     if isinstance(chain, ChainFailure):
         return chain
     packing = build_cut_packing(chain, params.xi)

@@ -121,14 +121,14 @@ def aggregate_records(
     CPython 3.12, which compensates them: the report's bytes must not depend
     on the interpreter.
     """
-    floor = 1.0 - RATIO_TOLERANCE
+    # A violation is a host distance below its pair's floor.
+    floors = list(map(mul, dist_g, repeat(1.0 - RATIO_TOLERANCE)))
     count = violations = 0
     total = 0.0
     dist_sums = ratio_sums = peaks = ()
     for run_h in runs:
         count += 1
-        # A violation is a host distance below its pair's floor.
-        violations += sum(map(lt, run_h, map(mul, dist_g, repeat(floor))))
+        violations += sum(map(lt, run_h, floors))
         ratios = list(map(truediv, run_h, dist_g))
         # Run-major, pairs in order within a run: a float sum depends on the
         # order of its terms, and the report's bytes must not.
@@ -140,6 +140,7 @@ def aggregate_records(
             dist_sums = list(map(add, dist_sums, run_h))
             ratio_sums = list(map(add, ratio_sums, ratios))
             peaks = [r if r > p else p for p, r in zip(peaks, ratios)]
+    del floors  # freed before the per-pair rows, where the block peaks
     per_pair = [
         {
             "u": u,
@@ -186,12 +187,13 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
                 xi_cap=config.xi_cap,
                 tau_cap=config.tau_cap,
             )
-            dist_h = ForestLabels(emb).distances(pairs)
+            labels = ForestLabels(emb)
+            dist_h = labels.distances(pairs)
             timings.append(time.perf_counter() - t0)
             structural.append(
                 {
                     "seed": run_seed,
-                    "treedepth": emb.depth,
+                    "treedepth": labels.depth,
                     "host_vertices": emb.host.n,
                     "host_edges": emb.host.m,
                     "fallback": emb.meta.fallback_used,
@@ -201,18 +203,19 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
                 }
             )
             # the next run builds while this frame waits at the yield
-            del emb
+            del emb, labels
             yield dist_h
 
     def frt_runs():
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "frt", run)
             emb = frt_embed(g, run_seed)
+            labels = ForestLabels(emb)
             base_structural.append(
-                {"seed": run_seed, "treedepth": emb.depth, "host_vertices": emb.host.n}
+                {"seed": run_seed, "treedepth": labels.depth, "host_vertices": emb.host.n}
             )
-            dist_h = ForestLabels(emb).distances(pairs)
-            del emb
+            dist_h = labels.distances(pairs)
+            del emb, labels
             yield dist_h
 
     started = time.perf_counter()

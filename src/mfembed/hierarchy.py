@@ -221,10 +221,10 @@ def build_chain(
 ) -> ClusteringChain | ChainFailure:
     """Build a chain over a connected graph with all distances above 1.
 
-    Carves levels top-down, each cluster in place on g; each cluster gets an
-    independent child stream drawn from `rng` in (level, cluster index)
-    order, so results do not depend on scheduling. Level 0 is the discrete
-    partition, built directly.
+    Carves levels top-down, each cluster in place on g. Every carving radius
+    is drawn from `rng` itself, in (level, cluster index, center) order, so
+    results do not depend on scheduling. Level 0 is the discrete partition,
+    built directly.
     """
     if not 0 < delta < 1:
         raise PreconditionViolation("delta must lie in (0,1)")
@@ -276,10 +276,9 @@ def build_chain(
         below = []
         for k in active:
             members = order[start[k] : stop[k]]
-            child_rng = random.Random(rng.getrandbits(64))
             for u in members:
                 free[u] = True
-            balls = carve(g, members, free, 2.0 ** (i - 1) / lam, child_rng)
+            balls = carve(g, members, free, 2.0 ** (i - 1) / lam, rng)
             if len(balls) == 1:
                 lo[k] = i
                 radius[k] = balls[0][2]

@@ -150,7 +150,8 @@ class ForestLabels:
 
     Vertices are renamed to their preorder ids (`tin`). `labels[i]` holds r_a
     of vertex i for each ancestor a of i and i itself, root first, INF where
-    subtree(a) does not reach i; `ends[i]` holds their negated exit times.
+    subtree(a) does not reach i; `ends[i]` holds their negated exit times,
+    so the longest of them gives `depth`, the forest's depth in vertices.
     Building takes one Dijkstra per host vertex, limited to its subtree; a
     query takes O(depth) and goes through `eta`, the input vertices' host
     vertices. The forest is checked first.
@@ -165,7 +166,7 @@ class ForestLabels:
     minimum bit for bit.
     """
 
-    __slots__ = ("tin", "ends", "labels", "eta", "forest_shaped")
+    __slots__ = ("tin", "ends", "depth", "labels", "eta", "forest_shaped")
 
     def __init__(self, emb: HostEmbedding) -> None:
         order, tin, tout = check_forest_validity(emb)
@@ -195,6 +196,7 @@ class ForestLabels:
             self.labels = labels
         self.tin = tin
         self.ends = ends
+        self.depth = max(map(len, ends), default=0)
         self.eta = emb.eta
 
     def distances(self, pairs: Iterable[tuple[int, int]]) -> list[float]:

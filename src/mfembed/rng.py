@@ -1,8 +1,11 @@
 """Deterministic seed derivation for independent random streams.
 
-Every randomized routine takes either a seed or a `random.Random`; nested
-work derives child seeds with `derive_seed`, so results are reproducible
-and independent of scheduling.
+Every randomized routine takes either a seed or a `random.Random`. Each
+stream's seed comes from `derive_seed` with a stream id naming its use: a
+split of the embedder's recursion, by its recursion path (the split's
+carving radii, then its cut choice); an experiment run; the pair sample;
+the HST fallback; a component of a disconnected input. So results are
+reproducible and independent of scheduling.
 """
 
 import hashlib

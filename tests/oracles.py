@@ -895,7 +895,7 @@ def stretch_exponent(g):
 def chain_by_subgraphs(g, delta, rng):
     """(levels, centers, parents) of `build_chain`'s carving, done the former
     way: one `induced_subgraph` and one `carve` of the whole subgraph per
-    non-singleton cluster, with the same child-stream draws from `rng`.
+    non-singleton cluster, with the same radius draws from `rng`.
 
     Level 0 is the discrete partition, listed cluster by cluster of level 1.
     No goodness check is run.
@@ -917,9 +917,8 @@ def chain_by_subgraphs(g, delta, rng):
                 centers[i].append(members[0])
                 parents[i].append(parent_idx)
                 continue
-            child_rng = random.Random(rng.getrandbits(64))
             sub, verts = induced_subgraph(g, members)
-            for center, part, _ in carve(sub, range(sub.n), [True] * sub.n, r_sched[i], child_rng):
+            for center, part, _ in carve(sub, range(sub.n), [True] * sub.n, r_sched[i], rng):
                 levels[i].append(frozenset(verts[p] for p in part))
                 centers[i].append(verts[center])
                 parents[i].append(parent_idx)

@@ -110,8 +110,7 @@ def golden_root_split(instance, seed):
     g = generate(seed=seed, **instance)
     sub, _ = normalize(metric_closure_weights(g))
     params = derive_params(g.n, hat_ell(sub), 0.5, "practical")
-    rng = random.Random(derive_seed(seed, "split"))
-    chain = build_chain(sub, params.delta, random.Random(rng.getrandbits(64)))
+    chain = build_chain(sub, params.delta, random.Random(derive_seed(seed, "split")))
     assert isinstance(chain, ClusteringChain)
     return sub, chain, params
 

@@ -112,9 +112,9 @@ def two_vertex(d):
 
 def split_cut(g, params, seed):
     """(chain, cut) that split(g, params, Random(seed)) samples, rebuilt
-    from the same stream: the chain's child stream, then the cut choice."""
+    from the same stream: the chain's radii, then the cut choice."""
     rng = random.Random(seed)
-    chain = build_chain(g, params.delta, random.Random(rng.getrandbits(64)))
+    chain = build_chain(g, params.delta, rng)
     return chain, rng.choice(build_cut_packing(chain, params.xi).cuts)
 
 

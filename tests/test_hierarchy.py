@@ -437,7 +437,9 @@ def check_chain_structure(g, chain):
     n = g.n
     view = chain_levels(chain)
     assert view.levels[chain.top_level] == (frozenset(range(n)),)
-    assert sorted(view.levels[0]) == sorted(frozenset({v}) for v in range(n))
+    # as sets: `<` on frozensets is the subset order, so sorted() keeps
+    # the singletons in carving order
+    assert set(view.levels[0]) == {frozenset({v}) for v in range(n)}
     for i in range(chain.top_level + 1):
         seen = set()
         for cluster in view.levels[i]:
@@ -493,8 +495,9 @@ def test_determinism():
     a = build(g, delta=0.1, seed=11)
     b = build(g, delta=0.1, seed=11)
     assert a == b
-    c = build(g, delta=0.1, seed=12)
-    assert chain_levels(a)[:2] != chain_levels(c)[:2]
+    # small radii leave most clusters alike, so one seed pair may agree
+    views = {chain_levels(build(g, delta=0.1, seed=seed))[:2] for seed in range(11, 19)}
+    assert len(views) > 1
 
 
 def test_centers_lie_in_their_clusters():

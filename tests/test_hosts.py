@@ -51,6 +51,7 @@ def assert_labels_match_dijkstra(emb, rel, seed=0, sources=8):
     """Labels against host Dijkstra from random sources to every host vertex.
     An identity-eta copy makes `distances` answer host pairs."""
     labels = ForestLabels(dataclasses.replace(emb, eta=list(range(emb.host.n))))
+    assert labels.depth == emb.depth
     everyone = range(emb.host.n)
     rng = random.Random(seed)
     for x in rng.sample(everyone, min(sources, emb.host.n)):
@@ -114,6 +115,7 @@ def test_labels_hand_host():
     fl = ForestLabels(emb)
     assert "adjacency" not in vars(emb.host)  # the labels build their own lists
     assert fl.labels[fl.tin[2]] == [1.0, 5.0, 0.0]  # r_0, r_1, r_2 of vertex 2
+    assert fl.depth == emb.depth == 3
     pairs = [(1, 2), (2, 1), (2, 3), (3, 2), (4, 3), (2, 2), (0, 3), (3, 0), (1, 5), (5, 1)]
     # 2-0-1-3; 1 and 5 lie in different trees
     assert fl.distances(pairs) == [2.0, 2.0, 3.0, 3.0, 4.0, 0.0, 2.0, 2.0, INF, INF]
