@@ -12,8 +12,8 @@ import sys
 
 from . import harness
 from .cutpack import build_cut_packing
-from .embedder import DEFAULT_C_FALLBACK, embed_top
-from .errors import InvariantViolation, MfembedError
+from .embedder import embed_top
+from .errors import BadSize, InvariantViolation, MfembedError
 from .frt import frt_embed
 from .generators import KINDS, generate
 from .graphio import load_graph, save_graph
@@ -27,10 +27,10 @@ from .rng import derive_seed
 # measurements behind them are in README, "Size limits".
 MEMORY_BUDGET = 2**30
 
-# Largest input that `embed` and `experiment` take. The traced peak of
-# `embed` on uniform:1:4 grids, set by `embed_top` since the JSON is
-# streamed, is 7.3 MB at 1600 vertices and 18.2 MB at 3136, about as n**1.4
-# (README, "Size limits"); that reaches about 45 MB at 6000 vertices.
+# Largest input that `embed` and `experiment` take; `load_graph` refuses a
+# larger header before it reads any edge line. The traced peak of `embed` on
+# uniform:1:4 grids, set by `embed_top` since the JSON is streamed, is 32.6 MB
+# at 5929 vertices (77 x 77, 4.3 s; README, "Size limits").
 # `experiment` shares the limit and also builds each host's distance labels:
 # with 100 sampled pairs it peaks at 19.5 MB at 1600 vertices and 47.1 MB at
 # 3136 for one run, and 20.9 MB at 1600 for 8 runs with the FRT baseline,
@@ -57,12 +57,11 @@ class _InputProblem(Exception):
 
 def _load(path: str, max_n: int | None = None) -> WeightedGraph:
     try:
-        g = load_graph(path)
+        return load_graph(path, max_n)
+    except BadSize as exc:
+        raise _InputProblem(f"instance too large to embed ({exc})") from exc
     except MfembedError as exc:
         raise _InputProblem(str(exc)) from exc
-    if max_n is not None and g.n > max_n:
-        raise _InputProblem(f"instance too large to embed (n={g.n}, limit {max_n})")
-    return g
 
 
 def _add_gen(sub):
@@ -82,8 +81,6 @@ def _add_embed(sub):
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--xi-cap", type=int, default=None)
-    p.add_argument("--tau-cap", type=int, default=None)
-    p.add_argument("--c-fallback", type=float, default=DEFAULT_C_FALLBACK)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
 
@@ -115,7 +112,6 @@ def _add_experiment(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", choices=["none", "frt"], default="none")
     p.add_argument("--xi-cap", type=int, default=None)
-    p.add_argument("--tau-cap", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--csv", default=None)
 
@@ -198,12 +194,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_embed(args) -> int:
     g = _load(args.input, MAX_EMBED_N)
-    kwargs = dict(
-        mode=args.mode,
-        xi_cap=args.xi_cap,
-        tau_cap=args.tau_cap,
-        c_fallback=args.c_fallback,
-    )
+    kwargs = dict(mode=args.mode, xi_cap=args.xi_cap)
     comps = connected_components(g)
     # An empty graph has no component, and embed_top refuses it.
     if len(comps) <= 1:
@@ -272,7 +263,6 @@ def _cmd_experiment(args) -> int:
         baseline=args.baseline,
         instance_label=args.input,
         xi_cap=args.xi_cap,
-        tau_cap=args.tau_cap,
     )
     report = harness.run_experiment(g, config)
     harness.emit(report, "json", args.out)

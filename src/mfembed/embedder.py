@@ -53,7 +53,10 @@ from .hierarchy import ChainFailure, build_chain, chain_constants
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
-DEFAULT_C_FALLBACK = 64.0
+# C in delta = epsilon / (C * hat_ell * n * ln(n)**2), a fixed constant of
+# the analysis: in practical mode xi and tau sit at their caps for every
+# epsilon, so the host depends on epsilon and C only through epsilon / C.
+C_FALLBACK = 64.0
 DEFAULT_XI_CAP = 16
 
 
@@ -63,31 +66,29 @@ def derive_params(
     epsilon: float,
     mode: str = "practical",
     *,
-    c_fallback: float = DEFAULT_C_FALLBACK,
     xi_cap: int | None = None,
-    tau_cap: int | None = None,
 ) -> Params:
     """Evaluate the split-parameter formulas for an n-vertex input.
 
     theory mode keeps the raw values; practical mode caps xi at xi_cap
-    (default DEFAULT_XI_CAP) and tau at tau_cap (default 4*ceil(sqrt(n))).
+    (default DEFAULT_XI_CAP) and tau at 4*ceil(sqrt(n)). tau only sets the
+    `oversize_cuts` count: the cut search never reads it.
     """
     if not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
     if n < 2 or hat_ell_value < 1:
         raise PreconditionViolation("need n >= 2 and hat_ell >= 1")
-    if any(cap is not None and cap < 1 for cap in (xi_cap, tau_cap)):
-        raise PreconditionViolation("xi_cap and tau_cap must be at least 1")
-    if not 0 < c_fallback < math.inf:
-        raise PreconditionViolation("c_fallback must be positive and finite")
+    if xi_cap is not None and xi_cap < 1:
+        raise PreconditionViolation("xi_cap must be at least 1")
     if mode not in ("theory", "practical"):
         raise PreconditionViolation(f"unknown mode {mode!r}")
     log2n = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     ln_n = math.log(n)
-    delta = epsilon / (c_fallback * hat_ell_value * n * ln_n * ln_n)
-    if not 0 < delta < 1:
-        hint = "raise c_fallback" if delta >= 1 else "lower c_fallback or raise epsilon"
-        raise BadEpsilon(f"derived delta {delta} leaves (0,1); {hint}")
+    # Below 1/(128 ln(2)**2), about 1/61.5, for n >= 2 and epsilon < 1, so it
+    # can only leave (0, 1) by underflowing.
+    delta = epsilon / (C_FALLBACK * hat_ell_value * n * ln_n * ln_n)
+    if not delta > 0:
+        raise BadEpsilon(f"derived delta {delta} underflows; raise epsilon")
     lam, sigma = chain_constants(hat_ell_value, n, delta)
     try:
         xi_theory = math.ceil(64.0 * hat_ell_value**3 * log2n * lam / epsilon)
@@ -96,24 +97,21 @@ def derive_params(
     except OverflowError as exc:
         raise PreconditionViolation("xi or tau overflows a float") from exc
     if mode == "theory":
-        xi, tau = xi_theory, tau_theory
+        xi, tau, xi_cap, tau_cap = xi_theory, tau_theory, None, None
     else:
-        if xi_cap is None:
-            xi_cap = DEFAULT_XI_CAP
-        if tau_cap is None:
-            tau_cap = 4 * math.ceil(math.sqrt(n))
-        xi = min(xi_theory, xi_cap)
-        tau = min(tau_theory, tau_cap)
+        xi_cap = DEFAULT_XI_CAP if xi_cap is None else xi_cap
+        tau_cap = 4 * math.ceil(math.sqrt(n))
+        xi, tau = min(xi_theory, xi_cap), min(tau_theory, tau_cap)
     return Params(
         epsilon=epsilon,
         delta=delta,
         xi=xi,
         sigma=sigma,
         tau=tau,
-        c_fallback=c_fallback,
+        c_fallback=C_FALLBACK,
         mode=mode,
-        xi_cap=xi_cap if mode == "practical" else None,
-        tau_cap=tau_cap if mode == "practical" else None,
+        xi_cap=xi_cap,
+        tau_cap=tau_cap,
     )
 
 
@@ -253,9 +251,7 @@ def embed_top(
     mode: str = "practical",
     seed: int = 0,
     *,
-    c_fallback: float = DEFAULT_C_FALLBACK,
     xi_cap: int | None = None,
-    tau_cap: int | None = None,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
 
@@ -278,15 +274,7 @@ def embed_top(
     closed = metric_closure_weights(g)
     scaled, scale = normalize(closed)
     hat = hat_ell(scaled)
-    params = derive_params(
-        g.n,
-        hat,
-        epsilon,
-        mode,
-        c_fallback=c_fallback,
-        xi_cap=xi_cap,
-        tau_cap=tau_cap,
-    )
+    params = derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
     state = _EmbedState(g.n, params, seed, scale)
     try:
         state.embed(scaled, list(range(g.n)), ())

@@ -18,7 +18,7 @@ class NoEdges(MfembedError):
 
 
 class BadSize(MfembedError):
-    """Generator size parameters out of range."""
+    """Generator size parameters, or a graph file's vertex count, out of range."""
 
 
 class ParseError(MfembedError):

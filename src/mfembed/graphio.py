@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .errors import InvariantViolation, ParseError
+from .errors import BadSize, InvariantViolation, ParseError
 from .graphs import WeightedGraph
 
 
@@ -27,48 +27,51 @@ def save_graph(g: WeightedGraph, path: str | Path) -> None:
             fh.write("".join([f"e {u} {v} {w!r}\n" for u, v, w in edges[i : i + _EDGE_BATCH]]))
 
 
-def load_graph(path: str | Path) -> WeightedGraph:
+def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
+    """Read a graph file line by line. A header with more than `max_n`
+    vertices raises `BadSize` before any edge line is read."""
     n = None
     m = None
-    order: list[tuple[int, int]] = []
+    # Keyed by canonical pair in first-seen order; a lower duplicate keeps the slot.
     best: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            if fields[0] != "p" or len(fields) != 3:
-                raise ParseError("expected header `p <n> <m>`", lineno)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if n is None:
+                if fields[0] != "p" or len(fields) != 3:
+                    raise ParseError("expected header `p <n> <m>`", lineno)
+                try:
+                    n, m = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise ParseError("non-integer header fields", lineno) from None
+                if n < 0 or m < 0:
+                    raise ParseError("negative counts in header", lineno)
+                if max_n is not None and n > max_n:
+                    raise BadSize(f"n={n}, limit {max_n}")
+                continue
+            if fields[0] != "e" or len(fields) != 4:
+                raise ParseError("expected edge line `e <u> <v> <length>`", lineno)
             try:
-                n, m = int(fields[1]), int(fields[2])
+                u, v = int(fields[1]), int(fields[2])
+                w = float(fields[3])
             except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative counts in header", lineno)
-            continue
-        if fields[0] != "e" or len(fields) != 4:
-            raise ParseError("expected edge line `e <u> <v> <length>`", lineno)
-        try:
-            u, v = int(fields[1]), int(fields[2])
-            w = float(fields[3])
-        except ValueError:
-            raise ParseError("malformed edge fields", lineno) from None
-        if not 0 <= u < n or not 0 <= v < n:
-            raise ParseError(f"vertex id out of range 0..{n - 1}", lineno)
-        if u == v:
-            raise InvariantViolation(f"line {lineno}: self-loop at {u}")
-        if not 0 < w < math.inf:
-            raise InvariantViolation(f"line {lineno}: edge length {w} must be positive and finite")
-        key = (min(u, v), max(u, v))
-        if key in best:
-            best[key] = min(best[key], w)
-        else:
-            best[key] = w
-            order.append(key)
-        m -= 1
+                raise ParseError("malformed edge fields", lineno) from None
+            if not 0 <= u < n or not 0 <= v < n:
+                raise ParseError(f"vertex id out of range 0..{n - 1}", lineno)
+            if u == v:
+                raise InvariantViolation(f"line {lineno}: self-loop at {u}")
+            if not 0 < w < math.inf:
+                raise InvariantViolation(
+                    f"line {lineno}: edge length {w} must be positive and finite"
+                )
+            key = (min(u, v), max(u, v))
+            best[key] = min(best.get(key, w), w)
+            m -= 1
     if n is None:
         raise ParseError("missing header", 1)
     if m != 0:
         raise ParseError(f"edge count does not match header ({m:+d})", lineno)
-    return WeightedGraph(n, tuple((u, v, best[(u, v)]) for u, v in order))
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in best.items()))

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import add, lt, mul, truediv
 from pathlib import Path
 
-from .embedder import DEFAULT_C_FALLBACK, embed_top
+from .embedder import embed_top
 from .errors import PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
 from .graphs import WeightedGraph, dijkstra
@@ -75,8 +75,6 @@ class ExperimentConfig:
     baseline: str = "none"  # "none" | "frt"
     instance_label: str = ""
     xi_cap: int | None = None
-    tau_cap: int | None = None
-    c_fallback: float = DEFAULT_C_FALLBACK
 
     def to_dict(self) -> dict:
         out = {"instance": self.instance_label}
@@ -178,15 +176,7 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "run", run)
             t0 = time.perf_counter()
-            emb = embed_top(
-                g,
-                config.epsilon,
-                config.mode,
-                run_seed,
-                c_fallback=config.c_fallback,
-                xi_cap=config.xi_cap,
-                tau_cap=config.tau_cap,
-            )
+            emb = embed_top(g, config.epsilon, config.mode, run_seed, xi_cap=config.xi_cap)
             labels = ForestLabels(emb)
             dist_h = labels.distances(pairs)
             timings.append(time.perf_counter() - t0)

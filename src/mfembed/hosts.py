@@ -29,7 +29,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class Params:
     """Split-procedure parameters; `theory` keeps the raw formulas,
-    `practical` caps xi and tau at desk scale."""
+    `practical` caps xi and tau at desk scale. `c_fallback` and `tau_cap`
+    record the fixed constant C and tau cap that `derive_params` used."""
 
     epsilon: float
     delta: float

@@ -480,14 +480,15 @@ def test_criterion_10_frt_baseline():
 
 
 def test_criterion_11_parameter_formulas():
-    n, ell, eps, c = 100, 10, 0.5, 1.0
+    n, ell, eps, c = 100, 10, 0.5, 64.0
     ln_n = math.log(n)
     delta = eps / (c * ell * n * ln_n * ln_n)
     lam = math.log(2 * ell * n * n / delta) + 1
     xi = math.ceil(64 * ell**3 * math.ceil(math.log2(n)) * lam / eps)
     sigma = 480 * lam * lam
     tau = math.ceil((xi + 1) * 1.0 * ell**2 * sigma**2)
-    p = derive_params(n, ell, eps, "theory", c_fallback=c)
+    p = derive_params(n, ell, eps, "theory")
+    assert p.c_fallback == c
     assert abs(p.delta - delta) <= 1e-6 * abs(delta)
     assert p.xi == xi
     assert abs(p.sigma - sigma) <= 1e-6 * abs(sigma)

@@ -47,7 +47,7 @@ def test_readme_cli_flags_are_options_of_their_subcommand():
     parser = cli.build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     pairs = readme_cli_flags()
-    assert ("embed", "--c-fallback") in pairs and ("experiment", "--baseline") in pairs
+    assert ("embed", "--xi-cap") in pairs and ("experiment", "--baseline") in pairs
     unknown = [
         (command, flag)
         for command, flag in pairs
@@ -470,6 +470,23 @@ def test_embed_size_guard_names_the_limit(tmp_path, capsys):
         assert f"limit {cli.MAX_EMBED_N}" in capsys.readouterr().err
 
 
+def test_embed_size_guard_refuses_the_header_before_any_edge_line(tmp_path, capsys):
+    # a malformed line 2 is never read: the header alone is refused
+    big = tmp_path / "big.txt"
+    big.write_text(f"p {cli.MAX_EMBED_N + 1} 1\ne 0 x 1\n")
+    for command in ("embed", "experiment"):
+        capsys.readouterr()
+        assert run(command, "-i", big, "-o", tmp_path / "e.json") == 2
+        err = capsys.readouterr().err
+        assert f"too large to embed (n={cli.MAX_EMBED_N + 1}, limit {cli.MAX_EMBED_N})" in err
+        assert "line 2" not in err
+        assert not (tmp_path / "e.json").exists()
+    # the other commands read the edges and find the bad line
+    capsys.readouterr()
+    assert run("frt", "-i", big, "-o", tmp_path / "t.json") == 2
+    assert "line 2: malformed edge fields" in capsys.readouterr().err
+
+
 def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, capsys):
     def no_pairs(*args, **kwargs):
         raise AssertionError("pairs were built")
@@ -536,17 +553,18 @@ def test_gen_bad_weight_bounds(tmp_path):
     "argv",
     [
         ("embed", "--xi-cap", 0),
-        ("embed", "--tau-cap", 0),
-        ("embed", "--tau-cap", -1),
         ("embed", "--xi-cap", -1),
-        ("embed", "--c-fallback", -1),
-        ("embed", "--c-fallback", "nan"),
+        ("embed", "--epsilon", 0),
+        ("embed", "--epsilon", 1),
         ("embed", "--epsilon", "nan"),
-        ("embed", "--c-fallback", 0),
-        ("embed", "--c-fallback", "inf"),
+        ("experiment", "--epsilon", 1, "--runs", 1, "--pairs", 5),
+        # removed settings: C and the tau cap are fixed
+        ("embed", "--tau-cap", 8),
+        ("embed", "--c-fallback", 1),
+        ("experiment", "--tau-cap", 8, "--runs", 1, "--pairs", 5),
         ("embed", "--epsilon", 1e-300),
         ("experiment", "--xi-cap", -1, "--runs", 1, "--pairs", 5),
-        ("experiment", "--tau-cap", 0, "--runs", 1, "--pairs", 5),
+        ("experiment", "--xi-cap", 0, "--runs", 1, "--pairs", 5),
         ("cuts", "--xi", 0),
         ("cuts", "--tau", 0),
         ("partition", "--r", 0),
@@ -559,7 +577,11 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     command, *rest = argv
     out = () if command in ("cuts", "partition") else ("-o", tmp_path / "out.json")
     capsys.readouterr()
-    assert run(command, "-i", graph, *rest, *out) == 2
+    try:
+        code = run(command, "-i", graph, *rest, *out)
+    except SystemExit as exc:  # the parser refuses an unknown option
+        code = exc.code
+    assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
@@ -605,12 +627,16 @@ def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("option", [("--c-fallback", 1e308), ("--epsilon", 1e-320)])
-def test_underflowing_delta_advises_lowering_c_fallback(tmp_path, capsys, option):
+@pytest.mark.parametrize(
+    "argv", [("embed",), ("experiment", "--runs", 1)], ids=["embed", "experiment"]
+)
+def test_underflowing_delta_advises_raising_epsilon(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     capsys.readouterr()
-    assert run("embed", "-i", graph, *option, "-o", tmp_path / "out.json") == 2
+    out = tmp_path / "out.json"
+    assert run(*argv, "-i", graph, "--epsilon", 1e-320, "-o", out) == 2
     err = capsys.readouterr().err
-    assert "lower c_fallback or raise epsilon" in err
-    assert "increase c_fallback" not in err
+    assert "underflows; raise epsilon" in err
+    assert "c_fallback" not in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from oracles import (
@@ -550,9 +551,10 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
 
 
 def test_oversize_flag(monkeypatch):
-    # the embedder counts the packed cuts with more than tau members: at
-    # least one on a 6-leaf star at tau_cap=1, and none once tau reaches
-    # the largest cut
+    # a split counts the packed cuts with more than tau members: at least
+    # one on a 6-leaf star at tau = 1, and none once tau reaches the largest
+    # cut; embed_top adds up the counts of its splits, two or more of which
+    # count a cut on a 6 x 6 grid
     packings = []
     real = embedder.build_cut_packing
 
@@ -561,13 +563,24 @@ def test_oversize_flag(monkeypatch):
         return packings[-1]
 
     monkeypatch.setattr(embedder, "build_cut_packing", recording)
-    star = generate("star", size=6)
-    emb = embed_top(star, 0.5, "practical", seed=0, tau_cap=1)
+    instance = dict(kind="star", size=6)
+    sub, _, params = golden_root_split(instance, 0)
+    stream = derive_seed(0, "split")
+    result = embedder.split(sub, replace(params, tau=1), random.Random(stream))
+    sizes = [len(cut) for cut in packings[-1].cuts]
+    assert result.oversize_in_packing == sum(size > 1 for size in sizes) > 0
+    widest = replace(params, tau=max(sizes))
+    assert embedder.split(sub, widest, random.Random(stream)).oversize_in_packing == 0
+
+    real_params = embedder.derive_params
+    monkeypatch.setattr(
+        embedder, "derive_params", lambda *a, **k: replace(real_params(*a, **k), tau=1)
+    )
+    packings.clear()
+    emb = embed_top(generate("grid", rows=6, cols=6), 0.5, "practical", seed=0)
     assert emb.meta.params.tau == 1
-    sizes = [len(cut) for packing in packings for cut in packing.cuts]
-    assert emb.meta.oversize_cuts == sum(size > 1 for size in sizes) > 0
-    widest = embed_top(star, 0.5, "practical", seed=0, tau_cap=max(sizes))
-    assert widest.meta.oversize_cuts == 0
+    counts = [sum(len(cut) > 1 for cut in packing.cuts) for packing in packings]
+    assert emb.meta.oversize_cuts == sum(counts) and sorted(counts)[-2] > 0
 
 
 # ----------------------------------------------------------------- packing

@@ -61,29 +61,32 @@ def theory_values(n, ell, eps, c):
     log2n = math.ceil(math.log2(n))
     xi = math.ceil(64 * ell**3 * log2n * lam / eps)
     sigma = 480 * lam * lam
-    tau = math.ceil((xi + 1) * 1.0 * ell * ell * sigma * sigma)
+    tau = math.ceil(float(xi + 1) * ell**2 * sigma**2)
     return delta, xi, sigma, tau
 
 
 def test_derive_params_hand_values():
-    p = derive_params(100, 10, 0.5, "theory", c_fallback=1.0)
-    delta, xi, sigma, tau = theory_values(100, 10, 0.5, 1.0)
+    p = derive_params(100, 10, 0.5, "theory")
+    delta, xi, sigma, tau = theory_values(100, 10, 0.5, embedder.C_FALLBACK)
     assert p.delta == pytest.approx(delta, rel=1e-12)
-    assert p.delta == pytest.approx(2.358e-5, rel=1e-3)
+    assert p.delta == pytest.approx(3.684e-7, rel=1e-3)
     assert p.xi == xi
     assert p.sigma == pytest.approx(sigma, rel=1e-12)
     assert p.tau == tau
+    assert p.c_fallback == embedder.C_FALLBACK == 64.0
+    assert p.xi_cap is None and p.tau_cap is None
 
 
 def test_derive_params_practical_caps():
-    p = derive_params(100, 10, 0.5, "practical", c_fallback=1.0, xi_cap=32, tau_cap=64)
-    assert p.xi == 32 and p.tau == 64
+    p = derive_params(100, 10, 0.5, "practical", xi_cap=32)
+    assert p.xi == 32 and p.tau == 40
+    assert p.xi_cap == 32 and p.tau_cap == 40
     assert p.mode == "practical"
 
 
 def test_derive_params_default_tau_cap():
     p = derive_params(64, 7, 0.5, "practical")
-    assert p.tau == 4 * math.ceil(math.sqrt(64))
+    assert p.tau == p.tau_cap == 4 * math.ceil(math.sqrt(64))
     assert p.xi == 16
 
 
@@ -96,11 +99,14 @@ def test_derive_params_bad_epsilon():
         derive_params(1, 10, 0.5, "practical")
 
 
-def test_derive_params_delta_at_least_one_advises_raising_c_fallback():
-    # delta = epsilon / (c_fallback * hat_ell * n * ln(n)**2); the
-    # underflow side is checked through `mfembed embed` in test_cli
-    with pytest.raises(BadEpsilon, match="; raise c_fallback"):
-        derive_params(16, 4, 0.5, "practical", c_fallback=1e-5)
+def test_derive_params_delta_stays_below_one_and_underflow_advises_raising_epsilon():
+    # delta = epsilon / (64 * hat_ell * n * ln(n)**2) is largest at n = 2,
+    # hat_ell = 1 and epsilon near 1: about 1/61.5
+    top = derive_params(2, 1, 1 - 2**-53, "practical").delta
+    assert top == pytest.approx(1 / (128 * math.log(2) ** 2), rel=1e-15) and top < 1
+    # a product past the float range leaves delta at 0
+    with pytest.raises(BadEpsilon, match="underflows; raise epsilon"):
+        derive_params(2, 10**300, 1e-300, "practical")
 
 
 # ----------------------------------------------------------------------- split

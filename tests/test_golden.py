@@ -103,19 +103,19 @@ REPORT_CASES = [
     pytest.param(
         dict(kind="grid", rows=4, cols=4, weights="uniform:1:4"),
         dict(pairs="all", baseline="frt"),
-        "f6dd8df3152c23bf0827e5c904f71f386c777ee43cbbc23e8462e4235c3c3c00",
+        "d30553bfab198a245372f4fd0b4d9e55062badd3e81d520eaf142d1791514cd3",
         id="grid4-allpairs-frt",
     ),
     pytest.param(
         dict(kind="cycle", size=64),
         dict(pairs=20),
-        "956965ca6257e32981e723ff494c72ba7eeb81e6e02248168a47289da4a85de9",
+        "dacf7e4e5115864be7849b2ef3be64a2ad69c341ca17ee23d0db2a7536844b84",
         id="cycle64-sampled20",
     ),
     pytest.param(
         dict(kind="cycle", size=512),
         dict(pairs=200, baseline="frt", runs=2, seed=1),
-        "b07875adaf1eeff0c058217665822f81a50d0a838be3f4c7a631d7c22ae5b4c5",
+        "77752a5ab9729f425b08d476221ab82c044032e30e8110c1b75ad609838c332e",
         id="cycle512-sampled200-frt",
     ),
 ]

@@ -551,6 +551,24 @@ def test_parallel_edges_collapse_to_min(tmp_path):
     p = tmp_path / "par.txt"
     p.write_text("p 2 2\ne 0 1 3\ne 1 0 1.5\n")
     assert load_graph(p).edges == ((0, 1, 1.5),)
+    # a later duplicate that lowers an earlier edge keeps that edge's slot
+    p.write_text("p 3 3\ne 0 1 3\ne 1 2 2\ne 1 0 1.5\n")
+    assert load_graph(p).edges == ((0, 1, 1.5), (1, 2, 2.0))
+
+
+def test_crlf_line_endings_load(tmp_path):
+    p = tmp_path / "crlf.txt"
+    p.write_bytes(b"# made elsewhere\r\np 3 2\r\ne 0 1 1.5\r\ne 2 1 2\r\n")
+    assert load_graph(p).edges == ((0, 1, 1.5), (1, 2, 2.0))
+
+
+def test_vertex_limit_refuses_the_header(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("p 5 1\ne 0 x 1\n")
+    with pytest.raises(BadSize, match="n=5, limit 4"):
+        load_graph(p, 4)
+    with pytest.raises(ParseError, match="line 2"):
+        load_graph(p, 5)
 
 
 # ----------------------------------------------------------- induced subgraph

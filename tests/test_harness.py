@@ -358,8 +358,6 @@ def test_config_dict_names_the_instance_first_in_field_order():
         ("seed", 4),
         ("baseline", "none"),
         ("xi_cap", None),
-        ("tau_cap", None),
-        ("c_fallback", 64.0),
     ]
 
 
