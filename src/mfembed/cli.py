@@ -6,14 +6,15 @@ Exit codes: 0 success, 1 a checked invariant was violated, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
 
 from . import harness
 from .cutpack import build_cut_packing
-from .embedder import embed_top
-from .errors import BadSize, InvariantViolation, MfembedError
+from .embedder import embed_top, preprocess
+from .errors import BadSize, InvariantViolation, LevelOverflow, MfembedError
 from .frt import frt_embed
 from .generators import KINDS, generate
 from .graphio import load_graph, save_graph
@@ -32,9 +33,10 @@ MEMORY_BUDGET = 2**30
 # uniform:1:4 grids, set by `embed_top` since the JSON is streamed, is 32.6 MB
 # at 5929 vertices (77 x 77, 4.3 s; README, "Size limits").
 # `experiment` shares the limit and also builds each host's distance labels:
-# with 100 sampled pairs it peaks at 19.5 MB at 1600 vertices and 47.1 MB at
-# 3136 for one run, and 20.9 MB at 1600 for 8 runs with the FRT baseline,
-# about as n**1.3; that reaches about 120 MB at 6000 vertices.
+# with 100 sampled pairs it peaks at 18.1 MB at 1600 vertices, 48.6 MB at
+# 3136 and 109.1 MB at 5929 for one run, and at 20.7 MB at 1600 and
+# 125.1 MB at 5929 for 8 runs with the FRT baseline. `split` runs `embed`'s
+# root split and shares the limit too.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
@@ -75,13 +77,18 @@ def _add_gen(sub):
     p.add_argument("-o", "--out", required=True)
 
 
-def _add_embed(sub):
-    p = sub.add_parser("embed", help="compute a host embedding")
-    p.add_argument("-i", "--input", required=True)
+def _add_split_settings(p):
+    """The settings every split reads: `embed`, `experiment` and `split`."""
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--xi-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_embed(sub):
+    p = sub.add_parser("embed", help="compute a host embedding")
+    p.add_argument("-i", "--input", required=True)
+    _add_split_settings(p)
     p.add_argument("-o", "--out", required=True)
 
 
@@ -105,13 +112,10 @@ def _add_eval(sub):
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="multi-run distortion experiment")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--mode", choices=["theory", "practical"], default="practical")
+    _add_split_settings(p)
     p.add_argument("--runs", type=int, default=8)
     p.add_argument("--pairs", default="all")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", choices=["none", "frt"], default="none")
-    p.add_argument("--xi-cap", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--csv", default=None)
 
@@ -121,19 +125,10 @@ def _add_debug(sub):
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order-file", default=None, help="file with one vertex id per line")
 
-    p = sub.add_parser("chain", help="debug: build a clustering chain")
+    p = sub.add_parser("split", help="debug: the root split that embed makes")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("cuts", help="debug: build a cut packing")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--xi", type=int, default=8)
-    p.add_argument("--tau", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_split_settings(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mfembed",
         description="low-treedepth metric embeddings with distortion evaluation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: `--xi` would otherwise be read as `--xi-cap`.
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     _add_gen(sub)
     _add_embed(sub)
     _add_frt(sub)
@@ -280,73 +277,53 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = _load(args.input)
-    order = range(g.n)
     if not args.r > 0:
         raise _InputProblem(f"--r must be positive, got {args.r}")
     # before any per-vertex list: a huge header without edges is refused here
     if not is_connected(g):
         raise _InputProblem("partition needs a connected graph")
-    if args.order_file:
-        with open(args.order_file, encoding="utf-8") as fh:
-            order = [int(line) for line in fh if line.strip()]
-        if sorted(order) != list(range(g.n)):
-            raise _InputProblem(f"order file must list each vertex 0..{g.n - 1} exactly once")
-    balls = carve(g, order, [True] * g.n, args.r, random.Random(args.seed))
+    balls = carve(g, range(g.n), [True] * g.n, args.r, random.Random(args.seed))
     print(f"clusters={len(balls)} base_r={args.r}")
     for i, (center, members, rv) in enumerate(balls):
         print(f"  {i}: center={center} radius={rv:.6g} size={len(members)} members={members}")
     return 0
 
 
-def _prepare_for_chain(g: WeightedGraph) -> WeightedGraph:
-    # same preprocessing as the embedder: metric edge lengths, distances > 1
-    from .graphs import metric_closure_weights, normalize
-
-    # before any per-vertex list: a huge header without edges is refused here
-    if not is_connected(g):
-        raise _InputProblem("chain and cuts need a connected graph")
-    scaled, scale = normalize(metric_closure_weights(g))
+def _cmd_split(args) -> int:
+    g = _load(args.input, MAX_EMBED_N)
+    if g.n < 2 or not is_connected(g):
+        raise _InputProblem("split needs a connected graph of at least two vertices")
+    scaled, scale, _, params = preprocess(g, args.epsilon, args.mode, xi_cap=args.xi_cap)
     if scale != 1.0:
         print(f"# rescaled by {scale:g} so all distances exceed 1")
-    return scaled
-
-
-def _cmd_chain(args) -> int:
-    g = _prepare_for_chain(_load(args.input))
-    result = build_chain(g, args.delta, random.Random(args.seed))
-    if isinstance(result, ChainFailure):
-        print(f"failure: level={result.level} reason={result.reason}")
+    # the root's stream in `embed`: the chain's radii, then the cut choice
+    rng = random.Random(derive_seed(args.seed, "split"))
+    try:
+        chain = build_chain(scaled, params.delta, rng)
+    except LevelOverflow as exc:
+        # as in `embed`: name the input's eccentricity
+        raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
+    if isinstance(chain, ChainFailure):
+        print(f"failure: level={chain.level} reason={chain.reason}")
         return 0
-    for i in range(result.top_level + 1):
-        sizes = sorted(
-            (result.size(k) for k in range(len(result.lo)) if result.lo[k] <= i <= result.hi[k]),
-            reverse=True,
-        )
+    lo, hi = chain.lo, chain.hi
+    for i in range(chain.top_level + 1):
+        sizes = sorted((chain.size(k) for k in range(len(lo)) if lo[k] <= i <= hi[k]), reverse=True)
         print(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
-    return 0
-
-
-def _cmd_cuts(args) -> int:
-    if args.tau < 1:
-        raise _InputProblem(f"--tau must be at least 1, got {args.tau}")
-    g = _prepare_for_chain(_load(args.input))
-    result = build_chain(g, args.delta, random.Random(args.seed))
-    if isinstance(result, ChainFailure):
-        print(f"chain failure: level={result.level} reason={result.reason}")
-        return 0
-    packing = build_cut_packing(result, args.xi)
+    packing = build_cut_packing(chain, params.xi)
     print(f"packing size={len(packing.cuts)}")
     half = g.n // 2
-    order, start, stop = result.order, result.start, result.stop
+    order, start, stop = chain.order, chain.start, chain.stop
     for i, (cut, comps) in enumerate(zip(packing.cuts, packing.components)):
         # The members are components too; each is known by its smallest vertex.
         firsts = {min(order[start[k] : stop[k]]) for k in cut}
         margin = half - max((len(c) for c in comps if c[0] not in firsts), default=0)
-        levels = [result.hi[k] for k in cut]
+        levels = [hi[k] for k in cut]
         print(
             f"  cut {i}: members={len(cut)} levels={levels} "
-            f"oversize={len(cut) > args.tau} balance_margin={margin}"
+            f"oversize={len(cut) > params.tau} balance_margin={margin}"
         )
+    print(f"sampled cut={rng.randrange(len(packing.cuts))}")
     return 0
 
 
@@ -357,8 +334,7 @@ _HANDLERS = {
     "eval": _cmd_eval,
     "experiment": _cmd_experiment,
     "partition": _cmd_partition,
-    "chain": _cmd_chain,
-    "cuts": _cmd_cuts,
+    "split": _cmd_split,
 }
 
 

@@ -70,9 +70,9 @@ def derive_params(
 ) -> Params:
     """Evaluate the split-parameter formulas for an n-vertex input.
 
-    theory mode keeps the raw values; practical mode caps xi at xi_cap
-    (default DEFAULT_XI_CAP) and tau at 4*ceil(sqrt(n)). tau only sets the
-    `oversize_cuts` count: the cut search never reads it.
+    theory mode keeps the raw values and takes no cap; practical mode caps
+    xi at xi_cap (default DEFAULT_XI_CAP) and tau at 4*ceil(sqrt(n)). tau
+    only sets the `oversize_cuts` count: the cut search never reads it.
     """
     if not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
@@ -82,6 +82,8 @@ def derive_params(
         raise PreconditionViolation("xi_cap must be at least 1")
     if mode not in ("theory", "practical"):
         raise PreconditionViolation(f"unknown mode {mode!r}")
+    if mode == "theory" and xi_cap is not None:
+        raise PreconditionViolation("theory mode keeps the raw xi and takes no xi_cap")
     log2n = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     ln_n = math.log(n)
     # Below 1/(128 ln(2)**2), about 1/61.5, for n >= 2 and epsilon < 1, so it
@@ -113,6 +115,17 @@ def derive_params(
         xi_cap=xi_cap,
         tau_cap=tau_cap,
     )
+
+
+def preprocess(
+    g: WeightedGraph, epsilon: float, mode: str = "practical", *, xi_cap: int | None = None
+) -> tuple[WeightedGraph, float, int, Params]:
+    """The graph every split of a connected graph with at least two vertices
+    starts from: its metric closure rescaled so that every distance exceeds
+    1, with the scale, hat_ell and the split parameters."""
+    scaled, scale = normalize(metric_closure_weights(g))
+    hat = hat_ell(scaled)
+    return scaled, scale, hat, derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
 
 
 @dataclass
@@ -271,10 +284,7 @@ def embed_top(
                 n=1, seed=seed, mode=mode, params=None, fallback_used=False, recursion_depth=1
             ),
         )
-    closed = metric_closure_weights(g)
-    scaled, scale = normalize(closed)
-    hat = hat_ell(scaled)
-    params = derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
+    scaled, scale, hat, params = preprocess(g, epsilon, mode, xi_cap=xi_cap)
     state = _EmbedState(g.n, params, seed, scale)
     try:
         state.embed(scaled, list(range(g.n)), ())

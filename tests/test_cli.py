@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,12 +12,14 @@ import pytest
 from oracles import embedding_to_dict, induced_subgraph
 
 import mfembed
-from mfembed import cli, harness
+from mfembed import cli, embedder, harness
 from mfembed.cli import main
-from mfembed.embedder import embed_top
+from mfembed.cutpack import build_cut_packing
+from mfembed.embedder import embed_top, preprocess
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import WeightedGraph, connected_components
+from mfembed.hierarchy import DIAMETER_EXCEEDED, ChainFailure, build_chain
 from mfembed.rng import derive_seed
 
 
@@ -136,26 +140,21 @@ def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys,
     [
         (("frt",), "error: "),
         (("partition", "--r", 1.5), "partition needs a connected graph"),
-        (("partition", "--r", 1.5, "--order-file"), "partition needs a connected graph"),
-        (("chain",), "error: "),
+        (("split",), "too large to embed (n=5000000, limit 6000)"),
     ],
-    ids=["frt", "partition", "partition-order-file", "chain"],
+    ids=["frt", "partition", "split"],
 )
 def test_header_with_millions_of_vertices_and_no_edges_is_refused(
     tmp_path, capsys, command, message
 ):
     # twelve bytes that name five million vertices: connectivity is refused
-    # from the edge count, before any per-vertex list is built, and before
-    # an order file is read
+    # from the edge count, before any per-vertex list is built, and `split`
+    # refuses the header as `embed` does
     wide = tmp_path / "wide.txt"
     wide.write_text("p 5000000 0\n")
-    order = tmp_path / "order.txt"
-    order.write_text("1\n0\n")
     capsys.readouterr()
     out = tmp_path / "out.json"
     extra = ("-o", out) if command[0] == "frt" else ()
-    if command[-1] == "--order-file":
-        extra = (order,)
     assert run(command[0], "-i", wide, *command[1:], *extra) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -167,7 +166,7 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     src = str(Path(mfembed.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with subprocess.Popen(
-        [sys.executable, "-m", "mfembed.cli", "chain", "-i", str(graph), "--seed", "1"],
+        [sys.executable, "-m", "mfembed.cli", "split", "-i", str(graph), "--seed", "1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -339,7 +338,12 @@ def test_eval_rejects_host_edge_between_unrelated_forest_vertices(tmp_path, caps
     assert code == 1 and "invariant violation:" in err and "unrelated" in err
 
 
-def test_debug_subcommands(tmp_path, capsys):
+def _split_lines(out, prefix):
+    """The values of every `prefix=` field that `mfembed split` printed."""
+    return [part[len(prefix) :] for part in out.split() if part.startswith(prefix)]
+
+
+def test_debug_subcommands(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
     capsys.readouterr()
@@ -348,26 +352,106 @@ def test_debug_subcommands(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "clusters=" in out
 
-    scaled = tmp_path / "s.txt"
-    g = load_graph(graph)
-    save_graph(WeightedGraph(g.n, tuple((u, v, 2 * w) for u, v, w in g.edges)), scaled)
-
-    assert run("chain", "-i", scaled, "--delta", 0.2, "--seed", 1) == 0
+    assert run("split", "-i", graph, "--seed", 1) == 0
     out = capsys.readouterr().out
-    assert "level 0" in out
+    assert "level 0" in out and "packing size=" in out
+    assert out.splitlines()[-1].startswith("sampled cut=")
+    margins = [int(m) for m in _split_lines(out, "balance_margin=")]
+    assert margins and min(margins) >= 0
 
-    assert run("cuts", "-i", scaled, "--delta", 0.2, "--xi", 4, "--tau", 16, "--seed", 1) == 0
-    out = capsys.readouterr().out
-    assert "packing size=" in out
-    assert "balance_margin=" in out
+    # `oversize` marks a cut with more than tau members; a cut of exactly
+    # tau members is not oversize
+    sizes = [int(m) for m in _split_lines(out, "members=")]
+    derived = preprocess(load_graph(graph), 0.5)[3].tau
+    assert _split_lines(out, "oversize=") == [str(size > derived) for size in sizes]
+    for tau in sorted({t for size in sizes for t in (size - 1, size)}):
+        def with_tau(*args, tau=tau, **kwargs):
+            scaled, scale, hat, params = preprocess(*args, **kwargs)
+            return scaled, scale, hat, dataclasses.replace(params, tau=tau)
 
-    # `oversize` marks a cut with more than --tau members; a cut of exactly
-    # --tau members is not oversize
-    sizes = [int(part[len("members="):]) for part in out.split() if part.startswith("members=")]
-    for tau in sorted(set(sizes)):
-        assert run("cuts", "-i", scaled, "--delta", 0.2, "--xi", 4, "--tau", tau, "--seed", 1) == 0
-        flags = [part for part in capsys.readouterr().out.split() if part.startswith("oversize=")]
-        assert flags == [f"oversize={size > tau}" for size in sizes]
+        monkeypatch.setattr(cli, "preprocess", with_tau)
+        assert run("split", "-i", graph, "--seed", 1) == 0
+        flags = _split_lines(capsys.readouterr().out, "oversize=")
+        assert flags == [str(size > tau) for size in sizes]
+
+
+def test_split_prints_a_chain_failure(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
+    monkeypatch.setattr(cli, "build_chain", lambda *args: ChainFailure(2, DIAMETER_EXCEEDED, 0))
+    capsys.readouterr()
+    assert run("split", "-i", graph) == 0
+    # after the rescaling note, the failure alone: no level, cut or sample
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "# rescaled by 2 so all distances exceed 1",
+        f"failure: level=2 reason={DIAMETER_EXCEEDED}",
+    ]
+
+
+def test_split_refuses_a_disconnected_graph_or_a_single_vertex(tmp_path, capsys):
+    for text in ("p 5 3\ne 0 1 1.5\ne 2 3 2.0\ne 3 4 1e-05\n", "p 1 0\n"):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        capsys.readouterr()
+        assert run("split", "-i", graph) == 2
+        captured = capsys.readouterr()
+        assert "input error: split needs a connected graph" in captured.err
+        assert captured.out == ""
+
+
+SPLIT_INSTANCES = [
+    pytest.param(dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), id="grid6"),
+    pytest.param(dict(kind="grid", rows=20, cols=20, weights="uniform:1:4"), id="grid20"),
+    pytest.param(dict(kind="cycle", size=512), id="cycle512"),
+    pytest.param(dict(kind="star", size=40), id="star40"),
+]
+
+
+@pytest.mark.parametrize("mode", ["practical", "theory"])
+@pytest.mark.parametrize("instance", SPLIT_INSTANCES)
+def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypatch, instance, mode):
+    # Record the packings and split results of `embed_top`'s own run; the
+    # root split is the first of each.
+    packings, results = [], []
+
+    def recording(record, original):
+        def wrapper(*args, **kwargs):
+            record.append(original(*args, **kwargs))
+            return record[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(embedder, "build_cut_packing", recording(packings, embedder.build_cut_packing))
+    monkeypatch.setattr(embedder, "split", recording(results, embedder.split))
+    g = generate(seed=1, **instance)
+    graph = tmp_path / "g.txt"
+    save_graph(g, graph)
+    for seed in range(1, 6):
+        packings.clear()
+        results.clear()
+        emb = embed_top(g, 0.5, mode, seed=seed)
+        assert not emb.meta.fallback_used
+        capsys.readouterr()
+        assert run("split", "-i", graph, "--mode", mode, "--seed", seed) == 0
+        lines = capsys.readouterr().out.splitlines()
+        root, packing = results[0], packings[0]
+        assert sum(line.startswith("level ") for line in lines) == root.level + 1
+        assert f"packing size={emb.meta.packing_sizes[0]}" in lines
+        assert emb.meta.packing_sizes[0] == len(packing.cuts)
+        cut_lines = [line for line in lines if line.startswith("  cut ")]
+        assert len(cut_lines) == len(packing.cuts)
+        assert sum("oversize=True" in line for line in cut_lines) == root.oversize_in_packing
+        assert lines[-1].startswith("sampled cut=")
+        i = int(lines[-1][len("sampled cut=") :])
+        # the components `embed_top` recursed on are the printed cut's
+        assert root.components is packing.components[i]
+        assert cut_lines[i].startswith(f"  cut {i}: members={len(root.portals)} ")
+        # and a replay of the root's stream draws the same index
+        rng = random.Random(derive_seed(seed, "split"))
+        scaled, _, _, params = preprocess(g, 0.5, mode)
+        chain = build_chain(scaled, params.delta, rng)
+        assert i == rng.randrange(len(build_cut_packing(chain, params.xi).cuts))
 
 
 def test_eval_detects_contracting_embedding(tmp_path):
@@ -396,28 +480,6 @@ def test_eval_detects_contracting_embedding(tmp_path):
     assert rep["distortion"]["violations"] == 1
 
 
-def test_partition_order_file(tmp_path, capsys):
-    graph = tmp_path / "g.txt"
-    run("gen", "grid", "--rows", 2, "--cols", 2, "-o", graph)
-    order = tmp_path / "order.txt"
-    order.write_text("\n".join("3210") + "\n")
-    capsys.readouterr()
-    assert run("partition", "-i", graph, "--r", 0.5, "--seed", 0, "--order-file", order) == 0
-    out = capsys.readouterr().out
-    assert "0: center=3" in out
-
-
-@pytest.mark.parametrize("lines", ["0 0 1", "0 1", "0 1 2 3", "0 1 3", "0 x 1"])
-def test_partition_order_file_not_a_permutation(tmp_path, capsys, lines):
-    graph = tmp_path / "g.txt"
-    run("gen", "grid", "--rows", 1, "--cols", 3, "-o", graph)
-    order = tmp_path / "order.txt"
-    order.write_text("\n".join(lines.split()) + "\n")
-    capsys.readouterr()
-    assert run("partition", "-i", graph, "--r", 0.5, "--order-file", order) == 2
-    assert "input error:" in capsys.readouterr().err
-
-
 PARTITION_GRID3 = """\
 clusters=3 base_r=1.5
   0: center=0 radius=6.18652 size=6 members=[0, 1, 2, 3, 4, 7]
@@ -425,24 +487,14 @@ clusters=3 base_r=1.5
   2: center=6 radius=1.58732 size=1 members=[6]
 """
 
-PARTITION_GRID3_ORDERED = """\
-clusters=2 base_r=1.5
-  0: center=8 radius=6.18652 size=8 members=[1, 2, 3, 4, 5, 6, 7, 8]
-  1: center=0 radius=5.9298 size=1 members=[0]
-"""
-
 
 def test_partition_prints_the_recorded_text(tmp_path, capsys):
     # text printed by the former `single_level_partition` front end
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "--weights", "uniform:1:4", "--seed", 1, "-o", graph)
-    order = tmp_path / "order.txt"
-    order.write_text("\n".join("840261357") + "\n")
     capsys.readouterr()
     assert run("partition", "-i", graph, "--r", 1.5, "--seed", 2) == 0
     assert capsys.readouterr().out == PARTITION_GRID3
-    assert run("partition", "-i", graph, "--r", 1.5, "--seed", 2, "--order-file", order) == 0
-    assert capsys.readouterr().out == PARTITION_GRID3_ORDERED
 
 
 def test_partition_refuses_a_disconnected_graph(tmp_path, capsys):
@@ -565,8 +617,9 @@ def test_gen_bad_weight_bounds(tmp_path):
         ("embed", "--epsilon", 1e-300),
         ("experiment", "--xi-cap", -1, "--runs", 1, "--pairs", 5),
         ("experiment", "--xi-cap", 0, "--runs", 1, "--pairs", 5),
-        ("cuts", "--xi", 0),
-        ("cuts", "--tau", 0),
+        # theory mode keeps the raw xi and takes no cap
+        ("embed", "--mode", "theory", "--xi-cap", 4),
+        ("experiment", "--mode", "theory", "--xi-cap", 4, "--runs", 1, "--pairs", 5),
         ("partition", "--r", 0),
         ("partition", "--r", "nan"),
     ],
@@ -575,7 +628,7 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     command, *rest = argv
-    out = () if command in ("cuts", "partition") else ("-o", tmp_path / "out.json")
+    out = () if command == "partition" else ("-o", tmp_path / "out.json")
     capsys.readouterr()
     try:
         code = run(command, "-i", graph, *rest, *out)
@@ -584,6 +637,41 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chain",),
+        ("cuts",),
+        ("split", "--delta", 0.1),
+        ("split", "--xi", 8),
+        ("split", "--tau", 32),
+        ("partition", "--r", 1.5, "--order-file", "order.txt"),
+    ],
+    ids=["chain", "cuts", "split-delta", "split-xi", "split-tau", "partition-order-file"],
+)
+def test_removed_debug_commands_and_options_are_refused(tmp_path, capsys, argv):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        run(argv[0], "-i", graph, *argv[1:])
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_split_options_are_the_embed_split_settings():
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(command):
+        return set(subcommands.choices[command]._option_string_actions)
+
+    settings = {"--epsilon", "--mode", "--xi-cap", "--seed"}
+    assert options("split") == settings | {"-h", "--help", "-i", "--input"}
+    assert settings <= options("embed") and settings <= options("experiment")
 
 
 @pytest.mark.parametrize(
@@ -614,13 +702,13 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
 
 def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
     # FRT measures the input, the embedder the closed graph rescaled by 2;
-    # both name the input's eccentricity and never an overflowed bound.
+    # all name the input's eccentricity and never an overflowed bound.
     graph = tmp_path / "widediam.txt"
     graph.write_text("p 3 2\ne 0 1 1\ne 1 2 5e307\n")
     out = tmp_path / "out.json"
-    for command in ("frt", "embed"):
+    for argv in (("frt", "-o", out), ("embed", "-o", out), ("split",)):
         capsys.readouterr()
-        assert run(command, "-i", graph, "-o", out) == 2
+        assert run(argv[0], "-i", graph, *argv[1:]) == 2
         err = capsys.readouterr().err
         assert "eccentricity 5e+307 needs level 1024, and 2**1024 overflows a float" in err
         assert "inf" not in err

@@ -84,6 +84,15 @@ def test_derive_params_practical_caps():
     assert p.mode == "practical"
 
 
+def test_derive_params_theory_mode_refuses_a_cap():
+    # the raw xi is about 2.5e7 here; a cap passed in theory mode would
+    # otherwise be dropped without a word
+    with pytest.raises(PreconditionViolation, match="takes no xi_cap"):
+        derive_params(100, 10, 0.5, "theory", xi_cap=4)
+    with pytest.raises(PreconditionViolation, match="takes no xi_cap"):
+        embed_top(two_vertex(2.0), 0.5, "theory", xi_cap=4)
+
+
 def test_derive_params_default_tau_cap():
     p = derive_params(64, 7, 0.5, "practical")
     assert p.tau == p.tau_cap == 4 * math.ceil(math.sqrt(64))

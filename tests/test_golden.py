@@ -139,58 +139,50 @@ def test_eval_report_digest_grid5(tmp_path, monkeypatch):
     assert digest == "fcc4b4ccd1bc7059db0d30e583a5c7859939e37fbcabf05f67e9710c9bad0370"
 
 
-GRID6_CHAIN = """\
+# `mfembed split --seed 1`: the root split of `embed --seed 1`
+GRID6_SPLIT = """\
 level 0: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 1: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 2: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 3: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
-level 4: 32 clusters, sizes [3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 4: 35 clusters, sizes [2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 5: 1 clusters, sizes [36]
+packing size=2
+  cut 0: members=7 levels=[4, 4, 4, 4, 4, 4, 4] oversize=False balance_margin=2
+  cut 1: members=7 levels=[4, 4, 4, 4, 4, 4, 3] oversize=False balance_margin=2
+sampled cut=1
 """
 
-GRID6_CUTS = """\
-packing size=3
-  cut 0: members=6 levels=[4, 4, 4, 4, 4, 4] oversize=False balance_margin=0
-  cut 1: members=7 levels=[4, 4, 4, 4, 4, 4, 4] oversize=False balance_margin=6
-  cut 2: members=7 levels=[4, 4, 3, 4, 4, 4, 4] oversize=False balance_margin=1
-"""
-
-CYCLE512_CHAIN = """\
+CYCLE512_SPLIT = """\
 # rescaled by 2 so all distances exceed 1
 level 0: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 1: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 2: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 3: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
-level 4: 509 clusters, sizes [2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]
-level 5: 457 clusters, sizes [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]
-level 6: 291 clusters, sizes [4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3]
-level 7: 163 clusters, sizes [9, 9, 7, 7, 6, 6, 6, 6, 6, 6, 5, 5]
-level 8: 73 clusters, sizes [21, 14, 14, 13, 12, 11, 11, 10, 10, 10, 10, 10]
+level 4: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 5: 510 clusters, sizes [2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 6: 426 clusters, sizes [5, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2]
+level 7: 253 clusters, sizes [5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+level 8: 123 clusters, sizes [11, 10, 10, 10, 9, 9, 8, 8, 7, 7, 7, 7]
 level 9: 1 clusters, sizes [512]
-"""
-
-CYCLE512_CUTS = """\
-# rescaled by 2 so all distances exceed 1
-packing size=4
-  cut 0: members=3 levels=[8, 8, 8] oversize=False balance_margin=0
-  cut 1: members=3 levels=[7, 7, 7] oversize=False balance_margin=0
-  cut 2: members=3 levels=[6, 6, 7] oversize=False balance_margin=0
-  cut 3: members=3 levels=[4, 4, 7] oversize=False balance_margin=0
+packing size=3
+  cut 0: members=3 levels=[8, 8, 8] oversize=False balance_margin=1
+  cut 1: members=3 levels=[7, 7, 8] oversize=False balance_margin=1
+  cut 2: members=3 levels=[6, 7, 8] oversize=False balance_margin=0
+sampled cut=0
 """
 
 
 @pytest.mark.parametrize(
-    "instance,command,want",
+    "instance,want",
     [
-        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "chain", GRID6_CHAIN),
-        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "cuts", GRID6_CUTS),
-        (dict(kind="cycle", size=512), "chain", CYCLE512_CHAIN),
-        (dict(kind="cycle", size=512), "cuts", CYCLE512_CUTS),
+        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), GRID6_SPLIT),
+        (dict(kind="cycle", size=512), CYCLE512_SPLIT),
     ],
-    ids=["grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts"],
+    ids=["grid6-split", "cycle512-split"],
 )
-def test_debug_command_stdout(instance, command, want, tmp_path, capsys):
+def test_debug_command_stdout(instance, want, tmp_path, capsys):
     path = tmp_path / "g.txt"
     save_graph(generate(seed=1, **instance), path)
-    assert main([command, "-i", str(path), "--seed", "1"]) == 0
+    assert main(["split", "-i", str(path), "--seed", "1"]) == 0
     assert capsys.readouterr().out == want
