@@ -139,21 +139,25 @@ def test_eval_report_digest_grid5(tmp_path, monkeypatch):
     assert digest == "fcc4b4ccd1bc7059db0d30e583a5c7859939e37fbcabf05f67e9710c9bad0370"
 
 
-# `mfembed split --seed 1`: the root split of `embed --seed 1`
-GRID6_SPLIT = """\
+# `mfembed split --seed 1`, the root split of `embed --seed 1`, in two parts:
+# the chain (everything before `packing size=`) and the cuts (the rest)
+GRID6_CHAIN = """\
 level 0: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 1: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 2: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 3: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 4: 35 clusters, sizes [2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 5: 1 clusters, sizes [36]
+"""
+
+GRID6_CUTS = """\
 packing size=2
   cut 0: members=7 levels=[4, 4, 4, 4, 4, 4, 4] oversize=False balance_margin=2
   cut 1: members=7 levels=[4, 4, 4, 4, 4, 4, 3] oversize=False balance_margin=2
 sampled cut=1
 """
 
-CYCLE512_SPLIT = """\
+CYCLE512_CHAIN = """\
 # rescaled by 2 so all distances exceed 1
 level 0: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 1: 512 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
@@ -165,6 +169,9 @@ level 6: 426 clusters, sizes [5, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2]
 level 7: 253 clusters, sizes [5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4]
 level 8: 123 clusters, sizes [11, 10, 10, 10, 9, 9, 8, 8, 7, 7, 7, 7]
 level 9: 1 clusters, sizes [512]
+"""
+
+CYCLE512_CUTS = """\
 packing size=3
   cut 0: members=3 levels=[8, 8, 8] oversize=False balance_margin=1
   cut 1: members=3 levels=[7, 7, 8] oversize=False balance_margin=1
@@ -174,15 +181,19 @@ sampled cut=0
 
 
 @pytest.mark.parametrize(
-    "instance,want",
+    "instance,part,want",
     [
-        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), GRID6_SPLIT),
-        (dict(kind="cycle", size=512), CYCLE512_SPLIT),
+        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "chain", GRID6_CHAIN),
+        (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "cuts", GRID6_CUTS),
+        (dict(kind="cycle", size=512), "chain", CYCLE512_CHAIN),
+        (dict(kind="cycle", size=512), "cuts", CYCLE512_CUTS),
     ],
-    ids=["grid6-split", "cycle512-split"],
+    ids=["grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts"],
 )
-def test_debug_command_stdout(instance, want, tmp_path, capsys):
+def test_debug_command_stdout(instance, part, want, tmp_path, capsys):
     path = tmp_path / "g.txt"
     save_graph(generate(seed=1, **instance), path)
     assert main(["split", "-i", str(path), "--seed", "1"]) == 0
-    assert capsys.readouterr().out == want
+    chain, marker, cuts = capsys.readouterr().out.partition("packing size=")
+    assert marker
+    assert {"chain": chain, "cuts": marker + cuts}[part] == want
