@@ -5,10 +5,14 @@ embedder's and the FRT baseline's, and answers the pairs from them. This
 script runs one experiment in-process (epsilon 0.5, practical mode, FRT
 baseline, as in the benchmark's experiment jobs), wraps
 `ForestLabels.__init__` and `ForestLabels.distances` with timers, and prints
-one row per host kind: forest-shaped hosts (each non-root vertex has one
-host edge, to its forest parent: FRT trees, the HST fallback, tiny embedder
-hosts), whose labels are path sums read at the deepest common ancestor, and
-the other hosts, whose labels come from one Dijkstra run per host vertex.
+one row per host kind:
+- forest-shaped hosts (each non-root vertex has one host edge, to its forest
+  parent: FRT trees, the HST fallback), whose labels are path sums read at
+  the deepest common ancestor;
+- leaf rows: embedder hosts, whose input vertices' labels are the portal
+  rows the embedder kept while wiring them, so the build runs no Dijkstra;
+- other hosts, whose labels come from one Dijkstra run per host vertex
+  (`eval` of an embedder host; an experiment makes none).
 
     PYTHONPATH=src python scripts/read_path_split.py --grid 16 --runs 4 --pairs all
     PYTHONPATH=src python scripts/read_path_split.py --cycle 512 --runs 4 --pairs 200
@@ -30,7 +34,7 @@ from mfembed.generators import generate
 from mfembed.harness import ExperimentConfig, run_experiment
 from mfembed.hosts import ForestLabels
 
-KINDS = ("forest-shaped", "other")
+KINDS = ("forest-shaped", "leaf rows", "other")
 
 
 def split(g, config: ExperimentConfig) -> tuple[dict, float]:
@@ -39,21 +43,24 @@ def split(g, config: ExperimentConfig) -> tuple[dict, float]:
     experiment's own seconds."""
     totals = {kind: [0, 0.0, 0.0, 0] for kind in KINDS}
     build, query = ForestLabels.__init__, ForestLabels.distances
+    # the totals row of each live ForestLabels, by id
+    row_of: dict[int, list] = {}
 
-    def kind(labels: ForestLabels) -> list:
-        return totals[KINDS[0] if labels.forest_shaped else KINDS[1]]
-
-    def timed_build(self, emb):
+    def timed_build(self, emb, leaf_rows=None):
         t0 = perf_counter()
-        build(self, emb)
-        row = kind(self)
+        build(self, emb, leaf_rows)
+        if leaf_rows is not None:
+            row = totals[KINDS[1]]
+        else:
+            row = totals[KINDS[0] if self.forest_shaped else KINDS[2]]
         row[0] += 1
         row[1] += perf_counter() - t0
+        row_of[id(self)] = row
 
     def timed_query(self, pairs):
         t0 = perf_counter()
         out = query(self, pairs)
-        row = kind(self)
+        row = row_of[id(self)]
         row[2] += perf_counter() - t0
         row[3] += len(out)
         return out

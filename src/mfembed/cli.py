@@ -32,11 +32,10 @@ MEMORY_BUDGET = 2**30
 # larger header before it reads any edge line. The traced peak of `embed` on
 # uniform:1:4 grids, set by `embed_top` since the JSON is streamed, is 32.6 MB
 # at 5929 vertices (77 x 77, 4.3 s; README, "Size limits").
-# `experiment` shares the limit and also builds each host's distance labels:
-# with 100 sampled pairs it peaks at 18.1 MB at 1600 vertices, 48.6 MB at
-# 3136 and 109.1 MB at 5929 for one run, and at 20.7 MB at 1600 and
-# 125.1 MB at 5929 for 8 runs with the FRT baseline. `split` runs `embed`'s
-# root split and shares the limit too.
+# `experiment` shares the limit and also keeps each embedder host's leaf
+# rows: with 100 sampled pairs one run peaks at 11.3 MB at 1600 vertices,
+# 29.1 MB at 3136 and 64.2 MB at 5929. `split` runs `embed`'s root split and
+# shares the limit too.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the

@@ -19,6 +19,11 @@ more than half its parent's vertices must get a chain of a lower level.
 
 If any chain build fails, all partial work is discarded and the whole graph
 is embedded into a random HST instead (`fallback_used` is set).
+
+On request (`embed_top(..., leaf_rows=True)`) the wiring also keeps each
+portal row entry under its input vertex. A vertex's forest ancestors are the
+copies of the splits whose fragments hold it, so these entries, root first,
+are its full-wiring distances to each ancestor: its host distance labels.
 """
 
 from __future__ import annotations
@@ -60,6 +65,20 @@ C_FALLBACK = 64.0
 DEFAULT_XI_CAP = 16
 
 
+def check_settings(epsilon: float, mode: str, xi_cap: int | None) -> None:
+    """Refuse split settings that `derive_params` cannot take, whatever the
+    input: epsilon outside (0, 1), an unknown mode, an xi_cap below 1, or
+    any xi_cap in theory mode."""
+    if not 0 < epsilon < 1:
+        raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
+    if xi_cap is not None and xi_cap < 1:
+        raise PreconditionViolation("xi_cap must be at least 1")
+    if mode not in ("theory", "practical"):
+        raise PreconditionViolation(f"unknown mode {mode!r}")
+    if mode == "theory" and xi_cap is not None:
+        raise PreconditionViolation("theory mode keeps the raw xi and takes no xi_cap")
+
+
 def derive_params(
     n: int,
     hat_ell_value: int,
@@ -74,16 +93,9 @@ def derive_params(
     xi at xi_cap (default DEFAULT_XI_CAP) and tau at 4*ceil(sqrt(n)). tau
     only sets the `oversize_cuts` count: the cut search never reads it.
     """
-    if not 0 < epsilon < 1:
-        raise BadEpsilon(f"epsilon must lie in (0,1), got {epsilon}")
+    check_settings(epsilon, mode, xi_cap)
     if n < 2 or hat_ell_value < 1:
         raise PreconditionViolation("need n >= 2 and hat_ell >= 1")
-    if xi_cap is not None and xi_cap < 1:
-        raise PreconditionViolation("xi_cap must be at least 1")
-    if mode not in ("theory", "practical"):
-        raise PreconditionViolation(f"unknown mode {mode!r}")
-    if mode == "theory" and xi_cap is not None:
-        raise PreconditionViolation("theory mode keeps the raw xi and takes no xi_cap")
     log2n = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     ln_n = math.log(n)
     # Below 1/(128 ln(2)**2), about 1/61.5, for n >= 2 and epsilon < 1, so it
@@ -170,7 +182,7 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
 class _EmbedState:
     """Mutable host under construction during the recursion."""
 
-    def __init__(self, n, params, seed, scale):
+    def __init__(self, n, params, seed, scale, leaf_rows):
         self.params = params
         self.seed = seed
         # Host edges are stored in input units: fragment distances over scale.
@@ -182,6 +194,9 @@ class _EmbedState:
         # fragment being wired.
         self.kept: list[list[tuple[float, int]]] = [[] for _ in range(n)]
         self.pos = [0] * n
+        # Per input vertex, its own label 0.0 and then each ancestor copy's
+        # row entry, deepest first: copies are made as the recursion unwinds.
+        self.leaf: list[list[float]] | None = [[0.0] for _ in range(n)] if leaf_rows else None
         self.next_id = n
         self.split_calls = 0
         self.packing_sizes: list[int] = []
@@ -231,8 +246,12 @@ class _EmbedState:
             pos[x] = i
         edges = self.edges
         kept = self.kept
+        leaf = self.leaf
         for local_z in result.portals:
             row = list(map(truediv, dijkstra(sub, local_z), repeat(self.scale)))
+            if leaf is not None:
+                for v, w in zip(verts, row):
+                    leaf[v].append(w)
             z = verts[local_z]
             copy_id = self.next_id
             self.next_id += 1
@@ -265,11 +284,14 @@ def embed_top(
     seed: int = 0,
     *,
     xi_cap: int | None = None,
+    leaf_rows: bool = False,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
 
     Host distances are reported in the input scale regardless of the
-    internal rescaling.
+    internal rescaling. With `leaf_rows`, an embedding that did not fall
+    back carries each input vertex's host distance labels as
+    `HostEmbedding.leaf_rows`, for `ForestLabels(emb, emb.leaf_rows)`.
     """
     if not is_connected(g):
         raise DisconnectedGraph("embed components separately")
@@ -283,9 +305,10 @@ def embed_top(
             meta=EmbeddingMeta(
                 n=1, seed=seed, mode=mode, params=None, fallback_used=False, recursion_depth=1
             ),
+            leaf_rows=[[0.0]] if leaf_rows else None,
         )
     scaled, scale, hat, params = preprocess(g, epsilon, mode, xi_cap=xi_cap)
-    state = _EmbedState(g.n, params, seed, scale)
+    state = _EmbedState(g.n, params, seed, scale, leaf_rows)
     try:
         state.embed(scaled, list(range(g.n)), ())
     except _FallbackRequired as failed:
@@ -320,4 +343,9 @@ def embed_top(
         recursion_depth=state.recursion_depth,
         split_calls=state.split_calls,
     )
-    return HostEmbedding(host=host, eta=list(range(g.n)), forest=state.parent, meta=meta)
+    if state.leaf is not None:
+        for row in state.leaf:
+            row.reverse()
+    return HostEmbedding(
+        host=host, eta=list(range(g.n)), forest=state.parent, meta=meta, leaf_rows=state.leaf
+    )

@@ -4,6 +4,11 @@ Distortion is estimated per pair (mean host/graph ratio across runs) and
 then maximized over pairs; the per-pair view matches the guarantee being
 measured. Non-contraction is checked with a 1e-9 relative tolerance, the
 numerical reading of an exact invariant.
+
+`run_experiment` answers its embedder hosts' pairs from the leaf rows the
+embedder kept while wiring them (n x depth entries, no Dijkstra run), and
+its FRT trees and HST fallbacks, like `evaluate`, from `ForestLabels`
+built on the host (n_H x depth entries).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from itertools import repeat
 from operator import add, lt, mul, truediv
 from pathlib import Path
 
-from .embedder import embed_top
+from .embedder import check_settings, embed_top
 from .errors import PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
 from .graphs import WeightedGraph, dijkstra
@@ -35,8 +40,8 @@ def evaluate(
 ) -> tuple[list[float], list[float]]:
     """Exact graph and host distances of the pairs, as two lists in pair order.
 
-    Host distances come from the forest's distance labels, which check the
-    forest first.
+    Host distances come from the forest's distance labels, built on the
+    host (n_H x depth entries), which check the forest first.
     """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
@@ -161,11 +166,15 @@ def aggregate_records(
 
 
 def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
-    """R independent embeddings with derived seeds; returns the report dict."""
+    """R independent embeddings with derived seeds; returns the report dict.
+
+    Every setting is checked before any pair is sampled or measured.
+    """
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
     if config.baseline not in ("none", "frt"):
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
+    check_settings(config.epsilon, config.mode, config.xi_cap)
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = _pair_distances(g, pairs)
     structural = []
@@ -176,8 +185,11 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "run", run)
             t0 = time.perf_counter()
-            emb = embed_top(g, config.epsilon, config.mode, run_seed, xi_cap=config.xi_cap)
-            labels = ForestLabels(emb)
+            emb = embed_top(
+                g, config.epsilon, config.mode, run_seed, xi_cap=config.xi_cap, leaf_rows=True
+            )
+            # a fallback's HST comes without rows and builds its labels
+            labels = ForestLabels(emb, emb.leaf_rows)
             dist_h = labels.distances(pairs)
             timings.append(time.perf_counter() - t0)
             structural.append(

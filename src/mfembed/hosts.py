@@ -70,12 +70,18 @@ class EmbeddingMeta:
 
 @dataclass
 class HostEmbedding:
-    """Host graph, injective vertex map, and an elimination forest of the host."""
+    """Host graph, injective vertex map, and an elimination forest of the host.
+
+    `leaf_rows`, set only by `embed_top(..., leaf_rows=True)`, holds each
+    input vertex's labels in the layout of `ForestLabels.labels`, taken from
+    the portal rows that wired the host. It is never written to JSON.
+    """
 
     host: WeightedGraph
     eta: list[int]
     forest: list[int | None]
     meta: EmbeddingMeta
+    leaf_rows: list[list[float]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -153,9 +159,18 @@ class ForestLabels:
     of vertex i for each ancestor a of i and i itself, root first, INF where
     subtree(a) does not reach i; `ends[i]` holds their negated exit times,
     so the longest of them gives `depth`, the forest's depth in vertices.
-    Building takes one Dijkstra per host vertex, limited to its subtree; a
-    query takes O(depth) and goes through `eta`, the input vertices' host
-    vertices. The forest is checked first.
+    Building takes one Dijkstra per host vertex, limited to its subtree,
+    n_H x depth entries in all; a query takes O(depth) and goes through
+    `eta`, the input vertices' host vertices. The forest is checked first.
+
+    `ForestLabels(emb, leaf_rows)` takes the labels of the input vertices
+    alone, one row per vertex in `eta` order (n x depth entries), and runs no
+    Dijkstra; `labels` is None at every other host vertex. The embedder's
+    rows (`HostEmbedding.leaf_rows`) are its full wiring's weights. No label
+    of the pruned host exceeds them, and a dropped edge's detour can round
+    lower: by at most 1e-15 relative on the grids measured, 2.4e-15 on
+    fractional paths and cycles. So a distance read from the rows is the
+    full wiring's, never below the one read from labels built on the host.
 
     A host that is its own forest (`forest_shaped`: each non-root vertex has
     exactly one host edge, to its forest parent, as in FRT trees and the HST
@@ -169,7 +184,7 @@ class ForestLabels:
 
     __slots__ = ("tin", "ends", "depth", "labels", "eta", "forest_shaped")
 
-    def __init__(self, emb: HostEmbedding) -> None:
+    def __init__(self, emb: HostEmbedding, leaf_rows: list[list[float]] | None = None) -> None:
         order, tin, tout = check_forest_validity(emb)
         n = len(order)
         forest = emb.forest
@@ -177,9 +192,19 @@ class ForestLabels:
         for a, u in enumerate(order):
             p = forest[u]
             ends[a] = (ends[tin[p]] if p is not None else ()) + (-tout[u],)
-        up = _parent_lengths(emb)
+        up = None if leaf_rows is not None else _parent_lengths(emb)
         self.forest_shaped = up is not None
-        if up is None:
+        if leaf_rows is not None:
+            if len(leaf_rows) != len(emb.eta):
+                raise InvariantViolation("leaf rows do not match eta")
+            labels = [None] * n
+            for x, row in zip(emb.eta, leaf_rows):
+                i = tin[x]
+                if len(row) != len(ends[i]):
+                    raise InvariantViolation(f"vertex {x}: leaf row does not fit its ancestors")
+                labels[i] = row
+            self.labels = labels
+        elif up is None:
             self.labels = _subtree_labels(emb.host.edges, tin, ends)
         else:
             labels: list[list[float]] = []

@@ -29,6 +29,9 @@ byte. `full_wiring` is the embedder's former portal wiring, every copy
 wired to every vertex of its fragment, rebuilt from the forest; the kept
 host edges must be some of its edges, and `check_labels_against_copy_edges`
 requires `ForestLabels` of the kept host to give its weights.
+`check_leaf_rows` requires the embedder's leaf rows to be those weights bit
+for bit and `ForestLabels` built on the host to be the reference they
+never fall below.
 `forest_labels_by_dijkstra` is `ForestLabels` as it was before hosts that
 are their own forest took path sums: one Dijkstra run per host vertex and a
 minimum over every common ancestor per query. On such hosts (FRT trees, the
@@ -1088,6 +1091,39 @@ def check_labels_against_copy_edges(g, emb):
             if got != want and (exact or abs(got - want) > 1e-15 * want):
                 raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, full wiring {want!r}")
     return exact
+
+
+def check_leaf_rows(g, emb, rel=1e-15):
+    """Raise unless `emb.leaf_rows`, from `embed_top(..., leaf_rows=True)`,
+    hold each input vertex's full-wiring weights to its ancestor copies,
+    root first and bit for bit, then 0.0; unless `ForestLabels(emb,
+    emb.leaf_rows)` has the preorder, exit times and depth of
+    `ForestLabels(emb)` and reads the rows themselves; and unless each row
+    entry is at least the label built on the host and within `rel` relative
+    of it. Returns the number of entries where row and label differ.
+    """
+    weight = full_wiring(g, emb)
+    built = ForestLabels(emb)
+    read = ForestLabels(emb, emb.leaf_rows)
+    if (read.tin, read.ends, read.depth) != (built.tin, built.ends, built.depth):
+        raise AssertionError("leaf-row labels have another preorder or depth")
+    differ = 0
+    for x, row in zip(emb.eta, emb.leaf_rows, strict=True):
+        path = []
+        a = emb.forest[x]
+        while a is not None:
+            path.append(a)
+            a = emb.forest[a]
+        want = [weight[(x, c)] for c in reversed(path)] + [0.0]
+        if row != want:
+            raise AssertionError(f"vertex {x}: row {row}, full wiring {want}")
+        if read.labels[read.tin[x]] is not row:
+            raise AssertionError(f"vertex {x}: the labels do not read its row")
+        for c, got, label in zip(reversed(path), row, built.labels[built.tin[x]]):
+            if got < label or got - label > rel * got:
+                raise AssertionError(f"vertex {x}, copy {c}: row {got!r}, label {label!r}")
+            differ += got != label
+    return differ
 
 
 class DijkstraLabels(NamedTuple):

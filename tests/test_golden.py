@@ -6,10 +6,11 @@ are sha256 of an experiment report without its timing block, dumped with
 sorted keys, and of the file `mfembed eval` writes. A change that alters any
 of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
-keeps them. The same embeddings also have their host distance labels
-checked against the portal wiring, every graph that the library built for
-them without checks is rebuilt through the public constructor, and every
-centroid search they make is repeated by the former heap elimination.
+keeps them. The same embeddings also have their host distance labels and
+their leaf rows checked against the portal wiring, every graph that the
+library built for them without checks is rebuilt through the public
+constructor, and every centroid search they make is repeated by the former
+heap elimination.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from oracles import (
     check_derived_graph,
     check_forest_labels_by_dijkstra,
     check_labels_against_copy_edges,
+    check_leaf_rows,
     recording_derived_graphs,
     strip_timing,
 )
@@ -62,6 +64,17 @@ def test_host_labels_are_the_copy_edge_weights(instance, seed, digest):
     emb = embed_top(g, 0.5, "practical", seed=seed)
     assert not emb.meta.fallback_used
     check_labels_against_copy_edges(g, emb)
+
+
+@pytest.mark.parametrize("instance,seed,digest", CASES)
+def test_leaf_rows_are_the_full_wiring_weights(instance, seed, digest):
+    g = generate(seed=seed, **instance)
+    emb = embed_top(g, 0.5, "practical", seed=seed, leaf_rows=True)
+    # keeping the rows changes nothing that is written
+    assert hashlib.sha256(embedding_to_json(emb).encode()).hexdigest() == digest
+    differ = check_leaf_rows(g, emb)
+    # rows and labels differ only where the weights are fractional
+    assert differ == 0 or instance.get("weights") == "uniform:1:4"
 
 
 @pytest.mark.parametrize("instance,seed,digest", CASES)

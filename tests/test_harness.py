@@ -4,15 +4,17 @@ import itertools
 import json
 import math
 import random
+import re
 import weakref
 from collections.abc import Sequence
 
 import pytest
 from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
 
+import mfembed.embedder as embedder
 import mfembed.harness as harness
-from mfembed.embedder import embed_top
-from mfembed.errors import PairOutOfRange, PreconditionViolation
+from mfembed.embedder import derive_params, embed_top
+from mfembed.errors import MfembedError, PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
 from mfembed.graphs import INF, WeightedGraph, dijkstra
 from mfembed.harness import (
@@ -24,6 +26,7 @@ from mfembed.harness import (
     run_experiment,
     sample_pairs,
 )
+from mfembed.hierarchy import ChainFailure
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
 from mfembed.rng import derive_seed
 
@@ -180,19 +183,111 @@ def test_experiment_holds_at_most_two_runs_of_host_distances(monkeypatch):
     original = ForestLabels.distances
     alive = weakref.WeakSet()
     peaks = []
+    from_rows = []
 
     def tracked(self, pairs):
         dist_h = HostDistances(original(self, pairs))
         alive.add(dist_h)
         peaks.append(len(alive))
+        # leaf-row labels leave the copies' labels empty
+        from_rows.append(None in self.labels)
         return dist_h
 
     monkeypatch.setattr(ForestLabels, "distances", tracked)
     report = run_experiment(g, config)
     assert strip_timing(report) == want
-    # eight runs' lists were made (four embeddings, four FRT trees), and each
-    # was folded in before the one after the next was made
+    # eight runs' lists were made (four embeddings, read from their leaf
+    # rows, then four FRT trees), and each was folded in before the one
+    # after the next was made
+    assert from_rows == [True] * 4 + [False] * 4, from_rows
     assert len(peaks) == 8 and max(peaks) <= 2, peaks
+
+
+def labels_built_on_the_host(emb, leaf_rows=None):
+    return ForestLabels(emb)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        dict(kind="grid", rows=6, cols=6),
+        dict(kind="cycle", size=128),
+        dict(kind="star", size=30),
+        dict(kind="grid", rows=8, cols=8, weights="uniform:1:4", seed=3),
+    ],
+    ids=["grid6", "cycle128", "star30", "grid8-uniform"],
+)
+def test_experiment_reads_embedder_hosts_from_leaf_rows(instance, monkeypatch):
+    # Reports from the leaf rows against reports from labels built on each
+    # host: the same bytes at unit lengths. At fractional lengths the rows
+    # give the full wiring's distances, which no mean falls below and which
+    # stay within 1e-15 relative on this grid.
+    g = generate(**instance)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=3, pairs="all", seed=4, baseline="frt"
+    )
+    got = strip_timing(run_experiment(g, config))
+    monkeypatch.setattr(harness, "ForestLabels", labels_built_on_the_host)
+    want = strip_timing(run_experiment(g, config))
+    if "weights" not in instance:
+        assert json.dumps(got) == json.dumps(want)
+        return
+    assert got["baseline"] == want["baseline"] and got["structural"] == want["structural"]
+    moved = 0
+    for row, ref in zip(got["distortion"]["per_pair"], want["distortion"]["per_pair"]):
+        assert (row["u"], row["v"], row["dist_g"]) == (ref["u"], ref["v"], ref["dist_g"])
+        for key in ("mean_dist_h", "mean_ratio", "max_ratio"):
+            assert ref[key] <= row[key] <= ref[key] * (1 + 1e-15), (key, row, ref)
+        moved += row["mean_dist_h"] != ref["mean_dist_h"]
+    assert moved
+
+
+def test_experiment_answers_a_fallback_from_labels_built_on_its_tree(monkeypatch):
+    g = generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=2)
+    failure = ChainFailure(level=-1, reason="Injected", cluster_index=-1)
+    monkeypatch.setattr(embedder, "build_chain", lambda *args, **kwargs: failure)
+    built = []
+
+    def tracked(emb, leaf_rows=None):
+        labels = ForestLabels(emb, leaf_rows)
+        built.append((leaf_rows is None, labels.forest_shaped))
+        return labels
+
+    monkeypatch.setattr(harness, "ForestLabels", tracked)
+    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=2, pairs="all", seed=1)
+    got = strip_timing(run_experiment(g, config))
+    assert got["structural"]["fallback_rate"] == 1.0
+    # the HST comes without rows, and its labels are path sums
+    assert built == [(True, True)] * 2
+    monkeypatch.setattr(harness, "ForestLabels", labels_built_on_the_host)
+    assert json.dumps(strip_timing(run_experiment(g, config))) == json.dumps(got)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(epsilon=1.5),
+        dict(epsilon=0.0),
+        dict(mode="exact"),
+        dict(xi_cap=0),
+        dict(mode="theory", xi_cap=4),
+    ],
+    ids=["epsilon-above-1", "epsilon-0", "unknown-mode", "xi-cap-0", "theory-with-cap"],
+)
+def test_experiment_refuses_bad_settings_before_any_pair_work(settings, monkeypatch):
+    def no_pair_work(*args, **kwargs):
+        raise AssertionError("pair work ran before the settings were checked")
+
+    monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
+    monkeypatch.setattr(harness, "dijkstra", no_pair_work)
+    monkeypatch.setattr(harness, "embed_top", no_pair_work)
+    full = dict(epsilon=0.5, mode="practical", xi_cap=None) | settings
+    config = ExperimentConfig(runs=1, pairs="all", seed=0, **full)
+    with pytest.raises(MfembedError) as refused:
+        run_experiment(generate("path", size=1000), config)
+    # the same error and message as `derive_params`, which `embed_top` calls
+    with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+        derive_params(1000, 1, full["epsilon"], full["mode"], xi_cap=full["xi_cap"])
 
 
 def test_experiment_drops_each_embedding_before_the_next_is_built(monkeypatch):

@@ -3,10 +3,11 @@
 import math
 import random
 
-from oracles import all_pairs
+from oracles import all_pairs, check_leaf_rows
 
 from mfembed.embedder import embed_top
 from mfembed.frt import frt_embed
+from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, dijkstra
 from mfembed.hosts import check_forest_validity, embedding_to_json
 
@@ -85,6 +86,33 @@ def test_frt_wide_stretch():
     for seed in range(6):
         emb = frt_embed(g, seed)
         check_embedding(g, emb)
+
+
+def test_leaf_rows_on_random_instances():
+    rng = random.Random(41)
+    differ = 0
+    for trial in range(30):
+        g = random_connected_graph(rng, n_max=40)
+        emb = embed_top(g, 0.5, "practical", seed=trial, leaf_rows=True)
+        assert not emb.meta.fallback_used
+        differ += check_leaf_rows(g, emb)
+    assert differ > 0
+
+
+def test_leaf_rows_on_long_fractional_paths():
+    # Along a path or cycle, a label of the pruned host sums a detour's
+    # lengths in another order than the row does, and on these inputs the
+    # gap passes 1e-15 relative (2.4e-15 on the cycle). To first order, a
+    # row lies within n roundings of the exact fragment distance, and a label
+    # (at most 2n hops of such rows, summed) within 3n + 2, so the gap stays
+    # under (6n + 4) * 2**-53 relative.
+    for g in (
+        generate("path", size=300, weights="uniform:1:4", seed=1),
+        generate("cycle", size=512, weights="uniform:1:4", seed=1),
+    ):
+        emb = embed_top(g, 0.5, "practical", seed=2, leaf_rows=True)
+        assert not emb.meta.fallback_used
+        assert check_leaf_rows(g, emb, rel=(6 * g.n + 4) * 2.0**-53) > 0
 
 
 def test_fallback_injection_random_points(monkeypatch, fail_chain_at):
