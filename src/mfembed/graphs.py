@@ -2,7 +2,10 @@
 
 A `WeightedGraph` is immutable after construction and safe to share across
 threads. All distances are exact single-source Dijkstra results; there is no
-approximation anywhere in this module.
+approximation anywhere in this module. `settle` is the one heap kernel, for
+ordered, limited or masked searches. `dijkstra` walks a graph whose edges
+share one length breadth-first, and a tree from its source outward, with
+no heap; both walks give the heap's distances bit for bit.
 
 Validation happens once, where a graph enters. The public constructor
 `WeightedGraph(n, edges)` checks and canonicalizes every edge; graph files,
@@ -109,6 +112,15 @@ class WeightedGraph:
         """
         return all(w.is_integer() for _, _, w in self.edges) and self.total_length() < 2.0**53
 
+    @cached_property
+    def common_length(self) -> float | None:
+        """The one length every edge has, or None when lengths differ or
+        there is no edge."""
+        if not self.edges:
+            return None
+        first = self.edges[0][2]
+        return first if all(w == first for _, _, w in self.edges) else None
+
     def min_edge_length(self) -> float:
         if not self.edges:
             raise NoEdges("graph has no edges")
@@ -149,11 +161,69 @@ def settle(
 
 
 def dijkstra(g: WeightedGraph, src: int) -> list[float]:
-    """Exact single-source shortest-path distances; INF when unreachable."""
+    """Exact single-source shortest-path distances; INF when unreachable.
+
+    Two kinds of graph are walked without a heap, to the bits that `settle`
+    would give. When every edge has one length w, a breadth-first walk
+    gives a vertex k hops away the k-fold sum 0.0 + w + ... + w: every
+    k-edge path folds to that float, and no fold falls as k grows. When the
+    graph has n - 1 edges, a parent walk adds each edge's length to its
+    parent's distance, summed from the source outward as Dijkstra sums
+    along a tree's one path; meeting a cycle, it hands the run to `settle`.
+    Both walks mark their visits in a list of their own, so a sum that
+    overflows to INF is kept, as the heap keeps such a vertex unreached.
+    """
     if not 0 <= src < g.n:
         raise InvariantViolation(f"source {src} out of range")
+    w = g.common_length
+    if w is not None:
+        return _hop_walk(g.adjacency, src, w)
+    if g.m == g.n - 1:
+        dist = _tree_walk(g.adjacency, src)
+        if dist is not None:
+            return dist
     dist = [INF] * g.n
     settle(g.adjacency, src, dist)
+    return dist
+
+
+def _hop_walk(adj: list[list[tuple[int, float]]], src: int, w: float) -> list[float]:
+    """Distances from `src` when every edge has length w, in breadth-first
+    order: a vertex k hops away gets the (k - 1)-hop sum plus w."""
+    dist = [INF] * len(adj)
+    seen = [False] * len(adj)
+    seen[src] = True
+    dist[src] = 0.0
+    order = [src]
+    for u in order:
+        d = dist[u] + w
+        for v, _ in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                dist[v] = d
+                order.append(v)
+    return dist
+
+
+def _tree_walk(adj: list[list[tuple[int, float]]], src: int) -> list[float] | None:
+    """Distances from `src` when its component is a tree, else None: a
+    neighbour already seen that is not the parent closes a cycle. A vertex
+    is seen once it has a parent; the source is its own."""
+    dist = [INF] * len(adj)
+    parent = [-1] * len(adj)
+    parent[src] = src
+    dist[src] = 0.0
+    order = [src]
+    for u in order:
+        du, p = dist[u], parent[u]
+        for v, w in adj[u]:
+            if v == p:
+                continue
+            if parent[v] >= 0:
+                return None
+            parent[v] = u
+            dist[v] = du + w
+            order.append(v)
     return dist
 
 

@@ -25,9 +25,9 @@ from operator import add, lt, mul, truediv
 from pathlib import Path
 
 from .embedder import check_settings, embed_top
-from .errors import PairOutOfRange, PreconditionViolation
+from .errors import DisconnectedGraph, PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
-from .graphs import WeightedGraph, dijkstra
+from .graphs import WeightedGraph, dijkstra, is_connected
 from .hosts import ForestLabels, HostEmbedding
 from .rng import derive_seed
 
@@ -168,13 +168,16 @@ def aggregate_records(
 def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     """R independent embeddings with derived seeds; returns the report dict.
 
-    Every setting is checked before any pair is sampled or measured.
+    Every setting, and that g is connected, is checked before any pair is
+    sampled or measured.
     """
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
     if config.baseline not in ("none", "frt"):
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
     check_settings(config.epsilon, config.mode, config.xi_cap)
+    if not is_connected(g):
+        raise DisconnectedGraph("embed components separately")
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = _pair_distances(g, pairs)
     structural = []

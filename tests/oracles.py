@@ -38,6 +38,13 @@ minimum over every common ancestor per query. On such hosts (FRT trees, the
 HST fallback) `check_forest_labels_by_dijkstra` requires equal labels and
 bit-equal distances.
 
+`dijkstra_by_heap` is `graphs.dijkstra` as it was before it walked trees
+and equal-length graphs without a heap: one `settle` run on a fresh array.
+`diameter_level_by_bounds` is `hierarchy.diameter_level` as it was before
+it ended a tree's call after two runs: the bound loop and the two-row
+certificate on every graph, counting its runs. The library must return the
+same distances bit for bit and the same level in no more runs.
+
 `strip_timing` and `load_report` read experiment reports back for the
 determinism and round-trip checks. `aggregate_records_by_pair` is the
 report's former distortion block, built from one ratio list per pair, which
@@ -102,11 +109,14 @@ from mfembed.graphs import (
     settle,
 )
 from mfembed.hierarchy import (
+    BOUND_SLACK,
     DIAMETER_EXCEEDED,
     QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
+    _no_pair_exceeds,
     diameter_level,
+    level_count_for_diameter,
 )
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding, check_forest_validity
 from mfembed.partition import carve
@@ -872,6 +882,54 @@ def diameter(g):
     return worst
 
 
+def dijkstra_by_heap(g, src):
+    """Distances from `src` by one heap run of `settle`."""
+    dist = [INF] * g.n
+    settle(g.adjacency, src, dist)
+    return dist
+
+
+def diameter_level_by_bounds(g, dmin=2.0):
+    """(level, runs): the former `diameter_level`, which took every run's
+    bounds and tried the two-row certificate on trees too."""
+    live = list(range(g.n))
+    upper = [INF] * g.n
+    lower = [0.0] * g.n
+    level = 0
+    source = 0
+    first_row = []
+    runs = 0
+    while True:
+        row = dijkstra_by_heap(g, source)
+        runs += 1
+        ecc = max(row)
+        if ecc == INF:
+            raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
+        level = max(level, level_count_for_diameter(ecc, dmin))
+        settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
+        kept, kept_upper, kept_lower = [], [], []
+        for w, up, low in zip(live, upper, lower):
+            d = row[w]
+            up = min(up, d + ecc)
+            if up <= settled or w == source:
+                continue
+            kept.append(w)
+            kept_upper.append(up)
+            kept_lower.append(max(low, d, ecc - d))
+        live, upper, lower = kept, kept_upper, kept_lower
+        if not live:
+            return level, runs
+        if runs == 1:
+            first_row = row
+            source = row.index(ecc)
+            continue
+        if runs == 2:
+            limit = 2.0**level if g.exact_path_sums else 2.0**level / (1.0 + BOUND_SLACK)
+            if _no_pair_exceeds(first_row, row, limit, dmin):
+                return level, runs
+        source = live[lower.index(min(lower))]
+
+
 def min_distance(g):
     """Smallest distance between two distinct vertices, from all pairs.
 
@@ -1054,7 +1112,7 @@ def full_wiring(g, emb):
     return weight
 
 
-def check_labels_against_copy_edges(g, emb):
+def check_labels_against_copy_edges(g, emb, rel=1e-15):
     """Raise unless the embedder host keeps only full-wiring edges and its
     `ForestLabels` reproduce the full wiring; returns whether the label
     comparison was exact.
@@ -1068,7 +1126,7 @@ def check_labels_against_copy_edges(g, emb):
     full wiring's weight w(c, v) for every ancestor c of every input vertex
     v. Every kept edge must equal its full-wiring weight bit for bit; the
     labels must equal the full weights when every host path sum is exact
-    (`exact_path_sums`), and lie within 1e-15 relative otherwise.
+    (`exact_path_sums`), and lie within `rel` relative otherwise.
     """
     weight = full_wiring(g, emb)
     for u, v, w in emb.host.edges:
@@ -1088,7 +1146,7 @@ def check_labels_against_copy_edges(g, emb):
             raise AssertionError(f"vertex {x}: labels {row} do not fit its {len(path)} ancestors")
         for c, got in zip(reversed(path), row):
             want = weight[(x, c)]
-            if got != want and (exact or abs(got - want) > 1e-15 * want):
+            if got != want and (exact or abs(got - want) > rel * want):
                 raise AssertionError(f"vertex {x}, copy {c}: label {got!r}, full wiring {want!r}")
     return exact
 

@@ -48,7 +48,23 @@ CASES = [
     pytest.param(dict(GRID, rows=20, cols=20), 1, "188e9d0ed6963edb4674a9d5a3855dd176c398e64e9acb0e5608bea09e128769", id="grid20-seed1"),
     # deep chains: 219 splits, most of whose clusters pass the radius certificate
     pytest.param(dict(kind="cycle", size=512), 1, "39c952476f6a7c14e8ac4a39c64e8e216251a3dd007b9d6341dcd8404cc0d706", id="cycle512-seed1"),
+    # fractional tree fragments, walked without a heap
+    pytest.param(dict(kind="path", size=300, weights="uniform:1:4"), 1, "0a789ed46a1f33e4dc642595a4e2e458b0d4a24b4ef089ca1609051c1ae6765d", id="path300-uniform-seed1"),
+    pytest.param(dict(kind="cycle", size=512, weights="uniform:1:4"), 1, "525fb500e2015b6a4e7fd5dffa64d473aafe955e18993994799c22148c90d5ac", id="cycle512-uniform-seed1"),
+    # equal lengths on fragments with cycles, walked breadth-first
+    pytest.param(dict(kind="grid", rows=12, cols=12), 1, "3f7f4ac905021c23559588cf84afa9b642b8cc1d862c6ec7d7d518a29944386e", id="grid12-unit-seed1"),
 ]
+
+
+def label_bound(g, instance):
+    """How far below the full wiring's weights, relative, a label of the
+    pruned host may sit: 1e-15, except on a fractional path or cycle, where
+    a label sums a long detour in another order than the weight it meets
+    and the first-order bound (6n + 4) * 2**-53 of
+    `test_pipeline.test_leaf_rows_on_long_fractional_paths` holds instead."""
+    if instance["kind"] in ("path", "cycle") and instance.get("weights", "unit") != "unit":
+        return (6 * g.n + 4) * 2.0**-53
+    return 1e-15
 
 
 @pytest.mark.parametrize("instance,seed,digest", CASES)
@@ -63,7 +79,7 @@ def test_host_labels_are_the_copy_edge_weights(instance, seed, digest):
     g = generate(seed=seed, **instance)
     emb = embed_top(g, 0.5, "practical", seed=seed)
     assert not emb.meta.fallback_used
-    check_labels_against_copy_edges(g, emb)
+    check_labels_against_copy_edges(g, emb, rel=label_bound(g, instance))
 
 
 @pytest.mark.parametrize("instance,seed,digest", CASES)
@@ -72,7 +88,7 @@ def test_leaf_rows_are_the_full_wiring_weights(instance, seed, digest):
     emb = embed_top(g, 0.5, "practical", seed=seed, leaf_rows=True)
     # keeping the rows changes nothing that is written
     assert hashlib.sha256(embedding_to_json(emb).encode()).hexdigest() == digest
-    differ = check_leaf_rows(g, emb)
+    differ = check_leaf_rows(g, emb, rel=label_bound(g, instance))
     # rows and labels differ only where the weights are fractional
     assert differ == 0 or instance.get("weights") == "uniform:1:4"
 

@@ -14,7 +14,7 @@ from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_tim
 import mfembed.embedder as embedder
 import mfembed.harness as harness
 from mfembed.embedder import derive_params, embed_top
-from mfembed.errors import MfembedError, PairOutOfRange, PreconditionViolation
+from mfembed.errors import DisconnectedGraph, MfembedError, PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
 from mfembed.graphs import INF, WeightedGraph, dijkstra
 from mfembed.harness import (
@@ -288,6 +288,23 @@ def test_experiment_refuses_bad_settings_before_any_pair_work(settings, monkeypa
     # the same error and message as `derive_params`, which `embed_top` calls
     with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
         derive_params(1000, 1, full["epsilon"], full["mode"], xi_cap=full["xi_cap"])
+
+
+def test_experiment_refuses_a_disconnected_graph_before_any_pair_work(monkeypatch):
+    def no_pair_work(*args, **kwargs):
+        raise AssertionError("pair work ran before connectivity was checked")
+
+    monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
+    monkeypatch.setattr(harness, "dijkstra", no_pair_work)
+    monkeypatch.setattr(harness, "embed_top", no_pair_work)
+    # two paths of 1000 and an isolated vertex
+    edges = [(u, u + 1, 1.0) for u in range(999)] + [(u, u + 1, 1.0) for u in range(1000, 1999)]
+    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=1, pairs="all", seed=0)
+    # the error and message that `embed_top` gives
+    with pytest.raises(DisconnectedGraph, match="^embed components separately$"):
+        run_experiment(WeightedGraph(2001, tuple(edges)), config)
+    with pytest.raises(DisconnectedGraph, match="^embed components separately$"):
+        embed_top(WeightedGraph(2001, tuple(edges)), 0.5)
 
 
 def test_experiment_drops_each_embedding_before_the_next_is_built(monkeypatch):

@@ -14,6 +14,8 @@ from oracles import (
     check_derived_graph,
     children_hop_diameter,
     diameter,
+    diameter_by_enumeration,
+    diameter_level_by_bounds,
     edge_level,
     floyd_warshall,
     has_edge,
@@ -189,6 +191,94 @@ def test_diameter_level_grid_top_takes_few_runs(monkeypatch):
     runs = count_runs(monkeypatch)
     assert diameter_level(g) == level_count_for_diameter(diameter(g))
     assert len(runs) <= 4
+
+
+def random_tree(rng, n, length):
+    return WeightedGraph(n, tuple((rng.randrange(v), v, length()) for v in range(1, n)))
+
+
+def assert_level_in_no_more_runs(g, monkeypatch, dmin=2.0):
+    """diameter_level(g, dmin) gives the former loop's level in at most its
+    runs; returns the level and the runs it made."""
+    want, former_runs = diameter_level_by_bounds(g, dmin)
+    runs = count_runs(monkeypatch)
+    level = diameter_level(g, dmin=dmin)
+    monkeypatch.undo()
+    assert level == want
+    assert len(runs) <= former_runs
+    return level, runs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tree_level_matches_enumeration_in_two_runs(seed, monkeypatch):
+    rng = random.Random(seed)
+    for length, exact in (
+        (lambda: rng.uniform(0.5, 5.0), False),
+        (lambda: 2.0 * rng.randint(1, 4), True),
+        (lambda: rng.choice((1.1, 1 / 3, 2.7)), False),
+    ):
+        g = random_tree(rng, rng.randint(1, 30), length)
+        assert g.exact_path_sums == exact or g.n == 1
+        diam = diameter_by_enumeration(g) if g.n > 1 else 0.0
+        # the chain's scale, and FRT's closest-pair distance
+        for dmin in (2.0, g.min_edge_length() if g.edges else 2.0):
+            level, runs = assert_level_in_no_more_runs(g, monkeypatch, dmin)
+            assert level == level_count_for_diameter(diam, dmin)
+            assert len(runs) <= 2 or not exact
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_tree_at_exactly_a_power_of_two_ends_after_two_runs(k, monkeypatch):
+    # integer lengths summing to 2**k along a path whose vertex 0 is inside
+    rng = random.Random(k)
+    cuts = sorted(rng.sample(range(1, 2**k), min(2**k - 1, 9)))
+    lengths = [float(b - a) for a, b in zip([0] + cuts, cuts + [2**k])]
+    perm = list(range(len(lengths) + 1))
+    rng.shuffle(perm)
+    g = WeightedGraph(len(perm), tuple((perm[i], perm[i + 1], w) for i, w in enumerate(lengths)))
+    assert g.exact_path_sums and diameter_by_enumeration(g) == 2.0**k
+    for dmin, want in ((2.0, k), (1.0, k + 1), (g.min_edge_length(), None)):
+        level, runs = assert_level_in_no_more_runs(g, monkeypatch, dmin)
+        if want is not None:
+            assert level == want
+        # the second run starts at an end of the path, and ends the call
+        assert len(runs) == 2 and g.adjacency[runs[1]][1:] == []
+
+
+def test_tree_within_slack_of_a_power_of_two_continues_the_bound_loop(monkeypatch):
+    # Fractional paths rescaled so the computed diameter lands within a few
+    # ulps of 2**5. A second run's eccentricity at or below 2**5 does not
+    # clear it by BOUND_SLACK, so the call goes on with both runs' bounds;
+    # one above 2**5 clears 2**6 and ends the call.
+    rng = random.Random(5)
+    calls_by_runs = collections.Counter()
+    for _ in range(40):
+        n = rng.randint(20, 40)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        lengths = [rng.uniform(0.1, 1.0) for _ in range(n - 1)]
+        g = WeightedGraph(n, tuple((perm[i], perm[i + 1], w) for i, w in enumerate(lengths)))
+        factor = 2.0**5 / diameter(g)
+        for j in range(-3, 4):
+            near = WeightedGraph(
+                n, tuple((u, v, w * factor * (1 + j * 2.0**-52)) for u, v, w in g.edges)
+            )
+            assert not near.exact_path_sums
+            level, runs = assert_level_in_no_more_runs(near, monkeypatch)
+            assert level == level_count_for_diameter(diameter(near))
+            calls_by_runs[len(runs) == 2] += 1
+    assert calls_by_runs[True] > 0 and calls_by_runs[False] > 0
+
+
+def test_no_call_makes_more_runs_than_the_former_loop(monkeypatch):
+    rng = random.Random(8)
+    graphs = [random_connected(rng, rng.randint(2, 30)) for _ in range(20)]
+    graphs += [random_connected(rng, rng.randint(2, 30), step=2.0) for _ in range(20)]
+    graphs += [normalize(generate(kind, size=64))[0] for kind in ("path", "cycle", "star")]
+    graphs += [normalize(generate("grid", rows=6, cols=9))[0]]
+    for g in graphs:
+        assert_level_in_no_more_runs(g, monkeypatch)
+        assert_level_in_no_more_runs(g, monkeypatch, g.min_edge_length())
 
 
 def assert_subgraph_level_matches_floyd_warshall(g, members):
