@@ -4,8 +4,8 @@ A `WeightedGraph` is immutable after construction and safe to share across
 threads. All distances are exact single-source Dijkstra results; there is no
 approximation anywhere in this module. `settle` is the one heap kernel, for
 ordered, limited or masked searches. `dijkstra` walks a graph whose edges
-share one length breadth-first, and a tree from its source outward, with
-no heap; both walks give the heap's distances bit for bit.
+share one length breadth-first, with no heap, to the heap's distances bit
+for bit.
 
 Validation happens once, where a graph enters. The public constructor
 `WeightedGraph(n, edges)` checks and canonicalizes every edge; graph files,
@@ -163,25 +163,18 @@ def settle(
 def dijkstra(g: WeightedGraph, src: int) -> list[float]:
     """Exact single-source shortest-path distances; INF when unreachable.
 
-    Two kinds of graph are walked without a heap, to the bits that `settle`
-    would give. When every edge has one length w, a breadth-first walk
-    gives a vertex k hops away the k-fold sum 0.0 + w + ... + w: every
-    k-edge path folds to that float, and no fold falls as k grows. When the
-    graph has n - 1 edges, a parent walk adds each edge's length to its
-    parent's distance, summed from the source outward as Dijkstra sums
-    along a tree's one path; meeting a cycle, it hands the run to `settle`.
-    Both walks mark their visits in a list of their own, so a sum that
-    overflows to INF is kept, as the heap keeps such a vertex unreached.
+    When every edge has one length w, a breadth-first walk gives a vertex
+    k hops away the k-fold sum 0.0 + w + ... + w, the bits that `settle`
+    would give: every k-edge path folds to that float, and no fold falls
+    as k grows. The walk marks its visits in a list of its own, so a sum
+    that overflows to INF is kept, as the heap keeps such a vertex
+    unreached. Every other graph gets one `settle` run.
     """
     if not 0 <= src < g.n:
         raise InvariantViolation(f"source {src} out of range")
     w = g.common_length
     if w is not None:
         return _hop_walk(g.adjacency, src, w)
-    if g.m == g.n - 1:
-        dist = _tree_walk(g.adjacency, src)
-        if dist is not None:
-            return dist
     dist = [INF] * g.n
     settle(g.adjacency, src, dist)
     return dist
@@ -202,28 +195,6 @@ def _hop_walk(adj: list[list[tuple[int, float]]], src: int, w: float) -> list[fl
                 seen[v] = True
                 dist[v] = d
                 order.append(v)
-    return dist
-
-
-def _tree_walk(adj: list[list[tuple[int, float]]], src: int) -> list[float] | None:
-    """Distances from `src` when its component is a tree, else None: a
-    neighbour already seen that is not the parent closes a cycle. A vertex
-    is seen once it has a parent; the source is its own."""
-    dist = [INF] * len(adj)
-    parent = [-1] * len(adj)
-    parent[src] = src
-    dist[src] = 0.0
-    order = [src]
-    for u in order:
-        du, p = dist[u], parent[u]
-        for v, w in adj[u]:
-            if v == p:
-                continue
-            if parent[v] >= 0:
-                return None
-            parent[v] = u
-            dist[v] = du + w
-            order.append(v)
     return dist
 
 

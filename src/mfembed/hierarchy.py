@@ -140,10 +140,9 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
     ends a longest path (Handler, Transportation Science 1973), so the
     second run's eccentricity is the diameter: exactly with exact sums, and
     within far less than BOUND_SLACK otherwise. The call returns right
-    after that run when the sums are exact or the eccentricity clears 2**L
-    by BOUND_SLACK, and takes no bounds from the first run before then.
-    Otherwise it takes both runs' bounds and goes on as above, so it never
-    makes more runs than the bound loop alone.
+    after that run, before its bounds, when the sums are exact or the
+    eccentricity clears 2**L by BOUND_SLACK; otherwise it goes on as above,
+    so it never makes more runs than the bound loop alone.
     Raises DisconnectedGraph when some vertex cannot reach another.
     """
     if g.n == 0:
@@ -154,7 +153,6 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
     level = 0
     source = 0
     first_row: list[float] = []
-    first_settled = 0.0
     runs = 0
     tree = g.m == g.n - 1
     while True:
@@ -164,22 +162,23 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
         level = max(level, level_count_for_diameter(ecc, dmin))
         settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
-        runs += 1
-        if tree and runs == 1 and ecc + ecc > settled:
-            # The farthest vertex's bound ecc + ecc stays live, so the
-            # second run follows, and its bounds wait for it.
-            first_row, first_settled = row, settled
-            source = row.index(ecc)
-            continue
-        if tree and runs == 2:
-            if g.exact_path_sums or ecc <= settled:
-                return level
-            live, upper, lower = _tighten(
-                live, upper, lower, first_row, max(first_row), 0, first_settled
-            )
-        live, upper, lower = _tighten(live, upper, lower, row, ecc, source, settled)
+        if tree and runs == 1 and (g.exact_path_sums or ecc <= settled):
+            # This is the second run; on a tree its eccentricity is the diameter.
+            return level
+        kept, kept_upper, kept_lower = [], [], []
+        for w, up, low in zip(live, upper, lower):
+            d = row[w]
+            if d + ecc < up:
+                up = d + ecc
+            if up <= settled or w == source:
+                continue
+            kept.append(w)
+            kept_upper.append(up)
+            kept_lower.append(max(low, d, ecc - d))
+        live, upper, lower = kept, kept_upper, kept_lower
         if not live:
             return level
+        runs += 1
         if runs == 1:
             first_row = row
             source = row.index(ecc)
@@ -191,31 +190,6 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
             if _no_pair_exceeds(first_row, row, limit, dmin):
                 return level
         source = live[lower.index(min(lower))]
-
-
-def _tighten(
-    live: list[int],
-    upper: list[float],
-    lower: list[float],
-    row: list[float],
-    ecc: float,
-    source: int,
-    settled: float,
-) -> tuple[list[int], list[float], list[float]]:
-    """The live vertices and their upper and lower eccentricity bounds
-    after a run from `source` with eccentricity `ecc`, dropping the source
-    and every vertex whose upper bound is at most `settled`."""
-    kept, kept_upper, kept_lower = [], [], []
-    for w, up, low in zip(live, upper, lower):
-        d = row[w]
-        if d + ecc < up:
-            up = d + ecc
-        if up <= settled or w == source:
-            continue
-        kept.append(w)
-        kept_upper.append(up)
-        kept_lower.append(max(low, d, ecc - d))
-    return kept, kept_upper, kept_lower
 
 
 def _no_pair_exceeds(a: list[float], b: list[float], limit: float, dmin: float) -> bool:
