@@ -24,7 +24,7 @@ import math
 import random
 
 from .errors import DisconnectedGraph, PreconditionViolation
-from .graphs import INF, WeightedGraph, is_connected, settle
+from .graphs import INF, WeightedGraph, is_connected, search
 from .hierarchy import diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding
 
@@ -119,7 +119,7 @@ def _least_element_lists(
 ) -> list[list[tuple[int, float]]]:
     """Each vertex's LE list as (u, 2*d(u,v)/dmin), in `perm` order.
 
-    The runs `settle` one array that is never reset, so the run from u is
+    The runs `search` one array that is never reset, so the run from u is
     pruned at every vertex that an earlier run reached at least as close.
     If an earlier run w reached some x on a shortest u-v path at least as
     close as u does, then d(w,v) <= d(u,v), in float sums too since
@@ -129,6 +129,6 @@ def _least_element_lists(
     best = [INF] * g.n
     lists: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     for u in perm:
-        for x in settle(g.adjacency, u, best):
+        for x in search(g, u, best):
             lists[x].append((u, 2.0 * best[x] / dmin))
     return lists

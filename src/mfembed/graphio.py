@@ -29,7 +29,9 @@ def save_graph(g: WeightedGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
     """Read a graph file line by line. A header with more than `max_n`
-    vertices raises `BadSize` before any edge line is read."""
+    vertices raises `BadSize` before any edge line is read, and the first
+    edge line past the header's count raises `ParseError` before it is
+    kept."""
     n = None
     m = None
     # Keyed by canonical pair in first-seen order; a lower duplicate keeps the slot.
@@ -51,9 +53,12 @@ def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
                     raise ParseError("negative counts in header", lineno)
                 if max_n is not None and n > max_n:
                     raise BadSize(f"n={n}, limit {max_n}")
+                left = m
                 continue
             if fields[0] != "e" or len(fields) != 4:
                 raise ParseError("expected edge line `e <u> <v> <length>`", lineno)
+            if left == 0:
+                raise ParseError(f"more edge lines than the header's {m}", lineno)
             try:
                 u, v = int(fields[1]), int(fields[2])
                 w = float(fields[3])
@@ -69,9 +74,9 @@ def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
                 )
             key = (min(u, v), max(u, v))
             best[key] = min(best.get(key, w), w)
-            m -= 1
+            left -= 1
     if n is None:
         raise ParseError("missing header", 1)
-    if m != 0:
-        raise ParseError(f"edge count does not match header ({m:+d})", lineno)
+    if left != 0:
+        raise ParseError(f"{left} fewer edge lines than the header's {m}", lineno)
     return WeightedGraph(n, tuple((u, v, w) for (u, v), w in best.items()))

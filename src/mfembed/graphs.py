@@ -3,9 +3,10 @@
 A `WeightedGraph` is immutable after construction and safe to share across
 threads. All distances are exact single-source Dijkstra results; there is no
 approximation anywhere in this module. `settle` is the one heap kernel, for
-ordered, limited or masked searches. `dijkstra` walks a graph whose edges
-share one length breadth-first, with no heap, to the heap's distances bit
-for bit.
+ordered, limited or masked searches on adjacency lists. `search` runs such a
+search on a graph and picks its walk from the graph: breadth-first, with no
+heap, when every edge has one length, to the heap's distances bit for bit,
+and `settle` otherwise. `dijkstra` is one `search` on a fresh array.
 
 Validation happens once, where a graph enters. The public constructor
 `WeightedGraph(n, edges)` checks and canonicalizes every edge; graph files,
@@ -160,41 +161,51 @@ def settle(
     return settled
 
 
-def dijkstra(g: WeightedGraph, src: int) -> list[float]:
-    """Exact single-source shortest-path distances; INF when unreachable.
+def search(
+    g: WeightedGraph,
+    src: int,
+    dist: list[float],
+    allowed: Sequence[bool] | None = None,
+    limit: float = INF,
+) -> list[int]:
+    """`settle` on g, with its contract: a vertex is reached only by a sum
+    strictly below its entry, `allowed` and `limit` confine the search, and
+    every lowered entry is returned, nearest first.
 
     When every edge has one length w, a breadth-first walk gives a vertex
     k hops away the k-fold sum 0.0 + w + ... + w, the bits that `settle`
     would give: every k-edge path folds to that float, and no fold falls
-    as k grows. The walk marks its visits in a list of its own, so a sum
-    that overflows to INF is kept, as the heap keeps such a vertex
-    unreached. Every other graph gets one `settle` run.
+    as k grows. So the first sum that reaches a vertex is the least any
+    path gives it, a vertex that sum does not lower is never lowered, and
+    the returned vertices come in the order of their sums. Vertices at one
+    distance may come in another order than the heap's. A sum that
+    overflows to INF lowers nothing, as in `settle`. Every other graph
+    gets one `settle` run.
     """
-    if not 0 <= src < g.n:
-        raise InvariantViolation(f"source {src} out of range")
     w = g.common_length
-    if w is not None:
-        return _hop_walk(g.adjacency, src, w)
-    dist = [INF] * g.n
-    settle(g.adjacency, src, dist)
-    return dist
-
-
-def _hop_walk(adj: list[list[tuple[int, float]]], src: int, w: float) -> list[float]:
-    """Distances from `src` when every edge has length w, in breadth-first
-    order: a vertex k hops away gets the (k - 1)-hop sum plus w."""
-    dist = [INF] * len(adj)
-    seen = [False] * len(adj)
-    seen[src] = True
+    if w is None:
+        return settle(g.adjacency, src, dist, allowed, limit)
+    adj = g.adjacency
     dist[src] = 0.0
     order = [src]
     for u in order:
         d = dist[u] + w
+        if d > limit:
+            break
         for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+            if d < dist[v] and (allowed is None or allowed[v]):
                 dist[v] = d
                 order.append(v)
+    return order
+
+
+def dijkstra(g: WeightedGraph, src: int) -> list[float]:
+    """Exact single-source shortest-path distances; INF when unreachable.
+    One `search` on a fresh array."""
+    if not 0 <= src < g.n:
+        raise InvariantViolation(f"source {src} out of range")
+    dist = [INF] * g.n
+    search(g, src, dist)
     return dist
 
 
@@ -276,7 +287,7 @@ def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
 def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
     """Replace each edge length by the distance between its endpoints.
 
-    Edge (u, v) takes its distance from one `settle` run out of u, cut off
+    Edge (u, v) takes its distance from one `search` out of u, cut off
     at u's longest edge to a higher id: every such neighbour lies within
     that limit, so the distances are exact and memory stays O(n + m). Each
     distance lies inside the edge's own component, so connectivity is not
@@ -289,7 +300,7 @@ def metric_closure_weights(g: WeightedGraph) -> WeightedGraph:
     dist = [INF] * g.n
     for u, out in enumerate(by_source):
         if out:
-            reached = settle(g.adjacency, u, dist, limit=max(w for _, _, w in out))
+            reached = search(g, u, dist, limit=max(w for _, _, w in out))
             for i, v, _ in out:
                 lengths[i] = dist[v]
             for v in reached:

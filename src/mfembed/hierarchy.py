@@ -142,7 +142,10 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
     within far less than BOUND_SLACK otherwise. The call returns right
     after that run, before its bounds, when the sums are exact or the
     eccentricity clears 2**L by BOUND_SLACK; otherwise it goes on as above,
-    so it never makes more runs than the bound loop alone.
+    so it never makes more runs than the bound loop alone. A tree whose
+    vertex 0 has degree 1 and whose vertices all have degree 2 or less is a
+    path that ends at vertex 0, so the first run's eccentricity is already
+    the diameter, and the same rule ends the call after that run.
     Raises DisconnectedGraph when some vertex cannot reach another.
     """
     if g.n == 0:
@@ -155,6 +158,7 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
     first_row: list[float] = []
     runs = 0
     tree = g.m == g.n - 1
+    path_from_0 = tree and len(g.adjacency[0]) == 1 and max(map(len, g.adjacency)) <= 2
     while True:
         row = dijkstra(g, source)
         ecc = max(row)
@@ -162,8 +166,11 @@ def diameter_level(g: WeightedGraph, *, dmin: float = 2.0) -> int:
             raise DisconnectedGraph("eccentricity undefined on a disconnected graph")
         level = max(level, level_count_for_diameter(ecc, dmin))
         settled = 2.0**level / (1.0 + BOUND_SLACK) * dmin / 2.0
-        if tree and runs == 1 and (g.exact_path_sums or ecc <= settled):
-            # This is the second run; on a tree its eccentricity is the diameter.
+        if (runs == 1 and tree or runs == 0 and path_from_0) and (
+            g.exact_path_sums or ecc <= settled
+        ):
+            # On a tree the second run's eccentricity is the diameter, and on
+            # a path that ends at vertex 0 the first run's.
             return level
         kept, kept_upper, kept_lower = [], [], []
         for w, up, low in zip(live, upper, lower):

@@ -17,7 +17,7 @@ import random
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .graphs import INF, WeightedGraph, settle
+from .graphs import INF, WeightedGraph, search
 
 
 def sample_exponential(rng: random.Random) -> float:
@@ -49,7 +49,7 @@ def carve(
         if x < 0:
             raise InvariantViolation("radius sample must be nonnegative")
         rv = r * (1.0 + x)
-        members = sorted(settle(g.adjacency, v, dist, free, rv))
+        members = sorted(search(g, v, dist, free, rv))
         for u in members:
             free[u] = False
             dist[u] = INF

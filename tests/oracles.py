@@ -40,6 +40,9 @@ bit-equal distances.
 
 `dijkstra_by_heap` is `graphs.dijkstra` as it was before it walked trees
 and equal-length graphs without a heap: one `settle` run on a fresh array.
+`carve_by_heap` and `least_element_lists_by_heap` are `partition.carve` and
+`frt._least_element_lists` as they were before they called `graphs.search`:
+one `settle` run per ball or per vertex, on every graph.
 `diameter_level_by_bounds` is `hierarchy.diameter_level` as it was before
 it ended a tree's call after two runs: the bound loop and the two-row
 certificate on every graph, counting its runs. The library must return the
@@ -119,7 +122,7 @@ from mfembed.hierarchy import (
     level_count_for_diameter,
 )
 from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding, check_forest_validity
-from mfembed.partition import carve
+from mfembed.partition import carve, sample_exponential
 
 INF = math.inf
 
@@ -887,6 +890,32 @@ def dijkstra_by_heap(g, src):
     dist = [INF] * g.n
     settle(g.adjacency, src, dist)
     return dist
+
+
+def carve_by_heap(g, order, free, r, rng):
+    """`partition.carve` with one `settle` run per ball."""
+    balls = []
+    dist = [INF] * g.n
+    for v in order:
+        if not free[v]:
+            continue
+        rv = r * (1.0 + sample_exponential(rng))
+        members = sorted(settle(g.adjacency, v, dist, free, rv))
+        for u in members:
+            free[u] = False
+            dist[u] = INF
+        balls.append((v, members, rv))
+    return balls
+
+
+def least_element_lists_by_heap(g, perm, dmin):
+    """`frt._least_element_lists` with one `settle` run per vertex."""
+    best = [INF] * g.n
+    lists = [[] for _ in range(g.n)]
+    for u in perm:
+        for x in settle(g.adjacency, u, best):
+            lists[x].append((u, 2.0 * best[x] / dmin))
+    return lists
 
 
 def diameter_level_by_bounds(g, dmin=2.0):

@@ -4,10 +4,11 @@ import random
 import tracemalloc
 
 import pytest
-from oracles import diameter, frt_by_matrix
+from oracles import diameter, frt_by_matrix, least_element_lists_by_heap
 from test_hierarchy import count_runs
 from test_pipeline import random_connected_graph
 
+import mfembed.frt as frt
 from mfembed.cli import main
 from mfembed.errors import DisconnectedGraph, PreconditionViolation
 from mfembed.frt import frt_embed
@@ -65,6 +66,28 @@ def test_matches_matrix_on_unit_cycle_512():
     g = generate("cycle", size=512)
     assert diameter_level(g, dmin=1.0) == 9  # 2 * 256 / 1 = 2**9
     assert_same_as_matrix(g, [1, 2])
+
+
+@pytest.mark.parametrize("length", [1.0, 0.1, 1 / 3])
+def test_lists_and_trees_match_the_heap_on_equal_lengths(length, monkeypatch):
+    shapes = [
+        generate("cycle", size=64),
+        generate("grid", rows=7, cols=7),
+        generate("path", size=30),
+        generate("star", size=10),
+    ]
+    for shape in shapes:
+        g = WeightedGraph(shape.n, tuple((u, v, length) for u, v, _ in shape.edges))
+        trees = []
+        for seed in range(3):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            lists = frt._least_element_lists(g, perm, length)
+            assert lists == least_element_lists_by_heap(g, perm, length)
+            trees.append(embedding_to_json(frt_embed(g, seed)))
+        monkeypatch.setattr(frt, "_least_element_lists", least_element_lists_by_heap)
+        assert [embedding_to_json(frt_embed(g, seed)) for seed in range(3)] == trees
+        monkeypatch.undo()
 
 
 def test_matches_matrix_with_a_distance_exactly_at_the_radius():

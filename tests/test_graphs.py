@@ -39,6 +39,7 @@ from mfembed.graphs import (
     metric_closure_weights,
     normalize,
     quotient_adjacency,
+    search,
     settle,
 )
 
@@ -177,6 +178,61 @@ def test_hop_walk_matches_the_heap_on_equal_lengths(length, monkeypatch):
     assert runs == []
 
 
+def assert_search_is_settle(g, src, dist, allowed=None, limit=INF):
+    """`search` on `dist` lowers the entries that `settle` lowers on a copy,
+    to the same bits, and returns the same vertices, nearest first."""
+    heap_dist = list(dist)
+    want = settle(g.adjacency, src, heap_dist, allowed, limit)
+    got = search(g, src, dist, allowed, limit)
+    assert list(map(float.hex, dist)) == list(map(float.hex, heap_dist)), (g, src, limit)
+    assert sorted(got) == sorted(want)
+    assert [dist[v] for v in got] == [heap_dist[v] for v in want]
+
+
+@pytest.mark.parametrize("length", [1.0, 2.0, 0.1, 1 / 3, 0.0, 1e308])
+def test_search_matches_settle_on_equal_lengths(length, monkeypatch):
+    # Masks, inclusive and short limits, arrays that earlier runs lowered
+    # as the least-element lists leave them or that hold arbitrary entries,
+    # and 1e308 lengths, whose two-hop sums overflow to INF.
+    rng = random.Random(repr(length))
+    shapes = [
+        generate("cycle", size=60),
+        generate("grid", rows=6, cols=7),
+        generate("path", size=40),
+        generate("star", size=12),
+    ]
+    shapes += [random_connected_graph(rng, rng.randint(2, 30)) for _ in range(8)]
+    runs = heap_runs(monkeypatch)
+    for shape in shapes:
+        g = WeightedGraph(shape.n, tuple((u, v, length) for u, v, _ in shape.edges), allow_zero=True)
+        sums = sorted({d for d in dijkstra_by_heap(g, 0) if d < INF})
+        for _ in range(4):
+            src = rng.randrange(g.n)
+            allowed = [rng.random() < 0.7 for _ in range(g.n)]
+            for limit in (INF, rng.choice(sums), rng.uniform(0.0, sums[-1]), length / 2):
+                assert_search_is_settle(g, src, [INF] * g.n, None, limit)
+                assert_search_is_settle(g, src, [INF] * g.n, allowed, limit)
+            dist = [INF] * g.n
+            for x in rng.sample(range(g.n), g.n // 3):
+                dist[x] = rng.choice((rng.choice(sums), rng.uniform(0.0, sums[-1])))
+            assert_search_is_settle(g, src, dist, allowed)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        dist = [INF] * g.n
+        for src in perm:
+            assert_search_is_settle(g, src, dist)
+    assert runs == []
+
+
+def test_search_runs_settle_on_unequal_lengths(monkeypatch):
+    g = path_graph([1.0, 2.0, 1.0])
+    runs = heap_runs(monkeypatch)
+    dist = [INF] * 4
+    assert search(g, 1, dist, [True, True, True, False], 2.5) == [1, 0, 2]
+    assert dist == [1.0, 0.0, 2.0, INF]
+    assert runs == [1]
+
+
 def test_common_length():
     assert path_graph([2.0, 2.0, 2.0]).common_length == 2.0
     assert path_graph([2.0, 2.0, 3.0]).common_length is None
@@ -235,8 +291,8 @@ def test_dijkstra_on_disconnected_graphs_and_a_single_vertex(monkeypatch):
 
 def test_dijkstra_keeps_overflowing_sums_unreached():
     # The heap never lowers an entry to INF, so a sum that overflows leaves
-    # its vertex, and all beyond it, at INF. The hop walk keeps its own
-    # visit marks, so it gives the same rows.
+    # its vertex, and all beyond it, at INF. The breadth-first walk keeps
+    # the same strict-below rule, so it gives the same rows.
     equal = WeightedGraph(6, tuple((i, (i + 1) % 6, 1e308) for i in range(6)))
     tree = WeightedGraph(5, ((0, 1, 1e308), (1, 2, 1.5e308), (2, 3, 1.0), (0, 4, 1.0)))
     for g in (equal, tree):
@@ -680,6 +736,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     p.write_text("p 2 2\ne 0 1 1\n")
     with pytest.raises(ParseError):
         load_graph(p)
+
+    # the first edge line past the header's count is refused, before the
+    # lines after it are read
+    p.write_text("# one edge\np 3 1\ne 0 1 1\n\ne 1 2 1\ne 0 2 x\n")
+    with pytest.raises(ParseError, match="line 5: more edge lines than the header's 1"):
+        load_graph(p)
+    p.write_text("p 2 0\ne 0 1 1\n")
+    with pytest.raises(ParseError) as err:
+        load_graph(p)
+    assert err.value.line == 2
 
 
 def test_parallel_edges_collapse_to_min(tmp_path):

@@ -33,6 +33,7 @@ from mfembed.generators import generate
 from mfembed.graphs import (
     INF,
     WeightedGraph,
+    dijkstra,
     induced_subgraphs,
     metric_closure_weights,
     normalize,
@@ -229,7 +230,7 @@ def test_tree_level_matches_enumeration_in_two_runs(seed, monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_tree_at_exactly_a_power_of_two_ends_after_two_runs(k, monkeypatch):
-    # integer lengths summing to 2**k along a path whose vertex 0 is inside
+    # integer lengths summing to 2**k along a shuffled path
     rng = random.Random(k)
     cuts = sorted(rng.sample(range(1, 2**k), min(2**k - 1, 9)))
     lengths = [float(b - a) for a, b in zip([0] + cuts, cuts + [2**k])]
@@ -241,8 +242,68 @@ def test_tree_at_exactly_a_power_of_two_ends_after_two_runs(k, monkeypatch):
         level, runs = assert_level_in_no_more_runs(g, monkeypatch, dmin)
         if want is not None:
             assert level == want
-        # the second run starts at an end of the path, and ends the call
-        assert len(runs) == 2 and g.adjacency[runs[1]][1:] == []
+        if len(g.adjacency[0]) == 1:
+            # the path ends at vertex 0, so the first run ends the call
+            assert runs == [0]
+        else:
+            # the second run starts at an end of the path, and ends the call
+            assert len(runs) == 2 and g.adjacency[runs[1]][1:] == []
+
+
+def path_through(order, lengths):
+    """The path that visits `order`, its i-th edge of length lengths[i]."""
+    return WeightedGraph(
+        len(order), tuple((order[i], order[i + 1], w) for i, w in enumerate(lengths))
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_path_level_matches_enumeration(seed, monkeypatch):
+    # Vertex 0 at an end takes one run when the sums are exact, inside it
+    # takes two; two-vertex paths have 0 at an end.
+    rng = random.Random(seed)
+    n = 2 if seed < 2 else rng.randint(3, 25)
+    for length, exact in (
+        (lambda: 1.0, True),
+        (lambda: rng.uniform(0.5, 5.0), False),
+        (lambda: rng.choice((1.1, 1 / 3, 2.7)), False),
+    ):
+        lengths = [length() for _ in range(n - 1)]
+        inner = list(range(1, n))
+        rng.shuffle(inner)
+        ends = [[0] + inner, inner + [0]]
+        middle = [inner[: n // 2] + [0] + inner[n // 2 :]] if n > 2 else []
+        for order in ends + middle:
+            g = path_through(order, lengths)
+            assert g.exact_path_sums == exact
+            diam = diameter_by_enumeration(g)
+            for dmin in (2.0, g.min_edge_length()):
+                level, runs = assert_level_in_no_more_runs(g, monkeypatch, dmin)
+                assert level == level_count_for_diameter(diam, dmin)
+                if exact:
+                    assert len(runs) == (1 if len(g.adjacency[0]) == 1 else 2)
+
+
+def test_path_from_0_within_slack_of_a_power_of_two(monkeypatch):
+    # As below, on paths that end at vertex 0: a first-run eccentricity
+    # above 2**5 clears 2**6 and ends the call after that run; one at or
+    # below 2**5 goes on to the loop.
+    rng = random.Random(6)
+    calls_by_runs = collections.Counter()
+    for _ in range(40):
+        n = rng.randint(20, 40)
+        order = [0] + rng.sample(range(1, n), n - 1)
+        g = path_through(order, [rng.uniform(0.1, 1.0) for _ in range(n - 1)])
+        factor = 2.0**5 / diameter(g)
+        for j in range(-3, 4):
+            near = WeightedGraph(
+                n, tuple((u, v, w * factor * (1 + j * 2.0**-52)) for u, v, w in g.edges)
+            )
+            level, runs = assert_level_in_no_more_runs(near, monkeypatch)
+            assert level == level_count_for_diameter(diameter(near))
+            assert (len(runs) == 1) == (max(dijkstra(near, 0)) > 2.0**5)
+            calls_by_runs[len(runs) == 1] += 1
+    assert calls_by_runs[True] > 0 and calls_by_runs[False] > 0
 
 
 def test_tree_within_slack_of_a_power_of_two_continues_the_bound_loop(monkeypatch):
@@ -435,7 +496,9 @@ def test_uncertified_cluster_is_measured_on_its_own_subgraph(monkeypatch):
         sub, _ = induced_subgraph(g, members)
         diam = max(x for row in floyd_warshall(sub) for x in row)
         assert got == level_count_for_diameter(diam)
-        assert sources[0] == 0 and len(sources) > 1
+        # each member subgraph is a path that ends at local vertex 0, where
+        # the one run that measures it starts
+        assert sources == [0]
     # each level is at most the cluster's own (1, 1, 2), so all three pass
     assert [got for got, _ in measured] == [1, 1, 2]
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from oracles import (
     EdgeNotInGraph,
+    carve_by_heap,
     check_partition_validity,
     count_cut_edges,
     diameter,
@@ -146,6 +147,31 @@ def test_partition_validity_and_p1_across_seeds():
         d = diameter(g)
         for seed in range(30):
             check_partition_validity(g, carve_all(g, d / 4, random.Random(seed)))
+
+
+@pytest.mark.parametrize("length", [1.0, 2.0, 0.1, 1 / 3])
+def test_carving_matches_the_heap_on_equal_lengths(length):
+    # In place on a vertex subset in a shuffled order, as a chain carves a
+    # cluster, with radii below, at and above the edge length.
+    rng = random.Random(repr(length))
+    shapes = [
+        generate("cycle", size=64),
+        generate("grid", rows=8, cols=8),
+        generate("path", size=50),
+        generate("star", size=15),
+    ]
+    for shape in shapes:
+        g = WeightedGraph(shape.n, tuple((u, v, length) for u, v, _ in shape.edges))
+        for seed in range(6):
+            order = rng.sample(range(g.n), rng.randint(1, g.n))
+            for r in (0.3 * length, length, 2.5 * length, 10.0 * length):
+                free = [False] * g.n
+                for v in order:
+                    free[v] = True
+                heap_free = list(free)
+                got = carve(g, order, free, r, random.Random(seed))
+                assert got == carve_by_heap(g, order, heap_free, r, random.Random(seed))
+                assert free == heap_free == [False] * g.n
 
 
 def test_determinism_same_seed():
