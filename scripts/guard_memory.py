@@ -1,18 +1,22 @@
 """Measure the memory peak of one whole `mfembed` command under tracemalloc.
 
 The size guards in `mfembed.cli` charge a fixed number of bytes per pair
-(`PAIR_BYTES`, for `eval` and `experiment`) and per edge (`GEN_EDGE_BYTES`,
-for `gen`), and cap `embed` and `experiment` at `MAX_EMBED_N` vertices. This
-script runs one command in-process with `tracemalloc` on and prints one row
-of the README's "Size limits" tables: the command, its pair or edge count,
-the peak (MB = 10^6 bytes) and the peak per pair or edge; for `embed`, the
-input and host sizes and the peak.
+(`PAIR_BYTES`, for `eval` and `experiment`), per generated edge
+(`GEN_EDGE_BYTES`, for `gen`) and per loaded edge (`LOAD_EDGE_BYTES`, for
+every command that reads a graph file), and cap `embed` and `experiment` at
+`MAX_EMBED_N` vertices. This script runs one command in-process with
+`tracemalloc` on and prints one row of the README's "Size limits" tables:
+the command, its pair or edge count, the peak (MB = 10^6 bytes) and the
+peak per pair or edge; for `embed`, the input and host sizes and the peak.
+`load` is not a command: it traces the commands' loader alone on the input
+file, header checks included.
 
     PYTHONPATH=src python scripts/guard_memory.py --path 300 eval --pairs all
     PYTHONPATH=src python scripts/guard_memory.py --path 300 experiment \\
         --pairs all --baseline frt --runs 8
     PYTHONPATH=src python scripts/guard_memory.py --grid 40 embed --seed 1
     PYTHONPATH=src python scripts/guard_memory.py gen path --n 200000 --weights uniform:1:4
+    PYTHONPATH=src python scripts/guard_memory.py --path 200000 load
 
 `--path N` and `--grid SIDE` make the input before tracing starts: a path of
 N vertices (generator seed 0) or a SIDE x SIDE grid (generator seed 1), with
@@ -55,6 +59,12 @@ def measure(command: list[str], path_n: int | None, grid_side: int | None, work:
             save_embedding(frt_embed(g, 0), work / "tree.json")
             argv += ["-e", str(work / "tree.json")]
         del g  # the command loads its own copy
+    if command[0] == "load":
+        tracemalloc.start()
+        m = cli._load(str(work / "input.txt")).m
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak, [m]
     tracemalloc.start()
     code = cli.main(argv)
     peak = tracemalloc.get_traced_memory()[1]
@@ -83,10 +93,10 @@ def main() -> int:
     parser.add_argument("command", nargs=argparse.REMAINDER,
                         help="an mfembed command without -i, -e and -o")
     args = parser.parse_args()
-    if not args.command or args.command[0] not in ("eval", "experiment", "gen", "embed"):
-        parser.error("the command must be eval, experiment, embed or gen")
+    if not args.command or args.command[0] not in ("eval", "experiment", "gen", "embed", "load"):
+        parser.error("the command must be eval, experiment, embed, gen or load")
     if (args.path is None and args.grid is None) != (args.command[0] == "gen"):
-        parser.error("eval, experiment and embed need --path or --grid; gen takes neither")
+        parser.error("eval, experiment, embed and load need --path or --grid; gen takes neither")
     if args.check and args.command[0] == "embed":
         parser.error("embed has no guard constant to check")
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,7 +109,10 @@ def main() -> int:
     if args.command[0] == "embed":
         print(f"| {label} | {' | '.join(map(str, counts))} | {peak / 1e6:.1f} MB |")
         return 0
-    unit, bound = ("edge", cli.GEN_EDGE_BYTES) if args.command[0] == "gen" else ("pair", cli.PAIR_BYTES)
+    unit, bound = {
+        "gen": ("edge", cli.GEN_EDGE_BYTES),
+        "load": ("edge", cli.LOAD_EDGE_BYTES),
+    }.get(args.command[0], ("pair", cli.PAIR_BYTES))
     per = peak / counts[0]
     print(f"| {label} | {counts[0]} | {peak / 1e6:.1f} MB | {per:.0f} |")
     if args.check and per > bound:

@@ -18,6 +18,12 @@ caller, named by the nearest library function on the call stack:
 `hosts`' own heap runs, for labels that no leaf rows give, are the row
 "host labels"; any other search is "other".
 
+Two shares follow the table: the splits whose chain was flat (the root's
+carving left only singletons, so the split took its one cut without a
+packing), out of all splits, and the carving balls answered without a
+search (every free neighbour of the center lay beyond its radius), out of
+all balls.
+
     PYTHONPATH=src python scripts/search_split.py --cycle 512 --runs 4 --pairs 200 --seeds 1 2
     PYTHONPATH=src python scripts/search_split.py --grid 16 --runs 4 --pairs all
 
@@ -35,8 +41,10 @@ import argparse
 import sys
 from pathlib import Path
 
+import mfembed.embedder as embedder
 import mfembed.frt as frt
 import mfembed.graphs as graphs
+import mfembed.hierarchy as hierarchy
 import mfembed.hosts as hosts
 import mfembed.partition as partition
 from mfembed.generators import generate
@@ -69,13 +77,27 @@ def caller() -> str:
     return "other"
 
 
-def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int]:
+def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
     """Run the experiments with counted searches; returns, per caller and
-    walk, [searches, vertices returned], and the heap searches made on
-    graphs with at least one edge."""
+    walk, [searches, vertices returned], the heap searches made on graphs
+    with at least one edge, and the split and ball tallies of the flat
+    shares."""
     counts = {row: {walk: [0, 0] for walk in WALKS} for row in ROWS}
     heap_on_edges = 0
+    tally = {"splits": 0, "flat splits": 0, "balls": 0}
     search, settle = graphs.search, hosts.settle
+    build_chain, carve = embedder.build_chain, hierarchy.carve
+
+    def counted_chain(h, *args, **kwargs):
+        chain = build_chain(h, *args, **kwargs)
+        tally["splits"] += 1
+        tally["flat splits"] += len(getattr(chain, "lo", ())) == h.n + 1
+        return chain
+
+    def counted_carve(*args, **kwargs):
+        balls = carve(*args, **kwargs)
+        tally["balls"] += len(balls)
+        return balls
 
     def counted_search(h, *args, **kwargs):
         nonlocal heap_on_edges
@@ -98,6 +120,7 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int]:
     for module, name in patched:
         setattr(module, name, counted_search)
     hosts.settle = counted_settle
+    embedder.build_chain, hierarchy.carve = counted_chain, counted_carve
     try:
         for config in configs:
             run_experiment(g, config)
@@ -105,7 +128,12 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int]:
         for module, name in patched:
             setattr(module, name, search)
         hosts.settle = settle
-    return counts, heap_on_edges
+        embedder.build_chain, hierarchy.carve = build_chain, carve
+    return counts, heap_on_edges, tally
+
+
+def share(part: int, whole: int) -> str:
+    return f"{part} of {whole} ({100.0 * part / whole:.1f} %)" if whole else "0 of 0"
 
 
 def main() -> int:
@@ -128,7 +156,7 @@ def main() -> int:
     pairs = args.pairs if args.pairs == "all" else int(args.pairs)
     configs = [ExperimentConfig(epsilon=0.5, mode="practical", runs=args.runs, pairs=pairs,
                                 seed=seed, baseline="frt") for seed in args.seeds]
-    counts, heap_on_edges = split(g, configs)
+    counts, heap_on_edges, tally = split(g, configs)
     print(f"{label}, --runs {args.runs} --pairs {args.pairs} "
           f"--seeds {' '.join(map(str, args.seeds))}")
     print("| caller | breadth-first searches | vertices | heap searches | vertices |")
@@ -136,6 +164,9 @@ def main() -> int:
     for row, by_walk in counts.items():
         (bfs, bfs_vertices), (heap, heap_vertices) = by_walk.values()
         print(f"| {row} | {bfs} | {bfs_vertices} | {heap} | {heap_vertices} |")
+    searched = sum(n for n, _ in counts["carving"].values())
+    print(f"flat chains: {share(tally['flat splits'], tally['splits'])} splits")
+    print(f"carving balls without a search: {share(tally['balls'] - searched, tally['balls'])}")
     if args.cycle is not None and heap_on_edges:
         print(f"{heap_on_edges} heap searches on graphs with edges of the unit cycle",
               file=sys.stderr)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a checked invariant was violated, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import random
@@ -52,15 +53,54 @@ PAIR_BYTES = 1000
 GEN_EDGE_BYTES = 340
 
 
+# Memory that loading a graph file holds per edge line: the pair table, the
+# edge tuple and the constructor's checks. Rounded up from the traced peaks
+# of the loader on uniform:1:4 paths, 310 to 416 bytes per edge between 5000
+# and 360000 edges, highest just past a table resize (README, "Size
+# limits"). Every command that reads a graph refuses a header with more
+# edges than the budget covers, about 2.44 million, before any edge line.
+LOAD_EDGE_BYTES = 440
+
+
 class _InputProblem(Exception):
     pass
 
 
+def _refuse_missing_dirs(*paths: str | None) -> None:
+    """Refuse an output path whose directory does not exist; commands call
+    this before they read any input."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise _InputProblem(f"no directory for output {path}")
+
+
+@contextlib.contextmanager
+def _outputs():
+    """Yields `claim(path)`, called right before a command writes `path`: it
+    opens the file for writing, so a path that cannot be opened is never
+    claimed. When the block raises, every claimed path is removed, so a
+    command that fails leaves none of its own outputs behind."""
+    claimed = []
+
+    def claim(path: str) -> None:
+        open(path, "w", encoding="utf-8").close()
+        claimed.append(path)
+
+    try:
+        yield claim
+    except BaseException:
+        for path in claimed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _load(path: str, max_n: int | None = None) -> WeightedGraph:
     try:
-        return load_graph(path, max_n)
+        return load_graph(path, max_n, max_m=MEMORY_BUDGET // LOAD_EDGE_BYTES)
     except BadSize as exc:
-        raise _InputProblem(f"instance too large to embed ({exc})") from exc
+        task = "load" if max_n is None else "embed"
+        raise _InputProblem(f"instance too large to {task} ({exc})") from exc
     except MfembedError as exc:
         raise _InputProblem(str(exc)) from exc
 
@@ -171,6 +211,7 @@ def _gen_edge_count(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _refuse_missing_dirs(args.out)
     edges = _gen_edge_count(args)
     limit = MEMORY_BUDGET // GEN_EDGE_BYTES
     if edges > limit:
@@ -183,19 +224,24 @@ def _cmd_gen(args) -> int:
         weights=args.weights,
         seed=args.seed,
     )
-    save_graph(g, args.out)
+    with _outputs() as claim:
+        claim(args.out)
+        save_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
 
 
 def _cmd_embed(args) -> int:
+    _refuse_missing_dirs(args.out)
     g = _load(args.input, MAX_EMBED_N)
     kwargs = dict(mode=args.mode, xi_cap=args.xi_cap)
     comps = connected_components(g)
     # An empty graph has no component, and embed_top refuses it.
     if len(comps) <= 1:
         emb = embed_top(g, args.epsilon, seed=args.seed, **kwargs)
-        save_embedding(emb, args.out)
+        with _outputs() as claim:
+            claim(args.out)
+            save_embedding(emb, args.out)
         print(
             f"wrote {args.out}: host n={emb.host.n} depth={emb.depth} "
             f"fallback={emb.meta.fallback_used}"
@@ -206,20 +252,37 @@ def _cmd_embed(args) -> int:
     for k, (sub, verts) in enumerate(zip(induced_subgraphs(g, comps), comps)):
         emb = embed_top(sub, args.epsilon, seed=derive_seed(args.seed, "component", k), **kwargs)
         parts.append((emb, verts))
-    save_components(parts, args.out)
+    with _outputs() as claim:
+        claim(args.out)
+        save_components(parts, args.out)
     print(f"wrote {args.out}: {len(parts)} components")
     return 0
 
 
 def _cmd_frt(args) -> int:
+    _refuse_missing_dirs(args.out)
     g = _load(args.input)
     emb = frt_embed(g, args.seed)
-    save_embedding(emb, args.out)
+    with _outputs() as claim:
+        claim(args.out)
+        save_embedding(emb, args.out)
     print(f"wrote {args.out}: host n={emb.host.n} depth={emb.depth}")
     return 0
 
 
+def _emit(report: dict, out: str, csv: str | None) -> None:
+    """Write the JSON report and, if asked, its CSV table; neither is left
+    behind when either write fails."""
+    with _outputs() as claim:
+        claim(out)
+        harness.emit(report, "json", out)
+        if csv:
+            claim(csv)
+            harness.emit(report, "csv", csv)
+
+
 def _cmd_eval(args) -> int:
+    _refuse_missing_dirs(args.out, args.csv)
     g = _load(args.input)
     count = _pairs_arg(args.pairs, g.n)
     try:
@@ -238,9 +301,7 @@ def _cmd_eval(args) -> int:
         "pairs": [[u, v] for u, v in pairs],
         "distortion": distortion,
     }
-    harness.emit(report, "json", args.out)
-    if args.csv:
-        harness.emit(report, "csv", args.csv)
+    _emit(report, args.out, args.csv)
     print(f"wrote {args.out}: max ratio={distortion['max_mean_ratio']}")
     if distortion["violations"]:
         print(f"non-contraction violations: {distortion['violations']}", file=sys.stderr)
@@ -249,6 +310,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _refuse_missing_dirs(args.out, args.csv)
     g = _load(args.input, MAX_EMBED_N)
     config = harness.ExperimentConfig(
         epsilon=args.epsilon,
@@ -261,9 +323,7 @@ def _cmd_experiment(args) -> int:
         xi_cap=args.xi_cap,
     )
     report = harness.run_experiment(g, config)
-    harness.emit(report, "json", args.out)
-    if args.csv:
-        harness.emit(report, "csv", args.csv)
+    _emit(report, args.out, args.csv)
     print(
         f"wrote {args.out}: max mean ratio={report['distortion']['max_mean_ratio']} "
         f"fallback rate={report['structural']['fallback_rate']}"
@@ -357,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Not a broken invariant: the input outgrew this machine's memory.
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except MfembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
 
+from . import cutpack
 from .cutpack import build_cut_packing
 from .errors import (
     BadEpsilon,
@@ -47,6 +48,7 @@ from .frt import frt_embed
 from .graphs import (
     INF,
     WeightedGraph,
+    connected_components,
     dijkstra,
     hat_ell,
     induced_subgraphs,
@@ -162,12 +164,21 @@ class _FallbackRequired(Exception):
 def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
     a failed chain build comes back as its `ChainFailure`. The chain's
-    carving radii and then the cut choice are drawn from `rng`."""
+    carving radii and then the cut choice are drawn from `rng`.
+
+    A flat chain (the root over n singletons, see `build_chain`) quotients
+    to g itself, so its packing is the one cut of singletons at the bag that
+    `cutpack.centroid_separator` returns on g's neighbour sets with unit
+    weights. That cut is taken directly, with the packing's balance check,
+    and a packing of one cut needs no draw.
+    """
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
     chain = build_chain(g, params.delta, rng)
     if isinstance(chain, ChainFailure):
         return chain
+    if len(chain.lo) == g.n + 1:  # the root and n singleton leaves
+        return _flat_split(g, chain.top_level, params.tau)
     packing = build_cut_packing(chain, params.xi)
     i = rng.randrange(len(packing.cuts))
     return SplitResult(
@@ -176,6 +187,30 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
         level=chain.top_level,
         packing_size=len(packing.cuts),
         oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
+    )
+
+
+def _flat_split(g: WeightedGraph, level: int, tau: int) -> SplitResult:
+    """`split` on a flat chain of g at `level`: the cut of the singletons of
+    the centroid bag of g under unit weights."""
+    n = g.n
+    bag = cutpack.centroid_separator([{u for u, _ in around} for around in g.adjacency], [1] * n)
+    outside = [True] * n
+    for v in bag:
+        outside[v] = False
+    components = connected_components(g, outside)
+    half = n // 2
+    if any(len(c) > half for c in components):
+        raise InvariantViolation("constructed cut is not balanced")
+    portals = sorted(bag)
+    components.extend([v] for v in portals)
+    components.sort()
+    return SplitResult(
+        portals=portals,
+        components=components,
+        level=level,
+        packing_size=1,
+        oversize_in_packing=int(len(bag) > tau),
     )
 
 

@@ -27,11 +27,13 @@ def save_graph(g: WeightedGraph, path: str | Path) -> None:
             fh.write("".join([f"e {u} {v} {w!r}\n" for u, v, w in edges[i : i + _EDGE_BATCH]]))
 
 
-def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
+def load_graph(
+    path: str | Path, max_n: int | None = None, *, max_m: int | None = None
+) -> WeightedGraph:
     """Read a graph file line by line. A header with more than `max_n`
-    vertices raises `BadSize` before any edge line is read, and the first
-    edge line past the header's count raises `ParseError` before it is
-    kept."""
+    vertices or more than `max_m` edges raises `BadSize` before any edge
+    line is read, and the first edge line past the header's count raises
+    `ParseError` before it is kept."""
     n = None
     m = None
     # Keyed by canonical pair in first-seen order; a lower duplicate keeps the slot.
@@ -53,6 +55,8 @@ def load_graph(path: str | Path, max_n: int | None = None) -> WeightedGraph:
                     raise ParseError("negative counts in header", lineno)
                 if max_n is not None and n > max_n:
                     raise BadSize(f"n={n}, limit {max_n}")
+                if max_m is not None and m > max_m:
+                    raise BadSize(f"m={m}, limit {max_m}")
                 left = m
                 continue
             if fields[0] != "e" or len(fields) != 4:

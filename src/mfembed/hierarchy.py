@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import DisconnectedGraph, LevelOverflow, PreconditionViolation
 from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
@@ -244,6 +245,14 @@ def build_chain(
     is drawn from `rng` itself, in (level, cluster index, center) order, so
     results do not depend on scheduling. Level 0 is the discrete partition,
     built directly.
+
+    A chain is flat when the root's carving at level top - 1 leaves every
+    vertex a singleton, or when top <= 1 leaves no level to carve: its tree
+    is the root over n singleton leaves, node v + 1 holding vertex v, and
+    no later level draws. With n - 1 <= sigma a flat chain passes every
+    goodness condition, so it is returned as built, without a check.
+    Otherwise the levels below go on from the root's balls, with the same
+    draws.
     """
     if not 0 < delta < 1:
         raise PreconditionViolation("delta must lie in (0,1)")
@@ -269,54 +278,59 @@ def build_chain(
     if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")
     lam, sigma = chain_constants(top, n, delta)
+    root_balls = carve(g, range(n), [True] * n, 2.0 ** (top - 2) / lam, rng) if top > 1 else []
+    if len(root_balls) in (0, n) and n - 1 <= sigma:
+        return _flat_chain(g, top)
 
     order = list(range(n))
     start, stop, children = [0], [n], [[]]
     lo, hi, center, radius = [top], [top], [0], [INF]
 
-    def add(k: int, first: int, members: list[int], level: int, c: int, rv: float) -> None:
-        order[first : first + len(members)] = members
-        children[k].append(len(start))
-        start.append(first)
-        stop.append(first + len(members))
-        children.append([])
-        # a singleton stays a cluster down to level 0
-        lo.append(level if len(members) > 1 else 0)
-        hi.append(level)
-        center.append(c)
-        radius.append(rv if len(members) > 1 else 0.0)
+    def place(k: int, level: int, balls: list, below: list[int]) -> None:
+        """Record the balls that carving node k at `level` gave, and list in
+        `below` the clusters the next level carves: k itself when one ball
+        holds it all, else its balls of two or more members."""
+        if len(balls) == 1:
+            lo[k] = level
+            radius[k] = balls[0][2]
+            below.append(k)
+            return
+        first = start[k]
+        for c, members, rv in balls:
+            order[first : first + len(members)] = members
+            children[k].append(len(start))
+            if len(members) > 1:
+                below.append(len(start))
+            start.append(first)
+            first += len(members)
+            stop.append(first)
+            children.append([])
+            # a singleton stays a cluster down to level 0
+            lo.append(level if len(members) > 1 else 0)
+            hi.append(level)
+            center.append(c)
+            radius.append(rv if len(members) > 1 else 0.0)
 
-    # A cluster's members are marked free, and carving unmarks them all.
-    free = [False] * n
     # The non-singleton clusters of level i + 1, in level order. Their
     # slices are still the sorted lists that carving returned.
     active = [0]
-    for i in range(top - 1, 0, -1):
-        below = []
+    if root_balls:
+        active = []
+        place(0, top - 1, root_balls, active)
+    # A cluster's members are marked free, and carving unmarks them all.
+    free = [False] * n
+    for i in range(top - 2, 0, -1):
+        below: list[int] = []
         for k in active:
             members = order[start[k] : stop[k]]
             for u in members:
                 free[u] = True
-            balls = carve(g, members, free, 2.0 ** (i - 1) / lam, rng)
-            if len(balls) == 1:
-                lo[k] = i
-                radius[k] = balls[0][2]
-                below.append(k)
-                continue
-            first = start[k]
-            for c, part, rv in balls:
-                add(k, first, part, i, c, rv)
-                first += len(part)
-                if len(part) > 1:
-                    below.append(len(start) - 1)
+            place(k, i, carve(g, members, free, 2.0 ** (i - 1) / lam, rng), below)
         active = below
 
     # Level 0 is the discrete partition: the only good one (module docstring).
     for k in active:
-        first = start[k]
-        for v in order[first : stop[k]]:
-            add(k, first, [v], 0, v, 0.0)
-            first += 1
+        place(k, 0, [(v, [v], 0.0) for v in order[start[k] : stop[k]]], [])
     chain = ClusteringChain(
         graph=g,
         top_level=top,
@@ -331,6 +345,25 @@ def build_chain(
     )
     failure = _check_goodness(chain, sigma)
     return chain if failure is None else failure
+
+
+def _flat_chain(g: WeightedGraph, top: int) -> ClusteringChain:
+    """The flat chain of `build_chain`: the root over n singletons, each a
+    cluster from level 0 to max(top - 1, 0)."""
+    n = g.n
+    leaves = range(n)
+    return ClusteringChain(
+        graph=g,
+        top_level=top,
+        order=tuple(leaves),
+        start=(0, *leaves),
+        stop=(n, *range(1, n + 1)),
+        children=(tuple(range(1, n + 1)), *repeat((), n)),
+        lo=(top, *repeat(0, n)),
+        hi=(top, *repeat(max(top - 1, 0), n)),
+        center=(0, *leaves),
+        radius=(INF, *repeat(0.0, n)),
+    )
 
 
 def _check_goodness(chain: ClusteringChain, sigma: float) -> ChainFailure | None:

@@ -39,9 +39,14 @@ def carve(
     vertices is unmarked in `free`. `free` may mark no vertex outside
     `order`. Returns (center, sorted members, radius) per ball, in creation
     order.
+
+    A center whose free neighbours all lie beyond its radius is its ball
+    alone, with no search: a search's first sums are 0.0 + w == w, so it
+    would lower no entry either.
     """
     balls = []
     dist = [INF] * g.n
+    adj = g.adjacency
     for v in order:
         if not free[v]:
             continue
@@ -49,9 +54,15 @@ def carve(
         if x < 0:
             raise InvariantViolation("radius sample must be nonnegative")
         rv = r * (1.0 + x)
-        members = sorted(search(g, v, dist, free, rv))
-        for u in members:
-            free[u] = False
-            dist[u] = INF
+        for u, w in adj[v]:
+            if w <= rv and free[u]:
+                members = sorted(search(g, v, dist, free, rv))
+                for x in members:
+                    free[x] = False
+                    dist[x] = INF
+                break
+        else:
+            members = [v]
+            free[v] = False
         balls.append((v, members, rv))
     return balls

@@ -48,6 +48,15 @@ it ended a tree's call after two runs: the bound loop and the two-row
 certificate on every graph, counting its runs. The library must return the
 same distances bit for bit and the same level in no more runs.
 
+`chain_by_carving_levels` is `hierarchy.build_chain` as it was before
+flat chains were built directly: every level carved with `carve_by_heap`,
+one tree node added per ball and the goodness check run on every chain.
+`split_by_packing` is `embedder.split` on top of it, through
+`build_cut_packing` on every chain; the library must return the same chain
+or `ChainFailure`, and the same split result. `recording_splits` records
+each `embedder.split` call's result with its packing, reading a flat
+split's one cut from its portals.
+
 `strip_timing` and `load_report` read experiment reports back for the
 determinism and round-trip checks. `aggregate_records_by_pair` is the
 report's former distortion block, built from one ratio list per pair, which
@@ -95,7 +104,10 @@ from typing import NamedTuple
 from functools import cached_property
 from pathlib import Path
 
-from mfembed.cutpack import CutPacking, find_balanced_cut
+import mfembed.embedder as embedder
+import mfembed.hierarchy as hierarchy
+from mfembed.cutpack import CutPacking, build_cut_packing, find_balanced_cut
+from mfembed.embedder import SplitResult
 from mfembed.errors import (
     CyclicParentArray,
     DisconnectedGraph,
@@ -117,6 +129,7 @@ from mfembed.hierarchy import (
     QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
+    _check_goodness,
     _no_pair_exceeds,
     diameter_level,
     level_count_for_diameter,
@@ -1474,3 +1487,113 @@ def free_clusters_by_levels(chain, packing):
                 parts.setdefault(cluster, i)
                 break
     return sorted(((i, c) for c, i in parts.items()), key=lambda p: min(p[1]))
+
+
+def chain_by_carving_levels(g, delta, rng):
+    """`build_chain` as it was before flat chains were built directly:
+    every level carved in turn with `carve_by_heap`, one node added per
+    ball, and `_check_goodness` run on every chain."""
+    n = g.n
+    top = diameter_level(g)
+    lam, sigma = hierarchy.chain_constants(top, n, delta)
+    order = list(range(n))
+    start, stop, children = [0], [n], [[]]
+    lo, hi, center, radius = [top], [top], [0], [INF]
+
+    def add(k, first, members, level, c, rv):
+        order[first : first + len(members)] = members
+        children[k].append(len(start))
+        start.append(first)
+        stop.append(first + len(members))
+        children.append([])
+        lo.append(level if len(members) > 1 else 0)
+        hi.append(level)
+        center.append(c)
+        radius.append(rv if len(members) > 1 else 0.0)
+
+    free = [False] * n
+    active = [0]
+    for i in range(top - 1, 0, -1):
+        below = []
+        for k in active:
+            members = order[start[k] : stop[k]]
+            for u in members:
+                free[u] = True
+            balls = carve_by_heap(g, members, free, 2.0 ** (i - 1) / lam, rng)
+            if len(balls) == 1:
+                lo[k] = i
+                radius[k] = balls[0][2]
+                below.append(k)
+                continue
+            first = start[k]
+            for c, part, rv in balls:
+                add(k, first, part, i, c, rv)
+                first += len(part)
+                if len(part) > 1:
+                    below.append(len(start) - 1)
+        active = below
+    for k in active:
+        first = start[k]
+        for v in order[first : stop[k]]:
+            add(k, first, [v], 0, v, 0.0)
+            first += 1
+    chain = ClusteringChain(
+        graph=g,
+        top_level=top,
+        order=tuple(order),
+        start=tuple(start),
+        stop=tuple(stop),
+        children=tuple(map(tuple, children)),
+        lo=tuple(lo),
+        hi=tuple(hi),
+        center=tuple(center),
+        radius=tuple(radius),
+    )
+    failure = _check_goodness(chain, sigma)
+    return chain if failure is None else failure
+
+
+def split_by_packing(g, params, rng):
+    """`embedder.split` as it was before flat chains took their cut
+    directly: `chain_by_carving_levels`, then `build_cut_packing` on every
+    chain and one drawn cut index."""
+    chain = chain_by_carving_levels(g, params.delta, rng)
+    if isinstance(chain, ChainFailure):
+        return chain
+    packing = build_cut_packing(chain, params.xi)
+    i = rng.randrange(len(packing.cuts))
+    return SplitResult(
+        portals=[chain.center[k] for k in packing.cuts[i]],
+        components=packing.components[i],
+        level=chain.top_level,
+        packing_size=len(packing.cuts),
+        oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
+    )
+
+
+def recording_splits(monkeypatch):
+    """Record, in the returned list, (result, packing) for each call of
+    `embedder.split`: the packing that `embedder.build_cut_packing` built
+    for it, or for a split on a flat chain, which builds none, the packing
+    of its one cut read from its portals, whose singleton nodes are
+    portal + 1 (`hierarchy.build_chain`)."""
+    splits = []
+    packings = []
+    real_split, real_packing = embedder.split, embedder.build_cut_packing
+
+    def packing(chain, xi):
+        packings.append(real_packing(chain, xi))
+        return packings[-1]
+
+    def split(g, params, rng):
+        packings.clear()
+        result = real_split(g, params, rng)
+        if isinstance(result, SplitResult) and not packings:
+            cut = tuple(v + 1 for v in result.portals)
+            packings.append(CutPacking(cuts=[cut], components=[result.components]))
+        splits.append((result, packings[0] if packings else None))
+        return result
+
+    monkeypatch.setattr(embedder, "build_cut_packing", packing)
+    monkeypatch.setattr(embedder, "split", split)
+    return splits

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import embedding_to_dict, induced_subgraph
+from oracles import embedding_to_dict, induced_subgraph, recording_splits
 
 import mfembed
 from mfembed import cli, embedder, harness
@@ -411,31 +411,21 @@ SPLIT_INSTANCES = [
 @pytest.mark.parametrize("mode", ["practical", "theory"])
 @pytest.mark.parametrize("instance", SPLIT_INSTANCES)
 def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypatch, instance, mode):
-    # Record the packings and split results of `embed_top`'s own run; the
-    # root split is the first of each.
-    packings, results = [], []
-
-    def recording(record, original):
-        def wrapper(*args, **kwargs):
-            record.append(original(*args, **kwargs))
-            return record[-1]
-
-        return wrapper
-
-    monkeypatch.setattr(embedder, "build_cut_packing", recording(packings, embedder.build_cut_packing))
-    monkeypatch.setattr(embedder, "split", recording(results, embedder.split))
+    # Record the split results of `embed_top`'s own run with their packings;
+    # the root split is the first. A split on a flat chain packs no cuts, so
+    # its one cut is read from its portals.
+    splits = recording_splits(monkeypatch)
     g = generate(seed=1, **instance)
     graph = tmp_path / "g.txt"
     save_graph(g, graph)
     for seed in range(1, 6):
-        packings.clear()
-        results.clear()
+        splits.clear()
         emb = embed_top(g, 0.5, mode, seed=seed)
         assert not emb.meta.fallback_used
         capsys.readouterr()
         assert run("split", "-i", graph, "--mode", mode, "--seed", seed) == 0
         lines = capsys.readouterr().out.splitlines()
-        root, packing = results[0], packings[0]
+        root, packing = splits[0]
         assert sum(line.startswith("level ") for line in lines) == root.level + 1
         assert f"packing size={emb.meta.packing_sizes[0]}" in lines
         assert emb.meta.packing_sizes[0] == len(packing.cuts)
@@ -447,11 +437,14 @@ def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypat
         # the components `embed_top` recursed on are the printed cut's
         assert root.components is packing.components[i]
         assert cut_lines[i].startswith(f"  cut {i}: members={len(root.portals)} ")
-        # and a replay of the root's stream draws the same index
+        # and a replay of the root's stream draws the same index, and packs
+        # the same cuts with the same components
         rng = random.Random(derive_seed(seed, "split"))
         scaled, _, _, params = preprocess(g, 0.5, mode)
         chain = build_chain(scaled, params.delta, rng)
-        assert i == rng.randrange(len(build_cut_packing(chain, params.xi).cuts))
+        replay = build_cut_packing(chain, params.xi)
+        assert i == rng.randrange(len(replay.cuts))
+        assert replay.cuts == packing.cuts and replay.components == packing.components
 
 
 def test_eval_detects_contracting_embedding(tmp_path):
@@ -537,6 +530,131 @@ def test_embed_size_guard_refuses_the_header_before_any_edge_line(tmp_path, caps
     capsys.readouterr()
     assert run("frt", "-i", big, "-o", tmp_path / "t.json") == 2
     assert "line 2: malformed edge fields" in capsys.readouterr().err
+
+
+def test_edge_guard_refuses_the_header_in_every_command_that_loads(tmp_path, capsys):
+    # a header with one edge more than the budget covers is refused before
+    # its malformed line 2; exactly the limit goes on to read that line
+    limit = cli.MEMORY_BUDGET // cli.LOAD_EDGE_BYTES
+    tree = tmp_path / "tree.json"
+    save_graph(WeightedGraph(2, ((0, 1, 1.0),)), tmp_path / "two.txt")
+    assert run("frt", "-i", tmp_path / "two.txt", "-o", tree) == 0
+    commands = [
+        ("embed", "-o", tmp_path / "e.json"),
+        ("frt", "-o", tmp_path / "e.json"),
+        ("eval", "-e", tree, "-o", tmp_path / "e.json"),
+        ("experiment", "-o", tmp_path / "e.json"),
+        ("partition", "--r", 1),
+        ("split",),
+    ]
+    for m, message in ((limit + 1, f"(m={limit + 1}, limit {limit})"), (limit, "line 2")):
+        big = tmp_path / "big.txt"
+        big.write_text(f"p 3000 {m}\ne 0 x 1\n")
+        for command, *rest in commands:
+            capsys.readouterr()
+            assert run(command, "-i", big, *rest) == 2
+            err = capsys.readouterr().err
+            assert message in err, (command, err)
+            assert not (tmp_path / "e.json").exists()
+    capsys.readouterr()
+    big.write_text(f"p 3000 {limit + 1}\n")
+    assert run("frt", "-i", big, "-o", tmp_path / "e.json") == 2
+    assert "too large to load" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "frt", exhausted)
+    assert run("frt", "-i", tmp_path / "g.txt", "-o", tmp_path / "t.json") == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+OUTPUT_COMMANDS = [
+    pytest.param(("gen", "path", "--n", 5), ("-o",), id="gen"),
+    pytest.param(("embed",), ("-o",), id="embed"),
+    pytest.param(("frt",), ("-o",), id="frt"),
+    pytest.param(("eval", "--pairs", "all"), ("-o", "--csv"), id="eval"),
+    pytest.param(("experiment", "--runs", 1, "--pairs", 5), ("-o", "--csv"), id="experiment"),
+]
+
+
+def _command_argv(tmp_path, command):
+    """The command's argv up to its outputs, on a 4 x 4 grid and its FRT tree."""
+    if command[0] == "gen":
+        return list(command)
+    graph, tree = tmp_path / "grid.txt", tmp_path / "tree.json"
+    if not graph.exists():
+        save_graph(generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=1), graph)
+        assert run("frt", "-i", graph, "-o", tree) == 0
+    argv = [command[0], "-i", graph, *command[1:]]
+    return argv + ["-e", tree] if command[0] == "eval" else argv
+
+
+@pytest.mark.parametrize("command,flags", OUTPUT_COMMANDS)
+def test_output_in_a_missing_directory_is_refused_before_any_input(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    argv = _command_argv(tmp_path, command)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "_load", unread)
+    monkeypatch.setattr(cli, "generate", unread)
+    for missing in flags:
+        outs = {flag: tmp_path / f"out{flag}" for flag in flags}
+        outs[missing] = tmp_path / "no" / "such" / "out"
+        capsys.readouterr()
+        assert run(*argv, *[x for flag, path in outs.items() for x in (flag, path)]) == 2
+        assert f"no directory for output {outs[missing]}" in capsys.readouterr().err
+        assert not any(path.exists() for path in outs.values())
+
+
+@pytest.mark.parametrize("command,flags", OUTPUT_COMMANDS)
+def test_a_failed_write_leaves_none_of_the_commands_outputs(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    argv = _command_argv(tmp_path, command)
+    # the last output is a directory, which cannot be opened as a file: the
+    # outputs written before it are removed, and the directory stays
+    outs = [tmp_path / f"out{flag}" for flag in flags]
+    outs[-1].mkdir()
+    assert run(*argv, *[x for flag, path in zip(flags, outs) for x in (flag, path)]) == 2
+    assert not any(path.exists() for path in outs[:-1]) and outs[-1].is_dir()
+    outs[-1].rmdir()
+    # a write that fails half way removes its own file too, and a file the
+    # command never opened keeps its bytes
+    writer = {"gen": "save_graph", "embed": "save_embedding", "frt": "save_embedding"}
+    if command[0] in writer:
+        def half(obj, path):
+            Path(path).write_text("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, writer[command[0]], half)
+    else:
+        real = harness.emit
+
+        def half(report, fmt, path):
+            if fmt == "csv":
+                Path(path).write_text("u,")
+                raise OSError("disk full")
+            real(report, fmt, path)
+
+        monkeypatch.setattr(harness, "emit", half)
+    capsys.readouterr()
+    assert run(*argv, *[x for flag, path in zip(flags, outs) for x in (flag, path)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not any(path.exists() for path in outs)
+    if len(outs) > 1:
+        def full(report, fmt, path):
+            raise OSError("disk full")
+
+        outs[1].write_text("kept")
+        monkeypatch.setattr(harness, "emit", full)
+        assert run(*argv, *[x for flag, path in zip(flags, outs) for x in (flag, path)]) == 2
+        assert not outs[0].exists() and outs[1].read_text() == "kept"
 
 
 def test_pair_guard_refuses_before_any_distance_work(tmp_path, monkeypatch, capsys):

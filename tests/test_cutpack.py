@@ -22,6 +22,7 @@ from oracles import (
     node_members,
     packing_by_repeat_probe,
     quotient,
+    recording_splits,
     validate_tree_decomposition,
 )
 
@@ -555,19 +556,14 @@ def test_oversize_flag(monkeypatch):
     # one on a 6-leaf star at tau = 1, and none once tau reaches the largest
     # cut; embed_top adds up the counts of its splits, two or more of which
     # count a cut on a 6 x 6 grid
-    packings = []
-    real = embedder.build_cut_packing
-
-    def recording(chain, xi):
-        packings.append(real(chain, xi))
-        return packings[-1]
-
-    monkeypatch.setattr(embedder, "build_cut_packing", recording)
+    # (a split on a flat chain packs no cuts; its one cut is read from its
+    # portals)
+    splits = recording_splits(monkeypatch)
     instance = dict(kind="star", size=6)
     sub, _, params = golden_root_split(instance, 0)
     stream = derive_seed(0, "split")
     result = embedder.split(sub, replace(params, tau=1), random.Random(stream))
-    sizes = [len(cut) for cut in packings[-1].cuts]
+    sizes = [len(cut) for cut in splits[-1][1].cuts]
     assert result.oversize_in_packing == sum(size > 1 for size in sizes) > 0
     widest = replace(params, tau=max(sizes))
     assert embedder.split(sub, widest, random.Random(stream)).oversize_in_packing == 0
@@ -576,10 +572,10 @@ def test_oversize_flag(monkeypatch):
     monkeypatch.setattr(
         embedder, "derive_params", lambda *a, **k: replace(real_params(*a, **k), tau=1)
     )
-    packings.clear()
+    splits.clear()
     emb = embed_top(generate("grid", rows=6, cols=6), 0.5, "practical", seed=0)
     assert emb.meta.params.tau == 1
-    counts = [sum(len(cut) > 1 for cut in packing.cuts) for packing in packings]
+    counts = [sum(len(cut) > 1 for cut in packing.cuts) for _, packing in splits]
     assert emb.meta.oversize_cuts == sum(counts) and sorted(counts)[-2] > 0
 
 
