@@ -1,10 +1,9 @@
 """Measure the memory peak of one whole `mfembed` command under tracemalloc.
 
 The size guards in `mfembed.cli` charge a fixed number of bytes per pair
-(`PAIR_BYTES`, for `eval` and `experiment`), per generated edge
-(`GEN_EDGE_BYTES`, for `gen`) and per loaded edge (`LOAD_EDGE_BYTES`, for
-every command that reads a graph file), and cap `embed` and `experiment` at
-`MAX_EMBED_N` vertices. This script runs one command in-process with
+(`PAIR_BYTES`, for `eval` and `experiment`) and per edge (`LOAD_EDGE_BYTES`,
+for `gen` and every command that reads a graph file), and cap `embed` and
+`experiment` at `MAX_EMBED_N` vertices. This script runs one command in-process with
 `tracemalloc` on and prints one row of the README's "Size limits" tables:
 the command, its pair or edge count, the peak (MB = 10^6 bytes) and the
 peak per pair or edge; for `embed`, the input and host sizes and the peak.
@@ -110,7 +109,7 @@ def main() -> int:
         print(f"| {label} | {' | '.join(map(str, counts))} | {peak / 1e6:.1f} MB |")
         return 0
     unit, bound = {
-        "gen": ("edge", cli.GEN_EDGE_BYTES),
+        "gen": ("edge", cli.LOAD_EDGE_BYTES),
         "load": ("edge", cli.LOAD_EDGE_BYTES),
     }.get(args.command[0], ("pair", cli.PAIR_BYTES))
     per = peak / counts[0]

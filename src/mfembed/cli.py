@@ -45,20 +45,15 @@ MAX_EMBED_N = 6000
 # does not add to it.
 PAIR_BYTES = 1000
 
-# Memory that `gen` holds per edge. It was rounded up from the measured
-# peaks of `generate` and `save_graph` on `uniform:1:4` weights, 338 bytes
-# per edge on a path of 200000 vertices and 322 on a 400 x 500 grid; since
-# the graph keeps canonical edges as given and the writer streams, they
-# read 258 and 242.
-GEN_EDGE_BYTES = 340
-
-
 # Memory that loading a graph file holds per edge line: the pair table, the
 # edge tuple and the constructor's checks. Rounded up from the traced peaks
 # of the loader on uniform:1:4 paths, 310 to 416 bytes per edge between 5000
 # and 360000 edges, highest just past a table resize (README, "Size
 # limits"). Every command that reads a graph refuses a header with more
 # edges than the budget covers, about 2.44 million, before any edge line.
+# `gen` refuses to build more edges than that, so that every file it writes
+# loads; it holds 258 bytes per edge on a uniform:1:4 path of 200000
+# vertices and 242 on a 400 x 500 grid.
 LOAD_EDGE_BYTES = 440
 
 
@@ -213,7 +208,7 @@ def _gen_edge_count(args) -> int:
 def _cmd_gen(args) -> int:
     _refuse_missing_dirs(args.out)
     edges = _gen_edge_count(args)
-    limit = MEMORY_BUDGET // GEN_EDGE_BYTES
+    limit = MEMORY_BUDGET // LOAD_EDGE_BYTES
     if edges > limit:
         raise _InputProblem(f"{args.kind} of {edges} edges exceeds the limit of {limit}")
     g = generate(

@@ -1,95 +1,65 @@
 """Reference implementations used only to check the library.
 
-Most are deliberately written without reusing the library's algorithms:
-Floyd-Warshall and Bellman-Ford for distances, exhaustive path
-enumeration, a subset-DP for exact treewidth, exhaustive enumeration of
-balanced chain-respecting cuts, the quadratic min-degree scan that the
-heap elimination must reproduce, an all-members cluster diameter, and
-forest validity from one ancestor set per vertex.
+Independent of the library's algorithms: Floyd-Warshall and Bellman-Ford
+for distances, exhaustive path enumeration (`diameter_by_enumeration`), a
+subset-DP for exact treewidth, exhaustive enumeration of balanced
+chain-respecting cuts, the quadratic min-degree scan that the heap
+elimination must reproduce, an all-members cluster diameter, and forest
+validity from one ancestor set per vertex.
 
-`heuristic_tree_decomposition` and `centroid_bag` are the cut search's
-former whole min-degree decomposition and its centroid walk; the bag they
-pick is the one `cutpack.centroid_separator` must return.
-`centroid_separator_by_heap` is that search's former elimination to the
-centroid, with one heap of (degree, id) entries in place of the per-degree
-buckets; the library must return the same bag on every input.
+Former routes, which the library must reproduce exactly:
+- `dijkstra_by_heap`, `carve_by_heap` and `least_element_lists_by_heap`:
+  `graphs.dijkstra`, `partition.carve` and `frt._least_element_lists` as
+  one `settle` run on every graph, per ball or per vertex;
+- `diameter_level_by_bounds`: `diameter_level` with the bound loop and the
+  two-row certificate on every graph, counting its runs;
+- `oracle_centroid`: the bag of `cutpack.centroid_separator`, read off the
+  whole min-degree decomposition (`heuristic_tree_decomposition`) by its
+  centroid walk (`centroid_bag`);
+- `frt_by_matrix`: `frt_embed` from the full distance matrix;
+- `packing_by_repeat_probe`: the cut packing's loop with its trivial round
+  and repeat probe;
+- `induced_subgraph`: one scan of the parent per child, through the public
+  constructor; `quotient` (with `UnweightedGraph` and `check_partition`) the
+  cut search's quotient as neighbour sets; `free_clusters_by_levels` the
+  per-vertex scan for the maximal free clusters;
+- `goodness_by_levels`: the goodness check as every non-singleton
+  (level, cluster) pair's all-members `diameter`, then each quotient's BFS
+  (`level_quotient_hops`; `children_hop_diameter` builds one subgraph per
+  child); `cuts_conflict` the pairwise conflict test;
+- `embedding_json_by_encoder` (`embedding_to_dict` at `indent=1`) and
+  `aggregate_records_by_pair`: the embedding JSON and the report's
+  distortion block.
 
-The rest are helpers that only tests read, built on the library's own
-Dijkstra or cut search: `all_pairs`, the path-level counters (`edge_level`,
-`level_cut_counts`, `count_cut_edges`), `diameter`, `min_distance`,
-`stretch_exponent`, `check_partition_validity`, `chain_by_subgraphs`, the
-chain's former carving on one induced subgraph per cluster,
-`frt_by_matrix`, the FRT tree's former construction from the full distance
-matrix, and `packing_by_repeat_probe`, the cut packing's former loop with its
-trivial round and repeat probe. `build_chain`, `frt_embed` and
-`build_cut_packing` must reproduce those three exactly. `embedding_to_dict`
-and `embedding_json_by_encoder` are the embedding JSON's former writer, the
-stdlib encoder at `indent=1`, which `embedding_to_json` must match byte for
-byte. `full_wiring` is the embedder's former portal wiring, every copy
-wired to every vertex of its fragment, rebuilt from the forest; the kept
-host edges must be some of its edges, and `check_labels_against_copy_edges`
-requires `ForestLabels` of the kept host to give its weights.
-`check_leaf_rows` requires the embedder's leaf rows to be those weights bit
-for bit and `ForestLabels` built on the host to be the reference they
-never fall below.
-`forest_labels_by_dijkstra` is `ForestLabels` as it was before hosts that
-are their own forest took path sums: one Dijkstra run per host vertex and a
-minimum over every common ancestor per query. On such hosts (FRT trees, the
-HST fallback) `check_forest_labels_by_dijkstra` requires equal labels and
-bit-equal distances.
+The composition. `chain_by_subgraphs` is `build_chain` with each cluster
+carved on its own induced subgraph and `goodness_by_levels` run on every
+chain; `split_by_packing` is `embedder.split` on top of it, through
+`build_cut_packing` on every chain. `embed_by_reference` composes them into
+`embed_top(..., leaf_rows=True)`: the closure, the split streams, the
+progress rule, the copy ids, the portal wiring with its witness rule, the
+leaf rows and the fallback's hand-over. The library must return the same
+chain or `ChainFailure`, split, and embedding, field by field.
 
-`dijkstra_by_heap` is `graphs.dijkstra` as it was before it walked trees
-and equal-length graphs without a heap: one `settle` run on a fresh array.
-`carve_by_heap` and `least_element_lists_by_heap` are `partition.carve` and
-`frt._least_element_lists` as they were before they called `graphs.search`:
-one `settle` run per ball or per vertex, on every graph.
-`diameter_level_by_bounds` is `hierarchy.diameter_level` as it was before
-it ended a tree's call after two runs: the bound loop and the two-row
-certificate on every graph, counting its runs. The library must return the
-same distances bit for bit and the same level in no more runs.
+Checks on a finished host: `full_wiring` rebuilds the embedder's wiring
+from the forest; `check_labels_against_copy_edges` and `check_leaf_rows`
+hold the kept edges, the `ForestLabels` and the leaf rows to its weights;
+`check_forest_labels_by_dijkstra` requires a host that is its own forest to
+give, from its path sums, the labels and distances of the library's Dijkstra
+build.
 
-`chain_by_carving_levels` is `hierarchy.build_chain` as it was before
-flat chains were built directly: every level carved with `carve_by_heap`,
-one tree node added per ball and the goodness check run on every chain.
-`split_by_packing` is `embedder.split` on top of it, through
-`build_cut_packing` on every chain; the library must return the same chain
-or `ChainFailure`, and the same split result. `recording_splits` records
-each `embedder.split` call's result with its packing, reading a flat
-split's one cut from its portals.
-
-`strip_timing` and `load_report` read experiment reports back for the
-determinism and round-trip checks. `aggregate_records_by_pair` is the
-report's former distortion block, built from one ratio list per pair, which
-`harness.aggregate_records` must reproduce exactly.
-
-`induced_subgraph` is the library's former one-child subgraph builder: a
-scan of the parent per child, through the public constructor.
-`graphs.induced_subgraphs` must match it. `check_derived_graph` rebuilds a
-graph that the library built without checks through the public
-constructor, and `recording_derived_graphs` collects every such graph.
-
-`edge_set`, `has_edge` and `EdgeNotInGraph` serve the path-level counters
-only. `node_members` and `cut_members` read a tree node's or a cut's vertex
-sets from the chain's order, for comparing cuts as set families.
-
-`UnweightedGraph`, `check_partition` and `quotient` are the cut search's
-former quotient, which `graphs.quotient_adjacency` must match as neighbour
-sets; `children_hop_diameter` is the goodness check's former quotient
-hop-diameter, and `cuts_conflict` its former pairwise conflict test.
-
-The chain is one cluster tree in the library. `chain_levels` gives its
-former per-level lists (`LevelView`), `chain_sigma` its quotient hop
-bound, `tree_parents` each node's parent,
-and `chain_from_levels` builds a tree from hand-written lists.
-`goodness_by_levels` is the former goodness check, the all-members
-`diameter` of every non-singleton (level, cluster) pair's subgraph, with its
-quotient BFS `level_quotient_hops`; `chain_by_levels` is the former
-`build_chain` on top of `chain_by_subgraphs`, whose chain or `ChainFailure`
-`build_chain` must reproduce. `free_clusters_by_levels` is the former
-per-vertex scan for the maximal free clusters.
+Helpers that only tests read: `all_pairs`, `diameter`, `min_distance`,
+`stretch_exponent`, the path-level counters (`edge_level`,
+`level_cut_counts`, `count_cut_edges`, with `edge_set`, `has_edge` and
+`EdgeNotInGraph`), `check_partition_validity`, the cut helpers
+(`node_members`, `cut_members`, `components_of_cut`, `balanced_predicate`),
+`validate_tree_decomposition`, `check_derived_graph` and
+`recording_derived_graphs`, `recording_splits`, and `strip_timing` and
+`load_report` for reports. The chain is one cluster tree in the library:
+`chain_levels` gives its per-level lists (`LevelView`), `chain_sigma` its
+quotient hop bound, `tree_parents` each node's parent, and
+`chain_from_levels` builds a tree from hand-written lists.
 """
 
-import bisect
 import functools
 import heapq
 import itertools
@@ -106,6 +76,8 @@ from pathlib import Path
 
 import mfembed.embedder as embedder
 import mfembed.hierarchy as hierarchy
+import mfembed.hosts as hosts
+import mfembed.partition as partition
 from mfembed.cutpack import CutPacking, build_cut_packing, find_balanced_cut
 from mfembed.embedder import SplitResult
 from mfembed.errors import (
@@ -115,9 +87,11 @@ from mfembed.errors import (
     InvariantViolation,
     MfembedError,
 )
+from mfembed.frt import frt_embed
 from mfembed.graphs import (
     WeightedGraph,
     dijkstra,
+    hat_ell,
     metric_closure_weights,
     normalize,
     quotient_adjacency,
@@ -129,13 +103,11 @@ from mfembed.hierarchy import (
     QUOTIENT_DIAMETER_EXCEEDED,
     ChainFailure,
     ClusteringChain,
-    _check_goodness,
     _no_pair_exceeds,
-    diameter_level,
     level_count_for_diameter,
 )
-from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding, check_forest_validity
-from mfembed.partition import carve, sample_exponential
+from mfembed.hosts import EmbeddingMeta, ForestLabels, HostEmbedding
+from mfembed.rng import derive_seed
 
 INF = math.inf
 
@@ -609,48 +581,11 @@ def centroid_bag(bags, parent, weights):
     return node
 
 
-def centroid_separator_by_heap(adjacency, weights):
-    """The library's former `cutpack.centroid_separator`: the min-degree
-    elimination to the centroid, taking the next vertex from one heap of
-    (degree, id) entries. A vertex is pushed again whenever a fill update
-    touches it, and dead or outdated entries are skipped when popped."""
-    n = len(adjacency)
-    if n == 0:
-        raise InvariantViolation("the empty graph has no centroid")
-    nbrs = [set(around) for around in adjacency]
-    alive = [True] * n
-    heap = [(len(nbrs[u]), u) for u in range(n)]
-    heapq.heapify(heap)
-    link = list(range(n))
-    mass = list(weights)
-    total = sum(weights)
-    left = n
-    while True:
-        d, v = heapq.heappop(heap)
-        if not alive[v] or d != len(nbrs[v]):
-            continue
-        alive[v] = False
-        left -= 1
-        weight = mass[v]
-        for u in adjacency[v]:
-            if alive[u]:
-                continue
-            while link[u] != u:
-                link[u] = link[link[u]]
-                u = link[u]
-            if u != v:
-                link[u] = v
-                weight += mass[u]
-        mass[v] = weight
-        around = nbrs[v]
-        if 2 * weight > total or left == 0:
-            return frozenset((v, *around))
-        for a in around:
-            fill = nbrs[a]
-            fill |= around
-            fill.discard(a)
-            fill.discard(v)
-            heapq.heappush(heap, (len(fill), a))
+def oracle_centroid(nbrs, weights):
+    """The bag `cutpack.centroid_separator` must return: the centroid node's
+    bag of the whole `heuristic_tree_decomposition`."""
+    bags, parent = heuristic_tree_decomposition(nbrs)
+    return bags[centroid_bag(bags, parent, weights)]
 
 
 def validate_tree_decomposition(nbrs, bags, parent):
@@ -912,7 +847,7 @@ def carve_by_heap(g, order, free, r, rng):
     for v in order:
         if not free[v]:
             continue
-        rv = r * (1.0 + sample_exponential(rng))
+        rv = r * (1.0 + partition.sample_exponential(rng))
         members = sorted(settle(g.adjacency, v, dist, free, rv))
         for u in members:
             free[u] = False
@@ -993,44 +928,6 @@ def stretch_exponent(g):
     while not stretch < 2.0**ell:
         ell += 1
     return ell
-
-
-def chain_by_subgraphs(g, delta, rng):
-    """(levels, centers, parents) of `build_chain`'s carving, done the former
-    way: one `induced_subgraph` and one `carve` of the whole subgraph per
-    non-singleton cluster, with the same radius draws from `rng`.
-
-    Level 0 is the discrete partition, listed cluster by cluster of level 1.
-    No goodness check is run.
-    """
-    n = g.n
-    top = diameter_level(g)
-    lam = math.log(2.0 * top * n * n / delta) + 1.0
-    r_sched = [2.0 ** (i - 1) / lam for i in range(top)]
-    levels = [[] for _ in range(top + 1)]
-    centers = [[] for _ in range(top + 1)]
-    parents = [[] for _ in range(top)]
-    levels[top] = [frozenset(range(n))]
-    centers[top] = [0]
-    for i in range(top - 1, 0, -1):
-        for parent_idx, cluster in enumerate(levels[i + 1]):
-            members = sorted(cluster)
-            if len(members) == 1:
-                levels[i].append(cluster)
-                centers[i].append(members[0])
-                parents[i].append(parent_idx)
-                continue
-            sub, verts = induced_subgraph(g, members)
-            for center, part, _ in carve(sub, range(sub.n), [True] * sub.n, r_sched[i], rng):
-                levels[i].append(frozenset(verts[p] for p in part))
-                centers[i].append(verts[center])
-                parents[i].append(parent_idx)
-    for j, cluster in enumerate(levels[1]):
-        for v in sorted(cluster):
-            levels[0].append(frozenset({v}))
-            centers[0].append(v)
-            parents[0].append(j)
-    return levels, centers, parents
 
 
 def frt_by_matrix(g, seed):
@@ -1127,6 +1024,16 @@ def embedding_json_by_encoder(emb):
     return json.dumps(embedding_to_dict(emb), indent=1)
 
 
+def ancestors(forest, x):
+    """x's forest ancestors, deepest first."""
+    path = []
+    a = forest[x]
+    while a is not None:
+        path.append(a)
+        a = forest[a]
+    return path
+
+
 def full_wiring(g, emb):
     """The embedder host's portal wiring before any edge is dropped:
     {(v, c): weight} for every copy c and every input vertex v of its
@@ -1140,10 +1047,8 @@ def full_wiring(g, emb):
     scaled, scale = normalize(metric_closure_weights(g))
     fragment = {}
     for x in range(g.n):
-        a = emb.forest[x]
-        while a is not None:
+        for a in ancestors(emb.forest, x):
             fragment.setdefault(a, []).append(x)
-            a = emb.forest[a]
     # each host edge joins an input vertex and a copy, whose id is larger
     portal = {max(u, v): min(u, v) for u, v, w in emb.host.edges if w == 0.0}
     weight = {}
@@ -1178,11 +1083,7 @@ def check_labels_against_copy_edges(g, emb, rel=1e-15):
     labels = ForestLabels(emb)
     exact = emb.host.exact_path_sums
     for x in emb.eta:
-        path = []
-        a = emb.forest[x]
-        while a is not None:
-            path.append(a)
-            a = emb.forest[a]
+        path = ancestors(emb.forest, x)
         row = labels.labels[labels.tin[x]]
         if len(row) != len(path) + 1 or row[-1] != 0.0:
             raise AssertionError(f"vertex {x}: labels {row} do not fit its {len(path)} ancestors")
@@ -1209,11 +1110,7 @@ def check_leaf_rows(g, emb, rel=1e-15):
         raise AssertionError("leaf-row labels have another preorder or depth")
     differ = 0
     for x, row in zip(emb.eta, emb.leaf_rows, strict=True):
-        path = []
-        a = emb.forest[x]
-        while a is not None:
-            path.append(a)
-            a = emb.forest[a]
+        path = ancestors(emb.forest, x)
         want = [weight[(x, c)] for c in reversed(path)] + [0.0]
         if row != want:
             raise AssertionError(f"vertex {x}: row {row}, full wiring {want}")
@@ -1226,67 +1123,19 @@ def check_leaf_rows(g, emb, rel=1e-15):
     return differ
 
 
-class DijkstraLabels(NamedTuple):
-    """Host distance labels with the layout of `ForestLabels`: preorder ids
-    `tin`, each vertex's r_a for its ancestors root first in `labels`, and
-    their negated exit times in `ends`."""
-
-    tin: list
-    ends: list
-    labels: list
-    eta: list
-
-    def distances(self, pairs):
-        """The minimum over every common ancestor of each input pair."""
-        ids = [self.tin[x] for x in self.eta]
-        out = []
-        for u, v in pairs:
-            x, y = ids[u], ids[v]
-            if x > y:
-                x, y = y, x
-            k = bisect.bisect_left(self.ends[x], -y)
-            out.append(min(map(operator.add, self.labels[x][:k], self.labels[y])) if k else INF)
-        return out
-
-
-def forest_labels_by_dijkstra(emb):
-    """`ForestLabels(emb)` by one Dijkstra run per host vertex a on the
-    subgraph that subtree(a) induces, for any host."""
-    order, tin, tout = check_forest_validity(emb)
-    n = len(order)
-    ends = [()] * n
-    for a, u in enumerate(order):
-        p = emb.forest[u]
-        ends[a] = (ends[tin[p]] if p is not None else ()) + (-tout[u],)
-    adj = [[] for _ in range(n)]
-    for u, v, w in emb.host.edges:
-        x, y = tin[u], tin[v]
-        if x < y:
-            adj[x].append((y, w))
-        else:
-            adj[y].append((x, w))
-    labels = [[INF] * len(e) for e in ends]
-    dist = [INF] * n
-    for a in range(n - 1, -1, -1):
-        for d, w in adj[a]:
-            adj[d].append((a, w))
-        level = len(ends[a]) - 1
-        for u in settle(adj, a, dist):
-            labels[u][level] = dist[u]
-            dist[u] = INF
-    return DijkstraLabels(tin, ends, labels, emb.eta)
-
-
 def check_forest_labels_by_dijkstra(emb, pairs=None):
-    """Raise unless the host is its own forest and `ForestLabels` gives the
-    labels of `forest_labels_by_dijkstra` and its distances bit for bit, on
-    `pairs` of input vertices (default: every pair u < v)."""
+    """Raise unless the host is its own forest and `ForestLabels`' path sums
+    give the labels of the library's Dijkstra build, `hosts._subtree_labels`,
+    and bit for bit the distances that the minimum over every common
+    ancestor of those labels gives, on `pairs` of input vertices (default:
+    every pair u < v)."""
     got = ForestLabels(emb)
     if not got.forest_shaped:
         raise AssertionError("the host is not its own forest")
-    want = forest_labels_by_dijkstra(emb)
-    if got.tin != want.tin or got.labels != want.labels:
+    labels = hosts._subtree_labels(emb.host.edges, got.tin, got.ends)
+    if got.labels != labels:
         raise AssertionError("labels differ from the Dijkstra build")
+    want = ForestLabels(emb, [labels[got.tin[x]] for x in emb.eta])
     if pairs is None:
         pairs = list(itertools.combinations(range(len(emb.eta)), 2))
     for (u, v), a, b in zip(pairs, got.distances(pairs), want.distances(pairs)):
@@ -1314,13 +1163,12 @@ def chain_levels(chain):
     n = chain.graph.n
     top = chain.top_level
     parent = tree_parents(chain)
-    alive = [
-        sorted((k for k in range(len(chain.start)) if chain.lo[k] <= i <= chain.hi[k]),
-               key=chain.start.__getitem__)
-        for i in range(top + 1)
-    ]
+    # the clusters of one level have distinct starts
+    by_start = sorted(range(len(chain.start)), key=chain.start.__getitem__)
+    alive = [[k for k in by_start if chain.lo[k] <= i <= chain.hi[k]] for i in range(top + 1)]
     index = [{k: j for j, k in enumerate(nodes)} for nodes in alive]
-    levels = tuple(tuple(node_members(chain, k) for k in nodes) for nodes in alive)
+    members = [node_members(chain, k) for k in range(len(chain.start))]
+    levels = tuple(tuple(members[k] for k in nodes) for nodes in alive)
     centers = tuple(tuple(chain.center[k] for k in nodes) for nodes in alive)
     parents = tuple(
         tuple(index[i + 1][k if chain.hi[k] > i else parent[k]] for k in alive[i])
@@ -1406,19 +1254,21 @@ def chain_from_levels(g, levels, centers):
 def goodness_by_levels(g, levels, parents, top, sigma):
     """The goodness check done the former way: every non-singleton
     (level, cluster) pair of levels 1..top-1 measured by `diameter`, one
-    Dijkstra row per member on the subgraph the cluster induces, then each
-    cluster's quotient by its children; the first failure in (level, index)
-    order, diameters before quotients."""
+    Dijkstra row per member on the subgraph the cluster induces (once per
+    cluster, INF when it is disconnected), then each cluster's quotient by
+    its children; the first failure in (level, index) order, diameters
+    before quotients."""
+    width = {}
     for i in range(1, top):
         for idx, cluster in enumerate(levels[i]):
             if len(cluster) == 1:
                 continue
-            sub, _ = induced_subgraph(g, sorted(cluster))
-            try:
-                too_wide = diameter(sub) > 2.0**i
-            except DisconnectedGraph:
-                too_wide = True
-            if too_wide:
+            if cluster not in width:
+                try:
+                    width[cluster] = diameter(induced_subgraph(g, sorted(cluster))[0])
+                except DisconnectedGraph:
+                    width[cluster] = INF
+            if width[cluster] > 2.0**i:
                 return ChainFailure(level=i, reason=DIAMETER_EXCEEDED, cluster_index=idx)
     for i in range(top):
         part_counts = Counter(parents[i])
@@ -1462,17 +1312,6 @@ def level_quotient_hops(nbrs, parent, idx):
     return worst
 
 
-def chain_by_levels(g, delta, rng):
-    """`build_chain` done the former way: `chain_by_subgraphs`' carving,
-    then `goodness_by_levels` on every (level, cluster) pair. Returns the
-    `ChainFailure`, or (levels, centers, parents)."""
-    levels, centers, parents = chain_by_subgraphs(g, delta, rng)
-    top = len(levels) - 1
-    lam = math.log(2.0 * top * g.n * g.n / delta) + 1.0
-    failure = goodness_by_levels(g, levels, parents, top, 480.0 * lam * lam)
-    return failure or (levels, centers, parents)
-
-
 def free_clusters_by_levels(chain, packing):
     """`maximal_free_clusters` done the former way, on the per-level view:
     each vertex's highest-level cluster that is a singleton or whose node
@@ -1489,54 +1328,49 @@ def free_clusters_by_levels(chain, packing):
     return sorted(((i, c) for c, i in parts.items()), key=lambda p: min(p[1]))
 
 
-def chain_by_carving_levels(g, delta, rng):
-    """`build_chain` as it was before flat chains were built directly:
-    every level carved in turn with `carve_by_heap`, one node added per
-    ball, and `_check_goodness` run on every chain."""
+def chain_by_subgraphs(g, delta, rng):
+    """`build_chain` done on subgraphs: each cluster of two or more members
+    carved on its own `induced_subgraph` by `carve_by_heap`, with the same
+    radius draws from `rng` in the same order. The top level is the
+    library's `diameter_level`, which has its own tests. Nodes are numbered
+    as `build_chain` numbers them, one per ball, and `goodness_by_levels`
+    checks every chain, with lambda and sigma from
+    `hierarchy.chain_constants`. Returns the chain or its `ChainFailure`."""
     n = g.n
-    top = diameter_level(g)
+    top = hierarchy.diameter_level(g)
     lam, sigma = hierarchy.chain_constants(top, n, delta)
     order = list(range(n))
     start, stop, children = [0], [n], [[]]
     lo, hi, center, radius = [top], [top], [0], [INF]
-
-    def add(k, first, members, level, c, rv):
-        order[first : first + len(members)] = members
-        children[k].append(len(start))
-        start.append(first)
-        stop.append(first + len(members))
-        children.append([])
-        lo.append(level if len(members) > 1 else 0)
-        hi.append(level)
-        center.append(c)
-        radius.append(rv if len(members) > 1 else 0.0)
-
-    free = [False] * n
     active = [0]
-    for i in range(top - 1, 0, -1):
+    for i in range(top - 1, -1, -1):
         below = []
         for k in active:
             members = order[start[k] : stop[k]]
-            for u in members:
-                free[u] = True
-            balls = carve_by_heap(g, members, free, 2.0 ** (i - 1) / lam, rng)
+            balls = [(v, [v], 0.0) for v in members]  # level 0 is not carved
+            if i:
+                sub, verts = induced_subgraph(g, members)
+                carved = carve_by_heap(sub, range(sub.n), [True] * sub.n, 2.0 ** (i - 1) / lam, rng)
+                balls = [(verts[c], [verts[p] for p in part], rv) for c, part, rv in carved]
             if len(balls) == 1:
-                lo[k] = i
-                radius[k] = balls[0][2]
+                lo[k], radius[k] = i, balls[0][2]
                 below.append(k)
                 continue
             first = start[k]
             for c, part, rv in balls:
-                add(k, first, part, i, c, rv)
-                first += len(part)
                 if len(part) > 1:
-                    below.append(len(start) - 1)
+                    below.append(len(start))
+                order[first : first + len(part)] = part
+                children[k].append(len(start))
+                children.append([])
+                start.append(first)
+                first += len(part)
+                stop.append(first)
+                lo.append(i if len(part) > 1 else 0)
+                hi.append(i)
+                center.append(c)
+                radius.append(rv if len(part) > 1 else 0.0)
         active = below
-    for k in active:
-        first = start[k]
-        for v in order[first : stop[k]]:
-            add(k, first, [v], 0, v, 0.0)
-            first += 1
     chain = ClusteringChain(
         graph=g,
         top_level=top,
@@ -1549,15 +1383,15 @@ def chain_by_carving_levels(g, delta, rng):
         center=tuple(center),
         radius=tuple(radius),
     )
-    failure = _check_goodness(chain, sigma)
+    view = chain_levels(chain)
+    failure = goodness_by_levels(g, view.levels, view.parents, top, sigma)
     return chain if failure is None else failure
 
 
 def split_by_packing(g, params, rng):
-    """`embedder.split` as it was before flat chains took their cut
-    directly: `chain_by_carving_levels`, then `build_cut_packing` on every
-    chain and one drawn cut index."""
-    chain = chain_by_carving_levels(g, params.delta, rng)
+    """`embedder.split` without its flat route: `chain_by_subgraphs`, then
+    `build_cut_packing` on every chain and one drawn cut index."""
+    chain = chain_by_subgraphs(g, params.delta, rng)
     if isinstance(chain, ChainFailure):
         return chain
     packing = build_cut_packing(chain, params.xi)
@@ -1569,6 +1403,90 @@ def split_by_packing(g, params, rng):
         packing_size=len(packing.cuts),
         oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
     )
+
+
+class _Fallback(Exception):
+    pass
+
+
+def embed_by_reference(g, epsilon, mode="practical", seed=0):
+    """`embed_top(g, epsilon, mode, seed, leaf_rows=True)` composed from the
+    references, for a connected graph of two or more vertices.
+
+    Each edge takes its endpoints' distance from `dijkstra_by_heap` out of
+    its smaller end; `normalize`, `hat_ell` and `derive_params` are the
+    library's. A fragment is the `induced_subgraph` of the closed, rescaled
+    graph on its input vertices, split by `split_by_packing` on the stream
+    `derive_seed(seed, "split", *path)`, where `path` lists the component
+    index taken at each split above. A fragment with more than half its
+    parent's vertices and a chain of no lower level is refused. The
+    components are embedded in order. Then each portal of the cut, in cut
+    order, gets a copy, numbered from n up as the recursion unwinds, that
+    becomes the parent of the fragment's roots. The copy of portal z is
+    wired to each vertex v of the fragment at their `dijkstra_by_heap`
+    distance in it over the scale, w, unless an earlier copy of a portal
+    z' != v has a kept edge of weight w2 to v and the new copy's weight to
+    z' plus w2 is at most w. Leaf rows list each input vertex's wiring
+    weights to its ancestors, root first, then 0.0. A `ChainFailure`
+    anywhere hands the graph to `frt_embed` with the counts reached so far.
+    """
+    rows = [dijkstra_by_heap(g, u) for u in range(g.n)]
+    closed = WeightedGraph(g.n, tuple((u, v, rows[u][v]) for u, v, _ in g.edges))
+    scaled, scale = normalize(closed)
+    hat = hat_ell(scaled)
+    params = embedder.derive_params(g.n, hat, epsilon, mode)
+    meta = EmbeddingMeta(
+        n=g.n, seed=seed, mode=mode, params=params, fallback_used=False, scale=scale, hat_ell=hat
+    )
+    parent = [None] * g.n
+    edges = []
+    kept = [[] for _ in range(g.n)]  # (portal, weight) of each kept edge
+    weight = {}  # (input vertex, copy): its wiring weight
+
+    def embed(verts, path, above):
+        meta.recursion_depth = max(meta.recursion_depth, len(path) + 1)
+        if len(verts) == 1:
+            return verts
+        meta.split_calls += 1
+        sub, _ = induced_subgraph(scaled, verts)
+        result = split_by_packing(sub, params, random.Random(derive_seed(seed, "split", *path)))
+        if isinstance(result, ChainFailure):
+            raise _Fallback(result)
+        if above is not None and 2 * sub.n > above[1] and result.level >= above[0]:
+            raise InvariantViolation("recursion made no progress")
+        meta.packing_sizes.append(result.packing_size)
+        meta.oversize_cuts += result.oversize_in_packing
+        roots = []
+        for k, comp in enumerate(result.components):
+            roots += embed([verts[i] for i in comp], path + (k,), (result.level, sub.n))
+        local = {x: i for i, x in enumerate(verts)}
+        for z in result.portals:
+            row = [d / scale for d in dijkstra_by_heap(sub, z)]
+            copy = len(parent)
+            parent.append(None)
+            for v, w in zip(verts, row):
+                weight[v, copy] = w
+                if not any(row[local[zp]] + w2 <= w for zp, w2 in kept[v] if zp != v):
+                    edges.append((v, copy, w))
+                    kept[v].append((verts[z], w))
+            for r in roots:
+                parent[r] = copy
+            roots = [copy]
+        return roots
+
+    try:
+        embed(list(range(g.n)), (), None)
+    except _Fallback as failed:
+        emb = frt_embed(g, derive_seed(seed, "frt"))
+        emb.meta = EmbeddingMeta(
+            n=g.n, seed=seed, mode=mode, params=params, fallback_used=True,
+            fallback_reason=failed.args[0], hat_ell=hat,
+            recursion_depth=meta.recursion_depth, split_calls=meta.split_calls,
+        )
+        return emb
+    leaf_rows = [[weight[x, c] for c in reversed(ancestors(parent, x))] + [0.0] for x in range(g.n)]
+    host = WeightedGraph(len(parent), tuple(edges), allow_zero=True)
+    return HostEmbedding(host, list(range(g.n)), parent, meta, leaf_rows)
 
 
 def recording_splits(monkeypatch):

@@ -696,7 +696,7 @@ def test_gen_size_guard_refuses_before_building(tmp_path, monkeypatch, capsys):
         return WeightedGraph(2, ((0, 1, 1.0),))
 
     monkeypatch.setattr(cli, "generate", stub)
-    limit = cli.MEMORY_BUDGET // cli.GEN_EDGE_BYTES
+    limit = cli.MEMORY_BUDGET // cli.LOAD_EDGE_BYTES
     out = tmp_path / "big.txt"
     for argv in (
         ("path", "--n", 100_000_000),
@@ -712,6 +712,21 @@ def test_gen_size_guard_refuses_before_building(tmp_path, monkeypatch, capsys):
     # a path of limit + 1 vertices has exactly `limit` edges and is admitted
     assert run("gen", "path", "--n", limit + 1, "-o", out) == 0
     assert built == ["path"] and out.exists()
+
+
+def test_gen_writes_only_what_the_loaders_take(tmp_path, monkeypatch, capsys):
+    # gen's edge limit is the loaders' limit: a path at the limit is written
+    # and loads, and one more edge is refused before any file is written
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 30 * cli.LOAD_EDGE_BYTES)
+    out, tree = tmp_path / "path.txt", tmp_path / "tree.json"
+    assert run("gen", "path", "--n", 31, "--weights", "uniform:1:4", "-o", out) == 0
+    assert run("frt", "-i", out, "-o", tree) == 0
+    assert tree.exists()
+    out.unlink()
+    capsys.readouterr()
+    assert run("gen", "path", "--n", 32, "-o", out) == 2
+    assert "limit of 30" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_bad_weight_bounds(tmp_path):

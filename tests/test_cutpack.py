@@ -8,7 +8,6 @@ from oracles import (
     all_connected_labeled_graphs,
     balanced_predicate,
     centroid_bag,
-    centroid_separator_by_heap,
     chain_cluster_sets,
     chain_from_levels,
     components_of_cut,
@@ -20,6 +19,7 @@ from oracles import (
     heuristic_tree_decomposition,
     min_degree_decomposition_by_scan,
     node_members,
+    oracle_centroid,
     packing_by_repeat_probe,
     quotient,
     recording_splits,
@@ -397,11 +397,6 @@ def test_centroid_star_bags_contain_center():
 # ------------------------------------------------------ centroid separator
 
 
-def oracle_centroid(nbrs, weights):
-    bags, parent = heuristic_tree_decomposition(nbrs)
-    return bags[centroid_bag(bags, parent, weights)]
-
-
 def separator_matches_oracle(nbrs, weights):
     before = [set(around) for around in nbrs]
     got = centroid_separator(nbrs, weights)
@@ -456,6 +451,8 @@ def merged_grid_quotient(rng, rows, cols, merges):
 
 
 def test_separator_matches_the_heap_elimination_on_random_graphs():
+    # the whole heap elimination of `heuristic_tree_decomposition`, on trees,
+    # merged-grid quotients and dense graphs, with weights up to 1, 9 and 1000
     rng = random.Random(24)
     cases = []
     for _ in range(300):  # trees
@@ -465,14 +462,14 @@ def test_separator_matches_the_heap_elimination_on_random_graphs():
         rows, cols = rng.randint(2, 14), rng.randint(2, 14)
         nbrs, sizes = merged_grid_quotient(rng, rows, cols, rng.randint(0, rows * cols))
         cases.append(nbrs)
-        assert centroid_separator(nbrs, sizes) == centroid_separator_by_heap(nbrs, sizes)
+        assert centroid_separator(nbrs, sizes) == oracle_centroid(nbrs, sizes)
     for _ in range(300):  # dense small graphs
         n = rng.randint(2, 12)
         cases.append(nbrs_of(random_connected_graph(rng, n, rng.randint(n, n * n))))
     for nbrs in cases:
         for top in (1, 9, 1000):
             weights = [rng.randint(1, top) for _ in nbrs]
-            want = centroid_separator_by_heap(nbrs, weights)
+            want = oracle_centroid(nbrs, weights)
             assert centroid_separator(nbrs, weights) == want, (nbrs, weights)
 
 

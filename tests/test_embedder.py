@@ -2,12 +2,14 @@ import json
 import math
 import random
 
+import oracles
 import pytest
 from oracles import (
     all_pairs,
     bellman_ford,
     components_of_cut,
     cut_members,
+    embed_by_reference,
     embedding_to_dict,
     floyd_warshall,
 )
@@ -301,22 +303,28 @@ def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
 def test_a_child_that_keeps_its_level_and_most_vertices_is_refused(monkeypatch):
     # The root split of a 5-vertex unit star is made to leave the center
     # with three leaves as one component: 4 of 5 vertices, and the same
-    # diameter, so the child's chain has the root's level.
+    # diameter, so the child's chain has the root's level. The reference
+    # composition refuses it too.
     g = generate("star", size=4)
-    real_split = embedder.split
     calls = []
 
-    def split(sub, params, rng):
-        result = real_split(sub, params, rng)
-        calls.append(sub.n)
-        if len(calls) == 1:
-            result.components = [[0, 1, 2, 3], [4]]
-        return result
+    def merging(real_split):
+        def split(sub, params, rng):
+            result = real_split(sub, params, rng)
+            calls.append(sub.n)
+            if len(calls) == 1:
+                result.components = [[0, 1, 2, 3], [4]]
+            return result
 
-    monkeypatch.setattr(embedder, "split", split)
-    with pytest.raises(InvariantViolation, match="recursion made no progress"):
-        embed_top(g, 0.5, "practical", seed=0)
-    assert calls[0] == 5
+        return split
+
+    monkeypatch.setattr(embedder, "split", merging(embedder.split))
+    monkeypatch.setattr(oracles, "split_by_packing", merging(oracles.split_by_packing))
+    for route in (embed_top, embed_by_reference):
+        calls.clear()
+        with pytest.raises(InvariantViolation, match="recursion made no progress"):
+            route(g, 0.5, "practical", seed=0)
+        assert calls[0] == 5
 
 
 def test_default_xi_cap_is_the_none_cap():

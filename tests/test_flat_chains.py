@@ -1,14 +1,16 @@
 """Flat chains: carving's per-center test, the chain built directly when the
 root's carving leaves only singletons, and the split that takes its one cut
-without a packing, each against the level-by-level references in
-`oracles`."""
+without a packing, each against the references in `oracles`: the heap
+carving, the chain carved on one subgraph per cluster and the split through
+a packing on every chain."""
 
 import math
 import random
 from dataclasses import fields, replace
 
 import pytest
-from oracles import carve_by_heap, chain_by_carving_levels, split_by_packing
+import oracles
+from oracles import carve_by_heap, split_by_packing
 
 import mfembed.cutpack as cutpack
 import mfembed.hierarchy as hierarchy
@@ -53,6 +55,19 @@ def assert_same_chain(got, want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+def reference_chains(monkeypatch):
+    """The list of each chain or failure that `split_by_packing` builds."""
+    chains = []
+    real = oracles.chain_by_subgraphs
+
+    def recorded(*args):
+        chains.append(real(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(oracles, "chain_by_subgraphs", recorded)
+    return chains
+
+
 class FirstDrawHuge(random.Random):
     """A stream whose first `random()` is the largest float below 1, so the
     first exponential drawn from it is -ln(2**-53), about 36.7."""
@@ -77,20 +92,21 @@ class ZeroDraws(random.Random):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_chain_and_split_match_the_level_by_level_references(seed):
+def test_chain_and_split_match_the_level_by_level_references(monkeypatch, seed):
     # 130 graphs per seed, three streams each; most chains are flat, and
     # every flat one must be the chain and split the references build. The
     # second and third streams split with tau at 1 and 2, so that bags of
     # one to three members fall on both sides of it.
+    chains = reference_chains(monkeypatch)
     flat = other = oversize = 0
     for g, params in prepared_graphs(130, seed):
         for stream in range(3):
             got = build_chain(g, params.delta, random.Random(stream))
-            assert_same_chain(got, chain_by_carving_levels(g, params.delta, random.Random(stream)))
-            flat += is_flat(got)
-            other += not is_flat(got)
             at = replace(params, tau=stream) if stream else params
             want = split_by_packing(g, at, random.Random(stream))
+            assert_same_chain(got, chains[-1])
+            flat += is_flat(got)
+            other += not is_flat(got)
             assert split(g, at, random.Random(stream)) == want
             oversize += want.oversize_in_packing
     assert flat > 100 and other > 10 and oversize > 100
@@ -117,16 +133,18 @@ def test_flat_split_refuses_an_unbalanced_bag_as_the_packing_does(monkeypatch):
     assert any(isinstance(result, SplitResult) for result in outcomes)
 
 
-def test_chains_forced_past_the_root_carving_match_the_reference():
+def test_chains_forced_past_the_root_carving_match_the_reference(monkeypatch):
     # The first exponential of the stream is huge, so the root's first ball
     # is wide and the levels below go on from the root's carving.
+    chains = reference_chains(monkeypatch)
     flat = other = 0
     for g, params in prepared_graphs(150, 5):
         got = build_chain(g, params.delta, FirstDrawHuge(0))
-        assert_same_chain(got, chain_by_carving_levels(g, params.delta, FirstDrawHuge(0)))
+        want = split_by_packing(g, params, FirstDrawHuge(0))
+        assert_same_chain(got, chains[-1])
         flat += is_flat(got)
         other += not is_flat(got)
-        assert split(g, params, FirstDrawHuge(0)) == split_by_packing(g, params, FirstDrawHuge(0))
+        assert split(g, params, FirstDrawHuge(0)) == want
     assert other > 100
 
 
@@ -136,14 +154,15 @@ def test_flat_chains_are_checked_when_sigma_is_below_n_minus_1(monkeypatch, sigm
     # goodness check measures the root's quotient, which is the graph.
     real = hierarchy.chain_constants
     monkeypatch.setattr(hierarchy, "chain_constants", lambda *a: (real(*a)[0], sigma))
+    chains = reference_chains(monkeypatch)
     outcomes = {"flat": 0, "failure": 0}
     for g, params in prepared_graphs(120, 6):
         for stream in range(2):
             got = build_chain(g, params.delta, random.Random(stream))
-            assert_same_chain(got, chain_by_carving_levels(g, params.delta, random.Random(stream)))
+            want = split_by_packing(g, params, random.Random(stream))
+            assert_same_chain(got, chains[-1])
             outcomes["flat"] += is_flat(got) and g.n - 1 > sigma
             outcomes["failure"] += isinstance(got, ChainFailure)
-            want = split_by_packing(g, params, random.Random(stream))
             assert split(g, params, random.Random(stream)) == want
     assert outcomes["failure"] > 0
     if sigma > 1:

@@ -9,8 +9,8 @@ digests. The test ids name the instance, not the digest, so a re-record
 keeps them. The same embeddings also have their host distance labels and
 their leaf rows checked against the portal wiring, every graph that the
 library built for them without checks is rebuilt through the public
-constructor, and every centroid search they make is repeated by the former
-heap elimination.
+constructor, and every centroid search they make is repeated on the whole
+min-degree decomposition.
 """
 
 import hashlib
@@ -18,11 +18,11 @@ import json
 
 import pytest
 from oracles import (
-    centroid_separator_by_heap,
     check_derived_graph,
     check_forest_labels_by_dijkstra,
     check_labels_against_copy_edges,
     check_leaf_rows,
+    oracle_centroid,
     recording_derived_graphs,
     strip_timing,
 )
@@ -119,7 +119,7 @@ def test_centroid_separator_matches_the_heap_elimination(instance, seed, digest,
 
     def checked(adjacency, weights):
         bag = real(adjacency, weights)
-        assert bag == centroid_separator_by_heap(adjacency, weights), (adjacency, weights)
+        assert bag == oracle_centroid(adjacency, weights), (adjacency, weights)
         calls.append(len(adjacency))
         return bag
 

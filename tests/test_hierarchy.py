@@ -6,7 +6,6 @@ import sys
 import pytest
 from oracles import (
     EdgeNotInGraph,
-    chain_by_levels,
     chain_by_subgraphs,
     chain_from_levels,
     chain_levels,
@@ -749,12 +748,7 @@ def test_chain_matches_per_cluster_subgraph_carving():
     for seed in range(40):
         base = random_connected(rng, rng.randint(2, 40))
         g = WeightedGraph(base.n, tuple((u, v, 0.6 + w) for u, v, w in base.edges))
-        chain = build(g, delta=0.3, seed=seed)
-        levels, centers, parents = chain_by_subgraphs(g, 0.3, random.Random(seed))
-        view = chain_levels(chain)
-        assert [list(level) for level in view.levels] == levels
-        assert [list(c) for c in view.centers] == centers
-        assert [list(p) for p in view.parents] == parents
+        assert build(g, delta=0.3, seed=seed) == chain_by_subgraphs(g, 0.3, random.Random(seed))
 
 
 def test_chain_builds_no_subgraph_and_no_connectivity_pass(monkeypatch):
@@ -809,18 +803,13 @@ def count_cluster_checks(monkeypatch):
 
 
 def matrix_outcomes(extra=(), seeds=range(5)):
-    """(build_chain, chain_by_levels) outcomes over the matrix and `extra`,
-    `seeds` and a strict and a lax delta; a chain is compared as its level
-    view."""
+    """(build_chain, chain_by_subgraphs) outcomes over the matrix and `extra`,
+    `seeds` and a strict and a lax delta."""
     for g in matrix_graphs() + list(extra):
         for seed in seeds:
             for delta in (0.1, 0.9):
-                got = build_chain(g, delta, random.Random(seed))
-                want = chain_by_levels(g, delta, random.Random(seed))
-                if isinstance(got, ClusteringChain):
-                    view = chain_levels(got)
-                    got = tuple([list(x) for x in rows] for rows in view[:3])
-                yield got, want
+                yield (build_chain(g, delta, random.Random(seed)),
+                       chain_by_subgraphs(g, delta, random.Random(seed)))
 
 
 def test_goodness_matches_the_per_cluster_check_on_the_acceptance_matrix(monkeypatch):
