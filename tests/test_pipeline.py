@@ -131,6 +131,28 @@ def test_fallback_hand_over_is_the_reference_composition(monkeypatch, fail_chain
         check_embedding(g, emb)
 
 
+def test_embed_random_instances():
+    rng = random.Random(99)
+    for trial in range(60):
+        g = random_connected_graph(rng)
+        emb = embed_top(g, 0.5, "practical", seed=trial)
+        check_embedding(g, emb)
+        if not emb.meta.fallback_used:
+            bound = 1 + emb.meta.params.tau * emb.meta.hat_ell * max(
+                1, (g.n - 1).bit_length()
+            )
+            assert emb.depth <= bound
+
+
+def test_embed_random_instances_deterministic():
+    rng = random.Random(7)
+    for trial in range(8):
+        g = random_connected_graph(rng, n_max=14)
+        a = embed_top(g, 0.5, "practical", seed=1000 + trial)
+        b = embed_top(g, 0.5, "practical", seed=1000 + trial)
+        assert embedding_to_json(a) == embedding_to_json(b)
+
+
 def test_frt_random_instances():
     rng = random.Random(4242)
     for trial in range(30):
@@ -150,6 +172,17 @@ def test_frt_wide_stretch():
     for seed in range(6):
         emb = frt_embed(g, seed)
         check_embedding(g, emb)
+
+
+def test_leaf_rows_on_random_instances():
+    rng = random.Random(41)
+    differ = 0
+    for trial in range(30):
+        g = random_connected_graph(rng, n_max=40)
+        emb = embed_top(g, 0.5, "practical", seed=trial, leaf_rows=True)
+        assert not emb.meta.fallback_used
+        differ += check_leaf_rows(g, emb)
+    assert differ > 0
 
 
 def test_leaf_rows_on_long_fractional_paths():
