@@ -91,7 +91,7 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
     def counted_chain(h, *args, **kwargs):
         chain = build_chain(h, *args, **kwargs)
         tally["splits"] += 1
-        tally["flat splits"] += len(getattr(chain, "lo", ())) == h.n + 1
+        tally["flat splits"] += getattr(chain, "flat", False)
         return chain
 
     def counted_carve(*args, **kwargs):

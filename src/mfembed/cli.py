@@ -13,8 +13,7 @@ import random
 import sys
 
 from . import harness
-from .cutpack import build_cut_packing
-from .embedder import embed_top, preprocess
+from .embedder import cut_choices, embed_top, preprocess
 from .errors import BadSize, InvariantViolation, LevelOverflow, MfembedError
 from .frt import frt_embed
 from .generators import KINDS, generate
@@ -364,11 +363,11 @@ def _cmd_split(args) -> int:
     for i in range(chain.top_level + 1):
         sizes = sorted((chain.size(k) for k in range(len(lo)) if lo[k] <= i <= hi[k]), reverse=True)
         print(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
-    packing = build_cut_packing(chain, params.xi)
-    print(f"packing size={len(packing.cuts)}")
+    choices = cut_choices(chain, params.xi)
+    print(f"packing size={len(choices)}")
     half = g.n // 2
     order, start, stop = chain.order, chain.start, chain.stop
-    for i, (cut, comps) in enumerate(zip(packing.cuts, packing.components)):
+    for i, (cut, comps) in enumerate(choices):
         # The members are components too; each is known by its smallest vertex.
         firsts = {min(order[start[k] : stop[k]]) for k in cut}
         margin = half - max((len(c) for c in comps if c[0] not in firsts), default=0)
@@ -377,7 +376,7 @@ def _cmd_split(args) -> int:
             f"  cut {i}: members={len(cut)} levels={levels} "
             f"oversize={len(cut) > params.tau} balance_margin={margin}"
         )
-    print(f"sampled cut={rng.randrange(len(packing.cuts))}")
+    print(f"sampled cut={rng.randrange(len(choices))}")
     return 0
 
 

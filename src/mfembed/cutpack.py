@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .errors import EmptyPacking, InvariantViolation, PreconditionViolation
-from .graphs import connected_components, quotient_adjacency
+from .graphs import WeightedGraph, connected_components, quotient_adjacency
 from .hierarchy import ClusteringChain
 
 
@@ -51,22 +51,13 @@ class CutPacking:
 
     cuts: list[Cut] = field(default_factory=list)
     used: set[int] = field(default_factory=set)
-    # components[i]: the components of G - F(cuts[i]) as sorted lists ordered
-    # by smallest vertex, G the chain's graph and F(cut) the edges that leave
-    # a member. Chain clusters are connected, so they are the members and
-    # the `outside_components`.
+    # components[i]: `cut_components` of cuts[i]'s members.
     components: list[list[list[int]]] = field(default_factory=list)
 
     def add(self, cut: Cut, chain: ClusteringChain) -> None:
-        """Pack a cut, refusing it unless every component outside its members
-        holds at most half the vertices of the chain's graph."""
-        comps = outside_components(chain, cut)
-        half = chain.graph.n // 2
-        if any(len(c) > half for c in comps):
-            raise InvariantViolation("constructed cut is not balanced")
+        """Pack a cut, refusing it unless it is balanced."""
         order, start, stop = chain.order, chain.start, chain.stop
-        comps.extend(sorted(order[start[k] : stop[k]]) for k in cut)
-        comps.sort()
+        comps = cut_components(chain.graph, [sorted(order[start[k] : stop[k]]) for k in cut])
         self.used.update(k for k in cut if stop[k] - start[k] > 1)
         self.cuts.append(cut)
         self.components.append(comps)
@@ -75,15 +66,22 @@ class CutPacking:
         return len(self.cuts)
 
 
-def outside_components(chain: ClusteringChain, cut: Cut) -> list[list[int]]:
-    """Components of the chain's graph induced by the vertices outside every
-    member, as sorted lists ordered by smallest vertex."""
-    order, start, stop = chain.order, chain.start, chain.stop
-    outside = [True] * chain.graph.n
-    for k in cut:
-        for v in order[start[k] : stop[k]]:
+def cut_components(g: WeightedGraph, members: list[list[int]]) -> list[list[int]]:
+    """The components of g - F, F the edges that leave a member, as sorted
+    lists ordered by smallest vertex, for disjoint connected members given
+    as sorted lists: the members and the components outside them. Refuses
+    the cut unless each component outside holds at most half of g."""
+    outside = [True] * g.n
+    for member in members:
+        for v in member:
             outside[v] = False
-    return connected_components(chain.graph, allowed=outside)
+    comps = connected_components(g, allowed=outside)
+    half = g.n // 2
+    if any(len(c) > half for c in comps):
+        raise InvariantViolation("constructed cut is not balanced")
+    comps.extend(members)
+    comps.sort()
+    return comps
 
 
 def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozenset[int]:
@@ -96,8 +94,8 @@ def centroid_separator(adjacency: list[set[int]], weights: list[int]) -> frozens
     fill update changes its degree, and the cursor moves down to that degree
     when it is lower. An id that is eliminated or whose degree has changed
     since it was entered is skipped when popped. Vertices leave in the same
-    order as from one heap of (degree, id) entries
-    (`tests/oracles.centroid_separator_by_heap`).
+    order as from the one heap of (degree, id) entries that the reference,
+    `tests/oracles.oracle_centroid`, runs.
 
     In the elimination tree, the subtree of the k-th eliminated vertex is
     its component among the vertices eliminated so far (Liu, SIAM J. Matrix

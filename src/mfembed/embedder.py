@@ -36,7 +36,7 @@ from itertools import repeat
 from operator import truediv
 
 from . import cutpack
-from .cutpack import build_cut_packing
+from .cutpack import Cut, build_cut_packing
 from .errors import (
     BadEpsilon,
     DisconnectedGraph,
@@ -48,7 +48,6 @@ from .frt import frt_embed
 from .graphs import (
     INF,
     WeightedGraph,
-    connected_components,
     dijkstra,
     hat_ell,
     induced_subgraphs,
@@ -56,7 +55,7 @@ from .graphs import (
     metric_closure_weights,
     normalize,
 )
-from .hierarchy import ChainFailure, build_chain, chain_constants
+from .hierarchy import ChainFailure, ClusteringChain, build_chain, chain_constants
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
@@ -94,6 +93,9 @@ def derive_params(
     theory mode keeps the raw values and takes no cap; practical mode caps
     xi at xi_cap (default DEFAULT_XI_CAP) and tau at 4*ceil(sqrt(n)). tau
     only sets the `oversize_cuts` count: the cut search never reads it.
+    lambda and sigma are `chain_constants(hat_ell_value, n, delta)`, at
+    L = hat_ell; a chain's goodness check takes them at its own top level,
+    so the recorded sigma is not the one any chain checks against.
     """
     check_settings(epsilon, mode, xi_cap)
     if n < 2 or hat_ell_value < 1:
@@ -161,56 +163,44 @@ class _FallbackRequired(Exception):
         self.reason = reason
 
 
+def cut_choices(chain: ClusteringChain, xi: int) -> list[tuple[Cut, list[list[int]]]]:
+    """The cuts a split on `chain` samples from, each with its components.
+
+    A flat chain (`ClusteringChain.flat`) quotients to its graph itself, so
+    its packing is the one cut of singletons at the bag that
+    `cutpack.centroid_separator` returns on the graph's neighbour sets with
+    unit weights; that cut is taken directly. Any other chain packs up to xi
+    cuts with `build_cut_packing`.
+    """
+    if chain.flat:
+        g = chain.graph
+        bag = sorted(
+            cutpack.centroid_separator([{u for u, _ in around} for around in g.adjacency], [1] * g.n)
+        )
+        return [(tuple(v + 1 for v in bag), cutpack.cut_components(g, [[v] for v in bag]))]
+    packing = build_cut_packing(chain, xi)
+    return list(zip(packing.cuts, packing.components))
+
+
 def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
     a failed chain build comes back as its `ChainFailure`. The chain's
-    carving radii and then the cut choice are drawn from `rng`.
-
-    A flat chain (the root over n singletons, see `build_chain`) quotients
-    to g itself, so its packing is the one cut of singletons at the bag that
-    `cutpack.centroid_separator` returns on g's neighbour sets with unit
-    weights. That cut is taken directly, with the packing's balance check,
-    and a packing of one cut needs no draw.
+    carving radii and then the cut choice are drawn from `rng`; a single
+    cut needs no draw.
     """
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
     chain = build_chain(g, params.delta, rng)
     if isinstance(chain, ChainFailure):
         return chain
-    if len(chain.lo) == g.n + 1:  # the root and n singleton leaves
-        return _flat_split(g, chain.top_level, params.tau)
-    packing = build_cut_packing(chain, params.xi)
-    i = rng.randrange(len(packing.cuts))
+    choices = cut_choices(chain, params.xi)
+    cut, components = choices[rng.randrange(len(choices)) if len(choices) > 1 else 0]
     return SplitResult(
-        portals=[chain.center[k] for k in packing.cuts[i]],
-        components=packing.components[i],
-        level=chain.top_level,
-        packing_size=len(packing.cuts),
-        oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
-    )
-
-
-def _flat_split(g: WeightedGraph, level: int, tau: int) -> SplitResult:
-    """`split` on a flat chain of g at `level`: the cut of the singletons of
-    the centroid bag of g under unit weights."""
-    n = g.n
-    bag = cutpack.centroid_separator([{u for u, _ in around} for around in g.adjacency], [1] * n)
-    outside = [True] * n
-    for v in bag:
-        outside[v] = False
-    components = connected_components(g, outside)
-    half = n // 2
-    if any(len(c) > half for c in components):
-        raise InvariantViolation("constructed cut is not balanced")
-    portals = sorted(bag)
-    components.extend([v] for v in portals)
-    components.sort()
-    return SplitResult(
-        portals=portals,
+        portals=[chain.center[k] for k in cut],
         components=components,
-        level=level,
-        packing_size=1,
-        oversize_in_packing=int(len(bag) > tau),
+        level=chain.top_level,
+        packing_size=len(choices),
+        oversize_in_packing=sum(1 for c, _ in choices if len(c) > params.tau),
     )
 
 

@@ -86,6 +86,13 @@ class ClusteringChain:
     def size(self, node: int) -> int:
         return self.stop[node] - self.start[node]
 
+    @property
+    def flat(self) -> bool:
+        """The root over n singleton leaves, node v + 1 holding vertex v
+        (`build_chain`): every vertex set is one node and each singleton is
+        one, so n + 1 nodes leave no other."""
+        return len(self.start) == self.graph.n + 1
+
     def level_index(self, level: int, node: int) -> int:
         """Position of `node` among the clusters of `level`."""
         lo, hi, start = self.lo, self.hi, self.start

@@ -30,7 +30,9 @@ if TYPE_CHECKING:
 class Params:
     """Split-procedure parameters; `theory` keeps the raw formulas,
     `practical` caps xi and tau at desk scale. `c_fallback` and `tau_cap`
-    record the fixed constant C and tau cap that `derive_params` used."""
+    record the fixed constant C and tau cap that `derive_params` used.
+    `sigma` (and the lambda inside xi) is taken at L = hat_ell levels; each
+    chain checks its quotients against the sigma of its own top level."""
 
     epsilon: float
     delta: float

@@ -1490,28 +1490,23 @@ def embed_by_reference(g, epsilon, mode="practical", seed=0):
 
 
 def recording_splits(monkeypatch):
-    """Record, in the returned list, (result, packing) for each call of
-    `embedder.split`: the packing that `embedder.build_cut_packing` built
-    for it, or for a split on a flat chain, which builds none, the packing
-    of its one cut read from its portals, whose singleton nodes are
-    portal + 1 (`hierarchy.build_chain`)."""
+    """Record, in the returned list, (result, choices) for each call of
+    `embedder.split`: the list of (cut, components) that
+    `embedder.cut_choices` gave it to sample from."""
     splits = []
-    packings = []
-    real_split, real_packing = embedder.split, embedder.build_cut_packing
+    choices = []
+    real_split, real_choices = embedder.split, embedder.cut_choices
 
-    def packing(chain, xi):
-        packings.append(real_packing(chain, xi))
-        return packings[-1]
+    def recorded_choices(chain, xi):
+        choices.append(real_choices(chain, xi))
+        return choices[-1]
 
     def split(g, params, rng):
-        packings.clear()
+        choices.clear()
         result = real_split(g, params, rng)
-        if isinstance(result, SplitResult) and not packings:
-            cut = tuple(v + 1 for v in result.portals)
-            packings.append(CutPacking(cuts=[cut], components=[result.components]))
-        splits.append((result, packings[0] if packings else None))
+        splits.append((result, choices[0] if choices else None))
         return result
 
-    monkeypatch.setattr(embedder, "build_cut_packing", packing)
+    monkeypatch.setattr(embedder, "cut_choices", recorded_choices)
     monkeypatch.setattr(embedder, "split", split)
     return splits

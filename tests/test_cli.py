@@ -14,8 +14,7 @@ from oracles import embedding_to_dict, induced_subgraph, recording_splits
 import mfembed
 from mfembed import cli, embedder, harness
 from mfembed.cli import main
-from mfembed.cutpack import build_cut_packing
-from mfembed.embedder import embed_top, preprocess
+from mfembed.embedder import cut_choices, embed_top, preprocess
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import WeightedGraph, connected_components
@@ -411,9 +410,8 @@ SPLIT_INSTANCES = [
 @pytest.mark.parametrize("mode", ["practical", "theory"])
 @pytest.mark.parametrize("instance", SPLIT_INSTANCES)
 def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypatch, instance, mode):
-    # Record the split results of `embed_top`'s own run with their packings;
-    # the root split is the first. A split on a flat chain packs no cuts, so
-    # its one cut is read from its portals.
+    # Record the split results of `embed_top`'s own run with the cuts each
+    # sampled from; the root split is the first.
     splits = recording_splits(monkeypatch)
     g = generate(seed=1, **instance)
     graph = tmp_path / "g.txt"
@@ -425,26 +423,26 @@ def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypat
         capsys.readouterr()
         assert run("split", "-i", graph, "--mode", mode, "--seed", seed) == 0
         lines = capsys.readouterr().out.splitlines()
-        root, packing = splits[0]
+        root, choices = splits[0]
         assert sum(line.startswith("level ") for line in lines) == root.level + 1
         assert f"packing size={emb.meta.packing_sizes[0]}" in lines
-        assert emb.meta.packing_sizes[0] == len(packing.cuts)
+        assert emb.meta.packing_sizes[0] == len(choices)
         cut_lines = [line for line in lines if line.startswith("  cut ")]
-        assert len(cut_lines) == len(packing.cuts)
+        assert len(cut_lines) == len(choices)
         assert sum("oversize=True" in line for line in cut_lines) == root.oversize_in_packing
         assert lines[-1].startswith("sampled cut=")
         i = int(lines[-1][len("sampled cut=") :])
         # the components `embed_top` recursed on are the printed cut's
-        assert root.components is packing.components[i]
+        assert root.components is choices[i][1]
         assert cut_lines[i].startswith(f"  cut {i}: members={len(root.portals)} ")
-        # and a replay of the root's stream draws the same index, and packs
-        # the same cuts with the same components
+        # and a replay of the root's stream draws the same index from the
+        # same cuts with the same components
         rng = random.Random(derive_seed(seed, "split"))
         scaled, _, _, params = preprocess(g, 0.5, mode)
         chain = build_chain(scaled, params.delta, rng)
-        replay = build_cut_packing(chain, params.xi)
-        assert i == rng.randrange(len(replay.cuts))
-        assert replay.cuts == packing.cuts and replay.components == packing.components
+        replay = cut_choices(chain, params.xi)
+        assert i == rng.randrange(len(replay))
+        assert replay == choices
 
 
 def test_eval_detects_contracting_embedding(tmp_path):

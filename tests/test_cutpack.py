@@ -553,14 +553,12 @@ def test_oversize_flag(monkeypatch):
     # one on a 6-leaf star at tau = 1, and none once tau reaches the largest
     # cut; embed_top adds up the counts of its splits, two or more of which
     # count a cut on a 6 x 6 grid
-    # (a split on a flat chain packs no cuts; its one cut is read from its
-    # portals)
     splits = recording_splits(monkeypatch)
     instance = dict(kind="star", size=6)
     sub, _, params = golden_root_split(instance, 0)
     stream = derive_seed(0, "split")
     result = embedder.split(sub, replace(params, tau=1), random.Random(stream))
-    sizes = [len(cut) for cut in splits[-1][1].cuts]
+    sizes = [len(cut) for cut, _ in splits[-1][1]]
     assert result.oversize_in_packing == sum(size > 1 for size in sizes) > 0
     widest = replace(params, tau=max(sizes))
     assert embedder.split(sub, widest, random.Random(stream)).oversize_in_packing == 0
@@ -572,7 +570,7 @@ def test_oversize_flag(monkeypatch):
     splits.clear()
     emb = embed_top(generate("grid", rows=6, cols=6), 0.5, "practical", seed=0)
     assert emb.meta.params.tau == 1
-    counts = [sum(len(cut) > 1 for cut in packing.cuts) for _, packing in splits]
+    counts = [sum(len(cut) > 1 for cut, _ in choices) for _, choices in splits]
     assert emb.meta.oversize_cuts == sum(counts) and sorted(counts)[-2] > 0
 
 

@@ -33,7 +33,7 @@ from mfembed.cutpack import build_cut_packing
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import WeightedGraph, dijkstra
-from mfembed.hierarchy import ChainFailure, build_chain
+from mfembed.hierarchy import ChainFailure, build_chain, chain_constants
 from mfembed.hosts import (
     check_forest_validity,
     embedding_from_dict,
@@ -99,6 +99,19 @@ def test_derive_params_default_tau_cap():
     p = derive_params(64, 7, 0.5, "practical")
     assert p.tau == p.tau_cap == 4 * math.ceil(math.sqrt(64))
     assert p.xi == 16
+
+
+def test_recorded_sigma_is_taken_at_hat_ell_not_at_the_chains_top_level():
+    # One edge of length 5: hat_ell is 1, but the root chain's top level is
+    # 3 (5 <= 2**3), so `params` records the sigma of L = 1 while the root
+    # chain checks its quotients against the sigma of L = 3.
+    g = two_vertex(5.0)
+    scaled, _, hat, params = embedder.preprocess(g, 0.5)
+    chain = build_chain(scaled, params.delta, random.Random(0))
+    assert (hat, chain.top_level) == (1, 3)
+    assert round(params.sigma) == 29893
+    assert round(chain_constants(chain.top_level, 2, params.delta)[1]) == 38795
+    assert embed_top(g, 0.5, seed=1).meta.params.sigma == params.sigma
 
 
 def test_derive_params_bad_epsilon():

@@ -43,7 +43,7 @@ def prepared_graphs(count, seed):
 
 
 def is_flat(chain):
-    return isinstance(chain, ClusteringChain) and len(chain.lo) == chain.graph.n + 1
+    return isinstance(chain, ClusteringChain) and chain.flat
 
 
 def assert_same_chain(got, want):

@@ -208,6 +208,21 @@ packing size=3
 sampled cut=0
 """
 
+# a flat root: the star's root carving leaves only singletons, so the split
+# takes the one cut of the centroid bag
+STAR40_CHAIN = """\
+# rescaled by 2 so all distances exceed 1
+level 0: 41 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 1: 41 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+level 2: 1 clusters, sizes [41]
+"""
+
+STAR40_CUTS = """\
+packing size=1
+  cut 0: members=2 levels=[1, 1] oversize=False balance_margin=19
+sampled cut=0
+"""
+
 
 @pytest.mark.parametrize(
     "instance,part,want",
@@ -216,8 +231,12 @@ sampled cut=0
         (dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), "cuts", GRID6_CUTS),
         (dict(kind="cycle", size=512), "chain", CYCLE512_CHAIN),
         (dict(kind="cycle", size=512), "cuts", CYCLE512_CUTS),
+        (dict(kind="star", size=40), "chain", STAR40_CHAIN),
+        (dict(kind="star", size=40), "cuts", STAR40_CUTS),
     ],
-    ids=["grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts"],
+    ids=[
+        "grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts", "star40-chain", "star40-cuts"
+    ],
 )
 def test_debug_command_stdout(instance, part, want, tmp_path, capsys):
     path = tmp_path / "g.txt"

@@ -12,7 +12,9 @@ import pytest
 from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
 
 import mfembed.embedder as embedder
+import mfembed.graphs as graphs
 import mfembed.harness as harness
+import mfembed.hosts as hosts
 from mfembed.embedder import derive_params, embed_top
 from mfembed.errors import DisconnectedGraph, MfembedError, PairOutOfRange, PreconditionViolation
 from mfembed.generators import generate
@@ -261,6 +263,43 @@ def test_experiment_answers_a_fallback_from_labels_built_on_its_tree(monkeypatch
     assert built == [(True, True)] * 2
     monkeypatch.setattr(harness, "ForestLabels", labels_built_on_the_host)
     assert json.dumps(strip_timing(run_experiment(g, config))) == json.dumps(got)
+
+
+def test_unit_cycle_experiment_runs_no_heap_search(monkeypatch):
+    # Every graph that an experiment on the unit cycle searches (the input,
+    # its closure, the fragments, FRT's input) has one edge length, so
+    # every search walks breadth-first and no host needs labels from heap
+    # runs (`scripts/search_split.py --cycle 64` exits 1 otherwise).
+    def refused(*args, **kwargs):
+        raise AssertionError("a heap search ran")
+
+    monkeypatch.setattr(graphs, "settle", refused)
+    monkeypatch.setattr(hosts, "settle", refused)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=2, pairs="all", seed=1, baseline="frt"
+    )
+    report = run_experiment(generate("cycle", size=64), config)
+    assert not any(run["fallback"] for run in report["structural"]["per_run"])
+
+
+def test_grid_experiment_reads_frt_trees_as_forests_and_embedder_hosts_from_rows(monkeypatch):
+    # As `scripts/read_path_split.py --grid 6` requires: the embedder's runs
+    # come first, each host with its leaf rows, then the FRT trees, each
+    # labelled by path sums.
+    built = []
+
+    def tracked(emb, leaf_rows=None):
+        labels = ForestLabels(emb, leaf_rows)
+        built.append((leaf_rows is not None, labels.forest_shaped))
+        return labels
+
+    monkeypatch.setattr(harness, "ForestLabels", tracked)
+    g = generate("grid", rows=6, cols=6, weights="uniform:1:4", seed=1)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=2, pairs="all", seed=1, baseline="frt"
+    )
+    run_experiment(g, config)
+    assert built == [(True, False)] * 2 + [(False, True)] * 2
 
 
 @pytest.mark.parametrize(
