@@ -185,8 +185,7 @@ def cut_choices(chain: ClusteringChain, xi: int) -> list[tuple[Cut, list[list[in
 def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
     a failed chain build comes back as its `ChainFailure`. The chain's
-    carving radii and then the cut choice are drawn from `rng`; a single
-    cut needs no draw.
+    carving radii and then the cut choice are drawn from `rng`.
     """
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
@@ -194,7 +193,7 @@ def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult |
     if isinstance(chain, ChainFailure):
         return chain
     choices = cut_choices(chain, params.xi)
-    cut, components = choices[rng.randrange(len(choices)) if len(choices) > 1 else 0]
+    cut, components = choices[rng.randrange(len(choices))]
     return SplitResult(
         portals=[chain.center[k] for k in cut],
         components=components,
