@@ -4,7 +4,9 @@
 and then recursively splits the graph: build a clustering chain, pack
 balanced cuts, sample one cut, and recurse on the components left without
 its boundary edges (its members and the components outside them), whose
-subgraphs are all built in one pass over the current subgraph's edges.
+subgraphs are all built, with their adjacency lists and length facts, in
+one pass over the current subgraph's edges. A component of one vertex
+becomes a forest root in that loop, without a recursive call.
 Every member of the sampled cut contributes one portal; a copy of each
 portal joins the host, and the portal copies stack on top of the
 sub-forests, which keeps the elimination forest valid. Copy c of portal z
@@ -229,21 +231,19 @@ class _EmbedState:
 
     def embed(
         self,
-        sub: WeightedGraph | None,
+        sub: WeightedGraph,
         verts: list[int],
         path: tuple[int, ...],
         above: tuple[int, int] | None = None,
     ) -> list[int]:
-        """Returns the forest roots of the fragment `sub`, whose local vertex i
-        is input vertex verts[i]; a single vertex comes without a subgraph.
+        """Returns the forest roots of the fragment `sub`, which has at least
+        two vertices and whose local vertex i is input vertex verts[i].
 
         `path` lists the component index taken at each split above. `above`
         is the parent split's (level, size): a fragment must hold at most
         half its parent's vertices or get a chain of a lower level.
         """
         self.recursion_depth = max(self.recursion_depth, len(path) + 1)
-        if len(verts) == 1:
-            return [verts[0]]
         self.split_calls += 1
         rng = random.Random(derive_seed(self.seed, "split", *path))
         result = split(sub, self.params, rng)
@@ -257,14 +257,18 @@ class _EmbedState:
         self.packing_sizes.append(result.packing_size)
         self.oversize_cuts += result.oversize_in_packing
 
-        # Each component is sorted, so its subgraph's vertex i is comp[i].
+        # Each component is sorted, so its subgraph's vertex i is comp[i]. A
+        # single vertex is a root of its own, one level below this split.
         multi = [comp for comp in result.components if len(comp) > 1]
         children = iter(induced_subgraphs(sub, multi) if multi else ())
         here = (result.level, sub.n)
         roots: list[int] = []
         for k, comp in enumerate(result.components):
-            child = next(children) if len(comp) > 1 else None
-            roots.extend(self.embed(child, [verts[i] for i in comp], path + (k,), here))
+            if len(comp) == 1:
+                roots.append(verts[comp[0]])
+                self.recursion_depth = max(self.recursion_depth, len(path) + 2)
+            else:
+                roots.extend(self.embed(next(children), [verts[i] for i in comp], path + (k,), here))
         pos = self.pos
         for i, x in enumerate(verts):
             pos[x] = i

@@ -16,6 +16,10 @@ and the closed input, each fragment and cluster subgraph, the embedder's
 and the FRT tree's host) is built by `WeightedGraph._derived`, which stores
 its edges as given. `tests/oracles.check_derived_graph` rebuilds each of
 those through the public constructor and requires the same edges.
+
+`induced_subgraphs` builds each child complete in its one pass over the
+parent's edges: the child's adjacency lists, and the parent's length facts
+that must hold in the child (its one length, its exact path sums).
 """
 
 from __future__ import annotations
@@ -78,13 +82,16 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(canon))
 
     @classmethod
-    def _derived(cls, n: int, edges: tuple[Edge, ...]) -> WeightedGraph:
+    def _derived(cls, n: int, edges: tuple[Edge, ...], **known) -> WeightedGraph:
         """A graph built from one that is already checked, without checks:
         each pair once as (u, v, float length) with 0 <= u < v < n, and a
-        length that is positive and finite (zero only on a host)."""
+        length that is positive and finite (zero only on a host). `known`
+        seeds cached properties (`adjacency`, `common_length`,
+        `exact_path_sums`) with the values they would compute."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", edges)
+        g.__dict__.update(known)
         return g
 
     @cached_property
@@ -327,16 +334,34 @@ def induced_subgraphs(
 ) -> list[WeightedGraph]:
     """The subgraphs that disjoint, sorted vertex lists induce, built in one
     pass over g's edges: part j's local vertex i is parts[j][i]. Each keeps
-    g's edge order, so its adjacency lists keep g's order too."""
+    g's edge order, and the same pass fills its adjacency lists in the order
+    `adjacency` would. A child with an edge inherits g's one length when g
+    has one, and each child inherits a True `exact_path_sums`: a child of a
+    graph with mixed lengths may have one length, so no None is handed on.
+    """
     part_of = [-1] * g.n
     local = [0] * g.n
+    # Per vertex of g in some part, its adjacency list in that part's child.
+    lists: list = [None] * g.n
     for j, verts in enumerate(parts):
         for i, v in enumerate(verts):
             part_of[v] = j
             local[v] = i
+            lists[v] = []
     edges: list[list[Edge]] = [[] for _ in parts]
     for u, v, w in g.edges:
         j = part_of[u]
         if j >= 0 and part_of[v] == j:
-            edges[j].append((local[u], local[v], w))
-    return [WeightedGraph._derived(len(verts), tuple(e)) for verts, e in zip(parts, edges)]
+            a, b = local[u], local[v]
+            edges[j].append((a, b, w))
+            lists[u].append((b, w))
+            lists[v].append((a, w))
+    # Each of g's scans stops at the first edge whose length rules its fact out.
+    known = {"exact_path_sums": True} if g.exact_path_sums else {}
+    with_edge = known if g.common_length is None else dict(known, common_length=g.common_length)
+    return [
+        WeightedGraph._derived(
+            len(verts), tuple(e), adjacency=[lists[v] for v in verts], **(with_edge if e else known)
+        )
+        for verts, e in zip(parts, edges)
+    ]

@@ -42,10 +42,11 @@ def carve(
 
     A center whose free neighbours all lie beyond its radius is its ball
     alone, with no search: a search's first sums are 0.0 + w == w, so it
-    would lower no entry either.
+    would lower no entry either. The searches' distance row is allocated at
+    the first ball that needs one, so a carving of singletons allocates none.
     """
     balls = []
-    dist = [INF] * g.n
+    dist: list[float] = []
     adj = g.adjacency
     for v in order:
         if not free[v]:
@@ -56,6 +57,8 @@ def carve(
         rv = r * (1.0 + x)
         for u, w in adj[v]:
             if w <= rv and free[u]:
+                if not dist:
+                    dist = [INF] * g.n
                 members = sorted(search(g, v, dist, free, rv))
                 for x in members:
                     free[x] = False

@@ -180,12 +180,18 @@ def induced_subgraph(g, vertices):
 def check_derived_graph(g, allow_zero=False):
     """Raise unless the public constructor, given g's vertex count and edges,
     accepts them and keeps them as they are: every length a float, every
-    pair once with u < v. A host passes `allow_zero=True`."""
+    pair once with u < v. A host passes `allow_zero=True`. Each of
+    `adjacency`, `common_length` and `exact_path_sums` that g already holds,
+    seeded when it was built or computed since, must be the value that a
+    fresh graph computes."""
     rebuilt = WeightedGraph(g.n, g.edges, allow_zero=allow_zero)
     if rebuilt.edges != g.edges:
         raise AssertionError("edges are not canonical: some pair is stored with u > v")
     if not all(type(w) is float for _, _, w in g.edges):
         raise AssertionError("some edge length is not a float")
+    for fact in ("adjacency", "common_length", "exact_path_sums"):
+        if fact in g.__dict__ and g.__dict__[fact] != getattr(rebuilt, fact):
+            raise AssertionError(f"{fact} is {g.__dict__[fact]!r}, not {getattr(rebuilt, fact)!r}")
 
 
 @contextmanager
@@ -195,8 +201,8 @@ def recording_derived_graphs():
     built = []
     real = WeightedGraph.__dict__["_derived"]
 
-    def record(cls, n, edges):
-        g = real.__func__(cls, n, edges)
+    def record(cls, n, edges, **known):
+        g = real.__func__(cls, n, edges, **known)
         built.append(g)
         return g
 

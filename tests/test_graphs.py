@@ -786,8 +786,11 @@ def test_induced_subgraph_relabels():
 @pytest.mark.parametrize("seed", range(20))
 def test_induced_subgraphs_match_one_reference_scan_per_part(seed):
     # One part, every component left by a random mask, and singletons: each
-    # subgraph equals the reference's, edge order included, and is a graph
-    # that the public constructor keeps as it is.
+    # subgraph equals the reference's, edge order included, comes with its
+    # adjacency lists, and is a graph that the public constructor keeps as
+    # it is, with the length facts a fresh graph computes. The parents have
+    # integer lengths, one length, and mixed fractional lengths under which
+    # the first part has one length.
     rng = random.Random(seed)
     n = rng.randint(1, 30)
     g = random_connected_graph(rng, n)
@@ -797,14 +800,27 @@ def test_induced_subgraphs_match_one_reference_scan_per_part(seed):
         connected_components(g, allowed),
         [[v] for v in range(n) if allowed[v]],
     ]
-    for parts in families:
-        got = induced_subgraphs(g, parts)
-        assert len(got) == len(parts)
-        for sub, part in zip(got, parts):
-            want, _ = induced_subgraph(g, part)
-            assert sub == want
-            assert sub.adjacency == want.adjacency
-            check_derived_graph(sub)
+    inside = set(families[0][0])
+    parents = [
+        g,
+        WeightedGraph(n, tuple((u, v, 2.0) for u, v, _ in g.edges)),
+        WeightedGraph(
+            n,
+            tuple(
+                (u, v, 2.0 if u in inside and v in inside else w + 0.5) for u, v, w in g.edges
+            ),
+        ),
+    ]
+    for parent in parents:
+        for parts in families:
+            got = induced_subgraphs(parent, parts)
+            assert len(got) == len(parts)
+            for sub, part in zip(got, parts):
+                want, _ = induced_subgraph(parent, part)
+                assert sub == want
+                assert "adjacency" in vars(sub)
+                assert sub.adjacency == want.adjacency
+                check_derived_graph(sub)
 
 
 @pytest.mark.parametrize("seed", range(10))
