@@ -7,14 +7,17 @@ jobs), wraps `search` where the library calls it, and prints one row per
 caller, named by the nearest library function on the call stack:
 - carving: `partition.carve`, one search per ball;
 - chain top level: `diameter_level` on each fragment that `build_chain`
-  builds a chain on;
+  builds a chain on, the root's once per experiment in `embedder.prepare`;
 - goodness check: `diameter_level` on the clusters `_check_goodness` measures;
 - portal rows: the embedder's row from each portal copy;
 - closure: `metric_closure_weights`, one search per vertex with an edge to a
-  higher id;
-- FRT level: `diameter_level` on the FRT baseline's input;
+  higher id, once per experiment;
+- FRT level: `diameter_level` on the FRT baseline's input, once per
+  experiment (`frt.top_level`);
 - FRT lists: `frt._least_element_lists`, one search per vertex;
-- pair rows: `harness._pair_distances`, one row per distinct first vertex.
+- pair rows: `harness._pair_distances`, one `graphs.search_to` per distinct
+  first vertex, which stops at its last target; its vertices are those
+  the walk settled.
 `hosts`' own heap runs, for labels that no leaf rows give, are the row
 "host labels"; any other search is "other".
 
@@ -44,11 +47,12 @@ from pathlib import Path
 import mfembed.embedder as embedder
 import mfembed.frt as frt
 import mfembed.graphs as graphs
+import mfembed.harness as harness
 import mfembed.hierarchy as hierarchy
 import mfembed.hosts as hosts
 import mfembed.partition as partition
 from mfembed.generators import generate
-from mfembed.harness import ExperimentConfig, run_experiment
+from mfembed.harness import ExperimentConfig
 
 # (module, function) of the nearest library frame -> caller row
 CALLERS = {
@@ -57,7 +61,8 @@ CALLERS = {
     ("hierarchy", "_check_goodness"): "goodness check",
     ("embedder", "embed"): "portal rows",
     ("graphs", "metric_closure_weights"): "closure",
-    ("frt", "frt_embed"): "FRT level",
+    ("embedder", "prepare"): "chain top level",
+    ("frt", "top_level"): "FRT level",
     ("frt", "_least_element_lists"): "FRT lists",
     ("harness", "_pair_distances"): "pair rows",
     ("hosts", "_subtree_labels"): "host labels",
@@ -85,7 +90,7 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
     counts = {row: {walk: [0, 0] for walk in WALKS} for row in ROWS}
     heap_on_edges = 0
     tally = {"splits": 0, "flat splits": 0, "balls": 0}
-    search, settle = graphs.search, hosts.settle
+    search, search_to, settle = graphs.search, harness.search_to, hosts.settle
     build_chain, carve = embedder.build_chain, hierarchy.carve
 
     def counted_chain(h, *args, **kwargs):
@@ -99,15 +104,23 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
         tally["balls"] += len(balls)
         return balls
 
-    def counted_search(h, *args, **kwargs):
-        nonlocal heap_on_edges
-        out = search(h, *args, **kwargs)
-        heap = h.common_length is None
-        heap_on_edges += heap and h.m > 0
-        row = counts[caller()][WALKS[heap]]
-        row[0] += 1
-        row[1] += len(out)
-        return out
+    def counted_walk(walk):
+        """`walk` (`search` or `search_to`), counted by caller and by the
+        walk it picks on the graph."""
+
+        def counted(h, *args, **kwargs):
+            nonlocal heap_on_edges
+            out = walk(h, *args, **kwargs)
+            heap = h.common_length is None
+            heap_on_edges += heap and h.m > 0
+            row = counts[caller()][WALKS[heap]]
+            row[0] += 1
+            row[1] += len(out)
+            return out
+
+        return counted
+
+    counted_search, counted_search_to = counted_walk(search), counted_walk(search_to)
 
     def counted_settle(*args, **kwargs):
         out = settle(*args, **kwargs)
@@ -119,14 +132,16 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
     patched = [(graphs, "search"), (partition, "search"), (frt, "search")]
     for module, name in patched:
         setattr(module, name, counted_search)
+    harness.search_to = counted_search_to
     hosts.settle = counted_settle
     embedder.build_chain, hierarchy.carve = counted_chain, counted_carve
     try:
         for config in configs:
-            run_experiment(g, config)
+            harness.run_experiment(g, config)
     finally:
         for module, name in patched:
             setattr(module, name, search)
+        harness.search_to = search_to
         hosts.settle = settle
         embedder.build_chain, hierarchy.carve = build_chain, carve
     return counts, heap_on_edges, tally

@@ -1,8 +1,10 @@
 """Recursive embed/split pipeline producing low-treedepth host embeddings.
 
-`embed_top` preprocesses (metric closure, rescaling, parameter derivation)
-and then recursively splits the graph: build a clustering chain, pack
-balanced cuts, sample one cut, and recurse on the components left without
+`embed_top` preprocesses (metric closure, rescaling, parameter derivation;
+an experiment hands it a `Prepared` record of these and the root's top
+level, made once for all its runs) and then recursively splits the graph:
+build a clustering chain, pack balanced cuts, sample one cut, and recurse
+on the components left without
 its boundary edges (its members and the components outside them), whose
 subgraphs are all built, with their adjacency lists and length facts, in
 one pass over the current subgraph's edges. A component of one vertex
@@ -36,6 +38,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
+from typing import NamedTuple
 
 from . import cutpack
 from .cutpack import Cut, build_cut_packing
@@ -47,6 +50,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .frt import frt_embed
+from .frt import top_level as frt_top_level
 from .graphs import (
     INF,
     WeightedGraph,
@@ -57,7 +61,7 @@ from .graphs import (
     metric_closure_weights,
     normalize,
 )
-from .hierarchy import ChainFailure, ClusteringChain, build_chain, chain_constants
+from .hierarchy import ChainFailure, ClusteringChain, build_chain, chain_constants, diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding, Params
 from .rng import derive_seed
 
@@ -146,6 +150,41 @@ def preprocess(
     return scaled, scale, hat, derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
 
 
+class Prepared(NamedTuple):
+    """What `embed_top` computes whatever the seed (`prepare`): the
+    `preprocess` values, the root chain's top level (None: its
+    `build_chain` measures it) and FRT's top level (None: a fallback's
+    `frt_embed` measures it)."""
+
+    scaled: WeightedGraph
+    scale: float
+    hat_ell: int
+    params: Params
+    top_level: int | None
+    frt_top: int | None
+
+
+def prepare(
+    g: WeightedGraph,
+    epsilon: float,
+    mode: str = "practical",
+    *,
+    xi_cap: int | None = None,
+    frt: bool = False,
+) -> Prepared:
+    """The seed-independent state of `embed_top` on a connected graph of at
+    least two vertices, with `frt.top_level(g)` when `frt` is set. An
+    experiment makes it once and hands it to each of its runs."""
+    scaled, scale, hat, params = preprocess(g, epsilon, mode, xi_cap=xi_cap)
+    try:
+        top = diameter_level(scaled)
+    except LevelOverflow as exc:
+        # The chains measure the rescaled graph; name the input's eccentricity.
+        raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
+    frt_top = frt_top_level(g, g.min_edge_length()) if frt else None
+    return Prepared(scaled, scale, hat, params, top, frt_top)
+
+
 @dataclass
 class SplitResult:
     """One split of a fragment: the portal of each member of the sampled cut,
@@ -184,14 +223,17 @@ def cut_choices(chain: ClusteringChain, xi: int) -> list[tuple[Cut, list[list[in
     return list(zip(packing.cuts, packing.components))
 
 
-def split(g: WeightedGraph, params: Params, rng: random.Random) -> SplitResult | ChainFailure:
+def split(
+    g: WeightedGraph, params: Params, rng: random.Random, top: int | None = None
+) -> SplitResult | ChainFailure:
     """One split step on a connected subgraph with at least two vertices;
     a failed chain build comes back as its `ChainFailure`. The chain's
-    carving radii and then the cut choice are drawn from `rng`.
+    carving radii and then the cut choice are drawn from `rng`. `top`, when
+    given, is g's `diameter_level`, which `build_chain` then does not run.
     """
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
-    chain = build_chain(g, params.delta, rng)
+    chain = build_chain(g, params.delta, rng, top)
     if isinstance(chain, ChainFailure):
         return chain
     choices = cut_choices(chain, params.xi)
@@ -235,18 +277,20 @@ class _EmbedState:
         verts: list[int],
         path: tuple[int, ...],
         above: tuple[int, int] | None = None,
+        top: int | None = None,
     ) -> list[int]:
         """Returns the forest roots of the fragment `sub`, which has at least
         two vertices and whose local vertex i is input vertex verts[i].
 
         `path` lists the component index taken at each split above. `above`
         is the parent split's (level, size): a fragment must hold at most
-        half its parent's vertices or get a chain of a lower level.
+        half its parent's vertices or get a chain of a lower level. `top`,
+        when given, is sub's `diameter_level`.
         """
         self.recursion_depth = max(self.recursion_depth, len(path) + 1)
         self.split_calls += 1
         rng = random.Random(derive_seed(self.seed, "split", *path))
-        result = split(sub, self.params, rng)
+        result = split(sub, self.params, rng, top)
         if isinstance(result, ChainFailure):
             raise _FallbackRequired(result)
         if above is not None and 2 * sub.n > above[1] and result.level >= above[0]:
@@ -313,6 +357,7 @@ def embed_top(
     *,
     xi_cap: int | None = None,
     leaf_rows: bool = False,
+    prepared: Prepared | None = None,
 ) -> HostEmbedding:
     """Embed a connected graph; on split failure fall back to the HST path.
 
@@ -320,6 +365,10 @@ def embed_top(
     internal rescaling. With `leaf_rows`, an embedding that did not fall
     back carries each input vertex's host distance labels as
     `HostEmbedding.leaf_rows`, for `ForestLabels(emb, emb.leaf_rows)`.
+    `prepared`, made by `prepare(g, epsilon, mode, xi_cap=xi_cap)` on a
+    graph of at least two vertices, stands in for the `preprocess` call
+    and the root's `diameter_level`; its FRT top level, if any, goes to a
+    fallback's tree.
     """
     if not is_connected(g):
         raise DisconnectedGraph("embed components separately")
@@ -335,12 +384,14 @@ def embed_top(
             ),
             leaf_rows=[[0.0]] if leaf_rows else None,
         )
-    scaled, scale, hat, params = preprocess(g, epsilon, mode, xi_cap=xi_cap)
+    if prepared is None:
+        prepared = Prepared(*preprocess(g, epsilon, mode, xi_cap=xi_cap), None, None)
+    scale, params = prepared.scale, prepared.params
     state = _EmbedState(g.n, params, seed, scale, leaf_rows)
     try:
-        state.embed(scaled, list(range(g.n)), ())
+        state.embed(prepared.scaled, list(range(g.n)), (), top=prepared.top_level)
     except _FallbackRequired as failed:
-        emb = frt_embed(g, derive_seed(seed, "frt"))
+        emb = frt_embed(g, derive_seed(seed, "frt"), top=prepared.frt_top)
         emb.meta = EmbeddingMeta(
             n=g.n,
             seed=seed,
@@ -348,7 +399,7 @@ def embed_top(
             params=params,
             fallback_used=True,
             fallback_reason=failed.reason,
-            hat_ell=hat,
+            hat_ell=prepared.hat_ell,
             recursion_depth=state.recursion_depth,
             split_calls=state.split_calls,
         )
@@ -365,7 +416,7 @@ def embed_top(
         params=params,
         fallback_used=False,
         scale=scale,
-        hat_ell=hat,
+        hat_ell=prepared.hat_ell,
         packing_sizes=state.packing_sizes,
         oversize_cuts=state.oversize_cuts,
         recursion_depth=state.recursion_depth,

@@ -29,8 +29,9 @@ from .hierarchy import diameter_level
 from .hosts import EmbeddingMeta, HostEmbedding
 
 
-def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
-    """Embed into a random 2-HST; host is a tree, leaves carry the vertices."""
+def frt_embed(g: WeightedGraph, seed: int, *, top: int | None = None) -> HostEmbedding:
+    """Embed into a random 2-HST; host is a tree, leaves carry the vertices.
+    `top`, when given, is `top_level(g, dmin)`, which no seed changes."""
     if g.n == 0:
         raise DisconnectedGraph("cannot embed the empty graph")
     if g.n == 1:
@@ -45,18 +46,8 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
     n = g.n
     # With positive lengths the closest pair is an edge (see `normalize`).
     dmin = g.min_edge_length()
-    # Least top with 2 * diam / dmin <= 2**top, at least 1 as diam >= dmin.
-    # The graph is connected, so a vertex that a Dijkstra run leaves at INF
-    # has a distance whose float sum overflowed.
-    try:
-        top = diameter_level(g, dmin=dmin)
-    except DisconnectedGraph as exc:
-        raise PreconditionViolation("a shortest-path distance overflows a float") from exc
-    # Two leaves that part at the top are 2 * (2**top - 1) * dmin apart.
-    if not math.isfinite(2.0 * (2.0**top - 1.0) * dmin):
-        raise PreconditionViolation(
-            f"a tree distance of 2 * (2**{top} - 1) * {dmin} overflows a float"
-        )
+    if top is None:
+        top = top_level(g, dmin)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -112,6 +103,25 @@ def frt_embed(g: WeightedGraph, seed: int) -> HostEmbedding:
         forest=parent,
         meta=EmbeddingMeta(n=n, seed=seed, mode="frt", params=None, fallback_used=False),
     )
+
+
+def top_level(g: WeightedGraph, dmin: float) -> int:
+    """The tree's top level on a connected graph of at least two vertices
+    whose closest pair is `dmin` apart: the least top with 2 * diam / dmin
+    <= 2**top, at least 1 as diam >= dmin. Refused when a distance or a
+    tree distance overflows a float."""
+    # The graph is connected, so a vertex that a Dijkstra run leaves at INF
+    # has a distance whose float sum overflowed.
+    try:
+        top = diameter_level(g, dmin=dmin)
+    except DisconnectedGraph as exc:
+        raise PreconditionViolation("a shortest-path distance overflows a float") from exc
+    # Two leaves that part at the top are 2 * (2**top - 1) * dmin apart.
+    if not math.isfinite(2.0 * (2.0**top - 1.0) * dmin):
+        raise PreconditionViolation(
+            f"a tree distance of 2 * (2**{top} - 1) * {dmin} overflows a float"
+        )
+    return top
 
 
 def _least_element_lists(

@@ -6,7 +6,8 @@ approximation anywhere in this module. `settle` is the one heap kernel, for
 ordered, limited or masked searches on adjacency lists. `search` runs such a
 search on a graph and picks its walk from the graph: breadth-first, with no
 heap, when every edge has one length, to the heap's distances bit for bit,
-and `settle` otherwise. `dijkstra` is one `search` on a fresh array.
+and `settle` otherwise. `dijkstra` is one `search` on a fresh array, and
+`search_to` the same walk stopped once given targets are final.
 
 Validation happens once, where a graph enters. The public constructor
 `WeightedGraph(n, edges)` checks and canonicalizes every edge; graph files,
@@ -204,6 +205,49 @@ def search(
                 dist[v] = d
                 order.append(v)
     return order
+
+
+def search_to(g: WeightedGraph, src: int, dist: list[float], targets: Sequence[int]) -> list[int]:
+    """`search` from `src` on an array of INF, stopped once every target's
+    entry is final: at its first sum in the breadth-first walk, or once the
+    heap pops a sum at or above it, since no later sum is smaller. Each
+    target's entry is then `dijkstra(g, src)`'s bit for bit, INF when no
+    path reaches it. Returns the vertices settled, nearest first: those the
+    heap popped, or each vertex the breadth-first walk reached."""
+    adj = g.adjacency
+    w = g.common_length
+    dist[src] = 0.0
+    i, k = 0, len(targets)
+    if w is not None:
+        order = [src]
+        for u in order:
+            while i < k and dist[targets[i]] < INF:
+                i += 1
+            if i == k:
+                break
+            d = dist[u] + w
+            for v, _ in adj[u]:
+                if d < dist[v]:
+                    dist[v] = d
+                    order.append(v)
+        return order
+    heap = [(0.0, src)]
+    settled = []
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        settled.append(u)
+        while i < k and dist[targets[i]] <= d:
+            i += 1
+        if i == k:
+            break
+        for v, l in adj[u]:
+            nd = d + l
+            if nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return settled
 
 
 def dijkstra(g: WeightedGraph, src: int) -> list[float]:

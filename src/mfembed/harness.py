@@ -8,7 +8,8 @@ numerical reading of an exact invariant.
 `run_experiment` answers its embedder hosts' pairs from the leaf rows the
 embedder kept while wiring them (n x depth entries, no Dijkstra run), and
 its FRT trees and HST fallbacks, like `evaluate`, from `ForestLabels`
-built on the host (n_H x depth entries).
+built on the host (n_H x depth entries). Graph distances take one search
+per first vertex, stopped at its last target.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import repeat
-from operator import add, lt, mul, truediv
+from itertools import groupby, repeat
+from operator import add, itemgetter, lt, mul, truediv
 from pathlib import Path
 
-from .embedder import check_settings, embed_top
+from .embedder import check_settings, embed_top, prepare
 from .errors import DisconnectedGraph, PairOutOfRange, PreconditionViolation
 from .frt import frt_embed
-from .graphs import WeightedGraph, dijkstra, is_connected
+from .graphs import INF, WeightedGraph, is_connected, search_to
 from .hosts import ForestLabels, HostEmbedding
 from .rng import derive_seed
 
@@ -41,7 +42,8 @@ def evaluate(
     """Exact graph and host distances of the pairs, as two lists in pair order.
 
     Host distances come from the forest's distance labels, built on the
-    host (n_H x depth entries), which check the forest first.
+    host (n_H x depth entries), which check the forest before any graph
+    search runs.
     """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
@@ -50,21 +52,23 @@ def evaluate(
     for u, v in pairs:
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise PairOutOfRange(f"bad pair ({u},{v})")
-    return _pair_distances(g, pairs), ForestLabels(emb).distances(pairs)
+    labels = ForestLabels(emb)
+    return _pair_distances(g, pairs), labels.distances(pairs)
 
 
 def _pair_distances(g: WeightedGraph, pairs: list[tuple[int, int]]) -> list[float]:
-    """d(u, v) in `g` for each pair, holding one Dijkstra row.
+    """d(u, v) in `g` for each pair, holding one distance row.
 
-    A row is computed when u changes, so pairs grouped by u (as `sample_pairs`
-    returns them) cost one Dijkstra per distinct u.
+    Each block of consecutive pairs with one u gets one search from u, which
+    stops once every v of the block is final (`search_to`), so pairs grouped
+    by u (as `sample_pairs` returns them) cost one search per distinct u.
     """
-    out = []
-    row_of = row = None
-    for u, v in pairs:
-        if u != row_of:
-            row_of, row = u, dijkstra(g, u)
-        out.append(row[v])
+    out: list[float] = []
+    for u, block in groupby(pairs, itemgetter(0)):
+        targets = [v for _, v in block]
+        row = [INF] * g.n
+        search_to(g, u, row, targets)
+        out += map(row.__getitem__, targets)
     return out
 
 
@@ -169,7 +173,9 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     """R independent embeddings with derived seeds; returns the report dict.
 
     Every setting, and that g is connected, is checked before any pair is
-    sampled or measured.
+    sampled or measured. What no seed changes (`embedder.prepare`, with
+    FRT's top level for the baseline) is computed once, before the pairs,
+    and handed to every run.
     """
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
@@ -178,18 +184,31 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     check_settings(config.epsilon, config.mode, config.xi_cap)
     if not is_connected(g):
         raise DisconnectedGraph("embed components separately")
+    # `embed_top` and `frt_embed` answer a graph of one vertex without it.
+    prepared = None
+    if g.n > 1:
+        prepared = prepare(
+            g, config.epsilon, config.mode, xi_cap=config.xi_cap, frt=config.baseline == "frt"
+        )
+    frt_top = prepared.frt_top if prepared else None
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = _pair_distances(g, pairs)
     structural = []
     base_structural = []
     timings = []
 
-    def embedder_runs():
+    def embedder_runs(prepared):
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "run", run)
             t0 = time.perf_counter()
             emb = embed_top(
-                g, config.epsilon, config.mode, run_seed, xi_cap=config.xi_cap, leaf_rows=True
+                g,
+                config.epsilon,
+                config.mode,
+                run_seed,
+                xi_cap=config.xi_cap,
+                leaf_rows=True,
+                prepared=prepared,
             )
             # a fallback's HST comes without rows and builds its labels
             labels = ForestLabels(emb, emb.leaf_rows)
@@ -214,7 +233,7 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     def frt_runs():
         for run in range(config.runs):
             run_seed = derive_seed(config.seed, "frt", run)
-            emb = frt_embed(g, run_seed)
+            emb = frt_embed(g, run_seed, top=frt_top)
             labels = ForestLabels(emb)
             base_structural.append(
                 {"seed": run_seed, "treedepth": labels.depth, "host_vertices": emb.host.n}
@@ -224,7 +243,11 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
             yield dist_h
 
     started = time.perf_counter()
-    distortion = aggregate_records(pairs, dist_g, embedder_runs())
+    # Only the runs hold the record, so it goes with their frame after the
+    # last run, before the per-pair rows, where the block peaks.
+    runs = embedder_runs(prepared)
+    del prepared
+    distortion = aggregate_records(pairs, dist_g, runs)
     baseline_block = None
     if config.baseline == "frt":
         baseline_block = {

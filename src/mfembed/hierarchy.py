@@ -245,6 +245,7 @@ def build_chain(
     g: WeightedGraph,
     delta: float,
     rng: random.Random,
+    top: int | None = None,
 ) -> ClusteringChain | ChainFailure:
     """Build a chain over a connected graph with all distances above 1.
 
@@ -259,7 +260,7 @@ def build_chain(
     no later level draws. With n - 1 <= sigma a flat chain passes every
     goodness condition, so it is returned as built, without a check.
     Otherwise the levels below go on from the root's balls, with the same
-    draws.
+    draws. `top`, when given, is `diameter_level(g)`, measured by the caller.
     """
     if not 0 < delta < 1:
         raise PreconditionViolation("delta must lie in (0,1)")
@@ -279,8 +280,9 @@ def build_chain(
             center=(0,),
             radius=(0.0,),
         )
-    # Raises DisconnectedGraph on its first run when g is disconnected.
-    top = diameter_level(g)
+    if top is None:
+        # Raises DisconnectedGraph on its first run when g is disconnected.
+        top = diameter_level(g)
     # The closest pair is always an edge, so this checks every distance.
     if g.min_edge_length() <= 1.0:
         raise PreconditionViolation("all pairwise distances must exceed 1")

@@ -1507,9 +1507,9 @@ def recording_splits(monkeypatch):
         choices.append(real_choices(chain, xi))
         return choices[-1]
 
-    def split(g, params, rng):
+    def split(g, params, rng, top=None):
         choices.clear()
-        result = real_split(g, params, rng)
+        result = real_split(g, params, rng, top)
         splits.append((result, choices[0] if choices else None))
         return result
 

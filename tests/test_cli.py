@@ -337,6 +337,34 @@ def test_eval_rejects_host_edge_between_unrelated_forest_vertices(tmp_path, caps
     assert code == 1 and "invariant violation:" in err and "unrelated" in err
 
 
+def test_eval_checks_the_forest_before_any_graph_search(tmp_path, capsys, monkeypatch):
+    # A cyclic forest_parent and a host edge between unrelated forest
+    # vertices are refused by the forest check alone: the graph is never
+    # searched for a pair. An unedited embedding does search it.
+    searches = []
+    real = harness.search_to
+
+    def counted(*args):
+        searches.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "search_to", counted)
+
+    def self_parent(parent):
+        parent[0] = 0
+
+    def all_roots(parent):
+        parent[:] = [None] * len(parent)
+
+    assert _eval_with_forest(tmp_path, capsys, self_parent)[0] == 2
+    assert _eval_with_forest(tmp_path, capsys, all_roots)[0] == 1
+    assert searches == []
+    graph, emb = tmp_path / "g.txt", tmp_path / "emb.json"
+    run("embed", "-i", graph, "--seed", 1, "-o", emb)
+    assert run("eval", "-i", graph, "-e", emb, "--pairs", "all", "-o", tmp_path / "ok.json") == 0
+    assert searches == list(range(15))
+
+
 def _split_lines(out, prefix):
     """The values of every `prefix=` field that `mfembed split` printed."""
     return [part[len(prefix) :] for part in out.split() if part.startswith(prefix)]

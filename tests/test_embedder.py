@@ -18,6 +18,7 @@ import mfembed.embedder as embedder
 from mfembed.embedder import (
     derive_params,
     embed_top,
+    prepare,
     split,
     SplitResult,
 )
@@ -264,6 +265,44 @@ def test_fallback_keeps_its_chain_failure(monkeypatch, fail_chain_at):
     assert embed_top(g, 0.5, "practical", seed=1).meta.fallback_reason is None
 
 
+def assert_same_embedding(got, want):
+    assert got == want and embedding_to_json(got) == embedding_to_json(want)
+    if want.leaf_rows is None:
+        assert got.leaf_rows is None
+    else:
+        assert [list(map(float.hex, r)) for r in got.leaf_rows] == [
+            list(map(float.hex, r)) for r in want.leaf_rows
+        ]
+
+
+@pytest.mark.parametrize("mode", ["practical", "theory"])
+def test_embed_top_with_a_prepared_record_equals_embed_top_without(mode, fail_chain_at):
+    # One record serves every seed, with and without leaf rows, and its FRT
+    # top level serves a fallback at the root split and at a deeper one.
+    instances = [
+        two_vertex(2.0),
+        generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=3),
+        generate("cycle", size=20),
+    ]
+    for g in instances:
+        prepared = prepare(g, 0.5, mode, frt=True)
+        for seed in (0, 1):
+            for leaf_rows in (False, True):
+                want = embed_top(g, 0.5, mode, seed, leaf_rows=leaf_rows)
+                got = embed_top(g, 0.5, mode, seed, leaf_rows=leaf_rows, prepared=prepared)
+                assert not got.meta.fallback_used
+                assert_same_embedding(got, want)
+    g = generate("grid", rows=3, cols=3)
+    prepared = prepare(g, 0.5, mode, frt=True)
+    for k in (0, 1):
+        fail_chain_at(k)
+        want = embed_top(g, 0.5, mode, 1, leaf_rows=True)
+        fail_chain_at(k)
+        got = embed_top(g, 0.5, mode, 1, leaf_rows=True, prepared=prepared)
+        assert got.meta.fallback_used and got.meta.fallback_reason.reason == "Injected"
+        assert_same_embedding(got, want)
+
+
 def test_embed_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         embed_top(WeightedGraph(3, ((0, 1, 1.0),)), 0.5)
@@ -277,8 +316,8 @@ def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
     events = []
     real_split, real_subgraphs = embedder.split, embedder.induced_subgraphs
 
-    def split(g, params, rng):
-        result = real_split(g, params, rng)
+    def split(g, params, rng, top=None):
+        result = real_split(g, params, rng, top)
         events.append(("split", g, [c for c in result.components if len(c) > 1]))
         return result
 
@@ -322,8 +361,8 @@ def test_a_child_that_keeps_its_level_and_most_vertices_is_refused(monkeypatch):
     calls = []
 
     def merging(real_split):
-        def split(sub, params, rng):
-            result = real_split(sub, params, rng)
+        def split(sub, params, rng, *top):
+            result = real_split(sub, params, rng, *top)
             calls.append(sub.n)
             if len(calls) == 1:
                 result.components = [[0, 1, 2, 3], [4]]

@@ -40,6 +40,7 @@ from mfembed.graphs import (
     normalize,
     quotient_adjacency,
     search,
+    search_to,
     settle,
 )
 
@@ -231,6 +232,91 @@ def test_search_runs_settle_on_unequal_lengths(monkeypatch):
     assert search(g, 1, dist, [True, True, True, False], 2.5) == [1, 0, 2]
     assert dist == [1.0, 0.0, 2.0, INF]
     assert runs == [1]
+
+
+# ----------------------------------------------------------- stopped walks
+
+STOP_WEIGHTS = ("unit", "uniform:1:4", "uniform:0.5:5")
+
+
+def random_graph_with(rng, n, weights):
+    """A random connected graph of n vertices, a random spanning tree plus
+    up to n more edges, its lengths drawn like `generate`'s `weights`."""
+    if weights == "unit":
+        length = lambda: 1.0  # noqa: E731
+    else:
+        lo, hi = map(float, weights.split(":")[1:])
+        length = lambda: rng.uniform(lo, hi)  # noqa: E731
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n):
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return WeightedGraph(n, tuple((u, v, length()) for u, v in sorted(pairs)))
+
+
+def assert_stopped_walk_reads_dijkstra(g, src, targets):
+    """`search_to` gives each target `dijkstra`'s entry bit for bit, settles
+    only final entries, nearest first, and stops past no more than the
+    farthest target (the breadth-first walk may reach one hop further)."""
+    row = dijkstra(g, src)
+    dist = [INF] * g.n
+    settled = search_to(g, src, dist, targets)
+    assert [float.hex(dist[t]) for t in targets] == [float.hex(row[t]) for t in targets]
+    assert [dist[v] for v in settled] == [row[v] for v in settled]
+    assert [row[v] for v in settled] == sorted(row[v] for v in settled)
+    bound = max((row[t] for t in targets), default=0.0)
+    if g.common_length is not None:
+        bound += g.common_length
+    assert all(row[v] <= bound for v in settled), (g, src, targets)
+    return settled
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stopped_walk_reads_each_target_as_dijkstra(seed):
+    # Random connected graphs, paths and stars of 2 to 40 vertices in each
+    # length model, with all targets, a sample, the farthest vertex (alone
+    # and repeated), targets tied at one distance, and none.
+    rng = random.Random(seed)
+    for weights in STOP_WEIGHTS:
+        n = rng.randint(2, 40)
+        shapes = [
+            random_graph_with(rng, n, weights),
+            generate("path", size=n, weights=weights, seed=seed),
+            generate("star", size=n - 1, weights=weights, seed=seed),
+        ]
+        for g in shapes:
+            for src in rng.sample(range(g.n), min(g.n, 4)):
+                row = dijkstra(g, src)
+                others = [v for v in range(g.n) if v != src]
+                farthest = max(others, key=row.__getitem__)
+                tied_at = row[rng.choice(others)]
+                cases = [
+                    others,
+                    rng.sample(others, min(3, len(others))),
+                    [farthest],
+                    [farthest, others[0], farthest],
+                    [v for v in others if row[v] == tied_at],
+                    [src],
+                    [],
+                ]
+                for targets in cases:
+                    assert_stopped_walk_reads_dijkstra(g, src, targets)
+
+
+def test_stopped_walk_stops_at_its_last_target():
+    # From one end of a path the walk to the next vertex settles two
+    # vertices in either walk, and a target beyond a gap stays INF.
+    for weights in STOP_WEIGHTS:
+        g = generate("path", size=40, weights=weights, seed=1)
+        dist = [INF] * g.n
+        assert search_to(g, 0, dist, [1]) == [0, 1]
+        assert dist[2:] == [INF] * 38
+        assert search_to(g, 0, [INF] * g.n, []) == [0]
+    gap = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.5)))
+    unit_gap = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    for g in (gap, unit_gap):
+        dist = [INF] * 4
+        assert search_to(g, 0, dist, [1, 3]) == [0, 1]
+        assert dist == [0.0, 1.0, INF, INF]
 
 
 def test_common_length():

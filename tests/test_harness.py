@@ -10,15 +10,18 @@ from collections.abc import Sequence
 
 import pytest
 from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
+from test_graphs import STOP_WEIGHTS, random_graph_with
 
 import mfembed.embedder as embedder
+import mfembed.frt as frt
 import mfembed.graphs as graphs
 import mfembed.harness as harness
 import mfembed.hosts as hosts
 from mfembed.embedder import derive_params, embed_top
 from mfembed.errors import DisconnectedGraph, MfembedError, PairOutOfRange, PreconditionViolation
+from mfembed.frt import frt_embed
 from mfembed.generators import generate
-from mfembed.graphs import INF, WeightedGraph, dijkstra
+from mfembed.graphs import INF, WeightedGraph, dijkstra, search_to
 from mfembed.harness import (
     RATIO_TOLERANCE,
     ExperimentConfig,
@@ -65,8 +68,6 @@ def test_evaluate_two_vertex_host():
 
 
 def test_evaluate_frt_ratio_at_least_one():
-    from mfembed.frt import frt_embed
-
     g = WeightedGraph(2, ((0, 1, 1.5),))
     emb = frt_embed(g, 5)
     ([d_g], [d_h]) = evaluate(g, emb, [(0, 1)])
@@ -90,17 +91,19 @@ def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
     dm_g, dm_h = all_pairs(g), all_pairs(emb.host)
     calls = []
 
-    def counted(graph, source):
-        calls.append((graph, source))
-        return dijkstra(graph, source)
+    def counted(graph, source, dist, targets):
+        calls.append((graph, source, list(targets)))
+        return search_to(graph, source, dist, targets)
 
-    monkeypatch.setattr(harness, "dijkstra", counted)
+    monkeypatch.setattr(harness, "search_to", counted)
     pairs = [(5, 1), (0, 7), (5, 2), (0, 11), (5, 9), (3, 4)]  # u repeats, not grouped
     dist_g, dist_h = evaluate(g, emb, pairs)
     assert dist_g == [dm_g[u][v] for u, v in pairs]
     assert dist_h == [dm_h[emb.eta[u]][emb.eta[v]] for u, v in pairs]
-    # a graph row each time u changes; host distances come from forest labels
-    assert calls == [(g, 5), (g, 0), (g, 5), (g, 0), (g, 5), (g, 3)]
+    # a graph search each time u changes; host distances come from forest labels
+    assert calls == [
+        (g, 5, [1]), (g, 0, [7]), (g, 5, [2]), (g, 0, [11]), (g, 5, [9]), (g, 3, [4])
+    ]
 
     # An experiment computes the graph distances once and gives them to
     # every run and baseline host.
@@ -109,8 +112,8 @@ def test_evaluate_any_pair_order_and_given_graph_distances(monkeypatch):
         epsilon=0.5, mode="practical", runs=3, pairs="all", seed=1, baseline="frt"
     )
     report = run_experiment(g, config)
-    # one row per distinct source for all six hosts
-    assert calls == [(g, u) for u in range(g.n - 1)]
+    # one search per distinct source for all six hosts
+    assert calls == [(g, u, list(range(u + 1, g.n))) for u in range(g.n - 1)]
     assert len(report["distortion"]["per_pair"]) == g.n * (g.n - 1) // 2
 
 
@@ -275,11 +278,78 @@ def test_unit_cycle_experiment_runs_no_heap_search(monkeypatch):
 
     monkeypatch.setattr(graphs, "settle", refused)
     monkeypatch.setattr(hosts, "settle", refused)
+    # the stopped walk of the pair runs keeps its heap in `graphs` itself
+    monkeypatch.setattr(graphs, "heappush", refused)
+    monkeypatch.setattr(graphs, "heappop", refused)
     config = ExperimentConfig(
         epsilon=0.5, mode="practical", runs=2, pairs="all", seed=1, baseline="frt"
     )
     report = run_experiment(generate("cycle", size=64), config)
     assert not any(run["fallback"] for run in report["structural"]["per_run"])
+
+
+def test_unit_cycle_experiment_pair_runs_stop_before_full_rows(monkeypatch):
+    # 200 sampled pairs of the unit cycle of 512 have 153 distinct first
+    # vertices; each search stops at its block's last target, so together
+    # they settle 43449 vertices instead of 153 full rows of 512.
+    settled = []
+
+    def counted(graph, source, dist, targets):
+        out = search_to(graph, source, dist, targets)
+        settled.append(len(out))
+        return out
+
+    monkeypatch.setattr(harness, "search_to", counted)
+    g = generate("cycle", size=512)
+    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=1, pairs=200, seed=1)
+    run_experiment(g, config)
+    pairs = sample_pairs(g.n, 200, 1)
+    assert len(settled) == len({u for u, _ in pairs})
+    assert 3 * sum(settled) < 2 * len(settled) * g.n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_distances_are_dijkstra_entries_in_any_pair_order(seed):
+    # All pairs, a sample, an unsorted list whose first vertices repeat
+    # apart, and duplicated pairs, on random graphs, paths and stars of each
+    # length model: every distance is `dijkstra`'s entry bit for bit.
+    rng = random.Random(seed)
+    for weights in STOP_WEIGHTS:
+        n = rng.randint(2, 40)
+        for g in (
+            random_graph_with(rng, n, weights),
+            generate("path", size=n, weights=weights, seed=seed),
+            generate("star", size=n - 1, weights=weights, seed=seed),
+        ):
+            emb = frt_embed(g, seed)
+            every = sample_pairs(g.n, "all", seed)
+            shuffled = rng.sample(every, len(every))
+            orders = [
+                every,
+                sample_pairs(g.n, max(1, len(every) // 3), seed),
+                shuffled,
+                [p for p in shuffled[:5] for _ in range(2)] + shuffled[:3],
+                [(v, u) for u, v in shuffled],
+            ]
+            for pairs in orders:
+                dist_g, _ = evaluate(g, emb, pairs)
+                want = [dijkstra(g, u)[v] for u, v in pairs]
+                assert list(map(float.hex, dist_g)) == list(map(float.hex, want)), (g, pairs)
+
+
+def test_evaluate_reads_inf_between_components():
+    # Two triangles: pairs across them read INF in either walk, and pairs
+    # within one read their distance. `evaluate` does not ask for
+    # connectivity; the commands do.
+    for lengths in ((1.0, 1.0, 1.0), (0.5, 1.25, 3.0)):
+        a, b, c = lengths
+        g = WeightedGraph(6, ((0, 1, a), (1, 2, b), (0, 2, c), (3, 4, a), (4, 5, b), (3, 5, c)))
+        emb = frt_embed(generate("path", size=6), 1)
+        pairs = [(0, 4), (2, 1), (5, 0), (3, 5), (0, 2), (4, 3), (1, 5)]
+        dist_g, _ = evaluate(g, emb, pairs)
+        want = [dijkstra(g, u)[v] for u, v in pairs]
+        assert [d == INF for d in dist_g] == [(u < 3) != (v < 3) for u, v in pairs]
+        assert list(map(float.hex, dist_g)) == list(map(float.hex, want))
 
 
 def test_grid_experiment_reads_frt_trees_as_forests_and_embedder_hosts_from_rows(monkeypatch):
@@ -318,7 +388,8 @@ def test_experiment_refuses_bad_settings_before_any_pair_work(settings, monkeypa
         raise AssertionError("pair work ran before the settings were checked")
 
     monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
-    monkeypatch.setattr(harness, "dijkstra", no_pair_work)
+    monkeypatch.setattr(harness, "search_to", no_pair_work)
+    monkeypatch.setattr(harness, "prepare", no_pair_work)
     monkeypatch.setattr(harness, "embed_top", no_pair_work)
     full = dict(epsilon=0.5, mode="practical", xi_cap=None) | settings
     config = ExperimentConfig(runs=1, pairs="all", seed=0, **full)
@@ -334,7 +405,8 @@ def test_experiment_refuses_a_disconnected_graph_before_any_pair_work(monkeypatc
         raise AssertionError("pair work ran before connectivity was checked")
 
     monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
-    monkeypatch.setattr(harness, "dijkstra", no_pair_work)
+    monkeypatch.setattr(harness, "search_to", no_pair_work)
+    monkeypatch.setattr(harness, "prepare", no_pair_work)
     monkeypatch.setattr(harness, "embed_top", no_pair_work)
     # two paths of 1000 and an isolated vertex
     edges = [(u, u + 1, 1.0) for u in range(999)] + [(u, u + 1, 1.0) for u in range(1000, 1999)]
@@ -372,6 +444,48 @@ def test_experiment_drops_each_embedding_before_the_next_is_built(monkeypatch):
     assert strip_timing(report) == want
     # four embeddings and four FRT trees, none built while another is alive
     assert at_start == [0] * 8, at_start
+
+
+def test_experiment_hands_one_record_to_every_run_and_drops_it_after_them(monkeypatch):
+    # One `prepare` call per experiment, before any pair work; every
+    # embedder run gets its record and every FRT run its FRT top level, and
+    # the record's graph is gone once the embedder runs are, before the
+    # per-pair rows and the FRT runs.
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=5)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=3, pairs="all", seed=2, baseline="frt"
+    )
+    want = strip_timing(run_experiment(g, config))
+    records, graphs_held, events = [], [], []
+    real_prepare, real_embed, real_frt = harness.prepare, harness.embed_top, harness.frt_embed
+
+    def tracked_prepare(*args, **kwargs):
+        record = real_prepare(*args, **kwargs)
+        records.append(id(record))
+        graphs_held.append(weakref.ref(record.scaled))
+        events.append("prepare")
+        return record
+
+    def tracked_pairs(*args):
+        events.append("pairs")
+        return real_pairs(*args)
+
+    def tracked_embed(*args, prepared, **kwargs):
+        events.append(("embed", id(prepared) == records[0]))
+        return real_embed(*args, prepared=prepared, **kwargs)
+
+    def tracked_frt(graph, seed, *, top):
+        gc.collect()
+        events.append(("frt", top == frt.top_level(g, g.min_edge_length()), graphs_held[0]() is None))
+        return real_frt(graph, seed, top=top)
+
+    real_pairs = harness._pair_distances
+    monkeypatch.setattr(harness, "prepare", tracked_prepare)
+    monkeypatch.setattr(harness, "_pair_distances", tracked_pairs)
+    monkeypatch.setattr(harness, "embed_top", tracked_embed)
+    monkeypatch.setattr(harness, "frt_embed", tracked_frt)
+    assert strip_timing(run_experiment(g, config)) == want
+    assert events == ["prepare", "pairs"] + [("embed", True)] * 3 + [("frt", True, True)] * 3
 
 
 # ---------------------------------------------------------------- pair sampling
