@@ -12,14 +12,14 @@ import os
 import random
 import sys
 
-from . import harness
-from .embedder import cut_choices, embed_top, preprocess
-from .errors import BadSize, InvariantViolation, LevelOverflow, MfembedError
+from . import embedder, harness
+from .embedder import embed_top
+from .errors import BadSize, InvariantViolation, MfembedError
 from .frt import frt_embed
 from .generators import KINDS, generate
 from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
-from .hierarchy import ChainFailure, build_chain
+from .hierarchy import ChainFailure
 from .hosts import load_embedding, save_components, save_embedding
 from .partition import carve
 from .rng import derive_seed
@@ -235,9 +235,9 @@ def _cmd_embed(args) -> int:
         emb = embed_top(g, args.epsilon, seed=args.seed, **kwargs)
         with _outputs() as claim:
             claim(args.out)
-            save_embedding(emb, args.out)
+            depth = save_embedding(emb, args.out)
         print(
-            f"wrote {args.out}: host n={emb.host.n} depth={emb.depth} "
+            f"wrote {args.out}: host n={emb.host.n} depth={depth} "
             f"fallback={emb.meta.fallback_used}"
         )
         return 0
@@ -259,8 +259,8 @@ def _cmd_frt(args) -> int:
     emb = frt_embed(g, args.seed)
     with _outputs() as claim:
         claim(args.out)
-        save_embedding(emb, args.out)
-    print(f"wrote {args.out}: host n={emb.host.n} depth={emb.depth}")
+        depth = save_embedding(emb, args.out)
+    print(f"wrote {args.out}: host n={emb.host.n} depth={depth}")
     return 0
 
 
@@ -346,37 +346,33 @@ def _cmd_split(args) -> int:
     g = _load(args.input, MAX_EMBED_N)
     if g.n < 2 or not is_connected(g):
         raise _InputProblem("split needs a connected graph of at least two vertices")
-    scaled, scale, _, params = preprocess(g, args.epsilon, args.mode, xi_cap=args.xi_cap)
-    if scale != 1.0:
-        print(f"# rescaled by {scale:g} so all distances exceed 1")
-    # the root's stream in `embed`: the chain's radii, then the cut choice
+    prepared = embedder.prepare(g, args.epsilon, args.mode, xi_cap=args.xi_cap)
+    if prepared.scale != 1.0:
+        print(f"# rescaled by {prepared.scale:g} so all distances exceed 1")
+    # the root's split in `embed`, on the root's stream
     rng = random.Random(derive_seed(args.seed, "split"))
-    try:
-        chain = build_chain(scaled, params.delta, rng)
-    except LevelOverflow as exc:
-        # as in `embed`: name the input's eccentricity
-        raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
-    if isinstance(chain, ChainFailure):
-        print(f"failure: level={chain.level} reason={chain.reason}")
+    result = embedder.split(prepared.scaled, prepared.params, rng, top=prepared.top_level)
+    if isinstance(result, ChainFailure):
+        print(f"failure: level={result.level} reason={result.reason}")
         return 0
+    chain = result.chain
     lo, hi = chain.lo, chain.hi
     for i in range(chain.top_level + 1):
         sizes = sorted((chain.size(k) for k in range(len(lo)) if lo[k] <= i <= hi[k]), reverse=True)
         print(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
-    choices = cut_choices(chain, params.xi)
-    print(f"packing size={len(choices)}")
+    print(f"packing size={len(result.cuts)}")
     half = g.n // 2
     order, start, stop = chain.order, chain.start, chain.stop
-    for i, (cut, comps) in enumerate(choices):
+    for i, (cut, comps) in enumerate(result.cuts):
         # The members are components too; each is known by its smallest vertex.
         firsts = {min(order[start[k] : stop[k]]) for k in cut}
         margin = half - max((len(c) for c in comps if c[0] not in firsts), default=0)
         levels = [hi[k] for k in cut]
         print(
             f"  cut {i}: members={len(cut)} levels={levels} "
-            f"oversize={len(cut) > params.tau} balance_margin={margin}"
+            f"oversize={len(cut) > prepared.params.tau} balance_margin={margin}"
         )
-    print(f"sampled cut={rng.randrange(len(choices))}")
+    print(f"sampled cut={result.index}")
     return 0
 
 

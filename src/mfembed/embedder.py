@@ -1,11 +1,12 @@
 """Recursive embed/split pipeline producing low-treedepth host embeddings.
 
-`embed_top` preprocesses (metric closure, rescaling, parameter derivation;
-an experiment hands it a `Prepared` record of these and the root's top
-level, made once for all its runs) and then recursively splits the graph:
-build a clustering chain, pack balanced cuts, sample one cut, and recurse
-on the components left without
-its boundary edges (its members and the components outside them), whose
+`prepare` computes what no seed changes: the metric closure rescaled so
+that every distance exceeds 1, hat_ell, the split parameters and the root
+chain's top level. `embed_top` takes that record (an experiment makes one
+for all its runs) and recursively splits the graph: `split` builds a
+clustering chain, packs balanced cuts and draws one, and returns all
+three; the recursion goes on into the components left without the cut's
+boundary edges (its members and the components outside them), whose
 subgraphs are all built, with their adjacency lists and length facts, in
 one pass over the current subgraph's edges. A component of one vertex
 becomes a forest root in that loop, without a recursive call.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
 from typing import NamedTuple
@@ -139,28 +139,17 @@ def derive_params(
     )
 
 
-def preprocess(
-    g: WeightedGraph, epsilon: float, mode: str = "practical", *, xi_cap: int | None = None
-) -> tuple[WeightedGraph, float, int, Params]:
-    """The graph every split of a connected graph with at least two vertices
-    starts from: its metric closure rescaled so that every distance exceeds
-    1, with the scale, hat_ell and the split parameters."""
-    scaled, scale = normalize(metric_closure_weights(g))
-    hat = hat_ell(scaled)
-    return scaled, scale, hat, derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
-
-
 class Prepared(NamedTuple):
-    """What `embed_top` computes whatever the seed (`prepare`): the
-    `preprocess` values, the root chain's top level (None: its
-    `build_chain` measures it) and FRT's top level (None: a fallback's
-    `frt_embed` measures it)."""
+    """What `embed_top` computes whatever the seed (`prepare`): the metric
+    closure rescaled so that every distance exceeds 1, with its scale,
+    hat_ell, the split parameters, the root chain's top level and FRT's top
+    level (None: a fallback's `frt_embed` measures it)."""
 
     scaled: WeightedGraph
     scale: float
     hat_ell: int
     params: Params
-    top_level: int | None
+    top_level: int
     frt_top: int | None
 
 
@@ -175,7 +164,9 @@ def prepare(
     """The seed-independent state of `embed_top` on a connected graph of at
     least two vertices, with `frt.top_level(g)` when `frt` is set. An
     experiment makes it once and hands it to each of its runs."""
-    scaled, scale, hat, params = preprocess(g, epsilon, mode, xi_cap=xi_cap)
+    scaled, scale = normalize(metric_closure_weights(g))
+    hat = hat_ell(scaled)
+    params = derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
     try:
         top = diameter_level(scaled)
     except LevelOverflow as exc:
@@ -185,17 +176,24 @@ def prepare(
     return Prepared(scaled, scale, hat, params, top, frt_top)
 
 
-@dataclass
-class SplitResult:
-    """One split of a fragment: the portal of each member of the sampled cut,
-    in cut order, and the components left without the cut's boundary edges,
-    as sorted lists of the fragment's vertices ordered by smallest vertex."""
+class SplitResult(NamedTuple):
+    """One split of a fragment: its chain, the cuts it sampled from, each
+    with the components left without its boundary edges (sorted lists of
+    the fragment's vertices ordered by smallest vertex), and the index it
+    drew. The chain's `top_level` is the split's level."""
 
-    portals: list[int]
-    components: list[list[int]]
-    level: int
-    packing_size: int
-    oversize_in_packing: int
+    chain: ClusteringChain
+    cuts: list[tuple[Cut, list[list[int]]]]
+    index: int
+
+    @property
+    def portals(self) -> list[int]:
+        """The portal of each member of the sampled cut, in cut order."""
+        return [self.chain.center[k] for k in self.cuts[self.index][0]]
+
+    @property
+    def components(self) -> list[list[int]]:
+        return self.cuts[self.index][1]
 
 
 class _FallbackRequired(Exception):
@@ -204,8 +202,13 @@ class _FallbackRequired(Exception):
         self.reason = reason
 
 
-def cut_choices(chain: ClusteringChain, xi: int) -> list[tuple[Cut, list[list[int]]]]:
-    """The cuts a split on `chain` samples from, each with its components.
+def split(
+    g: WeightedGraph, params: Params, rng: random.Random, top: int | None = None
+) -> SplitResult | ChainFailure:
+    """One split step on a connected subgraph with at least two vertices;
+    a failed chain build comes back as its `ChainFailure`. The chain's
+    carving radii and then the cut index are drawn from `rng`. `top`, when
+    given, is g's `diameter_level`, which `build_chain` then does not run.
 
     A flat chain (`ClusteringChain.flat`) quotients to its graph itself, so
     its packing is the one cut of singletons at the bag that
@@ -213,38 +216,20 @@ def cut_choices(chain: ClusteringChain, xi: int) -> list[tuple[Cut, list[list[in
     unit weights; that cut is taken directly. Any other chain packs up to xi
     cuts with `build_cut_packing`.
     """
-    if chain.flat:
-        g = chain.graph
-        bag = sorted(
-            cutpack.centroid_separator([{u for u, _ in around} for around in g.adjacency], [1] * g.n)
-        )
-        return [(tuple(v + 1 for v in bag), cutpack.cut_components(g, [[v] for v in bag]))]
-    packing = build_cut_packing(chain, xi)
-    return list(zip(packing.cuts, packing.components))
-
-
-def split(
-    g: WeightedGraph, params: Params, rng: random.Random, top: int | None = None
-) -> SplitResult | ChainFailure:
-    """One split step on a connected subgraph with at least two vertices;
-    a failed chain build comes back as its `ChainFailure`. The chain's
-    carving radii and then the cut choice are drawn from `rng`. `top`, when
-    given, is g's `diameter_level`, which `build_chain` then does not run.
-    """
     if g.n < 2:
         raise PreconditionViolation("split needs at least two vertices")
     chain = build_chain(g, params.delta, rng, top)
     if isinstance(chain, ChainFailure):
         return chain
-    choices = cut_choices(chain, params.xi)
-    cut, components = choices[rng.randrange(len(choices))]
-    return SplitResult(
-        portals=[chain.center[k] for k in cut],
-        components=components,
-        level=chain.top_level,
-        packing_size=len(choices),
-        oversize_in_packing=sum(1 for c, _ in choices if len(c) > params.tau),
-    )
+    if chain.flat:
+        bag = sorted(
+            cutpack.centroid_separator([{u for u, _ in around} for around in g.adjacency], [1] * g.n)
+        )
+        cuts = [(tuple(v + 1 for v in bag), cutpack.cut_components(g, [[v] for v in bag]))]
+    else:
+        packing = build_cut_packing(chain, params.xi)
+        cuts = list(zip(packing.cuts, packing.components))
+    return SplitResult(chain, cuts, rng.randrange(len(cuts)))
 
 
 class _EmbedState:
@@ -293,21 +278,24 @@ class _EmbedState:
         result = split(sub, self.params, rng, top)
         if isinstance(result, ChainFailure):
             raise _FallbackRequired(result)
-        if above is not None and 2 * sub.n > above[1] and result.level >= above[0]:
+        level = result.chain.top_level
+        if above is not None and 2 * sub.n > above[1] and level >= above[0]:
             raise InvariantViolation(
-                f"recursion made no progress: size {sub.n}/{above[1]}, "
-                f"level {result.level}/{above[0]}"
+                f"recursion made no progress: size {sub.n}/{above[1]}, level {level}/{above[0]}"
             )
-        self.packing_sizes.append(result.packing_size)
-        self.oversize_cuts += result.oversize_in_packing
+        self.packing_sizes.append(len(result.cuts))
+        self.oversize_cuts += sum(len(cut) > self.params.tau for cut, _ in result.cuts)
+        # The chain and the cuts not drawn are not held across the recursion.
+        portals, components = result.portals, result.components
+        del result
 
         # Each component is sorted, so its subgraph's vertex i is comp[i]. A
         # single vertex is a root of its own, one level below this split.
-        multi = [comp for comp in result.components if len(comp) > 1]
+        multi = [comp for comp in components if len(comp) > 1]
         children = iter(induced_subgraphs(sub, multi) if multi else ())
-        here = (result.level, sub.n)
+        here = (level, sub.n)
         roots: list[int] = []
-        for k, comp in enumerate(result.components):
+        for k, comp in enumerate(components):
             if len(comp) == 1:
                 roots.append(verts[comp[0]])
                 self.recursion_depth = max(self.recursion_depth, len(path) + 2)
@@ -319,7 +307,7 @@ class _EmbedState:
         edges = self.edges
         kept = self.kept
         leaf = self.leaf
-        for local_z in result.portals:
+        for local_z in portals:
             row = list(map(truediv, dijkstra(sub, local_z), repeat(self.scale)))
             if leaf is not None:
                 for v, w in zip(verts, row):
@@ -366,10 +354,11 @@ def embed_top(
     back carries each input vertex's host distance labels as
     `HostEmbedding.leaf_rows`, for `ForestLabels(emb, emb.leaf_rows)`.
     `prepared`, made by `prepare(g, epsilon, mode, xi_cap=xi_cap)` on a
-    graph of at least two vertices, stands in for the `preprocess` call
-    and the root's `diameter_level`; its FRT top level, if any, goes to a
-    fallback's tree.
+    graph of at least two vertices, stands in for the `prepare` call made
+    otherwise; its FRT top level, if any, goes to a fallback's tree. The
+    settings are checked first, also for a graph of one vertex.
     """
+    check_settings(epsilon, mode, xi_cap)
     if not is_connected(g):
         raise DisconnectedGraph("embed components separately")
     if g.n == 0:
@@ -385,7 +374,7 @@ def embed_top(
             leaf_rows=[[0.0]] if leaf_rows else None,
         )
     if prepared is None:
-        prepared = Prepared(*preprocess(g, epsilon, mode, xi_cap=xi_cap), None, None)
+        prepared = prepare(g, epsilon, mode, xi_cap=xi_cap)
     scale, params = prepared.scale, prepared.params
     state = _EmbedState(g.n, params, seed, scale, leaf_rows)
     try:

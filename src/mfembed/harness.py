@@ -99,13 +99,17 @@ def sample_pairs(n: int, count: int | str, seed: int) -> list[tuple[int, int]]:
     Samples indices into the lexicographic list of all pairs and decodes
     them, so a sample of k pairs takes O(k) memory.
     """
+    _check_pair_count(count)
     total = n * (n - 1) // 2
-    if count == "all" or (isinstance(count, int) and count >= total):
+    if count == "all" or count >= total:
         return [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if not isinstance(count, int) or count < 1:
-        raise PreconditionViolation("pair sample size must be >= 1 or 'all'")
     rng = random.Random(derive_seed(seed, "pairs"))
     return sorted(_pair_at(n, total, i) for i in rng.sample(range(total), count))
+
+
+def _check_pair_count(count: int | str) -> None:
+    if count != "all" and not (isinstance(count, int) and count >= 1):
+        raise PreconditionViolation("pair sample size must be >= 1 or 'all'")
 
 
 def _pair_at(n: int, total: int, index: int) -> tuple[int, int]:
@@ -172,15 +176,16 @@ def aggregate_records(
 def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     """R independent embeddings with derived seeds; returns the report dict.
 
-    Every setting, and that g is connected, is checked before any pair is
-    sampled or measured. What no seed changes (`embedder.prepare`, with
-    FRT's top level for the baseline) is computed once, before the pairs,
-    and handed to every run.
+    Every setting, the pair count too, and that g is connected, are checked
+    before any pair is sampled or measured. What no seed changes
+    (`embedder.prepare`, with FRT's top level for the baseline) is computed
+    once, before the pairs, and handed to every run.
     """
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
     if config.baseline not in ("none", "frt"):
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
+    _check_pair_count(config.pairs)
     check_settings(config.epsilon, config.mode, config.xi_cap)
     if not is_connected(g):
         raise DisconnectedGraph("embed components separately")

@@ -333,9 +333,12 @@ def _length_text(w: float) -> str:
     return text if "." in text else text + ".0"
 
 
-def _json_chunks(emb: HostEmbedding, vertices: list[int] | None = None) -> Iterator[str]:
+def _json_chunks(
+    emb: HostEmbedding, depth: int, vertices: list[int] | None = None
+) -> Iterator[str]:
     """The embedding's JSON text in pieces, byte for byte what
-    `json.dumps(..., indent=1)` prints of its fields in their fixed order.
+    `json.dumps(..., indent=1)` prints of its fields in their fixed order;
+    `depth` is `emb.depth`, measured by the caller.
 
     Each edge is one f-string: its length is `float.__repr__` of the length
     rounded to 12 significant digits (see `_length_text`), which is what
@@ -365,20 +368,23 @@ def _json_chunks(emb: HostEmbedding, vertices: list[int] | None = None) -> Itera
         yield (",\n" if i else "[\n") + text
     yield "\n  ]" if edges else "[]"
     yield f'\n }},\n "eta": {_int_list(emb.eta)},\n "forest_parent": '
-    yield f'{_int_list(emb.forest)},\n "depth": {emb.depth}'
+    yield f'{_int_list(emb.forest)},\n "depth": {depth}'
     if vertices is not None:
         yield f',\n "vertices": {_int_list(vertices)}'
     yield "\n}"
 
 
 def embedding_to_json(emb: HostEmbedding) -> str:
-    return "".join(_json_chunks(emb))
+    return "".join(_json_chunks(emb, emb.depth))
 
 
-def save_embedding(emb: HostEmbedding, path: str | Path) -> None:
+def save_embedding(emb: HostEmbedding, path: str | Path) -> int:
+    """Write the embedding's JSON text; returns the depth it wrote."""
+    depth = emb.depth
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(emb))
+        fh.writelines(_json_chunks(emb, depth))
         fh.write("\n")
+    return depth
 
 
 def save_components(parts: list[tuple[HostEmbedding, list[int]]], path: str | Path) -> None:
@@ -390,7 +396,7 @@ def save_components(parts: list[tuple[HostEmbedding, list[int]]], path: str | Pa
             fh.write(",\n " if k else "\n ")
             # json escapes a newline inside a string, so each one here starts
             # a line, which the array indents by one more space.
-            fh.writelines(chunk.replace("\n", "\n ") for chunk in _json_chunks(emb, vertices))
+            fh.writelines(c.replace("\n", "\n ") for c in _json_chunks(emb, emb.depth, vertices))
         fh.write("\n]\n")
 
 

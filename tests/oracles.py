@@ -1401,14 +1401,8 @@ def split_by_packing(g, params, rng):
     if isinstance(chain, ChainFailure):
         return chain
     packing = build_cut_packing(chain, params.xi)
-    i = rng.randrange(len(packing.cuts))
-    return SplitResult(
-        portals=[chain.center[k] for k in packing.cuts[i]],
-        components=packing.components[i],
-        level=chain.top_level,
-        packing_size=len(packing.cuts),
-        oversize_in_packing=sum(1 for c in packing.cuts if len(c) > params.tau),
-    )
+    cuts = list(zip(packing.cuts, packing.components))
+    return SplitResult(chain, cuts, rng.randrange(len(cuts)))
 
 
 class _Fallback(Exception):
@@ -1458,13 +1452,14 @@ def embed_by_reference(g, epsilon, mode="practical", seed=0):
         result = split_by_packing(sub, params, random.Random(derive_seed(seed, "split", *path)))
         if isinstance(result, ChainFailure):
             raise _Fallback(result)
-        if above is not None and 2 * sub.n > above[1] and result.level >= above[0]:
+        level = result.chain.top_level
+        if above is not None and 2 * sub.n > above[1] and level >= above[0]:
             raise InvariantViolation("recursion made no progress")
-        meta.packing_sizes.append(result.packing_size)
-        meta.oversize_cuts += result.oversize_in_packing
+        meta.packing_sizes.append(len(result.cuts))
+        meta.oversize_cuts += sum(len(cut) > params.tau for cut, _ in result.cuts)
         roots = []
         for k, comp in enumerate(result.components):
-            roots += embed([verts[i] for i in comp], path + (k,), (result.level, sub.n))
+            roots += embed([verts[i] for i in comp], path + (k,), (level, sub.n))
         local = {x: i for i, x in enumerate(verts)}
         for z in result.portals:
             row = [d / scale for d in dijkstra_by_heap(sub, z)]
@@ -1496,23 +1491,14 @@ def embed_by_reference(g, epsilon, mode="practical", seed=0):
 
 
 def recording_splits(monkeypatch):
-    """Record, in the returned list, (result, choices) for each call of
-    `embedder.split`: the list of (cut, components) that
-    `embedder.cut_choices` gave it to sample from."""
+    """Record, in the returned list, each result of `embedder.split`, which
+    keeps the list of (cut, components) that the split sampled from."""
     splits = []
-    choices = []
-    real_split, real_choices = embedder.split, embedder.cut_choices
-
-    def recorded_choices(chain, xi):
-        choices.append(real_choices(chain, xi))
-        return choices[-1]
+    real_split = embedder.split
 
     def split(g, params, rng, top=None):
-        choices.clear()
-        result = real_split(g, params, rng, top)
-        splits.append((result, choices[0] if choices else None))
-        return result
+        splits.append(real_split(g, params, rng, top))
+        return splits[-1]
 
-    monkeypatch.setattr(embedder, "cut_choices", recorded_choices)
     monkeypatch.setattr(embedder, "split", split)
     return splits

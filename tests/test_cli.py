@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -14,11 +13,11 @@ from oracles import embedding_to_dict, induced_subgraph, recording_splits
 import mfembed
 from mfembed import cli, embedder, harness
 from mfembed.cli import main
-from mfembed.embedder import cut_choices, embed_top, preprocess
+from mfembed.embedder import derive_params, embed_top, prepare
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import WeightedGraph, connected_components
-from mfembed.hierarchy import DIAMETER_EXCEEDED, ChainFailure, build_chain
+from mfembed.hierarchy import DIAMETER_EXCEEDED, ChainFailure
 from mfembed.rng import derive_seed
 
 
@@ -389,14 +388,13 @@ def test_debug_subcommands(tmp_path, capsys, monkeypatch):
     # `oversize` marks a cut with more than tau members; a cut of exactly
     # tau members is not oversize
     sizes = [int(m) for m in _split_lines(out, "members=")]
-    derived = preprocess(load_graph(graph), 0.5)[3].tau
+    derived = prepare(load_graph(graph), 0.5).params.tau
     assert _split_lines(out, "oversize=") == [str(size > derived) for size in sizes]
     for tau in sorted({t for size in sizes for t in (size - 1, size)}):
         def with_tau(*args, tau=tau, **kwargs):
-            scaled, scale, hat, params = preprocess(*args, **kwargs)
-            return scaled, scale, hat, dataclasses.replace(params, tau=tau)
+            return dataclasses.replace(derive_params(*args, **kwargs), tau=tau)
 
-        monkeypatch.setattr(cli, "preprocess", with_tau)
+        monkeypatch.setattr(embedder, "derive_params", with_tau)
         assert run("split", "-i", graph, "--seed", 1) == 0
         flags = _split_lines(capsys.readouterr().out, "oversize=")
         assert flags == [str(size > tau) for size in sizes]
@@ -405,7 +403,9 @@ def test_debug_subcommands(tmp_path, capsys, monkeypatch):
 def test_split_prints_a_chain_failure(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
-    monkeypatch.setattr(cli, "build_chain", lambda *args: ChainFailure(2, DIAMETER_EXCEEDED, 0))
+    monkeypatch.setattr(
+        embedder, "build_chain", lambda *args: ChainFailure(2, DIAMETER_EXCEEDED, 0)
+    )
     capsys.readouterr()
     assert run("split", "-i", graph) == 0
     # after the rescaling note, the failure alone: no level, cut or sample
@@ -438,8 +438,8 @@ SPLIT_INSTANCES = [
 @pytest.mark.parametrize("mode", ["practical", "theory"])
 @pytest.mark.parametrize("instance", SPLIT_INSTANCES)
 def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypatch, instance, mode):
-    # Record the split results of `embed_top`'s own run with the cuts each
-    # sampled from; the root split is the first.
+    # Record the split results of `embed_top`'s own run, each with the cuts
+    # it sampled from; the root split is the first.
     splits = recording_splits(monkeypatch)
     g = generate(seed=1, **instance)
     graph = tmp_path / "g.txt"
@@ -448,29 +448,23 @@ def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypat
         splits.clear()
         emb = embed_top(g, 0.5, mode, seed=seed)
         assert not emb.meta.fallback_used
+        root = splits[0]
+        splits.clear()
         capsys.readouterr()
         assert run("split", "-i", graph, "--mode", mode, "--seed", seed) == 0
         lines = capsys.readouterr().out.splitlines()
-        root, choices = splits[0]
-        assert sum(line.startswith("level ") for line in lines) == root.level + 1
+        # `split` makes one split, the same as `embed_top`'s root split
+        assert len(splits) == 1 and splits[0] == root
+        assert sum(line.startswith("level ") for line in lines) == root.chain.top_level + 1
         assert f"packing size={emb.meta.packing_sizes[0]}" in lines
-        assert emb.meta.packing_sizes[0] == len(choices)
+        assert emb.meta.packing_sizes[0] == len(root.cuts)
         cut_lines = [line for line in lines if line.startswith("  cut ")]
-        assert len(cut_lines) == len(choices)
-        assert sum("oversize=True" in line for line in cut_lines) == root.oversize_in_packing
-        assert lines[-1].startswith("sampled cut=")
-        i = int(lines[-1][len("sampled cut=") :])
-        # the components `embed_top` recursed on are the printed cut's
-        assert root.components is choices[i][1]
-        assert cut_lines[i].startswith(f"  cut {i}: members={len(root.portals)} ")
-        # and a replay of the root's stream draws the same index from the
-        # same cuts with the same components
-        rng = random.Random(derive_seed(seed, "split"))
-        scaled, _, _, params = preprocess(g, 0.5, mode)
-        chain = build_chain(scaled, params.delta, rng)
-        replay = cut_choices(chain, params.xi)
-        assert i == rng.randrange(len(replay))
-        assert replay == choices
+        assert len(cut_lines) == len(root.cuts)
+        tau = emb.meta.params.tau
+        oversize = [str(len(cut) > tau) for cut, _ in root.cuts]
+        assert _split_lines("\n".join(cut_lines), "oversize=") == oversize
+        assert lines[-1] == f"sampled cut={root.index}"
+        assert cut_lines[root.index].startswith(f"  cut {root.index}: members={len(root.portals)} ")
 
 
 def test_eval_detects_contracting_embedding(tmp_path):
@@ -798,6 +792,50 @@ def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("text", ["p 1 0\n", "p 3 0\n"], ids=["one-vertex", "isolated"])
+@pytest.mark.parametrize(
+    "settings",
+    [("--epsilon", 7), ("--mode", "theory", "--xi-cap", 4)],
+    ids=["epsilon-7", "theory-with-cap"],
+)
+def test_embed_refuses_bad_settings_on_graphs_of_single_vertices(tmp_path, capsys, text, settings):
+    # a one-vertex graph or component needs no parameters, yet its settings
+    # are checked as `experiment` checks them
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    out = tmp_path / "out.json"
+    for command in ("embed", "experiment"):
+        capsys.readouterr()
+        assert run(command, "-i", graph, *settings, "-o", out) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "frt"])
+def test_a_written_embedding_measures_its_depth_once(tmp_path, capsys, monkeypatch, command):
+    graph = tmp_path / "g.txt"
+    run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
+    capsys.readouterr()
+    want = tmp_path / "want.json"
+    assert run(command, "-i", graph, "--seed", 1, "-o", want) == 0
+    printed = capsys.readouterr().out
+    calls = []
+    real = mfembed.hosts.treedepth_of
+
+    def counted(forest):
+        calls.append(len(forest))
+        return real(forest)
+
+    monkeypatch.setattr(mfembed.hosts, "treedepth_of", counted)
+    out = tmp_path / "out.json"
+    assert run(command, "-i", graph, "--seed", 1, "-o", out) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().out == printed.replace(str(want), str(out))
+    assert f"depth={json.loads(out.read_text())['depth']}" in printed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -861,11 +899,19 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
 
 def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
     # FRT measures the input, the embedder the closed graph rescaled by 2;
-    # all name the input's eccentricity and never an overflowed bound.
+    # all name the input's eccentricity and never an overflowed bound. Every
+    # command but `frt` is refused by `embedder.prepare`.
     graph = tmp_path / "widediam.txt"
     graph.write_text("p 3 2\ne 0 1 1\ne 1 2 5e307\n")
     out = tmp_path / "out.json"
-    for argv in (("frt", "-o", out), ("embed", "-o", out), ("split",)):
+    experiment = ("experiment", "--runs", 1, "-o", out)
+    for argv in (
+        ("frt", "-o", out),
+        ("embed", "-o", out),
+        ("split",),
+        experiment,
+        (*experiment, "--baseline", "frt"),
+    ):
         capsys.readouterr()
         assert run(argv[0], "-i", graph, *argv[1:]) == 2
         err = capsys.readouterr().err

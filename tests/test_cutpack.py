@@ -549,29 +549,22 @@ def test_cut_that_reuses_a_used_member_is_refused(monkeypatch):
 
 
 def test_oversize_flag(monkeypatch):
-    # a split counts the packed cuts with more than tau members: at least
-    # one on a 6-leaf star at tau = 1, and none once tau reaches the largest
-    # cut; embed_top adds up the counts of its splits, two or more of which
-    # count a cut on a 6 x 6 grid
+    # embed_top adds up, over its splits, the cuts each sampled from that
+    # have more than tau members: every cut at tau = 0, and on a 6 x 6 grid
+    # at tau = 1 the cuts of two or more splits
     splits = recording_splits(monkeypatch)
-    instance = dict(kind="star", size=6)
-    sub, _, params = golden_root_split(instance, 0)
-    stream = derive_seed(0, "split")
-    result = embedder.split(sub, replace(params, tau=1), random.Random(stream))
-    sizes = [len(cut) for cut, _ in splits[-1][1]]
-    assert result.oversize_in_packing == sum(size > 1 for size in sizes) > 0
-    widest = replace(params, tau=max(sizes))
-    assert embedder.split(sub, widest, random.Random(stream)).oversize_in_packing == 0
-
     real_params = embedder.derive_params
-    monkeypatch.setattr(
-        embedder, "derive_params", lambda *a, **k: replace(real_params(*a, **k), tau=1)
-    )
-    splits.clear()
-    emb = embed_top(generate("grid", rows=6, cols=6), 0.5, "practical", seed=0)
-    assert emb.meta.params.tau == 1
-    counts = [sum(len(cut) > 1 for cut, _ in choices) for _, choices in splits]
-    assert emb.meta.oversize_cuts == sum(counts) and sorted(counts)[-2] > 0
+    for tau in (0, 1):
+        monkeypatch.setattr(
+            embedder, "derive_params", lambda *a, **k: replace(real_params(*a, **k), tau=tau)
+        )
+        splits.clear()
+        emb = embed_top(generate("grid", rows=6, cols=6), 0.5, "practical", seed=0)
+        assert emb.meta.params.tau == tau
+        counts = [sum(len(cut) > tau for cut, _ in split.cuts) for split in splits]
+        assert emb.meta.oversize_cuts == sum(counts)
+    assert sorted(counts)[-2] > 0
+    assert sum(emb.meta.packing_sizes) > emb.meta.oversize_cuts
 
 
 # ----------------------------------------------------------------- packing

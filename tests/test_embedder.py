@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import oracles
 import pytest
@@ -107,9 +109,9 @@ def test_recorded_sigma_is_taken_at_hat_ell_not_at_the_chains_top_level():
     # 3 (5 <= 2**3), so `params` records the sigma of L = 1 while the root
     # chain checks its quotients against the sigma of L = 3.
     g = two_vertex(5.0)
-    scaled, _, hat, params = embedder.preprocess(g, 0.5)
+    scaled, _, hat, params, top, _ = prepare(g, 0.5)
     chain = build_chain(scaled, params.delta, random.Random(0))
-    assert (hat, chain.top_level) == (1, 3)
+    assert (hat, chain.top_level, top) == (1, 3, 3)
     assert round(params.sigma) == 29893
     assert round(chain_constants(chain.top_level, 2, params.delta)[1]) == 38795
     assert embed_top(g, 0.5, seed=1).meta.params.sigma == params.sigma
@@ -156,7 +158,7 @@ def test_split_two_vertex_forced():
     assert isinstance(result, SplitResult)
     # the packing keeps one cut: the centroid walk on the quotient's
     # decomposition (bags {0,1} -> {1}, root {1}) stops at the root
-    assert result.level == 1
+    assert result.chain.top_level == 1
     assert result.components == [[0], [1]]
     chain, cut = split_cut(g, params, 0)
     assert cut_members(chain, cut) == (frozenset({1}),)
@@ -308,6 +310,56 @@ def test_embed_rejects_disconnected():
         embed_top(WeightedGraph(3, ((0, 1, 1.0),)), 0.5)
 
 
+def test_embed_top_without_a_record_makes_one_and_passes_its_top_level(monkeypatch):
+    # The root split takes the record's top level, so its chain build
+    # measures none; the deeper splits measure their own.
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=3)
+    records, tops = [], []
+    real_prepare, real_chain = embedder.prepare, embedder.build_chain
+
+    def recorded_prepare(*args, **kwargs):
+        records.append(real_prepare(*args, **kwargs))
+        return records[-1]
+
+    def recorded_chain(sub, delta, rng, top=None):
+        tops.append(top)
+        return real_chain(sub, delta, rng, top)
+
+    monkeypatch.setattr(embedder, "prepare", recorded_prepare)
+    monkeypatch.setattr(embedder, "build_chain", recorded_chain)
+    emb = embed_top(g, 0.5, seed=1)
+    assert len(records) == 1 and isinstance(records[0].top_level, int)
+    assert tops[0] == records[0].top_level and set(tops[1:]) == {None}
+    assert len(tops) == emb.meta.split_calls > 1
+
+
+def test_a_split_holds_neither_its_chain_nor_its_cut_list_across_the_recursion(monkeypatch):
+    # When a split starts, no split above it still holds the chain or the
+    # cut list it sampled from; it keeps the drawn cut's components alone.
+    class Cuts(list):
+        pass
+
+    held, alive = [], []
+    real_split = embedder.split
+
+    def split(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in held))
+        result = real_split(*args)
+        result = result._replace(cuts=Cuts(result.cuts))
+        held.extend((weakref.ref(result.chain), weakref.ref(result.cuts)))
+        return result
+
+    monkeypatch.setattr(embedder, "split", split)
+    grid = generate("grid", rows=6, cols=6, weights="uniform:1:4", seed=2)
+    for g in (grid, generate("cycle", size=40)):
+        held.clear()
+        alive.clear()
+        emb = embed_top(g, 0.5, seed=1)
+        assert not emb.meta.fallback_used and len(alive) == emb.meta.split_calls > 2
+        assert alive == [0] * len(alive)
+
+
 def test_each_fragment_subgraph_is_built_once_from_its_parent(monkeypatch):
     # A split that leaves a multi-vertex component is followed by one
     # `induced_subgraphs` call on the split's own graph, which builds each
@@ -365,7 +417,8 @@ def test_a_child_that_keeps_its_level_and_most_vertices_is_refused(monkeypatch):
             result = real_split(sub, params, rng, *top)
             calls.append(sub.n)
             if len(calls) == 1:
-                result.components = [[0, 1, 2, 3], [4]]
+                cut, _ = result.cuts[result.index]
+                result.cuts[result.index] = (cut, [[0, 1, 2, 3], [4]])
             return result
 
         return split

@@ -14,7 +14,7 @@ from oracles import carve_by_heap, split_by_packing
 
 import mfembed.cutpack as cutpack
 import mfembed.hierarchy as hierarchy
-from mfembed.embedder import SplitResult, preprocess, split
+from mfembed.embedder import SplitResult, prepare, split
 from mfembed.errors import InvariantViolation
 from mfembed.graphs import WeightedGraph
 from mfembed.hierarchy import ChainFailure, ClusteringChain, build_chain
@@ -38,8 +38,8 @@ def prepared_graphs(count, seed):
     rng = random.Random(seed)
     for i in range(count):
         g = random_connected(rng, rng.randint(2, 40), unit=i % 2 == 0)
-        scaled, _, _, params = preprocess(g, 0.5)
-        yield scaled, params
+        prepared = prepare(g, 0.5)
+        yield prepared.scaled, prepared.params
 
 
 def is_flat(chain):
@@ -108,7 +108,7 @@ def test_chain_and_split_match_the_level_by_level_references(monkeypatch, seed):
             flat += is_flat(got)
             other += not is_flat(got)
             assert split(g, at, random.Random(stream)) == want
-            oversize += want.oversize_in_packing
+            oversize += sum(len(cut) > at.tau for cut, _ in want.cuts)
     assert flat > 100 and other > 10 and oversize > 100
 
 

@@ -400,6 +400,22 @@ def test_experiment_refuses_bad_settings_before_any_pair_work(settings, monkeypa
         derive_params(1000, 1, full["epsilon"], full["mode"], xi_cap=full["xi_cap"])
 
 
+@pytest.mark.parametrize("pairs", [0, -3, "some"])
+def test_experiment_refuses_a_pair_count_below_one_before_any_work(pairs, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the pair count was checked")
+
+    monkeypatch.setattr(harness, "prepare", no_work)
+    monkeypatch.setattr(harness, "embed_top", no_work)
+    monkeypatch.setattr(harness, "search_to", no_work)
+    config = ExperimentConfig(epsilon=0.5, mode="practical", runs=1, pairs=pairs, seed=0)
+    with pytest.raises(PreconditionViolation, match="^pair sample size must be >= 1 or 'all'$"):
+        run_experiment(generate("grid", rows=4, cols=4), config)
+    # the error and message that `sample_pairs` gives
+    with pytest.raises(PreconditionViolation, match="^pair sample size must be >= 1 or 'all'$"):
+        sample_pairs(16, pairs, 0)
+
+
 def test_experiment_refuses_a_disconnected_graph_before_any_pair_work(monkeypatch):
     def no_pair_work(*args, **kwargs):
         raise AssertionError("pair work ran before connectivity was checked")
