@@ -46,10 +46,10 @@ def split(g, config: ExperimentConfig) -> tuple[dict, float]:
     # the totals row of each live ForestLabels, by id
     row_of: dict[int, list] = {}
 
-    def timed_build(self, emb, leaf_rows=None):
+    def timed_build(self, emb):
         t0 = perf_counter()
-        build(self, emb, leaf_rows)
-        if leaf_rows is not None:
+        build(self, emb)
+        if emb.leaf_rows is not None:
             row = totals[KINDS[1]]
         else:
             row = totals[KINDS[0] if self.forest_shaped else KINDS[2]]

@@ -21,7 +21,6 @@ from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
 from .hierarchy import ChainFailure
 from .hosts import load_embedding, save_components, save_embedding
-from .partition import carve
 from .rng import derive_seed
 
 # The size guards keep a command's traced memory under this budget; the
@@ -154,11 +153,6 @@ def _add_experiment(sub):
 
 
 def _add_debug(sub):
-    p = sub.add_parser("partition", help="debug: one ball-carving round")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-
     p = sub.add_parser("split", help="debug: the root split that embed makes")
     p.add_argument("-i", "--input", required=True)
     _add_split_settings(p)
@@ -328,20 +322,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    g = _load(args.input)
-    if not args.r > 0:
-        raise _InputProblem(f"--r must be positive, got {args.r}")
-    # before any per-vertex list: a huge header without edges is refused here
-    if not is_connected(g):
-        raise _InputProblem("partition needs a connected graph")
-    balls = carve(g, range(g.n), [True] * g.n, args.r, random.Random(args.seed))
-    print(f"clusters={len(balls)} base_r={args.r}")
-    for i, (center, members, rv) in enumerate(balls):
-        print(f"  {i}: center={center} radius={rv:.6g} size={len(members)} members={members}")
-    return 0
-
-
 def _cmd_split(args) -> int:
     g = _load(args.input, MAX_EMBED_N)
     if g.n < 2 or not is_connected(g):
@@ -382,7 +362,6 @@ _HANDLERS = {
     "frt": _cmd_frt,
     "eval": _cmd_eval,
     "experiment": _cmd_experiment,
-    "partition": _cmd_partition,
     "split": _cmd_split,
 }
 

@@ -1,11 +1,13 @@
 """Recursive embed/split pipeline producing low-treedepth host embeddings.
 
-`prepare` computes what no seed changes: the metric closure rescaled so
-that every distance exceeds 1, hat_ell, the split parameters and the root
-chain's top level. `embed_top` takes that record (an experiment makes one
-for all its runs) and recursively splits the graph: `split` builds a
-clustering chain, packs balanced cuts and draws one, and returns all
-three; the recursion goes on into the components left without the cut's
+`prepare` is the one gate for an embedding input: it checks the settings,
+refuses a disconnected graph, and only then computes what no seed changes:
+the metric closure rescaled so that every distance exceeds 1, hat_ell, the
+split parameters and the root chain's top level. `embed_top` takes that
+record (an experiment makes one for all its runs), which stands as proof
+that its graph is connected, and recursively splits the graph: `split`
+builds a clustering chain, packs balanced cuts and draws one, and returns
+all three; the recursion goes on into the components left without the cut's
 boundary edges (its members and the components outside them), whose
 subgraphs are all built, with their adjacency lists and length facts, in
 one pass over the current subgraph's edges. A component of one vertex
@@ -50,7 +52,6 @@ from .errors import (
     PreconditionViolation,
 )
 from .frt import frt_embed
-from .frt import top_level as frt_top_level
 from .graphs import (
     INF,
     WeightedGraph,
@@ -142,15 +143,13 @@ def derive_params(
 class Prepared(NamedTuple):
     """What `embed_top` computes whatever the seed (`prepare`): the metric
     closure rescaled so that every distance exceeds 1, with its scale,
-    hat_ell, the split parameters, the root chain's top level and FRT's top
-    level (None: a fallback's `frt_embed` measures it)."""
+    hat_ell, the split parameters and the root chain's top level."""
 
     scaled: WeightedGraph
     scale: float
     hat_ell: int
     params: Params
     top_level: int
-    frt_top: int | None
 
 
 def prepare(
@@ -159,11 +158,14 @@ def prepare(
     mode: str = "practical",
     *,
     xi_cap: int | None = None,
-    frt: bool = False,
 ) -> Prepared:
-    """The seed-independent state of `embed_top` on a connected graph of at
-    least two vertices, with `frt.top_level(g)` when `frt` is set. An
-    experiment makes it once and hands it to each of its runs."""
+    """The seed-independent state of `embed_top` on a graph of at least two
+    vertices. The settings are checked first, then g must be connected,
+    and only then is the closure built. An experiment makes the record
+    once and hands it to each of its runs."""
+    check_settings(epsilon, mode, xi_cap)
+    if not is_connected(g):
+        raise DisconnectedGraph("embed components separately")
     scaled, scale = normalize(metric_closure_weights(g))
     hat = hat_ell(scaled)
     params = derive_params(g.n, hat, epsilon, mode, xi_cap=xi_cap)
@@ -172,8 +174,7 @@ def prepare(
     except LevelOverflow as exc:
         # The chains measure the rescaled graph; name the input's eccentricity.
         raise LevelOverflow(exc.eccentricity / scale, exc.level) from exc
-    frt_top = frt_top_level(g, g.min_edge_length()) if frt else None
-    return Prepared(scaled, scale, hat, params, top, frt_top)
+    return Prepared(scaled, scale, hat, params, top)
 
 
 class SplitResult(NamedTuple):
@@ -352,15 +353,14 @@ def embed_top(
     Host distances are reported in the input scale regardless of the
     internal rescaling. With `leaf_rows`, an embedding that did not fall
     back carries each input vertex's host distance labels as
-    `HostEmbedding.leaf_rows`, for `ForestLabels(emb, emb.leaf_rows)`.
+    `HostEmbedding.leaf_rows`, which `ForestLabels(emb)` reads.
     `prepared`, made by `prepare(g, epsilon, mode, xi_cap=xi_cap)` on a
     graph of at least two vertices, stands in for the `prepare` call made
-    otherwise; its FRT top level, if any, goes to a fallback's tree. The
-    settings are checked first, also for a graph of one vertex.
+    otherwise, which refuses a disconnected graph; a record passed in
+    stands as proof that g is connected. The settings are checked first,
+    also for a graph of one vertex.
     """
     check_settings(epsilon, mode, xi_cap)
-    if not is_connected(g):
-        raise DisconnectedGraph("embed components separately")
     if g.n == 0:
         raise DisconnectedGraph("cannot embed the empty graph")
     if g.n == 1:
@@ -380,7 +380,7 @@ def embed_top(
     try:
         state.embed(prepared.scaled, list(range(g.n)), (), top=prepared.top_level)
     except _FallbackRequired as failed:
-        emb = frt_embed(g, derive_seed(seed, "frt"), top=prepared.frt_top)
+        emb = frt_embed(g, derive_seed(seed, "frt"))
         emb.meta = EmbeddingMeta(
             n=g.n,
             seed=seed,

@@ -31,7 +31,9 @@ from .hosts import EmbeddingMeta, HostEmbedding
 
 def frt_embed(g: WeightedGraph, seed: int, *, top: int | None = None) -> HostEmbedding:
     """Embed into a random 2-HST; host is a tree, leaves carry the vertices.
-    `top`, when given, is `top_level(g, dmin)`, which no seed changes."""
+    `top`, when given, is `top_level(g, dmin)`, which no seed changes; its
+    caller has measured it on g and so vouches that g is connected. Only
+    without it does g get a connectivity walk."""
     if g.n == 0:
         raise DisconnectedGraph("cannot embed the empty graph")
     if g.n == 1:
@@ -41,7 +43,7 @@ def frt_embed(g: WeightedGraph, seed: int, *, top: int | None = None) -> HostEmb
             forest=[None],
             meta=EmbeddingMeta(n=1, seed=seed, mode="frt", params=None, fallback_used=False),
         )
-    if not is_connected(g):
+    if top is None and not is_connected(g):
         raise DisconnectedGraph("FRT embedding requires a connected graph")
     n = g.n
     # With positive lengths the closest pair is an edge (see `normalize`).

@@ -26,9 +26,9 @@ from operator import add, itemgetter, lt, mul, truediv
 from pathlib import Path
 
 from .embedder import check_settings, embed_top, prepare
-from .errors import DisconnectedGraph, PairOutOfRange, PreconditionViolation
-from .frt import frt_embed
-from .graphs import INF, WeightedGraph, is_connected, search_to
+from .errors import InvariantViolation, PairOutOfRange, PreconditionViolation
+from .frt import frt_embed, top_level
+from .graphs import INF, WeightedGraph, search_to
 from .hosts import ForestLabels, HostEmbedding
 from .rng import derive_seed
 
@@ -41,9 +41,11 @@ def evaluate(
 ) -> tuple[list[float], list[float]]:
     """Exact graph and host distances of the pairs, as two lists in pair order.
 
-    Host distances come from the forest's distance labels, built on the
-    host (n_H x depth entries), which check the forest before any graph
-    search runs.
+    Host distances come from the forest's distance labels (`ForestLabels`:
+    the embedder's leaf rows when `emb` carries them, else built on the
+    host, n_H x depth entries), which check the forest before any graph
+    search runs. A pair that the host leaves unconnected (in two trees of
+    the forest) is an InvariantViolation that names it.
     """
     if len(emb.eta) != g.n:
         raise PreconditionViolation(
@@ -53,7 +55,11 @@ def evaluate(
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise PairOutOfRange(f"bad pair ({u},{v})")
     labels = ForestLabels(emb)
-    return _pair_distances(g, pairs), labels.distances(pairs)
+    dist_h = labels.distances(pairs)
+    if INF in dist_h:
+        u, v = pairs[dist_h.index(INF)]
+        raise InvariantViolation(f"the host does not connect pair ({u},{v})")
+    return _pair_distances(g, pairs), dist_h
 
 
 def _pair_distances(g: WeightedGraph, pairs: list[tuple[int, int]]) -> list[float]:
@@ -177,9 +183,11 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
     """R independent embeddings with derived seeds; returns the report dict.
 
     Every setting, the pair count too, and that g is connected, are checked
-    before any pair is sampled or measured. What no seed changes
-    (`embedder.prepare`, with FRT's top level for the baseline) is computed
-    once, before the pairs, and handed to every run.
+    before any pair is sampled or measured: `embedder.prepare` is the gate
+    that refuses a disconnected graph, and its record of what no seed
+    changes is made once, before the pairs, and handed to every run. So is
+    FRT's top level for the baseline, which also spares each FRT run its
+    connectivity walk.
     """
     if config.runs < 1:
         raise PreconditionViolation("need at least one run")
@@ -187,15 +195,12 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
         raise PreconditionViolation(f"unknown baseline {config.baseline!r}")
     _check_pair_count(config.pairs)
     check_settings(config.epsilon, config.mode, config.xi_cap)
-    if not is_connected(g):
-        raise DisconnectedGraph("embed components separately")
-    # `embed_top` and `frt_embed` answer a graph of one vertex without it.
-    prepared = None
+    # `embed_top` and `frt_embed` answer a graph of one vertex without them.
+    prepared = frt_top = None
     if g.n > 1:
-        prepared = prepare(
-            g, config.epsilon, config.mode, xi_cap=config.xi_cap, frt=config.baseline == "frt"
-        )
-    frt_top = prepared.frt_top if prepared else None
+        prepared = prepare(g, config.epsilon, config.mode, xi_cap=config.xi_cap)
+        if config.baseline == "frt":
+            frt_top = top_level(g, g.min_edge_length())
     pairs = sample_pairs(g.n, config.pairs, config.seed)
     dist_g = _pair_distances(g, pairs)
     structural = []
@@ -216,7 +221,7 @@ def run_experiment(g: WeightedGraph, config: ExperimentConfig) -> dict:
                 prepared=prepared,
             )
             # a fallback's HST comes without rows and builds its labels
-            labels = ForestLabels(emb, emb.leaf_rows)
+            labels = ForestLabels(emb)
             dist_h = labels.distances(pairs)
             timings.append(time.perf_counter() - t0)
             structural.append(
@@ -288,7 +293,8 @@ def emit(report: dict, fmt: str, path: str | Path) -> None:
         raise PreconditionViolation(f"unknown format {fmt!r}")
     with Path(path).open("w", encoding="utf-8") as fh:
         if fmt == "json":
-            json.dump(report, fh, indent=1)
+            # a strict parser refuses NaN and Infinity, so none is written
+            json.dump(report, fh, indent=1, allow_nan=False)
             fh.write("\n")
             return
         fh.write("u,v,dist_g,mean_dist_h,mean_ratio,max_ratio\n")

@@ -165,14 +165,14 @@ class ForestLabels:
     n_H x depth entries in all; a query takes O(depth) and goes through
     `eta`, the input vertices' host vertices. The forest is checked first.
 
-    `ForestLabels(emb, leaf_rows)` takes the labels of the input vertices
-    alone, one row per vertex in `eta` order (n x depth entries), and runs no
-    Dijkstra; `labels` is None at every other host vertex. The embedder's
-    rows (`HostEmbedding.leaf_rows`) are its full wiring's weights. No label
-    of the pruned host exceeds them, and a dropped edge's detour can round
-    lower: by at most 1e-15 relative on the grids measured, 2.4e-15 on
-    fractional paths and cycles. So a distance read from the rows is the
-    full wiring's, never below the one read from labels built on the host.
+    When `emb.leaf_rows` is set, the labels of the input vertices alone are
+    taken from it, one row per vertex in `eta` order (n x depth entries),
+    and no Dijkstra runs; `labels` is None at every other host vertex. The
+    embedder's rows are its full wiring's weights. No label of the pruned
+    host exceeds them, and a dropped edge's detour can round lower: by at
+    most 1e-15 relative on the grids measured, 2.4e-15 on fractional paths
+    and cycles. So a distance read from the rows is the full wiring's, never
+    below the one read from labels built on the host.
 
     A host that is its own forest (`forest_shaped`: each non-root vertex has
     exactly one host edge, to its forest parent, as in FRT trees and the HST
@@ -186,7 +186,8 @@ class ForestLabels:
 
     __slots__ = ("tin", "ends", "depth", "labels", "eta", "forest_shaped")
 
-    def __init__(self, emb: HostEmbedding, leaf_rows: list[list[float]] | None = None) -> None:
+    def __init__(self, emb: HostEmbedding) -> None:
+        leaf_rows = emb.leaf_rows
         order, tin, tout = check_forest_validity(emb)
         n = len(order)
         forest = emb.forest

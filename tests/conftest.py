@@ -4,6 +4,7 @@ import oracles
 import pytest
 
 import mfembed.embedder as embedder
+import mfembed.graphs as graphs
 from mfembed.hierarchy import ChainFailure
 
 
@@ -32,3 +33,25 @@ def fail_chain_at(monkeypatch):
         monkeypatch.setattr(oracles, "chain_by_subgraphs", failing_at(k, real_reference))
 
     return install
+
+
+@pytest.fixture
+def connectivity_walks(monkeypatch):
+    """Returns a function that starts counting a graph's connectivity walks,
+    the `graphs.connected_components` calls on it with no mask (a cut's
+    components go through `cutpack`'s own binding), into the list it
+    returns."""
+    real = graphs.connected_components
+
+    def watch(g):
+        walks = []
+
+        def counted(graph, allowed=None):
+            if graph is g and allowed is None:
+                walks.append(graph)
+            return real(graph, allowed)
+
+        monkeypatch.setattr(graphs, "connected_components", counted)
+        return walks
+
+    return watch

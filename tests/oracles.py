@@ -69,7 +69,7 @@ from contextlib import contextmanager
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 from functools import cached_property
 from pathlib import Path
@@ -1086,7 +1086,7 @@ def check_labels_against_copy_edges(g, emb, rel=1e-15):
         key = (min(u, v), max(u, v))
         if weight.get(key) != w:
             raise AssertionError(f"host edge {key} weighs {w!r}, full wiring {weight.get(key)!r}")
-    labels = ForestLabels(emb)
+    labels = ForestLabels(replace(emb, leaf_rows=None))
     exact = emb.host.exact_path_sums
     for x in emb.eta:
         path = ancestors(emb.forest, x)
@@ -1103,15 +1103,15 @@ def check_labels_against_copy_edges(g, emb, rel=1e-15):
 def check_leaf_rows(g, emb, rel=1e-15):
     """Raise unless `emb.leaf_rows`, from `embed_top(..., leaf_rows=True)`,
     hold each input vertex's full-wiring weights to its ancestor copies,
-    root first and bit for bit, then 0.0; unless `ForestLabels(emb,
-    emb.leaf_rows)` has the preorder, exit times and depth of
-    `ForestLabels(emb)` and reads the rows themselves; and unless each row
-    entry is at least the label built on the host and within `rel` relative
-    of it. Returns the number of entries where row and label differ.
+    root first and bit for bit, then 0.0; unless `ForestLabels(emb)` reads
+    the rows themselves, with the preorder, exit times and depth of the
+    labels built on the host (the embedding without its rows); and unless
+    each row entry is at least the label built on the host and within `rel`
+    relative of it. Returns the number of entries where row and label differ.
     """
     weight = full_wiring(g, emb)
-    built = ForestLabels(emb)
-    read = ForestLabels(emb, emb.leaf_rows)
+    built = ForestLabels(replace(emb, leaf_rows=None))
+    read = ForestLabels(emb)
     if (read.tin, read.ends, read.depth) != (built.tin, built.ends, built.depth):
         raise AssertionError("leaf-row labels have another preorder or depth")
     differ = 0
@@ -1141,7 +1141,7 @@ def check_forest_labels_by_dijkstra(emb, pairs=None):
     labels = hosts._subtree_labels(emb.host.edges, got.tin, got.ends)
     if got.labels != labels:
         raise AssertionError("labels differ from the Dijkstra build")
-    want = ForestLabels(emb, [labels[got.tin[x]] for x in emb.eta])
+    want = ForestLabels(replace(emb, leaf_rows=[labels[got.tin[x]] for x in emb.eta]))
     if pairs is None:
         pairs = list(itertools.combinations(range(len(emb.eta)), 2))
     for (u, v), a, b in zip(pairs, got.distances(pairs), want.distances(pairs)):

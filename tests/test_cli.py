@@ -137,10 +137,9 @@ def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys,
     "command,message",
     [
         (("frt",), "error: "),
-        (("partition", "--r", 1.5), "partition needs a connected graph"),
         (("split",), "too large to embed (n=5000000, limit 6000)"),
     ],
-    ids=["frt", "partition", "split"],
+    ids=["frt", "split"],
 )
 def test_header_with_millions_of_vertices_and_no_edges_is_refused(
     tmp_path, capsys, command, message
@@ -374,10 +373,6 @@ def test_debug_subcommands(tmp_path, capsys, monkeypatch):
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
     capsys.readouterr()
 
-    assert run("partition", "-i", graph, "--r", 1.5, "--seed", 1) == 0
-    out = capsys.readouterr().out
-    assert "clusters=" in out
-
     assert run("split", "-i", graph, "--seed", 1) == 0
     out = capsys.readouterr().out
     assert "level 0" in out and "packing size=" in out
@@ -467,6 +462,36 @@ def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypat
         assert cut_lines[root.index].startswith(f"  cut {root.index}: members={len(root.portals)} ")
 
 
+def test_eval_refuses_a_host_that_leaves_a_pair_in_two_trees(tmp_path, capsys):
+    # two host roots and no host edge: the host distance of (0, 1) is
+    # infinite, which no report may hold (strict JSON has no Infinity)
+    graph = tmp_path / "g.txt"
+    graph.write_text("p 2 1\ne 0 1 1.0\n")
+    emb = tmp_path / "emb.json"
+    emb.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "seed": 0,
+                "mode": "practical",
+                "params": None,
+                "fallback_used": False,
+                "host": {"n": 2, "edges": []},
+                "eta": [0, 1],
+                "forest_parent": [None, None],
+                "depth": 1,
+            }
+        )
+    )
+    report, table = tmp_path / "rep.json", tmp_path / "rep.csv"
+    capsys.readouterr()
+    assert run("eval", "-i", graph, "-e", emb, "-o", report, "--csv", table) == 1
+    captured = capsys.readouterr()
+    assert "invariant violation: the host does not connect pair (0,1)" in captured.err
+    assert captured.out == ""
+    assert not report.exists() and not table.exists()
+
+
 def test_eval_detects_contracting_embedding(tmp_path):
     # hand-written "embedding" whose host distance undercuts the graph
     graph = tmp_path / "g.txt"
@@ -491,33 +516,6 @@ def test_eval_detects_contracting_embedding(tmp_path):
     assert run("eval", "-i", graph, "-e", emb, "--pairs", "all", "-o", report) == 1
     rep = json.loads(report.read_text())
     assert rep["distortion"]["violations"] == 1
-
-
-PARTITION_GRID3 = """\
-clusters=3 base_r=1.5
-  0: center=0 radius=6.18652 size=6 members=[0, 1, 2, 3, 4, 7]
-  1: center=5 radius=5.9298 size=2 members=[5, 8]
-  2: center=6 radius=1.58732 size=1 members=[6]
-"""
-
-
-def test_partition_prints_the_recorded_text(tmp_path, capsys):
-    # text printed by the former `single_level_partition` front end
-    graph = tmp_path / "g.txt"
-    run("gen", "grid", "--rows", 3, "--cols", 3, "--weights", "uniform:1:4", "--seed", 1, "-o", graph)
-    capsys.readouterr()
-    assert run("partition", "-i", graph, "--r", 1.5, "--seed", 2) == 0
-    assert capsys.readouterr().out == PARTITION_GRID3
-
-
-def test_partition_refuses_a_disconnected_graph(tmp_path, capsys):
-    graph = tmp_path / "two.txt"
-    graph.write_text("p 5 3\ne 0 1 1.5\ne 2 3 2.0\ne 3 4 1e-05\n")
-    capsys.readouterr()
-    assert run("partition", "-i", graph, "--r", 1) == 2
-    captured = capsys.readouterr()
-    assert "input error: partition needs a connected graph" in captured.err
-    assert captured.out == ""
 
 
 def test_desk_scale_guard(tmp_path):
@@ -564,7 +562,6 @@ def test_edge_guard_refuses_the_header_in_every_command_that_loads(tmp_path, cap
         ("frt", "-o", tmp_path / "e.json"),
         ("eval", "-e", tree, "-o", tmp_path / "e.json"),
         ("experiment", "-o", tmp_path / "e.json"),
-        ("partition", "--r", 1),
         ("split",),
     ]
     for m, message in ((limit + 1, f"(m={limit + 1}, limit {limit})"), (limit, "line 2")):
@@ -773,15 +770,15 @@ def test_gen_bad_weight_bounds(tmp_path):
         # theory mode keeps the raw xi and takes no cap
         ("embed", "--mode", "theory", "--xi-cap", 4),
         ("experiment", "--mode", "theory", "--xi-cap", 4, "--runs", 1, "--pairs", 5),
-        ("partition", "--r", 0),
-        ("partition", "--r", "nan"),
+        ("split", "--epsilon", 0),
+        ("split", "--mode", "theory", "--xi-cap", 4),
     ],
 )
 def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     command, *rest = argv
-    out = () if command == "partition" else ("-o", tmp_path / "out.json")
+    out = () if command == "split" else ("-o", tmp_path / "out.json")
     capsys.readouterr()
     try:
         code = run(command, "-i", graph, *rest, *out)
@@ -844,9 +841,10 @@ def test_a_written_embedding_measures_its_depth_once(tmp_path, capsys, monkeypat
         ("split", "--delta", 0.1),
         ("split", "--xi", 8),
         ("split", "--tau", 32),
+        ("partition", "--r", 1.5),
         ("partition", "--r", 1.5, "--order-file", "order.txt"),
     ],
-    ids=["chain", "cuts", "split-delta", "split-xi", "split-tau", "partition-order-file"],
+    ids=["chain", "cuts", "split-delta", "split-xi", "split-tau", "partition", "partition-order-file"],
 )
 def test_removed_debug_commands_and_options_are_refused(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"

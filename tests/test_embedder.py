@@ -109,7 +109,7 @@ def test_recorded_sigma_is_taken_at_hat_ell_not_at_the_chains_top_level():
     # 3 (5 <= 2**3), so `params` records the sigma of L = 1 while the root
     # chain checks its quotients against the sigma of L = 3.
     g = two_vertex(5.0)
-    scaled, _, hat, params, top, _ = prepare(g, 0.5)
+    scaled, _, hat, params, top = prepare(g, 0.5)
     chain = build_chain(scaled, params.delta, random.Random(0))
     assert (hat, chain.top_level, top) == (1, 3, 3)
     assert round(params.sigma) == 29893
@@ -279,15 +279,16 @@ def assert_same_embedding(got, want):
 
 @pytest.mark.parametrize("mode", ["practical", "theory"])
 def test_embed_top_with_a_prepared_record_equals_embed_top_without(mode, fail_chain_at):
-    # One record serves every seed, with and without leaf rows, and its FRT
-    # top level serves a fallback at the root split and at a deeper one.
+    # One record serves every seed, with and without leaf rows, and a
+    # fallback at the root split and at a deeper one, whose tree measures
+    # its own top level.
     instances = [
         two_vertex(2.0),
         generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=3),
         generate("cycle", size=20),
     ]
     for g in instances:
-        prepared = prepare(g, 0.5, mode, frt=True)
+        prepared = prepare(g, 0.5, mode)
         for seed in (0, 1):
             for leaf_rows in (False, True):
                 want = embed_top(g, 0.5, mode, seed, leaf_rows=leaf_rows)
@@ -295,7 +296,7 @@ def test_embed_top_with_a_prepared_record_equals_embed_top_without(mode, fail_ch
                 assert not got.meta.fallback_used
                 assert_same_embedding(got, want)
     g = generate("grid", rows=3, cols=3)
-    prepared = prepare(g, 0.5, mode, frt=True)
+    prepared = prepare(g, 0.5, mode)
     for k in (0, 1):
         fail_chain_at(k)
         want = embed_top(g, 0.5, mode, 1, leaf_rows=True)
@@ -308,6 +309,34 @@ def test_embed_top_with_a_prepared_record_equals_embed_top_without(mode, fail_ch
 def test_embed_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         embed_top(WeightedGraph(3, ((0, 1, 1.0),)), 0.5)
+
+
+def test_prepare_checks_settings_then_connectivity_before_the_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure was built before the input was checked")
+
+    monkeypatch.setattr(embedder, "metric_closure_weights", no_closure)
+    g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    with pytest.raises(BadEpsilon):
+        prepare(g, 1.5)
+    for mode in ("practical", "theory"):
+        with pytest.raises(DisconnectedGraph, match="^embed components separately$"):
+            prepare(g, 0.5, mode)
+        with pytest.raises(DisconnectedGraph, match="^embed components separately$"):
+            embed_top(g, 0.5, mode)
+
+
+def test_embed_top_walks_for_connectivity_only_without_a_record(connectivity_walks):
+    # A record stands as proof that its graph is connected; without one,
+    # `prepare` walks the graph once.
+    g = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=3)
+    prepared = prepare(g, 0.5)
+    walks = connectivity_walks(g)
+    for seed in range(3):
+        assert not embed_top(g, 0.5, seed=seed, prepared=prepared).meta.fallback_used
+    assert walks == []
+    embed_top(g, 0.5, seed=0)
+    assert len(walks) == 1
 
 
 def test_embed_top_without_a_record_makes_one_and_passes_its_top_level(monkeypatch):

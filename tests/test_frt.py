@@ -10,7 +10,6 @@ from test_pipeline import random_connected_graph
 
 import mfembed.frt as frt
 from mfembed.cli import main
-from mfembed.embedder import prepare
 from mfembed.errors import DisconnectedGraph, PreconditionViolation
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
@@ -208,6 +207,17 @@ def test_peak_memory_on_grid30_holds_no_distance_matrix():
     assert peak < 4_000_000
 
 
+def test_frt_embed_walks_for_connectivity_only_when_it_measures_its_top(connectivity_walks):
+    g = generate("grid", rows=5, cols=6, weights="uniform:1:4", seed=2)
+    top = frt.top_level(g, g.min_edge_length())
+    walks = connectivity_walks(g)
+    for seed in range(3):
+        frt_embed(g, seed, top=top)
+    assert walks == []
+    frt_embed(g, 0)
+    assert len(walks) == 1
+
+
 def test_frt_embed_with_the_shared_top_level_equals_frt_embed_without():
     rng = random.Random(5)
     instances = [
@@ -217,7 +227,6 @@ def test_frt_embed_with_the_shared_top_level_equals_frt_embed_without():
     ] + [random_connected_graph(rng, n_max=30) for _ in range(4)]
     for g in instances:
         top = frt.top_level(g, g.min_edge_length())
-        assert prepare(g, 0.5, frt=True).frt_top == top
         for seed in range(3):
             want = frt_embed(g, seed)
             assert frt_embed(g, seed, top=top) == want

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import gc
 import itertools
 import json
@@ -18,7 +19,13 @@ import mfembed.graphs as graphs
 import mfembed.harness as harness
 import mfembed.hosts as hosts
 from mfembed.embedder import derive_params, embed_top
-from mfembed.errors import DisconnectedGraph, MfembedError, PairOutOfRange, PreconditionViolation
+from mfembed.errors import (
+    DisconnectedGraph,
+    InvariantViolation,
+    MfembedError,
+    PairOutOfRange,
+    PreconditionViolation,
+)
 from mfembed.frt import frt_embed
 from mfembed.generators import generate
 from mfembed.graphs import INF, WeightedGraph, dijkstra, search_to
@@ -72,6 +79,23 @@ def test_evaluate_frt_ratio_at_least_one():
     emb = frt_embed(g, 5)
     ([d_g], [d_h]) = evaluate(g, emb, [(0, 1)])
     assert d_h / d_g >= 1.0
+
+
+def test_evaluate_names_a_pair_that_the_host_leaves_in_two_trees():
+    # 2 is a root of its own: no host path joins it to 0 or 1
+    g = generate("path", size=3)
+    host = WeightedGraph(3, ((0, 1, 1.0),))
+    meta = EmbeddingMeta(n=3, seed=0, mode="hand", params=None, fallback_used=False)
+    emb = HostEmbedding(host=host, eta=[0, 1, 2], forest=[None, 0, None], meta=meta)
+    assert evaluate(g, emb, [(0, 1)]) == ([1.0], [1.0])
+    with pytest.raises(InvariantViolation, match=r"^the host does not connect pair \(1,2\)$"):
+        evaluate(g, emb, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_emit_refuses_a_report_that_strict_json_cannot_hold(tmp_path):
+    report = {"distortion": {"per_pair": [], "max_mean_ratio": INF}}
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit(report, "json", tmp_path / "report.json")
 
 
 def test_evaluate_pair_validation():
@@ -208,8 +232,8 @@ def test_experiment_holds_at_most_two_runs_of_host_distances(monkeypatch):
     assert len(peaks) == 8 and max(peaks) <= 2, peaks
 
 
-def labels_built_on_the_host(emb, leaf_rows=None):
-    return ForestLabels(emb)
+def labels_built_on_the_host(emb):
+    return ForestLabels(dataclasses.replace(emb, leaf_rows=None))
 
 
 @pytest.mark.parametrize(
@@ -253,9 +277,9 @@ def test_experiment_answers_a_fallback_from_labels_built_on_its_tree(monkeypatch
     monkeypatch.setattr(embedder, "build_chain", lambda *args, **kwargs: failure)
     built = []
 
-    def tracked(emb, leaf_rows=None):
-        labels = ForestLabels(emb, leaf_rows)
-        built.append((leaf_rows is None, labels.forest_shaped))
+    def tracked(emb):
+        labels = ForestLabels(emb)
+        built.append((emb.leaf_rows is None, labels.forest_shaped))
         return labels
 
     monkeypatch.setattr(harness, "ForestLabels", tracked)
@@ -358,9 +382,9 @@ def test_grid_experiment_reads_frt_trees_as_forests_and_embedder_hosts_from_rows
     # labelled by path sums.
     built = []
 
-    def tracked(emb, leaf_rows=None):
-        labels = ForestLabels(emb, leaf_rows)
-        built.append((leaf_rows is not None, labels.forest_shaped))
+    def tracked(emb):
+        labels = ForestLabels(emb)
+        built.append((emb.leaf_rows is not None, labels.forest_shaped))
         return labels
 
     monkeypatch.setattr(harness, "ForestLabels", tracked)
@@ -389,7 +413,7 @@ def test_experiment_refuses_bad_settings_before_any_pair_work(settings, monkeypa
 
     monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
     monkeypatch.setattr(harness, "search_to", no_pair_work)
-    monkeypatch.setattr(harness, "prepare", no_pair_work)
+    monkeypatch.setattr(embedder, "metric_closure_weights", no_pair_work)
     monkeypatch.setattr(harness, "embed_top", no_pair_work)
     full = dict(epsilon=0.5, mode="practical", xi_cap=None) | settings
     config = ExperimentConfig(runs=1, pairs="all", seed=0, **full)
@@ -422,7 +446,8 @@ def test_experiment_refuses_a_disconnected_graph_before_any_pair_work(monkeypatc
 
     monkeypatch.setattr(harness, "sample_pairs", no_pair_work)
     monkeypatch.setattr(harness, "search_to", no_pair_work)
-    monkeypatch.setattr(harness, "prepare", no_pair_work)
+    # `embedder.prepare` is the gate: it refuses the graph before the closure
+    monkeypatch.setattr(embedder, "metric_closure_weights", no_pair_work)
     monkeypatch.setattr(harness, "embed_top", no_pair_work)
     # two paths of 1000 and an isolated vertex
     edges = [(u, u + 1, 1.0) for u in range(999)] + [(u, u + 1, 1.0) for u in range(1000, 1999)]
@@ -460,6 +485,22 @@ def test_experiment_drops_each_embedding_before_the_next_is_built(monkeypatch):
     assert strip_timing(report) == want
     # four embeddings and four FRT trees, none built while another is alive
     assert at_start == [0] * 8, at_start
+
+
+@pytest.mark.parametrize("baseline", ["none", "frt"])
+def test_an_experiment_walks_its_graph_for_connectivity_once(baseline, connectivity_walks):
+    # `embedder.prepare` is the one gate: the embedder runs take its record
+    # and the FRT runs the top level measured once, and neither walks the
+    # graph again (5 walks in all without the baseline, 9 with it, when
+    # every run walked its input).
+    g = generate("cycle", size=64)
+    config = ExperimentConfig(
+        epsilon=0.5, mode="practical", runs=4, pairs=50, seed=1, baseline=baseline
+    )
+    want = strip_timing(run_experiment(g, config))
+    walks = connectivity_walks(g)
+    assert strip_timing(run_experiment(g, config)) == want
+    assert len(walks) == 1
 
 
 def test_experiment_hands_one_record_to_every_run_and_drops_it_after_them(monkeypatch):

@@ -36,7 +36,7 @@ def zero_x(_rng):
 
 
 def carve_all(g, r, rng, order=None):
-    """One carving of the whole graph, as `mfembed partition` runs it."""
+    """One carving of the whole graph, in vertex order unless `order` is given."""
     return carve(g, range(g.n) if order is None else order, [True] * g.n, r, rng)
 
 
@@ -70,6 +70,17 @@ def test_sample_exponential_reproducible():
 
 def test_single_vertex_single_cluster():
     assert carve_all(WeightedGraph(1, ()), 5.0, random.Random(0))[0][:2] == (0, [0])
+
+
+def test_carving_the_uniform_grid3_gives_the_recorded_balls():
+    # the balls that the former `mfembed partition --r 1.5 --seed 2` printed
+    g = generate("grid", rows=3, cols=3, weights="uniform:1:4", seed=1)
+    balls = carve_all(g, 1.5, random.Random(2))
+    assert [(center, members, f"{rv:.6g}") for center, members, rv in balls] == [
+        (0, [0, 1, 2, 3, 4, 7], "6.18652"),
+        (5, [5, 8], "5.9298"),
+        (6, [6], "1.58732"),
+    ]
 
 
 def test_radius_at_least_diameter_gives_one_part():
