@@ -9,17 +9,15 @@ import argparse
 import contextlib
 import functools
 import os
-import random
 import sys
 
-from . import embedder, harness
+from . import harness
 from .embedder import embed_top
-from .errors import BadSize, InvariantViolation, MfembedError
+from .errors import BadSize, DisconnectedGraph, InvariantViolation, MfembedError
 from .frt import frt_embed
 from .generators import KINDS, generate
 from .graphio import load_graph, save_graph
 from .graphs import WeightedGraph, connected_components, induced_subgraphs, is_connected
-from .hierarchy import ChainFailure
 from .hosts import load_embedding, save_components, save_embedding
 from .rng import derive_seed
 
@@ -33,8 +31,7 @@ MEMORY_BUDGET = 2**30
 # at 5929 vertices (77 x 77, 4.3 s; README, "Size limits").
 # `experiment` shares the limit and also keeps each embedder host's leaf
 # rows: with 100 sampled pairs one run peaks at 11.3 MB at 1600 vertices,
-# 29.1 MB at 3136 and 64.2 MB at 5929. `split` runs `embed`'s root split and
-# shares the limit too.
+# 29.1 MB at 3136 and 64.2 MB at 5929.
 MAX_EMBED_N = 6000
 
 # Memory that `eval` and `experiment` hold per pair, rounded up from the
@@ -59,12 +56,16 @@ class _InputProblem(Exception):
     pass
 
 
-def _refuse_missing_dirs(*paths: str | None) -> None:
-    """Refuse an output path whose directory does not exist; commands call
-    this before they read any input."""
+def _refuse_bad_outputs(*paths: str | None) -> None:
+    """Refuse an output path whose directory does not exist, and two outputs
+    that name one file, which the second write would replace; commands
+    call this before they read any input."""
+    paths = [path for path in paths if path is not None]
     for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise _InputProblem(f"no directory for output {path}")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise _InputProblem(f"outputs {' and '.join(paths)} name one file")
 
 
 @contextlib.contextmanager
@@ -110,7 +111,7 @@ def _add_gen(sub):
 
 
 def _add_split_settings(p):
-    """The settings every split reads: `embed`, `experiment` and `split`."""
+    """The settings every split reads: `embed` and `experiment`."""
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--xi-cap", type=int, default=None)
@@ -152,12 +153,6 @@ def _add_experiment(sub):
     p.add_argument("--csv", default=None)
 
 
-def _add_debug(sub):
-    p = sub.add_parser("split", help="debug: the root split that embed makes")
-    p.add_argument("-i", "--input", required=True)
-    _add_split_settings(p)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfembed",
@@ -171,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frt(sub)
     _add_eval(sub)
     _add_experiment(sub)
-    _add_debug(sub)
     return parser
 
 
@@ -199,7 +193,7 @@ def _gen_edge_count(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _refuse_missing_dirs(args.out)
+    _refuse_bad_outputs(args.out)
     edges = _gen_edge_count(args)
     limit = MEMORY_BUDGET // LOAD_EDGE_BYTES
     if edges > limit:
@@ -220,13 +214,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    _refuse_missing_dirs(args.out)
+    _refuse_bad_outputs(args.out)
     g = _load(args.input, MAX_EMBED_N)
     kwargs = dict(mode=args.mode, xi_cap=args.xi_cap)
-    comps = connected_components(g)
-    # An empty graph has no component, and embed_top refuses it.
-    if len(comps) <= 1:
+    try:
         emb = embed_top(g, args.epsilon, seed=args.seed, **kwargs)
+    except DisconnectedGraph:
+        # `embed_top` walks a connected input once; only a refused one is
+        # walked again for its components. The empty graph has none.
+        comps = connected_components(g)
+        if len(comps) <= 1:
+            raise
+    else:
         with _outputs() as claim:
             claim(args.out)
             depth = save_embedding(emb, args.out)
@@ -248,7 +247,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_frt(args) -> int:
-    _refuse_missing_dirs(args.out)
+    _refuse_bad_outputs(args.out)
     g = _load(args.input)
     emb = frt_embed(g, args.seed)
     with _outputs() as claim:
@@ -270,7 +269,7 @@ def _emit(report: dict, out: str, csv: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _refuse_missing_dirs(args.out, args.csv)
+    _refuse_bad_outputs(args.out, args.csv)
     g = _load(args.input)
     count = _pairs_arg(args.pairs, g.n)
     try:
@@ -298,7 +297,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _refuse_missing_dirs(args.out, args.csv)
+    _refuse_bad_outputs(args.out, args.csv)
     g = _load(args.input, MAX_EMBED_N)
     config = harness.ExperimentConfig(
         epsilon=args.epsilon,
@@ -322,47 +321,12 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
-    g = _load(args.input, MAX_EMBED_N)
-    if g.n < 2 or not is_connected(g):
-        raise _InputProblem("split needs a connected graph of at least two vertices")
-    prepared = embedder.prepare(g, args.epsilon, args.mode, xi_cap=args.xi_cap)
-    if prepared.scale != 1.0:
-        print(f"# rescaled by {prepared.scale:g} so all distances exceed 1")
-    # the root's split in `embed`, on the root's stream
-    rng = random.Random(derive_seed(args.seed, "split"))
-    result = embedder.split(prepared.scaled, prepared.params, rng, top=prepared.top_level)
-    if isinstance(result, ChainFailure):
-        print(f"failure: level={result.level} reason={result.reason}")
-        return 0
-    chain = result.chain
-    lo, hi = chain.lo, chain.hi
-    for i in range(chain.top_level + 1):
-        sizes = sorted((chain.size(k) for k in range(len(lo)) if lo[k] <= i <= hi[k]), reverse=True)
-        print(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
-    print(f"packing size={len(result.cuts)}")
-    half = g.n // 2
-    order, start, stop = chain.order, chain.start, chain.stop
-    for i, (cut, comps) in enumerate(result.cuts):
-        # The members are components too; each is known by its smallest vertex.
-        firsts = {min(order[start[k] : stop[k]]) for k in cut}
-        margin = half - max((len(c) for c in comps if c[0] not in firsts), default=0)
-        levels = [hi[k] for k in cut]
-        print(
-            f"  cut {i}: members={len(cut)} levels={levels} "
-            f"oversize={len(cut) > prepared.params.tau} balance_margin={margin}"
-        )
-    print(f"sampled cut={result.index}")
-    return 0
-
-
 _HANDLERS = {
     "gen": _cmd_gen,
     "embed": _cmd_embed,
     "frt": _cmd_frt,
     "eval": _cmd_eval,
     "experiment": _cmd_experiment,
-    "split": _cmd_split,
 }
 
 

@@ -6,8 +6,7 @@ with X ~ Exp(1), and takes the ball of that radius inside the subgraph
 induced by the still-free vertices. Ball membership uses distances inside
 that subgraph, not global distances; vertices at exactly the sampled radius
 are included. The free vertices may be a subset of a larger graph, so a
-clustering chain carves each cluster in place; `mfembed partition` carves a
-whole connected graph once.
+clustering chain carves each cluster in place.
 """
 
 from __future__ import annotations

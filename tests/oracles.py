@@ -53,7 +53,9 @@ Helpers that only tests read: `all_pairs`, `diameter`, `min_distance`,
 `EdgeNotInGraph`), `check_partition_validity`, the cut helpers
 (`node_members`, `cut_members`, `components_of_cut`, `balanced_predicate`),
 `validate_tree_decomposition`, `check_derived_graph` and
-`recording_derived_graphs`, `recording_splits`, and `strip_timing` and
+`recording_derived_graphs`, `recording_splits`, `root_split` and
+`root_split_text` (the root split of `embed_top` from its `prepare` record,
+and that split as the text of the golden strings), and `strip_timing` and
 `load_report` for reports. The chain is one cluster tree in the library:
 `chain_levels` gives its per-level lists (`LevelView`), `chain_sigma` its
 quotient hop bound, `tree_parents` each node's parent, and
@@ -1502,3 +1504,41 @@ def recording_splits(monkeypatch):
 
     monkeypatch.setattr(embedder, "split", split)
     return splits
+
+
+def root_split(g, epsilon, mode, seed):
+    """The `prepare` record of g and the root split that
+    `embed_top(g, epsilon, mode, seed)` makes: one `embedder.split` on the
+    record's closure and top level, drawn from the root's stream."""
+    prepared = embedder.prepare(g, epsilon, mode)
+    rng = random.Random(derive_seed(seed, "split"))
+    return prepared, embedder.split(prepared.scaled, prepared.params, rng, top=prepared.top_level)
+
+
+def root_split_text(g, seed):
+    """The root split of `embed_top(g, 0.5, seed=seed)` as text, one line per
+    chain level (its cluster count and largest sizes), then the cuts the
+    split sampled from, each with its member count, member levels, oversize
+    flag (more than tau members) and balance margin (half the vertices less
+    the largest component outside the members), and last the drawn index.
+    A rescaled closure is noted first."""
+    prepared, result = root_split(g, 0.5, "practical", seed)
+    chain = result.chain
+    lines = []
+    if prepared.scale != 1.0:
+        lines.append(f"# rescaled by {prepared.scale:g} so all distances exceed 1")
+    for i in range(chain.top_level + 1):
+        nodes = [k for k in range(len(chain.lo)) if chain.lo[k] <= i <= chain.hi[k]]
+        sizes = sorted((chain.size(k) for k in nodes), reverse=True)
+        lines.append(f"level {i}: {len(sizes)} clusters, sizes {sizes[:12]}")
+    lines.append(f"packing size={len(result.cuts)}")
+    for i, (cut, comps) in enumerate(result.cuts):
+        # The members are components too; each is known by its smallest vertex.
+        firsts = {min(node_members(chain, k)) for k in cut}
+        margin = g.n // 2 - max((len(c) for c in comps if c[0] not in firsts), default=0)
+        lines.append(
+            f"  cut {i}: members={len(cut)} levels={[chain.hi[k] for k in cut]} "
+            f"oversize={len(cut) > prepared.params.tau} balance_margin={margin}"
+        )
+    lines.append(f"sampled cut={result.index}")
+    return "\n".join(lines) + "\n"

@@ -8,16 +8,17 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import embedding_to_dict, induced_subgraph, recording_splits
+from oracles import embedding_to_dict, induced_subgraph, root_split_text
 
 import mfembed
-from mfembed import cli, embedder, harness
+import mfembed.embedder as embedder
+from mfembed import cli, graphs, harness
 from mfembed.cli import main
-from mfembed.embedder import derive_params, embed_top, prepare
+from mfembed.embedder import derive_params, embed_top
+from mfembed.errors import DisconnectedGraph
 from mfembed.generators import generate
 from mfembed.graphio import load_graph, save_graph
 from mfembed.graphs import WeightedGraph, connected_components
-from mfembed.hierarchy import DIAMETER_EXCEEDED, ChainFailure
 from mfembed.rng import derive_seed
 
 
@@ -133,26 +134,17 @@ def test_length_that_is_not_positive_and_finite_names_its_line(tmp_path, capsys,
     assert "line 3:" in err and "must be positive and finite" in err
 
 
-@pytest.mark.parametrize(
-    "command,message",
-    [
-        (("frt",), "error: "),
-        (("split",), "too large to embed (n=5000000, limit 6000)"),
-    ],
-    ids=["frt", "split"],
-)
+@pytest.mark.parametrize("command,message", [(("frt",), "error: ")], ids=["frt"])
 def test_header_with_millions_of_vertices_and_no_edges_is_refused(
     tmp_path, capsys, command, message
 ):
     # twelve bytes that name five million vertices: connectivity is refused
-    # from the edge count, before any per-vertex list is built, and `split`
-    # refuses the header as `embed` does
+    # from the edge count, before any per-vertex list is built
     wide = tmp_path / "wide.txt"
     wide.write_text("p 5000000 0\n")
     capsys.readouterr()
     out = tmp_path / "out.json"
-    extra = ("-o", out) if command[0] == "frt" else ()
-    assert run(command[0], "-i", wide, *command[1:], *extra) == 2
+    assert run(command[0], "-i", wide, *command[1:], "-o", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -162,13 +154,14 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     run("gen", "cycle", "--n", 64, "-o", graph)
     src = str(Path(mfembed.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["embed", "-i", str(graph), "--seed", "1", "-o", str(tmp_path / "emb.json")]
     with subprocess.Popen(
-        [sys.executable, "-m", "mfembed.cli", "split", "-i", str(graph), "--seed", "1"],
+        [sys.executable, "-m", "mfembed.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        proc.stdout.close()  # the reader is gone before the first line
+        proc.stdout.close()  # the reader is gone before the one line
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
@@ -194,6 +187,52 @@ def test_disconnected_embed_emits_components(tmp_path):
         block["vertices"] = verts
         expected.append(block)
     assert emb.read_text() == json.dumps(expected, indent=1) + "\n"
+
+
+def test_embed_walks_a_connected_input_once_and_a_disconnected_one_twice(
+    tmp_path, capsys, monkeypatch
+):
+    # Unmasked `connected_components` calls on the loaded graph, through
+    # the library's binding and the command's: `embed_top`'s gate alone on
+    # a connected input; on a disconnected one with enough edges to be
+    # walked, the refused gate and then the command's split.
+    loaded, walks = [], []
+    real_load, real_components = cli._load, graphs.connected_components
+
+    def load(*args):
+        loaded.append(real_load(*args))
+        return loaded[-1]
+
+    def counted(graph, allowed=None):
+        if graph is loaded[-1] and allowed is None:
+            walks.append(graph)
+        return real_components(graph, allowed)
+
+    monkeypatch.setattr(cli, "_load", load)
+    monkeypatch.setattr(graphs, "connected_components", counted)
+    monkeypatch.setattr(cli, "connected_components", counted)
+    grid, triangles = tmp_path / "grid.txt", tmp_path / "triangles.txt"
+    save_graph(generate("grid", rows=6, cols=6), grid)
+    edges = [(u + k, v + k, 1.0) for k in (0, 3) for u, v in ((0, 1), (1, 2), (0, 2))]
+    save_graph(WeightedGraph(6, edges), triangles)
+    for graph, count in ((grid, 1), (triangles, 2)):
+        walks.clear()
+        assert run("embed", "-i", graph, "-o", tmp_path / "emb.json") == 0
+        assert len(walks) == count
+    # a refusal of a graph of one component is not split into components
+    real_embed = cli.embed_top
+
+    def refused(graph, *args, **kwargs):
+        if graph is loaded[-1]:
+            raise DisconnectedGraph("refused")
+        return real_embed(graph, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "embed_top", refused)
+    (tmp_path / "emb.json").unlink()
+    capsys.readouterr()
+    assert run("embed", "-i", grid, "-o", tmp_path / "emb.json") == 2
+    assert capsys.readouterr().err == "error: refused\n"
+    assert not (tmp_path / "emb.json").exists()
 
 
 def test_eval_rejects_component_array_as_input_error(tmp_path, capsys):
@@ -364,17 +403,19 @@ def test_eval_checks_the_forest_before_any_graph_search(tmp_path, capsys, monkey
 
 
 def _split_lines(out, prefix):
-    """The values of every `prefix=` field that `mfembed split` printed."""
+    """The values of every `prefix=` field in a root split's text."""
     return [part[len(prefix) :] for part in out.split() if part.startswith(prefix)]
 
 
-def test_debug_subcommands(tmp_path, capsys, monkeypatch):
+def test_debug_subcommands(tmp_path, monkeypatch):
+    # The debug commands are retired; the root split that `mfembed split`
+    # printed is read from the library (`prepare` plus one `split`) as
+    # `oracles.root_split_text`, here on a graph that `gen` wrote. The
+    # command's refusal is `test_removed_debug_commands_and_options_are_refused`.
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
-    capsys.readouterr()
-
-    assert run("split", "-i", graph, "--seed", 1) == 0
-    out = capsys.readouterr().out
+    g = load_graph(graph)
+    out = root_split_text(g, seed=1)
     assert "level 0" in out and "packing size=" in out
     assert out.splitlines()[-1].startswith("sampled cut=")
     margins = [int(m) for m in _split_lines(out, "balance_margin=")]
@@ -383,83 +424,15 @@ def test_debug_subcommands(tmp_path, capsys, monkeypatch):
     # `oversize` marks a cut with more than tau members; a cut of exactly
     # tau members is not oversize
     sizes = [int(m) for m in _split_lines(out, "members=")]
-    derived = prepare(load_graph(graph), 0.5).params.tau
+    derived = embedder.prepare(g, 0.5).params.tau
     assert _split_lines(out, "oversize=") == [str(size > derived) for size in sizes]
     for tau in sorted({t for size in sizes for t in (size - 1, size)}):
         def with_tau(*args, tau=tau, **kwargs):
             return dataclasses.replace(derive_params(*args, **kwargs), tau=tau)
 
         monkeypatch.setattr(embedder, "derive_params", with_tau)
-        assert run("split", "-i", graph, "--seed", 1) == 0
-        flags = _split_lines(capsys.readouterr().out, "oversize=")
+        flags = _split_lines(root_split_text(g, seed=1), "oversize=")
         assert flags == [str(size > tau) for size in sizes]
-
-
-def test_split_prints_a_chain_failure(tmp_path, capsys, monkeypatch):
-    graph = tmp_path / "g.txt"
-    run("gen", "grid", "--rows", 3, "--cols", 3, "-o", graph)
-    monkeypatch.setattr(
-        embedder, "build_chain", lambda *args: ChainFailure(2, DIAMETER_EXCEEDED, 0)
-    )
-    capsys.readouterr()
-    assert run("split", "-i", graph) == 0
-    # after the rescaling note, the failure alone: no level, cut or sample
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [
-        "# rescaled by 2 so all distances exceed 1",
-        f"failure: level=2 reason={DIAMETER_EXCEEDED}",
-    ]
-
-
-def test_split_refuses_a_disconnected_graph_or_a_single_vertex(tmp_path, capsys):
-    for text in ("p 5 3\ne 0 1 1.5\ne 2 3 2.0\ne 3 4 1e-05\n", "p 1 0\n"):
-        graph = tmp_path / "g.txt"
-        graph.write_text(text)
-        capsys.readouterr()
-        assert run("split", "-i", graph) == 2
-        captured = capsys.readouterr()
-        assert "input error: split needs a connected graph" in captured.err
-        assert captured.out == ""
-
-
-SPLIT_INSTANCES = [
-    pytest.param(dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), id="grid6"),
-    pytest.param(dict(kind="grid", rows=20, cols=20, weights="uniform:1:4"), id="grid20"),
-    pytest.param(dict(kind="cycle", size=512), id="cycle512"),
-    pytest.param(dict(kind="star", size=40), id="star40"),
-]
-
-
-@pytest.mark.parametrize("mode", ["practical", "theory"])
-@pytest.mark.parametrize("instance", SPLIT_INSTANCES)
-def test_split_command_shows_the_root_split_of_embed(tmp_path, capsys, monkeypatch, instance, mode):
-    # Record the split results of `embed_top`'s own run, each with the cuts
-    # it sampled from; the root split is the first.
-    splits = recording_splits(monkeypatch)
-    g = generate(seed=1, **instance)
-    graph = tmp_path / "g.txt"
-    save_graph(g, graph)
-    for seed in range(1, 6):
-        splits.clear()
-        emb = embed_top(g, 0.5, mode, seed=seed)
-        assert not emb.meta.fallback_used
-        root = splits[0]
-        splits.clear()
-        capsys.readouterr()
-        assert run("split", "-i", graph, "--mode", mode, "--seed", seed) == 0
-        lines = capsys.readouterr().out.splitlines()
-        # `split` makes one split, the same as `embed_top`'s root split
-        assert len(splits) == 1 and splits[0] == root
-        assert sum(line.startswith("level ") for line in lines) == root.chain.top_level + 1
-        assert f"packing size={emb.meta.packing_sizes[0]}" in lines
-        assert emb.meta.packing_sizes[0] == len(root.cuts)
-        cut_lines = [line for line in lines if line.startswith("  cut ")]
-        assert len(cut_lines) == len(root.cuts)
-        tau = emb.meta.params.tau
-        oversize = [str(len(cut) > tau) for cut, _ in root.cuts]
-        assert _split_lines("\n".join(cut_lines), "oversize=") == oversize
-        assert lines[-1] == f"sampled cut={root.index}"
-        assert cut_lines[root.index].startswith(f"  cut {root.index}: members={len(root.portals)} ")
 
 
 def test_eval_refuses_a_host_that_leaves_a_pair_in_two_trees(tmp_path, capsys):
@@ -562,7 +535,6 @@ def test_edge_guard_refuses_the_header_in_every_command_that_loads(tmp_path, cap
         ("frt", "-o", tmp_path / "e.json"),
         ("eval", "-e", tree, "-o", tmp_path / "e.json"),
         ("experiment", "-o", tmp_path / "e.json"),
-        ("split",),
     ]
     for m, message in ((limit + 1, f"(m={limit + 1}, limit {limit})"), (limit, "line 2")):
         big = tmp_path / "big.txt"
@@ -627,6 +599,30 @@ def test_output_in_a_missing_directory_is_refused_before_any_input(
         assert run(*argv, *[x for flag, path in outs.items() for x in (flag, path)]) == 2
         assert f"no directory for output {outs[missing]}" in capsys.readouterr().err
         assert not any(path.exists() for path in outs.values())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("eval", "--pairs", "all"), ("experiment", "--runs", 1, "--pairs", 5)],
+    ids=["eval", "experiment"],
+)
+def test_one_file_named_by_both_outputs_is_refused_before_any_input(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the CSV table would replace the JSON report
+    argv = _command_argv(tmp_path, command)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "_load", unread)
+    monkeypatch.chdir(tmp_path)
+    for csv in ("same.out", "./same.out", str(tmp_path / "same.out")):
+        capsys.readouterr()
+        assert run(*argv, "-o", "same.out", "--csv", csv) == 2
+        captured = capsys.readouterr()
+        assert f"outputs same.out and {csv} name one file" in captured.err
+        assert captured.out == "" and not (tmp_path / "same.out").exists()
 
 
 @pytest.mark.parametrize("command,flags", OUTPUT_COMMANDS)
@@ -770,18 +766,15 @@ def test_gen_bad_weight_bounds(tmp_path):
         # theory mode keeps the raw xi and takes no cap
         ("embed", "--mode", "theory", "--xi-cap", 4),
         ("experiment", "--mode", "theory", "--xi-cap", 4, "--runs", 1, "--pairs", 5),
-        ("split", "--epsilon", 0),
-        ("split", "--mode", "theory", "--xi-cap", 4),
     ],
 )
 def test_out_of_range_split_parameters_are_input_errors(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
     run("gen", "grid", "--rows", 4, "--cols", 4, "-o", graph)
     command, *rest = argv
-    out = () if command == "split" else ("-o", tmp_path / "out.json")
     capsys.readouterr()
     try:
-        code = run(command, "-i", graph, *rest, *out)
+        code = run(command, "-i", graph, *rest, "-o", tmp_path / "out.json")
     except SystemExit as exc:  # the parser refuses an unknown option
         code = exc.code
     assert code == 2
@@ -838,13 +831,14 @@ def test_a_written_embedding_measures_its_depth_once(tmp_path, capsys, monkeypat
     [
         ("chain",),
         ("cuts",),
+        ("split",),
         ("split", "--delta", 0.1),
         ("split", "--xi", 8),
         ("split", "--tau", 32),
         ("partition", "--r", 1.5),
         ("partition", "--r", 1.5, "--order-file", "order.txt"),
     ],
-    ids=["chain", "cuts", "split-delta", "split-xi", "split-tau", "partition", "partition-order-file"],
+    ids=["chain", "cuts", "split", "split-delta", "split-xi", "split-tau", "partition", "partition-order-file"],
 )
 def test_removed_debug_commands_and_options_are_refused(tmp_path, capsys, argv):
     graph = tmp_path / "g.txt"
@@ -855,18 +849,6 @@ def test_removed_debug_commands_and_options_are_refused(tmp_path, capsys, argv):
     assert refused.value.code == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
-
-
-def test_split_options_are_the_embed_split_settings():
-    parser = cli.build_parser()
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-    def options(command):
-        return set(subcommands.choices[command]._option_string_actions)
-
-    settings = {"--epsilon", "--mode", "--xi-cap", "--seed"}
-    assert options("split") == settings | {"-h", "--help", "-i", "--input"}
-    assert settings <= options("embed") and settings <= options("experiment")
 
 
 @pytest.mark.parametrize(
@@ -897,8 +879,8 @@ def test_lengths_that_overflow_a_float_are_input_errors(tmp_path, capsys, comman
 
 def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
     # FRT measures the input, the embedder the closed graph rescaled by 2;
-    # all name the input's eccentricity and never an overflowed bound. Every
-    # command but `frt` is refused by `embedder.prepare`.
+    # all name the input's eccentricity and never an overflowed bound. `embed`
+    # and `experiment` are refused by `embedder.prepare`.
     graph = tmp_path / "widediam.txt"
     graph.write_text("p 3 2\ne 0 1 1\ne 1 2 5e307\n")
     out = tmp_path / "out.json"
@@ -906,7 +888,6 @@ def test_level_overflow_names_the_eccentricity_and_the_level(tmp_path, capsys):
     for argv in (
         ("frt", "-o", out),
         ("embed", "-o", out),
-        ("split",),
         experiment,
         (*experiment, "--baseline", "frt"),
     ):

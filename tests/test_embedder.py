@@ -14,6 +14,8 @@ from oracles import (
     embed_by_reference,
     embedding_to_dict,
     floyd_warshall,
+    recording_splits,
+    root_split,
 )
 
 import mfembed.embedder as embedder
@@ -324,6 +326,32 @@ def test_prepare_checks_settings_then_connectivity_before_the_closure(monkeypatc
             prepare(g, 0.5, mode)
         with pytest.raises(DisconnectedGraph, match="^embed components separately$"):
             embed_top(g, 0.5, mode)
+
+
+SPLIT_INSTANCES = [
+    pytest.param(dict(kind="grid", rows=6, cols=6, weights="uniform:1:4"), id="grid6"),
+    pytest.param(dict(kind="grid", rows=20, cols=20, weights="uniform:1:4"), id="grid20"),
+    pytest.param(dict(kind="cycle", size=512), id="cycle512"),
+    pytest.param(dict(kind="star", size=40), id="star40"),
+]
+
+
+@pytest.mark.parametrize("mode", ["practical", "theory"])
+@pytest.mark.parametrize("instance", SPLIT_INSTANCES)
+def test_the_root_split_of_the_prepared_record_is_embed_tops(monkeypatch, instance, mode):
+    # One `split` on the `prepare` record, drawn from the root's stream,
+    # gives `embed_top`'s root split: its chain, cut list and index.
+    splits = recording_splits(monkeypatch)
+    g = generate(seed=1, **instance)
+    for seed in range(1, 6):
+        splits.clear()
+        emb = embed_top(g, 0.5, mode, seed=seed)
+        assert not emb.meta.fallback_used
+        root = splits[0]
+        splits.clear()
+        _, result = root_split(g, 0.5, mode, seed)
+        assert splits == [result] and result == root
+        assert emb.meta.packing_sizes[0] == len(result.cuts)
 
 
 def test_embed_top_walks_for_connectivity_only_without_a_record(connectivity_walks):

@@ -6,11 +6,11 @@ are sha256 of an experiment report without its timing block, dumped with
 sorted keys, and of the file `mfembed eval` writes. A change that alters any
 of them fails here; if the change is meant to, say so and record the new
 digests. The test ids name the instance, not the digest, so a re-record
-keeps them. The same embeddings also have their host distance labels and
-their leaf rows checked against the portal wiring, every graph that the
-library built for them without checks is rebuilt through the public
-constructor, and every centroid search they make is repeated on the whole
-min-degree decomposition.
+keeps them. Three root splits are kept as text. The same embeddings also
+have their host distance labels and their leaf rows checked against the
+portal wiring, every graph that the library built for them without checks
+is rebuilt through the public constructor, and every centroid search they
+make is repeated on the whole min-degree decomposition.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from oracles import (
     check_leaf_rows,
     oracle_centroid,
     recording_derived_graphs,
+    root_split_text,
     strip_timing,
 )
 
@@ -168,8 +169,9 @@ def test_eval_report_digest_grid5(tmp_path, monkeypatch):
     assert digest == "fcc4b4ccd1bc7059db0d30e583a5c7859939e37fbcabf05f67e9710c9bad0370"
 
 
-# `mfembed split --seed 1`, the root split of `embed --seed 1`, in two parts:
-# the chain (everything before `packing size=`) and the cuts (the rest)
+# The root split of `embed --seed 1`, as the former `mfembed split --seed 1`
+# debug command printed it (`oracles.root_split_text`), in two parts: the
+# chain (everything before `packing size=`) and the cuts (the rest)
 GRID6_CHAIN = """\
 level 0: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 level 1: 36 clusters, sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
@@ -238,10 +240,8 @@ sampled cut=0
         "grid6-chain", "grid6-cuts", "cycle512-chain", "cycle512-cuts", "star40-chain", "star40-cuts"
     ],
 )
-def test_debug_command_stdout(instance, part, want, tmp_path, capsys):
-    path = tmp_path / "g.txt"
-    save_graph(generate(seed=1, **instance), path)
-    assert main(["split", "-i", str(path), "--seed", "1"]) == 0
-    chain, marker, cuts = capsys.readouterr().out.partition("packing size=")
+def test_debug_command_stdout(instance, part, want):
+    text = root_split_text(generate(seed=1, **instance), seed=1)
+    chain, marker, cuts = text.partition("packing size=")
     assert marker
     assert {"chain": chain, "cuts": marker + cuts}[part] == want
