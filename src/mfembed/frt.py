@@ -84,7 +84,12 @@ def frt_embed(g: WeightedGraph, seed: int, *, top: int | None = None) -> HostEmb
                 while entries[i][1] > radius:
                     i += 1
                 at[v] = i
-                groups.setdefault(entries[i][0], []).append(v)
+                c = entries[i][0]
+                group = groups.get(c)
+                if group is None:
+                    groups[c] = [v]
+                else:
+                    group.append(v)
             for center in sorted(groups, key=rank.__getitem__):
                 child = groups[center]
                 if len(child) == 1:

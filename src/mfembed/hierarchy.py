@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import DisconnectedGraph, LevelOverflow, PreconditionViolation
 from .graphs import INF, WeightedGraph, dijkstra, induced_subgraphs, quotient_adjacency
@@ -305,20 +304,27 @@ def build_chain(
             below.append(k)
             return
         first = start[k]
+        kids = children[k]
+        node = len(start)
         for c, members, rv in balls:
-            order[first : first + len(members)] = members
-            children[k].append(len(start))
-            if len(members) > 1:
-                below.append(len(start))
+            size = len(members)
+            order[first : first + size] = members
+            kids.append(node)
+            if size > 1:
+                below.append(node)
+                lo.append(level)
+                radius.append(rv)
+            else:
+                # a singleton stays a cluster down to level 0
+                lo.append(0)
+                radius.append(0.0)
+            node += 1
             start.append(first)
-            first += len(members)
+            first += size
             stop.append(first)
             children.append([])
-            # a singleton stays a cluster down to level 0
-            lo.append(level if len(members) > 1 else 0)
             hi.append(level)
             center.append(c)
-            radius.append(rv if len(members) > 1 else 0.0)
 
     # The non-singleton clusters of level i + 1, in level order. Their
     # slices are still the sorted lists that carving returned.
@@ -360,18 +366,19 @@ def _flat_chain(g: WeightedGraph, top: int) -> ClusteringChain:
     """The flat chain of `build_chain`: the root over n singletons, each a
     cluster from level 0 to max(top - 1, 0)."""
     n = g.n
-    leaves = range(n)
+    leaves = tuple(range(n))
+    nodes = tuple(range(1, n + 1))
     return ClusteringChain(
         graph=g,
         top_level=top,
-        order=tuple(leaves),
-        start=(0, *leaves),
-        stop=(n, *range(1, n + 1)),
-        children=(tuple(range(1, n + 1)), *repeat((), n)),
-        lo=(top, *repeat(0, n)),
-        hi=(top, *repeat(max(top - 1, 0), n)),
-        center=(0, *leaves),
-        radius=(INF, *repeat(0.0, n)),
+        order=leaves,
+        start=(0,) + leaves,
+        stop=(n,) + nodes,
+        children=(nodes,) + ((),) * n,
+        lo=(top,) + (0,) * n,
+        hi=(top,) + (max(top - 1, 0),) * n,
+        center=(0,) + leaves,
+        radius=(INF,) + (0.0,) * n,
     )
 
 

@@ -178,10 +178,14 @@ class ForestLabels:
     exactly one host edge, to its forest parent, as in FRT trees and the HST
     fallback) skips the Dijkstra runs. Each label is its parent's label plus
     the parent edge, entry by entry, then 0.0, the very additions a Dijkstra
-    run makes in a tree. A query reads the deepest common ancestor l alone:
-    float rounding is monotone and lengths are nonnegative, so r_a(x) >=
-    r_l(x) for every common ancestor a above l, and the sum at l is the
-    minimum bit for bit.
+    run makes in a tree. Vertices whose parents share a row and whose parent
+    edges are equal share one list, so an FRT tree, whose edge lengths
+    depend on the level alone, holds one row per depth. Entries start at
+    +0.0 and add lengths of at least zero, so none is -0.0, and a 0.0 and a
+    -0.0 edge give the same row. A query reads the deepest common ancestor
+    l alone: float rounding is monotone and lengths are nonnegative, so
+    r_a(x) >= r_l(x) for every common ancestor a above l, and the sum at l
+    is the minimum bit for bit.
     """
 
     __slots__ = ("tin", "ends", "depth", "labels", "eta", "forest_shaped")
@@ -211,17 +215,21 @@ class ForestLabels:
             self.labels = _subtree_labels(emb.host.edges, tin, ends)
         else:
             labels: list[list[float]] = []
+            # one row per (parent row, parent edge), keyed by the row's id:
+            # every row stays alive in `labels`, so no id is reused
+            shared: dict[tuple[int, float], list[float]] = {}
+            root: list[float] = []
             for u in order:
                 p = forest[u]
-                if p is None:
-                    labels.append([0.0])
-                else:
+                above = root if p is None else labels[tin[p]]
+                w = up[u]
+                row = shared.get((id(above), w))
+                if row is None:
                     # sized exactly, as the Dijkstra build sizes its rows
-                    w = up[u]
-                    above = labels[tin[p]]
                     row = above + [0.0]
                     row[:-1] = [x + w for x in above]
-                    labels.append(row)
+                    shared[id(above), w] = row
+                labels.append(row)
             self.labels = labels
         self.tin = tin
         self.ends = ends

@@ -45,7 +45,8 @@ from the forest; `check_labels_against_copy_edges` and `check_leaf_rows`
 hold the kept edges, the `ForestLabels` and the leaf rows to its weights;
 `check_forest_labels_by_dijkstra` requires a host that is its own forest to
 give, from its path sums, the labels and distances of the library's Dijkstra
-build.
+build, and `check_shared_forest_rows` requires its shared rows to be the
+rows a per-vertex build gives.
 
 Helpers that only tests read: `all_pairs`, `diameter`, `min_distance`,
 `stretch_exponent`, the path-level counters (`edge_level`,
@@ -1149,6 +1150,52 @@ def check_forest_labels_by_dijkstra(emb, pairs=None):
     for (u, v), a, b in zip(pairs, got.distances(pairs), want.distances(pairs)):
         if a.hex() != b.hex():
             raise AssertionError(f"pair ({u},{v}): {a.hex()} from path sums, {b.hex()} by Dijkstra")
+
+
+def parent_edges(emb):
+    """{v: length of v's host edge to its forest parent} on a host that is
+    its own forest."""
+    return {v if emb.forest[v] == u else u: w for u, v, w in emb.host.edges}
+
+
+def forest_rows_per_vertex(emb):
+    """Each host vertex's forest label, indexed by host vertex, built as one
+    new list per vertex: the parent's row plus the parent edge's length,
+    entry by entry, then 0.0 (the rows that `ForestLabels` shares on a host
+    that is its own forest)."""
+    up = parent_edges(emb)
+    rows = {}
+    for x in sorted(range(emb.host.n), key=lambda x: len(ancestors(emb.forest, x))):
+        p = emb.forest[x]
+        rows[x] = [0.0] if p is None else [a + up[x] for a in rows[p]] + [0.0]
+    return [rows[x] for x in range(emb.host.n)]
+
+
+def check_shared_forest_rows(emb):
+    """Raise unless `ForestLabels` of a host that is its own forest gives
+    every vertex the row of `forest_rows_per_vertex` bit for bit, unless
+    siblings with equal parent edges read one list, and unless `distances`
+    over every pair of input vertices leaves every row as it was. Returns
+    the labels."""
+    got = ForestLabels(emb)
+    if not got.forest_shaped:
+        raise AssertionError("the host is not its own forest")
+
+    def hexes():
+        return [[a.hex() for a in got.labels[got.tin[x]]] for x in range(emb.host.n)]
+
+    before = hexes()
+    if before != [[a.hex() for a in row] for row in forest_rows_per_vertex(emb)]:
+        raise AssertionError("shared rows differ from the per-vertex build")
+    first = {}
+    for x, w in parent_edges(emb).items():
+        sibling = first.setdefault((emb.forest[x], w), x)
+        if got.labels[got.tin[x]] is not got.labels[got.tin[sibling]]:
+            raise AssertionError(f"siblings {sibling} and {x} hold two rows")
+    got.distances(list(itertools.combinations(range(len(emb.eta)), 2)))
+    if hexes() != before:
+        raise AssertionError("a query changed a row")
+    return got
 
 
 class LevelView(NamedTuple):

@@ -10,6 +10,7 @@ import random
 import pytest
 from oracles import (
     check_forest_labels_by_dijkstra,
+    check_shared_forest_rows,
     embedding_json_by_encoder,
     embedding_to_dict,
     forest_validity_by_ancestor_sets,
@@ -131,6 +132,38 @@ def test_labels_of_a_reloaded_frt_tree(tmp_path):
     g = generate("grid", rows=6, cols=7, weights="uniform:0.001:1000", seed=7)
     save_embedding(frt_embed(g, 3), tmp_path / "tree.json")
     check_forest_labels_by_dijkstra(load_embedding(tmp_path / "tree.json"))
+
+
+@pytest.mark.parametrize("name", ["cycle-64", "reloaded-grid", "hst-fallback"])
+def test_forest_rows_are_shared_per_parent_row_and_edge(name, fail_chain_at, tmp_path):
+    if name == "cycle-64":
+        emb = frt_embed(generate("cycle", size=64, seed=1), 2)
+    elif name == "reloaded-grid":
+        g = generate("grid", rows=6, cols=7, weights="uniform:0.001:1000", seed=7)
+        save_embedding(frt_embed(g, 3), tmp_path / "tree.json")
+        emb = load_embedding(tmp_path / "tree.json")
+    else:
+        fail_chain_at(0)
+        emb = embed_top(generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=3), 0.5,
+                        "practical", seed=4)
+        assert emb.meta.fallback_used
+    labels = check_shared_forest_rows(emb)
+    # An FRT edge's length depends on its level alone: one row per depth.
+    assert len({id(row) for row in labels.labels}) == labels.depth < emb.host.n
+
+
+def test_zero_and_negative_zero_sibling_edges_share_a_row():
+    # 1 and 2 hang on 0 at lengths 0.0 and -0.0, 3 at 1.5; 4 and 5 hang on
+    # 1 and 2 at 2.0, so their parents' rows are one list too.
+    edges = [(0, 1, 0.0), (0, 2, -0.0), (0, 3, 1.5), (1, 4, 2.0), (2, 5, 2.0)]
+    emb = hand_embedding(6, edges, [None, 0, 0, 0, 1, 2])
+    assert math.copysign(1.0, emb.host.edges[1][2]) == -1.0  # the host keeps -0.0
+    labels = check_shared_forest_rows(emb)
+    rows = [labels.labels[labels.tin[x]] for x in range(6)]
+    assert rows[1] is rows[2] and rows[4] is rows[5] and rows[3] is not rows[1]
+    assert all(math.copysign(1.0, a) == 1.0 for row in rows for a in row)
+    got = labels.distances([(1, 2), (4, 5), (2, 3)])
+    assert [d.hex() for d in got] == [(0.0).hex(), (4.0).hex(), (1.5).hex()]
 
 
 NOT_THEIR_FOREST = {
