@@ -1,4 +1,5 @@
-"""Count an experiment's graph searches by caller and by walk.
+"""Count an experiment's graph searches by caller and walk, and time its label
+builds and queries by host kind.
 
 `graphs.search` walks a graph breadth-first when every edge has one length
 and runs `settle`'s heap otherwise. This script runs experiments in-process
@@ -27,15 +28,24 @@ packing), out of all splits, and the carving balls answered without a
 search (every free neighbour of the center lay beyond its radius), out of
 all balls.
 
+A second table times `ForestLabels.__init__` and `ForestLabels.distances`
+on every host the experiments build, one row per host kind:
+- forest-shaped hosts (each non-root vertex has one host edge, to its forest
+  parent: FRT trees, the HST fallback), whose labels are path sums read at
+  the deepest common ancestor;
+- leaf rows: embedder hosts, whose input vertices' labels are the portal
+  rows the embedder kept while wiring them, so the build runs no Dijkstra;
+- other hosts, whose labels come from one Dijkstra run per host vertex
+  (`eval` of an embedder host; an experiment makes none).
+
     PYTHONPATH=src python scripts/search_split.py --cycle 512 --runs 4 --pairs 200 --seeds 1 2
     PYTHONPATH=src python scripts/search_split.py --grid 16 --runs 4 --pairs all
 
 `--grid SIDE` is a SIDE x SIDE grid with `uniform:1:4` lengths (generator
-seed 1), `--cycle N` the unit cycle of N vertices. The counts add up over
-the given experiment seeds. Each row gives, per walk, the searches made and
-the vertices they returned. On the unit cycle every edge of every graph
-the experiment searches has one length, so a heap search on a graph with
-an edge there exits with code 1.
+seed 1), `--cycle N` the unit cycle of N vertices. Counts and seconds add
+up over the given experiment seeds. The exit code is 1 when a heap search
+ran on a graph with edges of the unit cycle, or when fewer hosts took the
+forest-shaped path than there were FRT trees.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import mfembed.embedder as embedder
 import mfembed.frt as frt
@@ -53,6 +64,7 @@ import mfembed.hosts as hosts
 import mfembed.partition as partition
 from mfembed.generators import generate
 from mfembed.harness import ExperimentConfig
+from mfembed.hosts import ForestLabels
 
 # (module, function) of the nearest library frame -> caller row
 CALLERS = {
@@ -69,6 +81,7 @@ CALLERS = {
 }
 ROWS = list(dict.fromkeys(CALLERS.values())) + ["other"]
 WALKS = ("breadth-first", "heap")
+KINDS = ("forest-shaped", "leaf rows", "other")
 
 
 def caller() -> str:
@@ -82,16 +95,21 @@ def caller() -> str:
     return "other"
 
 
-def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
-    """Run the experiments with counted searches; returns, per caller and
-    walk, [searches, vertices returned], the heap searches made on graphs
-    with at least one edge, and the split and ball tallies of the flat
-    shares."""
+def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict, dict]:
+    """Run the experiments with counted searches and timed labels; returns,
+    per caller and walk, [searches, vertices returned], the heap searches
+    made on graphs with at least one edge, the split and ball tallies of the
+    flat shares, and, per host kind, [hosts, build seconds, query seconds,
+    pairs]."""
     counts = {row: {walk: [0, 0] for walk in WALKS} for row in ROWS}
     heap_on_edges = 0
     tally = {"splits": 0, "flat splits": 0, "balls": 0}
+    totals = {kind: [0, 0.0, 0.0, 0] for kind in KINDS}
+    # the totals row of each live ForestLabels, by id
+    row_of: dict[int, list] = {}
     search, search_to, settle = graphs.search, harness.search_to, hosts.settle
     build_chain, carve = embedder.build_chain, hierarchy.carve
+    build, query = ForestLabels.__init__, ForestLabels.distances
 
     def counted_chain(h, *args, **kwargs):
         chain = build_chain(h, *args, **kwargs)
@@ -129,12 +147,32 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
         row[1] += len(out)
         return out
 
+    def timed_build(self, emb):
+        t0 = perf_counter()
+        build(self, emb)
+        if emb.leaf_rows is not None:
+            row = totals[KINDS[1]]
+        else:
+            row = totals[KINDS[0] if self.forest_shaped else KINDS[2]]
+        row[0] += 1
+        row[1] += perf_counter() - t0
+        row_of[id(self)] = row
+
+    def timed_query(self, pairs):
+        t0 = perf_counter()
+        out = query(self, pairs)
+        row = row_of[id(self)]
+        row[2] += perf_counter() - t0
+        row[3] += len(out)
+        return out
+
     patched = [(graphs, "search"), (partition, "search"), (frt, "search")]
     for module, name in patched:
         setattr(module, name, counted_search)
     harness.search_to = counted_search_to
     hosts.settle = counted_settle
     embedder.build_chain, hierarchy.carve = counted_chain, counted_carve
+    ForestLabels.__init__, ForestLabels.distances = timed_build, timed_query
     try:
         for config in configs:
             harness.run_experiment(g, config)
@@ -144,7 +182,8 @@ def split(g, configs: list[ExperimentConfig]) -> tuple[dict, int, dict]:
         harness.search_to = search_to
         hosts.settle = settle
         embedder.build_chain, hierarchy.carve = build_chain, carve
-    return counts, heap_on_edges, tally
+        ForestLabels.__init__, ForestLabels.distances = build, query
+    return counts, heap_on_edges, tally, totals
 
 
 def share(part: int, whole: int) -> str:
@@ -171,7 +210,7 @@ def main() -> int:
     pairs = args.pairs if args.pairs == "all" else int(args.pairs)
     configs = [ExperimentConfig(epsilon=0.5, mode="practical", runs=args.runs, pairs=pairs,
                                 seed=seed, baseline="frt") for seed in args.seeds]
-    counts, heap_on_edges, tally = split(g, configs)
+    counts, heap_on_edges, tally, totals = split(g, configs)
     print(f"{label}, --runs {args.runs} --pairs {args.pairs} "
           f"--seeds {' '.join(map(str, args.seeds))}")
     print("| caller | breadth-first searches | vertices | heap searches | vertices |")
@@ -182,11 +221,21 @@ def main() -> int:
     searched = sum(n for n, _ in counts["carving"].values())
     print(f"flat chains: {share(tally['flat splits'], tally['splits'])} splits")
     print(f"carving balls without a search: {share(tally['balls'] - searched, tally['balls'])}")
+    print("| host kind | hosts | pairs | build s | query s | build ms/host | query ms/host |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    for name, (built, build_s, query_s, answered) in totals.items():
+        per = 1e3 / built if built else 0.0
+        print(f"| {name} | {built} | {answered} | {build_s:.4f} | {query_s:.4f} | "
+              f"{build_s * per:.2f} | {query_s * per:.2f} |")
+    code = 0
     if args.cycle is not None and heap_on_edges:
         print(f"{heap_on_edges} heap searches on graphs with edges of the unit cycle",
               file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    if totals[KINDS[0]][0] < args.runs * len(args.seeds):
+        print("the FRT trees did not take the forest-shaped path", file=sys.stderr)
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -358,7 +358,8 @@ def embed_top(
     graph of at least two vertices, stands in for the `prepare` call made
     otherwise, which refuses a disconnected graph; a record passed in
     stands as proof that g is connected. The settings are checked first,
-    also for a graph of one vertex.
+    also for a graph of one vertex; a record made for another vertex count
+    or with other settings is refused.
     """
     check_settings(epsilon, mode, xi_cap)
     if g.n == 0:
@@ -375,6 +376,10 @@ def embed_top(
         )
     if prepared is None:
         prepared = prepare(g, epsilon, mode, xi_cap=xi_cap)
+    elif prepared.scaled.n != g.n or prepared.params != derive_params(
+        g.n, prepared.hat_ell, epsilon, mode, xi_cap=xi_cap
+    ):
+        raise PreconditionViolation("the prepared record was made for another graph or settings")
     scale, params = prepared.scale, prepared.params
     state = _EmbedState(g.n, params, seed, scale, leaf_rows)
     try:

@@ -443,6 +443,8 @@ def embedding_from_dict(d: dict) -> HostEmbedding:
     eta, forest = d["eta"], d["forest_parent"]
     if not isinstance(eta, list) or any(not _is_id(x) or not 0 <= x < host.n for x in eta):
         raise BadEmbedding(f"eta must list host vertices in 0..{host.n - 1}")
+    if len(set(eta)) != len(eta):
+        raise BadEmbedding("eta must send distinct input vertices to distinct host vertices")
     if not isinstance(forest, list) or len(forest) != host.n:
         raise BadEmbedding(f"forest_parent must list one parent per host vertex ({host.n})")
     if any(p is not None and (not _is_id(p) or not 0 <= p < host.n) for p in forest):

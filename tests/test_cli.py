@@ -465,6 +465,35 @@ def test_eval_refuses_a_host_that_leaves_a_pair_in_two_trees(tmp_path, capsys):
     assert not report.exists() and not table.exists()
 
 
+def test_eval_refuses_a_vertex_map_that_is_not_injective(tmp_path, capsys):
+    # both input vertices sent to the one host vertex: the map is no
+    # embedding, so the file is refused as input, with no report
+    graph = tmp_path / "g.txt"
+    graph.write_text("p 2 1\ne 0 1 1.0\n")
+    emb = tmp_path / "emb.json"
+    emb.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "seed": 0,
+                "mode": "practical",
+                "params": None,
+                "fallback_used": False,
+                "host": {"n": 1, "edges": []},
+                "eta": [0, 0],
+                "forest_parent": [None],
+                "depth": 1,
+            }
+        )
+    )
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run("eval", "-i", graph, "-e", emb, "-o", report) == 2
+    captured = capsys.readouterr()
+    assert "input error:" in captured.err and "eta" in captured.err
+    assert not report.exists()
+
+
 def test_eval_detects_contracting_embedding(tmp_path):
     # hand-written "embedding" whose host distance undercuts the graph
     graph = tmp_path / "g.txt"

@@ -390,6 +390,24 @@ def test_embed_top_without_a_record_makes_one_and_passes_its_top_level(monkeypat
     assert len(tops) == emb.meta.split_calls > 1
 
 
+def test_embed_top_refuses_a_record_made_for_other_settings_or_another_graph():
+    # The record fixes the split parameters; a call whose epsilon, mode or
+    # xi_cap would derive others, or whose graph has another vertex count,
+    # is refused instead of embedding with the record's settings.
+    g = generate("grid", rows=5, cols=5, weights="uniform:1:4", seed=1)
+    prepared = prepare(g, 0.5)
+    for epsilon, mode, xi_cap in ((0.2, "theory", None), (0.2, "practical", None),
+                                  (0.5, "theory", None), (0.5, "practical", 2)):
+        with pytest.raises(PreconditionViolation, match="prepared record"):
+            embed_top(g, epsilon, mode, 3, xi_cap=xi_cap, prepared=prepared)
+    other = generate("grid", rows=4, cols=4, weights="uniform:1:4", seed=1)
+    with pytest.raises(PreconditionViolation, match="prepared record"):
+        embed_top(other, 0.5, seed=3, prepared=prepared)
+    # the cap that practical mode takes by default is the same settings
+    got = embed_top(g, 0.5, "practical", 3, xi_cap=16, prepared=prepared)
+    assert got.meta.params == prepared.params and got.meta.params.xi == 16
+
+
 def test_a_split_holds_neither_its_chain_nor_its_cut_list_across_the_recursion(monkeypatch):
     # When a split starts, no split above it still holds the chain or the
     # cut list it sampled from; it keeps the drawn cut's components alone.

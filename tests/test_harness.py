@@ -6,8 +6,11 @@ import json
 import math
 import random
 import re
+import runpy
+import sys
 import weakref
 from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 from oracles import aggregate_records_by_pair, all_pairs, load_report, strip_timing
@@ -377,7 +380,7 @@ def test_evaluate_reads_inf_between_components():
 
 
 def test_grid_experiment_reads_frt_trees_as_forests_and_embedder_hosts_from_rows(monkeypatch):
-    # As `scripts/read_path_split.py --grid 6` requires: the embedder's runs
+    # As `scripts/search_split.py --grid 6` requires: the embedder's runs
     # come first, each host with its leaf rows, then the FRT trees, each
     # labelled by path sums.
     built = []
@@ -394,6 +397,39 @@ def test_grid_experiment_reads_frt_trees_as_forests_and_embedder_hosts_from_rows
     )
     run_experiment(g, config)
     assert built == [(True, False)] * 2 + [(False, True)] * 2
+
+
+SEARCH_SPLIT = Path(__file__).resolve().parents[1] / "scripts" / "search_split.py"
+
+
+def _table(lines, header):
+    """The rows under the markdown table whose header starts with `header`,
+    as lists of cells, keyed by the first cell."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(header)) + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("| "), lines[start:]):
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1:]
+    return rows
+
+
+def test_search_split_script_runs_on_the_unit_cycle_and_a_grid(monkeypatch, capsys):
+    # The script patches library names in place; a rename breaks it here.
+    main = runpy.run_path(str(SEARCH_SPLIT))["main"]
+    monkeypatch.setattr(sys, "argv", ["search_split.py", "--cycle", "64", "--runs", "2", "--pairs", "all"])
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    searches = _table(lines, "| caller |")
+    assert {heap for _, _, heap, _ in searches.values()} == {"0"}
+    assert sum(int(bfs) for bfs, _, _, _ in searches.values()) > 0
+    monkeypatch.setattr(sys, "argv", ["search_split.py", "--grid", "6", "--runs", "2", "--pairs", "all"])
+    assert main() == 0
+    kinds = _table(capsys.readouterr().out.splitlines(), "| host kind |")
+    assert {kind: row[:2] for kind, row in kinds.items()} == {
+        "forest-shaped": ["2", "1260"],
+        "leaf rows": ["2", "1260"],
+        "other": ["0", "0"],
+    }
 
 
 @pytest.mark.parametrize(
